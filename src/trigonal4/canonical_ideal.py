@@ -1,14 +1,21 @@
 """Geometry of the canonically embedded curve: the unique quadric, the
 cubic of the canonical ideal, symmetric-tensor ranks, and the Schiffer test.
 
-Kernels of the evaluation maps from degree-2 and degree-3 monomials to
-sections are computed by exact evaluation at sampled trigonal fibers: a
-fiber over x0 evaluates all three conjugate points at once inside
-Q(w)[Y]/(Y**3 - Q(x0)), giving three exact linear conditions per fiber.
-Vanishing at 12 fibers (36 distinct points) certifies a quadric contains
-the degree-6 curve, and 25 fibers (75 points) certify a cubic, since a
-hypersurface of degree d not containing the curve meets it in at most 6d
-points.  A disjoint second fiber sample must reproduce each kernel.
+The degree-d part of the canonical ideal is decided by exact coefficient
+comparison.  On the affine chart the canonical map is z = (Y, 1, x, x**2)
+with Y**3 = Q(x), so a monomial z0**e0 * z1**a * z2**b * z3**c pulls back
+to Y**(e0 % 3) * Q(x)**(e0 // 3) * x**(b + 2*c).  Q is squarefree of degree
+6, hence not a cube, so Y**3 - Q(x) is irreducible and 1, Y, Y**2 are a
+basis of the function field over Q(w)(x).  A form therefore vanishes on the
+curve exactly when each of its three Y-components is the zero polynomial in
+x: the ideal in degree d is the kernel of one small coefficient matrix.
+
+Evaluation at sampled trigonal fibers (``_evaluation_kernel``) stays as an
+independent cross-check of these kernels; nothing in the production path
+uses it.  A fiber over x0 evaluates all three conjugate points at once
+inside Q(w)[Y]/(Y**3 - Q(x0)), and 12 fibers (36 points) or 25 fibers (75
+points) suffice for quadrics and cubics, since a hypersurface of degree d
+not containing the degree-6 curve meets it in at most 6d points.
 """
 
 from __future__ import annotations
@@ -17,9 +24,9 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .curve import CurveParams, CurvePoint, canonical_map
+from .curve import CurveParams
 from .errors import DegenerateInput, StructuralError
-from .linalg import Matrix, row_space_rref
+from .linalg import Matrix
 from .scalars import Scalar
 
 # Degree-2 and degree-3 exponent tuples over (z0, z1, z2, z3), graded-lex
@@ -164,7 +171,7 @@ def _monomial_value(v: tuple, exponents: tuple) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# Fiber evaluation
+# Fiber evaluation (the sampled cross-check)
 # ---------------------------------------------------------------------------
 
 
@@ -210,51 +217,35 @@ def _evaluation_kernel(params: CurveParams, monomials, fibers: int, skip: int) -
     return Matrix.from_rows(rows).kernel_basis()
 
 
-def _stable_kernel(params: CurveParams, monomials, fibers: int, expected_dim: int, what: str) -> list[tuple]:
-    kernel = _evaluation_kernel(params, monomials, fibers, 0)
-    if len(kernel) != expected_dim:
-        raise StructuralError(
-            f"{what} kernel has dimension {len(kernel)}, expected {expected_dim}"
-        )
-    second = _evaluation_kernel(params, monomials, fibers, fibers)
-    if row_space_rref(kernel) != row_space_rref(second):
-        raise StructuralError(f"{what} kernel not stable under resampling")
-    return kernel
-
-
 # ---------------------------------------------------------------------------
 # The canonical ideal
 # ---------------------------------------------------------------------------
 
 
+def _coefficient_kernel(params: CurveParams, monomials) -> list[tuple]:
+    """Exact kernel of the pullback z = (Y, 1, x, x**2): one column per
+    monomial, holding the x-coefficients of Q(x)**(e0 // 3) * x**(b + 2*c)
+    in the row block of Y**(e0 % 3)."""
+    powers = [params.q_poly ** (m[0] // 3) for m in monomials]
+    height = 1 + max(p.degree + m[2] + 2 * m[3] for p, m in zip(powers, monomials))
+    rows = [[Scalar.zero()] * len(monomials) for _ in range(3 * height)]
+    for col, (m, power) in enumerate(zip(monomials, powers)):
+        base = (m[0] % 3) * height + m[2] + 2 * m[3]
+        for k in range(power.degree + 1):
+            rows[base + k][col] = power.coefficient(k)
+    return Matrix.from_rows(rows).kernel_basis()
+
+
 @lru_cache(maxsize=32)
-def sym2_relation(params: CurveParams, basis_scale: tuple | None = None) -> QuadricForm:
+def sym2_relation(params: CurveParams) -> QuadricForm:
     """The unique quadric through the canonical curve, normalized so the
     z2**2 coefficient is 1; with the standard basis this is z2**2 - z1*z3.
-
-    ``basis_scale`` rescales the four basis 1-forms before evaluation, for
-    checking basis-change covariance."""
+    It spans the 1-dimensional coefficient kernel on degree-2 monomials."""
     monomials = QUADRIC_MONOMIALS
-    if basis_scale is None:
-        kernel = _stable_kernel(params, monomials, SYM2_FIBERS, 1, "quadric")
-        vector = kernel[0]
-    else:
-        scale = tuple(Scalar.of(s) for s in basis_scale)
-        if len(scale) != 4 or not all(scale):
-            raise DegenerateInput("basis scaling needs four nonzero scalars")
-        rows: list[list[Scalar]] = []
-        for x0 in sample_fiber_xs(params, SYM2_FIBERS, 0):
-            for row in _monomial_fiber_rows(params, monomials, x0):
-                rows.append(row)
-        # rescale each monomial column by the product of coordinate scales
-        scaled_rows = []
-        factors = [_monomial_value(scale, m) for m in monomials]
-        for row in rows:
-            scaled_rows.append([c * f for c, f in zip(row, factors)])
-        kernel = Matrix.from_rows(scaled_rows).kernel_basis()
-        if len(kernel) != 1:
-            raise StructuralError("scaled quadric kernel has the wrong dimension")
-        vector = kernel[0]
+    kernel = _coefficient_kernel(params, monomials)
+    if len(kernel) != 1:
+        raise StructuralError(f"quadric kernel has dimension {len(kernel)}, expected 1")
+    vector = kernel[0]
     lead = vector[monomials.index(_QUADRIC_TRAIL)]
     if not lead:
         raise StructuralError("quadric has no z2**2 term; normalization impossible")
@@ -278,10 +269,12 @@ def _reduce_cubic_vector(vector: tuple) -> tuple:
 
 @lru_cache(maxsize=32)
 def canonical_cubic(params: CurveParams) -> CubicForm:
-    """The new cubic of the canonical ideal: the 5-dimensional kernel of
-    evaluation on degree-3 monomials, reduced modulo multiples of the
+    """The new cubic of the canonical ideal: the 5-dimensional coefficient
+    kernel on degree-3 monomials, reduced modulo multiples of the
     quadric and scaled to a leading coefficient of 1."""
-    kernel = _stable_kernel(params, CUBIC_MONOMIALS, SYM3_FIBERS, 5, "cubic")
+    kernel = _coefficient_kernel(params, CUBIC_MONOMIALS)
+    if len(kernel) != 5:
+        raise StructuralError(f"cubic kernel has dimension {len(kernel)}, expected 5")
     reduced = None
     for vector in kernel:
         candidate = _reduce_cubic_vector(vector)
@@ -320,7 +313,3 @@ def schiffer_test(params: CurveParams, v) -> bool:
     if sym2_relation(params).evaluate(v):
         return False
     return not canonical_cubic(params).evaluate(v)
-
-
-def schiffer_test_at_point(params: CurveParams, point: CurvePoint) -> bool:
-    return schiffer_test(params, canonical_map(params, point))

@@ -17,7 +17,7 @@ import sys
 import time
 
 from . import report
-from .canonical_ideal import canonical_cubic, sym2_relation
+from .canonical_ideal import canonical_cubic, schiffer_test, sym2_relation
 from .curve import validate_params
 from .deformation import (
     TangentVector,
@@ -243,16 +243,13 @@ def cmd_ideal(args, out) -> int:
 def cmd_schiffer(args, out) -> int:
     params = _parse_u(args.u)
     point = _parse_point(args.point)
-    quadric = sym2_relation(params)
-    cubic = canonical_cubic(params)
-    qv = quadric.evaluate(point)
-    cv = cubic.evaluate(point)
+    is_schiffer = schiffer_test(params, point)
     document = {
         "u": report.params_json(params)["u"],
         "point": [str(c) for c in point],
-        "quadric_value": str(qv),
-        "cubic_value": str(cv),
-        "is_schiffer": not qv and not cv,
+        "quadric_value": str(sym2_relation(params).evaluate(point)),
+        "cubic_value": str(canonical_cubic(params).evaluate(point)),
+        "is_schiffer": is_schiffer,
         "tags": {
             "is_schiffer": "schiffer-ideal-membership",
             "quadric_value": "quadric-cone",

@@ -463,10 +463,6 @@ OMEGA = tuple(
 )
 
 
-def omega_combination(coeffs) -> Differential:
-    return Differential.from_coefficients(coeffs)
-
-
 @dataclass(frozen=True)
 class KDifferential:
     """A k-differential (f + g*y + h*y**2) * (dx)**k with f, g, h rational in
@@ -829,7 +825,3 @@ def normalize_projective(coords: Iterable[Scalar]) -> tuple:
             inv = c.inverse()
             return tuple(x * inv for x in coords)
     raise DegenerateInput("zero vector is not a projective point")
-
-
-def projectively_equal(a, b) -> bool:
-    return normalize_projective(a) == normalize_projective(b)

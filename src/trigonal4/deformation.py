@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .curve import (
     OMEGA,
@@ -38,6 +39,7 @@ from .curve import (
     fiber_frame,
     kdiff_fiber_components,
     kdiff_series,
+    product_of_differentials,
     trigonal_fiber,
 )
 from .errors import DegenerateInput, StructuralError, ZeroTangent
@@ -154,9 +156,6 @@ def pairing_matrix(params: CurveParams, xi: TangentVector) -> PairingMatrix:
 # ---------------------------------------------------------------------------
 # Residue oracle
 # ---------------------------------------------------------------------------
-
-
-from functools import lru_cache
 
 
 @lru_cache(maxsize=256)
@@ -337,8 +336,6 @@ def kdifferential_coordinates(params: CurveParams, q: KDifferential) -> tuple:
 
 
 def product_differential(params: CurveParams, i: int, j: int) -> KDifferential:
-    from .curve import product_of_differentials
-
     return product_of_differentials(params, OMEGA[i], OMEGA[j])
 
 
@@ -383,8 +380,6 @@ def omega2_vanishing_conditions(params: CurveParams, divisor: Divisor, order: in
             raise DegenerateInput(
                 f"support conditions over a collective locus entry ({point.kind}) are not supported"
             )
-    if not rows:
-        rows = []
     return Matrix.from_rows(rows) if rows else Matrix(())
 
 

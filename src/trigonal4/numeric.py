@@ -14,7 +14,7 @@ import cmath
 
 from .curve import CurveParams
 from .deformation import ORACLE_SIGN
-from .errors import StructuralError
+from .errors import DegenerateInput, StructuralError
 from .scalars import Scalar
 
 DEFAULT_NODES = 512
@@ -57,6 +57,8 @@ def numeric_residue_pairing(
 ) -> complex:
     """The (l, k) pairing entry for the direction d/du_j in 6*pi*i units,
     via floating contour integrals only."""
+    if nodes < 1:
+        raise DegenerateInput("contour quadrature needs at least one node")
     x0 = complex(params.u[j - 1])
     rho = _chart_radius(params, j)
     qp = params.qprime.coefficients

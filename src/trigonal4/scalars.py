@@ -184,18 +184,6 @@ class Scalar:
                 return cand
         return None
 
-    def rational_cbrt(self) -> "Scalar | None":
-        """Exact cube root when this scalar is a rational cube; None otherwise.
-
-        Only the rational case is decided: a rational number is a cube in
-        Q(w) exactly when it is a cube in Q (the other cube roots differ by
-        powers of w and are produced by the caller as needed).
-        """
-        if self.zeta_part:
-            return None
-        r = _cbrt_fraction(self.rational_part)
-        return None if r is None else Scalar(r)
-
     # -- ordering key, formatting, parsing -----------------------------------
 
     def sort_key(self):
@@ -221,11 +209,14 @@ class Scalar:
         m = _LITERAL.match(text.strip())
         if m is None:
             raise DegenerateInput(f"not a scalar literal: {text!r}")
-        if m.group("rat") is not None:
-            return Scalar(Fraction(m.group("rat")))
-        if m.group("zet0") is not None:
-            return Scalar(Fraction(0), Fraction(m.group("zet0")))
-        return Scalar(Fraction(m.group("rat1")), Fraction(m.group("zet1")))
+        try:
+            if m.group("rat") is not None:
+                return Scalar(Fraction(m.group("rat")))
+            if m.group("zet0") is not None:
+                return Scalar(Fraction(0), Fraction(m.group("zet0")))
+            return Scalar(Fraction(m.group("rat1")), Fraction(m.group("zet1")))
+        except ZeroDivisionError:
+            raise DegenerateInput(f"zero denominator in scalar literal: {text!r}") from None
 
 
 def _format_fraction(f: Fraction) -> str:
@@ -242,25 +233,6 @@ def _sqrt_fraction(f: Fraction) -> Fraction | None:
     if rn * rn == n and rd * rd == d:
         return Fraction(rn, rd)
     return None
-
-
-def _icbrt(n: int) -> int | None:
-    if n < 0:
-        r = _icbrt(-n)
-        return None if r is None else -r
-    r = round(n ** (1 / 3)) if n else 0
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand ** 3 == n:
-            return cand
-    return None
-
-
-def _cbrt_fraction(f: Fraction) -> Fraction | None:
-    rn = _icbrt(f.numerator)
-    rd = _icbrt(f.denominator)
-    if rn is None or rd is None:
-        return None
-    return Fraction(rn, rd)
 
 
 _ZERO = Scalar(Fraction(0), Fraction(0))

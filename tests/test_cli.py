@@ -33,6 +33,10 @@ def test_analyze_exit_codes():
     assert code == 3
     code, _ = run_cli(["analyze", "--u", "0,2,3", "--xi", "not-a-literal,0,0"])
     assert code == 2
+    code, _ = run_cli(["analyze", "--u", "1/0,2,3", "--xi", "1,0,0"])
+    assert code == 2
+    code, _ = run_cli(["analyze", "--u", "0,2,3", "--xi", "1,0,2/0*w"])
+    assert code == 2
 
 
 def test_analyze_deterministic_bytes():
@@ -76,6 +80,14 @@ def test_residue_check_tolerance_exceeded_trips_exit_4():
         ]
     )
     assert code == 4
+
+
+@pytest.mark.parametrize("nodes", ["0", "-3"])
+def test_residue_check_rejects_nodeless_quadrature(nodes):
+    code, text = run_cli(
+        ["residue-check", "--u", "0,2,3", "--j", "1", "--numeric", "--quad-nodes", nodes]
+    )
+    assert code == 2 and text == ""
 
 
 def test_scan_deterministic():
@@ -124,6 +136,8 @@ def test_schiffer_document():
     code, text = run_cli(["schiffer", "--u", "0,2,3", "--point", "1,0,0,0"])
     doc = json.loads(text)
     assert doc["is_schiffer"] is False and doc["cubic_value"] == "1"
+    code, text = run_cli(["schiffer", "--u", "0,2,3", "--point", "0,0,0,0"])
+    assert code == 2 and text == ""
 
 
 def test_d0_document():

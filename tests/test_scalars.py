@@ -83,13 +83,6 @@ def test_sqrt_examples():
     assert r is not None and r * r == Scalar.zeta()
 
 
-def test_rational_cbrt():
-    assert Scalar.of(Fraction(27, 8)).rational_cbrt() == Scalar.of(Fraction(3, 2))
-    assert Scalar.of(-8).rational_cbrt() == Scalar.of(-2)
-    assert Scalar.of(2).rational_cbrt() is None
-    assert Scalar.zeta().rational_cbrt() is None
-
-
 @given(scalars, scalars)
 def test_sort_key_total_order(a, b):
     assert (a.sort_key() == b.sort_key()) == (a == b)

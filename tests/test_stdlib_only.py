@@ -1,0 +1,26 @@
+"""The package has zero runtime dependencies: every import in src/trigonal4
+is relative or names a standard-library module."""
+
+import ast
+import sys
+from pathlib import Path
+
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "trigonal4"
+
+
+def test_imports_are_stdlib_or_relative():
+    files = sorted(SOURCE.glob("*.py"))
+    assert files
+    offenders = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                if name.partition(".")[0] not in sys.stdlib_module_names:
+                    offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert not offenders, offenders
