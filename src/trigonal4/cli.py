@@ -21,15 +21,11 @@ from .canonical_ideal import canonical_cubic, schiffer_test, sym2_relation
 from .curve import validate_params
 from .deformation import (
     TangentVector,
-    base_locus,
     cone_directions,
-    conic_condition,
     delta_nu_c_test,
-    kernel_W,
     ks_rank,
     pairing_matrix,
     residue_pairing,
-    supported_on,
 )
 from .errors import (
     DegenerateInput,
@@ -53,6 +49,18 @@ EXIT_ORACLE_MISMATCH = 4
 EXIT_STRUCTURAL = 5
 
 NUMERIC_TOLERANCE = 1e-8
+
+# Largest accepted --series-order.  The support test and the residue oracle
+# already raise the order to what they read (mult + 8, resp. 12), so a larger
+# order only adds exact terms nobody reads, at superlinear cost.
+MAX_SERIES_ORDER = 64
+
+
+def _series_order(args) -> int:
+    order = args.series_order
+    if not 1 <= order <= MAX_SERIES_ORDER:
+        raise DegenerateInput(f"--series-order must lie in 1..{MAX_SERIES_ORDER}")
+    return order
 
 
 def _parse_u(text: str):
@@ -86,9 +94,9 @@ def _parse_point(text: str) -> tuple:
 
 def cmd_analyze(args, out) -> int:
     started = time.perf_counter()
+    order = _series_order(args)
     params = _parse_u(args.u)
     xi = _parse_xi(args.xi)
-    order = args.series_order
     cert = delta_nu_c_test(params, xi, order)
     document = {
         "input": {"u": report.params_json(params)["u"], "xi": report.tangent_json(xi)},
@@ -118,6 +126,7 @@ def cmd_analyze(args, out) -> int:
 
 
 def cmd_residue_check(args, out) -> int:
+    order = _series_order(args)
     params = _parse_u(args.u)
     j = args.j
     if j not in (1, 2, 3):
@@ -131,7 +140,7 @@ def cmd_residue_check(args, out) -> int:
     for l in range(4):
         for k in range(4):
             closed = matrix.entry(l, k)
-            oracle = residue_pairing(params, j, l, k, args.series_order)
+            oracle = residue_pairing(params, j, l, k, order)
             match = closed == oracle
             all_match = all_match and match
             row = {

@@ -595,16 +595,13 @@ def infinity_chart(params: CurveParams, sheet: int, order: int = DEFAULT_ORDER) 
 
 
 def finite_chart(params: CurveParams, point: FinitePoint, order: int = DEFAULT_ORDER) -> Chart:
-    trunc = order + _CHART_PAD
-    q0 = params.q_at(point.x)
-    shifted = params.q_poly.taylor_shift(point.x)
-    unit = series_of_poly(shifted, LocalSeries.monomial(1, Scalar.one(), trunc)).scale(q0.inverse())
-    w = unit.cube_root_unit()
-    x_series = LocalSeries.constant(point.x, trunc) + LocalSeries.monomial(1, Scalar.one(), trunc)
+    """Chart at an unramified point: the fiber frame over its x with the
+    abstract cube root specialized to the point's y."""
+    frame = fiber_frame(params, point.x, order)
     return Chart(
-        x_series=x_series,
-        y_series=w.scale(point.y),
-        dx_series=LocalSeries.constant(Scalar.one(), trunc),
+        x_series=frame.x_series,
+        y_series=frame.w_series.scale(point.y),
+        dx_series=LocalSeries.constant(Scalar.one(), frame.x_series.truncation),
         dx_order=0,
     )
 
@@ -625,8 +622,6 @@ class FiberFrame:
     at once: y = Y * w_series with Y an abstract cube root of Q(x0), so a
     k-differential expands as F0 + F1*Y + F2*Y**2 with scalar series F_i."""
 
-    x0: Scalar
-    q0: Scalar
     x_series: LocalSeries
     w_series: LocalSeries
 
@@ -641,7 +636,7 @@ def fiber_frame(params: CurveParams, x0: Scalar, order: int = DEFAULT_ORDER) -> 
     unit = series_of_poly(shifted, LocalSeries.monomial(1, Scalar.one(), trunc)).scale(q0.inverse())
     w = unit.cube_root_unit()
     x_series = LocalSeries.constant(x0, trunc) + LocalSeries.monomial(1, Scalar.one(), trunc)
-    return FiberFrame(x0=x0, q0=q0, x_series=x_series, w_series=w)
+    return FiberFrame(x_series=x_series, w_series=w)
 
 
 def kdiff_series(q: KDifferential, chart: Chart) -> LocalSeries:
@@ -652,13 +647,17 @@ def kdiff_series(q: KDifferential, chart: Chart) -> LocalSeries:
     return fx + gx * chart.y_series + hx * chart.y_series * chart.y_series
 
 
-def kdiff_fiber_components(q: KDifferential, frame: FiberFrame) -> tuple[LocalSeries, LocalSeries, LocalSeries]:
-    """(F0, F1, F2) with the value of q at the fiber points being
-    (F0 + F1*Y + F2*Y**2) * (dx)**k, Y ranging over cube roots of Q(x0)."""
-    fx = series_of_rational(q.f, frame.x_series)
-    gx = series_of_rational(q.g, frame.x_series)
-    hx = series_of_rational(q.h, frame.x_series)
-    return fx, gx * frame.w_series, hx * frame.w_series * frame.w_series
+def basis_factors(params: CurveParams, x_series: LocalSeries, top: int) -> tuple[LocalSeries, tuple]:
+    """(1/Q(x(s)), (x(s)**0, ..., x(s)**top)) on a chart or fiber frame.  The
+    fixed basis forms are these times powers of y: w0 = y**2 dx/Q and
+    w_l = x**(l-1) y dx/Q (top = 2), and the quadratic differentials x**k/Q,
+    y/Q, x**k y**2/Q**2 times (dx)**2 (top = 4).  The high powers carry the
+    largest coefficients, so callers ask only for what they read."""
+    q_inv = series_of_poly(params.q_poly, x_series).inverse()
+    powers = [LocalSeries.constant(Scalar.one(), x_series.truncation)]
+    for _ in range(top):
+        powers.append(powers[-1] * x_series)
+    return q_inv, tuple(powers)
 
 
 # ---------------------------------------------------------------------------
@@ -802,12 +801,12 @@ def divisor_of(params: CurveParams, d: Differential, order: int = DEFAULT_ORDER)
 def canonical_map(params: CurveParams, point: CurvePoint, order: int = DEFAULT_ORDER) -> tuple:
     """Homogeneous coordinates [z0:z1:z2:z3] of a point under the canonical
     embedding by (w0, w1, w2, w3), normalized so the first nonzero coordinate
-    is 1; computed by trivializing all four forms against a local frame."""
-    basis_series = []
+    is 1; computed by trivializing all four forms against the chart's dx,
+    from one 1/Q expansion: w0 = y**2/Q and w_l = x**(l-1) y/Q."""
     chart = chart_at(params, point, order)
-    for d in OMEGA:
-        kd = KDifferential.of_differential(params, d)
-        basis_series.append(kdiff_series(kd, chart))
+    q_inv, x_powers = basis_factors(params, chart.x_series, 2)
+    y_q_inv = chart.y_series * q_inv
+    basis_series = [y_q_inv * chart.y_series] + [x_powers[l] * y_q_inv for l in range(3)]
     valuations = [s.valuation() for s in basis_series]
     if all(v is None for v in valuations):
         raise StructuralError("all canonical coordinates vanished; impossible for a base-point-free system")

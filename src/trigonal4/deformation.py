@@ -24,7 +24,6 @@ from functools import lru_cache
 from .curve import (
     OMEGA,
     BranchPoint,
-    Chart,
     CurveParams,
     Differential,
     Divisor,
@@ -32,21 +31,19 @@ from .curve import (
     FinitePoint,
     InfinityPoint,
     KDifferential,
+    basis_factors,
     branch_chart,
     chart_at,
     divisor_min,
     divisor_of,
     fiber_frame,
-    kdiff_fiber_components,
-    kdiff_series,
     product_of_differentials,
-    trigonal_fiber,
 )
 from .errors import DegenerateInput, StructuralError, ZeroTangent
 from .linalg import Matrix
-from .polynomials import RationalFunction, UniPoly
+from .polynomials import RationalFunction
 from .scalars import INFINITY, Scalar
-from .series import DEFAULT_ORDER, LocalSeries, series_of_poly
+from .series import DEFAULT_ORDER, LocalSeries
 
 # Sign fixed once so that the oracle's (0,1) entry for the first coordinate
 # direction equals +1/Q'(u_1) in 6*pi*i units, matching the closed form;
@@ -163,17 +160,13 @@ def _branch_form_data(params: CurveParams, x0: Scalar, order: int) -> tuple:
     """Shared expansion data at a branch point: the coefficient series S_l
     with w_l = S_l(y) dy for l = 0..3, and the inverse of (x - x0)."""
     chart = branch_chart(params, x0, order)
-    trunc = chart.x_series.truncation
-    q_of_x = series_of_poly(params.q_poly, chart.x_series)
-    q_inv = q_of_x.inverse()
+    q_inv, x_powers = basis_factors(params, chart.x_series, 2)
     y = chart.y_series
     base = q_inv * chart.dx_series
     forms = [base * y * y]  # w0 = y**2 dx / Q
-    x_power = LocalSeries.constant(Scalar.one(), trunc)
-    for _ in range(3):  # w_l = x**(l-1) y dx / Q
-        forms.append(base * y * x_power)
-        x_power = x_power * chart.x_series
-    x_minus = chart.x_series - LocalSeries.constant(x0, trunc)
+    for l in range(3):  # w_l = x**(l-1) y dx / Q
+        forms.append(base * y * x_powers[l])
+    x_minus = chart.x_series - LocalSeries.constant(x0, chart.x_series.truncation)
     return tuple(forms), x_minus.inverse()
 
 
@@ -277,7 +270,9 @@ def base_locus(params: CurveParams, xi: TangentVector) -> Divisor:
 # Coordinates on holomorphic quadratic differentials: (A(x), b, C(x)) with
 #   q = (A(x)*Q + b*Q*y + C(x)*y**2) (dx)**2 / Q**2,
 # deg A <= 2, deg C <= 4: 3 + 1 + 5 = 9 coordinates, ordered
-# (A0, A1, A2, b, C0, C1, C2, C3, C4).
+# (A0, A1, A2, b, C0, C1, C2, C3, C4).  The basis x**k/Q, y/Q, x**k y**2/Q**2
+# is fixed, so on any chart it is expanded from one 1/Q(x(s)) series and the
+# powers of x(s) (curve.basis_factors).
 OMEGA2_DIM = 9
 
 _PRODUCT_PAIRS = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
@@ -300,18 +295,6 @@ def product_coordinates(i: int, j: int) -> tuple:
     else:
         coords[4 + (i + j - 2)] = Scalar.one()
     return tuple(coords)
-
-
-def coordinate_kdifferential(params: CurveParams, coords) -> KDifferential:
-    """Realize a coordinate vector as an actual quadratic differential."""
-    coords = tuple(Scalar.of(c) for c in coords)
-    if len(coords) != OMEGA2_DIM:
-        raise DegenerateInput("nine coordinates expected")
-    q = RationalFunction.of(params.q_poly)
-    a_poly = RationalFunction.of(UniPoly(coords[0:3]))
-    b = RationalFunction.of(UniPoly((coords[3],)))
-    c_poly = RationalFunction.of(UniPoly(coords[4:9]))
-    return KDifferential(params, 2, a_poly / q, b / q, c_poly / (q * q))
 
 
 def kdifferential_coordinates(params: CurveParams, q: KDifferential) -> tuple:
@@ -339,13 +322,17 @@ def product_differential(params: CurveParams, i: int, j: int) -> KDifferential:
     return product_of_differentials(params, OMEGA[i], OMEGA[j])
 
 
-def _basis_kdifferentials(params: CurveParams) -> list[KDifferential]:
-    basis = []
-    for idx in range(OMEGA2_DIM):
-        coords = [Scalar.zero()] * OMEGA2_DIM
-        coords[idx] = Scalar.one()
-        basis.append(coordinate_kdifferential(params, coords))
-    return basis
+def _omega2_parts(params: CurveParams, x_series: LocalSeries) -> list[tuple]:
+    """The 9 basis elements as (f, g, h) series, q = (f + g*y + h*y**2) (dx)**2,
+    in coordinate order: (x**k/Q, 0, 0), (0, 1/Q, 0), (0, 0, x**k/Q**2)."""
+    q_inv, x_powers = basis_factors(params, x_series, 4)
+    q_inv2 = q_inv * q_inv
+    zero = LocalSeries({}, q_inv.truncation)
+    return (
+        [(x_powers[k] * q_inv, zero, zero) for k in range(3)]
+        + [(zero, q_inv, zero)]
+        + [(zero, zero, x_powers[k] * q_inv2) for k in range(5)]
+    )
 
 
 def omega2_vanishing_conditions(params: CurveParams, divisor: Divisor, order: int = DEFAULT_ORDER) -> Matrix:
@@ -353,12 +340,13 @@ def omega2_vanishing_conditions(params: CurveParams, divisor: Divisor, order: in
     differentials vanishing to the divisor's multiplicities."""
     if not divisor.is_effective():
         raise DegenerateInput("support conditions need an effective divisor")
-    basis = _basis_kdifferentials(params)
     rows: list[tuple] = []
     for point, mult in divisor.items_sorted():
         if isinstance(point, (BranchPoint, InfinityPoint, FinitePoint)):
             chart = chart_at(params, point, max(order, mult + 8))
-            series_list = [kdiff_series(b, chart) for b in basis]
+            y = chart.y_series
+            y2 = y * y
+            series_list = [f + g * y + h * y2 for f, g, h in _omega2_parts(params, chart.x_series)]
             bound = mult - 2 * chart.dx_order
             floor = min(
                 (s.valuation() for s in series_list if s.valuation() is not None),
@@ -370,7 +358,9 @@ def omega2_vanishing_conditions(params: CurveParams, divisor: Divisor, order: in
                     rows.append(row)
         elif isinstance(point, FiberPoint):
             frame = fiber_frame(params, point.x, max(order, mult + 8))
-            components = [kdiff_fiber_components(b, frame) for b in basis]
+            w = frame.w_series
+            w2 = w * w
+            components = [(f, g * w, h * w2) for f, g, h in _omega2_parts(params, frame.x_series)]
             for comp_index in range(3):
                 for exponent in range(mult):
                     row = tuple(c[comp_index].coefficient(exponent) for c in components)

@@ -39,6 +39,27 @@ def test_analyze_exit_codes():
     assert code == 2
 
 
+@pytest.mark.parametrize("order", ["0", "-5", "65"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["analyze", "--u", "0,2,3", "--xi", "1,0,0"],
+        ["residue-check", "--u", "0,2,3", "--j", "1"],
+    ],
+    ids=["analyze", "residue-check"],
+)
+def test_series_order_out_of_range(command, order):
+    code, text = run_cli(command + [f"--series-order={order}"])
+    assert code == 2 and text == ""
+
+
+@pytest.mark.parametrize("order", ["1", "64"])
+def test_series_order_bounds_accepted(order):
+    code, text = run_cli(["analyze", "--u", "0,2,3", "--xi", "1,2,3", f"--series-order={order}"])
+    assert code == 0
+    assert json.loads(text)["series_order"] == int(order)
+
+
 def test_analyze_deterministic_bytes():
     _, first = run_cli(["analyze", "--u", "0,2,3", "--xi", "1,2,3"])
     _, second = run_cli(["analyze", "--u", "0,2,3", "--xi", "1,2,3"])

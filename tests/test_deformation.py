@@ -6,7 +6,13 @@ from trigonal4.curve import (
     OMEGA,
     BranchPoint,
     Divisor,
+    FiberPoint,
+    FinitePoint,
     InfinityPoint,
+    KDifferential,
+    chart_at,
+    fiber_frame,
+    kdiff_series,
     trigonal_fiber,
     validate_params,
 )
@@ -21,6 +27,7 @@ from trigonal4.deformation import (
     kernel_W,
     ks_rank,
     moment_matrix,
+    omega2_vanishing_conditions,
     pairing_covector,
     pairing_matrix,
     product_differential,
@@ -31,7 +38,10 @@ from trigonal4.deformation import (
 )
 from trigonal4.errors import ZeroTangent
 from trigonal4.linalg import Matrix, same_subspace
+from trigonal4.polynomials import RationalFunction, UniPoly
+from trigonal4.prng import SplitMix64, sample_params
 from trigonal4.scalars import INFINITY, Scalar
+from trigonal4.series import DEFAULT_ORDER, series_of_rational
 
 from conftest import scalar_strategy
 
@@ -212,6 +222,72 @@ def test_support_examples(u023):
     assert supported_on(u023, xi, Divisor.zero()) is False
 
 
+def _reference_conditions(params, divisor, order=DEFAULT_ORDER):
+    """The support conditions with every basis element realized on its own as
+    KDifferential(A/Q, b/Q, C/Q**2) and expanded through its rational
+    functions: a test-only reference for the shared 1/Q expansion."""
+    zero, one = Scalar.zero(), Scalar.one()
+    q = RationalFunction.of(params.q_poly)
+    basis = []
+    for idx in range(9):
+        coords = [zero] * 9
+        coords[idx] = one
+        a_part = RationalFunction.of(UniPoly(coords[0:3]))
+        b_part = RationalFunction.of(UniPoly((coords[3],)))
+        c_part = RationalFunction.of(UniPoly(coords[4:9]))
+        basis.append(KDifferential(params, 2, a_part / q, b_part / q, c_part / (q * q)))
+    rows = []
+    for point, mult in divisor.items_sorted():
+        if isinstance(point, FiberPoint):
+            frame = fiber_frame(params, point.x, max(order, mult + 8))
+            w = frame.w_series
+            components = [
+                (
+                    series_of_rational(b.f, frame.x_series),
+                    series_of_rational(b.g, frame.x_series) * w,
+                    series_of_rational(b.h, frame.x_series) * w * w,
+                )
+                for b in basis
+            ]
+            for comp_index in range(3):
+                for exponent in range(mult):
+                    rows.append(tuple(c[comp_index].coefficient(exponent) for c in components))
+        else:
+            chart = chart_at(params, point, max(order, mult + 8))
+            series_list = [kdiff_series(b, chart) for b in basis]
+            bound = mult - 2 * chart.dx_order
+            floor = min(s.valuation() for s in series_list if s.valuation() is not None)
+            for exponent in range(floor, bound):
+                rows.append(tuple(s.coefficient(exponent) for s in series_list))
+    return [row for row in rows if any(row)]
+
+
+_DIFFERENTIAL_PARAMS = {
+    "u023": (0, 2, 3),
+    "seeded": sample_params(SplitMix64(20261018)).u,
+    "u248": (2, 4, 8),
+}
+
+
+def _differential_cases():
+    for name, u in _DIFFERENTIAL_PARAMS.items():
+        yield pytest.param(u, Divisor.of((BranchPoint(Scalar.of(u[0])), 3)), id=f"{name}-3branch")
+        yield pytest.param(u, Divisor.of(*((InfinityPoint(s), 1) for s in range(3))), id=f"{name}-infinity")
+        yield pytest.param(u, Divisor.of((FiberPoint(Scalar.of(5)), 1)), id=f"{name}-fiber5")
+        yield pytest.param(u, Divisor.zero(), id=f"{name}-zero")
+    # a double fiber also reads the linear terms, where w and w**2 differ
+    yield pytest.param((0, 2, 3), Divisor.of((FiberPoint(Scalar.of(5)), 2)), id="u023-2fiber5")
+    # Q(0) = 64 at u = (2, 4, 8): a finite point, expanded on the finite chart
+    yield pytest.param((2, 4, 8), Divisor.of((FinitePoint(Scalar.zero(), Scalar.of(4)), 2)), id="u248-2point")
+
+
+@pytest.mark.parametrize("u, divisor", list(_differential_cases()))
+def test_support_conditions_match_reference(u, divisor):
+    params = validate_params(*u)
+    rows = [tuple(row) for row in omega2_vanishing_conditions(params, divisor).rows]
+    assert rows == _reference_conditions(params, divisor)
+
+
 def test_support_monotone_in_divisor(u023):
     # D' <= D makes the subspace larger, so supported(D') implies supported(D)
     xi = TangentVector((1, 0, 0))
@@ -237,6 +313,24 @@ def test_certificates(u023):
 
     with pytest.raises(ZeroTangent):
         delta_nu_c_test(u023, TangentVector((0, 0, 0)))
+
+
+@pytest.mark.parametrize(
+    "u, t, expected",
+    [
+        ((0, 2, 3), 2, Divisor.of((BranchPoint(Scalar.of(2)), 3))),
+        ((0, 2, 3), 5, Divisor.of((FiberPoint(Scalar.of(5)), 1))),
+        ((0, 2, 3), INFINITY, Divisor.of(*((InfinityPoint(s), 1) for s in range(3)))),
+        ((2, 4, 8), 0, Divisor.of((FiberPoint(Scalar.zero()), 1))),
+    ],
+    ids=["branch-t2", "fiber-t5", "infinity", "fiber-t0-u248"],
+)
+def test_on_conic_certificates_over_each_fiber_kind(u, t, expected):
+    params = validate_params(*u)
+    cert = delta_nu_c_test(params, cone_directions(params, t))
+    assert cert.variant is CeresaVariant.ON_CONIC_SUPPORTED
+    assert cert.subspace_dim == 6
+    assert cert.base_locus == expected
 
 
 def test_moment_matrix_determinant(u023):

@@ -24,3 +24,23 @@ def test_imports_are_stdlib_or_relative():
                 if name.partition(".")[0] not in sys.stdlib_module_names:
                     offenders.append(f"{path.name}:{node.lineno} {name}")
     assert not offenders, offenders
+
+
+def test_no_unused_imports():
+    """Every name a module imports is used in it (the package's __init__
+    re-exports, so it is exempt)."""
+    offenders = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in used:
+                        offenders.append(f"{path.name}:{node.lineno} {bound}")
+    assert not offenders, offenders
