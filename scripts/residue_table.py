@@ -10,7 +10,7 @@ import argparse
 
 from trigonal4.curve import validate_params
 from trigonal4.deformation import TangentVector, pairing_matrix, residue_pairing
-from trigonal4.numeric import numeric_residue_pairing, residue_relative_error
+from trigonal4.numeric import numeric_residue_matrix, residue_relative_error
 from trigonal4.scalars import Scalar
 
 
@@ -25,6 +25,7 @@ def main() -> None:
     direction = [Scalar.zero()] * 3
     direction[args.j - 1] = Scalar.one()
     matrix = pairing_matrix(params, TangentVector(tuple(direction)))
+    numeric = numeric_residue_matrix(params, args.j, args.nodes)
 
     print(f"pairing table at u = ({args.u}), direction d/du_{args.j}, units 6*pi*i")
     print(f"{'entry':>8} {'closed':>14} {'oracle':>14} {'contour rel err':>16}")
@@ -32,8 +33,7 @@ def main() -> None:
         for k in range(4):
             closed = matrix.entry(l, k)
             oracle = residue_pairing(params, args.j, l, k)
-            numeric = numeric_residue_pairing(params, args.j, l, k, args.nodes)
-            err = residue_relative_error(closed, numeric)
+            err = residue_relative_error(closed, numeric[l][k])
             marker = "" if closed == oracle else "  << MISMATCH"
             print(f"  ({l},{k}) {str(closed):>14} {str(oracle):>14} {err:>16.2e}{marker}")
 

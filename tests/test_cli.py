@@ -1,8 +1,10 @@
 import io
 import json
+import math
 
 import pytest
 
+from trigonal4 import cli
 from trigonal4.cli import main
 
 
@@ -109,6 +111,49 @@ def test_residue_check_rejects_nodeless_quadrature(nodes):
         ["residue-check", "--u", "0,2,3", "--j", "1", "--numeric", "--quad-nodes", nodes]
     )
     assert code == 2 and text == ""
+
+
+def test_residue_check_rejects_too_many_nodes():
+    assert cli.MAX_QUAD_NODES == 4096
+    code, text = run_cli(
+        ["residue-check", "--u", "0,2,3", "--j", "1", "--numeric", "--quad-nodes", "4097"]
+    )
+    assert code == 2 and text == ""
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1", "0"])
+def test_residue_check_rejects_meaningless_tolerance(tolerance):
+    code, text = run_cli(
+        [
+            "residue-check", "--u=0,2,3", "--j=2", "--numeric", "--quad-nodes=64",
+            f"--numeric-tolerance={tolerance}",
+        ]
+    )
+    assert code == 2 and text == ""
+
+
+def test_residue_check_nan_error_is_a_disagreement(monkeypatch):
+    monkeypatch.setattr(
+        cli, "numeric_residue_matrix", lambda params, j, nodes: [[complex(math.nan, 0)] * 4] * 4
+    )
+    code, text = run_cli(["residue-check", "--u=0,2,3", "--j=2", "--numeric", "--quad-nodes=64"])
+    assert code == 4
+    assert json.loads(text)["worst_rel_err"] == "nan"
+
+
+@pytest.mark.parametrize("j", ["1", "2", "3"])
+def test_residue_check_numeric_where_horner_rounding_exceeds_old_bound(j):
+    # Newton converges on this contour, but Q's terms reach ~1e5 there, so
+    # the residual of a converged root is ~1e-12 and used to be rejected
+    # (exit 5); the backward-error acceptance takes it.
+    code, text = run_cli(
+        [
+            "residue-check", "--numeric", f"--j={j}", "--quad-nodes=128",
+            "--u=3+-3*w,3+-8/3*w,5+5/2*w",
+        ]
+    )
+    assert code == 0
+    assert float(json.loads(text)["worst_rel_err"]) < 1e-8
 
 
 def test_scan_deterministic():
