@@ -295,7 +295,9 @@ class Divisor:
         return a.entries == b.entries
 
     def __hash__(self):
-        return hash(frozenset(self.entries.items()))
+        # __eq__ compares refined entries (a fiber split into its points, a
+        # locus into its factors); refinement never changes the degree.
+        return hash(self.degree)
 
     def __ge__(self, other: "Divisor") -> bool:
         a, b = refine_pair(self, other)
@@ -791,6 +793,17 @@ def divisor_of(params: CurveParams, d: Differential, order: int = DEFAULT_ORDER)
     if out.degree != 6 or not out.is_effective():
         raise StructuralError(f"divisor of a 1-form must be effective of degree 6, got {out}")
     return out
+
+
+def common_zeros_by_divisors(params: CurveParams, d1: Differential, d2: Differential) -> Divisor:
+    """Test oracle for the common zeros of the pencil of two independent
+    1-forms: the minimum of their divisors, verified basis-independent by
+    recomputation from d1 + d2 and d1 - d2."""
+    locus = divisor_min(divisor_of(params, d1), divisor_of(params, d2))
+    alt = divisor_min(divisor_of(params, d1 + d2), divisor_of(params, d1 - d2))
+    if locus != alt:
+        raise StructuralError("common zeros depend on the basis of the pencil; bug")
+    return locus
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,10 @@ units of the fixed transcendental 6*pi*i, computed two independent ways:
   residue of the product.
 
 Everything downstream (kernels, the conic criterion, base loci, the support
-test, the certificate classifier) consumes the exact matrix.
+test, the certificate classifier) consumes the covector c of the matrix,
+computed once per certificate.  The base locus is read off c in closed form;
+the divisor minimum over the annihilated pencil
+(curve.common_zeros_by_divisors) is the cross-check the tests run.
 """
 
 from __future__ import annotations
@@ -34,10 +37,9 @@ from .curve import (
     basis_factors,
     branch_chart,
     chart_at,
-    divisor_min,
-    divisor_of,
     fiber_frame,
     product_of_differentials,
+    trigonal_fiber,
 )
 from .errors import DegenerateInput, StructuralError, ZeroTangent
 from .linalg import Matrix
@@ -218,7 +220,10 @@ def kernel_W(params: CurveParams, xi: TangentVector) -> tuple:
     inside the span of (w1, w2, w3)."""
     if xi.is_zero():
         raise ZeroTangent("kernel of the zero direction is everything")
-    c = pairing_covector(params, xi)
+    return _kernel_of(pairing_covector(params, xi))
+
+
+def _kernel_of(c: tuple) -> tuple:
     basis = Matrix.from_rows([c]).kernel_basis()
     if len(basis) != 2:
         raise StructuralError("annihilator is not 2-dimensional")
@@ -230,7 +235,10 @@ def conic_condition(params: CurveParams, xi: TangentVector) -> ConicReport:
     X*Z - Y**2 = 0, the exact condition for a nonempty base locus."""
     if xi.is_zero():
         raise ZeroTangent("conic condition needs a nonzero direction")
-    c = pairing_covector(params, xi)
+    return _conic_of(pairing_covector(params, xi))
+
+
+def _conic_of(c: tuple) -> ConicReport:
     value = c[0] * c[2] - c[1] * c[1]
     return ConicReport(covector=tuple(c), value=value, on_conic=not value)
 
@@ -248,19 +256,22 @@ def cone_directions(params: CurveParams, t) -> TangentVector:
 
 
 def base_locus(params: CurveParams, xi: TangentVector) -> Divisor:
-    """Common zero divisor of the annihilated space: pointwise minimum of the
-    divisors of a basis, verified basis-independent by recomputation."""
+    """Common zero divisor of the annihilated space, read off the covector."""
     if xi.is_zero():
         raise ZeroTangent("base locus needs a nonzero direction")
-    sigma1, sigma2 = kernel_W(params, xi)
-    locus = divisor_min(divisor_of(params, sigma1), divisor_of(params, sigma2))
-    alt = divisor_min(
-        divisor_of(params, sigma1 + sigma2),
-        divisor_of(params, sigma1 - sigma2),
-    )
-    if locus != alt:
-        raise StructuralError("base locus depends on the kernel basis; bug")
-    return locus
+    return _locus_of(params, conic_condition(params, xi))
+
+
+def _locus_of(params: CurveParams, conic: ConicReport) -> Divisor:
+    """Every annihilated form is P(x) dx/y**2 with deg P <= 2 and
+    P0*c0 + P1*c1 + P2*c2 = 0.  On the conic c is (1 : t : t**2), or
+    (0 : 0 : 1) for t = infinity, so the forms are exactly those with
+    P(t) = 0 and their common zeros are the fiber over t; off the conic no
+    common zero exists."""
+    if not conic.on_conic:
+        return Divisor.zero()
+    c = conic.covector
+    return trigonal_fiber(params, c[1] / c[0] if c[0] else INFINITY)
 
 
 # ---------------------------------------------------------------------------
@@ -410,16 +421,13 @@ def support_test(params: CurveParams, xi: TangentVector, divisor: Divisor, order
         raise ZeroTangent("support test needs a nonzero direction")
     if not divisor.is_effective():
         raise DegenerateInput("support test needs an effective divisor")
+    return _support_of(params, pairing_covector(params, xi), divisor, order)
+
+
+def _support_of(params: CurveParams, c: tuple, divisor: Divisor, order: int) -> tuple[bool, int]:
     subspace = omega2_subspace(params, divisor, order)
-    phi = functional_covector(params, xi)
-    supported = True
-    for vector in subspace:
-        acc = Scalar.zero()
-        for a, b in zip(phi, vector):
-            acc = acc + a * b
-        if acc:
-            supported = False
-            break
+    # The functional sees only the A-coordinates (functional_covector).
+    supported = all(not (c[0] * v[0] + c[1] * v[1] + c[2] * v[2]) for v in subspace)
     return supported, len(subspace)
 
 
@@ -439,23 +447,15 @@ def delta_nu_c_test(params: CurveParams, xi: TangentVector, order: int = DEFAULT
     conic and supported (every tested component vanishes)."""
     if xi.is_zero():
         raise ZeroTangent("classification needs a nonzero direction")
-    conic = conic_condition(params, xi)
-    kernel = kernel_W(params, xi)
-    locus = base_locus(params, xi)
-    if conic.on_conic != (not locus.is_zero()):
-        raise StructuralError("conic criterion and base locus disagree; bug")
+    c = pairing_covector(params, xi)
+    conic = _conic_of(c)
+    kernel = _kernel_of(c)
+    locus = _locus_of(params, conic)
     if not conic.on_conic:
-        return CeresaCertificate(
-            variant=CeresaVariant.NOT_ON_CONIC,
-            conic=conic,
-            base_locus=locus,
-            kernel_basis=kernel,
-            supported=None,
-            omega2_dim=OMEGA2_DIM,
-            subspace_dim=None,
-        )
-    supported, dim = support_test(params, xi, locus, order)
-    variant = CeresaVariant.ON_CONIC_SUPPORTED if supported else CeresaVariant.ON_CONIC_NOT_SUPPORTED
+        variant, supported, dim = CeresaVariant.NOT_ON_CONIC, None, None
+    else:
+        supported, dim = _support_of(params, c, locus, order)
+        variant = CeresaVariant.ON_CONIC_SUPPORTED if supported else CeresaVariant.ON_CONIC_NOT_SUPPORTED
     return CeresaCertificate(
         variant=variant,
         conic=conic,

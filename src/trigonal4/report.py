@@ -31,7 +31,7 @@ from .curve import (
 )
 from .deformation import CeresaCertificate, ConicReport, PairingMatrix, TangentVector
 from .polynomials import RationalFunction
-from .scalars import Scalar, format_projective
+from .scalars import format_projective
 
 MONOMIAL_ORDER = "grlex z0>z1>z2>z3"
 
@@ -58,10 +58,6 @@ FORMULA_TAGS = {
     "cube-family-probe": "exact covector of the cube-root one-parameter locus",
     "numeric-contour-quadrature": "floating trapezoidal contour integral cross-check",
 }
-
-
-def scalar_json(s: Scalar) -> str:
-    return str(s)
 
 
 def projective_json(value) -> str:

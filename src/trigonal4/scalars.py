@@ -144,10 +144,6 @@ class Scalar:
 
     # -- predicates and roots ----------------------------------------------
 
-    @property
-    def is_rational(self) -> bool:
-        return not self.zeta_part
-
     def sqrt(self) -> "Scalar | None":
         """An exact square root in Q(w), or None when no such root exists."""
         c, d = self.rational_part, self.zeta_part

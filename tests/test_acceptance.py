@@ -27,6 +27,7 @@ from trigonal4.curve import (
     Divisor,
     InfinityPoint,
     canonical_map,
+    common_zeros_by_divisors,
     divisor_of,
     divisor_of_function,
     trigonal_fiber,
@@ -123,15 +124,17 @@ def test_criterion_3_conic_equivalence():
             assert conic_condition(params, xi).on_conic
             locus = base_locus(params, xi)
             assert locus == trigonal_fiber(params, t)
+            assert locus == common_zeros_by_divisors(params, *kernel_W(params, xi))
             assert not locus.is_zero()
             on_conic_checked += 1
     for _ in range(50):
         params = sample_params(rng)
         xi = sample_tangent(rng)
         report = conic_condition(params, xi)
-        locus = base_locus(params, xi)
+        locus = common_zeros_by_divisors(params, *kernel_W(params, xi))
         assert report.on_conic == (not locus.is_zero())
-    return f"{on_conic_checked} cone directions incl branch and infinity fibers, 50 random"
+        assert base_locus(params, xi) == locus
+    return f"{on_conic_checked} cone directions incl branch and infinity fibers, 50 random, against the divisor oracle"
 
 
 @criterion(4, "quadric kernel is the cone form; cubic kernel is 5-dim, vanishes on the curve, stable")

@@ -193,6 +193,16 @@ def test_divisor_min_branch_fiber(u023):
     assert m == Divisor.of((BranchPoint(Scalar.zero()), 3))
 
 
+def test_divisor_hash_agrees_with_equality(u248):
+    # __eq__ splits the collective fiber over x = 0 into the three points
+    # (0, 4*w**k); the hash has to see the two spellings alike as well.
+    points = Divisor.of(*((FinitePoint(Scalar.zero(), 4 * Scalar.zeta() ** k), 1) for k in range(3)))
+    fiber = trigonal_fiber(u248, Scalar.zero())
+    assert points == fiber
+    assert hash(points) == hash(fiber)
+    assert len({points, fiber}) == 1
+
+
 # -- canonical map -----------------------------------------------------------------
 
 

@@ -1,7 +1,10 @@
+import sys
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from trigonal4 import deformation
 from trigonal4.curve import (
     OMEGA,
     BranchPoint,
@@ -11,6 +14,7 @@ from trigonal4.curve import (
     InfinityPoint,
     KDifferential,
     chart_at,
+    common_zeros_by_divisors,
     fiber_frame,
     kdiff_series,
     trigonal_fiber,
@@ -39,7 +43,9 @@ from trigonal4.deformation import (
 from trigonal4.errors import ZeroTangent
 from trigonal4.linalg import Matrix, same_subspace
 from trigonal4.polynomials import RationalFunction, UniPoly
-from trigonal4.prng import SplitMix64, sample_params
+from trigonal4.prng import SplitMix64, sample_params, sample_scalar, sample_tangent
+from trigonal4.report import divisor_json
+from trigonal4.rulings import d0_cycle
 from trigonal4.scalars import INFINITY, Scalar
 from trigonal4.series import DEFAULT_ORDER, series_of_rational
 
@@ -166,8 +172,38 @@ def test_base_locus_examples(u023):
 @settings(max_examples=25)
 def test_conic_iff_base_locus(u023, xi):
     report = conic_condition(u023, xi)
-    locus = base_locus(u023, xi)
+    locus = common_zeros_by_divisors(u023, *kernel_W(u023, xi))
     assert report.on_conic == (not locus.is_zero())
+    assert base_locus(u023, xi) == locus
+
+
+@given(
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.sampled_from(["random", "branch", "one", "zero", "infinity", "fiber"]),
+)
+@settings(max_examples=40)
+def test_base_locus_matches_divisor_oracle(seed, kind):
+    # Closed form against the divisor minimum over the annihilated pencil, at
+    # a random direction (almost surely off the conic) or a cone direction
+    # over a moving branch point, the fixed branch point 1, t = 0, infinity
+    # or a random fiber.
+    rng = SplitMix64(seed)
+    params = sample_params(rng)
+    if kind == "random":
+        xi = sample_tangent(rng)
+    else:
+        t = {
+            "branch": params.u[rng.below(3)],
+            "one": Scalar.one(),
+            "zero": Scalar.zero(),
+            "infinity": INFINITY,
+            "fiber": sample_scalar(rng),
+        }[kind]
+        xi = cone_directions(params, t)
+    locus = base_locus(params, xi)
+    oracle = common_zeros_by_divisors(params, *kernel_W(params, xi))
+    assert locus == oracle
+    assert divisor_json(locus) == divisor_json(oracle)
 
 
 @given(st.one_of(scalar_strategy(bound=9, max_denominator=3), st.just(INFINITY)))
@@ -331,6 +367,40 @@ def test_on_conic_certificates_over_each_fiber_kind(u, t, expected):
     assert cert.variant is CeresaVariant.ON_CONIC_SUPPORTED
     assert cert.subspace_dim == 6
     assert cert.base_locus == expected
+
+
+def test_certificates_read_loci_off_closed_forms(monkeypatch, u023):
+    # The divisor computations are a test oracle: no certificate and no d0
+    # cycle may reach them, and a certificate builds its covector once.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a production path computed divisors of 1-forms")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "trigonal4":
+            for attr in ("divisor_of", "divisor_min"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    builds = []
+    real_moment_matrix = deformation.moment_matrix
+
+    def counted(params):
+        builds.append(params)
+        return real_moment_matrix(params)
+
+    monkeypatch.setattr(deformation, "moment_matrix", counted)
+    for a, expected in (
+        ((1, 0, 0), Divisor.of((BranchPoint(Scalar.zero()), 3))),
+        ((1, 1, 1), Divisor.zero()),
+    ):
+        builds.clear()
+        cert = delta_nu_c_test(u023, TangentVector(a))
+        assert cert.base_locus == expected
+        assert len(builds) == 1
+    tied = d0_cycle(u023, Scalar.of(1) / 4)
+    assert tied.plus == tied.minus == trigonal_fiber(u023, Scalar.of(5))
+    untied = d0_cycle(u023, Scalar.of(1) / 4, Scalar.of(7))
+    assert untied.minus == trigonal_fiber(u023, Scalar.of(6))
+    assert untied.witness == "(x-5)/(x-6)"
 
 
 def test_moment_matrix_determinant(u023):

@@ -4,8 +4,16 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from trigonal4.curve import divisor_of, divisor_of_function, trigonal_fiber, validate_params
+from trigonal4.curve import (
+    common_zeros_by_divisors,
+    divisor_of,
+    divisor_of_function,
+    trigonal_fiber,
+    validate_params,
+)
 from trigonal4.errors import DegenerateInput
+from trigonal4.prng import SplitMix64, sample_params, sample_scalar
+from trigonal4.report import divisor_json
 from trigonal4.rulings import (
     d0_cycle,
     principal_witness,
@@ -33,6 +41,22 @@ def test_ruling_divisor_examples(u023):
     assert ruling_divisor(u023, quarter, 1) == trigonal_fiber(u023, Scalar.of(5))
     assert ruling_divisor(u023, Scalar.of(6), 2) == trigonal_fiber(u023, Scalar.of(5))
     assert ruling_divisor(u023, Scalar.one(), 1) == trigonal_fiber(u023, Scalar.of(2))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_ruling_divisor_matches_divisor_oracle(u023, seed):
+    # Closed form against the common zeros of the line's two hyperplane
+    # forms, for both families at t = 0, 1, infinity and random t, at
+    # (0, 2, 3) (where t = 1 of family 1 lands on the branch point 2) and at
+    # a random parameter point.
+    rng = SplitMix64(seed)
+    for params in (u023, sample_params(rng)):
+        for t in (Scalar.zero(), Scalar.one(), INFINITY, sample_scalar(rng), sample_scalar(rng)):
+            for family in (1, 2):
+                closed = ruling_divisor(params, t, family)
+                oracle = common_zeros_by_divisors(params, *ruling_line(params, t, family).hyperplanes)
+                assert closed == oracle
+                assert divisor_json(closed) == divisor_json(oracle)
 
 
 def test_ruling_lines_lie_on_quadric(u023):
