@@ -54,7 +54,6 @@ from .deformation import (
     pairing_matrix,
     residue_pairing,
     support_test,
-    supported_on,
     xi_functional,
 )
 from .errors import (

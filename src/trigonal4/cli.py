@@ -24,7 +24,6 @@ from .deformation import (
     TangentVector,
     cone_directions,
     delta_nu_c_test,
-    ks_rank,
     pairing_matrix,
     residue_pairing,
 )
@@ -101,6 +100,16 @@ def _parse_point(text: str) -> tuple:
     return tuple(Scalar.parse(p) for p in parts)
 
 
+def _parse_grid(text: str) -> int:
+    kind, _, count_text = text.partition(":")
+    if kind == "cone" and count_text.isascii() and count_text.isdigit():
+        try:
+            return int(count_text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise DegenerateInput("--grid takes the form cone:N")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -112,10 +121,11 @@ def cmd_analyze(args, out) -> int:
     params = _parse_u(args.u)
     xi = _parse_xi(args.xi)
     cert = delta_nu_c_test(params, xi, order)
+    pairing = cert.pairing
     document = {
         "input": {"u": report.params_json(params)["u"], "xi": report.tangent_json(xi)},
-        "ks_rank": ks_rank(params, xi),
-        "pairing_matrix": report.pairing_matrix_json(pairing_matrix(params, xi)),
+        "ks_rank": pairing.rank(),
+        "pairing_matrix": report.pairing_matrix_json(pairing),
         "kernel_basis": [report.differential_json(d) for d in cert.kernel_basis],
         "conic": report.conic_json(cert.conic),
         "base_locus": report.divisor_json(cert.base_locus),
@@ -196,13 +206,11 @@ def cmd_residue_check(args, out) -> int:
 
 def _scan_rows(args):
     if args.grid:
-        kind, _, count_text = args.grid.partition(":")
-        if kind != "cone" or not count_text.isdigit():
-            raise DegenerateInput("--grid takes the form cone:N")
+        count = _parse_grid(args.grid)
         if not args.u:
             raise InvalidParameters("--grid cone:N needs --u")
         params = _parse_u(args.u)
-        for i in range(int(count_text)):
+        for i in range(count):
             yield i, params, cone_directions(params, Scalar.of(i))
     else:
         if args.random is None:

@@ -25,10 +25,9 @@ from .errors import DegenerateInput, InvalidParameters, StructuralError
 from .polynomials import (
     RationalFunction,
     UniPoly,
-    _squarefree_scalar_roots,
     poly_gcd,
     root_multiplicity,
-    squarefree_decomposition,
+    scalar_roots,
 )
 from .scalars import INFINITY, Scalar
 from .series import DEFAULT_ORDER, LocalSeries, series_of_poly, series_of_rational
@@ -254,9 +253,6 @@ class Divisor:
     @staticmethod
     def zero() -> "Divisor":
         return Divisor({})
-
-    def multiplicity(self, point) -> int:
-        return self.entries.get(point, 0)
 
     @property
     def degree(self) -> int:
@@ -683,24 +679,6 @@ def vanishing_order(params: CurveParams, q: KDifferential, point: CurvePoint, or
     raise StructuralError("vanishing order exceeds expansion capability; is the section zero?")
 
 
-def _split_poly(poly: UniPoly) -> tuple[list[tuple[Scalar, int]], list[tuple[UniPoly, int]]]:
-    """(roots in Q(w) with multiplicity, leftover squarefree loci with
-    multiplicity); loci are monic, Q(w)-root-free, pairwise coprime.
-    Root extraction is complete through degree 2; squarefree factors of
-    higher degree stay collective."""
-    roots: list[tuple[Scalar, int]] = []
-    loci: list[tuple[UniPoly, int]] = []
-    for factor, mult in squarefree_decomposition(poly):
-        if factor.degree <= 2:
-            found, leftover = _squarefree_scalar_roots(factor)
-            roots.extend((r, mult) for r in found)
-            if leftover.degree > 0:
-                loci.append((leftover, mult))
-        else:
-            loci.append((factor.monic(), mult))
-    return roots, loci
-
-
 def trigonal_fiber(params: CurveParams, x0) -> Divisor:
     """The degree-3 fiber of the x-projection as a divisor."""
     if x0 is INFINITY:
@@ -721,7 +699,7 @@ def _poly_zero_divisor(params: CurveParams, poly: UniPoly) -> Divisor:
             out += Divisor.of((BranchPoint(beta), 3 * m))
             for _ in range(m):
                 remaining = remaining // UniPoly((-beta, Scalar.one()))
-    roots, loci = _split_poly(remaining)
+    roots, loci = scalar_roots(remaining)
     for r, m in roots:
         out += Divisor.of((_fiber_entry(r), m))
     for locus, m in loci:
@@ -769,7 +747,7 @@ def divisor_of(params: CurveParams, d: Differential, order: int = DEFAULT_ORDER)
                 out += Divisor.of((BranchPoint(beta), m))
                 for _ in range(m):
                     remaining = remaining // UniPoly((-beta, Scalar.one()))
-        roots, loci = _split_poly(remaining)
+        roots, loci = scalar_roots(remaining)
         for r, m in roots:
             y_r = -p.evaluate(r) / b0
             out += Divisor.of((FinitePoint(r, y_r), m))

@@ -11,10 +11,12 @@ units of the fixed transcendental 6*pi*i, computed two independent ways:
   branch point, antidifferentiates the principal part, and reads off the
   residue of the product.
 
-Everything downstream (kernels, the conic criterion, base loci, the support
-test, the certificate classifier) consumes the covector c of the matrix,
-computed once per certificate.  The base locus is read off c in closed form;
-the divisor minimum over the annihilated pencil
+Everything downstream (the pairing matrix and its rank, kernels, the conic
+criterion, base loci, the support test, the certificate classifier) consumes
+the covector c of the matrix, computed once per request: a certificate
+carries c, and the `analyze` report reads the pairing matrix and its rank
+off it (CeresaCertificate.pairing).  The base locus is read off c in closed
+form; the divisor minimum over the annihilated pencil
 (curve.common_zeros_by_divisors) is the cross-check the tests run.
 """
 
@@ -85,6 +87,9 @@ class PairingMatrix:
     def as_matrix(self) -> Matrix:
         return Matrix(self.entries)
 
+    def rank(self) -> int:
+        return self.as_matrix().rank()
+
 
 @dataclass(frozen=True)
 class ConicReport:
@@ -119,6 +124,11 @@ class CeresaCertificate:
     omega2_dim: int
     subspace_dim: int | None
 
+    @property
+    def pairing(self) -> PairingMatrix:
+        """The pairing matrix of the certified direction, from its covector."""
+        return _pairing_of(self.conic.covector)
+
 
 # ---------------------------------------------------------------------------
 # The moment matrix and covectors
@@ -143,13 +153,13 @@ def pairing_covector(params: CurveParams, xi: TangentVector) -> tuple:
 
 
 def pairing_matrix(params: CurveParams, xi: TangentVector) -> PairingMatrix:
-    c = pairing_covector(params, xi)
+    return _pairing_of(pairing_covector(params, xi))
+
+
+def _pairing_of(c: tuple) -> PairingMatrix:
+    """The (0,k) and (k,0) entries are c_k; every other entry vanishes."""
     zero = Scalar.zero()
-    first_row = (zero,) + tuple(c)
-    rows = [first_row]
-    for k in range(3):
-        rows.append((c[k], zero, zero, zero))
-    return PairingMatrix(tuple(rows))
+    return PairingMatrix(((zero,) + tuple(c),) + tuple((ck, zero, zero, zero) for ck in c))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +222,7 @@ def ks_rank(params: CurveParams, xi: TangentVector) -> int:
     to antiholomorphic classes: 0 only for the zero direction, else 2."""
     if xi.is_zero():
         return 0
-    return pairing_matrix(params, xi).as_matrix().rank()
+    return pairing_matrix(params, xi).rank()
 
 
 def kernel_W(params: CurveParams, xi: TangentVector) -> tuple:
@@ -285,27 +295,6 @@ def _locus_of(params: CurveParams, conic: ConicReport) -> Divisor:
 # is fixed, so on any chart it is expanded from one 1/Q(x(s)) series and the
 # powers of x(s) (curve.basis_factors).
 OMEGA2_DIM = 9
-
-_PRODUCT_PAIRS = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
-
-
-def product_pairs() -> tuple:
-    """The ten symmetric index pairs (i <= j) of basis 1-form products."""
-    return _PRODUCT_PAIRS
-
-
-def product_coordinates(i: int, j: int) -> tuple:
-    """Coordinates of w_i * w_j in the 9-dimensional model."""
-    coords = [Scalar.zero()] * OMEGA2_DIM
-    if i > j:
-        i, j = j, i
-    if i == 0 and j == 0:
-        coords[3] = Scalar.one()
-    elif i == 0:
-        coords[j - 1] = Scalar.one()
-    else:
-        coords[4 + (i + j - 2)] = Scalar.one()
-    return tuple(coords)
 
 
 def kdifferential_coordinates(params: CurveParams, q: KDifferential) -> tuple:
@@ -429,10 +418,6 @@ def _support_of(params: CurveParams, c: tuple, divisor: Divisor, order: int) -> 
     # The functional sees only the A-coordinates (functional_covector).
     supported = all(not (c[0] * v[0] + c[1] * v[1] + c[2] * v[2]) for v in subspace)
     return supported, len(subspace)
-
-
-def supported_on(params: CurveParams, xi: TangentVector, divisor: Divisor, order: int = DEFAULT_ORDER) -> bool:
-    return support_test(params, xi, divisor, order)[0]
 
 
 # ---------------------------------------------------------------------------

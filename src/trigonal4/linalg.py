@@ -145,18 +145,6 @@ class Matrix:
             raise DegenerateInput("singular matrix")
         return Matrix(tuple(row[n:] for row in rref.rows))
 
-    def solve(self, rhs: Sequence) -> tuple | None:
-        """One solution of A x = rhs, or None when inconsistent."""
-        vec = tuple(Scalar.of(v) for v in rhs)
-        augmented = Matrix(tuple(row + (b,) for row, b in zip(self.rows, vec)))
-        rref, pivots = augmented.rref()
-        if self.ncols in pivots:
-            return None
-        solution = [Scalar.zero()] * self.ncols
-        for r, pc in enumerate(pivots):
-            solution[pc] = rref.rows[r][self.ncols]
-        return tuple(solution)
-
 
 def _dot(a, b) -> Scalar:
     acc = Scalar.zero()

@@ -271,24 +271,22 @@ def root_multiplicity(p: UniPoly, root) -> int:
     return count
 
 
-def scalar_roots(p: UniPoly) -> tuple[list[tuple[Scalar, int]], UniPoly]:
-    """Roots of p lying in Q(w) with multiplicities, plus the unresolved cofactor.
+def scalar_roots(p: UniPoly) -> tuple[list[tuple[Scalar, int]], list[tuple[UniPoly, int]]]:
+    """Split p over Q(w): (roots in Q(w) with multiplicity, leftover loci
+    with multiplicity); loci are monic, squarefree and pairwise coprime.
 
-    Complete for every polynomial whose squarefree parts have degree <= 2;
-    squarefree parts of higher degree are returned unresolved (monic).
+    Root extraction is complete through degree 2; a squarefree factor of
+    higher degree stays one locus even when it has roots in Q(w).
     Coefficients must be Scalars.
     """
-    if not p:
-        raise DegenerateInput("root extraction from the zero polynomial")
     roots: list[tuple[Scalar, int]] = []
-    remainder = UniPoly((Scalar.one(),))
+    loci: list[tuple[UniPoly, int]] = []
     for factor, mult in squarefree_decomposition(p):
         found, leftover = _squarefree_scalar_roots(factor)
         roots.extend((r, mult) for r in found)
         if leftover.degree > 0:
-            remainder = remainder * leftover ** mult
-    roots.sort(key=lambda pair: pair[0].sort_key())
-    return roots, remainder
+            loci.append((leftover, mult))
+    return roots, loci
 
 
 def _squarefree_scalar_roots(p: UniPoly) -> tuple[list[Scalar], UniPoly]:

@@ -213,6 +213,8 @@ class Scalar:
             return Scalar(Fraction(m.group("rat1")), Fraction(m.group("zet1")))
         except ZeroDivisionError:
             raise DegenerateInput(f"zero denominator in scalar literal: {text!r}") from None
+        except ValueError:  # more digits than int() converts
+            raise DegenerateInput("scalar literal exceeds the integer digit limit") from None
 
 
 def _format_fraction(f: Fraction) -> str:

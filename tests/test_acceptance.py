@@ -45,7 +45,6 @@ from trigonal4.deformation import (
     product_differential,
     residue_pairing,
     support_test,
-    supported_on,
     xi_functional,
 )
 from trigonal4.linalg import Matrix, row_space_rref, same_subspace

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from trigonal4 import cli
+from trigonal4 import cli, deformation
 from trigonal4.cli import main
 
 
@@ -60,6 +60,50 @@ def test_series_order_bounds_accepted(order):
     code, text = run_cli(["analyze", "--u", "0,2,3", "--xi", "1,2,3", f"--series-order={order}"])
     assert code == 0
     assert json.loads(text)["series_order"] == int(order)
+
+
+@pytest.mark.parametrize("xi", ["1,2,3", "1,0,0"], ids=["off-conic", "on-conic"])
+def test_analyze_builds_one_moment_matrix(monkeypatch, xi):
+    # The report reads the pairing matrix and its rank off the certificate's
+    # covector, so one request builds the moment matrix once.
+    builds = []
+    real_moment_matrix = deformation.moment_matrix
+
+    def counted(params):
+        builds.append(params)
+        return real_moment_matrix(params)
+
+    monkeypatch.setattr(deformation, "moment_matrix", counted)
+    code, _ = run_cli(["analyze", "--u=0,2,3", f"--xi={xi}"])
+    assert code == 0
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--u=0,2," + "1" * 5000, "--xi=1,0,0"],
+        ["analyze", "--u=0,2,3", "--xi=" + "1" * 4400 + ",0,0"],
+        ["analyze", "--u=0,2,3", "--xi=1/" + "7" * 4400 + ",0,0"],
+        ["schiffer", "--u=0,2,3", "--point=0,1,0," + "1" * 4400],
+        ["d0", "--u=0,2,3", "--t1=" + "1" * 4400],
+        ["qz24", "--a=" + "1" * 4400],
+    ],
+    ids=["u", "xi", "xi-denominator", "point", "t1", "a"],
+)
+def test_literal_beyond_int_digit_limit_exits_2(argv):
+    code, text = run_cli(argv)
+    assert code == 2 and text == ""
+
+
+@pytest.mark.parametrize(
+    "grid",
+    ["cone:\u00b2", "cone:\u0663", "cone:" + "1" * 5000],
+    ids=["superscript-two", "arabic-indic-three", "5000-digits"],
+)
+def test_scan_grid_count_must_be_ascii_digits(grid):
+    code, text = run_cli(["scan", "--grid", grid, "--u=0,2,3"])
+    assert code == 2 and text == ""
 
 
 def test_analyze_deterministic_bytes():

@@ -84,16 +84,16 @@ def test_root_multiplicity():
 
 def test_scalar_roots_quadratic_in_field():
     # x**2 + x + 1 has roots w and w**2
-    roots, leftover = scalar_roots(P(1, 1, 1))
-    assert leftover.degree == 0
+    roots, loci = scalar_roots(P(1, 1, 1))
+    assert loci == []
     assert {r for r, _ in roots} == {Scalar.zeta(), Scalar.zeta_power(2)}
     assert all(m == 1 for _, m in roots)
 
 
 def test_scalar_roots_irrational_stay_grouped():
-    roots, leftover = scalar_roots(P(-2, 0, 1))  # x**2 - 2
+    roots, loci = scalar_roots(P(-2, 0, 1))  # x**2 - 2
     assert roots == []
-    assert leftover == P(-2, 0, 1)
+    assert loci == [(P(-2, 0, 1), 1)]
 
 
 def test_taylor_shift():

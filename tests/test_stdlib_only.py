@@ -1,7 +1,9 @@
 """The package has zero runtime dependencies: every import in src/trigonal4
-is relative or names a standard-library module."""
+is relative or names a standard-library module.  The package also carries
+no unused imports and no definition that nothing references."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -43,4 +45,36 @@ def test_no_unused_imports():
                     bound = alias.asname or alias.name.partition(".")[0]
                     if bound not in used:
                         offenders.append(f"{path.name}:{node.lineno} {bound}")
+    assert not offenders, offenders
+
+
+def _referenced_names() -> set:
+    """Names that src/, tests/ and scripts/ reference (as a Name, an
+    Attribute or an import alias), plus the entry points in pyproject.toml."""
+    root = SOURCE.parent.parent
+    names = set()
+    for folder in ("src", "tests", "scripts"):
+        for path in sorted((root / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.update(node.name.split("."))
+    names.update(re.findall(r'=\s*"[\w.]+:(\w+)"', (root / "pyproject.toml").read_text()))
+    return names
+
+
+def test_no_dead_definitions():
+    """Every function, class and method defined in the package is referenced
+    somewhere; dunders are called by the language, so they are exempt."""
+    referenced = _referenced_names()
+    offenders = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = node.name
+                if not (name.startswith("__") and name.endswith("__")) and name not in referenced:
+                    offenders.append(f"{path.name}:{node.lineno} {name}")
     assert not offenders, offenders
