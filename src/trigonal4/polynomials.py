@@ -1,8 +1,10 @@
 """Dense univariate polynomials and rational functions over an exact field.
 
-``UniPoly`` is generic: it only asks its coefficients for field arithmetic
-(including mixed arithmetic with small ints), so the same class serves
-polynomials over Q(w), over rational functions, and over quotient rings.
+``UniPoly`` is generic: it asks its coefficients for ring arithmetic
+(including mixed arithmetic with small ints), and for field division only
+when polynomials are divided, so the same class serves polynomials over
+Q(w) and, in the cube-root probe, over Q(w)[c].  ``RationalFunction``
+holds quotients of polynomials over Q(w).
 Degrees in this package stay small (about 20 at most), so the dense
 representation and classical algorithms are the right tool.
 """
@@ -151,9 +153,6 @@ class UniPoly:
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return self.divmod(other)[1]
 
-    def divides(self, other: "UniPoly") -> bool:
-        return not other.divmod(self)[1]
-
     # -- calculus and evaluation -----------------------------------------------
 
     def derivative(self) -> "UniPoly":
@@ -220,23 +219,6 @@ def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     while b:
         a, b = b, a % b
     return a.monic()
-
-
-def poly_extended_gcd(p: UniPoly, q: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
-    """(g, s, t) with s*p + t*q = g, g monic."""
-    if not p and not q:
-        raise DegenerateInput("gcd(0, 0) is undefined")
-    one = (p or q).leading ** 0
-    r0, r1 = p, q
-    s0, s1 = UniPoly((one,)), UniPoly(())
-    t0, t1 = UniPoly(()), UniPoly((one,))
-    while r1:
-        quot, rem = r0.divmod(r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, s0 - quot * s1
-        t0, t1 = t1, t0 - quot * t1
-    lead = r0.leading
-    return r0.monic(), s0.scale(lead ** -1), t0.scale(lead ** -1)
 
 
 def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:

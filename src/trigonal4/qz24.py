@@ -3,9 +3,9 @@
 On this locus the second factor of the branch polynomial collapses to
 x**3 - a with a = c**3, giving the one-parameter family
 y**3 = (x**3 - 1)(x**3 - a).  The probe computes the conic-criterion
-covector of the family's own tangent direction exactly, as rational
-functions of a, by working in the quotient ring F[c]/(c**3 - a) over the
-rational-function field F = Q(w)(a).
+covector of the family's own tangent direction exactly in the field
+Q(w)(c) = Q(w)(a)[c]/(c**3 - a), as rational functions of c, and then
+descends each entry to Q(w)(a) by substituting a = c**3.
 
 The computed covector is (0, 1/(3a(a-1)), 0), which is OFF the vanishing
 conic, while the cycle class is known to be locally constant along this
@@ -18,126 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegenerateInput, StructuralError
-from .polynomials import RationalFunction, UniPoly, poly_extended_gcd
+from .polynomials import RationalFunction, UniPoly
 from .scalars import Scalar
-
-# F = Q(w)(a): rational functions in the symbol a.
-_A = UniPoly.from_scalars((0, 1))
-_ONE_POLY = UniPoly.from_scalars((1,))
-
-
-def rf(value) -> RationalFunction:
-    """Constant of F from a scalar or int."""
-    return RationalFunction.of(UniPoly.from_scalars((Scalar.of(value),)))
-
-
-def rf_a() -> RationalFunction:
-    """The symbol a as an element of F."""
-    return RationalFunction.of(_A)
-
-
-_MODULUS = UniPoly((-rf_a(), rf(0), rf(0), rf(1)))  # c**3 - a
-
-
-@dataclass(frozen=True)
-class TowerElement:
-    """Element of F[c]/(c**3 - a), stored as a polynomial in c of degree < 3
-    with coefficients in F."""
-
-    coeffs: tuple  # three RationalFunctions
-
-    def __post_init__(self):
-        coeffs = tuple(self.coeffs)
-        if len(coeffs) > 3:
-            reduced = UniPoly(coeffs) % _MODULUS
-            coeffs = reduced.coefficients
-        coeffs = coeffs + (RationalFunction.zero(),) * (3 - len(coeffs))
-        object.__setattr__(self, "coeffs", coeffs[:3])
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def of(value) -> "TowerElement":
-        if isinstance(value, TowerElement):
-            return value
-        if isinstance(value, RationalFunction):
-            return TowerElement((value,))
-        return TowerElement((rf(value),))
-
-    @staticmethod
-    def c_symbol() -> "TowerElement":
-        return TowerElement((rf(0), rf(1)))
-
-    @staticmethod
-    def a_symbol() -> "TowerElement":
-        return TowerElement((rf_a(),))
-
-    # -- ring operations -----------------------------------------------------
-
-    def as_poly(self) -> UniPoly:
-        return UniPoly(self.coeffs)
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __add__(self, other):
-        other = TowerElement.of(other)
-        return TowerElement(tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TowerElement(tuple(-x for x in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-TowerElement.of(other))
-
-    def __rsub__(self, other):
-        return TowerElement.of(other) + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            other = TowerElement.of(other)
-        if isinstance(other, (Scalar, RationalFunction)):
-            other = TowerElement.of(other)
-        if not isinstance(other, TowerElement):
-            return NotImplemented
-        product = self.as_poly() * other.as_poly()
-        return TowerElement((product % _MODULUS).coefficients)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "TowerElement":
-        if not self:
-            raise ZeroDivisionError("inverse of zero in the cube-root tower")
-        g, s, _ = poly_extended_gcd(self.as_poly(), _MODULUS)
-        if g.degree != 0:
-            raise StructuralError("cube-root modulus failed to be irreducible over F")
-        return TowerElement((s.scale(g.coefficient(0).inverse())).coefficients)
-
-    def __truediv__(self, other):
-        return self * TowerElement.of(other).inverse()
-
-    def __rtruediv__(self, other):
-        return TowerElement.of(other) * self.inverse()
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = TowerElement.of(1)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
-
-    def rational_part(self) -> RationalFunction:
-        """The F-component; raises when the element genuinely involves c."""
-        if self.coeffs[1] or self.coeffs[2]:
-            raise StructuralError("element does not collapse to the rational-function field")
-        return self.coeffs[0]
 
 
 @dataclass(frozen=True)
@@ -157,6 +39,17 @@ ANNOTATION = (
 )
 
 
+def _in_a(f: RationalFunction) -> RationalFunction:
+    """The rational function f(c) of Q(w)(c) as a rational function of
+    a = c**3; raises when f genuinely involves c."""
+    for poly in (f.numerator, f.denominator):
+        if any(coeff for k, coeff in enumerate(poly.coefficients) if k % 3):
+            raise StructuralError("element does not descend to the rational-function field Q(w)(a)")
+    return RationalFunction(
+        UniPoly(f.numerator.coefficients[::3]), UniPoly(f.denominator.coefficients[::3])
+    )
+
+
 def cube_family_covector() -> tuple:
     """The conic-criterion covector c(a) of the tangent direction of the
     cube-root family, as exact rational functions of a.
@@ -164,43 +57,34 @@ def cube_family_covector() -> tuple:
     The tangent has coordinates 1/(3 u_j**2) (the a-derivative of the
     parameters u_j = cube roots of a), and the branch polynomial restricts
     to (x**3 - 1)(x**3 - a)."""
-    c = TowerElement.c_symbol()
     zeta = Scalar.zeta()
-    u = tuple(c * TowerElement.of(zeta ** j) for j in range(3))
-
-    one = TowerElement.of(1)
-    q_poly = UniPoly((TowerElement.of(-1), TowerElement.of(0), TowerElement.of(0), one))
-    for uj in u:
-        q_poly = q_poly * UniPoly((-uj, one))
-    # sanity: the moving factor collapses to x**3 - a
-    qprime = q_poly.derivative()
-
+    unit_roots = tuple(UniPoly.from_scalars((zeta ** j,)) for j in range(3))
+    u = tuple(UniPoly.x().scale(zeta ** j) for j in range(3))  # u_j = c*w**j
+    qprime = UniPoly.from_roots(unit_roots + u).derivative()  # over Q(w)[c]
     covector = []
     for k in (1, 2, 3):
-        total = TowerElement.of(0)
+        total = RationalFunction.zero()
         for uj in u:
-            xi_j = (TowerElement.of(3) * uj * uj).inverse()
-            total = total + xi_j * uj ** (k - 1) / qprime.evaluate(uj)
-        covector.append(total.rational_part())
+            total = total + RationalFunction(uj ** (k - 1), (uj * uj).scale(3) * qprime.evaluate(uj))
+        covector.append(_in_a(total))
     return tuple(covector)
 
 
 def cube_family_report(a_value: Scalar | None = None) -> CubeFamilyReport:
-    """Full probe report; when ``a_value`` is given the covector and conic
-    value are additionally evaluated at that parameter (a != 0, 1)."""
+    """Full probe report; when ``a_value`` is given it must avoid 0 and the
+    unit cubes, and it is checked before any computation."""
+    if a_value is not None:
+        a_value = Scalar.of(a_value)
+        if not a_value or a_value == Scalar.one() or (a_value ** 3) == Scalar.one():
+            raise DegenerateInput("the probe needs a outside {0} and the unit cubes")
     covector = cube_family_covector()
     conic_value = covector[0] * covector[2] - covector[1] * covector[1]
-    report = CubeFamilyReport(
+    return CubeFamilyReport(
         covector=covector,
         conic_value=conic_value,
         on_conic=not conic_value,
         annotation=ANNOTATION,
     )
-    if a_value is not None:
-        a_value = Scalar.of(a_value)
-        if not a_value or a_value == Scalar.one() or (a_value ** 3) == Scalar.one():
-            raise DegenerateInput("the probe needs a outside {0} and the unit cubes")
-    return report
 
 
 def evaluate_at(f: RationalFunction, a_value: Scalar) -> Scalar:

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import DegenerateInput
 
-_FRACTION = r"-?\d+(?:/\d+)?"
+_FRACTION = r"-?[0-9]+(?:/[0-9]+)?"
 _LITERAL = re.compile(
     rf"^(?:(?P<rat>{_FRACTION})|(?P<zet0>{_FRACTION})\*w|(?P<rat1>{_FRACTION})\+(?P<zet1>{_FRACTION})\*w)$"
 )
@@ -218,9 +218,12 @@ class Scalar:
 
 
 def _format_fraction(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        if f.denominator == 1:
+            return str(f.numerator)
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError:  # more digits than str() converts
+        raise DegenerateInput("output exceeds the integer digit limit") from None
 
 
 def _sqrt_fraction(f: Fraction) -> Fraction | None:

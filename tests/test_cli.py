@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from trigonal4 import cli, deformation
+from trigonal4 import cli, deformation, qz24
 from trigonal4.cli import main
 
 
@@ -93,6 +93,27 @@ def test_analyze_builds_one_moment_matrix(monkeypatch, xi):
 )
 def test_literal_beyond_int_digit_limit_exits_2(argv):
     code, text = run_cli(argv)
+    assert code == 2 and text == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--u=0,\u0662,3", "--xi=1,0,0"],
+        ["analyze", "--u=0,2,3", "--xi=\u0663,0,0"],
+        ["qz24", "--a=\u0662"],
+    ],
+    ids=["u", "xi", "a"],
+)
+def test_literal_digits_must_be_ascii(argv):
+    code, text = run_cli(argv)
+    assert code == 2 and text == ""
+
+
+def test_output_beyond_int_digit_limit_exits_2():
+    # The inputs parse, but the ~6000-digit conic value cannot be printed.
+    x = "1" * 3000
+    code, text = run_cli(["analyze", "--u=0,2,3", f"--xi={x},{x},1"])
     assert code == 2 and text == ""
 
 
@@ -269,9 +290,24 @@ def test_qz24_document():
     code, text = run_cli(["qz24", "--a", "2"])
     assert code == 0
     doc = json.loads(text)
+    assert doc["covector"] == [
+        {"num": "0", "den": "1"},
+        {"num": "1/3", "den": "a^2-a"},
+        {"num": "0", "den": "1"},
+    ]
+    assert doc["conic_value"] == {"num": "-1/9", "den": "a^4-2*a^3+a^2"}
     assert doc["covector_at_a"] == ["0", "1/6", "0"]
     assert doc["value_at_a"] == "-1/36"
     assert doc["variant"] == "NotOnConic"
     assert "open_question" in doc and doc["open_question"]
     # no assertion beyond the computed value: the document carries no claim fields
     assert "expected_containment" not in doc
+
+
+def test_qz24_checks_a_before_any_work(monkeypatch):
+    def no_work():
+        raise AssertionError("the covector was computed for a rejected --a")
+
+    monkeypatch.setattr(qz24, "cube_family_covector", no_work)
+    code, text = run_cli(["qz24", "--a=1"])
+    assert code == 2 and text == ""

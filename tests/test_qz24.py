@@ -1,42 +1,25 @@
 import pytest
 
-from trigonal4.errors import DegenerateInput
+from trigonal4.errors import DegenerateInput, StructuralError
 from trigonal4.polynomials import RationalFunction, UniPoly
 from trigonal4.qz24 import (
     ANNOTATION,
-    TowerElement,
+    _in_a,
     cube_family_covector,
     cube_family_report,
     evaluate_at,
-    rf,
-    rf_a,
 )
 from trigonal4.scalars import Scalar
 
 
-def test_tower_arithmetic():
-    c = TowerElement.c_symbol()
-    a = TowerElement.a_symbol()
-    assert c * c * c == a
-    assert (c ** 6) == a * a
-    inv = c.inverse()
-    assert c * inv == TowerElement.of(1)
-    # 1/c = c**2/a
-    assert inv == c * c / a
-
-
-def test_tower_sum_of_cube_roots_vanishes():
-    c = TowerElement.c_symbol()
-    zeta = Scalar.zeta()
-    roots = [c * TowerElement.of(zeta ** j) for j in range(3)]
-    total = TowerElement.of(0)
-    for r in roots:
-        total = total + r
-    assert not total
-    prod = TowerElement.of(1)
-    for r in roots:
-        prod = prod * r
-    assert prod == TowerElement.a_symbol()
+def test_descent_to_a():
+    # a = c**3: only exponents divisible by 3 descend, and they descend to a.
+    c = UniPoly.from_scalars((0, 1))
+    f = RationalFunction(c ** 3, c ** 6 - c ** 3)
+    a = UniPoly.from_scalars((0, 1))
+    assert _in_a(f) == RationalFunction(a, a * a - a)
+    with pytest.raises(StructuralError):
+        _in_a(RationalFunction.of(c))
 
 
 def test_covector_closed_form():

@@ -56,8 +56,10 @@ def test_literal_forms():
     assert str(Scalar.zero()) == "0"
     assert str(Scalar(0, Fraction(2, 3))) == "2/3*w"
     assert Scalar.parse("1/2+-3/4*w") == Scalar(Fraction(1, 2), Fraction(-3, 4))
-    with pytest.raises(DegenerateInput):
-        Scalar.parse("1 + w")
+    # digits are ASCII: Arabic-Indic digits are not literals
+    for text in ("1 + w", "\u0663", "\u0663/\u0664", "1+\u0662*w"):
+        with pytest.raises(DegenerateInput):
+            Scalar.parse(text)
 
 
 def test_parse_projective():
