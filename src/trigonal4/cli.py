@@ -205,29 +205,28 @@ def cmd_residue_check(args, out) -> int:
 
 
 def _scan_rows(args):
+    """The (index, params, xi) rows; options are checked before any output."""
     if args.grid:
         count = _parse_grid(args.grid)
         if not args.u:
             raise InvalidParameters("--grid cone:N needs --u")
         params = _parse_u(args.u)
-        for i in range(count):
-            yield i, params, cone_directions(params, Scalar.of(i))
-    else:
-        if args.random is None:
-            raise DegenerateInput("scan needs --random N or --grid cone:N")
-        rng = SplitMix64(args.seed)
-        for i in range(args.random):
-            params = sample_params(rng)
-            xi = sample_tangent(rng)
-            yield i, params, xi
+        return ((i, params, cone_directions(params, Scalar.of(i))) for i in range(count))
+    if args.random is None:
+        raise DegenerateInput("scan needs --random N or --grid cone:N")
+    if args.random < 0:
+        raise DegenerateInput("--random takes a count N >= 0")
+    rng = SplitMix64(args.seed)
+    return ((i, sample_params(rng), sample_tangent(rng)) for i in range(args.random))
 
 
 def cmd_scan(args, out) -> int:
     counts: dict = {}
     csv = args.format == "csv"
+    rows = _scan_rows(args)
     if csv:
         out.write("index,u1,u2,u3,xi1,xi2,xi3,conic_value,variant\n")
-    for i, params, xi in _scan_rows(args):
+    for i, params, xi in rows:
         cert = delta_nu_c_test(params, xi)
         variant = cert.variant.value
         counts[variant] = counts.get(variant, 0) + 1

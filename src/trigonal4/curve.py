@@ -18,6 +18,7 @@ coprime, and comparisons refine loci by gcd before comparing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Union
 
@@ -538,7 +539,9 @@ class Chart:
 @lru_cache(maxsize=256)
 def branch_inversion(params: CurveParams, x0: Scalar, order: int) -> LocalSeries:
     """The series D(y) with x = x0 + D(y) solving y**3 = Q(x) at a branch
-    point; exponents are multiples of 3 and the first term is y**3/Q'(x0)."""
+    point, by Lagrange inversion: with Q(x0 + X) = X * Q'(x0) * U(X), U(0) = 1,
+    the coefficient of y**(3n) is [X**(n-1)] U**(-n) / (n * Q'(x0)**n).  The
+    first term is y**3/Q'(x0), and Q(x0 + D(y)) = y**3 is checked exactly."""
     if not params.is_branch_x(x0):
         raise DegenerateInput("branch expansion requested at a non-branch x")
     qp0 = params.qprime_at(x0)
@@ -546,15 +549,17 @@ def branch_inversion(params: CurveParams, x0: Scalar, order: int) -> LocalSeries
         raise InvalidParameters("multiple branch root; configuration excluded from the base")
     trunc = order + _CHART_PAD
     shifted = params.q_poly.taylor_shift(x0)
-    shifted_prime = shifted.derivative()
-    y_cubed = LocalSeries.monomial(3, Scalar.one(), trunc)
-    d = LocalSeries.monomial(3, qp0.inverse(), trunc)
-    for _ in range(12):
-        residual = series_of_poly(shifted, d) - y_cubed
-        if residual.valuation() is None:
-            return d
-        d = d - residual * series_of_poly(shifted_prime, d).inverse()
-    raise StructuralError("branch inversion did not converge")
+    qp0_inv = qp0.inverse()
+    u = {k - 1: c * qp0_inv for k, c in enumerate(shifted.coefficients) if k}
+    terms = {}
+    for n in range(1, (trunc + 2) // 3):  # 3n < trunc
+        u_power = LocalSeries(u, n)._unit_power(Fraction(-n))
+        terms[3 * n] = u_power.coefficient(n - 1) * qp0_inv ** n * Fraction(1, n)
+    d = LocalSeries(terms, trunc)
+    residual = series_of_poly(shifted, d) - LocalSeries.monomial(3, Scalar.one(), trunc)
+    if residual.valuation() is not None:
+        raise StructuralError("branch inversion does not solve y**3 = Q(x)")
+    return d
 
 
 def branch_chart(params: CurveParams, x0: Scalar, order: int = DEFAULT_ORDER) -> Chart:

@@ -23,7 +23,7 @@ import cmath
 
 from .curve import CurveParams
 from .deformation import ORACLE_SIGN
-from .errors import DegenerateInput, StructuralError
+from .errors import DegenerateInput, OracleMismatch, StructuralError
 from .scalars import Scalar
 
 DEFAULT_NODES = 512
@@ -93,7 +93,7 @@ def numeric_residue_matrix(
         p_minus2 = moment(p_values, -2)
         p_minus1 = moment(p_values, -1)
         if abs(p_minus1) > 1e-9 * max(1.0, abs(p_minus3), abs(p_minus2)):
-            raise StructuralError("numeric principal part has a y**-1 term")
+            raise OracleMismatch("numeric principal part has a y**-1 term")
         principal.append([-p_minus3 / (2 * y ** 2) - p_minus2 / y for y in ys])
 
     matrix = []

@@ -13,17 +13,19 @@ from fractions import Fraction
 
 from .curve import CurveParams, validate_params
 from .deformation import TangentVector
-from .errors import InvalidParameters
+from .errors import DegenerateInput, InvalidParameters
 from .scalars import Scalar
 
 _MASK = (1 << 64) - 1
 
 
 class SplitMix64:
-    """The splitmix64 sequence from a 64-bit seed."""
+    """The splitmix64 sequence from a 64-bit seed, 0 <= seed < 2**64."""
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK
+        if not 0 <= seed <= _MASK:
+            raise DegenerateInput("a splitmix64 seed must lie in 0..2**64-1")
+        self.state = seed
 
     def next_u64(self) -> int:
         self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK

@@ -2,13 +2,16 @@
 
 A series knows its coefficients below ``truncation`` and nothing beyond it,
 and every operation propagates truncation conservatively, so any coefficient
-read out of a series is exact.  The only root extraction needed anywhere is
-the cube root of a unit series with constant term 1, solved term by term.
+read out of a series is exact.  Inverses, the cube root of a unit series
+and the reversion at a branch point (``curve.branch_inversion``) all come
+from one coefficient recurrence for a power of a unit series,
+``LocalSeries._unit_power``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import DegenerateInput, StructuralError
 from .polynomials import RationalFunction, UniPoly
@@ -107,22 +110,8 @@ class LocalSeries:
         v = self.valuation()
         if v is None:
             raise ZeroDivisionError("inverse of a series that is zero through truncation")
-        lead = self.coefficients[v]
-        rel = self.truncation - v
-        unit = self.shift(-v).scale(lead.inverse()).truncate(rel)
-        tail = unit - LocalSeries.constant(Scalar.one(), rel)
-        result = LocalSeries.constant(Scalar.one(), rel)
-        power = LocalSeries.constant(Scalar.one(), rel)
-        sign = Scalar.one()
-        tv = tail.valuation()
-        if tv is not None:
-            for _ in range(rel // tv + 1):
-                power = (power * tail).truncate(rel)
-                sign = -sign
-                if power.valuation() is None:
-                    break
-                result = result + power.scale(sign)
-        return result.scale(lead.inverse()).shift(-v)
+        lead_inv = self.coefficients[v].inverse()
+        return self.shift(-v).scale(lead_inv)._unit_power(Fraction(-1)).scale(lead_inv).shift(-v)
 
     def __truediv__(self, other: "LocalSeries") -> "LocalSeries":
         return self * other.inverse()
@@ -153,21 +142,23 @@ class LocalSeries:
         v = self.valuation()
         if v is None or v < 0 or self.coefficient(0) != Scalar.one():
             raise DegenerateInput("cube root implemented only for unit series with constant term 1")
-        trunc = self.truncation
-        root: dict = {0: Scalar.one()}
-        for n in range(1, trunc):
-            # [s**n](r**3) = 3*r_n + sum over i+j+k = n with i, j, k < n.
+        return self._unit_power(Fraction(1, 3))
+
+    def _unit_power(self, alpha: Fraction) -> "LocalSeries":
+        """f**alpha with constant term 1, for this power series f with f_0 = 1,
+        at the same truncation.  Every term comes from J.C.P. Miller's
+        recurrence n*g_n = sum_{k=1..n} ((alpha+1)*k - n) * f_k * g_(n-k), so
+        the cost is O(n) per term (Knuth, TAOCP vol. 2, section 4.7)."""
+        terms = sorted((k, c) for k, c in self.coefficients.items() if k > 0)
+        g = [Scalar.one()]
+        for n in range(1, self.truncation):
             acc = Scalar.zero()
-            for i, ci in root.items():
-                for j, cj in root.items():
-                    k = n - i - j
-                    if k < 0 or k >= n:
-                        continue
-                    acc = acc + ci * cj * root.get(k, Scalar.zero())
-            cn = (self.coefficients.get(n, Scalar.zero()) - acc) / 3
-            if cn:
-                root[n] = cn
-        return LocalSeries(root, trunc)
+            for k, fk in terms:
+                if k > n:
+                    break
+                acc = acc + fk * g[n - k] * ((alpha + 1) * k - n)
+            g.append(acc * Fraction(1, n))
+        return LocalSeries(dict(enumerate(g)), self.truncation)
 
     def __str__(self):
         if not self.coefficients:

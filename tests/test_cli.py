@@ -170,6 +170,16 @@ def test_residue_check_tolerance_exceeded_trips_exit_4():
     assert code == 4
 
 
+@pytest.mark.parametrize("nodes", ["1", "2"])
+def test_residue_check_too_few_nodes_is_a_disagreement(nodes):
+    # One or two nodes cannot separate the y**-1 moment from the principal
+    # part; that is a numeric disagreement (exit 4), not a structural error.
+    code, text = run_cli(
+        ["residue-check", "--u=0,2,3", "--j=1", "--numeric", f"--quad-nodes={nodes}"]
+    )
+    assert code == 4 and text == ""
+
+
 @pytest.mark.parametrize("nodes", ["0", "-3"])
 def test_residue_check_rejects_nodeless_quadrature(nodes):
     code, text = run_cli(
@@ -239,6 +249,27 @@ def test_scan_grid_cone_all_on_conic():
     assert len(body) == 8
     assert all(row["variant"].startswith("OnConic") for row in body)
     assert sum(summary["summary"].values()) == 8
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--random=-5"],
+        ["--random=-1", "--format=csv"],
+        ["--random=2", "--seed=-1"],
+        ["--random=2", f"--seed={2 ** 64}"],
+        ["--random=2", f"--seed={2 ** 64 + 5}"],
+    ],
+)
+def test_scan_random_count_and_seed_ranges(argv):
+    code, text = run_cli(["scan"] + argv)
+    assert code == 2 and text == ""
+
+
+def test_scan_largest_seed_accepted():
+    code, text = run_cli(["scan", "--random=1", f"--seed={2 ** 64 - 1}"])
+    assert code == 0
+    assert len(text.strip().splitlines()) == 2
 
 
 def test_scan_csv_format():

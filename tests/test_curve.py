@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 
 from trigonal4.curve import (
+    _CHART_PAD,
     OMEGA,
     BranchPoint,
     Differential,
@@ -24,6 +25,7 @@ from trigonal4.curve import (
 )
 from trigonal4.errors import DegenerateInput, InvalidParameters
 from trigonal4.polynomials import RationalFunction, UniPoly
+from trigonal4.prng import SplitMix64, sample_params
 from trigonal4.scalars import INFINITY, Scalar
 from trigonal4.series import series_of_poly, LocalSeries
 
@@ -87,6 +89,32 @@ def test_branch_inversion_inverts_q(shift):
     for n in composed.known_exponents():
         if n != 3:
             assert not composed.coefficient(n)
+
+
+def _reference_branch_inversion(params, x0, order):
+    """D(y) by Newton's iteration on Q(x0 + D) = y**3, started at y**3/Q'(x0);
+    each step doubles the number of correct terms."""
+    trunc = order + _CHART_PAD
+    shifted = params.q_poly.taylor_shift(x0)
+    shifted_prime = shifted.derivative()
+    y_cubed = LocalSeries.monomial(3, Scalar.one(), trunc)
+    d = LocalSeries.monomial(3, params.qprime_at(x0).inverse(), trunc)
+    for _ in range(12):
+        residual = series_of_poly(shifted, d) - y_cubed
+        if residual.valuation() is None:
+            return d
+        d = d - residual * series_of_poly(shifted_prime, d).inverse()
+    raise AssertionError("reference Newton iteration did not converge")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_branch_inversion_matches_newton(seed):
+    # Lagrange inversion against Newton's iteration at every branch point of
+    # a seeded Q(w) point, truncation included.
+    params = sample_params(SplitMix64(seed))
+    for x0 in params.branch_x:
+        for order in (1, 12, 40):
+            assert branch_inversion(params, x0, order) == _reference_branch_inversion(params, x0, order)
 
 
 def test_local_series_of_constant(u023):

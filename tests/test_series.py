@@ -1,6 +1,8 @@
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given
 
+from trigonal4.errors import DegenerateInput
 from trigonal4.polynomials import RationalFunction, UniPoly
 from trigonal4.scalars import Scalar
 from trigonal4.series import LocalSeries, series_of_poly, series_of_rational
@@ -40,6 +42,85 @@ def test_cube_root_unit():
     cubed = r * r * r
     for n in range(cubed.truncation):
         assert cubed.coefficient(n) == base.coefficient(n)
+
+
+# -- differential references -----------------------------------------------
+#
+# The series layer solves every inverse and cube root with one recurrence
+# (LocalSeries._unit_power).  These are the independent iterations it
+# replaced, kept as references: the results must be == to theirs, truncation
+# included.
+
+
+def _reference_inverse(a):
+    """1/a as a geometric series of full products in the tail of the unit."""
+    v = a.valuation()
+    lead = a.coefficients[v]
+    rel = a.truncation - v
+    unit = a.shift(-v).scale(lead.inverse()).truncate(rel)
+    tail = unit - LocalSeries.constant(Scalar.one(), rel)
+    result = LocalSeries.constant(Scalar.one(), rel)
+    power = LocalSeries.constant(Scalar.one(), rel)
+    sign = Scalar.one()
+    tv = tail.valuation()
+    if tv is not None:
+        for _ in range(rel // tv + 1):
+            power = (power * tail).truncate(rel)
+            sign = -sign
+            if power.valuation() is None:
+                break
+            result = result + power.scale(sign)
+    return result.scale(lead.inverse()).shift(-v)
+
+
+def _reference_cube_root_unit(a):
+    """The cube root with constant term 1, each term solved from the cube of
+    the root so far (O(n**3))."""
+    root = {0: Scalar.one()}
+    for n in range(1, a.truncation):
+        # [s**n](r**3) = 3*r_n + sum over i+j+k = n with i, j, k < n.
+        acc = Scalar.zero()
+        for i, ci in root.items():
+            for j, cj in root.items():
+                k = n - i - j
+                if 0 <= k < n:
+                    acc = acc + ci * cj * root.get(k, Scalar.zero())
+        cn = (a.coefficients.get(n, Scalar.zero()) - acc) / 3
+        if cn:
+            root[n] = cn
+    return LocalSeries(root, a.truncation)
+
+
+def unit_series_strategy():
+    return st.builds(
+        lambda terms, truncation: LocalSeries({**terms, 0: Scalar.one()}, truncation),
+        st.dictionaries(st.integers(min_value=1, max_value=15), small_scalars, max_size=5),
+        st.integers(min_value=1, max_value=16),
+    )
+
+
+@given(
+    st.integers(min_value=1, max_value=16).flatmap(series_strategy).filter(
+        lambda s: s.valuation() is not None
+    )
+)
+def test_inverse_matches_geometric_series(a):
+    assert a.inverse() == _reference_inverse(a)
+
+
+@given(unit_series_strategy())
+def test_cube_root_matches_cubic_solve(a):
+    assert a.cube_root_unit() == _reference_cube_root_unit(a)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [{}, {0: Scalar.of(2)}, {-1: Scalar.one(), 0: Scalar.one()}, {1: Scalar.one()}],
+    ids=["zero", "constant-2", "negative-valuation", "positive-valuation"],
+)
+def test_cube_root_unit_rejects_non_unit(terms):
+    with pytest.raises(DegenerateInput):
+        LocalSeries(terms, 6).cube_root_unit()
 
 
 def test_series_of_poly_at_negative_valuation():
