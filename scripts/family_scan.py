@@ -3,7 +3,8 @@
 
 Samples (u, xi) pairs with the package PRNG, classifies each direction,
 and prints the resulting stratum counts plus a few example rows; the cone
-sweep shows that every covector on the conic is supported on its fiber.
+sweep classifies directions on the conic, each of which the support lemma
+(see trigonal4.deformation) certifies as supported on its fiber.
 
 Example:
     python3 scripts/family_scan.py --count 200 --seed 11

@@ -1,21 +1,21 @@
 """Geometry of the canonically embedded curve: the unique quadric, the
 cubic of the canonical ideal, symmetric-tensor ranks, and the Schiffer test.
 
-The degree-d part of the canonical ideal is decided by exact coefficient
-comparison.  On the affine chart the canonical map is z = (Y, 1, x, x**2)
-with Y**3 = Q(x), so a monomial z0**e0 * z1**a * z2**b * z3**c pulls back
-to Y**(e0 % 3) * Q(x)**(e0 // 3) * x**(b + 2*c).  Q is squarefree of degree
-6, hence not a cube, so Y**3 - Q(x) is irreducible and 1, Y, Y**2 are a
-basis of the function field over Q(w)(x).  A form therefore vanishes on the
-curve exactly when each of its three Y-components is the zero polynomial in
-x: the ideal in degree d is the kernel of one small coefficient matrix.
+Both forms of the canonical ideal are closed forms.  On the affine chart
+the canonical map is z = (Y, 1, x, x**2) with Y**3 = Q(x).  The quadric is
+always z2**2 - z1*z3.  Writing Q = sum q_k x**k, the cubic is
+z0**3 - sum_k q_k m_k, where m_0..m_6 = z1**3, z1**2 z2, z1 z2**2, z2**3,
+z2**2 z3, z2 z3**2, z3**3 are the monomials that x**0..x**6 pull back from;
+it pulls back to Y**3 - Q(x) = 0.  No m_k is divisible by z1*z3, and the
+z0**3 term keeps the cubic off the multiples of the quadric, so this is the
+unique normal form with leading coefficient 1.
 
-Evaluation at sampled trigonal fibers (``_evaluation_kernel``) stays as an
-independent cross-check of these kernels; nothing in the production path
-uses it.  A fiber over x0 evaluates all three conjugate points at once
-inside Q(w)[Y]/(Y**3 - Q(x0)), and 12 fibers (36 points) or 25 fibers (75
-points) suffice for quadrics and cubics, since a hypersurface of degree d
-not containing the degree-6 curve meets it in at most 6d points.
+Evaluation at sampled trigonal fibers (``_evaluation_kernel``) is the
+independent oracle the tests check both forms against; nothing in the
+production path uses it.  A fiber over x0 evaluates all three conjugate
+points at once inside Q(w)[Y]/(Y**3 - Q(x0)), and 12 fibers (36 points) or
+25 fibers (75 points) suffice for quadrics and cubics, since a hypersurface
+of degree d not containing the degree-6 curve meets it in at most 6d points.
 """
 
 from __future__ import annotations
@@ -44,8 +44,12 @@ CUBIC_MONOMIALS = tuple(
     )
 )
 
-_QUADRIC_LEAD = (0, 1, 0, 1)  # z1*z3, the graded-lex leading monomial of the quadric
-_QUADRIC_TRAIL = (0, 0, 2, 0)  # z2**2
+_QUADRIC = {(0, 0, 2, 0): Scalar.one(), (0, 1, 0, 1): -Scalar.one()}  # z2**2 - z1*z3
+# m_k, the cubic monomial that x**k pulls back from under z = (Y, 1, x, x**2)
+_CUBIC_X_POWERS = (
+    (0, 3, 0, 0), (0, 2, 1, 0), (0, 1, 2, 0), (0, 0, 3, 0),
+    (0, 0, 2, 1), (0, 0, 1, 2), (0, 0, 0, 3),
+)
 
 SYM2_FIBERS = 12
 SYM3_FIBERS = 25
@@ -222,70 +226,21 @@ def _evaluation_kernel(params: CurveParams, monomials, fibers: int, skip: int) -
 # ---------------------------------------------------------------------------
 
 
-def _coefficient_kernel(params: CurveParams, monomials) -> list[tuple]:
-    """Exact kernel of the pullback z = (Y, 1, x, x**2): one column per
-    monomial, holding the x-coefficients of Q(x)**(e0 // 3) * x**(b + 2*c)
-    in the row block of Y**(e0 % 3)."""
-    powers = [params.q_poly ** (m[0] // 3) for m in monomials]
-    height = 1 + max(p.degree + m[2] + 2 * m[3] for p, m in zip(powers, monomials))
-    rows = [[Scalar.zero()] * len(monomials) for _ in range(3 * height)]
-    for col, (m, power) in enumerate(zip(monomials, powers)):
-        base = (m[0] % 3) * height + m[2] + 2 * m[3]
-        for k in range(power.degree + 1):
-            rows[base + k][col] = power.coefficient(k)
-    return Matrix.from_rows(rows).kernel_basis()
-
-
 @lru_cache(maxsize=32)
 def sym2_relation(params: CurveParams) -> QuadricForm:
-    """The unique quadric through the canonical curve, normalized so the
-    z2**2 coefficient is 1; with the standard basis this is z2**2 - z1*z3.
-    It spans the 1-dimensional coefficient kernel on degree-2 monomials."""
-    monomials = QUADRIC_MONOMIALS
-    kernel = _coefficient_kernel(params, monomials)
-    if len(kernel) != 1:
-        raise StructuralError(f"quadric kernel has dimension {len(kernel)}, expected 1")
-    vector = kernel[0]
-    lead = vector[monomials.index(_QUADRIC_TRAIL)]
-    if not lead:
-        raise StructuralError("quadric has no z2**2 term; normalization impossible")
-    inv = lead.inverse()
-    return QuadricForm(tuple(c * inv for c in vector))
-
-
-def _reduce_cubic_vector(vector: tuple) -> tuple:
-    """Eliminate every cubic monomial divisible by z1*z3 via the relation
-    z1*z3 = z2**2; this kills exactly the multiples of the quadric."""
-    coeffs = list(vector)
-    for idx, m in enumerate(CUBIC_MONOMIALS):
-        if m[1] >= 1 and m[3] >= 1 and coeffs[idx]:
-            c = coeffs[idx]
-            coeffs[idx] = Scalar.zero()
-            target = (m[0], m[1] - 1, m[2] + 2, m[3] - 1)
-            t_idx = CUBIC_MONOMIALS.index(target)
-            coeffs[t_idx] = coeffs[t_idx] + c
-    return tuple(coeffs)
+    """The unique quadric through the canonical curve, z2**2 - z1*z3 for
+    every parameter point, normalized so the z2**2 coefficient is 1."""
+    return QuadricForm(tuple(_QUADRIC.get(m, Scalar.zero()) for m in QUADRIC_MONOMIALS))
 
 
 @lru_cache(maxsize=32)
 def canonical_cubic(params: CurveParams) -> CubicForm:
-    """The new cubic of the canonical ideal: the 5-dimensional coefficient
-    kernel on degree-3 monomials, reduced modulo multiples of the
-    quadric and scaled to a leading coefficient of 1."""
-    kernel = _coefficient_kernel(params, CUBIC_MONOMIALS)
-    if len(kernel) != 5:
-        raise StructuralError(f"cubic kernel has dimension {len(kernel)}, expected 5")
-    reduced = None
-    for vector in kernel:
-        candidate = _reduce_cubic_vector(vector)
-        if any(candidate):
-            reduced = candidate
-            break
-    if reduced is None:
-        raise StructuralError("cubic kernel consists entirely of quadric multiples")
-    lead = next(c for c in reduced if c)
-    inv = lead.inverse()
-    return CubicForm(tuple(c * inv for c in reduced))
+    """The new cubic of the canonical ideal, z0**3 - sum_k q_k m_k: no
+    monomial divisible by z1*z3, leading coefficient 1."""
+    coefficients = {(3, 0, 0, 0): Scalar.one()}
+    for k, m in enumerate(_CUBIC_X_POWERS):
+        coefficients[m] = -params.q_poly.coefficient(k)
+    return CubicForm(tuple(coefficients.get(m, Scalar.zero()) for m in CUBIC_MONOMIALS))
 
 
 def noether_rank(tensor: SymTensor) -> int:

@@ -50,9 +50,10 @@ EXIT_STRUCTURAL = 5
 
 NUMERIC_TOLERANCE = 1e-8
 
-# Largest accepted --series-order.  The support test and the residue oracle
-# already raise the order to what they read (mult + 8, resp. 12), so a larger
-# order only adds exact terms nobody reads, at superlinear cost.
+# Largest accepted --series-order.  It sets the depth of the residue oracle in
+# residue-check, which floors it at 12; analyze only echoes it, because its
+# certificate reads the support off a closed form.  A larger order only adds
+# exact terms nobody reads, at superlinear cost.
 MAX_SERIES_ORDER = 64
 
 # Largest accepted --quad-nodes.  The check reaches its 1e-8 tolerance with
@@ -120,7 +121,7 @@ def cmd_analyze(args, out) -> int:
     order = _series_order(args)
     params = _parse_u(args.u)
     xi = _parse_xi(args.xi)
-    cert = delta_nu_c_test(params, xi, order)
+    cert = delta_nu_c_test(params, xi)
     pairing = cert.pairing
     document = {
         "input": {"u": report.params_json(params)["u"], "xi": report.tangent_json(xi)},
@@ -205,8 +206,11 @@ def cmd_residue_check(args, out) -> int:
 
 
 def _scan_rows(args):
-    """The (index, params, xi) rows; options are checked before any output."""
-    if args.grid:
+    """The (index, params, xi) rows; options are checked before any output,
+    and an option the chosen mode would ignore is an error."""
+    if args.grid is not None:
+        if args.random is not None or args.seed is not None:
+            raise DegenerateInput("--random and --seed do not apply to --grid cone:N")
         count = _parse_grid(args.grid)
         if not args.u:
             raise InvalidParameters("--grid cone:N needs --u")
@@ -216,7 +220,9 @@ def _scan_rows(args):
         raise DegenerateInput("scan needs --random N or --grid cone:N")
     if args.random < 0:
         raise DegenerateInput("--random takes a count N >= 0")
-    rng = SplitMix64(args.seed)
+    if args.u is not None:
+        raise DegenerateInput("--u applies only to --grid cone:N")
+    rng = SplitMix64(0 if args.seed is None else args.seed)
     return ((i, sample_params(rng), sample_tangent(rng)) for i in range(args.random))
 
 
@@ -367,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="stratify sampled directions by certificate variant")
     p.add_argument("--random", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)  # 0 when absent; an error with --grid
     p.add_argument("--grid")
     p.add_argument("--u")
     p.add_argument("--format", choices=("json", "csv"), default="json")

@@ -12,12 +12,25 @@ units of the fixed transcendental 6*pi*i, computed two independent ways:
   residue of the product.
 
 Everything downstream (the pairing matrix and its rank, kernels, the conic
-criterion, base loci, the support test, the certificate classifier) consumes
-the covector c of the matrix, computed once per request: a certificate
-carries c, and the `analyze` report reads the pairing matrix and its rank
-off it (CeresaCertificate.pairing).  The base locus is read off c in closed
-form; the divisor minimum over the annihilated pencil
+criterion, base loci, the certificate classifier) consumes the covector c
+of the matrix, computed once per request: a certificate carries c, and the
+`analyze` report reads the pairing matrix and its rank off it
+(CeresaCertificate.pairing).  The base locus is read off c in closed form;
+the divisor minimum over the annihilated pencil
 (curve.common_zeros_by_divisors) is the cross-check the tests run.
+
+The support of an on-conic direction is a lemma, not a computation.  Write
+q = (A Q + b Q y + C y**2) (dx)**2 / Q**2.  The quadratic differentials
+vanishing on the fiber over t are exactly those with A(t) = b = C(t) = 0,
+and on the fiber at infinity those with A2 = b = C4 = 0: at three distinct
+points y_k = w**k y0 the Vandermonde matrix in (1, y_k, y_k**2) is
+invertible, and at a triple branch point C y**2, A Q and b Q y start at
+orders 0, 1 and 2.  The direction's functional c . (A0, A1, A2) is c0 A(t)
+(resp. c2 A2), so it vanishes on that 6-dimensional subspace: every
+on-conic certificate is OnConicSupported, and the classifier cannot reach
+OnConicNotSupported on this family.  The series support test (support_test)
+handles arbitrary effective divisors and is the oracle the tests check the
+lemma against.
 """
 
 from __future__ import annotations
@@ -114,7 +127,9 @@ class CeresaCertificate:
 
     NOT_ON_CONIC and ON_CONIC_NOT_SUPPORTED certify the tested invariant
     components nonzero; ON_CONIC_SUPPORTED records that every tested
-    component vanishes (full vanishing of the invariant is not asserted)."""
+    component vanishes (full vanishing of the invariant is not asserted).
+    ON_CONIC_NOT_SUPPORTED stays in the output vocabulary, but on this
+    family no direction reaches it (the lemma of the module docstring)."""
 
     variant: CeresaVariant
     conic: ConicReport
@@ -410,10 +425,7 @@ def support_test(params: CurveParams, xi: TangentVector, divisor: Divisor, order
         raise ZeroTangent("support test needs a nonzero direction")
     if not divisor.is_effective():
         raise DegenerateInput("support test needs an effective divisor")
-    return _support_of(params, pairing_covector(params, xi), divisor, order)
-
-
-def _support_of(params: CurveParams, c: tuple, divisor: Divisor, order: int) -> tuple[bool, int]:
+    c = pairing_covector(params, xi)
     subspace = omega2_subspace(params, divisor, order)
     # The functional sees only the A-coordinates (functional_covector).
     supported = all(not (c[0] * v[0] + c[1] * v[1] + c[2] * v[2]) for v in subspace)
@@ -425,27 +437,27 @@ def _support_of(params: CurveParams, c: tuple, divisor: Divisor, order: int) -> 
 # ---------------------------------------------------------------------------
 
 
-def delta_nu_c_test(params: CurveParams, xi: TangentVector, order: int = DEFAULT_ORDER) -> CeresaCertificate:
+def delta_nu_c_test(params: CurveParams, xi: TangentVector) -> CeresaCertificate:
     """Three-way classification of a tangent direction: off the conic (base
     locus empty, tested invariant components certified nonzero), on the conic
     but not supported on the base locus (also certified nonzero), or on the
-    conic and supported (every tested component vanishes)."""
+    conic and supported (every tested component vanishes).  On the conic the
+    support is read off the lemma of the module docstring: the direction is
+    supported, and the quadratic differentials vanishing on its base fiber
+    form a subspace of dimension OMEGA2_DIM - 3 = 6."""
     if xi.is_zero():
         raise ZeroTangent("classification needs a nonzero direction")
     c = pairing_covector(params, xi)
     conic = _conic_of(c)
-    kernel = _kernel_of(c)
-    locus = _locus_of(params, conic)
-    if not conic.on_conic:
-        variant, supported, dim = CeresaVariant.NOT_ON_CONIC, None, None
+    if conic.on_conic:
+        variant, supported, dim = CeresaVariant.ON_CONIC_SUPPORTED, True, OMEGA2_DIM - 3
     else:
-        supported, dim = _support_of(params, c, locus, order)
-        variant = CeresaVariant.ON_CONIC_SUPPORTED if supported else CeresaVariant.ON_CONIC_NOT_SUPPORTED
+        variant, supported, dim = CeresaVariant.NOT_ON_CONIC, None, None
     return CeresaCertificate(
         variant=variant,
         conic=conic,
-        base_locus=locus,
-        kernel_basis=kernel,
+        base_locus=_locus_of(params, conic),
+        kernel_basis=_kernel_of(c),
         supported=supported,
         omega2_dim=OMEGA2_DIM,
         subspace_dim=dim,

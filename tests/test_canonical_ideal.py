@@ -6,7 +6,6 @@ from trigonal4.canonical_ideal import (
     SYM2_FIBERS,
     SYM3_FIBERS,
     SymTensor,
-    _coefficient_kernel,
     _evaluation_kernel,
     canonical_cubic,
     noether_rank,
@@ -23,7 +22,7 @@ from trigonal4.curve import (
     validate_params,
 )
 from trigonal4.errors import DegenerateInput
-from trigonal4.linalg import row_space_rref
+from trigonal4.linalg import Matrix, row_space_rref
 from trigonal4.prng import SplitMix64, sample_params
 from trigonal4.scalars import Scalar
 
@@ -66,16 +65,33 @@ def test_quadric_is_the_cone(u023):
     assert not q.evaluate((1, 0, 0, 0))
 
 
-def test_coefficient_kernel_matches_sampled_fibers():
-    # the exact coefficient kernels span the same spaces as evaluation at
-    # sampled trigonal fibers, the independent cross-check
+def test_closed_forms_match_sampled_fibers():
+    # evaluation at sampled trigonal fibers is the independent oracle: the
+    # closed quadric spans its 1-dimensional quadric kernel, and the closed
+    # cubic lies in its 5-dimensional cubic kernel
     rng = SplitMix64(20260804)
     for _ in range(3):
         params = sample_params(rng)
-        for monomials, fibers in ((QUADRIC_MONOMIALS, SYM2_FIBERS), (CUBIC_MONOMIALS, SYM3_FIBERS)):
-            exact = _coefficient_kernel(params, monomials)
-            sampled = _evaluation_kernel(params, monomials, fibers, 0)
-            assert row_space_rref(exact) == row_space_rref(sampled)
+        quadrics = _evaluation_kernel(params, QUADRIC_MONOMIALS, SYM2_FIBERS, 0)
+        assert len(quadrics) == 1
+        assert row_space_rref(quadrics) == row_space_rref([sym2_relation(params).coefficients])
+        cubics = _evaluation_kernel(params, CUBIC_MONOMIALS, SYM3_FIBERS, 0)
+        assert len(cubics) == 5
+        assert row_space_rref(cubics) == row_space_rref(cubics + [canonical_cubic(params).coefficients])
+
+
+def test_closed_forms_build_no_kernel(monkeypatch, u023, u248):
+    # both forms are read off Q: with the caches cleared and every kernel
+    # refused, they still come out
+    def refuse(self):
+        raise AssertionError("a closed form of the canonical ideal computed a kernel")
+
+    monkeypatch.setattr(Matrix, "kernel_basis", refuse)
+    sym2_relation.cache_clear()
+    canonical_cubic.cache_clear()
+    for params in (u023, u248):
+        assert str(sym2_relation(params)) == "-z1*z3+z2^2"
+        assert canonical_cubic(params).coefficient((3, 0, 0, 0)) == Scalar.one()
 
 
 def test_cubic_matches_affine_closed_form(u023, u248):

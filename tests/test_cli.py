@@ -62,6 +62,25 @@ def test_series_order_bounds_accepted(order):
     assert json.loads(text)["series_order"] == int(order)
 
 
+@pytest.mark.parametrize(
+    "u, xi",
+    [("0,2,3", "-1,7,26"), ("0,2,3", "0,-14,0")],
+    ids=["infinity", "branch-t2"],
+)
+def test_series_order_changes_only_its_echo(u, xi):
+    # the certificate reads the support off a closed form, so the order
+    # reaches no computed field of analyze
+    documents = []
+    for order in (1, 64):
+        code, text = run_cli(["analyze", f"--u={u}", f"--xi={xi}", f"--series-order={order}"])
+        assert code == 0
+        doc = json.loads(text)
+        assert doc.pop("series_order") == order
+        assert doc["certificate"]["variant"] == "OnConicSupported"
+        documents.append(doc)
+    assert documents[0] == documents[1]
+
+
 @pytest.mark.parametrize("xi", ["1,2,3", "1,0,0"], ids=["off-conic", "on-conic"])
 def test_analyze_builds_one_moment_matrix(monkeypatch, xi):
     # The report reads the pairing matrix and its rank off the certificate's
@@ -263,6 +282,21 @@ def test_scan_grid_cone_all_on_conic():
 )
 def test_scan_random_count_and_seed_ranges(argv):
     code, text = run_cli(["scan"] + argv)
+    assert code == 2 and text == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--random=2", "--grid=cone:2", "--u=0,2,3"],
+        ["--random=2", "--u=0,2,3"],
+        ["--grid=cone:2", "--u=0,2,3", "--seed=5"],
+    ],
+    ids=["random-with-grid", "random-with-u", "seed-with-grid"],
+)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_scan_rejects_options_its_mode_ignores(argv, fmt):
+    code, text = run_cli(["scan"] + argv + [f"--format={fmt}"])
     assert code == 2 and text == ""
 
 

@@ -32,6 +32,7 @@ from trigonal4.deformation import (
     kernel_W,
     ks_rank,
     moment_matrix,
+    omega2_subspace,
     omega2_vanishing_conditions,
     pairing_covector,
     pairing_matrix,
@@ -367,6 +368,72 @@ def test_on_conic_certificates_over_each_fiber_kind(u, t, expected):
     assert cert.variant is CeresaVariant.ON_CONIC_SUPPORTED
     assert cert.subspace_dim == 6
     assert cert.base_locus == expected
+
+
+def _closed_fiber_conditions(t) -> list[tuple]:
+    """The lemma's conditions for vanishing on the fiber over t, in the
+    coordinates (A0, A1, A2, b, C0..C4): A(t) = b = C(t) = 0, or
+    A2 = b = C4 = 0 at infinity."""
+    zero, one = Scalar.zero(), Scalar.one()
+    if t is INFINITY:
+        a_row = (zero, zero, one) + (zero,) * 6
+        c_row = (zero,) * 8 + (one,)
+    else:
+        powers = [one]
+        for _ in range(4):
+            powers.append(powers[-1] * t)
+        a_row = tuple(powers[:3]) + (zero,) * 6
+        c_row = (zero,) * 4 + tuple(powers)
+    b_row = (zero,) * 3 + (one,) + (zero,) * 5
+    return [a_row, b_row, c_row]
+
+
+@pytest.mark.parametrize("kind", ["generic", "rational", "moving-branch", "fixed-branch", "infinity"])
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1))
+@settings(max_examples=6)
+def test_support_lemma_matches_series_oracle(kind, seed):
+    # The series support test is the oracle for the closed form that the
+    # classifier reads: on the fiber over t the vanishing subspace is cut out
+    # by A(t) = b = C(t) = 0 (A2 = b = C4 = 0 at infinity), and the cone
+    # direction over t is supported on it with a 6-dimensional subspace.
+    rng = SplitMix64(seed)
+    params = sample_params(rng)
+    w = Scalar.zeta()
+    t = {
+        "generic": lambda: sample_scalar(rng),
+        "rational": lambda: sample_scalar(rng, with_zeta=False),
+        "moving-branch": lambda: params.u[rng.below(3)],
+        "fixed-branch": lambda: (Scalar.one(), w, w * w)[rng.below(3)],
+        "infinity": lambda: INFINITY,
+    }[kind]()
+    xi = cone_directions(params, t)
+    fiber = trigonal_fiber(params, t)
+    assert support_test(params, xi, fiber) == (True, 6)
+    closed = Matrix.from_rows(_closed_fiber_conditions(t)).kernel_basis()
+    assert same_subspace(omega2_subspace(params, fiber), closed)
+    cert = delta_nu_c_test(params, xi)
+    assert (cert.variant, cert.supported, cert.subspace_dim) == (CeresaVariant.ON_CONIC_SUPPORTED, True, 6)
+    assert cert.base_locus == fiber
+
+
+def test_on_conic_certificates_build_no_series(monkeypatch, u023):
+    # The support of an on-conic certificate is read off the lemma: no
+    # chart, fiber frame or branch inversion is built, at a finite, a branch
+    # or the infinity fiber.
+    directions = [cone_directions(u023, t) for t in (5, 2, INFINITY)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an on-conic certificate expanded a series")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "trigonal4":
+            for attr in ("branch_chart", "chart_at", "fiber_frame", "branch_inversion"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    for xi in directions:
+        cert = delta_nu_c_test(u023, xi)
+        assert cert.variant is CeresaVariant.ON_CONIC_SUPPORTED
+        assert cert.subspace_dim == 6
 
 
 def test_certificates_read_loci_off_closed_forms(monkeypatch, u023):

@@ -1,6 +1,7 @@
 """The package has zero runtime dependencies: every import in src/trigonal4
 is relative or names a standard-library module.  The package also carries
-no unused imports and no definition that nothing references."""
+no unused imports, no definition that nothing references, and names every
+definition that only the tests reach."""
 
 import ast
 import re
@@ -48,13 +49,16 @@ def test_no_unused_imports():
     assert not offenders, offenders
 
 
-def _referenced_names() -> set:
-    """Names that src/, tests/ and scripts/ reference (as a Name, an
-    Attribute or an import alias), plus the entry points in pyproject.toml."""
+def _referenced_names(folders=("src", "tests", "scripts"), reexports=True) -> set:
+    """Names that the given folders reference (as a Name, an Attribute or an
+    import alias), plus the entry points in pyproject.toml; with
+    ``reexports=False`` the package's __init__ is left out."""
     root = SOURCE.parent.parent
     names = set()
-    for folder in ("src", "tests", "scripts"):
+    for folder in folders:
         for path in sorted((root / folder).rglob("*.py")):
+            if not reexports and path == SOURCE / "__init__.py":
+                continue
             for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
                 if isinstance(node, ast.Name):
                     names.add(node.id)
@@ -66,15 +70,55 @@ def _referenced_names() -> set:
     return names
 
 
-def test_no_dead_definitions():
-    """Every function, class and method defined in the package is referenced
-    somewhere; dunders are called by the language, so they are exempt."""
-    referenced = _referenced_names()
-    offenders = []
+def _unreferenced_definitions(referenced: set) -> list:
+    """(module, name) of every function, class and method defined in the
+    package that ``referenced`` lacks; dunders are called by the language,
+    so they are exempt."""
+    found = []
     for path in sorted(SOURCE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 name = node.name
                 if not (name.startswith("__") and name.endswith("__")) and name not in referenced:
-                    offenders.append(f"{path.name}:{node.lineno} {name}")
+                    found.append((path.stem, name))
+    return found
+
+
+def test_no_dead_definitions():
+    """Every function, class and method defined in the package is referenced
+    somewhere."""
+    offenders = _unreferenced_definitions(_referenced_names())
     assert not offenders, offenders
+
+
+# Definitions that no production path reaches: nothing in src/ (outside the
+# __init__ re-exports), scripts/ or the entry points references them.  Each
+# is either an oracle the tests cross-check a production path against, or
+# public API kept for library users.
+TEST_ONLY = {
+    "canonical_ideal._evaluation_kernel": "oracle",
+    "canonical_ideal.noether_rank": "public API",
+    "canonical_ideal.veronese": "public API",
+    "curve.canonical_map": "public API",
+    "curve.common_zeros_by_divisors": "oracle",
+    "curve.finite_point": "public API",
+    "curve.local_series": "public API",
+    "curve.vanishing_order": "public API",
+    "deformation.kernel_W": "public API",
+    "deformation.ks_rank": "public API",
+    "deformation.product_differential": "public API",
+    "deformation.support_test": "oracle",
+    "deformation.xi_functional": "public API",
+    "linalg.same_subspace": "public API",
+    "numeric.numeric_residue_pairing": "oracle",
+    "rulings.ruling_line": "public API",
+}
+
+
+def test_test_only_definitions_are_named():
+    """The definitions only tests reach are exactly those TEST_ONLY names,
+    each tagged as an oracle or as public API."""
+    production = _referenced_names(("src", "scripts"), reexports=False)
+    found = {f"{module}.{name}" for module, name in _unreferenced_definitions(production)}
+    assert found == set(TEST_ONLY), (sorted(found - set(TEST_ONLY)), sorted(set(TEST_ONLY) - found))
+    assert set(TEST_ONLY.values()) <= {"oracle", "public API"}
