@@ -17,7 +17,7 @@ coprime, and comparisons refine loci by gcd before comparing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Union
@@ -45,12 +45,16 @@ _CHART_PAD = 10
 
 @dataclass(frozen=True)
 class CurveParams:
-    """A point of the family base: three parameters plus cached curve data."""
+    """A point of the family base: the parameters u, and curve data derived
+    from u in closed form (Q and Q' low to high, the six branch x, and
+    Q'(u_j) for j = 1..3).  Equality and hash read u alone, so the
+    derived fields cost nothing where params key a cache."""
 
     u: tuple
-    q_poly: UniPoly
-    qprime: UniPoly
-    branch_x: tuple
+    q_poly: UniPoly = field(compare=False)
+    qprime: UniPoly = field(compare=False)
+    branch_x: tuple = field(compare=False)
+    qprime_u: tuple = field(compare=False)
 
     def q_at(self, x0: Scalar) -> Scalar:
         return self.q_poly.evaluate(x0)
@@ -67,23 +71,32 @@ class CurveParams:
 
 def validate_params(u1, u2, u3) -> CurveParams:
     """Check membership in the base (parameters distinct, cubes != 1) and
-    build the cached curve data."""
+    build the curve data from the elementary symmetric functions e1, e2, e3
+    of u: Q = (x**3 - 1)(x**3 - e1 x**2 + e2 x - e3), and
+    Q'(u_j) = (u_j**3 - 1) prod_{k != j} (u_j - u_k).  On the base the six
+    branch x are pairwise distinct, so Q is squarefree."""
     u = tuple(Scalar.of(v) for v in (u1, u2, u3))
     for i, j in ((0, 1), (0, 2), (1, 2)):
         if u[i] == u[j]:
             raise InvalidParameters(f"u{i + 1} = u{j + 1}")
     one = Scalar.one()
-    for i, ui in enumerate(u):
-        if ui ** 3 == one:
+    c1, c2, c3 = (ui * ui * ui - one for ui in u)  # u_j**3 - 1
+    for i, c in enumerate((c1, c2, c3)):
+        if not c:
             raise InvalidParameters(f"u{i + 1}^3 = 1")
-    cube_roots = (one, Scalar.zeta(), Scalar.zeta_power(2))
-    branch_x = cube_roots + u
-    q_poly = UniPoly.from_roots(branch_x)
-    qprime = q_poly.derivative()
-    for b in branch_x:
-        if not qprime.evaluate(b):
-            raise StructuralError("branch polynomial not squarefree despite base conditions")
-    return CurveParams(u=u, q_poly=q_poly, qprime=qprime, branch_x=branch_x)
+    u1, u2, u3 = u
+    p12, s12 = u1 * u2, u1 + u2
+    e1, e2, e3 = s12 + u3, p12 + s12 * u3, p12 * u3
+    q_poly = UniPoly((e3, -e2, e1, -e3 - one, e2, -e1, one))
+    d12, d13, d23 = u1 - u2, u1 - u3, u2 - u3
+    qprime_u = (c1 * d12 * d13, -(c2 * d12 * d23), c3 * d13 * d23)
+    return CurveParams(
+        u=u,
+        q_poly=q_poly,
+        qprime=q_poly.derivative(),
+        branch_x=(one, Scalar.zeta(), Scalar.zeta_power(2)) + u,
+        qprime_u=qprime_u,
+    )
 
 
 # ---------------------------------------------------------------------------

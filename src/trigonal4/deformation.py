@@ -12,12 +12,21 @@ units of the fixed transcendental 6*pi*i, computed two independent ways:
   residue of the product.
 
 Everything downstream (the pairing matrix and its rank, kernels, the conic
-criterion, base loci, the certificate classifier) consumes the covector c
-of the matrix, computed once per request: a certificate carries c, and the
-`analyze` report reads the pairing matrix and its rank off it
-(CeresaCertificate.pairing).  The base locus is read off c in closed form;
-the divisor minimum over the annihilated pencil
-(curve.common_zeros_by_divisors) is the cross-check the tests run.
+criterion, base loci, the certificate classifier) consumes the covector
+c = a A of the matrix, A having rows (1, u_j, u_j**2)/Q'(u_j), computed
+once per request: a certificate carries c, and the `analyze` report reads
+the pairing matrix and its rank off it (CeresaCertificate.pairing).  Every
+fact of the base is read off a closed form, with no matrix built:
+c_k = sum_j a_j u_j**k / Q'(u_j) from the Q'(u_j) that curve.validate_params
+stores; the kernel of c from its first nonzero entry; and the direction
+whose covector is the conic point (1 : t : t**2) by Lagrange interpolation
+at the nodes u, a_j = (u_j**3 - 1) prod_{k != j} (t - u_k), or
+a_j = u_j**3 - 1 at t = infinity.  A is invertible on the base
+(det A = V(u) / prod Q'(u_j), V the Vandermonde), so c != 0 for every
+nonzero direction; the tests check the closed forms against moment_matrix.
+The base locus is read off c in closed form; the divisor minimum over the
+annihilated pencil (curve.common_zeros_by_divisors) is the cross-check the
+tests run.
 
 The support of an on-conic direction is a lemma, not a computation.  Write
 q = (A Q + b Q y + C y**2) (dx)**2 / Q**2.  The quadratic differentials
@@ -101,7 +110,9 @@ class PairingMatrix:
         return Matrix(self.entries)
 
     def rank(self) -> int:
-        return self.as_matrix().rank()
+        """2 when the covector, the first row and column, is nonzero, else 0:
+        every other entry vanishes."""
+        return 2 if any(self.entries[0]) else 0
 
 
 @dataclass(frozen=True)
@@ -151,20 +162,27 @@ class CeresaCertificate:
 
 
 def moment_matrix(params: CurveParams) -> Matrix:
-    """Rows (1, u_j, u_j**2) / Q'(u_j); invertible everywhere on the base."""
+    """Rows (1, u_j, u_j**2) / Q'(u_j), with Q' evaluated from its
+    coefficients: the matrix that pairing_covector and cone_directions read
+    in closed form, kept as their test oracle.  Its determinant is
+    V(u) / prod Q'(u_j) with V the Vandermonde of u, nonzero on the base."""
     rows = []
     for uj in params.u:
         inv = params.qprime_at(uj).inverse()
         rows.append((inv, uj * inv, uj * uj * inv))
-    m = Matrix.from_rows(rows)
-    if not m.det():
-        raise StructuralError("moment matrix degenerated; parameters escape the base")
-    return m
+    return Matrix.from_rows(rows)
 
 
 def pairing_covector(params: CurveParams, xi: TangentVector) -> tuple:
-    """c = a . A, the only data of the pairing matrix."""
-    return moment_matrix(params).transpose().apply(xi.a)
+    """c = a . A, the only data of the pairing matrix:
+    c_k = sum_j a_j u_j**k / Q'(u_j) for k = 0, 1, 2."""
+    c0 = c1 = c2 = Scalar.zero()
+    for aj, uj, qpj in zip(xi.a, params.u, params.qprime_u):
+        if aj:
+            w = aj / qpj
+            wu = w * uj
+            c0, c1, c2 = c0 + w, c1 + wu, c2 + wu * uj
+    return (c0, c1, c2)
 
 
 def pairing_matrix(params: CurveParams, xi: TangentVector) -> PairingMatrix:
@@ -249,10 +267,20 @@ def kernel_W(params: CurveParams, xi: TangentVector) -> tuple:
 
 
 def _kernel_of(c: tuple) -> tuple:
-    basis = Matrix.from_rows([c]).kernel_basis()
-    if len(basis) != 2:
-        raise StructuralError("annihilator is not 2-dimensional")
-    return tuple(Differential(Scalar.zero(), b) for b in basis)
+    """Basis of the annihilator of c != 0: with c_p its first nonzero entry,
+    the vectors e_j - (c_j / c_p) e_p for j != p in order, as the one-row
+    kernel (Matrix.kernel_basis) returns them."""
+    p = next(i for i, ci in enumerate(c) if ci)
+    inv = c[p].inverse()
+    zero = Scalar.zero()
+    basis = []
+    for j in range(3):
+        if j != p:
+            b = [zero] * 3
+            b[j] = Scalar.one()
+            b[p] = -(c[j] * inv)
+            basis.append(Differential(zero, tuple(b)))
+    return tuple(basis)
 
 
 def conic_condition(params: CurveParams, xi: TangentVector) -> ConicReport:
@@ -270,14 +298,19 @@ def _conic_of(c: tuple) -> ConicReport:
 
 def cone_directions(params: CurveParams, t) -> TangentVector:
     """The unique direction (up to scale) whose covector is the conic point
-    (1 : t : t**2), or (0 : 0 : 1) at t = infinity."""
-    inv = moment_matrix(params).transpose().inverse()
-    if t is INFINITY:
-        target = (Scalar.zero(), Scalar.zero(), Scalar.one())
-    else:
+    (1 : t : t**2), or (0 : 0 : 1) at t = infinity.  It is Lagrange
+    interpolation at the nodes u: sum_j L_j(t) u_j**k = t**k for k <= 2, so
+    a_j = Q'(u_j) L_j(t) = (u_j**3 - 1) prod_{k != j} (t - u_k), and at
+    infinity, where L_j(t) is replaced by its leading coefficient,
+    a_j = u_j**3 - 1."""
+    u = params.u
+    one = Scalar.one()
+    a = [uj ** 3 - one for uj in u]
+    if t is not INFINITY:
         t = Scalar.of(t)
-        target = (Scalar.one(), t, t * t)
-    return TangentVector(inv.apply(target))
+        for j, (k, l) in enumerate(((1, 2), (0, 2), (0, 1))):
+            a[j] = a[j] * (t - u[k]) * (t - u[l])
+    return TangentVector(tuple(a))
 
 
 def base_locus(params: CurveParams, xi: TangentVector) -> Divisor:

@@ -1,4 +1,4 @@
-"""Exact linear algebra over Q(w): rank, kernels, determinants, inverses.
+"""Exact linear algebra over Q(w): rank, kernels and row spaces.
 
 Plain fraction-based Gauss-Jordan elimination; matrices here are tiny
 (at most a few hundred rows), so no pivoting strategy beyond "first
@@ -47,26 +47,6 @@ class Matrix:
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    def transpose(self) -> "Matrix":
-        return Matrix(tuple(zip(*self.rows))) if self.rows else Matrix(())
-
-    def __mul__(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.nrows:
-            raise DegenerateInput("matrix dimension mismatch")
-        cols = other.transpose().rows
-        return Matrix(
-            tuple(
-                tuple(_dot(row, col) for col in cols)
-                for row in self.rows
-            )
-        )
-
-    def apply(self, vector: Sequence) -> tuple:
-        vec = tuple(Scalar.of(v) for v in vector)
-        if self.ncols != len(vec):
-            raise DegenerateInput("matrix/vector dimension mismatch")
-        return tuple(_dot(row, vec) for row in self.rows)
-
     # -- elimination ------------------------------------------------------
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
@@ -108,49 +88,6 @@ class Matrix:
                 vec[pc] = -rref.rows[r][fc]
             basis.append(tuple(vec))
         return basis
-
-    def det(self) -> Scalar:
-        if self.nrows != self.ncols:
-            raise DegenerateInput("determinant of a non-square matrix")
-        m = [list(row) for row in self.rows]
-        n = self.nrows
-        det = Scalar.one()
-        for c in range(n):
-            pivot_row = next((i for i in range(c, n) if m[i][c]), None)
-            if pivot_row is None:
-                return Scalar.zero()
-            if pivot_row != c:
-                m[c], m[pivot_row] = m[pivot_row], m[c]
-                det = -det
-            det = det * m[c][c]
-            inv = m[c][c].inverse()
-            for i in range(c + 1, n):
-                if m[i][c]:
-                    f = m[i][c] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        return det
-
-    def inverse(self) -> "Matrix":
-        if self.nrows != self.ncols:
-            raise DegenerateInput("inverse of a non-square matrix")
-        n = self.nrows
-        augmented = Matrix(
-            tuple(
-                tuple(row) + tuple(Scalar.one() if i == j else Scalar.zero() for j in range(n))
-                for i, row in enumerate(self.rows)
-            )
-        )
-        rref, pivots = augmented.rref()
-        if pivots[:n] != tuple(range(n)):
-            raise DegenerateInput("singular matrix")
-        return Matrix(tuple(row[n:] for row in rref.rows))
-
-
-def _dot(a, b) -> Scalar:
-    acc = Scalar.zero()
-    for x, y in zip(a, b):
-        acc = acc + x * y
-    return acc
 
 
 def row_space_rref(vectors: Iterable[Sequence]) -> tuple[tuple, ...]:

@@ -56,7 +56,7 @@ def _chart_radius(params: CurveParams, j: int) -> float:
     d_min = min(
         abs(complex(b) - x0) for b in params.branch_x if complex(b) != x0
     )
-    qp0 = abs(complex(params.qprime_at(params.u[j - 1])))
+    qp0 = abs(complex(params.qprime_u[j - 1]))
     return 0.35 * (qp0 * d_min) ** (1.0 / 3.0)
 
 

@@ -58,14 +58,15 @@ def cube_family_covector() -> tuple:
     parameters u_j = cube roots of a), and the branch polynomial restricts
     to (x**3 - 1)(x**3 - a)."""
     zeta = Scalar.zeta()
-    unit_roots = tuple(UniPoly.from_scalars((zeta ** j,)) for j in range(3))
     u = tuple(UniPoly.x().scale(zeta ** j) for j in range(3))  # u_j = c*w**j
-    qprime = UniPoly.from_roots(unit_roots + u).derivative()  # over Q(w)[c]
+    one = UniPoly.constant(Scalar.one())
+    # Q'(u_j) = (u_j**3 - 1) prod_{k != j} (u_j - u_k), over Q(w)[c]
+    qprime_u = [(uj ** 3 - one) * (uj - u[j - 1]) * (uj - u[j - 2]) for j, uj in enumerate(u)]
     covector = []
     for k in (1, 2, 3):
         total = RationalFunction.zero()
-        for uj in u:
-            total = total + RationalFunction(uj ** (k - 1), (uj * uj).scale(3) * qprime.evaluate(uj))
+        for uj, qpj in zip(u, qprime_u):
+            total = total + RationalFunction(uj ** (k - 1), (uj * uj).scale(3) * qpj)
         covector.append(_in_a(total))
     return tuple(covector)
 

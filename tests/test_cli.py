@@ -6,6 +6,8 @@ import pytest
 
 from trigonal4 import cli, deformation, qz24
 from trigonal4.cli import main
+from trigonal4.linalg import Matrix
+from trigonal4.polynomials import UniPoly
 
 
 def run_cli(argv):
@@ -82,20 +84,39 @@ def test_series_order_changes_only_its_echo(u, xi):
 
 
 @pytest.mark.parametrize("xi", ["1,2,3", "1,0,0"], ids=["off-conic", "on-conic"])
-def test_analyze_builds_one_moment_matrix(monkeypatch, xi):
+def test_analyze_builds_one_covector(monkeypatch, xi):
     # The report reads the pairing matrix and its rank off the certificate's
-    # covector, so one request builds the moment matrix once.
+    # covector, so one request builds the covector once.
     builds = []
-    real_moment_matrix = deformation.moment_matrix
+    real_pairing_covector = deformation.pairing_covector
 
-    def counted(params):
+    def counted(params, direction):
         builds.append(params)
-        return real_moment_matrix(params)
+        return real_pairing_covector(params, direction)
 
-    monkeypatch.setattr(deformation, "moment_matrix", counted)
+    monkeypatch.setattr(deformation, "pairing_covector", counted)
     code, _ = run_cli(["analyze", "--u=0,2,3", f"--xi={xi}"])
     assert code == 0
     assert len(builds) == 1
+
+
+def test_off_conic_requests_read_the_base_off_closed_forms(monkeypatch):
+    # Q, Q'(u_j), the covector, its kernel and the pairing rank have closed
+    # forms: an off-conic scan row or analyze multiplies out no polynomial
+    # from its roots, evaluates none, and takes no determinant, inverse,
+    # matrix-vector product, kernel or rank by elimination.
+    def refuse(*args, **kwargs):
+        raise AssertionError("an off-conic request left the closed forms")
+
+    for owner, names in ((UniPoly, ("from_roots", "evaluate")), (Matrix, ("det", "inverse", "apply", "kernel_basis", "rank"))):
+        for name in names:
+            monkeypatch.setattr(owner, name, refuse, raising=False)
+    code, text = run_cli(["scan", "--random", "20", "--seed", "7"])
+    assert code == 0
+    assert json.loads(text.splitlines()[-1])["summary"] == {"NotOnConic": 20}
+    code, text = run_cli(["analyze", "--u=0,2,3", "--xi=1,2,3"])
+    assert code == 0
+    assert json.loads(text)["certificate"]["variant"] == "NotOnConic"
 
 
 @pytest.mark.parametrize(

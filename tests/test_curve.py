@@ -1,3 +1,5 @@
+import dataclasses
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -61,6 +63,37 @@ def test_validate_params_rejects_unit_cube():
 def test_validate_params_rejects_collision():
     with pytest.raises(InvalidParameters, match="u1 = u2"):
         validate_params(2, 2, 3)
+
+
+def test_validate_params_checks_collisions_before_cubes():
+    # u1 = u2 = 1 breaks both conditions; distinctness is checked first,
+    # and the cubes in the order u1, u2, u3
+    with pytest.raises(InvalidParameters, match="^u1 = u2$"):
+        validate_params(1, 1, 3)
+    with pytest.raises(InvalidParameters, match="^u2\\^3 = 1$"):
+        validate_params(5, Scalar.zeta(), 1)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1))
+@settings(max_examples=30)
+def test_closed_form_curve_data_matches_roots(seed):
+    # Q from the elementary symmetric functions of u against the product of
+    # (x - b) over the six branch x; the stored Q'(u_j) against Horner on Q'
+    params = sample_params(SplitMix64(seed))
+    assert params.q_poly == UniPoly.from_roots(params.branch_x)
+    assert params.qprime == params.q_poly.derivative()
+    assert params.qprime_u == tuple(params.qprime_at(uj) for uj in params.u)
+    # the six branch x are pairwise distinct, so Q is squarefree
+    assert all(params.qprime_at(b) for b in params.branch_x)
+
+
+def test_params_equality_and_hash_read_u_alone(u023):
+    again = validate_params(Scalar.of(0), Scalar.of(2), Scalar.of(3))
+    assert again == u023 and hash(again) == hash(u023)
+    derived = dict(q_poly=UniPoly.x(), qprime=UniPoly.x(), branch_x=(), qprime_u=())
+    altered = dataclasses.replace(u023, **derived)
+    assert altered == u023 and hash(altered) == hash(u023)
+    assert validate_params(0, 2, 4) != u023
 
 
 # -- local expansions ----------------------------------------------------------

@@ -50,7 +50,7 @@ from trigonal4.rulings import d0_cycle
 from trigonal4.scalars import INFINITY, Scalar
 from trigonal4.series import DEFAULT_ORDER, series_of_rational
 
-from conftest import scalar_strategy
+from conftest import apply, det, inverse, scalar_strategy, transpose
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +118,8 @@ def test_ks_rank_two_for_nonzero(u023, xi):
         assert ks_rank(u023, xi) == 0
     else:
         assert ks_rank(u023, xi) == 2
+    # the closed-form rank against elimination on the 4x4 matrix
+    assert ks_rank(u023, xi) == pairing_matrix(u023, xi).as_matrix().rank()
 
 
 def test_kernel_W_for_coordinate_directions(u023):
@@ -448,13 +450,13 @@ def test_certificates_read_loci_off_closed_forms(monkeypatch, u023):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, refuse)
     builds = []
-    real_moment_matrix = deformation.moment_matrix
+    real_pairing_covector = deformation.pairing_covector
 
-    def counted(params):
+    def counted(params, xi):
         builds.append(params)
-        return real_moment_matrix(params)
+        return real_pairing_covector(params, xi)
 
-    monkeypatch.setattr(deformation, "moment_matrix", counted)
+    monkeypatch.setattr(deformation, "pairing_covector", counted)
     for a, expected in (
         ((1, 0, 0), Divisor.of((BranchPoint(Scalar.zero()), 3))),
         ((1, 1, 1), Divisor.zero()),
@@ -470,13 +472,60 @@ def test_certificates_read_loci_off_closed_forms(monkeypatch, u023):
     assert untied.witness == "(x-5)/(x-6)"
 
 
-def test_moment_matrix_determinant(u023):
-    # det A = Vandermonde(u)/prod Q'(u_j)
-    det = moment_matrix(u023).det()
-    u1, u2, u3 = u023.u
-    vandermonde = (u2 - u1) * (u3 - u1) * (u3 - u2)
-    prod = u023.qprime_at(u1) * u023.qprime_at(u2) * u023.qprime_at(u3)
-    assert det == vandermonde / prod
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1))
+@settings(max_examples=20)
+def test_moment_matrix_determinant(u023, seed):
+    # det A = Vandermonde(u)/prod Q'(u_j) != 0, the theorem that makes A
+    # invertible on the base, at u = (0, 2, 3) and at a sampled point
+    for params in (u023, sample_params(SplitMix64(seed))):
+        u1, u2, u3 = params.u
+        vandermonde = (u2 - u1) * (u3 - u1) * (u3 - u2)
+        prod = params.qprime_at(u1) * params.qprime_at(u2) * params.qprime_at(u3)
+        assert det(moment_matrix(params)) == vandermonde / prod
+        assert vandermonde / prod
+
+
+# -- closed forms of the base against the moment matrix ---------------------------
+
+
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1))
+@settings(max_examples=30)
+def test_covector_matches_moment_matrix(seed):
+    rng = SplitMix64(seed)
+    params = sample_params(rng)
+    xi = sample_tangent(rng)
+    assert pairing_covector(params, xi) == apply(transpose(moment_matrix(params)), xi.a)
+
+
+@pytest.mark.parametrize("kind", ["random", "integer", "infinity", "moving-branch"])
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1))
+@settings(max_examples=10)
+def test_cone_directions_match_inverse_oracle(kind, seed):
+    # Lagrange interpolation at the nodes u against (A^T)^-1 (1, t, t**2),
+    # or (A^T)^-1 (0, 0, 1) at infinity
+    rng = SplitMix64(seed)
+    params = sample_params(rng)
+    t = {
+        "random": lambda: sample_scalar(rng),
+        "integer": lambda: Scalar.of(rng.integer(-9, 9)),
+        "infinity": lambda: INFINITY,
+        "moving-branch": lambda: params.u[rng.below(3)],
+    }[kind]()
+    target = (Scalar.zero(), Scalar.zero(), Scalar.one()) if t is INFINITY else (Scalar.one(), t, t * t)
+    oracle = apply(inverse(transpose(moment_matrix(params))), target)
+    assert cone_directions(params, t).a == oracle
+
+
+@pytest.mark.parametrize("leading_zeros", [0, 1, 2])
+@given(entries=st.lists(scalar_strategy(bound=7, max_denominator=3), min_size=3, max_size=3))
+@settings(max_examples=15)
+def test_kernel_of_matches_row_kernel(leading_zeros, entries):
+    c = (Scalar.zero(),) * leading_zeros + tuple(entries[leading_zeros:])
+    if not c[leading_zeros]:
+        c = c[:leading_zeros] + (Scalar.one(),) + c[leading_zeros + 1:]
+    basis = deformation._kernel_of(c)
+    assert [w.b for w in basis] == Matrix.from_rows([c]).kernel_basis()
+    assert all(not w.b0 for w in basis)
 
 
 def test_product_map_has_one_dimensional_kernel(u023):

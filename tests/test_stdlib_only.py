@@ -104,13 +104,16 @@ TEST_ONLY = {
     "curve.finite_point": "public API",
     "curve.local_series": "public API",
     "curve.vanishing_order": "public API",
+    "deformation.as_matrix": "oracle",
     "deformation.kernel_W": "public API",
+    "deformation.moment_matrix": "oracle",
     "deformation.ks_rank": "public API",
     "deformation.product_differential": "public API",
     "deformation.support_test": "oracle",
     "deformation.xi_functional": "public API",
     "linalg.same_subspace": "public API",
     "numeric.numeric_residue_pairing": "oracle",
+    "polynomials.from_roots": "oracle",
     "rulings.ruling_line": "public API",
 }
 
