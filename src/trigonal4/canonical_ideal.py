@@ -66,21 +66,52 @@ def monomial_label(exponents: tuple) -> str:
 
 
 @dataclass(frozen=True)
-class QuadricForm:
-    """A quadratic form, stored monomial -> coefficient over the fixed order."""
+class MonomialForm:
+    """A form stored as its coefficients over the fixed monomial order of its
+    class (``monomials``)."""
 
-    coefficients: tuple  # aligned with QUADRIC_MONOMIALS
+    coefficients: tuple  # aligned with monomials
+
+    monomials = ()
 
     def coefficient(self, exponents: tuple) -> Scalar:
-        return self.coefficients[QUADRIC_MONOMIALS.index(exponents)]
+        return self.coefficients[self.monomials.index(exponents)]
 
     def evaluate(self, v) -> Scalar:
         v = tuple(Scalar.of(c) for c in v)
         acc = Scalar.zero()
-        for m, c in zip(QUADRIC_MONOMIALS, self.coefficients):
+        for m, c in zip(self.monomials, self.coefficients):
             if c:
                 acc = acc + c * _monomial_value(v, m)
         return acc
+
+    def __str__(self):
+        parts = []
+        for m, c in zip(self.monomials, self.coefficients):
+            if not c:
+                continue
+            text = str(c)
+            label = monomial_label(m)
+            if text == "1":
+                parts.append(label)
+            elif text == "-1":
+                parts.append(f"-{label}")
+            else:
+                if "+" in text[1:] or "*" in text:
+                    text = f"({text})"
+                parts.append(f"{text}*{label}")
+        if not parts:
+            return "0"
+        out = parts[0]
+        for part in parts[1:]:
+            out += part if part.startswith("-") else "+" + part
+        return out
+
+
+class QuadricForm(MonomialForm):
+    """A quadratic form over QUADRIC_MONOMIALS."""
+
+    monomials = QUADRIC_MONOMIALS
 
     def matrix(self) -> Matrix:
         """The symmetric 4x4 Gram matrix (off-diagonal entries halved)."""
@@ -96,31 +127,13 @@ class QuadricForm:
                 rows[j][i] = rows[j][i] + half
         return Matrix.from_rows(rows)
 
-    def __str__(self):
-        return _form_str(QUADRIC_MONOMIALS, self.coefficients)
 
+class CubicForm(MonomialForm):
+    """A cubic form over CUBIC_MONOMIALS, reduced so no monomial is divisible
+    by the quadric's leading monomial z1*z3 and scaled so the graded-lex
+    leading coefficient is 1."""
 
-@dataclass(frozen=True)
-class CubicForm:
-    """A cubic form over the fixed monomial order, reduced so no monomial is
-    divisible by the quadric's leading monomial z1*z3 and scaled so the
-    graded-lex leading coefficient is 1."""
-
-    coefficients: tuple  # aligned with CUBIC_MONOMIALS
-
-    def coefficient(self, exponents: tuple) -> Scalar:
-        return self.coefficients[CUBIC_MONOMIALS.index(exponents)]
-
-    def evaluate(self, v) -> Scalar:
-        v = tuple(Scalar.of(c) for c in v)
-        acc = Scalar.zero()
-        for m, c in zip(CUBIC_MONOMIALS, self.coefficients):
-            if c:
-                acc = acc + c * _monomial_value(v, m)
-        return acc
-
-    def __str__(self):
-        return _form_str(CUBIC_MONOMIALS, self.coefficients)
+    monomials = CUBIC_MONOMIALS
 
 
 @dataclass(frozen=True)
@@ -141,29 +154,6 @@ class SymTensor:
 
     def matrix(self) -> Matrix:
         return Matrix(self.entries)
-
-
-def _form_str(monomials, coefficients) -> str:
-    parts = []
-    for m, c in zip(monomials, coefficients):
-        if not c:
-            continue
-        text = str(c)
-        label = monomial_label(m)
-        if text == "1":
-            parts.append(label)
-        elif text == "-1":
-            parts.append(f"-{label}")
-        else:
-            if "+" in text[1:] or "*" in text:
-                text = f"({text})"
-            parts.append(f"{text}*{label}")
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        out += p if p.startswith("-") else "+" + p
-    return out
 
 
 def _monomial_value(v: tuple, exponents: tuple) -> Scalar:

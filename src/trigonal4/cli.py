@@ -13,6 +13,7 @@ timing is only emitted under --timing, which intentionally breaks that.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -151,6 +152,7 @@ def cmd_analyze(args, out) -> int:
 
 
 def cmd_residue_check(args, out) -> int:
+    started = time.perf_counter()
     order = _series_order(args)
     nodes, tolerance = _numeric_settings(args)
     params = _parse_u(args.u)
@@ -199,6 +201,8 @@ def cmd_residue_check(args, out) -> int:
     if args.numeric:
         document["numeric_tolerance"] = tolerance
         document["worst_rel_err"] = f"{worst:.3e}"
+    if args.timing:
+        document["elapsed_ms"] = round(1000 * (time.perf_counter() - started), 3)
     out.write(report.dumps(document))
     if not all_match or (args.numeric and not worst <= tolerance):
         raise OracleMismatch("pairing oracles disagree")
@@ -270,8 +274,8 @@ def cmd_ideal(args, out) -> int:
     cubic = canonical_cubic(params)
     document = {
         "u": report.params_json(params)["u"],
-        "quadric": report.quadric_json(quadric),
-        "cubic": report.cubic_json(cubic),
+        "quadric": report.form_json(quadric),
+        "cubic": report.form_json(cubic),
         "monomial_order": report.MONOMIAL_ORDER,
         "tags": {"quadric": "quadric-cone", "cubic": "canonical-cubic"},
     }
@@ -345,7 +349,10 @@ def cmd_qz24(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    call: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="trigonal4",
         description="Exact deformation invariants of a family of trigonal genus-4 curves.",
@@ -403,8 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args, out)
     except InvalidParameters as exc:

@@ -3,7 +3,7 @@
 This module owns the geometry of a single member curve: parameter
 validation, curve points (finite, branch, infinite), holomorphic
 k-differentials in the function-field model ``(f + g*y + h*y**2) (dx)**k``,
-local charts, vanishing orders, and divisors.
+local charts, and divisors.
 
 Divisors are fiber-aware.  Points whose coordinates live in Q(w) are stored
 individually; a full degree-3 fiber of the x-projection is stored as one
@@ -213,16 +213,6 @@ class InfinityPoint:
 
 CurvePoint = Union[BranchPoint, FinitePoint, InfinityPoint]
 DivisorEntry = Union[BranchPoint, FinitePoint, FiberPoint, FiberLocus, PlaceLocus, InfinityPoint]
-
-
-def finite_point(params: CurveParams, x0, y0) -> FinitePoint:
-    x0, y0 = Scalar.of(x0), Scalar.of(y0)
-    q0 = params.q_at(x0)
-    if not q0:
-        raise DegenerateInput("x lies under a branch point; use BranchPoint")
-    if y0 ** 3 != q0:
-        raise DegenerateInput("point does not satisfy the curve equation")
-    return FinitePoint(x0, y0)
 
 
 def _fiber_entry(x0: Scalar) -> FiberPoint:
@@ -527,12 +517,6 @@ class KDifferential:
         )
 
 
-def product_of_differentials(params: CurveParams, d1: Differential, d2: Differential) -> KDifferential:
-    a = KDifferential.of_differential(params, d1)
-    b = KDifferential.of_differential(params, d2)
-    return a * b
-
-
 # ---------------------------------------------------------------------------
 # Local charts
 # ---------------------------------------------------------------------------
@@ -581,18 +565,6 @@ def branch_chart(params: CurveParams, x0: Scalar, order: int = DEFAULT_ORDER) ->
     x_series = LocalSeries.constant(x0, trunc) + d
     y_series = LocalSeries.monomial(1, Scalar.one(), trunc)
     return Chart(x_series=x_series, y_series=y_series, dx_series=d.derivative(), dx_order=2)
-
-
-def local_series(params: CurveParams, func, x0, order: int = DEFAULT_ORDER) -> LocalSeries:
-    """Expansion of a rational function of x in the local coordinate y at
-    the branch point over x0; a function regular in x expands with
-    exponents that are multiples of 3."""
-    if order < 1:
-        raise DegenerateInput("expansion order must be at least 1")
-    x0 = Scalar.of(x0)
-    func = func if isinstance(func, RationalFunction) else RationalFunction.of(func)
-    chart = branch_chart(params, x0, order)
-    return series_of_rational(func, chart.x_series).truncate(order)
 
 
 @lru_cache(maxsize=64)
@@ -656,7 +628,8 @@ def fiber_frame(params: CurveParams, x0: Scalar, order: int = DEFAULT_ORDER) -> 
 
 
 def kdiff_series(q: KDifferential, chart: Chart) -> LocalSeries:
-    """The function-part series f(x) + g(x)*y + h(x)*y**2 on the chart."""
+    """The function-part series f(x) + g(x)*y + h(x)*y**2 on the chart; the
+    oracle the tests check the fixed-basis expansions (basis_factors) against."""
     fx = series_of_rational(q.f, chart.x_series)
     gx = series_of_rational(q.g, chart.x_series)
     hx = series_of_rational(q.h, chart.x_series)
@@ -677,24 +650,8 @@ def basis_factors(params: CurveParams, x_series: LocalSeries, top: int) -> tuple
 
 
 # ---------------------------------------------------------------------------
-# Orders, divisors of differentials and functions
+# Divisors of differentials and functions
 # ---------------------------------------------------------------------------
-
-
-def vanishing_order(params: CurveParams, q: KDifferential, point: CurvePoint, order: int = DEFAULT_ORDER) -> int:
-    """Order of a nonzero k-differential at an exact point, in the local
-    coordinate of the chart (x - x0, y, or 1/x)."""
-    if q.is_zero():
-        raise DegenerateInput("the zero differential has no well-defined order")
-    working = max(order, DEFAULT_ORDER)
-    for _ in range(5):
-        chart = chart_at(params, point, working)
-        series = kdiff_series(q, chart)
-        v = series.valuation()
-        if v is not None:
-            return v + q.k * chart.dx_order
-        working *= 2
-    raise StructuralError("vanishing order exceeds expansion capability; is the section zero?")
 
 
 def trigonal_fiber(params: CurveParams, x0) -> Divisor:

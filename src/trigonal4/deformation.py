@@ -62,7 +62,6 @@ from .curve import (
     branch_chart,
     chart_at,
     fiber_frame,
-    product_of_differentials,
     trigonal_fiber,
 )
 from .errors import DegenerateInput, StructuralError, ZeroTangent
@@ -367,7 +366,8 @@ def kdifferential_coordinates(params: CurveParams, q: KDifferential) -> tuple:
 
 
 def product_differential(params: CurveParams, i: int, j: int) -> KDifferential:
-    return product_of_differentials(params, OMEGA[i], OMEGA[j])
+    """The quadratic differential w_i * w_j."""
+    return KDifferential.of_differential(params, OMEGA[i]) * KDifferential.of_differential(params, OMEGA[j])
 
 
 def _omega2_parts(params: CurveParams, x_series: LocalSeries) -> list[tuple]:
@@ -430,24 +430,14 @@ def omega2_subspace(params: CurveParams, divisor: Divisor, order: int = DEFAULT_
     return conditions.kernel_basis()
 
 
-def functional_covector(params: CurveParams, xi: TangentVector) -> tuple:
-    """The tangent direction as a linear functional on the 9 coordinates:
-    it sees only the A-component, through the pairing covector."""
-    c = pairing_covector(params, xi)
-    zero = Scalar.zero()
-    return tuple(c) + (zero,) * 6
-
-
 def xi_functional(params: CurveParams, xi: TangentVector, q: KDifferential) -> Scalar:
     """Evaluate the direction against a holomorphic quadratic differential,
-    in 6*pi*i units; by construction the symmetric-product relation
+    in 6*pi*i units: it sees only the A-coordinates, through the pairing
+    covector.  By construction the symmetric-product relation
     w2**2 - w1*w3 is annihilated, so the value is representation-free."""
     coords = kdifferential_coordinates(params, q)
-    phi = functional_covector(params, xi)
-    acc = Scalar.zero()
-    for a, b in zip(phi, coords):
-        acc = acc + a * b
-    return acc
+    c = pairing_covector(params, xi)
+    return c[0] * coords[0] + c[1] * coords[1] + c[2] * coords[2]
 
 
 def support_test(params: CurveParams, xi: TangentVector, divisor: Divisor, order: int = DEFAULT_ORDER) -> tuple[bool, int]:
@@ -460,7 +450,7 @@ def support_test(params: CurveParams, xi: TangentVector, divisor: Divisor, order
         raise DegenerateInput("support test needs an effective divisor")
     c = pairing_covector(params, xi)
     subspace = omega2_subspace(params, divisor, order)
-    # The functional sees only the A-coordinates (functional_covector).
+    # The functional sees only the A-coordinates (xi_functional).
     supported = all(not (c[0] * v[0] + c[1] * v[1] + c[2] * v[2]) for v in subspace)
     return supported, len(subspace)
 

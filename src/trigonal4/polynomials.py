@@ -109,26 +109,21 @@ class UniPoly:
                 out[i + j] = out[i + j] + ca * cb
         return UniPoly(tuple(out))
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def scale(self, factor) -> "UniPoly":
         return UniPoly(tuple(c * factor for c in self.coefficients))
 
     def __pow__(self, exponent: int) -> "UniPoly":
         if exponent < 0:
             raise DegenerateInput("negative polynomial power")
-        if not self and exponent == 0:
-            raise DegenerateInput("0**0 for polynomials")
-        result = None
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = base if result is None else result * base
-            base = base * base
-            exponent >>= 1
-        if result is None:
-            return UniPoly((self.leading ** 0,)) if self else UniPoly(())
+        if not exponent:
+            if not self:
+                raise DegenerateInput("0**0 for polynomials")
+            return UniPoly((self.leading ** 0,))
+        result = self
+        for bit in bin(exponent)[3:]:  # square-and-multiply below the top bit
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def divmod(self, divisor: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
@@ -339,9 +334,6 @@ class RationalFunction:
     def __sub__(self, other):
         return self + (-RationalFunction.of(other))
 
-    def __rsub__(self, other):
-        return RationalFunction.of(other) + (-self)
-
     def __mul__(self, other):
         other = RationalFunction.of(other)
         return RationalFunction(self.numerator * other.numerator, self.denominator * other.denominator)
@@ -356,36 +348,8 @@ class RationalFunction:
     def __truediv__(self, other):
         return self * RationalFunction.of(other).inverse()
 
-    def __rtruediv__(self, other):
-        return RationalFunction.of(other) * self.inverse()
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        one = self.denominator.leading ** 0
-        result = RationalFunction(UniPoly((one,)), UniPoly((one,)))
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
-
     def evaluate(self, point):
         den = self.denominator.evaluate(point)
         if not den:
             raise ZeroDivisionError("pole of rational function at evaluation point")
         return self.numerator.evaluate(point) / den
-
-    def __str__(self):
-        return self.format()
-
-    def format(self, variable: str = "x") -> str:
-        num = self.numerator.format(variable)
-        if self.denominator.degree == 0:
-            return num
-        den = self.denominator.format(variable)
-        if self.numerator.degree > 0:
-            num = f"({num})"
-        return f"{num}/({den})"

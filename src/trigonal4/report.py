@@ -11,13 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .canonical_ideal import (
-    CUBIC_MONOMIALS,
-    QUADRIC_MONOMIALS,
-    CubicForm,
-    QuadricForm,
-    monomial_label,
-)
+from .canonical_ideal import MonomialForm, monomial_label
 from .curve import (
     BranchPoint,
     CurveParams,
@@ -124,20 +118,8 @@ def certificate_json(cert: CeresaCertificate) -> dict:
     }
 
 
-def quadric_json(form: QuadricForm) -> dict:
-    return {
-        monomial_label(m): str(c)
-        for m, c in zip(QUADRIC_MONOMIALS, form.coefficients)
-        if c
-    }
-
-
-def cubic_json(form: CubicForm) -> dict:
-    return {
-        monomial_label(m): str(c)
-        for m, c in zip(CUBIC_MONOMIALS, form.coefficients)
-        if c
-    }
+def form_json(form: MonomialForm) -> dict:
+    return {monomial_label(m): str(c) for m, c in zip(form.monomials, form.coefficients) if c}
 
 
 def rational_function_json(f: RationalFunction, variable: str = "a") -> dict:

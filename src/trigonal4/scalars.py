@@ -133,13 +133,13 @@ class Scalar:
     def __pow__(self, exponent: int):
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = _ONE
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
+        if not exponent:
+            return _ONE
+        result = self
+        for bit in bin(exponent)[3:]:  # square-and-multiply below the top bit
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     # -- predicates and roots ----------------------------------------------

@@ -103,32 +103,12 @@ class LocalSeries:
         """Multiply by s**k."""
         return LocalSeries({n + k: c for n, c in self.coefficients.items()}, self.truncation + k)
 
-    def truncate(self, truncation: int) -> "LocalSeries":
-        return LocalSeries(self.coefficients, min(self.truncation, truncation))
-
     def inverse(self) -> "LocalSeries":
         v = self.valuation()
         if v is None:
             raise ZeroDivisionError("inverse of a series that is zero through truncation")
         lead_inv = self.coefficients[v].inverse()
         return self.shift(-v).scale(lead_inv)._unit_power(Fraction(-1)).scale(lead_inv).shift(-v)
-
-    def __truediv__(self, other: "LocalSeries") -> "LocalSeries":
-        return self * other.inverse()
-
-    def __pow__(self, exponent: int) -> "LocalSeries":
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = LocalSeries.constant(Scalar.one(), self.truncation)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
 
     def derivative(self) -> "LocalSeries":
         return LocalSeries(

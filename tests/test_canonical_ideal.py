@@ -16,9 +16,9 @@ from trigonal4.canonical_ideal import (
 )
 from trigonal4.curve import (
     BranchPoint,
+    FinitePoint,
     InfinityPoint,
     canonical_map,
-    finite_point,
     validate_params,
 )
 from trigonal4.errors import DegenerateInput
@@ -154,7 +154,7 @@ def test_veronese_scale_invariant_rank():
 def test_schiffer_examples(u023, u248):
     assert schiffer_test(u023, canonical_map(u023, BranchPoint(Scalar.zero())))
     assert schiffer_test(u023, canonical_map(u023, InfinityPoint(2)))
-    assert schiffer_test(u248, canonical_map(u248, finite_point(u248, 0, 4)))
+    assert schiffer_test(u248, canonical_map(u248, FinitePoint(Scalar.zero(), Scalar.of(4))))
     assert not schiffer_test(u023, (0, 1, 0, 1))  # quadric value -1
     assert not schiffer_test(u023, (1, 0, 0, 0))  # cone vertex, cubic value 1
     # projective invariance

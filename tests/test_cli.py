@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from trigonal4 import cli, deformation, qz24
+from trigonal4 import cli, deformation, qz24, report
 from trigonal4.cli import main
 from trigonal4.linalg import Matrix
 from trigonal4.polynomials import UniPoly
@@ -171,6 +171,43 @@ def test_analyze_deterministic_bytes():
     _, first = run_cli(["analyze", "--u", "0,2,3", "--xi", "1,2,3"])
     _, second = run_cli(["analyze", "--u", "0,2,3", "--xi", "1,2,3"])
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--u", "0,2,3", "--xi", "1,2,3"],
+        ["residue-check", "--u", "0,2,3", "--j", "1"],
+        ["residue-check", "--u", "0,2,3", "--j", "2", "--numeric", "--quad-nodes", "128"],
+    ],
+    ids=["analyze", "residue-check", "residue-check-numeric"],
+)
+def test_timing_adds_only_elapsed_ms(argv):
+    _, plain = run_cli(argv)
+    _, timed = run_cli(argv + ["--timing"])
+    assert "elapsed_ms" not in json.loads(plain)
+    document = json.loads(timed)
+    assert document.pop("elapsed_ms") >= 0
+    assert report.dumps(document) == plain
+
+
+def test_parser_is_built_once():
+    cli.build_parser.cache_clear()
+    run_cli(["ideal", "--u", "0,2,3"])
+    run_cli(["schiffer", "--u", "0,2,3", "--point", "0,1,0,0"])
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_reused_parser_rejects_invalid_argv():
+    cli.build_parser.cache_clear()
+    for argv in (["analyze", "--u", "0,2,3"], ["analyze", "--u", "0,2,3"], ["no-such-command"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
+    code, text = run_cli(["analyze", "--u", "0,2,3", "--xi", "1,0,0"])
+    assert code == 0 and json.loads(text)["ks_rank"] == 2
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_residue_check_agreement():

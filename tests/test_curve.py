@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from trigonal4 import report
 from trigonal4.curve import (
     _CHART_PAD,
     OMEGA,
@@ -13,17 +14,15 @@ from trigonal4.curve import (
     FiberPoint,
     FinitePoint,
     InfinityPoint,
-    KDifferential,
+    PlaceLocus,
     branch_inversion,
     canonical_map,
     divisor_min,
     divisor_of,
     divisor_of_function,
-    finite_point,
     normalize_projective,
     trigonal_fiber,
     validate_params,
-    vanishing_order,
 )
 from trigonal4.errors import DegenerateInput, InvalidParameters
 from trigonal4.polynomials import RationalFunction, UniPoly
@@ -156,34 +155,17 @@ def test_local_series_of_constant(u023):
     assert not d.coefficient(0)
 
 
-# -- vanishing orders ---------------------------------------------------------
-
-
-def test_order_of_omega0_at_branch(u023):
-    q = KDifferential.of_differential(u023, OMEGA[0])
-    assert vanishing_order(u023, q, BranchPoint(Scalar.zero())) == 1
-    assert vanishing_order(u023, q, BranchPoint(Scalar.of(2))) == 1
-
-
-def test_order_of_omega1_squared_at_infinity(u023):
-    w1 = KDifferential.of_differential(u023, OMEGA[1])
-    for sheet in range(3):
-        assert vanishing_order(u023, w1 * w1, InfinityPoint(sheet)) == 4
-
-
-def test_order_of_omega2_at_finite_point(u248):
-    q = KDifferential.of_differential(u248, OMEGA[2])
-    p = finite_point(u248, 0, 4)
-    assert vanishing_order(u248, q, p) == 1
-
-
-def test_order_of_zero_rejected(u023):
-    zero = KDifferential.of_differential(u023, Differential.from_coefficients((0, 0, 0, 0)))
+def test_branch_inversion_rejects_nonbranch_center(u023):
     with pytest.raises(DegenerateInput):
-        vanishing_order(u023, zero, BranchPoint(Scalar.zero()))
+        branch_inversion(u023, Scalar.of(5), 12)
 
 
 # -- divisors -------------------------------------------------------------------
+
+
+def test_divisor_of_zero_rejected(u023):
+    with pytest.raises(DegenerateInput):
+        divisor_of(u023, Differential.from_coefficients((0, 0, 0, 0)))
 
 
 def test_divisor_of_omega0_is_branch_divisor(u023):
@@ -264,11 +246,33 @@ def test_divisor_hash_agrees_with_equality(u248):
     assert len({points, fiber}) == 1
 
 
+@pytest.mark.parametrize(
+    "pair, text",
+    [
+        ((0, 1), "1*Place[x^6-5*x^5+6*x^4-x^3+5*x^2-6*x+1; y=-1]"),
+        ((0, 2), "1*Branch(0) + 1*Place[x^5-5*x^4+6*x^3+5*x-6; y=-x]"),
+    ],
+    ids=["w0+w1", "w0+w2"],
+)
+def test_divisor_with_place_locus(u023, pair, text):
+    # b0 != 0 and a resolvent factor with no root in Q(w): one curve point
+    # per root, y read off a residue polynomial
+    d = OMEGA[pair[0]] + OMEGA[pair[1]]
+    div = divisor_of(u023, d)
+    assert any(isinstance(p, PlaceLocus) for p in div.entries)
+    assert div == divisor_of(u023, d.scale(3))
+    assert divisor_min(div, div) == div
+    assert div >= div
+    assert str(div) == text
+    kinds = [point["kind"] for point, _ in report.divisor_json(div)]
+    assert kinds[-1] == "place_locus"
+
+
 # -- canonical map -----------------------------------------------------------------
 
 
 def test_canonical_map_examples(u023, u248):
-    z = canonical_map(u248, finite_point(u248, 0, 4))
+    z = canonical_map(u248, FinitePoint(Scalar.zero(), Scalar.of(4)))
     assert z == normalize_projective((Scalar.of(4), Scalar.one(), Scalar.zero(), Scalar.zero()))
     z = canonical_map(u023, BranchPoint(Scalar.of(3)))
     assert z == normalize_projective((Scalar.zero(), Scalar.one(), Scalar.of(3), Scalar.of(9)))
@@ -282,52 +286,8 @@ def test_canonical_map_lands_on_quadric(u023, u248):
     for p in pts:
         z = canonical_map(u023, p)
         assert z[2] * z[2] - z[1] * z[3] == Scalar.zero()
-    z = canonical_map(u248, finite_point(u248, 0, 4))
+    z = canonical_map(u248, FinitePoint(Scalar.zero(), Scalar.of(4)))
     assert z[2] * z[2] - z[1] * z[3] == Scalar.zero()
-
-
-# -- local expansion of rational functions ------------------------------------
-
-
-def test_local_series_spec_examples(u023):
-    from trigonal4.curve import local_series
-
-    x = UniPoly.from_scalars((0, 1))
-    s = local_series(u023, x, Scalar.zero(), 12)
-    assert s.coefficient(0) == Scalar.zero()
-    assert s.coefficient(3) == Scalar.of(-1) / 6
-    assert all(n % 3 == 0 for n in s.known_exponents())
-
-    const = local_series(u023, UniPoly.from_scalars((1,)), Scalar.zero(), 12)
-    assert const.coefficient(0) == Scalar.one()
-    assert const.known_exponents() == [0]
-
-    shifted = local_series(u023, UniPoly.from_scalars((-2, 1)), Scalar.of(2), 6)
-    qprime = u023.qprime_at(Scalar.of(2))
-    assert shifted.coefficient(3) == qprime.inverse()
-    assert shifted.coefficient(0) == Scalar.zero()
-
-
-def test_local_series_multiplicative(u023):
-    from trigonal4.curve import local_series
-    from trigonal4.polynomials import RationalFunction
-
-    f = RationalFunction(UniPoly.from_scalars((1, 2)), UniPoly.from_scalars((5, 0, 1)))
-    g = RationalFunction(UniPoly.from_scalars((-3, 0, 1)), UniPoly.from_scalars((7, 1)))
-    x0 = Scalar.of(3)
-    sf = local_series(u023, f, x0, 12)
-    sg = local_series(u023, g, x0, 12)
-    sfg = local_series(u023, f * g, x0, 12)
-    product = sf * sg
-    for n in range(min(product.truncation, sfg.truncation)):
-        assert product.coefficient(n) == sfg.coefficient(n)
-
-
-def test_local_series_rejects_nonbranch_center(u023):
-    from trigonal4.curve import local_series
-
-    with pytest.raises(DegenerateInput):
-        local_series(u023, UniPoly.from_scalars((0, 1)), Scalar.of(5), 12)
 
 
 def test_divisor_contains_fiber_of_root(u023):

@@ -27,7 +27,6 @@ from trigonal4.deformation import (
     cone_directions,
     conic_condition,
     delta_nu_c_test,
-    functional_covector,
     kdifferential_coordinates,
     kernel_W,
     ks_rank,

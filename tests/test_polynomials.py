@@ -112,3 +112,23 @@ def test_rational_function_field_ops(p, q):
     f = RationalFunction(p, q)
     assert f * f.inverse() == RationalFunction.of(Scalar.one())
     assert f - f == RationalFunction.zero()
+
+
+@given(polys, st.integers(min_value=-4, max_value=8))
+def test_power_is_repeated_product(p, n):
+    if n < 0 or (n == 0 and not p):
+        with pytest.raises(DegenerateInput):
+            p ** n
+        return
+    expected = P(1)
+    for _ in range(n):
+        expected = expected * p
+    assert p ** n == expected
+
+
+def test_power_over_polynomial_coefficients():
+    # x ** 0 is the one of the coefficient ring, here Q(w)[c]
+    c = UniPoly.x()
+    poly = UniPoly((c, UniPoly.constant(Scalar.one())))  # c + x over Q(w)[c]
+    assert poly ** 0 == UniPoly((UniPoly.constant(Scalar.one()),))
+    assert poly ** 3 == poly * poly * poly

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 
 from trigonal4.errors import DegenerateInput
 from trigonal4.scalars import INFINITY, Scalar, parse_projective
@@ -94,3 +94,35 @@ def test_complex_embedding():
     w = complex(Scalar.zeta())
     assert abs(w ** 3 - 1) < 1e-12
     assert abs(1 + w + w * w) < 1e-12
+
+
+def test_cube_costs_two_multiplications(monkeypatch):
+    u = Scalar.parse("-4/3+-3*w")
+    expected = u * u * u
+    calls = []
+    multiply = Scalar.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counting)
+    assert u ** 3 == expected
+    assert len(calls) == 2
+
+
+@given(scalar_strategy(bound=6, max_denominator=4), st.integers(min_value=-4, max_value=8))
+def test_power_is_repeated_product(x, n):
+    assume(n >= 0 or x)
+    expected = Scalar.one()
+    for _ in range(abs(n)):
+        expected = expected * x
+    if n < 0:
+        expected = expected.inverse()
+    assert x ** n == expected
+
+
+def test_power_edge_cases():
+    assert Scalar.zero() ** 0 == Scalar.one()
+    with pytest.raises(ZeroDivisionError):
+        Scalar.zero() ** -1

@@ -30,12 +30,9 @@ def test_imports_are_stdlib_or_relative():
 
 
 def test_no_unused_imports():
-    """Every name a module imports is used in it (the package's __init__
-    re-exports, so it is exempt)."""
+    """Every name a module imports is used in it."""
     offenders = []
     for path in sorted(SOURCE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(), filename=str(path))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
@@ -49,16 +46,13 @@ def test_no_unused_imports():
     assert not offenders, offenders
 
 
-def _referenced_names(folders=("src", "tests", "scripts"), reexports=True) -> set:
+def _referenced_names(folders=("src", "tests", "scripts")) -> set:
     """Names that the given folders reference (as a Name, an Attribute or an
-    import alias), plus the entry points in pyproject.toml; with
-    ``reexports=False`` the package's __init__ is left out."""
+    import alias), plus the entry points in pyproject.toml."""
     root = SOURCE.parent.parent
     names = set()
     for folder in folders:
         for path in sorted((root / folder).rglob("*.py")):
-            if not reexports and path == SOURCE / "__init__.py":
-                continue
             for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
                 if isinstance(node, ast.Name):
                     names.add(node.id)
@@ -91,8 +85,8 @@ def test_no_dead_definitions():
     assert not offenders, offenders
 
 
-# Definitions that no production path reaches: nothing in src/ (outside the
-# __init__ re-exports), scripts/ or the entry points references them.  Each
+# Definitions that no production path reaches: nothing in src/, scripts/ or
+# the entry points references them.  Each
 # is either an oracle the tests cross-check a production path against, or
 # public API kept for library users.
 TEST_ONLY = {
@@ -101,9 +95,7 @@ TEST_ONLY = {
     "canonical_ideal.veronese": "public API",
     "curve.canonical_map": "public API",
     "curve.common_zeros_by_divisors": "oracle",
-    "curve.finite_point": "public API",
-    "curve.local_series": "public API",
-    "curve.vanishing_order": "public API",
+    "curve.kdiff_series": "oracle",
     "deformation.as_matrix": "oracle",
     "deformation.kernel_W": "public API",
     "deformation.moment_matrix": "oracle",
@@ -121,7 +113,7 @@ TEST_ONLY = {
 def test_test_only_definitions_are_named():
     """The definitions only tests reach are exactly those TEST_ONLY names,
     each tagged as an oracle or as public API."""
-    production = _referenced_names(("src", "scripts"), reexports=False)
+    production = _referenced_names(("src", "scripts"))
     found = {f"{module}.{name}" for module, name in _unreferenced_definitions(production)}
     assert found == set(TEST_ONLY), (sorted(found - set(TEST_ONLY)), sorted(set(TEST_ONLY) - found))
     assert set(TEST_ONLY.values()) <= {"oracle", "public API"}
