@@ -31,11 +31,7 @@ from .polynomials import (
     scalar_roots,
 )
 from .scalars import INFINITY, Scalar
-from .series import DEFAULT_ORDER, LocalSeries, series_of_poly, series_of_rational
-
-# Headroom added to every requested expansion order so that compositions and
-# quotients cannot starve the needed coefficient window.
-_CHART_PAD = 10
+from .series import LocalSeries, series_of_poly, series_of_rational
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +211,6 @@ CurvePoint = Union[BranchPoint, FinitePoint, InfinityPoint]
 DivisorEntry = Union[BranchPoint, FinitePoint, FiberPoint, FiberLocus, PlaceLocus, InfinityPoint]
 
 
-def _fiber_entry(x0: Scalar) -> FiberPoint:
-    return FiberPoint(x0)
-
-
 def _locus_entry(poly: UniPoly):
     poly = poly.monic()
     if poly.degree == 1:
@@ -341,23 +333,18 @@ def divisor_min(a: Divisor, b: Divisor) -> Divisor:
 def refine_pair(a: Divisor, b: Divisor) -> tuple[Divisor, Divisor]:
     """Rewrite both divisors over a common refinement of their x-loci so that
     entries match key-by-key whenever they overlap geometrically."""
-    loci = [
-        p.as_poly()
-        for d in (a, b)
-        for p in d.entries
-        if isinstance(p, (FiberLocus, PlaceLocus))
-    ]
+    entries = [p for d in (a, b) for p in d.entries]
+    loci = [p.as_poly() for p in entries if isinstance(p, (FiberLocus, PlaceLocus))]
+    if loci:
+        # The x of every point joins the refinement, so that a locus with a
+        # root in Q(w) splits that root off as the same point entry.
+        one = Scalar.one()
+        loci += [UniPoly((-p.x, one)) for p in entries if isinstance(p, (FiberPoint, FinitePoint))]
     parts = _coprime_refinement(loci) if loci else []
     # A collective fiber entry splits into three exact points as soon as one
     # y-coordinate over the same x is known from the other divisor.
-    known_y: dict = {}
-    for d in (a, b):
-        for p in d.entries:
-            if isinstance(p, FinitePoint):
-                known_y[p.x] = p.y
-    refined_a = _refine_divisor(a, parts, known_y)
-    refined_b = _refine_divisor(b, parts, known_y)
-    return refined_a, refined_b
+    known_y = {p.x: p.y for p in entries if isinstance(p, FinitePoint)}
+    return _refine_divisor(a, parts, known_y), _refine_divisor(b, parts, known_y)
 
 
 def _coprime_refinement(polys: list[UniPoly]) -> list[UniPoly]:
@@ -377,11 +364,10 @@ def _coprime_refinement(polys: list[UniPoly]) -> list[UniPoly]:
                 break
         else:
             parts.append(p)
-            continue
     return parts
 
 
-def _refine_divisor(d: Divisor, parts: list[UniPoly], known_y: dict | None = None) -> Divisor:
+def _refine_divisor(d: Divisor, parts: list[UniPoly], known_y: dict) -> Divisor:
     zeta = Scalar.zeta()
     out = Divisor.zero()
     for p, m in d.entries.items():
@@ -396,7 +382,7 @@ def _refine_divisor(d: Divisor, parts: list[UniPoly], known_y: dict | None = Non
                     poly = poly // part
             if poly.degree > 0:
                 raise StructuralError("locus refinement failed to cover an entry")
-        elif isinstance(p, FiberPoint) and known_y and p.x in known_y:
+        elif isinstance(p, FiberPoint) and p.x in known_y:
             y0 = known_y[p.x]
             for s in range(3):
                 out += Divisor.of((FinitePoint(p.x, y0 * zeta ** s), m))
@@ -525,16 +511,19 @@ class KDifferential:
 @dataclass(frozen=True)
 class Chart:
     """Local data at a point: the series of x and y in the local parameter,
-    the series of dx/ds, and the valuation of dx."""
+    the series of dx/ds, and the valuation of dx.  Charts and fiber frames
+    know x and the local parameter s below s**truncation, which the caller
+    derives from the highest coefficient it reads; a read past a
+    truncation raises StructuralError (LocalSeries.coefficient)."""
 
     x_series: LocalSeries
     y_series: LocalSeries
     dx_series: LocalSeries
-    dx_order: int
+    dx_valuation: int
 
 
 @lru_cache(maxsize=256)
-def branch_inversion(params: CurveParams, x0: Scalar, order: int) -> LocalSeries:
+def branch_inversion(params: CurveParams, x0: Scalar, truncation: int) -> LocalSeries:
     """The series D(y) with x = x0 + D(y) solving y**3 = Q(x) at a branch
     point, by Lagrange inversion: with Q(x0 + X) = X * Q'(x0) * U(X), U(0) = 1,
     the coefficient of y**(3n) is [X**(n-1)] U**(-n) / (n * Q'(x0)**n).  The
@@ -544,63 +533,62 @@ def branch_inversion(params: CurveParams, x0: Scalar, order: int) -> LocalSeries
     qp0 = params.qprime_at(x0)
     if not qp0:
         raise InvalidParameters("multiple branch root; configuration excluded from the base")
-    trunc = order + _CHART_PAD
     shifted = params.q_poly.taylor_shift(x0)
     qp0_inv = qp0.inverse()
     u = {k - 1: c * qp0_inv for k, c in enumerate(shifted.coefficients) if k}
     terms = {}
-    for n in range(1, (trunc + 2) // 3):  # 3n < trunc
+    for n in range(1, (truncation + 2) // 3):  # 3n < truncation
         u_power = LocalSeries(u, n)._unit_power(Fraction(-n))
         terms[3 * n] = u_power.coefficient(n - 1) * qp0_inv ** n * Fraction(1, n)
-    d = LocalSeries(terms, trunc)
-    residual = series_of_poly(shifted, d) - LocalSeries.monomial(3, Scalar.one(), trunc)
+    d = LocalSeries(terms, truncation)
+    residual = series_of_poly(shifted, d) - LocalSeries.monomial(3, Scalar.one(), truncation)
     if residual.valuation() is not None:
         raise StructuralError("branch inversion does not solve y**3 = Q(x)")
     return d
 
 
-def branch_chart(params: CurveParams, x0: Scalar, order: int = DEFAULT_ORDER) -> Chart:
-    d = branch_inversion(params, x0, order)
-    trunc = d.truncation
-    x_series = LocalSeries.constant(x0, trunc) + d
-    y_series = LocalSeries.monomial(1, Scalar.one(), trunc)
-    return Chart(x_series=x_series, y_series=y_series, dx_series=d.derivative(), dx_order=2)
+def branch_chart(params: CurveParams, x0: Scalar, truncation: int) -> Chart:
+    d = branch_inversion(params, x0, truncation)
+    x_series = LocalSeries.constant(x0, truncation) + d
+    y_series = LocalSeries.monomial(1, Scalar.one(), truncation)
+    return Chart(x_series=x_series, y_series=y_series, dx_series=d.derivative(), dx_valuation=2)
 
 
 @lru_cache(maxsize=64)
-def _infinity_root_series(params: CurveParams, trunc: int) -> LocalSeries:
+def _infinity_root_series(params: CurveParams, truncation: int) -> LocalSeries:
     reversed_q = params.q_poly.reversed_coefficients()
-    return series_of_poly(reversed_q, LocalSeries.monomial(1, Scalar.one(), trunc)).cube_root_unit()
+    return series_of_poly(reversed_q, LocalSeries.monomial(1, Scalar.one(), truncation)).cube_root_unit()
 
 
-def infinity_chart(params: CurveParams, sheet: int, order: int = DEFAULT_ORDER) -> Chart:
-    trunc = order + _CHART_PAD
-    t_inv = LocalSeries.monomial(-1, Scalar.one(), trunc)
-    s = _infinity_root_series(params, trunc)
-    y_series = LocalSeries.monomial(-2, Scalar.zeta_power(sheet), trunc - 2) * s
-    dx_series = LocalSeries.monomial(-2, Scalar.of(-1), trunc)
-    return Chart(x_series=t_inv, y_series=y_series, dx_series=dx_series, dx_order=-2)
+def infinity_chart(params: CurveParams, sheet: int, truncation: int) -> Chart:
+    """Chart in t = 1/x; y = w**sheet * t**-2 * (t**6 Q(1/t))**(1/3) is known
+    below t**(truncation - 2)."""
+    t_inv = LocalSeries.monomial(-1, Scalar.one(), truncation)
+    s = _infinity_root_series(params, truncation)
+    y_series = LocalSeries.monomial(-2, Scalar.zeta_power(sheet), truncation - 2) * s
+    dx_series = LocalSeries.monomial(-2, Scalar.of(-1), truncation)
+    return Chart(x_series=t_inv, y_series=y_series, dx_series=dx_series, dx_valuation=-2)
 
 
-def finite_chart(params: CurveParams, point: FinitePoint, order: int = DEFAULT_ORDER) -> Chart:
+def finite_chart(params: CurveParams, point: FinitePoint, truncation: int) -> Chart:
     """Chart at an unramified point: the fiber frame over its x with the
     abstract cube root specialized to the point's y."""
-    frame = fiber_frame(params, point.x, order)
+    frame = fiber_frame(params, point.x, truncation)
     return Chart(
         x_series=frame.x_series,
         y_series=frame.w_series.scale(point.y),
-        dx_series=LocalSeries.constant(Scalar.one(), frame.x_series.truncation),
-        dx_order=0,
+        dx_series=LocalSeries.constant(Scalar.one(), truncation),
+        dx_valuation=0,
     )
 
 
-def chart_at(params: CurveParams, point: CurvePoint, order: int = DEFAULT_ORDER) -> Chart:
+def chart_at(params: CurveParams, point: CurvePoint, truncation: int) -> Chart:
     if isinstance(point, BranchPoint):
-        return branch_chart(params, point.x, order)
+        return branch_chart(params, point.x, truncation)
     if isinstance(point, InfinityPoint):
-        return infinity_chart(params, point.sheet, order)
+        return infinity_chart(params, point.sheet, truncation)
     if isinstance(point, FinitePoint):
-        return finite_chart(params, point, order)
+        return finite_chart(params, point, truncation)
     raise DegenerateInput(f"no local chart at a collective divisor entry ({point.kind})")
 
 
@@ -614,17 +602,16 @@ class FiberFrame:
     w_series: LocalSeries
 
 
-def fiber_frame(params: CurveParams, x0: Scalar, order: int = DEFAULT_ORDER) -> FiberFrame:
+def fiber_frame(params: CurveParams, x0: Scalar, truncation: int) -> FiberFrame:
     x0 = Scalar.of(x0)
     q0 = params.q_at(x0)
     if not q0:
         raise DegenerateInput("fiber frame needs a non-branch x")
-    trunc = order + _CHART_PAD
     shifted = params.q_poly.taylor_shift(x0)
-    unit = series_of_poly(shifted, LocalSeries.monomial(1, Scalar.one(), trunc)).scale(q0.inverse())
-    w = unit.cube_root_unit()
-    x_series = LocalSeries.constant(x0, trunc) + LocalSeries.monomial(1, Scalar.one(), trunc)
-    return FiberFrame(x_series=x_series, w_series=w)
+    s = LocalSeries.monomial(1, Scalar.one(), truncation)
+    unit = series_of_poly(shifted, s).scale(q0.inverse())
+    x_series = LocalSeries.constant(x0, truncation) + s
+    return FiberFrame(x_series=x_series, w_series=unit.cube_root_unit())
 
 
 def kdiff_series(q: KDifferential, chart: Chart) -> LocalSeries:
@@ -661,22 +648,28 @@ def trigonal_fiber(params: CurveParams, x0) -> Divisor:
     x0 = Scalar.of(x0)
     if params.is_branch_x(x0):
         return Divisor.of((BranchPoint(x0), 3))
-    return Divisor.of((_fiber_entry(x0), 1))
+    return Divisor.of((FiberPoint(x0), 1))
+
+
+def _split_branch_roots(params: CurveParams, poly: UniPoly) -> tuple[Divisor, UniPoly]:
+    """(each branch point with the multiplicity of its x as a root of poly,
+    poly with those roots divided out)."""
+    out = Divisor.zero()
+    for beta in params.branch_x:
+        m = root_multiplicity(poly, beta)
+        if m:
+            out += Divisor.of((BranchPoint(beta), m))
+            poly = poly // UniPoly((-beta, Scalar.one())) ** m
+    return out, poly
 
 
 def _poly_zero_divisor(params: CurveParams, poly: UniPoly) -> Divisor:
     """Affine zero divisor of a polynomial in x pulled back to the curve."""
-    out = Divisor.zero()
-    remaining = poly
-    for beta in params.branch_x:
-        m = root_multiplicity(remaining, beta)
-        if m:
-            out += Divisor.of((BranchPoint(beta), 3 * m))
-            for _ in range(m):
-                remaining = remaining // UniPoly((-beta, Scalar.one()))
+    branch, remaining = _split_branch_roots(params, poly)
+    out = 3 * branch
     roots, loci = scalar_roots(remaining)
     for r, m in roots:
-        out += Divisor.of((_fiber_entry(r), m))
+        out += Divisor.of((FiberPoint(r), m))
     for locus, m in loci:
         out += Divisor.of((_locus_entry(locus), m))
     return out
@@ -697,16 +690,21 @@ def divisor_of_function(params: CurveParams, func) -> Divisor:
     return out
 
 
-def divisor_of(params: CurveParams, d: Differential, order: int = DEFAULT_ORDER) -> Divisor:
+# divisor_of reads f = b0*y + P(x) at an infinity point through t**4: the
+# form's order there, val(f) + 2, is at most the canonical degree 6.  The
+# infinity chart knows y below t**(truncation - 2), so the truncation is 7.
+_INFINITY_ORDER_TRUNCATION = 7
+
+
+def divisor_of(params: CurveParams, d: Differential) -> Divisor:
     """Zero divisor of a nonzero holomorphic 1-form; always effective of
     degree 6 (the canonical degree 2g - 2 for genus 4)."""
     if d.is_zero():
         raise DegenerateInput("the zero differential has no divisor")
     p = d.poly()
-    out = Divisor.zero()
     if not d.b0:
         # d = P(x) dx/y**2: div = div(P) + 2 * (infinity fiber)
-        out += _poly_zero_divisor(params, p)
+        out = _poly_zero_divisor(params, p)
         inf_mult = 2 - p.degree
         for s in range(3):
             out += Divisor.of((InfinityPoint(s), inf_mult))
@@ -714,14 +712,7 @@ def divisor_of(params: CurveParams, d: Differential, order: int = DEFAULT_ORDER)
         # d = (b0*y + P(x)) dx/y**2; the norm of f = b0*y + P to the x-line
         # is R = P**3 + b0**3 * Q, which carries the affine zeros of f.
         b0 = d.b0
-        resolvent = p ** 3 + params.q_poly.scale(b0 ** 3)
-        remaining = resolvent
-        for beta in params.branch_x:
-            m = root_multiplicity(remaining, beta)
-            if m:
-                out += Divisor.of((BranchPoint(beta), m))
-                for _ in range(m):
-                    remaining = remaining // UniPoly((-beta, Scalar.one()))
+        out, remaining = _split_branch_roots(params, p ** 3 + params.q_poly.scale(b0 ** 3))
         roots, loci = scalar_roots(remaining)
         for r, m in roots:
             y_r = -p.evaluate(r) / b0
@@ -731,15 +722,8 @@ def divisor_of(params: CurveParams, d: Differential, order: int = DEFAULT_ORDER)
             out += Divisor.of((_place_entry(locus, y_res), m))
         # infinity: expand f on each sheet and add the frame contribution 2
         for s in range(3):
-            working = order
-            val = None
-            for _ in range(5):
-                chart = infinity_chart(params, s, working)
-                f_series = chart.y_series.scale(b0) + series_of_poly(p, chart.x_series)
-                val = f_series.valuation()
-                if val is not None:
-                    break
-                working *= 2
+            chart = infinity_chart(params, s, _INFINITY_ORDER_TRUNCATION)
+            val = (chart.y_series.scale(b0) + series_of_poly(p, chart.x_series)).valuation()
             if val is None:
                 raise StructuralError("cannot determine the infinity order of a section")
             out += Divisor.of((InfinityPoint(s), val + 2))
@@ -764,12 +748,19 @@ def common_zeros_by_divisors(params: CurveParams, d1: Differential, d2: Differen
 # ---------------------------------------------------------------------------
 
 
-def canonical_map(params: CurveParams, point: CurvePoint, order: int = DEFAULT_ORDER) -> tuple:
+# canonical_map reads the forms over dx at their least valuation: y**-2 at a
+# branch point (w1/dx = y/Q), where 1/Q starts at y**-3 and is known below
+# y**(truncation - 6), so y/Q below y**(truncation - 5): truncation 4.  At
+# infinity (valuation 2) and at finite points (0) truncation 1 would do.
+_CANONICAL_MAP_TRUNCATION = 4
+
+
+def canonical_map(params: CurveParams, point: CurvePoint) -> tuple:
     """Homogeneous coordinates [z0:z1:z2:z3] of a point under the canonical
     embedding by (w0, w1, w2, w3), normalized so the first nonzero coordinate
     is 1; computed by trivializing all four forms against the chart's dx,
     from one 1/Q expansion: w0 = y**2/Q and w_l = x**(l-1) y/Q."""
-    chart = chart_at(params, point, order)
+    chart = chart_at(params, point, _CANONICAL_MAP_TRUNCATION)
     q_inv, x_powers = basis_factors(params, chart.x_series, 2)
     y_q_inv = chart.y_series * q_inv
     basis_series = [y_q_inv * chart.y_series] + [x_powers[l] * y_q_inv for l in range(3)]
@@ -777,10 +768,7 @@ def canonical_map(params: CurveParams, point: CurvePoint, order: int = DEFAULT_O
     if all(v is None for v in valuations):
         raise StructuralError("all canonical coordinates vanished; impossible for a base-point-free system")
     vmin = min(v for v in valuations if v is not None)
-    coords = tuple(
-        s.coefficient(vmin) if s.truncation > vmin else Scalar.zero() for s in basis_series
-    )
-    return normalize_projective(coords)
+    return normalize_projective(s.coefficient(vmin) for s in basis_series)
 
 
 def normalize_projective(coords: Iterable[Scalar]) -> tuple:

@@ -68,7 +68,7 @@ from .errors import DegenerateInput, StructuralError, ZeroTangent
 from .linalg import Matrix
 from .polynomials import RationalFunction
 from .scalars import INFINITY, Scalar
-from .series import DEFAULT_ORDER, LocalSeries
+from .series import LocalSeries
 
 # Sign fixed once so that the oracle's (0,1) entry for the first coordinate
 # direction equals +1/Q'(u_1) in 6*pi*i units, matching the closed form;
@@ -199,11 +199,20 @@ def _pairing_of(c: tuple) -> PairingMatrix:
 # ---------------------------------------------------------------------------
 
 
+# The residue oracle reads p = w_k / (x - u_j) through y**-1: its principal
+# part and the y**-1 term that must vanish.  On a branch chart of truncation
+# T, x - u_j starts at y**3 and is known below y**T, so 1/(x - u_j) starts at
+# y**-3 with T - 3 known terms, below y**(T - 6); so is p, hence T = 6.  The
+# w_l are then known through y**2, past the y**1 that the residue against an
+# antiderivative with a pole of order at most 2 reads.
+_RESIDUE_TRUNCATION = 6
+
+
 @lru_cache(maxsize=256)
-def _branch_form_data(params: CurveParams, x0: Scalar, order: int) -> tuple:
+def _branch_form_data(params: CurveParams, x0: Scalar) -> tuple:
     """Shared expansion data at a branch point: the coefficient series S_l
     with w_l = S_l(y) dy for l = 0..3, and the inverse of (x - x0)."""
-    chart = branch_chart(params, x0, order)
+    chart = branch_chart(params, x0, _RESIDUE_TRUNCATION)
     q_inv, x_powers = basis_factors(params, chart.x_series, 2)
     y = chart.y_series
     base = q_inv * chart.dx_series
@@ -214,31 +223,23 @@ def _branch_form_data(params: CurveParams, x0: Scalar, order: int) -> tuple:
     return tuple(forms), x_minus.inverse()
 
 
-def residue_pairing(
-    params: CurveParams, j: int, l: int, k: int, order: int = DEFAULT_ORDER
-) -> Scalar:
+def residue_pairing(params: CurveParams, j: int, l: int, k: int) -> Scalar:
     """Oracle for the pairing of w_l against the u_j-derivative of w_k, in
     6*pi*i units: expand both at the branch point over u_j, antidifferentiate
     the principal part of the derivative form, and take the residue of the
     product; exact and independent of the closed form."""
     if j not in (1, 2, 3):
         raise DegenerateInput("j indexes one of the three moving parameters")
-    if order < DEFAULT_ORDER:
-        order = DEFAULT_ORDER
     x0 = params.u[j - 1]
-    forms, x_minus_inv = _branch_form_data(params, x0, order)
+    forms, x_minus_inv = _branch_form_data(params, x0)
     s_series = forms[l]
     # (d/du_j) w_k = m/(3 (x - u_j)) * w_k with m = 1 for k = 0, else 2
     m = 1 if k == 0 else 2
     p_series = forms[k] * x_minus_inv.scale(Scalar.of(m) / 3)
     if p_series.coefficient(-1):
         raise StructuralError("derivative form has a dy/y term; cannot antidifferentiate")
-    principal = {
-        n: c for n, c in p_series.coefficients.items() if n <= -2
-    }
-    anti = LocalSeries(
-        {n + 1: c / (n + 1) for n, c in principal.items()}, p_series.truncation + 1
-    )
+    principal = {n: c for n, c in p_series.coefficients.items() if n <= -2}
+    anti = LocalSeries({n + 1: c / (n + 1) for n, c in principal.items()}, p_series.truncation + 1)
     product = s_series * anti
     residue = product.coefficient(-1)
     return Scalar.of(ORACLE_SIGN) * residue / 3
@@ -343,6 +344,13 @@ def _locus_of(params: CurveParams, conic: ConicReport) -> Divisor:
 # powers of x(s) (curve.basis_factors).
 OMEGA2_DIM = 9
 
+# The support conditions at a point of multiplicity m read each basis
+# element below s**(m - 2*dx_valuation).  A branch chart of truncation T
+# asks the most: 1/Q**2 starts at y**-6 and is known below y**(T - 9), so
+# x**k y**2/Q**2 below y**(T - 7), and the reads stop below y**(m - 4):
+# T = m + 3.  Infinity needs T = m + 1, a fiber frame or finite chart T = m.
+_SUPPORT_PAD = 3
+
 
 def kdifferential_coordinates(params: CurveParams, q: KDifferential) -> tuple:
     """Coordinates of a holomorphic quadratic differential; raises when the
@@ -383,7 +391,7 @@ def _omega2_parts(params: CurveParams, x_series: LocalSeries) -> list[tuple]:
     )
 
 
-def omega2_vanishing_conditions(params: CurveParams, divisor: Divisor, order: int = DEFAULT_ORDER) -> Matrix:
+def omega2_vanishing_conditions(params: CurveParams, divisor: Divisor) -> Matrix:
     """Linear conditions on the 9 coordinates cutting out the quadratic
     differentials vanishing to the divisor's multiplicities."""
     if not divisor.is_effective():
@@ -391,11 +399,11 @@ def omega2_vanishing_conditions(params: CurveParams, divisor: Divisor, order: in
     rows: list[tuple] = []
     for point, mult in divisor.items_sorted():
         if isinstance(point, (BranchPoint, InfinityPoint, FinitePoint)):
-            chart = chart_at(params, point, max(order, mult + 8))
+            chart = chart_at(params, point, mult + _SUPPORT_PAD)
             y = chart.y_series
             y2 = y * y
             series_list = [f + g * y + h * y2 for f, g, h in _omega2_parts(params, chart.x_series)]
-            bound = mult - 2 * chart.dx_order
+            bound = mult - 2 * chart.dx_valuation
             floor = min(
                 (s.valuation() for s in series_list if s.valuation() is not None),
                 default=bound,
@@ -405,7 +413,7 @@ def omega2_vanishing_conditions(params: CurveParams, divisor: Divisor, order: in
                 if any(row):
                     rows.append(row)
         elif isinstance(point, FiberPoint):
-            frame = fiber_frame(params, point.x, max(order, mult + 8))
+            frame = fiber_frame(params, point.x, mult + _SUPPORT_PAD)
             w = frame.w_series
             w2 = w * w
             components = [(f, g * w, h * w2) for f, g, h in _omega2_parts(params, frame.x_series)]
@@ -421,10 +429,10 @@ def omega2_vanishing_conditions(params: CurveParams, divisor: Divisor, order: in
     return Matrix.from_rows(rows) if rows else Matrix(())
 
 
-def omega2_subspace(params: CurveParams, divisor: Divisor, order: int = DEFAULT_ORDER) -> list[tuple]:
+def omega2_subspace(params: CurveParams, divisor: Divisor) -> list[tuple]:
     """Basis of the subspace of quadratic differentials vanishing on the
     divisor, in 9-dim coordinates."""
-    conditions = omega2_vanishing_conditions(params, divisor, order)
+    conditions = omega2_vanishing_conditions(params, divisor)
     if conditions.nrows == 0:
         return [tuple(row) for row in Matrix.identity(OMEGA2_DIM).rows]
     return conditions.kernel_basis()
@@ -440,7 +448,7 @@ def xi_functional(params: CurveParams, xi: TangentVector, q: KDifferential) -> S
     return c[0] * coords[0] + c[1] * coords[1] + c[2] * coords[2]
 
 
-def support_test(params: CurveParams, xi: TangentVector, divisor: Divisor, order: int = DEFAULT_ORDER) -> tuple[bool, int]:
+def support_test(params: CurveParams, xi: TangentVector, divisor: Divisor) -> tuple[bool, int]:
     """(supported, dim of the vanishing subspace): supported means the
     direction annihilates every quadratic differential vanishing on the
     divisor."""
@@ -449,7 +457,7 @@ def support_test(params: CurveParams, xi: TangentVector, divisor: Divisor, order
     if not divisor.is_effective():
         raise DegenerateInput("support test needs an effective divisor")
     c = pairing_covector(params, xi)
-    subspace = omega2_subspace(params, divisor, order)
+    subspace = omega2_subspace(params, divisor)
     # The functional sees only the A-coordinates (xi_functional).
     supported = all(not (c[0] * v[0] + c[1] * v[1] + c[2] * v[2]) for v in subspace)
     return supported, len(subspace)

@@ -17,8 +17,6 @@ from .errors import DegenerateInput, StructuralError
 from .polynomials import RationalFunction, UniPoly
 from .scalars import Scalar
 
-DEFAULT_ORDER = 12
-
 
 @dataclass(frozen=True)
 class LocalSeries:

@@ -1,10 +1,13 @@
+import contextlib
 import io
 import json
 import math
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from trigonal4 import cli, deformation, qz24, report
+from trigonal4 import cli, curve, deformation, qz24, report
 from trigonal4.cli import main
 from trigonal4.linalg import Matrix
 from trigonal4.polynomials import UniPoly
@@ -65,22 +68,48 @@ def test_series_order_bounds_accepted(order):
 
 
 @pytest.mark.parametrize(
-    "u, xi",
-    [("0,2,3", "-1,7,26"), ("0,2,3", "0,-14,0")],
-    ids=["infinity", "branch-t2"],
+    "argv",
+    [
+        ["analyze", "--u=0,2,3", "--xi=-1,7,26"],
+        ["analyze", "--u=0,2,3", "--xi=0,-14,0"],
+        ["residue-check", "--u=0,2,3", "--j=2"],
+        ["residue-check", "--u=2,4,8", "--j=3", "--numeric", "--quad-nodes=128"],
+    ],
+    ids=["infinity", "branch-t2", "residue-check", "residue-check-numeric"],
 )
-def test_series_order_changes_only_its_echo(u, xi):
-    # the certificate reads the support off a closed form, so the order
-    # reaches no computed field of analyze
-    documents = []
+def test_series_order_changes_only_its_echo(argv):
+    # every series consumer derives its own truncation, so the order reaches
+    # no computed field: analyze differs only in its echo, residue-check not
+    # in a byte
+    outputs = []
     for order in (1, 64):
-        code, text = run_cli(["analyze", f"--u={u}", f"--xi={xi}", f"--series-order={order}"])
+        code, text = run_cli(argv + [f"--series-order={order}"])
         assert code == 0
-        doc = json.loads(text)
-        assert doc.pop("series_order") == order
-        assert doc["certificate"]["variant"] == "OnConicSupported"
-        documents.append(doc)
-    assert documents[0] == documents[1]
+        if argv[0] == "analyze":
+            doc = json.loads(text)
+            assert doc.pop("series_order") == order
+            assert doc["certificate"]["variant"] == "OnConicSupported"
+            text = json.dumps(doc)
+        outputs.append(text)
+    assert outputs[0] == outputs[1]
+
+
+def test_residue_check_expands_at_one_truncation(monkeypatch):
+    # the oracle's branch charts are built at the library's derived
+    # truncation, whatever --series-order says
+    built = []
+    real_inversion = curve.branch_inversion
+
+    def spy(params, x0, truncation):
+        built.append((order, truncation))
+        return real_inversion(params, x0, truncation)
+
+    monkeypatch.setattr(curve, "branch_inversion", spy)
+    for order in (1, 12, 64):
+        deformation._branch_form_data.cache_clear()
+        code, _ = run_cli(["residue-check", "--u=0,2,3", "--j=1", f"--series-order={order}"])
+        assert code == 0
+    assert built == [(order, deformation._RESIDUE_TRUNCATION) for order in (1, 12, 64)]
 
 
 @pytest.mark.parametrize("xi", ["1,2,3", "1,0,0"], ids=["off-conic", "on-conic"])
@@ -434,3 +463,89 @@ def test_qz24_checks_a_before_any_work(monkeypatch):
     monkeypatch.setattr(qz24, "cube_family_covector", no_work)
     code, text = run_cli(["qz24", "--a=1"])
     assert code == 2 and text == ""
+
+
+# -- argv fuzz -------------------------------------------------------------------
+
+_LITERAL = st.sampled_from(
+    ["0", "1", "-1", "2", "3", "5", "1/2", "-4/3", "2+1*w", "-1*w", "1/3*w", "w", "inf", "",
+     " ", "x", "1/0", "0/0", "nan", "1e3", "0x10", "٣", "--", "9" * 40]
+)
+
+
+def _literals(count, *valid):
+    # a valid value, or one too few, the right number or one too many
+    # comma-separated literals
+    return st.sampled_from(valid) | st.lists(_LITERAL, min_size=count - 1, max_size=count + 1).map(",".join)
+
+
+_U = _literals(3, "0,2,3", "2,4,8", "-1,-1*w,1+1*w", "1/2,-4/3,2+1*w")
+
+
+def _optional(values):
+    return st.none() | values
+
+
+_SERIES_ORDER = _optional(st.sampled_from(["0", "1", "12", "64", "65", "-5", "x"]))
+# required options are always given; counts stay small, so that every case
+# runs in bounded time
+_FUZZ_OPTIONS = {
+    "analyze": {
+        "--u": _U,
+        "--xi": _literals(3, "1,0,0", "1,2,3", "-1,7,26", "0,-14,0"),
+        "--series-order": _SERIES_ORDER,
+    },
+    "residue-check": {
+        "--u": _U,
+        "--j": st.sampled_from(["1", "2", "3", "0", "4", "-1", "x", "inf"]),
+        "--quad-nodes": _optional(st.sampled_from(["-3", "0", "1", "2", "16", "64", "x", "4097"])),
+        "--numeric-tolerance": _optional(st.sampled_from(["1e-8", "1", "0", "-1", "inf", "nan", "x"])),
+        "--series-order": _SERIES_ORDER,
+    },
+    "scan": {
+        "--random": _optional(st.sampled_from(["0", "1", "3", "-1", "x", "inf"])),
+        "--seed": _optional(st.sampled_from(["0", "7", "-1", str(2**64), "x"])),
+        "--grid": _optional(
+            st.sampled_from(["cone:0", "cone:3", "cone:", "cone:x", "cone:-1", "cone:٣", "line:2", "inf"])
+        ),
+        "--u": _optional(_U),
+        "--format": _optional(st.sampled_from(["json", "csv", "xml"])),
+    },
+    "ideal": {"--u": _U},
+    "schiffer": {"--u": _U, "--point": _literals(4, "0,1,0,0", "1,0,0,0", "4,1,0,0")},
+    "d0": {"--u": _U, "--t1": _LITERAL, "--t2": _optional(_LITERAL)},
+    "qz24": {"--a": _optional(_LITERAL)},
+}
+_FUZZ_FLAGS = {"analyze": ("--timing",), "residue-check": ("--numeric", "--timing")}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["qz24", "--a=--"], ["ideal", "--u=--"], ["scan", "--random=--"], ["analyze", "--u=0,2,3", "--xi=--"]],
+    ids=["qz24", "ideal", "scan", "analyze"],
+)
+def test_attached_double_dash_value_exits_2(argv):
+    # argparse stores [] for --opt=--; it is a missing value, not a crash
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", sorted(_FUZZ_OPTIONS))
+@given(data=st.data())
+@settings(max_examples=40)
+def test_argv_fuzz_exits_with_a_documented_code(command, data):
+    argv = [command]
+    for option, values in _FUZZ_OPTIONS[command].items():
+        value = data.draw(values, label=option)
+        if value is not None:
+            argv.append(f"{option}={value}")
+    argv += [flag for flag in _FUZZ_FLAGS.get(command, ()) if data.draw(st.booleans(), label=flag)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(argv, io.StringIO())
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 2, 3, 4, 5), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

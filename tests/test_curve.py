@@ -2,11 +2,10 @@ import dataclasses
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from trigonal4 import report
+from trigonal4 import curve, report
 from trigonal4.curve import (
-    _CHART_PAD,
     OMEGA,
     BranchPoint,
     Differential,
@@ -24,7 +23,7 @@ from trigonal4.curve import (
     trigonal_fiber,
     validate_params,
 )
-from trigonal4.errors import DegenerateInput, InvalidParameters
+from trigonal4.errors import DegenerateInput, InvalidParameters, StructuralError
 from trigonal4.polynomials import RationalFunction, UniPoly
 from trigonal4.prng import SplitMix64, sample_params
 from trigonal4.scalars import INFINITY, Scalar
@@ -100,7 +99,7 @@ def test_params_equality_and_hash_read_u_alone(u023):
 
 def test_branch_inversion_example(u023):
     # x(y) at the branch over 0 starts 0 - y**3/6 (Q'(0) = -6)
-    d = branch_inversion(u023, Scalar.zero(), 12)
+    d = branch_inversion(u023, Scalar.zero(), 22)
     assert d.coefficient(3) == Scalar.of(-1) / 6
     assert all(n % 3 == 0 for n in d.known_exponents())
 
@@ -113,7 +112,7 @@ def test_branch_inversion_inverts_q(shift):
     except InvalidParameters:
         return
     x0 = params.u[0]
-    d = branch_inversion(params, x0, 9)
+    d = branch_inversion(params, x0, 19)
     shifted = params.q_poly.taylor_shift(x0)
     composed = series_of_poly(shifted, d)
     # Q(x0 + D(y)) = y**3 through the truncation
@@ -123,10 +122,9 @@ def test_branch_inversion_inverts_q(shift):
             assert not composed.coefficient(n)
 
 
-def _reference_branch_inversion(params, x0, order):
+def _reference_branch_inversion(params, x0, trunc):
     """D(y) by Newton's iteration on Q(x0 + D) = y**3, started at y**3/Q'(x0);
     each step doubles the number of correct terms."""
-    trunc = order + _CHART_PAD
     shifted = params.q_poly.taylor_shift(x0)
     shifted_prime = shifted.derivative()
     y_cubed = LocalSeries.monomial(3, Scalar.one(), trunc)
@@ -145,19 +143,19 @@ def test_branch_inversion_matches_newton(seed):
     # a seeded Q(w) point, truncation included.
     params = sample_params(SplitMix64(seed))
     for x0 in params.branch_x:
-        for order in (1, 12, 40):
-            assert branch_inversion(params, x0, order) == _reference_branch_inversion(params, x0, order)
+        for trunc in (11, 22, 50):
+            assert branch_inversion(params, x0, trunc) == _reference_branch_inversion(params, x0, trunc)
 
 
 def test_local_series_of_constant(u023):
-    d = branch_inversion(u023, Scalar.zero(), 12)
+    d = branch_inversion(u023, Scalar.zero(), 22)
     # a constant function expands to itself
     assert not d.coefficient(0)
 
 
 def test_branch_inversion_rejects_nonbranch_center(u023):
     with pytest.raises(DegenerateInput):
-        branch_inversion(u023, Scalar.of(5), 12)
+        branch_inversion(u023, Scalar.of(5), 22)
 
 
 # -- divisors -------------------------------------------------------------------
@@ -229,6 +227,23 @@ def test_divisor_of_function_witness(u023):
     assert div_x == trigonal_fiber(u023, Scalar.zero()) - trigonal_fiber(u023, INFINITY)
 
 
+@given(st.lists(scalar_strategy(bound=9, max_denominator=2), min_size=1, max_size=5, unique=True))
+@example([Scalar.of(5), Scalar.of(6), Scalar.of(7)])
+@settings(max_examples=30)
+def test_divisor_of_root_product_is_sum_of_fibers(u023, roots):
+    # from degree 3 on, prod (x - r) stays one locus (Fiber[x^3-18*x^2+107*x-210]
+    # for 5, 6, 7): comparison splits it at the x of the other side's points
+    roots = [r for r in roots if not u023.is_branch_x(r)]
+    if not roots:
+        return
+    div = divisor_of_function(u023, RationalFunction.of(UniPoly.from_roots(roots)))
+    fibers = sum((trigonal_fiber(u023, r) for r in roots), Divisor.zero())
+    expected = fibers - len(roots) * trigonal_fiber(u023, INFINITY)
+    assert div == expected and expected == div
+    assert div >= expected and expected >= div
+    assert divisor_min(div + len(roots) * trigonal_fiber(u023, INFINITY), fibers) == fibers
+
+
 def test_divisor_min_branch_fiber(u023):
     a = divisor_of(u023, OMEGA[2])                     # 3 Branch(0) + infinity fiber
     b = divisor_of(u023, OMEGA[3])                     # 6 Branch(0)
@@ -268,7 +283,36 @@ def test_divisor_with_place_locus(u023, pair, text):
     assert kinds[-1] == "place_locus"
 
 
+def _hyperflex_params():
+    # u = (-1, -w, -w**2) gives y**3 = x**6 - 1, where y = w**s x**2 (1 - x**-6)**(1/3)
+    w = Scalar.zeta()
+    return validate_params(-1, -w, -w * w)
+
+
+@pytest.mark.parametrize("sheet", [0, 1, 2])
+def test_divisor_of_form_with_order_six_at_infinity(sheet):
+    # y - w**s x**2 = -(w**s/3) x**-4 + ... at Inf(s): w0 - w**s w3 vanishes there
+    # to the canonical degree 6, the deepest infinity read of divisor_of
+    params = _hyperflex_params()
+    d = OMEGA[0] - OMEGA[3].scale(Scalar.zeta_power(sheet))
+    assert divisor_of(params, d) == Divisor.of((InfinityPoint(sheet), 6))
+
+
+def test_infinity_order_truncation_is_the_least_that_reads(monkeypatch):
+    params = _hyperflex_params()
+    monkeypatch.setattr(curve, "_INFINITY_ORDER_TRUNCATION", curve._INFINITY_ORDER_TRUNCATION - 1)
+    with pytest.raises(StructuralError):
+        divisor_of(params, OMEGA[0] - OMEGA[3])
+
+
 # -- canonical map -----------------------------------------------------------------
+
+
+def test_canonical_map_truncation_is_the_least_that_reads(monkeypatch, u023):
+    point = BranchPoint(Scalar.of(3))
+    monkeypatch.setattr(curve, "_CANONICAL_MAP_TRUNCATION", curve._CANONICAL_MAP_TRUNCATION - 1)
+    with pytest.raises((StructuralError, ZeroDivisionError)):
+        canonical_map(u023, point)
 
 
 def test_canonical_map_examples(u023, u248):

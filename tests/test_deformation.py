@@ -40,14 +40,14 @@ from trigonal4.deformation import (
     support_test,
     xi_functional,
 )
-from trigonal4.errors import ZeroTangent
+from trigonal4.errors import StructuralError, ZeroTangent
 from trigonal4.linalg import Matrix, same_subspace
 from trigonal4.polynomials import RationalFunction, UniPoly
 from trigonal4.prng import SplitMix64, sample_params, sample_scalar, sample_tangent
 from trigonal4.report import divisor_json
 from trigonal4.rulings import d0_cycle
 from trigonal4.scalars import INFINITY, Scalar
-from trigonal4.series import DEFAULT_ORDER, series_of_rational
+from trigonal4.series import series_of_rational
 
 from conftest import apply, det, inverse, scalar_strategy, transpose
 
@@ -85,6 +85,18 @@ def test_residue_oracle_matches_closed_form_all_entries(u023):
         for l in range(4):
             for k in range(4):
                 assert residue_pairing(u023, j, l, k) == m.entry(l, k), (j, l, k)
+
+
+def test_residue_truncation_is_the_least_that_reads(monkeypatch, u023):
+    # the expansions are cached per branch point, so the shallow ones must
+    # neither be served from nor left in the cache
+    deformation._branch_form_data.cache_clear()
+    monkeypatch.setattr(deformation, "_RESIDUE_TRUNCATION", deformation._RESIDUE_TRUNCATION - 1)
+    try:
+        with pytest.raises(StructuralError):
+            residue_pairing(u023, 1, 0, 1)
+    finally:
+        deformation._branch_form_data.cache_clear()
 
 
 def test_residue_oracle_on_zeta_parameters():
@@ -260,10 +272,11 @@ def test_support_examples(u023):
     assert support_test(u023, xi, Divisor.zero())[0] is False
 
 
-def _reference_conditions(params, divisor, order=DEFAULT_ORDER):
+def _reference_conditions(params, divisor):
     """The support conditions with every basis element realized on its own as
     KDifferential(A/Q, b/Q, C/Q**2) and expanded through its rational
-    functions: a test-only reference for the shared 1/Q expansion."""
+    functions, on charts deeper than any read: a test-only reference for the
+    shared 1/Q expansion and for the truncation the library derives."""
     zero, one = Scalar.zero(), Scalar.one()
     q = RationalFunction.of(params.q_poly)
     basis = []
@@ -277,7 +290,7 @@ def _reference_conditions(params, divisor, order=DEFAULT_ORDER):
     rows = []
     for point, mult in divisor.items_sorted():
         if isinstance(point, FiberPoint):
-            frame = fiber_frame(params, point.x, max(order, mult + 8))
+            frame = fiber_frame(params, point.x, mult + 20)
             w = frame.w_series
             components = [
                 (
@@ -291,9 +304,9 @@ def _reference_conditions(params, divisor, order=DEFAULT_ORDER):
                 for exponent in range(mult):
                     rows.append(tuple(c[comp_index].coefficient(exponent) for c in components))
         else:
-            chart = chart_at(params, point, max(order, mult + 8))
+            chart = chart_at(params, point, mult + 20)
             series_list = [kdiff_series(b, chart) for b in basis]
-            bound = mult - 2 * chart.dx_order
+            bound = mult - 2 * chart.dx_valuation
             floor = min(s.valuation() for s in series_list if s.valuation() is not None)
             for exponent in range(floor, bound):
                 rows.append(tuple(s.coefficient(exponent) for s in series_list))
@@ -324,6 +337,15 @@ def test_support_conditions_match_reference(u, divisor):
     params = validate_params(*u)
     rows = [tuple(row) for row in omega2_vanishing_conditions(params, divisor).rows]
     assert rows == _reference_conditions(params, divisor)
+
+
+@pytest.mark.parametrize("mult", [1, 2, 3])
+def test_support_pad_is_the_least_that_reads(monkeypatch, u023, mult):
+    # the branch chart reads deepest; one less than its derived pad fails loudly
+    divisor = Divisor.of((BranchPoint(Scalar.zero()), mult))
+    monkeypatch.setattr(deformation, "_SUPPORT_PAD", deformation._SUPPORT_PAD - 1)
+    with pytest.raises((StructuralError, ZeroDivisionError)):
+        omega2_vanishing_conditions(u023, divisor)
 
 
 def test_support_monotone_in_divisor(u023):
