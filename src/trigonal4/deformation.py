@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .curve import (
     OMEGA,
@@ -208,10 +207,15 @@ def _pairing_of(c: tuple) -> PairingMatrix:
 _RESIDUE_TRUNCATION = 6
 
 
-@lru_cache(maxsize=256)
-def _branch_form_data(params: CurveParams, x0: Scalar) -> tuple:
-    """Shared expansion data at a branch point: the coefficient series S_l
-    with w_l = S_l(y) dy for l = 0..3, and the inverse of (x - x0)."""
+def residue_matrix(params: CurveParams, j: int) -> list:
+    """Oracle for the pairings of w_l against the u_j-derivatives of w_k, in
+    6*pi*i units, as rows ``[l][k]``: expand the forms once at the branch
+    point over u_j, antidifferentiate the principal part of each derivative
+    form once, and read each entry off the residue of a product; exact and
+    independent of the closed form."""
+    if j not in (1, 2, 3):
+        raise DegenerateInput("j indexes one of the three moving parameters")
+    x0 = params.u[j - 1]
     chart = branch_chart(params, x0, _RESIDUE_TRUNCATION)
     q_inv, x_powers = basis_factors(params, chart.x_series, 2)
     y = chart.y_series
@@ -219,30 +223,20 @@ def _branch_form_data(params: CurveParams, x0: Scalar) -> tuple:
     forms = [base * y * y]  # w0 = y**2 dx / Q
     for l in range(3):  # w_l = x**(l-1) y dx / Q
         forms.append(base * y * x_powers[l])
-    x_minus = chart.x_series - LocalSeries.constant(x0, chart.x_series.truncation)
-    return tuple(forms), x_minus.inverse()
-
-
-def residue_pairing(params: CurveParams, j: int, l: int, k: int) -> Scalar:
-    """Oracle for the pairing of w_l against the u_j-derivative of w_k, in
-    6*pi*i units: expand both at the branch point over u_j, antidifferentiate
-    the principal part of the derivative form, and take the residue of the
-    product; exact and independent of the closed form."""
-    if j not in (1, 2, 3):
-        raise DegenerateInput("j indexes one of the three moving parameters")
-    x0 = params.u[j - 1]
-    forms, x_minus_inv = _branch_form_data(params, x0)
-    s_series = forms[l]
-    # (d/du_j) w_k = m/(3 (x - u_j)) * w_k with m = 1 for k = 0, else 2
-    m = 1 if k == 0 else 2
-    p_series = forms[k] * x_minus_inv.scale(Scalar.of(m) / 3)
-    if p_series.coefficient(-1):
-        raise StructuralError("derivative form has a dy/y term; cannot antidifferentiate")
-    principal = {n: c for n, c in p_series.coefficients.items() if n <= -2}
-    anti = LocalSeries({n + 1: c / (n + 1) for n, c in principal.items()}, p_series.truncation + 1)
-    product = s_series * anti
-    residue = product.coefficient(-1)
-    return Scalar.of(ORACLE_SIGN) * residue / 3
+    x_minus_inv = (chart.x_series - LocalSeries.constant(x0, chart.x_series.truncation)).inverse()
+    antiderivatives = []
+    for k, form in enumerate(forms):
+        # (d/du_j) w_k = m/(3 (x - u_j)) * w_k with m = 1 for k = 0, else 2
+        m = 1 if k == 0 else 2
+        p_series = form * x_minus_inv.scale(Scalar.of(m) / 3)
+        if p_series.coefficient(-1):
+            raise StructuralError("derivative form has a dy/y term; cannot antidifferentiate")
+        principal = {n: c for n, c in p_series.coefficients.items() if n <= -2}
+        antiderivatives.append(
+            LocalSeries({n + 1: c / (n + 1) for n, c in principal.items()}, p_series.truncation + 1)
+        )
+    sign = Scalar.of(ORACLE_SIGN)
+    return [[sign * (s_series * anti).coefficient(-1) / 3 for anti in antiderivatives] for s_series in forms]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,8 @@
 """Dense univariate polynomials and rational functions over an exact field.
 
-``UniPoly`` is generic: it asks its coefficients for ring arithmetic
-(including mixed arithmetic with small ints), and for field division only
-when polynomials are divided, so the same class serves polynomials over
-Q(w) and, in the cube-root probe, over Q(w)[c].  ``RationalFunction``
-holds quotients of polynomials over Q(w).
+``UniPoly`` holds polynomials with Q(w) coefficients: in x, and in the
+cube-root probe in its parameter c.  ``RationalFunction`` holds quotients
+of such polynomials.
 Degrees in this package stay small (about 20 at most), so the dense
 representation and classical algorithms are the right tool.
 """

@@ -19,10 +19,9 @@ from .curve import (
     CurveParams,
     Differential,
     Divisor,
-    divisor_of_function,
     trigonal_fiber,
 )
-from .errors import DegenerateInput, StructuralError
+from .errors import DegenerateInput
 from .polynomials import RationalFunction, UniPoly
 from .scalars import INFINITY, Scalar
 
@@ -118,7 +117,9 @@ def relation_t2(t1):
 
 def principal_witness(params: CurveParams, x1, x2) -> tuple[RationalFunction, str]:
     """A function whose divisor is fiber(x1) - fiber(x2); (x - x1)/(x - x2)
-    with the usual conventions at infinity."""
+    with the usual conventions at infinity.  Its divisor is not computed:
+    div(x - a) = fiber(a) - fiber(inf), and the tests check that
+    curve.divisor_of_function agrees."""
     if (x1 is INFINITY and x2 is INFINITY) or (x1 is not INFINITY and x2 is not INFINITY and Scalar.of(x1) == Scalar.of(x2)):
         raise DegenerateInput("witness needs two distinct fiber parameters")
     one = UniPoly.from_scalars((1,))
@@ -135,10 +136,6 @@ def principal_witness(params: CurveParams, x1, x2) -> tuple[RationalFunction, st
         denom = UniPoly((-Scalar.of(x2), Scalar.one()))
         func = RationalFunction(numer, denom)
         text = f"({_linear_str(x1)})/({_linear_str(x2)})"
-    witness_divisor = divisor_of_function(params, func)
-    expected = trigonal_fiber(params, x1) - trigonal_fiber(params, x2)
-    if witness_divisor != expected:
-        raise StructuralError("witness function fails to realize the fiber difference")
     return func, text
 
 

@@ -145,40 +145,25 @@ class Scalar:
     # -- predicates and roots ----------------------------------------------
 
     def sqrt(self) -> "Scalar | None":
-        """An exact square root in Q(w), or None when no such root exists."""
-        c, d = self.rational_part, self.zeta_part
+        """An exact square root in Q(w), or None when no such root exists.
+
+        A root s of z has norm n = sqrt(N(z)), the norm form being positive
+        definite, and trace t with t**2 = Tr(z) + 2n; since s*t = z + n,
+        s = (z + n)/t.  When t = 0, s is a multiple of 1 + 2w, whose square
+        is -3, and z = c is rational."""
         if not self:
             return _ZERO
-        if not d:
-            r = _sqrt_fraction(c)
-            if r is not None:
-                return Scalar(r)
-            # (x + 2x*w)^2 = -3x^2, so negative rationals of the right shape
-            r = _sqrt_fraction(-c / 3)
-            if r is not None:
-                return Scalar(r, 2 * r)
+        n = _sqrt_fraction(self.norm())
+        if n is None:
             return None
-        # Solve (x + y*w)^2 = c + d*w: x^2 - y^2 = c, 2xy - y^2 = d, y != 0.
-        # Eliminating x: 3B^2 + (4c - 2d)B - d^2 = 0 with B = y^2.
-        disc = (4 * c - 2 * d) ** 2 + 12 * d * d
-        s = _sqrt_fraction(disc)
-        if s is None:
+        c, d = self.rational_part, self.zeta_part
+        t = _sqrt_fraction(2 * c - d + 2 * n)
+        if t is None:
             return None
-        for numerator in ((2 * d - 4 * c) + s, (2 * d - 4 * c) - s):
-            big = numerator / 6
-            if big <= 0:
-                continue
-            y = _sqrt_fraction(big)
-            if y is None:
-                continue
-            x = (d + y * y) / (2 * y)
-            cand = Scalar(x, y)
-            if cand * cand == self:
-                return cand
-            cand = Scalar(-x, -y)
-            if cand * cand == self:
-                return cand
-        return None
+        if t:
+            return Scalar((c + n) / t, d / t)
+        k = _sqrt_fraction(-c / 3)
+        return None if k is None else Scalar(k, 2 * k)
 
     # -- ordering key, formatting, parsing -----------------------------------
 

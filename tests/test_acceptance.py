@@ -43,7 +43,7 @@ from trigonal4.deformation import (
     pairing_covector,
     pairing_matrix,
     product_differential,
-    residue_pairing,
+    residue_matrix,
     support_test,
     xi_functional,
 )
@@ -84,11 +84,11 @@ def test_criterion_1_residue_reproduction():
     for _ in range(20):
         params = sample_params(rng)
         for j in (1, 2, 3):
-            value = residue_pairing(params, j, 0, 1)
-            eps = value * params.qprime_at(params.u[j - 1])
+            table = residue_matrix(params, j)
+            eps = table[0][1] * params.qprime_at(params.u[j - 1])
             signs.add(eps.sort_key())
             for (l, k) in zero_entries:
-                assert residue_pairing(params, j, l, k) == Scalar.zero()
+                assert table[l][k] == Scalar.zero()
     assert signs == {Scalar.one().sort_key()}
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
@@ -260,9 +260,10 @@ def test_criterion_8_numeric_oracle():
     started = time.perf_counter()
     params = validate_params(0, 2, 3)
     cases = [(1, 0, 1), (2, 0, 1), (3, 0, 1), (1, 0, 2), (2, 3, 0)]
+    tables = {j: residue_matrix(params, j) for j in (1, 2, 3)}
     worst = 0.0
     for j, l, k in cases:
-        exact = residue_pairing(params, j, l, k)
+        exact = tables[j][l][k]
         numeric = numeric_residue_pairing(params, j, l, k, nodes=256)
         worst = max(worst, residue_relative_error(exact, numeric))
     assert worst < 1e-8

@@ -95,8 +95,8 @@ def test_series_order_changes_only_its_echo(argv):
 
 
 def test_residue_check_expands_at_one_truncation(monkeypatch):
-    # the oracle's branch charts are built at the library's derived
-    # truncation, whatever --series-order says
+    # one request builds its branch chart once, at the library's derived
+    # truncation, whatever --series-order says; no cache stands in between
     built = []
     real_inversion = curve.branch_inversion
 
@@ -106,7 +106,6 @@ def test_residue_check_expands_at_one_truncation(monkeypatch):
 
     monkeypatch.setattr(curve, "branch_inversion", spy)
     for order in (1, 12, 64):
-        deformation._branch_form_data.cache_clear()
         code, _ = run_cli(["residue-check", "--u=0,2,3", "--j=1", f"--series-order={order}"])
         assert code == 0
     assert built == [(order, deformation._RESIDUE_TRUNCATION) for order in (1, 12, 64)]

@@ -2,7 +2,7 @@ import sys
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from trigonal4 import deformation
 from trigonal4.curve import (
@@ -36,11 +36,11 @@ from trigonal4.deformation import (
     pairing_covector,
     pairing_matrix,
     product_differential,
-    residue_pairing,
+    residue_matrix,
     support_test,
     xi_functional,
 )
-from trigonal4.errors import StructuralError, ZeroTangent
+from trigonal4.errors import DegenerateInput, StructuralError, ZeroTangent
 from trigonal4.linalg import Matrix, same_subspace
 from trigonal4.polynomials import RationalFunction, UniPoly
 from trigonal4.prng import SplitMix64, sample_params, sample_scalar, sample_tangent
@@ -77,40 +77,43 @@ def test_pairing_entries_examples(u023):
         assert m.entry(0, k) == m.entry(k, 0)
 
 
-def test_residue_oracle_matches_closed_form_all_entries(u023):
+@given(seed=st.none() | st.integers(min_value=0, max_value=2**64 - 1))
+@example(seed=None)
+@settings(max_examples=10)
+def test_residue_oracle_matches_closed_form_all_entries(u023, seed):
+    # at u = (0,2,3) (seed None) and at sampled U
+    params = u023 if seed is None else sample_params(SplitMix64(seed))
     for j in (1, 2, 3):
         direction = [0, 0, 0]
         direction[j - 1] = 1
-        m = pairing_matrix(u023, TangentVector(tuple(direction)))
-        for l in range(4):
-            for k in range(4):
-                assert residue_pairing(u023, j, l, k) == m.entry(l, k), (j, l, k)
+        m = pairing_matrix(params, TangentVector(tuple(direction)))
+        assert residue_matrix(params, j) == [list(row) for row in m.entries], j
 
 
 def test_residue_truncation_is_the_least_that_reads(monkeypatch, u023):
-    # the expansions are cached per branch point, so the shallow ones must
-    # neither be served from nor left in the cache
-    deformation._branch_form_data.cache_clear()
     monkeypatch.setattr(deformation, "_RESIDUE_TRUNCATION", deformation._RESIDUE_TRUNCATION - 1)
-    try:
-        with pytest.raises(StructuralError):
-            residue_pairing(u023, 1, 0, 1)
-    finally:
-        deformation._branch_form_data.cache_clear()
+    with pytest.raises(StructuralError):
+        residue_matrix(u023, 1)
 
 
 def test_residue_oracle_on_zeta_parameters():
     params = validate_params(Scalar(1, 1), 2, Scalar(3, 1))
     for j in (1, 2, 3):
-        value = residue_pairing(params, j, 0, 1)
+        value = residue_matrix(params, j)[0][1]
         assert value * params.qprime_at(params.u[j - 1]) == Scalar.one()
 
 
 def test_oracle_first_entry_normalization(u023):
     # the (0,1) entry times Q'(u_j) is exactly +1 for every j
     for j in (1, 2, 3):
-        v = residue_pairing(u023, j, 0, 1)
+        v = residue_matrix(u023, j)[0][1]
         assert v * u023.qprime_at(u023.u[j - 1]) == Scalar.one()
+
+
+def test_residue_oracle_rejects_a_fourth_parameter(u023):
+    for j in (0, 4):
+        with pytest.raises(DegenerateInput):
+            residue_matrix(u023, j)
 
 
 # -- rank and kernel -----------------------------------------------------------

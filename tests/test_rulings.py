@@ -123,6 +123,30 @@ def test_principal_witness_examples(u023):
         principal_witness(u023, Scalar.of(5), Scalar.of(5))
 
 
+@given(
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.sampled_from(["scalar", "branch", "infinity"]),
+    st.sampled_from(["scalar", "branch", "infinity"]),
+)
+@settings(max_examples=40)
+def test_principal_witness_realizes_the_fiber_difference(seed, kind1, kind2):
+    # div(x - a) = fiber(a) - fiber(inf), so the witness is never checked on
+    # the d0 path; the divisor computation must agree at every fiber kind
+    rng = SplitMix64(seed)
+    params = sample_params(rng)
+
+    def draw(kind):
+        if kind == "branch":
+            return params.branch_x[rng.below(6)]
+        return INFINITY if kind == "infinity" else sample_scalar(rng)
+
+    x1, x2 = draw(kind1), draw(kind2)
+    if x1 is x2 or (x1 is not INFINITY and x2 is not INFINITY and x1 == x2):
+        return
+    func, _ = principal_witness(params, x1, x2)
+    assert divisor_of_function(params, func) == trigonal_fiber(params, x1) - trigonal_fiber(params, x2)
+
+
 @given(t_values())
 @settings(max_examples=20)
 def test_relation_round_trip(u023, t1):

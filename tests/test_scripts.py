@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -24,6 +26,17 @@ def test_residue_table():
     assert result.returncode == 0, result.stderr
     assert "pairing table at u = (0,2,3)" in result.stdout
     assert "MISMATCH" not in result.stdout
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("--j", "0"), ("--j", "4"), ("--u", "0,2"), ("--nodes", "0"), ("--u", "0,0,3")],
+    ids=["j-0", "j-4", "two-u", "zero-nodes", "invalid-u"],
+)
+def test_residue_table_rejects_bad_input(args):
+    result = run_script("residue_table.py", *args)
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_family_scan_cone_sweep():

@@ -95,6 +95,7 @@ TEST_ONLY = {
     "canonical_ideal.veronese": "public API",
     "curve.canonical_map": "public API",
     "curve.common_zeros_by_divisors": "oracle",
+    "curve.divisor_of_function": "oracle",
     "curve.kdiff_series": "oracle",
     "deformation.as_matrix": "oracle",
     "deformation.kernel_W": "public API",
