@@ -10,12 +10,8 @@ it pulls back to Y**3 - Q(x) = 0.  No m_k is divisible by z1*z3, and the
 z0**3 term keeps the cubic off the multiples of the quadric, so this is the
 unique normal form with leading coefficient 1.
 
-Evaluation at sampled trigonal fibers (``_evaluation_kernel``) is the
-independent oracle the tests check both forms against; nothing in the
-production path uses it.  A fiber over x0 evaluates all three conjugate
-points at once inside Q(w)[Y]/(Y**3 - Q(x0)), and 12 fibers (36 points) or
-25 fibers (75 points) suffice for quadrics and cubics, since a hypersurface
-of degree d not containing the degree-6 curve meets it in at most 6d points.
+Evaluation at sampled trigonal fibers (tests/oracles/canonical_ideal.py)
+is the independent oracle the tests check both forms against.
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .curve import CurveParams
-from .errors import DegenerateInput, StructuralError
+from .errors import DegenerateInput
 from .linalg import Matrix
 from .scalars import Scalar
 
@@ -50,10 +46,6 @@ _CUBIC_X_POWERS = (
     (0, 3, 0, 0), (0, 2, 1, 0), (0, 1, 2, 0), (0, 0, 3, 0),
     (0, 0, 2, 1), (0, 0, 1, 2), (0, 0, 0, 3),
 )
-
-SYM2_FIBERS = 12
-SYM3_FIBERS = 25
-
 
 def monomial_label(exponents: tuple) -> str:
     parts = []
@@ -113,20 +105,6 @@ class QuadricForm(MonomialForm):
 
     monomials = QUADRIC_MONOMIALS
 
-    def matrix(self) -> Matrix:
-        """The symmetric 4x4 Gram matrix (off-diagonal entries halved)."""
-        rows = [[Scalar.zero()] * 4 for _ in range(4)]
-        for m, c in zip(QUADRIC_MONOMIALS, self.coefficients):
-            support = [i for i, e in enumerate(m) for _ in range(e)]
-            i, j = support
-            if i == j:
-                rows[i][i] = rows[i][i] + c
-            else:
-                half = c / 2
-                rows[i][j] = rows[i][j] + half
-                rows[j][i] = rows[j][i] + half
-        return Matrix.from_rows(rows)
-
 
 class CubicForm(MonomialForm):
     """A cubic form over CUBIC_MONOMIALS, reduced so no monomial is divisible
@@ -162,53 +140,6 @@ def _monomial_value(v: tuple, exponents: tuple) -> Scalar:
         for _ in range(e):
             acc = acc * coord
     return acc
-
-
-# ---------------------------------------------------------------------------
-# Fiber evaluation (the sampled cross-check)
-# ---------------------------------------------------------------------------
-
-
-def sample_fiber_xs(params: CurveParams, count: int, skip: int = 0) -> list[Scalar]:
-    """Deterministic non-branch sample values 2, -2, 3, -3, ... ; ``skip``
-    many valid values are discarded first, giving disjoint second samples."""
-    xs: list[Scalar] = []
-    seen = 0
-    for n in itertools.count(2):
-        for sign in (1, -1):
-            x0 = Scalar.of(sign * n)
-            if params.is_branch_x(x0):
-                continue
-            seen += 1
-            if seen <= skip:
-                continue
-            xs.append(x0)
-            if len(xs) == count:
-                return xs
-    raise StructuralError("unreachable")
-
-
-def _monomial_fiber_rows(params: CurveParams, monomials, x0: Scalar) -> list[list[Scalar]]:
-    """Three exact condition rows (the Y-components) for vanishing of a form
-    at all three fiber points over x0, where z = (Y, 1, x0, x0**2) and
-    Y**3 = Q(x0)."""
-    q0 = params.q_at(x0)
-    if not q0:
-        raise DegenerateInput("fiber evaluation needs a non-branch x")
-    rows = [[Scalar.zero()] * len(monomials) for _ in range(3)]
-    for col, m in enumerate(monomials):
-        e0 = m[0]
-        base = _monomial_value((Scalar.one(), x0, x0 * x0), (m[1], m[2], m[3]))
-        value = base * q0 ** (e0 // 3)
-        rows[e0 % 3][col] = value
-    return rows
-
-
-def _evaluation_kernel(params: CurveParams, monomials, fibers: int, skip: int) -> list[tuple]:
-    rows: list[list[Scalar]] = []
-    for x0 in sample_fiber_xs(params, fibers, skip):
-        rows.extend(_monomial_fiber_rows(params, monomials, x0))
-    return Matrix.from_rows(rows).kernel_basis()
 
 
 # ---------------------------------------------------------------------------

@@ -124,15 +124,13 @@ def cmd_analyze(args, out) -> int:
     xi = _parse_xi(args.xi)
     cert = delta_nu_c_test(params, xi)
     pairing = cert.pairing
+    encoded = report.certificate_json(cert)
     document = {
         "input": {"u": report.params_json(params)["u"], "xi": report.tangent_json(xi)},
         "ks_rank": pairing.rank(),
         "pairing_matrix": report.pairing_matrix_json(pairing),
-        "kernel_basis": [report.differential_json(d) for d in cert.kernel_basis],
-        "conic": report.conic_json(cert.conic),
-        "base_locus": report.divisor_json(cert.base_locus),
-        "supported": cert.supported,
-        "certificate": report.certificate_json(cert),
+        **{key: encoded[key] for key in ("kernel_basis", "conic", "base_locus", "supported")},
+        "certificate": encoded,
         "series_order": order,
         "tags": {
             "input": "base-membership",

@@ -1,9 +1,14 @@
 """The trigonal genus-4 family y**3 = (x**3 - 1)(x - u1)(x - u2)(x - u3).
 
 This module owns the geometry of a single member curve: parameter
-validation, curve points (finite, branch, infinite), holomorphic
-k-differentials in the function-field model ``(f + g*y + h*y**2) (dx)**k``,
-local charts, and divisors.
+validation, curve points (finite, branch, infinite), the graded 1-forms,
+the branch and infinity charts, and divisors.  The commands read fibers
+in closed form (trigonal_fiber) and expand only the branch chart (the
+residue oracle, deformation.residue_matrix).  No command reaches
+divisor_of or the gcd refinement behind Divisor comparisons: they stay
+because perfbench/layertrace.py counts divisor_of calls, and the oracles
+in tests/oracles/curve.py (charts at any point, divisors of functions,
+divisor minima, the canonical map) build on them.
 
 Divisors are fiber-aware.  Points whose coordinates live in Q(w) are stored
 individually; a full degree-3 fiber of the x-projection is stored as one
@@ -20,18 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Union
 
 from .errors import DegenerateInput, InvalidParameters, StructuralError
-from .polynomials import (
-    RationalFunction,
-    UniPoly,
-    poly_gcd,
-    root_multiplicity,
-    scalar_roots,
-)
+from .polynomials import UniPoly, poly_gcd, root_multiplicity, scalar_roots
 from .scalars import INFINITY, Scalar
-from .series import LocalSeries, series_of_poly, series_of_rational
+from .series import LocalSeries, series_of_poly
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +205,6 @@ class InfinityPoint:
         return (5, self.sheet)
 
 
-CurvePoint = Union[BranchPoint, FinitePoint, InfinityPoint]
-DivisorEntry = Union[BranchPoint, FinitePoint, FiberPoint, FiberLocus, PlaceLocus, InfinityPoint]
-
-
 def _locus_entry(poly: UniPoly):
     poly = poly.monic()
     if poly.degree == 1:
@@ -319,15 +313,6 @@ def _entry_str(p) -> str:
     if isinstance(p, PlaceLocus):
         return f"Place[{p.as_poly()}; y={p.y_poly()}]"
     return f"Inf({p.sheet})"
-
-
-def divisor_min(a: Divisor, b: Divisor) -> Divisor:
-    """Pointwise minimum of two effective divisors (gcd of ideals)."""
-    a, b = refine_pair(a, b)
-    out: dict = {}
-    for key in set(a.entries) & set(b.entries):
-        out[key] = min(a.entries[key], b.entries[key])
-    return Divisor(out)
 
 
 def refine_pair(a: Divisor, b: Divisor) -> tuple[Divisor, Divisor]:
@@ -445,64 +430,6 @@ class Differential:
         return " + ".join(parts) if parts else "0"
 
 
-OMEGA = tuple(
-    Differential.from_coefficients(tuple(Scalar.one() if i == j else Scalar.zero() for j in range(4)))
-    for i in range(4)
-)
-
-
-@dataclass(frozen=True)
-class KDifferential:
-    """A k-differential (f + g*y + h*y**2) * (dx)**k with f, g, h rational in
-    x, reduced modulo y**3 = Q(x); the reduction keeps denominators as powers
-    of Q."""
-
-    params: CurveParams
-    k: int
-    f: RationalFunction
-    g: RationalFunction
-    h: RationalFunction
-
-    def is_zero(self) -> bool:
-        return not (self.f or self.g or self.h)
-
-    @staticmethod
-    def of_differential(params: CurveParams, d: Differential) -> "KDifferential":
-        # dx/y = y**2 dx / Q and dx/y**2 = y dx / Q.
-        q = RationalFunction.of(params.q_poly)
-        zero = RationalFunction.zero()
-        return KDifferential(
-            params,
-            1,
-            zero,
-            RationalFunction.of(d.poly()) / q,
-            RationalFunction.of(d.b0) / q,
-        )
-
-    def __add__(self, other: "KDifferential") -> "KDifferential":
-        if self.params != other.params or self.k != other.k:
-            raise DegenerateInput("can only add k-differentials of equal weight on one curve")
-        return KDifferential(self.params, self.k, self.f + other.f, self.g + other.g, self.h + other.h)
-
-    def scale(self, factor) -> "KDifferential":
-        factor = RationalFunction.of(Scalar.of(factor))
-        return KDifferential(self.params, self.k, self.f * factor, self.g * factor, self.h * factor)
-
-    def __mul__(self, other: "KDifferential") -> "KDifferential":
-        if self.params != other.params:
-            raise DegenerateInput("k-differentials live on different curves")
-        q = RationalFunction.of(self.params.q_poly)
-        f1, g1, h1 = self.f, self.g, self.h
-        f2, g2, h2 = other.f, other.g, other.h
-        return KDifferential(
-            self.params,
-            self.k + other.k,
-            f1 * f2 + q * (g1 * h2 + g2 * h1),
-            f1 * g2 + f2 * g1 + q * (h1 * h2),
-            f1 * h2 + f2 * h1 + g1 * g2,
-        )
-
-
 # ---------------------------------------------------------------------------
 # Local charts
 # ---------------------------------------------------------------------------
@@ -511,8 +438,8 @@ class KDifferential:
 @dataclass(frozen=True)
 class Chart:
     """Local data at a point: the series of x and y in the local parameter,
-    the series of dx/ds, and the valuation of dx.  Charts and fiber frames
-    know x and the local parameter s below s**truncation, which the caller
+    the series of dx/ds, and the valuation of dx.  Charts know x and the
+    local parameter s below s**truncation, which the caller
     derives from the highest coefficient it reads; a read past a
     truncation raises StructuralError (LocalSeries.coefficient)."""
 
@@ -570,61 +497,8 @@ def infinity_chart(params: CurveParams, sheet: int, truncation: int) -> Chart:
     return Chart(x_series=t_inv, y_series=y_series, dx_series=dx_series, dx_valuation=-2)
 
 
-def finite_chart(params: CurveParams, point: FinitePoint, truncation: int) -> Chart:
-    """Chart at an unramified point: the fiber frame over its x with the
-    abstract cube root specialized to the point's y."""
-    frame = fiber_frame(params, point.x, truncation)
-    return Chart(
-        x_series=frame.x_series,
-        y_series=frame.w_series.scale(point.y),
-        dx_series=LocalSeries.constant(Scalar.one(), truncation),
-        dx_valuation=0,
-    )
-
-
-def chart_at(params: CurveParams, point: CurvePoint, truncation: int) -> Chart:
-    if isinstance(point, BranchPoint):
-        return branch_chart(params, point.x, truncation)
-    if isinstance(point, InfinityPoint):
-        return infinity_chart(params, point.sheet, truncation)
-    if isinstance(point, FinitePoint):
-        return finite_chart(params, point, truncation)
-    raise DegenerateInput(f"no local chart at a collective divisor entry ({point.kind})")
-
-
-@dataclass(frozen=True)
-class FiberFrame:
-    """Exact expansion data over a non-branch x0 for all three fiber points
-    at once: y = Y * w_series with Y an abstract cube root of Q(x0), so a
-    k-differential expands as F0 + F1*Y + F2*Y**2 with scalar series F_i."""
-
-    x_series: LocalSeries
-    w_series: LocalSeries
-
-
-def fiber_frame(params: CurveParams, x0: Scalar, truncation: int) -> FiberFrame:
-    x0 = Scalar.of(x0)
-    q0 = params.q_at(x0)
-    if not q0:
-        raise DegenerateInput("fiber frame needs a non-branch x")
-    shifted = params.q_poly.taylor_shift(x0)
-    s = LocalSeries.monomial(1, Scalar.one(), truncation)
-    unit = series_of_poly(shifted, s).scale(q0.inverse())
-    x_series = LocalSeries.constant(x0, truncation) + s
-    return FiberFrame(x_series=x_series, w_series=unit.cube_root_unit())
-
-
-def kdiff_series(q: KDifferential, chart: Chart) -> LocalSeries:
-    """The function-part series f(x) + g(x)*y + h(x)*y**2 on the chart; the
-    oracle the tests check the fixed-basis expansions (basis_factors) against."""
-    fx = series_of_rational(q.f, chart.x_series)
-    gx = series_of_rational(q.g, chart.x_series)
-    hx = series_of_rational(q.h, chart.x_series)
-    return fx + gx * chart.y_series + hx * chart.y_series * chart.y_series
-
-
 def basis_factors(params: CurveParams, x_series: LocalSeries, top: int) -> tuple[LocalSeries, tuple]:
-    """(1/Q(x(s)), (x(s)**0, ..., x(s)**top)) on a chart or fiber frame.  The
+    """(1/Q(x(s)), (x(s)**0, ..., x(s)**top)) on a chart.  The
     fixed basis forms are these times powers of y: w0 = y**2 dx/Q and
     w_l = x**(l-1) y dx/Q (top = 2), and the quadratic differentials x**k/Q,
     y/Q, x**k y**2/Q**2 times (dx)**2 (top = 4).  The high powers carry the
@@ -637,7 +511,7 @@ def basis_factors(params: CurveParams, x_series: LocalSeries, top: int) -> tuple
 
 
 # ---------------------------------------------------------------------------
-# Divisors of differentials and functions
+# Divisors of differentials
 # ---------------------------------------------------------------------------
 
 
@@ -672,21 +546,6 @@ def _poly_zero_divisor(params: CurveParams, poly: UniPoly) -> Divisor:
         out += Divisor.of((FiberPoint(r), m))
     for locus, m in loci:
         out += Divisor.of((_locus_entry(locus), m))
-    return out
-
-
-def divisor_of_function(params: CurveParams, func) -> Divisor:
-    """Exact divisor (zeros minus poles) of a rational function of x."""
-    func = RationalFunction.of(func) if not isinstance(func, RationalFunction) else func
-    if not func:
-        raise DegenerateInput("the zero function has no divisor")
-    infinity_fiber = Divisor.of(*((InfinityPoint(s), 1) for s in range(3)))
-    out = Divisor.zero()
-    if func.numerator.degree > 0:
-        out += _poly_zero_divisor(params, func.numerator)
-    if func.denominator.degree > 0:
-        out -= _poly_zero_divisor(params, func.denominator)
-    out -= (func.numerator.degree - func.denominator.degree) * infinity_fiber
     return out
 
 
@@ -730,51 +589,3 @@ def divisor_of(params: CurveParams, d: Differential) -> Divisor:
     if out.degree != 6 or not out.is_effective():
         raise StructuralError(f"divisor of a 1-form must be effective of degree 6, got {out}")
     return out
-
-
-def common_zeros_by_divisors(params: CurveParams, d1: Differential, d2: Differential) -> Divisor:
-    """Test oracle for the common zeros of the pencil of two independent
-    1-forms: the minimum of their divisors, verified basis-independent by
-    recomputation from d1 + d2 and d1 - d2."""
-    locus = divisor_min(divisor_of(params, d1), divisor_of(params, d2))
-    alt = divisor_min(divisor_of(params, d1 + d2), divisor_of(params, d1 - d2))
-    if locus != alt:
-        raise StructuralError("common zeros depend on the basis of the pencil; bug")
-    return locus
-
-
-# ---------------------------------------------------------------------------
-# Canonical map
-# ---------------------------------------------------------------------------
-
-
-# canonical_map reads the forms over dx at their least valuation: y**-2 at a
-# branch point (w1/dx = y/Q), where 1/Q starts at y**-3 and is known below
-# y**(truncation - 6), so y/Q below y**(truncation - 5): truncation 4.  At
-# infinity (valuation 2) and at finite points (0) truncation 1 would do.
-_CANONICAL_MAP_TRUNCATION = 4
-
-
-def canonical_map(params: CurveParams, point: CurvePoint) -> tuple:
-    """Homogeneous coordinates [z0:z1:z2:z3] of a point under the canonical
-    embedding by (w0, w1, w2, w3), normalized so the first nonzero coordinate
-    is 1; computed by trivializing all four forms against the chart's dx,
-    from one 1/Q expansion: w0 = y**2/Q and w_l = x**(l-1) y/Q."""
-    chart = chart_at(params, point, _CANONICAL_MAP_TRUNCATION)
-    q_inv, x_powers = basis_factors(params, chart.x_series, 2)
-    y_q_inv = chart.y_series * q_inv
-    basis_series = [y_q_inv * chart.y_series] + [x_powers[l] * y_q_inv for l in range(3)]
-    valuations = [s.valuation() for s in basis_series]
-    if all(v is None for v in valuations):
-        raise StructuralError("all canonical coordinates vanished; impossible for a base-point-free system")
-    vmin = min(v for v in valuations if v is not None)
-    return normalize_projective(s.coefficient(vmin) for s in basis_series)
-
-
-def normalize_projective(coords: Iterable[Scalar]) -> tuple:
-    coords = tuple(Scalar.of(c) for c in coords)
-    for c in coords:
-        if c:
-            inv = c.inverse()
-            return tuple(x * inv for x in coords)
-    raise DegenerateInput("zero vector is not a projective point")

@@ -11,11 +11,11 @@ units of the fixed transcendental 6*pi*i, computed two independent ways:
   branch point, antidifferentiates the principal part, and reads off the
   residue of the product.
 
-Everything downstream (the pairing matrix and its rank, kernels, the conic
-criterion, base loci, the certificate classifier) consumes the covector
-c = a A of the matrix, A having rows (1, u_j, u_j**2)/Q'(u_j), computed
-once per request: a certificate carries c, and the `analyze` report reads
-the pairing matrix and its rank off it (CeresaCertificate.pairing).  Every
+Everything downstream consumes the covector c = a A of the matrix, A
+having rows (1, u_j, u_j**2)/Q'(u_j), computed once per request by the
+classifier delta_nu_c_test.  Its certificate carries c and every fact read
+off it: the pairing matrix and its rank (CeresaCertificate.pairing), the
+kernel, the conic criterion and the base locus.  Every
 fact of the base is read off a closed form, with no matrix built:
 c_k = sum_j a_j u_j**k / Q'(u_j) from the Q'(u_j) that curve.validate_params
 stores; the kernel of c from its first nonzero entry; and the direction
@@ -23,10 +23,9 @@ whose covector is the conic point (1 : t : t**2) by Lagrange interpolation
 at the nodes u, a_j = (u_j**3 - 1) prod_{k != j} (t - u_k), or
 a_j = u_j**3 - 1 at t = infinity.  A is invertible on the base
 (det A = V(u) / prod Q'(u_j), V the Vandermonde), so c != 0 for every
-nonzero direction; the tests check the closed forms against moment_matrix.
-The base locus is read off c in closed form; the divisor minimum over the
-annihilated pencil (curve.common_zeros_by_divisors) is the cross-check the
-tests run.
+nonzero direction.  The tests check these closed forms against the moment
+matrix, and the base locus against the divisor minimum over the annihilated
+pencil (tests/oracles/).
 
 The support of an on-conic direction is a lemma, not a computation.  Write
 q = (A Q + b Q y + C y**2) (dx)**2 / Q**2.  The quadratic differentials
@@ -37,9 +36,9 @@ invertible, and at a triple branch point C y**2, A Q and b Q y start at
 orders 0, 1 and 2.  The direction's functional c . (A0, A1, A2) is c0 A(t)
 (resp. c2 A2), so it vanishes on that 6-dimensional subspace: every
 on-conic certificate is OnConicSupported, and the classifier cannot reach
-OnConicNotSupported on this family.  The series support test (support_test)
-handles arbitrary effective divisors and is the oracle the tests check the
-lemma against.
+OnConicNotSupported on this family.  The series support test of
+tests/oracles/deformation.py handles arbitrary effective divisors, and the
+tests check the lemma against it.
 """
 
 from __future__ import annotations
@@ -47,25 +46,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .curve import (
-    OMEGA,
-    BranchPoint,
-    CurveParams,
-    Differential,
-    Divisor,
-    FiberPoint,
-    FinitePoint,
-    InfinityPoint,
-    KDifferential,
-    basis_factors,
-    branch_chart,
-    chart_at,
-    fiber_frame,
-    trigonal_fiber,
-)
+from .curve import CurveParams, Differential, Divisor, basis_factors, branch_chart, trigonal_fiber
 from .errors import DegenerateInput, StructuralError, ZeroTangent
-from .linalg import Matrix
-from .polynomials import RationalFunction
 from .scalars import INFINITY, Scalar
 from .series import LocalSeries
 
@@ -103,9 +85,6 @@ class PairingMatrix:
 
     def entry(self, l: int, k: int) -> Scalar:
         return self.entries[l][k]
-
-    def as_matrix(self) -> Matrix:
-        return Matrix(self.entries)
 
     def rank(self) -> int:
         """2 when the covector, the first row and column, is nonzero, else 0:
@@ -157,18 +136,6 @@ class CeresaCertificate:
 # ---------------------------------------------------------------------------
 # The moment matrix and covectors
 # ---------------------------------------------------------------------------
-
-
-def moment_matrix(params: CurveParams) -> Matrix:
-    """Rows (1, u_j, u_j**2) / Q'(u_j), with Q' evaluated from its
-    coefficients: the matrix that pairing_covector and cone_directions read
-    in closed form, kept as their test oracle.  Its determinant is
-    V(u) / prod Q'(u_j) with V the Vandermonde of u, nonzero on the base."""
-    rows = []
-    for uj in params.u:
-        inv = params.qprime_at(uj).inverse()
-        rows.append((inv, uj * inv, uj * uj * inv))
-    return Matrix.from_rows(rows)
 
 
 def pairing_covector(params: CurveParams, xi: TangentVector) -> tuple:
@@ -240,24 +207,8 @@ def residue_matrix(params: CurveParams, j: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Rank, kernel, conic
+# Kernel, conic and base locus
 # ---------------------------------------------------------------------------
-
-
-def ks_rank(params: CurveParams, xi: TangentVector) -> int:
-    """Rank of the first-order deformation as a map from holomorphic forms
-    to antiholomorphic classes: 0 only for the zero direction, else 2."""
-    if xi.is_zero():
-        return 0
-    return pairing_matrix(params, xi).rank()
-
-
-def kernel_W(params: CurveParams, xi: TangentVector) -> tuple:
-    """Canonical basis of the annihilated 2-dimensional space of 1-forms
-    inside the span of (w1, w2, w3)."""
-    if xi.is_zero():
-        raise ZeroTangent("kernel of the zero direction is everything")
-    return _kernel_of(pairing_covector(params, xi))
 
 
 def _kernel_of(c: tuple) -> tuple:
@@ -275,14 +226,6 @@ def _kernel_of(c: tuple) -> tuple:
             b[p] = -(c[j] * inv)
             basis.append(Differential(zero, tuple(b)))
     return tuple(basis)
-
-
-def conic_condition(params: CurveParams, xi: TangentVector) -> ConicReport:
-    """Whether the covector of the direction lies on the quadric
-    X*Z - Y**2 = 0, the exact condition for a nonempty base locus."""
-    if xi.is_zero():
-        raise ZeroTangent("conic condition needs a nonzero direction")
-    return _conic_of(pairing_covector(params, xi))
 
 
 def _conic_of(c: tuple) -> ConicReport:
@@ -307,13 +250,6 @@ def cone_directions(params: CurveParams, t) -> TangentVector:
     return TangentVector(tuple(a))
 
 
-def base_locus(params: CurveParams, xi: TangentVector) -> Divisor:
-    """Common zero divisor of the annihilated space, read off the covector."""
-    if xi.is_zero():
-        raise ZeroTangent("base locus needs a nonzero direction")
-    return _locus_of(params, conic_condition(params, xi))
-
-
 def _locus_of(params: CurveParams, conic: ConicReport) -> Divisor:
     """Every annihilated form is P(x) dx/y**2 with deg P <= 2 and
     P0*c0 + P1*c1 + P2*c2 = 0.  On the conic c is (1 : t : t**2), or
@@ -327,139 +263,12 @@ def _locus_of(params: CurveParams, conic: ConicReport) -> Divisor:
 
 
 # ---------------------------------------------------------------------------
-# The 9-dimensional space of quadratic differentials
-# ---------------------------------------------------------------------------
-
-# Coordinates on holomorphic quadratic differentials: (A(x), b, C(x)) with
-#   q = (A(x)*Q + b*Q*y + C(x)*y**2) (dx)**2 / Q**2,
-# deg A <= 2, deg C <= 4: 3 + 1 + 5 = 9 coordinates, ordered
-# (A0, A1, A2, b, C0, C1, C2, C3, C4).  The basis x**k/Q, y/Q, x**k y**2/Q**2
-# is fixed, so on any chart it is expanded from one 1/Q(x(s)) series and the
-# powers of x(s) (curve.basis_factors).
-OMEGA2_DIM = 9
-
-# The support conditions at a point of multiplicity m read each basis
-# element below s**(m - 2*dx_valuation).  A branch chart of truncation T
-# asks the most: 1/Q**2 starts at y**-6 and is known below y**(T - 9), so
-# x**k y**2/Q**2 below y**(T - 7), and the reads stop below y**(m - 4):
-# T = m + 3.  Infinity needs T = m + 1, a fiber frame or finite chart T = m.
-_SUPPORT_PAD = 3
-
-
-def kdifferential_coordinates(params: CurveParams, q: KDifferential) -> tuple:
-    """Coordinates of a holomorphic quadratic differential; raises when the
-    section is not holomorphic (not representable in the 9-dim model)."""
-    if q.k != 2:
-        raise DegenerateInput("expected a quadratic differential")
-    qq = RationalFunction.of(params.q_poly)
-    a_part = q.f * qq
-    b_part = q.g * qq
-    c_part = q.h * qq * qq
-    for part, max_deg, label in ((a_part, 2, "A"), (b_part, 0, "b"), (c_part, 4, "C")):
-        if part.denominator.degree != 0 or part.numerator.degree > max_deg:
-            raise DegenerateInput(f"section is not holomorphic ({label}-component leaves the model)")
-    coords = [Scalar.zero()] * OMEGA2_DIM
-    for k in range(3):
-        coords[k] = a_part.numerator.coefficient(k) if a_part else Scalar.zero()
-    coords[3] = b_part.numerator.coefficient(0) if b_part else Scalar.zero()
-    for k in range(5):
-        coords[4 + k] = c_part.numerator.coefficient(k) if c_part else Scalar.zero()
-    return tuple(coords)
-
-
-def product_differential(params: CurveParams, i: int, j: int) -> KDifferential:
-    """The quadratic differential w_i * w_j."""
-    return KDifferential.of_differential(params, OMEGA[i]) * KDifferential.of_differential(params, OMEGA[j])
-
-
-def _omega2_parts(params: CurveParams, x_series: LocalSeries) -> list[tuple]:
-    """The 9 basis elements as (f, g, h) series, q = (f + g*y + h*y**2) (dx)**2,
-    in coordinate order: (x**k/Q, 0, 0), (0, 1/Q, 0), (0, 0, x**k/Q**2)."""
-    q_inv, x_powers = basis_factors(params, x_series, 4)
-    q_inv2 = q_inv * q_inv
-    zero = LocalSeries({}, q_inv.truncation)
-    return (
-        [(x_powers[k] * q_inv, zero, zero) for k in range(3)]
-        + [(zero, q_inv, zero)]
-        + [(zero, zero, x_powers[k] * q_inv2) for k in range(5)]
-    )
-
-
-def omega2_vanishing_conditions(params: CurveParams, divisor: Divisor) -> Matrix:
-    """Linear conditions on the 9 coordinates cutting out the quadratic
-    differentials vanishing to the divisor's multiplicities."""
-    if not divisor.is_effective():
-        raise DegenerateInput("support conditions need an effective divisor")
-    rows: list[tuple] = []
-    for point, mult in divisor.items_sorted():
-        if isinstance(point, (BranchPoint, InfinityPoint, FinitePoint)):
-            chart = chart_at(params, point, mult + _SUPPORT_PAD)
-            y = chart.y_series
-            y2 = y * y
-            series_list = [f + g * y + h * y2 for f, g, h in _omega2_parts(params, chart.x_series)]
-            bound = mult - 2 * chart.dx_valuation
-            floor = min(
-                (s.valuation() for s in series_list if s.valuation() is not None),
-                default=bound,
-            )
-            for exponent in range(floor, bound):
-                row = tuple(s.coefficient(exponent) for s in series_list)
-                if any(row):
-                    rows.append(row)
-        elif isinstance(point, FiberPoint):
-            frame = fiber_frame(params, point.x, mult + _SUPPORT_PAD)
-            w = frame.w_series
-            w2 = w * w
-            components = [(f, g * w, h * w2) for f, g, h in _omega2_parts(params, frame.x_series)]
-            for comp_index in range(3):
-                for exponent in range(mult):
-                    row = tuple(c[comp_index].coefficient(exponent) for c in components)
-                    if any(row):
-                        rows.append(row)
-        else:
-            raise DegenerateInput(
-                f"support conditions over a collective locus entry ({point.kind}) are not supported"
-            )
-    return Matrix.from_rows(rows) if rows else Matrix(())
-
-
-def omega2_subspace(params: CurveParams, divisor: Divisor) -> list[tuple]:
-    """Basis of the subspace of quadratic differentials vanishing on the
-    divisor, in 9-dim coordinates."""
-    conditions = omega2_vanishing_conditions(params, divisor)
-    if conditions.nrows == 0:
-        return [tuple(row) for row in Matrix.identity(OMEGA2_DIM).rows]
-    return conditions.kernel_basis()
-
-
-def xi_functional(params: CurveParams, xi: TangentVector, q: KDifferential) -> Scalar:
-    """Evaluate the direction against a holomorphic quadratic differential,
-    in 6*pi*i units: it sees only the A-coordinates, through the pairing
-    covector.  By construction the symmetric-product relation
-    w2**2 - w1*w3 is annihilated, so the value is representation-free."""
-    coords = kdifferential_coordinates(params, q)
-    c = pairing_covector(params, xi)
-    return c[0] * coords[0] + c[1] * coords[1] + c[2] * coords[2]
-
-
-def support_test(params: CurveParams, xi: TangentVector, divisor: Divisor) -> tuple[bool, int]:
-    """(supported, dim of the vanishing subspace): supported means the
-    direction annihilates every quadratic differential vanishing on the
-    divisor."""
-    if xi.is_zero():
-        raise ZeroTangent("support test needs a nonzero direction")
-    if not divisor.is_effective():
-        raise DegenerateInput("support test needs an effective divisor")
-    c = pairing_covector(params, xi)
-    subspace = omega2_subspace(params, divisor)
-    # The functional sees only the A-coordinates (xi_functional).
-    supported = all(not (c[0] * v[0] + c[1] * v[1] + c[2] * v[2]) for v in subspace)
-    return supported, len(subspace)
-
-
-# ---------------------------------------------------------------------------
 # Classifier
 # ---------------------------------------------------------------------------
+
+# The dimension of the space of holomorphic quadratic differentials
+# (A Q + b Q y + C y**2) (dx)**2 / Q**2, deg A <= 2, deg C <= 4.
+OMEGA2_DIM = 9
 
 
 def delta_nu_c_test(params: CurveParams, xi: TangentVector) -> CeresaCertificate:

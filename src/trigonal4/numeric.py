@@ -65,6 +65,8 @@ def numeric_residue_matrix(
 ) -> list:
     """All 16 pairing entries for the direction d/du_j in 6*pi*i units, as
     rows ``[l][k]``, via floating contour integrals only."""
+    if j not in (1, 2, 3):
+        raise DegenerateInput("j indexes one of the three moving parameters")
     if nodes < 1:
         raise DegenerateInput("contour quadrature needs at least one node")
     x0 = complex(params.u[j - 1])
@@ -113,7 +115,9 @@ def numeric_residue_matrix(
 def numeric_residue_pairing(
     params: CurveParams, j: int, l: int, k: int, nodes: int = DEFAULT_NODES
 ) -> complex:
-    """The (l, k) entry of :func:`numeric_residue_matrix`."""
+    """The (l, k) entry of :func:`numeric_residue_matrix`, which solves the
+    whole contour; the benchmark's round generator (perfbench/workloads.py)
+    imports it."""
     return numeric_residue_matrix(params, j, nodes)[l][k]
 
 

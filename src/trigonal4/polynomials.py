@@ -10,7 +10,7 @@ representation and classical algorithms are the right tool.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DegenerateInput
 from .scalars import Scalar
@@ -42,16 +42,6 @@ class UniPoly:
     def x(one=None) -> "UniPoly":
         one = Scalar.one() if one is None else one
         return UniPoly((one * 0, one))
-
-    @staticmethod
-    def from_roots(roots: Sequence) -> "UniPoly":
-        if not roots:
-            raise DegenerateInput("from_roots needs at least one root")
-        one = roots[0] ** 0
-        poly = UniPoly((one,))
-        for r in roots:
-            poly = poly * UniPoly((-r, one))
-        return poly
 
     # -- basic queries --------------------------------------------------------
 

@@ -4,36 +4,22 @@ curve, and explicit rational-triviality witnesses.
 Both line families cut the canonical curve in a full trigonal fiber, read
 off the closed-form fiber parameter of the line (ruling_parameter_x); the
 common zeros of the line's two hyperplane forms by divisor minimum
-(curve.common_zeros_by_divisors) are the cross-check the tests run.  With
-the parameters tied by 1/t1 + 1 = t2 - 1 the two fibers coincide, making
-the difference cycle trivially zero, and for untied parameters the
-difference of fibers is exhibited as the divisor of an explicit rational
-function of x.
+(tests/oracles/rulings.py) are the cross-check the tests run.  With the
+parameters tied by 1/t1 + 1 = t2 - 1 the two fibers coincide, making the
+difference cycle trivially zero.  Two fibers are equal exactly when their
+parameters are, so d0_cycle compares parameters, not divisors; for untied
+parameters the difference of fibers is exhibited as the divisor of an
+explicit rational function of x.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curve import (
-    CurveParams,
-    Differential,
-    Divisor,
-    trigonal_fiber,
-)
+from .curve import CurveParams, Divisor, trigonal_fiber
 from .errors import DegenerateInput
 from .polynomials import RationalFunction, UniPoly
 from .scalars import INFINITY, Scalar
-
-
-@dataclass(frozen=True)
-class RulingLine:
-    """A line of one of the two rulings, as the intersection of two
-    hyperplanes pulled back to 1-forms through z_i -> w_i."""
-
-    family: int
-    t: object  # Scalar or INFINITY
-    hyperplanes: tuple  # two Differentials
 
 
 @dataclass(frozen=True)
@@ -46,40 +32,6 @@ class D0Cycle:
     plus: Divisor
     minus: Divisor
     witness: str
-
-
-def ruling_line(params: CurveParams, t, family: int) -> RulingLine:
-    """Hyperplane pairs: family 1 is {z2 + z1 = t(z3 - z1), z1 = t(z2 - z1)},
-    family 2 is {z2 + z1 = t*z1, z3 - z1 = t(z2 - z1)}; at t = infinity the
-    leading forms are taken."""
-    zero, one = Scalar.zero(), Scalar.one()
-    if family == 1:
-        if t is INFINITY:
-            forms = (
-                Differential(zero, (one, zero, -one)),   # z1 - z3
-                Differential(zero, (one, -one, zero)),   # z1 - z2
-            )
-        else:
-            t = Scalar.of(t)
-            forms = (
-                Differential(zero, (one + t, one, -t)),
-                Differential(zero, (one + t, -t, zero)),
-            )
-    elif family == 2:
-        if t is INFINITY:
-            forms = (
-                Differential(zero, (-one, zero, zero)),  # -z1
-                Differential(zero, (one, -one, zero)),   # z1 - z2
-            )
-        else:
-            t = Scalar.of(t)
-            forms = (
-                Differential(zero, (one - t, one, zero)),
-                Differential(zero, (t - one, -t, one)),
-            )
-    else:
-        raise DegenerateInput("family must be 1 or 2")
-    return RulingLine(family=family, t=t, hyperplanes=forms)
 
 
 def ruling_parameter_x(t, family: int):
@@ -119,7 +71,7 @@ def principal_witness(params: CurveParams, x1, x2) -> tuple[RationalFunction, st
     """A function whose divisor is fiber(x1) - fiber(x2); (x - x1)/(x - x2)
     with the usual conventions at infinity.  Its divisor is not computed:
     div(x - a) = fiber(a) - fiber(inf), and the tests check that
-    curve.divisor_of_function agrees."""
+    divisor_of_function (tests/oracles/curve.py) agrees."""
     if (x1 is INFINITY and x2 is INFINITY) or (x1 is not INFINITY and x2 is not INFINITY and Scalar.of(x1) == Scalar.of(x2)):
         raise DegenerateInput("witness needs two distinct fiber parameters")
     one = UniPoly.from_scalars((1,))
@@ -155,12 +107,7 @@ def d0_cycle(params: CurveParams, t1, t2=None) -> D0Cycle:
     explicitly overridden pair; tied parameters always give equal divisors."""
     if t2 is None:
         t2 = relation_t2(t1)
-    plus = ruling_divisor(params, t1, 1)
-    minus = ruling_divisor(params, t2, 2)
-    if plus == minus:
-        witness = "trivially equal"
-    else:
-        x1 = ruling_parameter_x(t1, 1)
-        x2 = ruling_parameter_x(t2, 2)
-        _, witness = principal_witness(params, x1, x2)
+    x1, x2 = ruling_parameter_x(t1, 1), ruling_parameter_x(t2, 2)
+    witness = "trivially equal" if x1 == x2 else principal_witness(params, x1, x2)[1]
+    plus, minus = ruling_divisor(params, t1, 1), ruling_divisor(params, t2, 2)
     return D0Cycle(t1=t1, t2=t2, plus=plus, minus=minus, witness=witness)

@@ -5,7 +5,9 @@ and every operation propagates truncation conservatively, so any coefficient
 read out of a series is exact.  Inverses, the cube root of a unit series
 and the reversion at a branch point (``curve.branch_inversion``) all come
 from one coefficient recurrence for a power of a unit series,
-``LocalSeries._unit_power``.
+``LocalSeries._unit_power``.  Polynomials in x are evaluated on a chart by
+``series_of_poly``; rational functions of x are a test oracle
+(tests/oracles/series.py).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateInput, StructuralError
-from .polynomials import RationalFunction, UniPoly
+from .polynomials import UniPoly
 from .scalars import Scalar
 
 
@@ -157,8 +159,3 @@ def series_of_poly(poly: UniPoly, param: LocalSeries) -> LocalSeries:
         acc = acc * param + LocalSeries.constant(Scalar.of(c), headroom)
     return acc
 
-
-def series_of_rational(f: RationalFunction, param: LocalSeries) -> LocalSeries:
-    num = series_of_poly(f.numerator, param)
-    den = series_of_poly(f.denominator, param)
-    return num * den.inverse()

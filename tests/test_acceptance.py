@@ -12,48 +12,21 @@ import time
 
 import pytest
 
-from trigonal4.canonical_ideal import (
-    CUBIC_MONOMIALS,
-    QUADRIC_MONOMIALS,
-    _evaluation_kernel,
-    canonical_cubic,
-    sym2_relation,
-)
+from trigonal4.canonical_ideal import CUBIC_MONOMIALS, QUADRIC_MONOMIALS, canonical_cubic, sym2_relation
 from trigonal4.cli import main
-from trigonal4.curve import (
-    OMEGA,
-    BranchPoint,
-    Differential,
-    Divisor,
-    InfinityPoint,
-    canonical_map,
-    common_zeros_by_divisors,
-    divisor_of,
-    divisor_of_function,
-    trigonal_fiber,
-    validate_params,
-)
-from trigonal4.deformation import (
-    TangentVector,
-    base_locus,
-    cone_directions,
-    conic_condition,
-    kernel_W,
-    ks_rank,
-    pairing_covector,
-    pairing_matrix,
-    product_differential,
-    residue_matrix,
-    support_test,
-    xi_functional,
-)
+from trigonal4.curve import BranchPoint, Differential, Divisor, InfinityPoint, divisor_of, trigonal_fiber, validate_params
+from trigonal4.deformation import TangentVector, cone_directions, delta_nu_c_test, pairing_matrix, residue_matrix
 from trigonal4.linalg import Matrix, row_space_rref, same_subspace
-from trigonal4.numeric import numeric_residue_pairing, residue_relative_error
+from trigonal4.numeric import numeric_residue_matrix, residue_relative_error
 from trigonal4.prng import SplitMix64, sample_params, sample_scalar, sample_tangent
 from trigonal4.qz24 import cube_family_covector, cube_family_report, evaluate_at
 from trigonal4.polynomials import RationalFunction, UniPoly
 from trigonal4.rulings import d0_cycle, principal_witness, relation_t2, ruling_parameter_x
 from trigonal4.scalars import INFINITY, Scalar
+
+from oracles.canonical_ideal import _evaluation_kernel
+from oracles.curve import OMEGA, canonical_map, common_zeros_by_divisors, divisor_of_function
+from oracles.deformation import product_differential, support_test, xi_functional
 
 SEED = 20260800
 
@@ -101,11 +74,12 @@ def test_criterion_2_kernel_consistency():
     for _ in range(50):
         params = sample_params(rng)
         xi = sample_tangent(rng)
-        assert ks_rank(params, xi) == 2
-        matrix_kernel = pairing_matrix(params, xi).as_matrix().kernel_basis()
+        cert = delta_nu_c_test(params, xi)
+        assert cert.pairing.rank() == 2
+        matrix_kernel = Matrix(pairing_matrix(params, xi).entries).kernel_basis()
         assert all(not v[0] for v in matrix_kernel)  # restricted to span(w1,w2,w3)
         restricted = [v[1:] for v in matrix_kernel]
-        closed_form = [w.b for w in kernel_W(params, xi)]
+        closed_form = [w.b for w in cert.kernel_basis]
         assert same_subspace(restricted, closed_form)
     return "50 seeded (u, xi) pairs, exact subspace equality"
 
@@ -119,20 +93,19 @@ def test_criterion_3_conic_equivalence():
         specials = [params.u[0], Scalar.one(), Scalar.zero(), INFINITY]
         ts = specials + [sample_scalar(rng, 7, 3) for _ in range(6)]
         for t in ts:
-            xi = cone_directions(params, t)
-            assert conic_condition(params, xi).on_conic
-            locus = base_locus(params, xi)
+            cert = delta_nu_c_test(params, cone_directions(params, t))
+            assert cert.conic.on_conic
+            locus = cert.base_locus
             assert locus == trigonal_fiber(params, t)
-            assert locus == common_zeros_by_divisors(params, *kernel_W(params, xi))
+            assert locus == common_zeros_by_divisors(params, *cert.kernel_basis)
             assert not locus.is_zero()
             on_conic_checked += 1
     for _ in range(50):
         params = sample_params(rng)
-        xi = sample_tangent(rng)
-        report = conic_condition(params, xi)
-        locus = common_zeros_by_divisors(params, *kernel_W(params, xi))
-        assert report.on_conic == (not locus.is_zero())
-        assert base_locus(params, xi) == locus
+        cert = delta_nu_c_test(params, sample_tangent(rng))
+        locus = common_zeros_by_divisors(params, *cert.kernel_basis)
+        assert cert.conic.on_conic == (not locus.is_zero())
+        assert cert.base_locus == locus
     return f"{on_conic_checked} cone directions incl branch and infinity fibers, 50 random, against the divisor oracle"
 
 
@@ -261,11 +234,10 @@ def test_criterion_8_numeric_oracle():
     params = validate_params(0, 2, 3)
     cases = [(1, 0, 1), (2, 0, 1), (3, 0, 1), (1, 0, 2), (2, 3, 0)]
     tables = {j: residue_matrix(params, j) for j in (1, 2, 3)}
+    numeric = {j: numeric_residue_matrix(params, j, nodes=256) for j in (1, 2, 3)}
     worst = 0.0
     for j, l, k in cases:
-        exact = tables[j][l][k]
-        numeric = numeric_residue_pairing(params, j, l, k, nodes=256)
-        worst = max(worst, residue_relative_error(exact, numeric))
+        worst = max(worst, residue_relative_error(tables[j][l][k], numeric[j][l][k]))
     assert worst < 1e-8
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0

@@ -3,28 +3,21 @@ import pytest
 from trigonal4.canonical_ideal import (
     CUBIC_MONOMIALS,
     QUADRIC_MONOMIALS,
-    SYM2_FIBERS,
-    SYM3_FIBERS,
     SymTensor,
-    _evaluation_kernel,
     canonical_cubic,
     noether_rank,
-    sample_fiber_xs,
     schiffer_test,
     sym2_relation,
     veronese,
 )
-from trigonal4.curve import (
-    BranchPoint,
-    FinitePoint,
-    InfinityPoint,
-    canonical_map,
-    validate_params,
-)
+from trigonal4.curve import BranchPoint, FinitePoint, InfinityPoint, validate_params
 from trigonal4.errors import DegenerateInput
 from trigonal4.linalg import Matrix, row_space_rref
 from trigonal4.prng import SplitMix64, sample_params
 from trigonal4.scalars import Scalar
+
+from oracles.canonical_ideal import SYM2_FIBERS, SYM3_FIBERS, _evaluation_kernel, quadric_matrix, sample_fiber_xs
+from oracles.curve import canonical_map
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +54,7 @@ def test_quadric_is_the_cone(u023):
     others = [m for m in QUADRIC_MONOMIALS if m not in ((0, 0, 2, 0), (0, 1, 0, 1))]
     assert all(not q.coefficient(m) for m in others)
     # rank-3 cone with vertex [1:0:0:0]
-    assert q.matrix().rank() == 3
+    assert quadric_matrix(q).rank() == 3
     assert not q.evaluate((1, 0, 0, 0))
 
 

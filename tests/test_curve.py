@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 
 from trigonal4 import curve, report
 from trigonal4.curve import (
-    OMEGA,
     BranchPoint,
     Differential,
     Divisor,
@@ -15,11 +14,7 @@ from trigonal4.curve import (
     InfinityPoint,
     PlaceLocus,
     branch_inversion,
-    canonical_map,
-    divisor_min,
     divisor_of,
-    divisor_of_function,
-    normalize_projective,
     trigonal_fiber,
     validate_params,
 )
@@ -29,7 +24,10 @@ from trigonal4.prng import SplitMix64, sample_params
 from trigonal4.scalars import INFINITY, Scalar
 from trigonal4.series import series_of_poly, LocalSeries
 
+import oracles.curve
 from conftest import scalar_strategy
+from oracles.curve import OMEGA, canonical_map, divisor_min, divisor_of_function, normalize_projective
+from oracles.polynomials import from_roots
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +76,7 @@ def test_closed_form_curve_data_matches_roots(seed):
     # Q from the elementary symmetric functions of u against the product of
     # (x - b) over the six branch x; the stored Q'(u_j) against Horner on Q'
     params = sample_params(SplitMix64(seed))
-    assert params.q_poly == UniPoly.from_roots(params.branch_x)
+    assert params.q_poly == from_roots(params.branch_x)
     assert params.qprime == params.q_poly.derivative()
     assert params.qprime_u == tuple(params.qprime_at(uj) for uj in params.u)
     # the six branch x are pairwise distinct, so Q is squarefree
@@ -236,7 +234,7 @@ def test_divisor_of_root_product_is_sum_of_fibers(u023, roots):
     roots = [r for r in roots if not u023.is_branch_x(r)]
     if not roots:
         return
-    div = divisor_of_function(u023, RationalFunction.of(UniPoly.from_roots(roots)))
+    div = divisor_of_function(u023, RationalFunction.of(from_roots(roots)))
     fibers = sum((trigonal_fiber(u023, r) for r in roots), Divisor.zero())
     expected = fibers - len(roots) * trigonal_fiber(u023, INFINITY)
     assert div == expected and expected == div
@@ -310,7 +308,7 @@ def test_infinity_order_truncation_is_the_least_that_reads(monkeypatch):
 
 def test_canonical_map_truncation_is_the_least_that_reads(monkeypatch, u023):
     point = BranchPoint(Scalar.of(3))
-    monkeypatch.setattr(curve, "_CANONICAL_MAP_TRUNCATION", curve._CANONICAL_MAP_TRUNCATION - 1)
+    monkeypatch.setattr(oracles.curve, "_CANONICAL_MAP_TRUNCATION", oracles.curve._CANONICAL_MAP_TRUNCATION - 1)
     with pytest.raises((StructuralError, ZeroDivisionError)):
         canonical_map(u023, point)
 

@@ -5,40 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 
 from trigonal4 import deformation
-from trigonal4.curve import (
-    OMEGA,
-    BranchPoint,
-    Divisor,
-    FiberPoint,
-    FinitePoint,
-    InfinityPoint,
-    KDifferential,
-    chart_at,
-    common_zeros_by_divisors,
-    fiber_frame,
-    kdiff_series,
-    trigonal_fiber,
-    validate_params,
-)
+from trigonal4.curve import BranchPoint, Divisor, FiberPoint, FinitePoint, InfinityPoint, trigonal_fiber, validate_params
 from trigonal4.deformation import (
     CeresaVariant,
     TangentVector,
-    base_locus,
     cone_directions,
-    conic_condition,
     delta_nu_c_test,
-    kdifferential_coordinates,
-    kernel_W,
-    ks_rank,
-    moment_matrix,
-    omega2_subspace,
-    omega2_vanishing_conditions,
     pairing_covector,
     pairing_matrix,
-    product_differential,
     residue_matrix,
-    support_test,
-    xi_functional,
 )
 from trigonal4.errors import DegenerateInput, StructuralError, ZeroTangent
 from trigonal4.linalg import Matrix, same_subspace
@@ -47,9 +22,20 @@ from trigonal4.prng import SplitMix64, sample_params, sample_scalar, sample_tang
 from trigonal4.report import divisor_json
 from trigonal4.rulings import d0_cycle
 from trigonal4.scalars import INFINITY, Scalar
-from trigonal4.series import series_of_rational
 
+import oracles.deformation
 from conftest import apply, det, inverse, scalar_strategy, transpose
+from oracles.curve import KDifferential, chart_at, common_zeros_by_divisors, fiber_frame, kdiff_series
+from oracles.deformation import (
+    kdifferential_coordinates,
+    moment_matrix,
+    omega2_subspace,
+    omega2_vanishing_conditions,
+    product_differential,
+    support_test,
+    xi_functional,
+)
+from oracles.series import series_of_rational
 
 
 @pytest.fixture(scope="module")
@@ -120,27 +106,28 @@ def test_residue_oracle_rejects_a_fourth_parameter(u023):
 
 
 def test_ks_rank(u023):
-    assert ks_rank(u023, TangentVector((0, 0, 0))) == 0
-    assert ks_rank(u023, TangentVector((1, 0, 0))) == 2
-    assert ks_rank(u023, TangentVector((1, 1, 1))) == 2
+    assert pairing_matrix(u023, TangentVector((0, 0, 0))).rank() == 0
+    assert delta_nu_c_test(u023, TangentVector((1, 0, 0))).pairing.rank() == 2
+    assert delta_nu_c_test(u023, TangentVector((1, 1, 1))).pairing.rank() == 2
 
 
 @given(tangent_strategy())
 @settings(max_examples=20)
 def test_ks_rank_two_for_nonzero(u023, xi):
+    pairing = pairing_matrix(u023, xi)
     if xi.is_zero():
-        assert ks_rank(u023, xi) == 0
+        assert pairing.rank() == 0
     else:
-        assert ks_rank(u023, xi) == 2
+        assert delta_nu_c_test(u023, xi).pairing.rank() == 2
     # the closed-form rank against elimination on the 4x4 matrix
-    assert ks_rank(u023, xi) == pairing_matrix(u023, xi).as_matrix().rank()
+    assert pairing.rank() == Matrix(pairing.entries).rank()
 
 
 def test_kernel_W_for_coordinate_directions(u023):
     for j in range(3):
         direction = [0, 0, 0]
         direction[j] = 1
-        basis = kernel_W(u023, TangentVector(tuple(direction)))
+        basis = delta_nu_c_test(u023, TangentVector(tuple(direction))).kernel_basis
         uj = u023.u[j]
         expected = [
             (-uj, Scalar.one(), Scalar.zero()),
@@ -152,8 +139,8 @@ def test_kernel_W_for_coordinate_directions(u023):
 @given(tangent_strategy().filter(lambda t: not t.is_zero()))
 @settings(max_examples=20)
 def test_kernel_matches_pairing_matrix_nullspace(u023, xi):
-    basis = kernel_W(u023, xi)
-    matrix_kernel = pairing_matrix(u023, xi).as_matrix().kernel_basis()
+    basis = delta_nu_c_test(u023, xi).kernel_basis
+    matrix_kernel = Matrix(pairing_matrix(u023, xi).entries).kernel_basis()
     # the full 4x4 null space has b0 = 0 automatically and equals W
     lifted = [(Scalar.zero(),) + w.b for w in basis]
     assert same_subspace(lifted, matrix_kernel)
@@ -161,7 +148,7 @@ def test_kernel_matches_pairing_matrix_nullspace(u023, xi):
 
 def test_kernel_of_zero_rejected(u023):
     with pytest.raises(ZeroTangent):
-        kernel_W(u023, TangentVector((0, 0, 0)))
+        delta_nu_c_test(u023, TangentVector((0, 0, 0)))
 
 
 # -- conic and base locus --------------------------------------------------------
@@ -171,7 +158,7 @@ def test_coordinate_directions_on_conic(u023):
     for j in range(3):
         direction = [0, 0, 0]
         direction[j] = 1
-        report = conic_condition(u023, TangentVector(tuple(direction)))
+        report = delta_nu_c_test(u023, TangentVector(tuple(direction))).conic
         assert report.on_conic
         # covector proportional to (1, u_j, u_j**2)
         c = report.covector
@@ -180,18 +167,21 @@ def test_coordinate_directions_on_conic(u023):
 
 
 def test_base_locus_examples(u023):
-    assert base_locus(u023, TangentVector((1, 0, 0))) == Divisor.of((BranchPoint(Scalar.zero()), 3))
-    assert base_locus(u023, TangentVector((0, 1, 0))) == Divisor.of((BranchPoint(Scalar.of(2)), 3))
-    assert base_locus(u023, TangentVector((1, 1, 1))).is_zero()
+    for a, expected in (
+        ((1, 0, 0), Divisor.of((BranchPoint(Scalar.zero()), 3))),
+        ((0, 1, 0), Divisor.of((BranchPoint(Scalar.of(2)), 3))),
+        ((1, 1, 1), Divisor.zero()),
+    ):
+        assert delta_nu_c_test(u023, TangentVector(a)).base_locus == expected
 
 
 @given(tangent_strategy().filter(lambda t: not t.is_zero()))
 @settings(max_examples=25)
 def test_conic_iff_base_locus(u023, xi):
-    report = conic_condition(u023, xi)
-    locus = common_zeros_by_divisors(u023, *kernel_W(u023, xi))
-    assert report.on_conic == (not locus.is_zero())
-    assert base_locus(u023, xi) == locus
+    cert = delta_nu_c_test(u023, xi)
+    locus = common_zeros_by_divisors(u023, *cert.kernel_basis)
+    assert cert.conic.on_conic == (not locus.is_zero())
+    assert cert.base_locus == locus
 
 
 @given(
@@ -217,8 +207,9 @@ def test_base_locus_matches_divisor_oracle(seed, kind):
             "fiber": sample_scalar(rng),
         }[kind]
         xi = cone_directions(params, t)
-    locus = base_locus(params, xi)
-    oracle = common_zeros_by_divisors(params, *kernel_W(params, xi))
+    cert = delta_nu_c_test(params, xi)
+    locus = cert.base_locus
+    oracle = common_zeros_by_divisors(params, *cert.kernel_basis)
     assert locus == oracle
     assert divisor_json(locus) == divisor_json(oracle)
 
@@ -226,9 +217,9 @@ def test_base_locus_matches_divisor_oracle(seed, kind):
 @given(st.one_of(scalar_strategy(bound=9, max_denominator=3), st.just(INFINITY)))
 @settings(max_examples=25)
 def test_cone_directions_postcondition(u023, t):
-    xi = cone_directions(u023, t)
-    assert conic_condition(u023, xi).on_conic
-    assert base_locus(u023, xi) == trigonal_fiber(u023, t)
+    cert = delta_nu_c_test(u023, cone_directions(u023, t))
+    assert cert.conic.on_conic
+    assert cert.base_locus == trigonal_fiber(u023, t)
 
 
 def test_cone_direction_at_parameter_is_coordinate(u023):
@@ -237,8 +228,7 @@ def test_cone_direction_at_parameter_is_coordinate(u023):
 
 
 def test_cone_direction_at_infinity_kernel(u023):
-    xi = cone_directions(u023, INFINITY)
-    basis = kernel_W(u023, xi)
+    basis = delta_nu_c_test(u023, cone_directions(u023, INFINITY)).kernel_basis
     expected = [
         (Scalar.one(), Scalar.zero(), Scalar.zero()),
         (Scalar.zero(), Scalar.one(), Scalar.zero()),
@@ -346,7 +336,7 @@ def test_support_conditions_match_reference(u, divisor):
 def test_support_pad_is_the_least_that_reads(monkeypatch, u023, mult):
     # the branch chart reads deepest; one less than its derived pad fails loudly
     divisor = Divisor.of((BranchPoint(Scalar.zero()), mult))
-    monkeypatch.setattr(deformation, "_SUPPORT_PAD", deformation._SUPPORT_PAD - 1)
+    monkeypatch.setattr(oracles.deformation, "_SUPPORT_PAD", oracles.deformation._SUPPORT_PAD - 1)
     with pytest.raises((StructuralError, ZeroDivisionError)):
         omega2_vanishing_conditions(u023, divisor)
 

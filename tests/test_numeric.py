@@ -4,7 +4,7 @@ import pytest
 
 from trigonal4.curve import validate_params
 from trigonal4.deformation import ORACLE_SIGN, TangentVector, pairing_matrix
-from trigonal4.errors import StructuralError
+from trigonal4.errors import DegenerateInput, StructuralError
 from trigonal4.numeric import (
     _chart_radius,
     numeric_residue_matrix,
@@ -34,6 +34,13 @@ def test_contour_on_complex_parameters():
     matrix = pairing_matrix(params, TangentVector((0, 0, 1)))
     numeric = numeric_residue_pairing(params, 3, 2, 0, nodes=256)
     assert residue_relative_error(matrix.entry(2, 0), numeric) < 1e-10
+
+
+def test_contour_rejects_a_fourth_parameter():
+    params = validate_params(0, 2, 3)
+    for j in (0, 4):
+        with pytest.raises(DegenerateInput):
+            numeric_residue_matrix(params, j)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from trigonal4.polynomials import (
 from trigonal4.scalars import Scalar
 
 from conftest import scalar_strategy
+from oracles.polynomials import from_roots
 
 small_scalars = scalar_strategy(bound=9, max_denominator=4)
 polys = st.lists(small_scalars, min_size=0, max_size=5).map(UniPoly.from_scalars)
@@ -31,10 +32,10 @@ def test_gcd_examples():
     assert poly_gcd(P(-2, 1), P(-3, 1)) == P(1)
     # gcd((x-u)**2, x(x-u)) = x - u for u = 5
     u = Scalar.of(5)
-    sq = UniPoly.from_roots((u, u))
-    mixed = UniPoly.from_roots((Scalar.zero(), u))
+    sq = from_roots((u, u))
+    mixed = from_roots((Scalar.zero(), u))
     g = poly_gcd(sq, mixed)
-    assert g == UniPoly.from_roots((u,))
+    assert g == from_roots((u,))
     # division oracle: the gcd divides both inputs exactly
     assert not (sq % g) and not (mixed % g)
 
@@ -69,7 +70,7 @@ def test_squarefree_decomposition():
 
 
 def test_root_multiplicity():
-    p = UniPoly.from_roots((Scalar.of(2), Scalar.of(2), Scalar.of(3)))
+    p = from_roots((Scalar.of(2), Scalar.of(2), Scalar.of(3)))
     assert root_multiplicity(p, Scalar.of(2)) == 2
     assert root_multiplicity(p, Scalar.of(3)) == 1
     assert root_multiplicity(p, Scalar.of(4)) == 0

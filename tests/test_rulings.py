@@ -4,27 +4,17 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from trigonal4.curve import (
-    common_zeros_by_divisors,
-    divisor_of,
-    divisor_of_function,
-    trigonal_fiber,
-    validate_params,
-)
+from trigonal4 import curve
+from trigonal4.curve import divisor_of, trigonal_fiber, validate_params
 from trigonal4.errors import DegenerateInput
 from trigonal4.prng import SplitMix64, sample_params, sample_scalar
 from trigonal4.report import divisor_json
-from trigonal4.rulings import (
-    d0_cycle,
-    principal_witness,
-    relation_t2,
-    ruling_divisor,
-    ruling_line,
-    ruling_parameter_x,
-)
+from trigonal4.rulings import d0_cycle, principal_witness, relation_t2, ruling_divisor, ruling_parameter_x
 from trigonal4.scalars import INFINITY, Scalar
 
 from conftest import scalar_strategy
+from oracles.curve import common_zeros_by_divisors, divisor_of_function
+from oracles.rulings import ruling_line
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +87,18 @@ def test_d0_edge_cases(u023):
     assert c.plus == trigonal_fiber(u023, Scalar.one())
     c = d0_cycle(u023, Scalar.one())  # x0 = 2 = u2, a branch fiber
     assert c.plus == trigonal_fiber(u023, Scalar.of(2))
+
+
+def test_d0_compares_fiber_parameters(monkeypatch, u023):
+    # Both sides are trigonal fibers, equal exactly when their parameters
+    # are: no d0 cycle refines divisors by gcd.
+    def refuse(*args):
+        raise AssertionError("d0 compared divisors")
+
+    monkeypatch.setattr(curve, "refine_pair", refuse)
+    for t1, t2, witness in ((Scalar.one(), Scalar.of(3), "trivially equal"), (INFINITY, INFINITY, "x-1")):
+        assert d0_cycle(u023, t1, t2).witness == witness
+    assert d0_cycle(u023, Scalar.zero()).t2 is INFINITY
 
 
 def test_d0_violating_pair(u023):

@@ -5,9 +5,10 @@ from hypothesis import given
 from trigonal4.errors import DegenerateInput
 from trigonal4.polynomials import RationalFunction, UniPoly
 from trigonal4.scalars import Scalar
-from trigonal4.series import LocalSeries, series_of_poly, series_of_rational
+from trigonal4.series import LocalSeries, series_of_poly
 
 from conftest import scalar_strategy
+from oracles.series import series_of_rational
 
 small_scalars = scalar_strategy(bound=5, max_denominator=3)
 

@@ -1,12 +1,14 @@
 """The package has zero runtime dependencies: every import in src/trigonal4
 is relative or names a standard-library module.  The package also carries
 no unused imports, no definition that nothing references, and names every
-definition that only the tests reach."""
+definition that only the tests and the benchmark reach."""
 
 import ast
 import re
 import sys
 from pathlib import Path
+
+from test_perfbench_contract import LAYERTRACE, PERFBENCH, _package_imports
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "trigonal4"
 
@@ -85,36 +87,49 @@ def test_no_dead_definitions():
     assert not offenders, offenders
 
 
-# Definitions that no production path reaches: nothing in src/, scripts/ or
-# the entry points references them.  Each
-# is either an oracle the tests cross-check a production path against, or
-# public API kept for library users.
+# Definitions that no command or script reaches: nothing in src/, scripts/
+# or the entry points references them.  Each is either named by the
+# benchmark in perfbench/ or public API that the README's Library API
+# section documents.  The oracles the tests cross-check against live in
+# tests/oracles/.
 TEST_ONLY = {
-    "canonical_ideal._evaluation_kernel": "oracle",
     "canonical_ideal.noether_rank": "public API",
     "canonical_ideal.veronese": "public API",
-    "curve.canonical_map": "public API",
-    "curve.common_zeros_by_divisors": "oracle",
-    "curve.divisor_of_function": "oracle",
-    "curve.kdiff_series": "oracle",
-    "deformation.as_matrix": "oracle",
-    "deformation.kernel_W": "public API",
-    "deformation.moment_matrix": "oracle",
-    "deformation.ks_rank": "public API",
-    "deformation.product_differential": "public API",
-    "deformation.support_test": "oracle",
-    "deformation.xi_functional": "public API",
+    "curve.divisor_of": "benchmark",
+    "curve.from_coefficients": "public API",
+    "linalg.from_rows": "public API",
+    "linalg.identity": "public API",
     "linalg.same_subspace": "public API",
-    "numeric.numeric_residue_pairing": "oracle",
-    "polynomials.from_roots": "oracle",
-    "rulings.ruling_line": "public API",
+    "numeric.numeric_residue_pairing": "benchmark",
 }
 
 
 def test_test_only_definitions_are_named():
     """The definitions only tests reach are exactly those TEST_ONLY names,
-    each tagged as an oracle or as public API."""
+    each tagged as named by the benchmark or as public API."""
     production = _referenced_names(("src", "scripts"))
     found = {f"{module}.{name}" for module, name in _unreferenced_definitions(production)}
     assert found == set(TEST_ONLY), (sorted(found - set(TEST_ONLY)), sorted(set(TEST_ONLY) - found))
-    assert set(TEST_ONLY.values()) <= {"oracle", "public API"}
+    assert set(TEST_ONLY.values()) <= {"benchmark", "public API"}
+
+
+def test_benchmark_definitions_are_named_by_perfbench():
+    """A COUNTED entry, a CACHES target, or an import of perfbench's
+    workloads.py or worker.py; the tracer's tables are executed, not
+    imported (test_perfbench_contract)."""
+    named = {f"{name.split('.')[0]}.{name.split('.')[-1]}" for name in LAYERTRACE["COUNTED"]}
+    named |= {f"{module}.{name}" for _, targets in LAYERTRACE["CACHES"] for module, name in targets}
+    for file in ("workloads.py", "worker.py"):
+        named |= {f"{module.split('.')[-1]}.{name}" for _, module, name in _package_imports(PERFBENCH / file)}
+    benchmark = {name for name, tag in TEST_ONLY.items() if tag == "benchmark"}
+    assert benchmark <= named, sorted(benchmark - named)
+
+
+def test_public_api_definitions_are_documented():
+    readme = (SOURCE.parent.parent / "README.md").read_text()
+    section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    missing = [
+        name for name, tag in TEST_ONLY.items()
+        if tag == "public API" and not re.search(rf"\b{name.split('.')[1]}\b", section)
+    ]
+    assert not missing, missing
