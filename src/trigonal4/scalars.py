@@ -1,8 +1,11 @@
 """Exact arithmetic in Q(w), the field generated by a primitive cube root of unity.
 
-A scalar is ``rational_part + zeta_part * w`` with the reduction rule
-``w**2 = -1 - w``; both parts are ``fractions.Fraction``, so every field
-operation, comparison and normal form is exact.
+A scalar is ``(a + b*w) / d`` for three ints kept in canonical form,
+``d > 0`` and ``gcd(a, b, d) == 1``, with the reduction rule
+``w**2 = -1 - w``.  One gcd per result keeps the form canonical, so every
+field operation, comparison and hash is exact and never depends on how a
+value was built.  The two coordinates ``rational_part = a/d`` and
+``zeta_part = b/d`` are read-only ``fractions.Fraction`` properties.
 
 The I/O literal syntax is ``p/q`` or ``p/q+r/s*w`` (whitespace-free, the
 ``/q`` omitted when the denominator is 1), e.g. ``-1/6`` or ``1/2+-3/4*w``.
@@ -13,7 +16,6 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateInput
@@ -35,16 +37,26 @@ def _coerce(value) -> Fraction:
     raise TypeError(f"cannot build an exact scalar from {type(value).__name__}")
 
 
-@dataclass(frozen=True)
 class Scalar:
     """An element of Q(w), w a primitive cube root of unity."""
 
-    rational_part: Fraction = Fraction(0)
-    zeta_part: Fraction = Fraction(0)
+    __slots__ = ("_a", "_b", "_d")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rational_part", _coerce(self.rational_part))
-        object.__setattr__(self, "zeta_part", _coerce(self.zeta_part))
+    def __init__(self, rational_part=0, zeta_part=0):
+        r, z = _coerce(rational_part), _coerce(zeta_part)
+        d = math.lcm(r.denominator, z.denominator)
+        # two reduced fractions over their lcm are already canonical
+        self._a = r.numerator * (d // r.denominator)
+        self._b = z.numerator * (d // z.denominator)
+        self._d = d
+
+    @property
+    def rational_part(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def zeta_part(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- constructors ------------------------------------------------------
 
@@ -52,7 +64,9 @@ class Scalar:
     def of(value) -> "Scalar":
         if isinstance(value, Scalar):
             return value
-        return Scalar(_coerce(value))
+        if isinstance(value, int):
+            return _make(int(value), 0, 1)
+        return Scalar(value)
 
     @staticmethod
     def zero() -> "Scalar":
@@ -73,55 +87,80 @@ class Scalar:
             return _ONE
         if k == 1:
             return _ZETA
-        return Scalar(Fraction(-1), Fraction(-1))
+        return _make(-1, -1, 1)
+
+    # -- equality: canonical triples, so == and hash agree --------------------
+
+    def __eq__(self, other):
+        if other.__class__ is not Scalar:
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
+
+    def __hash__(self) -> int:
+        return hash((self._a, self._b, self._d))
 
     # -- ring structure ----------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.rational_part) or bool(self.zeta_part)
+        return bool(self._a or self._b)
 
     def __add__(self, other):
-        other = Scalar.of(other)
-        return Scalar(self.rational_part + other.rational_part, self.zeta_part + other.zeta_part)
+        if other.__class__ is not Scalar:
+            other = Scalar.of(other)
+        d, e = self._d, other._d
+        if d == e:
+            return _make(self._a + other._a, self._b + other._b, d)
+        return _make(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(-self.rational_part, -self.zeta_part)
+        return _make(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
-        return self + (-Scalar.of(other))
+        if other.__class__ is not Scalar:
+            other = Scalar.of(other)
+        d, e = self._d, other._d
+        if d == e:
+            return _make(self._a - other._a, self._b - other._b, d)
+        return _make(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
 
     def __rsub__(self, other):
-        return Scalar.of(other) + (-self)
+        return Scalar.of(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Scalar(self.rational_part * other, self.zeta_part * other)
-        if not isinstance(other, Scalar):
+        if other.__class__ is not Scalar:
+            if isinstance(other, int):
+                return _make(self._a * other, self._b * other, self._d)
+            if isinstance(other, Fraction):
+                p = other.numerator
+                return _make(self._a * p, self._b * p, self._d * other.denominator)
             return NotImplemented
-        a, b = self.rational_part, self.zeta_part
-        c, d = other.rational_part, other.zeta_part
-        # (a + bw)(c + dw) with w^2 = -1 - w
-        return Scalar(a * c - b * d, a * d + b * c - b * d)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        # (a + bw)(c + ew) with w^2 = -1 - w
+        be = b * e
+        return _make(a * c - be, a * e + b * c - be, self._d * other._d)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "Scalar":
         """Image under w -> w**2, the nontrivial field automorphism."""
-        return Scalar(self.rational_part - self.zeta_part, -self.zeta_part)
+        return _make(self._a - self._b, -self._b, self._d)
 
     def norm(self) -> Fraction:
         """Multiplicative norm to the rationals: a**2 - a*b + b**2 >= 0."""
-        a, b = self.rational_part, self.zeta_part
-        return a * a - a * b + b * b
+        a, b = self._a, self._b
+        return Fraction(a * a - a * b + b * b, self._d * self._d)
 
     def inverse(self) -> "Scalar":
-        if not self:
+        """conjugate / norm; with norm = n / d**2, the conjugate's
+        numerators scale by d**2 / n over its denominator d."""
+        a, b, d = self._a, self._b, self._d
+        n = a * a - a * b + b * b
+        if not n:
             raise ZeroDivisionError("inverse of zero scalar")
-        n = self.norm()
         conj = self.conjugate()
-        return Scalar(conj.rational_part / n, conj.zeta_part / n)
+        return _make(conj._a * d, conj._b * d, n)
 
     def __truediv__(self, other):
         other = Scalar.of(other)
@@ -172,15 +211,18 @@ class Scalar:
         return (self.rational_part, self.zeta_part)
 
     def __complex__(self) -> complex:
-        return float(self.rational_part) + float(self.zeta_part) * _W_COMPLEX
+        # int true division rounds correctly, as float(Fraction(a, d)) does
+        d = self._d
+        return self._a / d + self._b / d * _W_COMPLEX
 
     def __str__(self) -> str:
-        if not self.zeta_part:
-            return _format_fraction(self.rational_part)
-        zeta = f"{_format_fraction(self.zeta_part)}*w"
-        if not self.rational_part:
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return _format_ratio(a, d)
+        zeta = f"{_format_ratio(b, d)}*w"
+        if not a:
             return zeta
-        return f"{_format_fraction(self.rational_part)}+{zeta}"
+        return f"{_format_ratio(a, d)}+{zeta}"
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
@@ -194,7 +236,7 @@ class Scalar:
             if m.group("rat") is not None:
                 return Scalar(Fraction(m.group("rat")))
             if m.group("zet0") is not None:
-                return Scalar(Fraction(0), Fraction(m.group("zet0")))
+                return Scalar(0, Fraction(m.group("zet0")))
             return Scalar(Fraction(m.group("rat1")), Fraction(m.group("zet1")))
         except ZeroDivisionError:
             raise DegenerateInput(f"zero denominator in scalar literal: {text!r}") from None
@@ -202,11 +244,24 @@ class Scalar:
             raise DegenerateInput("scalar literal exceeds the integer digit limit") from None
 
 
-def _format_fraction(f: Fraction) -> str:
+def _make(a: int, b: int, d: int) -> Scalar:
+    """The canonical Scalar (a + b*w)/d for d > 0: one gcd.  Every caller's d
+    is a product of denominators and norms, so it is never negative."""
+    g = math.gcd(a, b, d)
+    s = object.__new__(Scalar)
+    if g == 1:
+        s._a, s._b, s._d = a, b, d
+    else:
+        s._a, s._b, s._d = a // g, b // g, d // g
+    return s
+
+
+def _format_ratio(n: int, d: int) -> str:
+    g = math.gcd(n, d)
     try:
-        if f.denominator == 1:
-            return str(f.numerator)
-        return f"{f.numerator}/{f.denominator}"
+        if d == g:
+            return str(n // g)
+        return f"{n // g}/{d // g}"
     except ValueError:  # more digits than str() converts
         raise DegenerateInput("output exceeds the integer digit limit") from None
 
@@ -221,9 +276,9 @@ def _sqrt_fraction(f: Fraction) -> Fraction | None:
     return None
 
 
-_ZERO = Scalar(Fraction(0), Fraction(0))
-_ONE = Scalar(Fraction(1), Fraction(0))
-_ZETA = Scalar(Fraction(0), Fraction(1))
+_ZERO = _make(0, 0, 1)
+_ONE = _make(1, 0, 1)
+_ZETA = _make(0, 1, 1)
 
 
 class ProjectiveInfinity:

@@ -18,22 +18,28 @@ from trigonal4.scalars import Scalar
 def test_contour_matches_exact_on_nonzero_entry():
     params = validate_params(0, 2, 3)
     matrix = pairing_matrix(params, TangentVector((1, 0, 0)))
-    numeric = numeric_residue_pairing(params, 1, 0, 1, nodes=256)
-    assert residue_relative_error(matrix.entry(0, 1), numeric) < 1e-10
+    numeric = numeric_residue_matrix(params, 1, nodes=256)
+    assert residue_relative_error(matrix.entry(0, 1), numeric[0][1]) < 1e-10
 
 
 def test_contour_matches_on_zero_entries():
     params = validate_params(0, 2, 3)
+    numeric = numeric_residue_matrix(params, 2, nodes=256)
     for (l, k) in ((0, 0), (1, 1), (2, 3)):
-        numeric = numeric_residue_pairing(params, 2, l, k, nodes=256)
-        assert abs(numeric) < 1e-10
+        assert abs(numeric[l][k]) < 1e-10
 
 
 def test_contour_on_complex_parameters():
     params = validate_params(Scalar(1, 1), 2, Scalar(3, 1))
     matrix = pairing_matrix(params, TangentVector((0, 0, 1)))
-    numeric = numeric_residue_pairing(params, 3, 2, 0, nodes=256)
-    assert residue_relative_error(matrix.entry(2, 0), numeric) < 1e-10
+    numeric = numeric_residue_matrix(params, 3, nodes=256)
+    assert residue_relative_error(matrix.entry(2, 0), numeric[2][0]) < 1e-10
+
+
+def test_pairing_is_the_matching_table_entry():
+    params = validate_params(0, 2, 3)
+    table = numeric_residue_matrix(params, 3, nodes=64)
+    assert numeric_residue_pairing(params, 3, 2, 0, nodes=64) == table[2][0]
 
 
 def test_contour_rejects_a_fourth_parameter():

@@ -1,3 +1,5 @@
+import math
+import operator
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -7,7 +9,8 @@ from hypothesis import assume, given
 from trigonal4.errors import DegenerateInput
 from trigonal4.scalars import INFINITY, Scalar, _sqrt_fraction, parse_projective
 
-from conftest import scalar_strategy
+from conftest import fraction_strategy, scalar_strategy
+from oracles.scalars import FractionScalar
 
 scalars = scalar_strategy(bound=50, max_denominator=12)
 nonzero_scalars = scalars.filter(bool)
@@ -115,6 +118,7 @@ def test_sqrt_matches_reference(a, shape):
     # which are mostly not squares
     z = a if shape is None else a * a * shape
     r, ref = z.sqrt(), _reference_sqrt(z)
+    _assert_matches(r, _reference(z).sqrt())  # the same root as the Fraction pair
     if ref is None:
         assert r is None
     else:
@@ -173,3 +177,141 @@ def test_power_edge_cases():
     assert Scalar.zero() ** 0 == Scalar.one()
     with pytest.raises(ZeroDivisionError):
         Scalar.zero() ** -1
+
+
+# ---------------------------------------------------------------------------
+# Differential check against the Fraction-pair reference, and the canonical
+# form (a + b*w)/d with d > 0 and gcd(a, b, d) == 1
+# ---------------------------------------------------------------------------
+
+# unbounded numerators and denominators up to 10**12, for rounding in complex()
+wide_scalars = st.builds(Scalar, st.fractions(max_denominator=10**12), st.fractions(max_denominator=10**12))
+rationals = st.one_of(st.integers(min_value=-50, max_value=50), fraction_strategy(bound=50, max_denominator=12))
+operands = st.one_of(scalars, rationals)
+
+
+def _is_canonical(x: Scalar) -> bool:
+    return x._d > 0 and math.gcd(x._a, x._b, x._d) == 1
+
+
+def _reference(value):
+    return FractionScalar(value.rational_part, value.zeta_part) if isinstance(value, Scalar) else value
+
+
+def _outcome(thunk):
+    try:
+        return thunk()
+    except ZeroDivisionError as error:
+        return type(error)
+
+
+def _assert_matches(value, expected):
+    """value is the Scalar (or Fraction, None, exception type) expected is."""
+    if isinstance(expected, FractionScalar):
+        assert isinstance(value, Scalar) and _is_canonical(value)
+        assert (value.rational_part, value.zeta_part) == (expected.rational_part, expected.zeta_part)
+    else:
+        assert value == expected and type(value) is type(expected)
+
+
+BINARY = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+@given(st.one_of(scalars, wide_scalars), st.one_of(operands, wide_scalars), st.sampled_from(BINARY))
+def test_binary_operations_match_reference(x, y, op):
+    _assert_matches(_outcome(lambda: op(x, y)), _outcome(lambda: op(_reference(x), _reference(y))))
+
+
+@given(scalars, rationals, st.sampled_from(BINARY))
+def test_reflected_operations_match_reference(x, y, op):
+    _assert_matches(_outcome(lambda: op(y, x)), _outcome(lambda: op(y, _reference(x))))
+
+
+@given(scalars, st.sampled_from((0, Fraction(0), Scalar.zero())))
+def test_division_by_zero_raises_like_reference(x, zero):
+    assert _outcome(lambda: x / zero) is ZeroDivisionError
+    assert _outcome(lambda: _reference(x) / _reference(zero)) is ZeroDivisionError
+    assert _outcome(lambda: x / (x - x)) is ZeroDivisionError
+    assert _outcome(lambda: 1 / (x - x)) is ZeroDivisionError
+
+
+@given(st.one_of(scalars, wide_scalars), st.sampled_from(("neg", "conjugate", "norm", "inverse")))
+def test_unary_operations_match_reference(x, name):
+    def apply(value):
+        return -value if name == "neg" else getattr(value, name)()
+
+    _assert_matches(_outcome(lambda: apply(x)), _outcome(lambda: apply(_reference(x))))
+
+
+@given(scalar_strategy(bound=6, max_denominator=4), st.integers(min_value=-5, max_value=8))
+def test_power_matches_reference(x, n):
+    _assert_matches(_outcome(lambda: x ** n), _outcome(lambda: _reference(x) ** n))
+
+
+@given(st.one_of(scalars, wide_scalars))
+def test_formatting_order_and_complex_match_reference(x):
+    ref = _reference(x)
+    assert str(x) == str(ref)
+    assert x.sort_key() == ref.sort_key()
+    assert complex(x) == complex(ref)  # bit for bit
+
+
+_literal_parts = st.tuples(st.integers(min_value=-60, max_value=60), st.integers(min_value=0, max_value=12))
+
+
+@given(_literal_parts, _literal_parts, st.sampled_from(("rat", "zet0", "both")))
+def test_parse_matches_reference(p, q, form):
+    def literal(num_den):
+        num, den = num_den
+        return str(num) if den == 1 else f"{num}/{den}"
+
+    text = {"rat": literal(p), "zet0": f"{literal(q)}*w", "both": f"{literal(p)}+{literal(q)}*w"}[form]
+    try:
+        expected = FractionScalar.parse(text)
+    except DegenerateInput:  # a zero denominator
+        with pytest.raises(DegenerateInput):
+            Scalar.parse(text)
+        return
+    _assert_matches(Scalar.parse(text), expected)
+
+
+def test_equal_values_are_equal_and_hash_alike_however_built():
+    half = Scalar(Fraction(1, 2))
+    for other in (Scalar(Fraction(2, 4)), Scalar.parse("1/2"), Scalar.one() / 2, Scalar(3) * Fraction(1, 6),
+                  Scalar.one() / -2 * -1, Scalar(Fraction(3, 2)) - 1):
+        assert other == half and hash(other) == hash(half) and _is_canonical(other)
+    assert (half._a, half._b, half._d) == (1, 0, 2)
+    assert (Scalar.one() / -2)._d == 2
+    zero = Scalar(Fraction(0, 7), Fraction(0))
+    assert zero == Scalar.zero() and (zero._a, zero._b, zero._d) == (0, 0, 1)
+    mixed = Scalar(Fraction(1, 6), Fraction(-3, 4))
+    assert (mixed._a, mixed._b, mixed._d) == (2, -9, 12)
+
+
+@given(scalars, nonzero_scalars)
+def test_hash_agrees_with_equality(x, k):
+    y = (x * k) / k
+    assert y == x and hash(y) == hash(x) and _is_canonical(y)
+
+
+def test_scalars_compare_only_to_scalars():
+    assert (Scalar(1) == 1) is False
+    assert Scalar(1) != 1
+    assert Scalar(1) != Fraction(1)
+    for bad in (1.0, "1", None):
+        with pytest.raises(TypeError):
+            Scalar(bad)
+        with pytest.raises(TypeError):
+            Scalar(0, bad)
+    with pytest.raises(TypeError):
+        Scalar(1) + 1.0
+
+
+def test_parts_are_read_only_fractions():
+    x = Scalar(Fraction(1, 2), 3)
+    assert x.rational_part == Fraction(1, 2) and type(x.rational_part) is Fraction
+    assert x.zeta_part == Fraction(3) and type(x.zeta_part) is Fraction
+    with pytest.raises(AttributeError):
+        x.rational_part = Fraction(1)
+    with pytest.raises(AttributeError):
+        x.zeta_part = Fraction(1)
