@@ -481,7 +481,6 @@ def branch_chart(params: CurveParams, x0: Scalar, truncation: int) -> Chart:
     return Chart(x_series=x_series, y_series=y_series, dx_series=d.derivative(), dx_valuation=2)
 
 
-@lru_cache(maxsize=64)
 def _infinity_root_series(params: CurveParams, truncation: int) -> LocalSeries:
     reversed_q = params.q_poly.reversed_coefficients()
     return series_of_poly(reversed_q, LocalSeries.monomial(1, Scalar.one(), truncation)).cube_root_unit()

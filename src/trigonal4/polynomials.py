@@ -1,8 +1,9 @@
-"""Dense univariate polynomials and rational functions over an exact field.
+"""Dense univariate polynomials over an exact field.
 
 ``UniPoly`` holds polynomials with Q(w) coefficients: in x, and in the
-cube-root probe in its parameter c.  ``RationalFunction`` holds quotients
-of such polynomials.
+cube-root probe in its parameter a.  Division and gcd serve the divisor
+computations of curve.py; no command builds a rational function, and
+the rational functions of the oracles live in tests/oracles/polynomials.py.
 Degrees in this package stay small (about 20 at most), so the dense
 representation and classical algorithms are the right tool.
 """
@@ -10,7 +11,6 @@ representation and classical algorithms are the right tool.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import DegenerateInput
 from .scalars import Scalar
@@ -27,21 +27,6 @@ class UniPoly:
         while coeffs and not coeffs[-1]:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coefficients", coeffs)
-
-    # -- constructors --------------------------------------------------------
-
-    @staticmethod
-    def from_scalars(values: Iterable) -> "UniPoly":
-        return UniPoly(tuple(Scalar.of(v) for v in values))
-
-    @staticmethod
-    def constant(value) -> "UniPoly":
-        return UniPoly((value,))
-
-    @staticmethod
-    def x(one=None) -> "UniPoly":
-        one = Scalar.one() if one is None else one
-        return UniPoly((one * 0, one))
 
     # -- basic queries --------------------------------------------------------
 
@@ -266,78 +251,3 @@ def _squarefree_scalar_roots(p: UniPoly) -> tuple[list[Scalar], UniPoly]:
         two_a = 2 * a
         return sorted(((-b + s) / two_a, (-b - s) / two_a), key=Scalar.sort_key), UniPoly((Scalar.one(),))
     return [], p.monic()
-
-
-@dataclass(frozen=True)
-class RationalFunction:
-    """A quotient of polynomials over Q(w) (or any exact field), normalized
-    so the denominator is monic and shares no factor with the numerator."""
-
-    numerator: UniPoly
-    denominator: UniPoly
-
-    def __post_init__(self):
-        num, den = self.numerator, self.denominator
-        if not den:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-            lead = den.leading
-            num = num.scale(lead ** -1)
-            den = den.monic()
-        else:
-            den = UniPoly((den.leading ** 0,))
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "denominator", den)
-
-    @staticmethod
-    def of(value) -> "RationalFunction":
-        if isinstance(value, RationalFunction):
-            return value
-        if isinstance(value, UniPoly):
-            return RationalFunction(value, UniPoly((value.leading ** 0,)) if value else UniPoly((Scalar.one(),)))
-        return RationalFunction(UniPoly((Scalar.of(value),)), UniPoly((Scalar.one(),)))
-
-    @staticmethod
-    def zero() -> "RationalFunction":
-        return RationalFunction(UniPoly(()), UniPoly((Scalar.one(),)))
-
-    def __bool__(self):
-        return bool(self.numerator)
-
-    def __add__(self, other):
-        other = RationalFunction.of(other)
-        return RationalFunction(
-            self.numerator * other.denominator + other.numerator * self.denominator,
-            self.denominator * other.denominator,
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.numerator, self.denominator)
-
-    def __sub__(self, other):
-        return self + (-RationalFunction.of(other))
-
-    def __mul__(self, other):
-        other = RationalFunction.of(other)
-        return RationalFunction(self.numerator * other.numerator, self.denominator * other.denominator)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "RationalFunction":
-        if not self:
-            raise ZeroDivisionError("inverse of the zero rational function")
-        return RationalFunction(self.denominator, self.numerator)
-
-    def __truediv__(self, other):
-        return self * RationalFunction.of(other).inverse()
-
-    def evaluate(self, point):
-        den = self.denominator.evaluate(point)
-        if not den:
-            raise ZeroDivisionError("pole of rational function at evaluation point")
-        return self.numerator.evaluate(point) / den

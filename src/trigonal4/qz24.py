@@ -2,32 +2,40 @@
 
 On this locus the second factor of the branch polynomial collapses to
 x**3 - a with a = c**3, giving the one-parameter family
-y**3 = (x**3 - 1)(x**3 - a).  The probe computes the conic-criterion
-covector of the family's own tangent direction exactly in the field
-Q(w)(c) = Q(w)(a)[c]/(c**3 - a), as rational functions of c, and then
-descends each entry to Q(w)(a) by substituting a = c**3.
+y**3 = (x**3 - 1)(x**3 - a).  The conic-criterion covector of the family's
+own tangent direction is read off its closed form
+c_k = sum_j a_j u_j**(k-1) / Q'(u_j):
 
-The computed covector is (0, 1/(3a(a-1)), 0), which is OFF the vanishing
-conic, while the cycle class is known to be locally constant along this
-family; the report carries that tension as an explicit annotation and
-asserts nothing beyond the computed value.
+- the tangent is a_j = du_j/da = 1/(3 u_j**2), since u_j**3 = a;
+- Q'(u_j) = (u_j**3 - 1) * 3 u_j**2 = 3 u_j**2 (a - 1);
+- so c_k = sum_j u_j**(k-5) / (9(a - 1)), and the power sums of the cube
+  roots of a vanish unless 3 divides the exponent: sum_j u_j**-3 = 3/a,
+  and the sums for k = 1, 3 are 0.
+
+The covector is therefore (0, 1/(3a(a-1)), 0), and its conic value
+X*Z - Y**2 is -1/(9a**2(a-1)**2): OFF the vanishing conic, while the cycle
+class is known to be locally constant along this family.  The report
+carries that tension as an explicit annotation and asserts nothing beyond
+the value.  tests/oracles/qz24.py computes the covector over Q(w)(c) and
+descends it to Q(w)(a) as the cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegenerateInput, StructuralError
-from .polynomials import RationalFunction, UniPoly
+from .errors import DegenerateInput
+from .polynomials import UniPoly
 from .scalars import Scalar
 
 
 @dataclass(frozen=True)
 class CubeFamilyReport:
-    """Exact conic data of the cube-root one-parameter family."""
+    """Exact conic data of the cube-root one-parameter family; each value
+    is a (numerator, denominator) pair of UniPolys in a."""
 
-    covector: tuple  # three RationalFunctions of a
-    conic_value: RationalFunction
+    covector: tuple
+    conic_value: tuple
     on_conic: bool
     annotation: str
 
@@ -39,54 +47,26 @@ ANNOTATION = (
 )
 
 
-def _in_a(f: RationalFunction) -> RationalFunction:
-    """The rational function f(c) of Q(w)(c) as a rational function of
-    a = c**3; raises when f genuinely involves c."""
-    for poly in (f.numerator, f.denominator):
-        if any(coeff for k, coeff in enumerate(poly.coefficients) if k % 3):
-            raise StructuralError("element does not descend to the rational-function field Q(w)(a)")
-    return RationalFunction(
-        UniPoly(f.numerator.coefficients[::3]), UniPoly(f.denominator.coefficients[::3])
-    )
-
-
-def cube_family_covector() -> tuple:
-    """The conic-criterion covector c(a) of the tangent direction of the
-    cube-root family, as exact rational functions of a.
-
-    The tangent has coordinates 1/(3 u_j**2) (the a-derivative of the
-    parameters u_j = cube roots of a), and the branch polynomial restricts
-    to (x**3 - 1)(x**3 - a)."""
-    zeta = Scalar.zeta()
-    u = tuple(UniPoly.x().scale(zeta ** j) for j in range(3))  # u_j = c*w**j
-    one = UniPoly.constant(Scalar.one())
-    # Q'(u_j) = (u_j**3 - 1) prod_{k != j} (u_j - u_k), over Q(w)[c]
-    qprime_u = [(uj ** 3 - one) * (uj - u[j - 1]) * (uj - u[j - 2]) for j, uj in enumerate(u)]
-    covector = []
-    for k in (1, 2, 3):
-        total = RationalFunction.zero()
-        for uj, qpj in zip(u, qprime_u):
-            total = total + RationalFunction(uj ** (k - 1), (uj * uj).scale(3) * qpj)
-        covector.append(_in_a(total))
-    return tuple(covector)
-
-
 def cube_family_report(a_value: Scalar | None = None) -> CubeFamilyReport:
     """Full probe report; when ``a_value`` is given it must avoid 0 and the
-    unit cubes, and it is checked before any computation."""
+    unit cubes, and it is checked before anything else."""
     if a_value is not None:
         a_value = Scalar.of(a_value)
         if not a_value or a_value == Scalar.one() or (a_value ** 3) == Scalar.one():
             raise DegenerateInput("the probe needs a outside {0} and the unit cubes")
-    covector = cube_family_covector()
-    conic_value = covector[0] * covector[2] - covector[1] * covector[1]
+    one = Scalar.one()
+    zero = (UniPoly(()), UniPoly((one,)))
+    num, den = UniPoly((one / 3,)), UniPoly((Scalar.zero(), -one, one))  # 1/3 over a**2 - a
+    conic_value = (-(num * num), den * den)  # c1 = c3 = 0, so X*Z - Y**2 = -c2**2
     return CubeFamilyReport(
-        covector=covector,
+        covector=(zero, (num, den), zero),
         conic_value=conic_value,
-        on_conic=not conic_value,
+        on_conic=not conic_value[0],
         annotation=ANNOTATION,
     )
 
 
-def evaluate_at(f: RationalFunction, a_value: Scalar) -> Scalar:
-    return f.evaluate(Scalar.of(a_value))
+def evaluate_at(pair: tuple, a_value: Scalar) -> Scalar:
+    a_value = Scalar.of(a_value)
+    num, den = pair
+    return num.evaluate(a_value) / den.evaluate(a_value)

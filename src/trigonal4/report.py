@@ -24,10 +24,10 @@ from .curve import (
     PlaceLocus,
 )
 from .deformation import CeresaCertificate, ConicReport, PairingMatrix, TangentVector
-from .polynomials import RationalFunction
 from .scalars import format_projective
 
 MONOMIAL_ORDER = "grlex z0>z1>z2>z3"
+PROBE_VARIABLE = "a"  # the parameter of the cube-root family (qz24)
 
 # The complete set of formula tags; report fields reference only these.
 FORMULA_TAGS = {
@@ -122,11 +122,10 @@ def form_json(form: MonomialForm) -> dict:
     return {monomial_label(m): str(c) for m, c in zip(form.monomials, form.coefficients) if c}
 
 
-def rational_function_json(f: RationalFunction, variable: str = "a") -> dict:
-    return {
-        "num": f.numerator.format(variable),
-        "den": f.denominator.format(variable),
-    }
+def rational_function_json(f: tuple) -> dict:
+    """A (numerator, denominator) pair of UniPolys in the probe parameter."""
+    num, den = f
+    return {"num": num.format(PROBE_VARIABLE), "den": den.format(PROBE_VARIABLE)}
 
 
 def dumps(document: dict) -> str:

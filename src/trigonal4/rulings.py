@@ -9,7 +9,7 @@ parameters tied by 1/t1 + 1 = t2 - 1 the two fibers coincide, making the
 difference cycle trivially zero.  Two fibers are equal exactly when their
 parameters are, so d0_cycle compares parameters, not divisors; for untied
 parameters the difference of fibers is exhibited as the divisor of an
-explicit rational function of x.
+explicit rational function of x, written as text.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from .curve import CurveParams, Divisor, trigonal_fiber
 from .errors import DegenerateInput
-from .polynomials import RationalFunction, UniPoly
 from .scalars import INFINITY, Scalar
 
 
@@ -67,28 +66,19 @@ def relation_t2(t1):
     return t1.inverse() + Scalar.of(2)
 
 
-def principal_witness(params: CurveParams, x1, x2) -> tuple[RationalFunction, str]:
-    """A function whose divisor is fiber(x1) - fiber(x2); (x - x1)/(x - x2)
-    with the usual conventions at infinity.  Its divisor is not computed:
-    div(x - a) = fiber(a) - fiber(inf), and the tests check that
-    divisor_of_function (tests/oracles/curve.py) agrees."""
+def principal_witness(x1, x2) -> str:
+    """The text of a function whose divisor is fiber(x1) - fiber(x2):
+    (x - x1)/(x - x2), with the usual conventions at infinity.  Its divisor
+    is not computed: div(x - a) = fiber(a) - fiber(inf), and the tests read
+    the function back from the text and check that divisor_of_function
+    (tests/oracles/curve.py) agrees."""
     if (x1 is INFINITY and x2 is INFINITY) or (x1 is not INFINITY and x2 is not INFINITY and Scalar.of(x1) == Scalar.of(x2)):
         raise DegenerateInput("witness needs two distinct fiber parameters")
-    one = UniPoly.from_scalars((1,))
     if x1 is INFINITY:
-        denom = UniPoly((-Scalar.of(x2), Scalar.one()))
-        func = RationalFunction(one, denom)
-        text = f"1/({_linear_str(x2)})"
-    elif x2 is INFINITY:
-        numer = UniPoly((-Scalar.of(x1), Scalar.one()))
-        func = RationalFunction(numer, one)
-        text = _linear_str(x1)
-    else:
-        numer = UniPoly((-Scalar.of(x1), Scalar.one()))
-        denom = UniPoly((-Scalar.of(x2), Scalar.one()))
-        func = RationalFunction(numer, denom)
-        text = f"({_linear_str(x1)})/({_linear_str(x2)})"
-    return func, text
+        return f"1/({_linear_str(x2)})"
+    if x2 is INFINITY:
+        return _linear_str(x1)
+    return f"({_linear_str(x1)})/({_linear_str(x2)})"
 
 
 def _linear_str(x0) -> str:
@@ -108,6 +98,6 @@ def d0_cycle(params: CurveParams, t1, t2=None) -> D0Cycle:
     if t2 is None:
         t2 = relation_t2(t1)
     x1, x2 = ruling_parameter_x(t1, 1), ruling_parameter_x(t2, 2)
-    witness = "trivially equal" if x1 == x2 else principal_witness(params, x1, x2)[1]
+    witness = "trivially equal" if x1 == x2 else principal_witness(x1, x2)
     plus, minus = ruling_divisor(params, t1, 1), ruling_divisor(params, t2, 2)
     return D0Cycle(t1=t1, t2=t2, plus=plus, minus=minus, witness=witness)

@@ -23,10 +23,10 @@ from trigonal4.curve import (
     refine_pair,
 )
 from trigonal4.errors import DegenerateInput, StructuralError
-from trigonal4.polynomials import RationalFunction
 from trigonal4.scalars import Scalar
 from trigonal4.series import LocalSeries, series_of_poly
 
+from oracles.polynomials import RationalFunction
 from oracles.series import series_of_rational
 
 # The ordered graded basis (w0, w1, w2, w3) of holomorphic 1-forms.

@@ -9,11 +9,11 @@ from trigonal4.curve import BranchPoint, CurveParams, Divisor, FiberPoint, Finit
 from trigonal4.deformation import OMEGA2_DIM, TangentVector, pairing_covector
 from trigonal4.errors import DegenerateInput, ZeroTangent
 from trigonal4.linalg import Matrix
-from trigonal4.polynomials import RationalFunction
 from trigonal4.scalars import Scalar
 from trigonal4.series import LocalSeries
 
 from oracles.curve import OMEGA, KDifferential, chart_at, fiber_frame
+from oracles.polynomials import RationalFunction
 
 
 def moment_matrix(params: CurveParams) -> Matrix:

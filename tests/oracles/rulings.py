@@ -1,6 +1,7 @@
 """The ruling lines of the quadric cone as pairs of hyperplanes, whose
 common zeros (oracles.curve.common_zeros_by_divisors) the closed-form
-ruling divisors are checked against."""
+ruling divisors are checked against; and the function that a d0 witness
+text names, whose divisor oracles.curve.divisor_of_function computes."""
 
 from __future__ import annotations
 
@@ -8,7 +9,10 @@ from dataclasses import dataclass
 
 from trigonal4.curve import CurveParams, Differential
 from trigonal4.errors import DegenerateInput
+from trigonal4.polynomials import UniPoly
 from trigonal4.scalars import INFINITY, Scalar
+
+from oracles.polynomials import RationalFunction
 
 
 @dataclass(frozen=True)
@@ -41,3 +45,30 @@ def ruling_line(params: CurveParams, t, family: int) -> RulingLine:
     else:
         raise DegenerateInput("family must be 1 or 2")
     return RulingLine(family=family, t=t, hyperplanes=forms)
+
+
+def witness_function(text: str) -> RationalFunction:
+    """The function a witness text names: (A)/(B), A, or 1/(B), where each
+    of A and B is x, x-c, x+c or x-(c) for a scalar literal c."""
+    one = UniPoly((Scalar.one(),))
+    if text.startswith("1/("):
+        return RationalFunction(one, _linear(text[3:-1]))
+    num, slash, den = text.partition(")/(")
+    if slash:
+        return RationalFunction(_linear(num[1:]), _linear(den[:-1]))
+    return RationalFunction(_linear(text), one)
+
+
+def _linear(text: str) -> UniPoly:
+    """x - x0 from its display x, x-c, x+c or x-(c)."""
+    if text == "x":
+        x0 = Scalar.zero()
+    elif text.startswith("x-(") and text.endswith(")"):
+        x0 = Scalar.parse(text[3:-1])
+    elif text.startswith("x-"):
+        x0 = Scalar.parse(text[2:])
+    elif text.startswith("x+"):
+        x0 = -Scalar.parse(text[2:])
+    else:
+        raise DegenerateInput(f"not a linear factor: {text!r}")
+    return UniPoly((-x0, Scalar.one()))

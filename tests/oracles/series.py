@@ -1,7 +1,8 @@
 """Series of a rational function of x on a chart."""
 
-from trigonal4.polynomials import RationalFunction
 from trigonal4.series import LocalSeries, series_of_poly
+
+from oracles.polynomials import RationalFunction
 
 
 def series_of_rational(f: RationalFunction, param: LocalSeries) -> LocalSeries:

@@ -19,14 +19,16 @@ from trigonal4.deformation import TangentVector, cone_directions, delta_nu_c_tes
 from trigonal4.linalg import Matrix, row_space_rref, same_subspace
 from trigonal4.numeric import numeric_residue_matrix, residue_relative_error
 from trigonal4.prng import SplitMix64, sample_params, sample_scalar, sample_tangent
-from trigonal4.qz24 import cube_family_covector, cube_family_report, evaluate_at
-from trigonal4.polynomials import RationalFunction, UniPoly
+from trigonal4.qz24 import cube_family_report, evaluate_at
 from trigonal4.rulings import d0_cycle, principal_witness, relation_t2, ruling_parameter_x
 from trigonal4.scalars import INFINITY, Scalar
 
 from oracles.canonical_ideal import _evaluation_kernel
 from oracles.curve import OMEGA, canonical_map, common_zeros_by_divisors, divisor_of_function
 from oracles.deformation import product_differential, support_test, xi_functional
+from oracles.polynomials import RationalFunction, from_scalars
+from oracles.qz24 import cube_family_covector
+from oracles.rulings import witness_function
 
 SEED = 20260800
 
@@ -203,9 +205,8 @@ def test_criterion_6_rational_triviality():
             continue
         cycle = d0_cycle(params, t1, t2)
         assert cycle.plus != cycle.minus
-        func, text = principal_witness(params, x1, x2)
-        assert text == cycle.witness
-        assert divisor_of_function(params, func) == cycle.plus - cycle.minus
+        assert principal_witness(x1, x2) == cycle.witness
+        assert divisor_of_function(params, witness_function(cycle.witness)) == cycle.plus - cycle.minus
         violations += 1
     return f"{cases} tied pairs incl 0, 1, infinity and branch fibers; {violations} violations"
 
@@ -246,13 +247,12 @@ def test_criterion_8_numeric_oracle():
 
 @criterion(9, "cube-family covector is (0, 1/(3a(a-1)), 0) with value -1/36 at a = 2, annotated")
 def test_criterion_9_cube_family_probe():
+    # the report's closed form against the covector computed over Q(w)(c)
     c1, c2, c3 = cube_family_covector()
     assert not c1 and not c3
-    expected = RationalFunction(
-        UniPoly.from_scalars((1,)), UniPoly.from_scalars((0, -3, 3))
-    )
-    assert c2 == expected
+    assert c2 == RationalFunction(from_scalars((1,)), from_scalars((0, -3, 3)))
     report = cube_family_report(Scalar.of(2))
+    assert tuple(RationalFunction(*pair) for pair in report.covector) == (c1, c2, c3)
     assert evaluate_at(report.conic_value, Scalar.of(2)) == Scalar.of(-1) / 36
     out = io.StringIO()
     assert main(["qz24", "--a", "2"], out) == 0

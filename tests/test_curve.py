@@ -19,7 +19,6 @@ from trigonal4.curve import (
     validate_params,
 )
 from trigonal4.errors import DegenerateInput, InvalidParameters, StructuralError
-from trigonal4.polynomials import RationalFunction, UniPoly
 from trigonal4.prng import SplitMix64, sample_params
 from trigonal4.scalars import INFINITY, Scalar
 from trigonal4.series import series_of_poly, LocalSeries
@@ -27,7 +26,7 @@ from trigonal4.series import series_of_poly, LocalSeries
 import oracles.curve
 from conftest import scalar_strategy
 from oracles.curve import OMEGA, canonical_map, divisor_min, divisor_of_function, normalize_projective
-from oracles.polynomials import from_roots
+from oracles.polynomials import RationalFunction, from_roots, from_scalars, x
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +85,7 @@ def test_closed_form_curve_data_matches_roots(seed):
 def test_params_equality_and_hash_read_u_alone(u023):
     again = validate_params(Scalar.of(0), Scalar.of(2), Scalar.of(3))
     assert again == u023 and hash(again) == hash(u023)
-    derived = dict(q_poly=UniPoly.x(), qprime=UniPoly.x(), branch_x=(), qprime_u=())
+    derived = dict(q_poly=x(), qprime=x(), branch_x=(), qprime_u=())
     altered = dataclasses.replace(u023, **derived)
     assert altered == u023 and hash(altered) == hash(u023)
     assert validate_params(0, 2, 4) != u023
@@ -217,11 +216,11 @@ def test_kernel_combination_contains_fiber(u023):
 
 
 def test_divisor_of_function_witness(u023):
-    f = RationalFunction(UniPoly.from_scalars((-5, 1)), UniPoly.from_scalars((-6, 1)))
+    f = RationalFunction(from_scalars((-5, 1)), from_scalars((-6, 1)))
     div = divisor_of_function(u023, f)
     assert div == trigonal_fiber(u023, Scalar.of(5)) - trigonal_fiber(u023, Scalar.of(6))
     # x alone: 3*Branch(0) - infinity fiber at u=(0,2,3)
-    div_x = divisor_of_function(u023, RationalFunction.of(UniPoly.from_scalars((0, 1))))
+    div_x = divisor_of_function(u023, RationalFunction.of(from_scalars((0, 1))))
     assert div_x == trigonal_fiber(u023, Scalar.zero()) - trigonal_fiber(u023, INFINITY)
 
 

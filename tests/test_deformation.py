@@ -17,7 +17,7 @@ from trigonal4.deformation import (
 )
 from trigonal4.errors import DegenerateInput, StructuralError, ZeroTangent
 from trigonal4.linalg import Matrix, same_subspace
-from trigonal4.polynomials import RationalFunction, UniPoly
+from trigonal4.polynomials import UniPoly
 from trigonal4.prng import SplitMix64, sample_params, sample_scalar, sample_tangent
 from trigonal4.report import divisor_json
 from trigonal4.rulings import d0_cycle
@@ -35,6 +35,7 @@ from oracles.deformation import (
     support_test,
     xi_functional,
 )
+from oracles.polynomials import RationalFunction
 from oracles.series import series_of_rational
 
 

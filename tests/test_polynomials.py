@@ -4,7 +4,6 @@ from hypothesis import given
 
 from trigonal4.errors import DegenerateInput
 from trigonal4.polynomials import (
-    RationalFunction,
     UniPoly,
     poly_gcd,
     root_multiplicity,
@@ -14,15 +13,15 @@ from trigonal4.polynomials import (
 from trigonal4.scalars import Scalar
 
 from conftest import scalar_strategy
-from oracles.polynomials import from_roots
+from oracles.polynomials import RationalFunction, from_roots, from_scalars, x
 
 small_scalars = scalar_strategy(bound=9, max_denominator=4)
-polys = st.lists(small_scalars, min_size=0, max_size=5).map(UniPoly.from_scalars)
+polys = st.lists(small_scalars, min_size=0, max_size=5).map(from_scalars)
 nonzero_polys = polys.filter(bool)
 
 
 def P(*ints) -> UniPoly:
-    return UniPoly.from_scalars(ints)
+    return from_scalars(ints)
 
 
 def test_gcd_examples():
@@ -129,7 +128,7 @@ def test_power_is_repeated_product(p, n):
 
 def test_power_over_polynomial_coefficients():
     # x ** 0 is the one of the coefficient ring, here Q(w)[c]
-    c = UniPoly.x()
-    poly = UniPoly((c, UniPoly.constant(Scalar.one())))  # c + x over Q(w)[c]
-    assert poly ** 0 == UniPoly((UniPoly.constant(Scalar.one()),))
+    c, one = x(), UniPoly((Scalar.one(),))
+    poly = UniPoly((c, one))  # c + x over Q(w)[c]
+    assert poly ** 0 == UniPoly((one,))
     assert poly ** 3 == poly * poly * poly

@@ -14,7 +14,7 @@ from trigonal4.scalars import INFINITY, Scalar
 
 from conftest import scalar_strategy
 from oracles.curve import common_zeros_by_divisors, divisor_of_function
-from oracles.rulings import ruling_line
+from oracles.rulings import ruling_line, witness_function
 
 
 @pytest.fixture(scope="module")
@@ -109,20 +109,21 @@ def test_d0_violating_pair(u023):
 
 
 def test_principal_witness_examples(u023):
-    func, text = principal_witness(u023, Scalar.of(5), Scalar.of(6))
-    assert text == "(x-5)/(x-6)"
-    assert divisor_of_function(u023, func) == trigonal_fiber(u023, Scalar.of(5)) - trigonal_fiber(
-        u023, Scalar.of(6)
+    # the divisor of the function each text names, read back from the text
+    cases = (
+        (Scalar.of(5), Scalar.of(6), "(x-5)/(x-6)"),
+        (Scalar.of(5), INFINITY, "x-5"),
+        (INFINITY, Scalar.of(-5), "1/(x+5)"),
+        (Scalar.zero(), INFINITY, "x"),
+        (Scalar.parse("1+1*w"), INFINITY, "x-(1+1*w)"),
     )
-    func, text = principal_witness(u023, Scalar.of(5), INFINITY)
-    assert text == "x-5"
-    func, text = principal_witness(u023, Scalar.zero(), INFINITY)
-    assert text == "x"
-    assert divisor_of_function(u023, func) == trigonal_fiber(u023, Scalar.zero()) - trigonal_fiber(
-        u023, INFINITY
-    )
+    for x1, x2, expected in cases:
+        text = principal_witness(x1, x2)
+        assert text == expected
+        fiber_difference = trigonal_fiber(u023, x1) - trigonal_fiber(u023, x2)
+        assert divisor_of_function(u023, witness_function(text)) == fiber_difference
     with pytest.raises(DegenerateInput):
-        principal_witness(u023, Scalar.of(5), Scalar.of(5))
+        principal_witness(Scalar.of(5), Scalar.of(5))
 
 
 @given(
@@ -145,8 +146,8 @@ def test_principal_witness_realizes_the_fiber_difference(seed, kind1, kind2):
     x1, x2 = draw(kind1), draw(kind2)
     if x1 is x2 or (x1 is not INFINITY and x2 is not INFINITY and x1 == x2):
         return
-    func, _ = principal_witness(params, x1, x2)
-    assert divisor_of_function(params, func) == trigonal_fiber(params, x1) - trigonal_fiber(params, x2)
+    text = principal_witness(x1, x2)
+    assert divisor_of_function(params, witness_function(text)) == trigonal_fiber(params, x1) - trigonal_fiber(params, x2)
 
 
 @given(t_values())
