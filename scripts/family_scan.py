@@ -40,7 +40,7 @@ def main() -> None:
     for variant, n in sorted(counts.items()):
         print(f"  {variant:>22}: {n}")
     for params, xi, cert in examples:
-        print(f"  e.g. {params} xi={xi}: {cert.variant.value}, conic value {cert.conic.value}")
+        print(f"  e.g. {params} xi={xi}: {cert.variant.value}, conic value {cert.conic_value}")
 
     print(f"\ncone sweep (t = 0..{args.cone_sweep - 1}) at one sampled parameter point:")
     params = sample_params(rng)

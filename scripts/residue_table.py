@@ -39,7 +39,7 @@ def main() -> None:
     print(f"{'entry':>8} {'closed':>14} {'oracle':>14} {'contour rel err':>16}")
     for l in range(4):
         for k in range(4):
-            closed = matrix.entry(l, k)
+            closed = matrix[l][k]
             oracle = oracles[l][k]
             err = residue_relative_error(closed, numeric[l][k])
             marker = "" if closed == oracle else "  << MISMATCH"

@@ -38,9 +38,9 @@ from .errors import (
 )
 from .numeric import DEFAULT_NODES, numeric_residue_matrix, residue_relative_error
 from .prng import SplitMix64, sample_params, sample_tangent
-from .qz24 import cube_family_report, evaluate_at
+from .qz24 import ANNOTATION, cube_family_report, evaluate_at
 from .rulings import d0_cycle
-from .scalars import Scalar, parse_projective
+from .scalars import Scalar, format_projective, parse_projective
 
 EXIT_OK = 0
 EXIT_INVALID_PARAMS = 2
@@ -123,12 +123,11 @@ def cmd_analyze(args, out) -> int:
     params = _parse_u(args.u)
     xi = _parse_xi(args.xi)
     cert = delta_nu_c_test(params, xi)
-    pairing = cert.pairing
     encoded = report.certificate_json(cert)
     document = {
-        "input": {"u": report.params_json(params)["u"], "xi": report.tangent_json(xi)},
-        "ks_rank": pairing.rank(),
-        "pairing_matrix": report.pairing_matrix_json(pairing),
+        "input": {"u": report.scalars_json(params.u), "xi": report.scalars_json(xi.a)},
+        "ks_rank": cert.rank,
+        "pairing_matrix": [report.scalars_json(row) for row in cert.pairing],
         **{key: encoded[key] for key in ("kernel_basis", "conic", "base_locus", "supported")},
         "certificate": encoded,
         "series_order": order,
@@ -167,7 +166,7 @@ def cmd_residue_check(args, out) -> int:
     worst = 0.0
     for l in range(4):
         for k in range(4):
-            closed = matrix.entry(l, k)
+            closed = matrix[l][k]
             oracle = oracles[l][k]
             match = closed == oracle
             all_match = all_match and match
@@ -187,7 +186,7 @@ def cmd_residue_check(args, out) -> int:
                 row["rel_err"] = f"{err:.3e}"
             entries.append(row)
     document = {
-        "u": report.params_json(params)["u"],
+        "u": report.scalars_json(params.u),
         "j": j,
         "entries": entries,
         "all_match": all_match,
@@ -244,7 +243,7 @@ def cmd_scan(args, out) -> int:
                 [str(i)]
                 + [str(c) for c in params.u]
                 + [str(c) for c in xi.a]
-                + [str(cert.conic.value), variant]
+                + [str(cert.conic_value), variant]
             )
             out.write(",".join(cells) + "\n")
         else:
@@ -252,9 +251,9 @@ def cmd_scan(args, out) -> int:
                 report.dumps_line(
                     {
                         "index": i,
-                        "u": report.params_json(params)["u"],
-                        "xi": report.tangent_json(xi),
-                        "conic_value": str(cert.conic.value),
+                        "u": report.scalars_json(params.u),
+                        "xi": report.scalars_json(xi.a),
+                        "conic_value": str(cert.conic_value),
                         "variant": variant,
                     }
                 )
@@ -272,7 +271,7 @@ def cmd_ideal(args, out) -> int:
     quadric = sym2_relation(params)
     cubic = canonical_cubic(params)
     document = {
-        "u": report.params_json(params)["u"],
+        "u": report.scalars_json(params.u),
         "quadric": report.form_json(quadric),
         "cubic": report.form_json(cubic),
         "monomial_order": report.MONOMIAL_ORDER,
@@ -287,8 +286,8 @@ def cmd_schiffer(args, out) -> int:
     point = _parse_point(args.point)
     is_schiffer = schiffer_test(params, point)
     document = {
-        "u": report.params_json(params)["u"],
-        "point": [str(c) for c in point],
+        "u": report.scalars_json(params.u),
+        "point": report.scalars_json(point),
         "quadric_value": str(sym2_relation(params).evaluate(point)),
         "cubic_value": str(canonical_cubic(params).evaluate(point)),
         "is_schiffer": is_schiffer,
@@ -308,9 +307,9 @@ def cmd_d0(args, out) -> int:
     t2 = parse_projective(args.t2) if args.t2 is not None else None
     cycle = d0_cycle(params, t1, t2)
     document = {
-        "u": report.params_json(params)["u"],
-        "t1": report.projective_json(cycle.t1),
-        "t2": report.projective_json(cycle.t2),
+        "u": report.scalars_json(params.u),
+        "t1": format_projective(cycle.t1),
+        "t2": format_projective(cycle.t2),
         "plus": report.divisor_json(cycle.plus),
         "minus": report.divisor_json(cycle.minus),
         "witness": cycle.witness,
@@ -332,8 +331,8 @@ def cmd_qz24(args, out) -> int:
         "a": str(a_value) if a_value is not None else None,
         "covector": [report.rational_function_json(c) for c in probe.covector],
         "conic_value": report.rational_function_json(probe.conic_value),
-        "variant": "NotOnConic" if not probe.on_conic else "OnConic",
-        "open_question": probe.annotation,
+        "variant": "NotOnConic" if probe.conic_value[0] else "OnConic",
+        "open_question": ANNOTATION,
         "tags": {"covector": "cube-family-probe", "conic_value": "conic-criterion"},
     }
     if a_value is not None:

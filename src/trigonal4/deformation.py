@@ -13,10 +13,11 @@ units of the fixed transcendental 6*pi*i, computed two independent ways:
 
 Everything downstream consumes the covector c = a A of the matrix, A
 having rows (1, u_j, u_j**2)/Q'(u_j), computed once per request by the
-classifier delta_nu_c_test.  Its certificate carries c and every fact read
-off it: the pairing matrix and its rank (CeresaCertificate.pairing), the
-kernel, the conic criterion and the base locus.  Every
-fact of the base is read off a closed form, with no matrix built:
+classifier delta_nu_c_test.  Its certificate is the pair (params, c), and
+every other fact is a property read off c: the pairing matrix (c bordered
+by zeros) and its rank 2, the kernel, the conic value c0*c2 - c1**2, the
+variant and the base locus.  Every fact of the base is read off a closed
+form, with no matrix built:
 c_k = sum_j a_j u_j**k / Q'(u_j) from the Q'(u_j) that curve.validate_params
 stores; the kernel of c from its first nonzero entry; and the direction
 whose covector is the conic point (1 : t : t**2) by Lagrange interpolation
@@ -44,6 +45,7 @@ tests check the lemma against it.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 from .curve import CurveParams, Differential, Divisor, basis_factors, branch_chart, trigonal_fiber
@@ -75,43 +77,22 @@ class TangentVector:
         return "(" + ",".join(str(c) for c in self.a) + ")"
 
 
-@dataclass(frozen=True)
-class PairingMatrix:
-    """4x4 matrix of 6*pi*i coefficients of the wedge pairings between the
-    basis forms and the derivative forms of one tangent direction; rows and
-    columns follow the ordered basis (w0, w1, w2, w3)."""
-
-    entries: tuple
-
-    def entry(self, l: int, k: int) -> Scalar:
-        return self.entries[l][k]
-
-    def rank(self) -> int:
-        """2 when the covector, the first row and column, is nonzero, else 0:
-        every other entry vanishes."""
-        return 2 if any(self.entries[0]) else 0
-
-
-@dataclass(frozen=True)
-class ConicReport:
-    """The image covector of a tangent direction and its evaluation against
-    the rank-3 quadric X*Z - Y**2 whose vanishing detects base points."""
-
-    covector: tuple
-    value: Scalar
-    on_conic: bool
-
-
 class CeresaVariant(enum.Enum):
     NOT_ON_CONIC = "NotOnConic"
     ON_CONIC_NOT_SUPPORTED = "OnConicNotSupported"
     ON_CONIC_SUPPORTED = "OnConicSupported"
 
 
+# The dimension of the space of holomorphic quadratic differentials
+# (A Q + b Q y + C y**2) (dx)**2 / Q**2, deg A <= 2, deg C <= 4.
+OMEGA2_DIM = 9
+
+
 @dataclass(frozen=True)
 class CeresaCertificate:
     """Outcome of the three-way vanishing test for the cycle-class invariant
-    along a tangent direction.
+    along a tangent direction: its parameter point and its image covector c,
+    from which every other fact is read.
 
     NOT_ON_CONIC and ON_CONIC_NOT_SUPPORTED certify the tested invariant
     components nonzero; ON_CONIC_SUPPORTED records that every tested
@@ -119,18 +100,79 @@ class CeresaCertificate:
     ON_CONIC_NOT_SUPPORTED stays in the output vocabulary, but on this
     family no direction reaches it (the lemma of the module docstring)."""
 
-    variant: CeresaVariant
-    conic: ConicReport
-    base_locus: Divisor
-    kernel_basis: tuple
-    supported: bool | None
-    omega2_dim: int
-    subspace_dim: int | None
+    params: CurveParams
+    covector: tuple
+
+    omega2_dim = OMEGA2_DIM
+
+    @functools.cached_property
+    def conic_value(self) -> Scalar:
+        """c against the rank-3 quadric X*Z - Y**2 whose vanishing detects
+        base points; computed once, since every variant-dependent property
+        reads it."""
+        c0, c1, c2 = self.covector
+        return c0 * c2 - c1 * c1
 
     @property
-    def pairing(self) -> PairingMatrix:
+    def on_conic(self) -> bool:
+        return not self.conic_value
+
+    @property
+    def variant(self) -> CeresaVariant:
+        return CeresaVariant.ON_CONIC_SUPPORTED if self.on_conic else CeresaVariant.NOT_ON_CONIC
+
+    @property
+    def supported(self) -> bool | None:
+        """True on the conic, by the support lemma; off it no support is
+        tested."""
+        return True if self.on_conic else None
+
+    @property
+    def subspace_dim(self) -> int | None:
+        """On the conic, the quadratic differentials vanishing on the base
+        fiber: OMEGA2_DIM less the three conditions A(t) = b = C(t) = 0."""
+        return self.omega2_dim - 3 if self.on_conic else None
+
+    @property
+    def rank(self) -> int:
+        """2 when c, the first row and column of the pairing, is nonzero,
+        else 0: every other entry vanishes."""
+        return 2 if any(self.covector) else 0
+
+    @property
+    def pairing(self) -> tuple:
         """The pairing matrix of the certified direction, from its covector."""
-        return _pairing_of(self.conic.covector)
+        return _pairing_of(self.covector)
+
+    @property
+    def kernel_basis(self) -> tuple:
+        """Basis of the annihilator of c != 0: with c_p its first nonzero
+        entry, the vectors e_j - (c_j / c_p) e_p for j != p in order, as the
+        one-row kernel (Matrix.kernel_basis) returns them."""
+        c = self.covector
+        p = next(i for i, ci in enumerate(c) if ci)
+        inv = c[p].inverse()
+        zero = Scalar.zero()
+        basis = []
+        for j in range(3):
+            if j != p:
+                b = [zero] * 3
+                b[j] = Scalar.one()
+                b[p] = -(c[j] * inv)
+                basis.append(Differential(zero, tuple(b)))
+        return tuple(basis)
+
+    @property
+    def base_locus(self) -> Divisor:
+        """Every annihilated form is P(x) dx/y**2 with deg P <= 2 and
+        P0*c0 + P1*c1 + P2*c2 = 0.  On the conic c is (1 : t : t**2), or
+        (0 : 0 : 1) for t = infinity, so the forms are exactly those with
+        P(t) = 0 and their common zeros are the fiber over t; off the conic
+        no common zero exists."""
+        if not self.on_conic:
+            return Divisor.zero()
+        c = self.covector
+        return trigonal_fiber(self.params, c[1] / c[0] if c[0] else INFINITY)
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +192,17 @@ def pairing_covector(params: CurveParams, xi: TangentVector) -> tuple:
     return (c0, c1, c2)
 
 
-def pairing_matrix(params: CurveParams, xi: TangentVector) -> PairingMatrix:
+def pairing_matrix(params: CurveParams, xi: TangentVector) -> tuple:
+    """The 4x4 pairing matrix, as rows ``[l][k]``, of 6*pi*i coefficients of
+    the wedge pairings between the basis forms (w0, w1, w2, w3) and the
+    derivative forms of one tangent direction."""
     return _pairing_of(pairing_covector(params, xi))
 
 
-def _pairing_of(c: tuple) -> PairingMatrix:
+def _pairing_of(c: tuple) -> tuple:
     """The (0,k) and (k,0) entries are c_k; every other entry vanishes."""
     zero = Scalar.zero()
-    return PairingMatrix(((zero,) + tuple(c),) + tuple((ck, zero, zero, zero) for ck in c))
+    return ((zero,) + tuple(c),) + tuple((ck, zero, zero, zero) for ck in c)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +219,7 @@ def _pairing_of(c: tuple) -> PairingMatrix:
 _RESIDUE_TRUNCATION = 6
 
 
-def residue_matrix(params: CurveParams, j: int) -> list:
+def residue_matrix(params: CurveParams, j: int) -> tuple:
     """Oracle for the pairings of w_l against the u_j-derivatives of w_k, in
     6*pi*i units, as rows ``[l][k]``: expand the forms once at the branch
     point over u_j, antidifferentiate the principal part of each derivative
@@ -203,34 +248,14 @@ def residue_matrix(params: CurveParams, j: int) -> list:
             LocalSeries({n + 1: c / (n + 1) for n, c in principal.items()}, p_series.truncation + 1)
         )
     sign = Scalar.of(ORACLE_SIGN)
-    return [[sign * (s_series * anti).coefficient(-1) / 3 for anti in antiderivatives] for s_series in forms]
+    return tuple(
+        tuple(sign * (s_series * anti).coefficient(-1) / 3 for anti in antiderivatives) for s_series in forms
+    )
 
 
 # ---------------------------------------------------------------------------
-# Kernel, conic and base locus
+# Cone directions
 # ---------------------------------------------------------------------------
-
-
-def _kernel_of(c: tuple) -> tuple:
-    """Basis of the annihilator of c != 0: with c_p its first nonzero entry,
-    the vectors e_j - (c_j / c_p) e_p for j != p in order, as the one-row
-    kernel (Matrix.kernel_basis) returns them."""
-    p = next(i for i, ci in enumerate(c) if ci)
-    inv = c[p].inverse()
-    zero = Scalar.zero()
-    basis = []
-    for j in range(3):
-        if j != p:
-            b = [zero] * 3
-            b[j] = Scalar.one()
-            b[p] = -(c[j] * inv)
-            basis.append(Differential(zero, tuple(b)))
-    return tuple(basis)
-
-
-def _conic_of(c: tuple) -> ConicReport:
-    value = c[0] * c[2] - c[1] * c[1]
-    return ConicReport(covector=tuple(c), value=value, on_conic=not value)
 
 
 def cone_directions(params: CurveParams, t) -> TangentVector:
@@ -250,25 +275,9 @@ def cone_directions(params: CurveParams, t) -> TangentVector:
     return TangentVector(tuple(a))
 
 
-def _locus_of(params: CurveParams, conic: ConicReport) -> Divisor:
-    """Every annihilated form is P(x) dx/y**2 with deg P <= 2 and
-    P0*c0 + P1*c1 + P2*c2 = 0.  On the conic c is (1 : t : t**2), or
-    (0 : 0 : 1) for t = infinity, so the forms are exactly those with
-    P(t) = 0 and their common zeros are the fiber over t; off the conic no
-    common zero exists."""
-    if not conic.on_conic:
-        return Divisor.zero()
-    c = conic.covector
-    return trigonal_fiber(params, c[1] / c[0] if c[0] else INFINITY)
-
-
 # ---------------------------------------------------------------------------
 # Classifier
 # ---------------------------------------------------------------------------
-
-# The dimension of the space of holomorphic quadratic differentials
-# (A Q + b Q y + C y**2) (dx)**2 / Q**2, deg A <= 2, deg C <= 4.
-OMEGA2_DIM = 9
 
 
 def delta_nu_c_test(params: CurveParams, xi: TangentVector) -> CeresaCertificate:
@@ -281,18 +290,4 @@ def delta_nu_c_test(params: CurveParams, xi: TangentVector) -> CeresaCertificate
     form a subspace of dimension OMEGA2_DIM - 3 = 6."""
     if xi.is_zero():
         raise ZeroTangent("classification needs a nonzero direction")
-    c = pairing_covector(params, xi)
-    conic = _conic_of(c)
-    if conic.on_conic:
-        variant, supported, dim = CeresaVariant.ON_CONIC_SUPPORTED, True, OMEGA2_DIM - 3
-    else:
-        variant, supported, dim = CeresaVariant.NOT_ON_CONIC, None, None
-    return CeresaCertificate(
-        variant=variant,
-        conic=conic,
-        base_locus=_locus_of(params, conic),
-        kernel_basis=_kernel_of(c),
-        supported=supported,
-        omega2_dim=OMEGA2_DIM,
-        subspace_dim=dim,
-    )
+    return CeresaCertificate(params, pairing_covector(params, xi))

@@ -62,9 +62,10 @@ def _chart_radius(params: CurveParams, j: int) -> float:
 
 def numeric_residue_matrix(
     params: CurveParams, j: int, nodes: int = DEFAULT_NODES
-) -> list:
+) -> tuple:
     """All 16 pairing entries for the direction d/du_j in 6*pi*i units, as
-    rows ``[l][k]``, via floating contour integrals only."""
+    a tuple of four row tuples ``[l][k]`` (the shape of pairing_matrix and
+    residue_matrix), via floating contour integrals only."""
     if j not in (1, 2, 3):
         raise DegenerateInput("j indexes one of the three moving parameters")
     if nodes < 1:
@@ -108,8 +109,8 @@ def numeric_residue_matrix(
         for part in principal:
             residue = sum(s * a * y for s, a, y in zip(s_values, part, ys)) / nodes
             row.append(ORACLE_SIGN * residue / 3)
-        matrix.append(row)
-    return matrix
+        matrix.append(tuple(row))
+    return tuple(matrix)
 
 
 def numeric_residue_pairing(

@@ -14,9 +14,10 @@ c_k = sum_j a_j u_j**(k-1) / Q'(u_j):
 
 The covector is therefore (0, 1/(3a(a-1)), 0), and its conic value
 X*Z - Y**2 is -1/(9a**2(a-1)**2): OFF the vanishing conic, while the cycle
-class is known to be locally constant along this family.  The report
-carries that tension as an explicit annotation and asserts nothing beyond
-the value.  tests/oracles/qz24.py computes the covector over Q(w)(c) and
+class is known to be locally constant along this family.  The qz24
+command prints that tension as the explicit ANNOTATION, reads the variant
+off the value's numerator, and asserts nothing beyond the value.
+tests/oracles/qz24.py computes the covector over Q(w)(c) and
 descends it to Q(w)(a) as the cross-check.
 """
 
@@ -36,8 +37,6 @@ class CubeFamilyReport:
 
     covector: tuple
     conic_value: tuple
-    on_conic: bool
-    annotation: str
 
 
 ANNOTATION = (
@@ -58,12 +57,7 @@ def cube_family_report(a_value: Scalar | None = None) -> CubeFamilyReport:
     zero = (UniPoly(()), UniPoly((one,)))
     num, den = UniPoly((one / 3,)), UniPoly((Scalar.zero(), -one, one))  # 1/3 over a**2 - a
     conic_value = (-(num * num), den * den)  # c1 = c3 = 0, so X*Z - Y**2 = -c2**2
-    return CubeFamilyReport(
-        covector=(zero, (num, den), zero),
-        conic_value=conic_value,
-        on_conic=not conic_value[0],
-        annotation=ANNOTATION,
-    )
+    return CubeFamilyReport(covector=(zero, (num, den), zero), conic_value=conic_value)
 
 
 def evaluate_at(pair: tuple, a_value: Scalar) -> Scalar:

@@ -12,19 +12,8 @@ from __future__ import annotations
 import json
 
 from .canonical_ideal import MonomialForm, monomial_label
-from .curve import (
-    BranchPoint,
-    CurveParams,
-    Differential,
-    Divisor,
-    FiberLocus,
-    FiberPoint,
-    FinitePoint,
-    InfinityPoint,
-    PlaceLocus,
-)
-from .deformation import CeresaCertificate, ConicReport, PairingMatrix, TangentVector
-from .scalars import format_projective
+from .curve import BranchPoint, Divisor, FiberLocus, FiberPoint, FinitePoint, InfinityPoint, PlaceLocus
+from .deformation import CeresaCertificate
 
 MONOMIAL_ORDER = "grlex z0>z1>z2>z3"
 PROBE_VARIABLE = "a"  # the parameter of the cube-root family (qz24)
@@ -54,64 +43,41 @@ FORMULA_TAGS = {
 }
 
 
-def projective_json(value) -> str:
-    return format_projective(value)
-
-
-def params_json(params: CurveParams) -> dict:
-    return {"u": [str(c) for c in params.u]}
-
-
-def tangent_json(xi: TangentVector) -> list:
-    return [str(c) for c in xi.a]
+def scalars_json(values) -> list:
+    return [str(c) for c in values]
 
 
 def point_json(point) -> dict:
-    if isinstance(point, BranchPoint):
-        return {"kind": "branch", "x": str(point.x)}
-    if isinstance(point, FinitePoint):
-        return {"kind": "finite", "x": str(point.x), "y": str(point.y)}
-    if isinstance(point, FiberPoint):
-        return {"kind": "fiber", "x": str(point.x)}
-    if isinstance(point, FiberLocus):
-        return {"kind": "fiber_locus", "poly": [str(c) for c in point.poly]}
-    if isinstance(point, PlaceLocus):
-        return {
-            "kind": "place_locus",
-            "poly": [str(c) for c in point.poly],
-            "y": [str(c) for c in point.y_res],
-        }
-    if isinstance(point, InfinityPoint):
-        return {"kind": "infinity", "sheet": point.sheet}
-    raise TypeError(f"not a divisor entry: {point!r}")
+    """The entry's kind, then its own fields."""
+    if isinstance(point, (BranchPoint, FiberPoint)):
+        fields = {"x": str(point.x)}
+    elif isinstance(point, FinitePoint):
+        fields = {"x": str(point.x), "y": str(point.y)}
+    elif isinstance(point, FiberLocus):
+        fields = {"poly": scalars_json(point.poly)}
+    elif isinstance(point, PlaceLocus):
+        fields = {"poly": scalars_json(point.poly), "y": scalars_json(point.y_res)}
+    elif isinstance(point, InfinityPoint):
+        fields = {"sheet": point.sheet}
+    else:
+        raise TypeError(f"not a divisor entry: {point!r}")
+    return {"kind": point.kind, **fields}
 
 
 def divisor_json(divisor: Divisor) -> list:
     return [[point_json(p), m] for p, m in divisor.items_sorted()]
 
 
-def differential_json(d: Differential) -> list:
-    return [str(c) for c in d.coefficients()]
-
-
-def pairing_matrix_json(m: PairingMatrix) -> list:
-    return [[str(e) for e in row] for row in m.entries]
-
-
-def conic_json(report: ConicReport) -> dict:
-    return {
-        "covector": [str(c) for c in report.covector],
-        "value": str(report.value),
-        "on_conic": report.on_conic,
-    }
-
-
 def certificate_json(cert: CeresaCertificate) -> dict:
     return {
         "variant": cert.variant.value,
-        "conic": conic_json(cert.conic),
+        "conic": {
+            "covector": scalars_json(cert.covector),
+            "value": str(cert.conic_value),
+            "on_conic": cert.on_conic,
+        },
         "base_locus": divisor_json(cert.base_locus),
-        "kernel_basis": [differential_json(d) for d in cert.kernel_basis],
+        "kernel_basis": [scalars_json(d.coefficients()) for d in cert.kernel_basis],
         "supported": cert.supported,
         "omega2_dim": cert.omega2_dim,
         "subspace_dim": cert.subspace_dim,

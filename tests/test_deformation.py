@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import hypothesis.strategies as st
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from trigonal4 import deformation
 from trigonal4.curve import BranchPoint, Divisor, FiberPoint, FinitePoint, InfinityPoint, trigonal_fiber, validate_params
 from trigonal4.deformation import (
+    CeresaCertificate,
     CeresaVariant,
     TangentVector,
     cone_directions,
@@ -17,6 +19,7 @@ from trigonal4.deformation import (
 )
 from trigonal4.errors import DegenerateInput, StructuralError, ZeroTangent
 from trigonal4.linalg import Matrix, same_subspace
+from trigonal4.numeric import numeric_residue_matrix
 from trigonal4.polynomials import UniPoly
 from trigonal4.prng import SplitMix64, sample_params, sample_scalar, sample_tangent
 from trigonal4.report import divisor_json
@@ -24,6 +27,7 @@ from trigonal4.rulings import d0_cycle
 from trigonal4.scalars import INFINITY, Scalar
 
 import oracles.deformation
+from golden.record import U_POINTS
 from conftest import apply, det, inverse, scalar_strategy, transpose
 from oracles.curve import KDifferential, chart_at, common_zeros_by_divisors, fiber_frame, kdiff_series
 from oracles.deformation import (
@@ -55,13 +59,13 @@ def tangent_strategy():
 
 def test_pairing_entries_examples(u023):
     m = pairing_matrix(u023, TangentVector((1, 0, 0)))
-    assert m.entry(0, 1) == Scalar.of(-1) / 6  # 1/Q'(0)
-    assert m.entry(0, 2) == Scalar.zero()
-    assert m.entry(1, 3) == Scalar.zero()
-    assert m.entry(0, 0) == Scalar.zero()
+    assert m[0][1] == Scalar.of(-1) / 6  # 1/Q'(0)
+    assert m[0][2] == Scalar.zero()
+    assert m[1][3] == Scalar.zero()
+    assert m[0][0] == Scalar.zero()
     # symmetry of the mixed entries
     for k in range(1, 4):
-        assert m.entry(0, k) == m.entry(k, 0)
+        assert m[0][k] == m[k][0]
 
 
 @given(seed=st.none() | st.integers(min_value=0, max_value=2**64 - 1))
@@ -73,8 +77,23 @@ def test_residue_oracle_matches_closed_form_all_entries(u023, seed):
     for j in (1, 2, 3):
         direction = [0, 0, 0]
         direction[j - 1] = 1
-        m = pairing_matrix(params, TangentVector(tuple(direction)))
-        assert residue_matrix(params, j) == [list(row) for row in m.entries], j
+        assert residue_matrix(params, j) == pairing_matrix(params, TangentVector(tuple(direction))), j
+
+
+@pytest.mark.parametrize("u", U_POINTS)
+def test_pairing_tables_share_one_shape(u):
+    # The closed form, the exact oracle and the contour all return four row
+    # tuples [l][k], so the exact tables compare with plain ==.
+    params = validate_params(*(Scalar.parse(p) for p in u.split(",")))
+    for j in (1, 2, 3):
+        direction = [0, 0, 0]
+        direction[j - 1] = 1
+        closed = pairing_matrix(params, TangentVector(tuple(direction)))
+        assert closed == residue_matrix(params, j), j
+        numeric = numeric_residue_matrix(params, j, nodes=64)
+        for table in (closed, numeric):
+            assert type(table) is tuple and len(table) == 4
+            assert all(type(row) is tuple and len(row) == 4 for row in table)
 
 
 def test_residue_truncation_is_the_least_that_reads(monkeypatch, u023):
@@ -107,21 +126,22 @@ def test_residue_oracle_rejects_a_fourth_parameter(u023):
 
 
 def test_ks_rank(u023):
-    assert pairing_matrix(u023, TangentVector((0, 0, 0))).rank() == 0
-    assert delta_nu_c_test(u023, TangentVector((1, 0, 0))).pairing.rank() == 2
-    assert delta_nu_c_test(u023, TangentVector((1, 1, 1))).pairing.rank() == 2
+    assert CeresaCertificate(u023, pairing_covector(u023, TangentVector((0, 0, 0)))).rank == 0
+    assert delta_nu_c_test(u023, TangentVector((1, 0, 0))).rank == 2
+    assert delta_nu_c_test(u023, TangentVector((1, 1, 1))).rank == 2
 
 
 @given(tangent_strategy())
 @settings(max_examples=20)
 def test_ks_rank_two_for_nonzero(u023, xi):
-    pairing = pairing_matrix(u023, xi)
+    cert = CeresaCertificate(u023, pairing_covector(u023, xi))
+    assert cert.pairing == pairing_matrix(u023, xi)
     if xi.is_zero():
-        assert pairing.rank() == 0
+        assert cert.rank == 0
     else:
-        assert delta_nu_c_test(u023, xi).pairing.rank() == 2
+        assert delta_nu_c_test(u023, xi).rank == 2
     # the closed-form rank against elimination on the 4x4 matrix
-    assert pairing.rank() == Matrix(pairing.entries).rank()
+    assert cert.rank == Matrix(pairing_matrix(u023, xi)).rank()
 
 
 def test_kernel_W_for_coordinate_directions(u023):
@@ -141,7 +161,7 @@ def test_kernel_W_for_coordinate_directions(u023):
 @settings(max_examples=20)
 def test_kernel_matches_pairing_matrix_nullspace(u023, xi):
     basis = delta_nu_c_test(u023, xi).kernel_basis
-    matrix_kernel = Matrix(pairing_matrix(u023, xi).entries).kernel_basis()
+    matrix_kernel = Matrix(pairing_matrix(u023, xi)).kernel_basis()
     # the full 4x4 null space has b0 = 0 automatically and equals W
     lifted = [(Scalar.zero(),) + w.b for w in basis]
     assert same_subspace(lifted, matrix_kernel)
@@ -159,10 +179,10 @@ def test_coordinate_directions_on_conic(u023):
     for j in range(3):
         direction = [0, 0, 0]
         direction[j] = 1
-        report = delta_nu_c_test(u023, TangentVector(tuple(direction))).conic
-        assert report.on_conic
+        cert = delta_nu_c_test(u023, TangentVector(tuple(direction)))
+        assert cert.on_conic
         # covector proportional to (1, u_j, u_j**2)
-        c = report.covector
+        c = cert.covector
         uj = u023.u[j]
         assert c[1] == c[0] * uj and c[2] == c[0] * uj * uj
 
@@ -181,7 +201,7 @@ def test_base_locus_examples(u023):
 def test_conic_iff_base_locus(u023, xi):
     cert = delta_nu_c_test(u023, xi)
     locus = common_zeros_by_divisors(u023, *cert.kernel_basis)
-    assert cert.conic.on_conic == (not locus.is_zero())
+    assert cert.on_conic == (not locus.is_zero())
     assert cert.base_locus == locus
 
 
@@ -219,7 +239,7 @@ def test_base_locus_matches_divisor_oracle(seed, kind):
 @settings(max_examples=25)
 def test_cone_directions_postcondition(u023, t):
     cert = delta_nu_c_test(u023, cone_directions(u023, t))
-    assert cert.conic.on_conic
+    assert cert.on_conic
     assert cert.base_locus == trigonal_fiber(u023, t)
 
 
@@ -356,6 +376,8 @@ def test_support_monotone_in_divisor(u023):
 
 def test_certificates(u023):
     cert = delta_nu_c_test(u023, TangentVector((1, 0, 0)))
+    # the certificate is its parameter point and covector; the rest is read off
+    assert [f.name for f in dataclasses.fields(cert)] == ["params", "covector"]
     assert cert.variant is CeresaVariant.ON_CONIC_SUPPORTED
     assert cert.base_locus == Divisor.of((BranchPoint(Scalar.zero()), 3))
     assert cert.subspace_dim == 6
@@ -534,11 +556,11 @@ def test_cone_directions_match_inverse_oracle(kind, seed):
 @pytest.mark.parametrize("leading_zeros", [0, 1, 2])
 @given(entries=st.lists(scalar_strategy(bound=7, max_denominator=3), min_size=3, max_size=3))
 @settings(max_examples=15)
-def test_kernel_of_matches_row_kernel(leading_zeros, entries):
+def test_kernel_of_matches_row_kernel(u023, leading_zeros, entries):
     c = (Scalar.zero(),) * leading_zeros + tuple(entries[leading_zeros:])
     if not c[leading_zeros]:
         c = c[:leading_zeros] + (Scalar.one(),) + c[leading_zeros + 1:]
-    basis = deformation._kernel_of(c)
+    basis = CeresaCertificate(u023, c).kernel_basis
     assert [w.b for w in basis] == Matrix.from_rows([c]).kernel_basis()
     assert all(not w.b0 for w in basis)
 

@@ -19,7 +19,7 @@ def test_contour_matches_exact_on_nonzero_entry():
     params = validate_params(0, 2, 3)
     matrix = pairing_matrix(params, TangentVector((1, 0, 0)))
     numeric = numeric_residue_matrix(params, 1, nodes=256)
-    assert residue_relative_error(matrix.entry(0, 1), numeric[0][1]) < 1e-10
+    assert residue_relative_error(matrix[0][1], numeric[0][1]) < 1e-10
 
 
 def test_contour_matches_on_zero_entries():
@@ -33,7 +33,7 @@ def test_contour_on_complex_parameters():
     params = validate_params(Scalar(1, 1), 2, Scalar(3, 1))
     matrix = pairing_matrix(params, TangentVector((0, 0, 1)))
     numeric = numeric_residue_matrix(params, 3, nodes=256)
-    assert residue_relative_error(matrix.entry(2, 0), numeric[2][0]) < 1e-10
+    assert residue_relative_error(matrix[2][0], numeric[2][0]) < 1e-10
 
 
 def test_pairing_is_the_matching_table_entry():
@@ -143,7 +143,7 @@ def test_newton_accepts_roots_at_the_rounding_level_of_q():
     exact = pairing_matrix(params, TangentVector((0, 1, 0)))
     matrix = numeric_residue_matrix(params, 2, nodes=128)
     worst = max(
-        residue_relative_error(exact.entry(l, k), matrix[l][k])
+        residue_relative_error(exact[l][k], matrix[l][k])
         for l in range(4)
         for k in range(4)
     )

@@ -1,5 +1,9 @@
+import io
+import json
+
 import pytest
 
+from trigonal4.cli import main
 from trigonal4.errors import DegenerateInput, StructuralError
 from trigonal4.qz24 import ANNOTATION, cube_family_report, evaluate_at
 from trigonal4.scalars import Scalar
@@ -43,11 +47,15 @@ def test_report_matches_the_oracle():
 
 def test_conic_value_and_sample_point():
     report = cube_family_report()
-    assert not report.on_conic
+    assert report.conic_value[0]  # a nonzero numerator: off the conic
     a2 = Scalar.of(2)
     assert evaluate_at(report.covector[1], a2) == Scalar.one() / 6
     assert evaluate_at(report.conic_value, a2) == Scalar.of(-1) / 36
-    assert report.annotation == ANNOTATION
+    out = io.StringIO()
+    assert main(["qz24"], out) == 0
+    doc = json.loads(out.getvalue())
+    assert doc["variant"] == "NotOnConic"
+    assert doc["open_question"] == ANNOTATION
 
 
 def test_report_rejects_degenerate_parameter():
