@@ -104,6 +104,14 @@ class CeresaCertificate:
     covector: tuple
 
     omega2_dim = OMEGA2_DIM
+    # c, the first row and column of the pairing, is nonzero and every other
+    # entry vanishes.
+    rank = 2
+
+    def __post_init__(self):
+        # c = a*A with A invertible: only the zero direction gives c = 0.
+        if not any(self.covector):
+            raise ZeroTangent("a certificate needs a nonzero covector")
 
     @functools.cached_property
     def conic_value(self) -> Scalar:
@@ -134,19 +142,13 @@ class CeresaCertificate:
         return self.omega2_dim - 3 if self.on_conic else None
 
     @property
-    def rank(self) -> int:
-        """2 when c, the first row and column of the pairing, is nonzero,
-        else 0: every other entry vanishes."""
-        return 2 if any(self.covector) else 0
-
-    @property
     def pairing(self) -> tuple:
         """The pairing matrix of the certified direction, from its covector."""
         return _pairing_of(self.covector)
 
     @property
     def kernel_basis(self) -> tuple:
-        """Basis of the annihilator of c != 0: with c_p its first nonzero
+        """Basis of the annihilator of c: with c_p its first nonzero
         entry, the vectors e_j - (c_j / c_p) e_p for j != p in order, as the
         one-row kernel (Matrix.kernel_basis) returns them."""
         c = self.covector

@@ -15,6 +15,17 @@ accepted by a backward-error test, |Q(x) - y^3| <= 1e-12 * max(1, |y^3|,
 sum |c_i| |x|^i): Horner's rule evaluates Q only to within a few rounding
 errors of the largest terms it sums, so a converged root cannot be held to
 a residual smaller than that.
+
+Newton's iteration runs 80 steps, or stops at the first iterate with
+|Q(x) - y^3| < 1e-30, which a converged float root rarely reaches: the
+iterates instead settle into a cycle of a few rounding-level points.  The
+step is a pure function of the iterate's bits (Q, Q' and y are fixed
+within one solve), so once x_n repeats x_m bit for bit (m < n), the
+iterates repeat with period n - m, and the 80th is x_{m + (80-m) mod (n-m)}.
+The solve stops there and returns that iterate, the very float the full
+80 steps would reach.  Iterates are keyed by the hex of both parts, so
+0.0 and -0.0 stay distinct; an iterate with a NaN part may match another
+one, but every such x fails the acceptance test either way.
 """
 
 from __future__ import annotations
@@ -37,10 +48,22 @@ def _horner(coeffs: list, z: complex) -> complex:
 
 
 def _solve_x(q: list, qp: list, q_abs: list, x_seed: complex, y: complex) -> complex:
-    """Newton solve of Q(x) = y**3 starting near the branch coordinate."""
+    """Newton solve of Q(x) = y**3 starting near the branch coordinate: the
+    80th iterate, or the first with |Q(x) - y^3| < 1e-30.  Once an iterate
+    repeats bit for bit, x_n == x_m with m < n, the 80th is read off the
+    cycle instead of stepped to."""
     target = y ** 3
     x = x_seed
-    for _ in range(80):
+    seen = {}
+    history = []
+    for n in range(80):
+        key = (x.real.hex(), x.imag.hex())
+        m = seen.get(key)
+        if m is not None:
+            x = history[m + (80 - m) % (n - m)]
+            break
+        seen[key] = n
+        history.append(x)
         fx = _horner(q, x) - target
         if abs(fx) < 1e-30:
             break

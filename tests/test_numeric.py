@@ -1,18 +1,24 @@
 import cmath
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from trigonal4.curve import validate_params
-from trigonal4.deformation import ORACLE_SIGN, TangentVector, pairing_matrix
+from trigonal4.deformation import TangentVector, pairing_matrix
 from trigonal4.errors import DegenerateInput, StructuralError
 from trigonal4.numeric import (
     _chart_radius,
+    _horner,
+    _solve_x,
     numeric_residue_matrix,
     numeric_residue_pairing,
     residue_relative_error,
 )
 from trigonal4.prng import SplitMix64, sample_params
 from trigonal4.scalars import Scalar
+
+from oracles.numeric import _reference_numeric_pairing, first_repeat, newton_80, newton_iterates
 
 
 def test_contour_matches_exact_on_nonzero_entry():
@@ -54,68 +60,6 @@ def test_contour_rejects_a_fourth_parameter():
 # ---------------------------------------------------------------------------
 
 
-def _poly_complex(coeffs, z: complex) -> complex:
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * z + complex(c)
-    return acc
-
-
-def _solve_x(params, x_seed: complex, y: complex) -> complex:
-    q = params.q_poly.coefficients
-    qp = params.qprime.coefficients
-    target = y ** 3
-    x = x_seed
-    for _ in range(80):
-        fx = _poly_complex(q, x) - target
-        if abs(fx) < 1e-30:
-            break
-        x -= fx / _poly_complex(qp, x)
-    if abs(_poly_complex(q, x) - target) > 1e-12 * max(1.0, abs(target)):
-        raise StructuralError("Newton iteration failed on the contour")
-    return x
-
-
-def _reference_numeric_pairing(params, j: int, l: int, k: int, nodes: int) -> complex:
-    """One entry from its own contour solve, converting each Scalar
-    coefficient to complex at every use."""
-    x0 = complex(params.u[j - 1])
-    rho = _chart_radius(params, j)
-    qp = params.qprime.coefficients
-
-    ys = [rho * cmath.exp(2j * cmath.pi * m / nodes) for m in range(nodes)]
-    qp0 = _poly_complex(qp, x0)
-    xs = [_solve_x(params, x0 + y ** 3 / qp0, y) for y in ys]
-    qpxs = [_poly_complex(qp, x) for x in xs]
-
-    if l == 0:
-        s_values = [3 * y / qpx for y, qpx in zip(ys, qpxs)]
-    else:
-        s_values = [3 * x ** (l - 1) / qpx for x, qpx in zip(xs, qpxs)]
-    if k == 0:
-        p_values = [y / ((x - x0) * qpx) for y, x, qpx in zip(ys, xs, qpxs)]
-    else:
-        p_values = [2 * x ** (k - 1) / ((x - x0) * qpx) for x, qpx in zip(xs, qpxs)]
-
-    def moment(values, power: int) -> complex:
-        return sum(v * y ** (-power) for v, y in zip(values, ys)) / nodes
-
-    p_minus3 = moment(p_values, -3)
-    p_minus2 = moment(p_values, -2)
-    p_minus1 = moment(p_values, -1)
-    if abs(p_minus1) > 1e-9 * max(1.0, abs(p_minus3), abs(p_minus2)):
-        raise StructuralError("numeric principal part has a y**-1 term")
-
-    residue = (
-        sum(
-            s * (-p_minus3 / (2 * y ** 2) - p_minus2 / y) * y
-            for s, y in zip(s_values, ys)
-        )
-        / nodes
-    )
-    return ORACLE_SIGN * residue / 3
-
-
 DIFFERENTIAL_CASES = [
     pytest.param((0, 2, 3), 1, id="u023-j1"),
     pytest.param((0, 2, 3), 2, id="u023-j2"),
@@ -150,3 +94,64 @@ def test_newton_accepts_roots_at_the_rounding_level_of_q():
     assert worst < 1e-8
     with pytest.raises(StructuralError):
         _reference_numeric_pairing(params, 2, 0, 0, 128)
+
+
+# ---------------------------------------------------------------------------
+# The cycle shortcut against the full 80-step Newton loop
+# ---------------------------------------------------------------------------
+
+
+def _contour(params, j: int, nodes: int):
+    """Q, Q', |Q| as complex coefficient lists and the (x_seed, y) of every
+    node, as numeric_residue_matrix sets them up."""
+    x0 = complex(params.u[j - 1])
+    rho = _chart_radius(params, j)
+    q = [complex(c) for c in params.q_poly.coefficients]
+    qp = [complex(c) for c in params.qprime.coefficients]
+    qp0 = _horner(qp, x0)
+    ys = [rho * cmath.exp(2j * cmath.pi * m / nodes) for m in range(nodes)]
+    return q, qp, [abs(c) for c in q], [(x0 + y ** 3 / qp0, y) for y in ys]
+
+
+def _outcome(solve, *args):
+    try:
+        x = solve(*args)
+    except StructuralError as exc:
+        return ("raises", str(exc))
+    return (x.real.hex(), x.imag.hex())
+
+
+# (seed of sample_params, j, nodes) at which some node's reference iterates
+# cycle with period 2, with period 3, or repeat not at all within 80 steps.
+PERIOD_2 = (1, 2, 16)
+PERIOD_3 = (8, 1, 16)
+NO_REPEAT = (8, 3, 16)
+
+
+@example(*PERIOD_2)
+@example(*PERIOD_3)
+@example(*NO_REPEAT)
+@given(
+    st.integers(min_value=0, max_value=2 ** 32 - 1),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from((16, 64, 128, 512)),
+)
+@settings(max_examples=12)
+def test_solve_x_is_newton_80_bit_for_bit(seed, j, nodes):
+    q, qp, q_abs, contour = _contour(sample_params(SplitMix64(seed)), j, nodes)
+    cycles = set()
+    for x_seed, y in contour:
+        assert _outcome(_solve_x, q, qp, q_abs, x_seed, y) == _outcome(newton_80, q, qp, q_abs, x_seed, y)
+        repeat = first_repeat(newton_iterates(q, qp, x_seed, y))
+        if repeat is None:
+            cycles.add(None)
+        else:
+            m, n = repeat
+            # the period, and whether the 80th iterate is not x_m itself
+            cycles.add((n - m, (80 - m) % (n - m) != 0))
+    if (seed, j, nodes) == PERIOD_2:
+        assert (2, True) in cycles
+    if (seed, j, nodes) == PERIOD_3:
+        assert (3, True) in cycles
+    if (seed, j, nodes) == NO_REPEAT:
+        assert None in cycles
