@@ -10,6 +10,9 @@ because perfbench/layertrace.py counts divisor_of calls, and the oracles
 in tests/oracles/curve.py (charts at any point, divisors of functions,
 divisor minima, the canonical map) build on them.
 
+Validation computes only u and Q'(u_j), what an off-conic request reads;
+Q, Q' and the branch x are built from u on first read.
+
 Divisors are fiber-aware.  Points whose coordinates live in Q(w) are stored
 individually; a full degree-3 fiber of the x-projection is stored as one
 collective entry, and a Galois orbit of points over an irreducible x-locus
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import DegenerateInput, InvalidParameters, StructuralError
 from .polynomials import UniPoly, poly_gcd, root_multiplicity, scalar_roots
@@ -39,25 +42,39 @@ from .series import LocalSeries, series_of_poly
 
 @dataclass(frozen=True)
 class CurveParams:
-    """A point of the family base: the parameters u, and curve data derived
-    from u in closed form (Q and Q' low to high, the six branch x, and
-    Q'(u_j) for j = 1..3).  Equality and hash read u alone, so the
-    derived fields cost nothing where params key a cache."""
+    """A point of the family base: the parameters u and Q'(u_j) for
+    j = 1..3.  Q and Q' (low to high) and the six branch x are built from u
+    in closed form on first read: only the residue oracle, numeric,
+    canonical_ideal and the charts read them.  Equality and hash read u
+    alone, so the derived data costs nothing where params key a cache."""
 
     u: tuple
-    q_poly: UniPoly = field(compare=False)
-    qprime: UniPoly = field(compare=False)
-    branch_x: tuple = field(compare=False)
     qprime_u: tuple = field(compare=False)
 
-    def q_at(self, x0: Scalar) -> Scalar:
-        return self.q_poly.evaluate(x0)
+    @cached_property
+    def q_poly(self) -> UniPoly:
+        """Q = (x**3 - 1)(x**3 - e1 x**2 + e2 x - e3), e1, e2, e3 the
+        elementary symmetric functions of u."""
+        u1, u2, u3 = self.u
+        p12, s12 = u1 * u2, u1 + u2
+        e1, e2, e3 = s12 + u3, p12 + s12 * u3, p12 * u3
+        one = Scalar.one()
+        return UniPoly((e3, -e2, e1, -e3 - one, e2, -e1, one))
+
+    @cached_property
+    def qprime(self) -> UniPoly:
+        return self.q_poly.derivative()
+
+    @cached_property
+    def branch_x(self) -> tuple:
+        return (Scalar.one(), Scalar.zeta(), Scalar.zeta_power(2)) + self.u
 
     def qprime_at(self, x0: Scalar) -> Scalar:
         return self.qprime.evaluate(x0)
 
     def is_branch_x(self, x0: Scalar) -> bool:
-        return not self.q_at(x0)
+        # Q is the product of x - b over the six branch x, all in Q(w)
+        return x0 in self.branch_x
 
     def __str__(self):
         return "u=(" + ",".join(str(c) for c in self.u) + ")"
@@ -65,10 +82,8 @@ class CurveParams:
 
 def validate_params(u1, u2, u3) -> CurveParams:
     """Check membership in the base (parameters distinct, cubes != 1) and
-    build the curve data from the elementary symmetric functions e1, e2, e3
-    of u: Q = (x**3 - 1)(x**3 - e1 x**2 + e2 x - e3), and
-    Q'(u_j) = (u_j**3 - 1) prod_{k != j} (u_j - u_k).  On the base the six
-    branch x are pairwise distinct, so Q is squarefree."""
+    compute Q'(u_j) = (u_j**3 - 1) prod_{k != j} (u_j - u_k).  On the base
+    the six branch x are pairwise distinct, so Q is squarefree."""
     u = tuple(Scalar.of(v) for v in (u1, u2, u3))
     for i, j in ((0, 1), (0, 2), (1, 2)):
         if u[i] == u[j]:
@@ -79,18 +94,8 @@ def validate_params(u1, u2, u3) -> CurveParams:
         if not c:
             raise InvalidParameters(f"u{i + 1}^3 = 1")
     u1, u2, u3 = u
-    p12, s12 = u1 * u2, u1 + u2
-    e1, e2, e3 = s12 + u3, p12 + s12 * u3, p12 * u3
-    q_poly = UniPoly((e3, -e2, e1, -e3 - one, e2, -e1, one))
     d12, d13, d23 = u1 - u2, u1 - u3, u2 - u3
-    qprime_u = (c1 * d12 * d13, -(c2 * d12 * d23), c3 * d13 * d23)
-    return CurveParams(
-        u=u,
-        q_poly=q_poly,
-        qprime=q_poly.derivative(),
-        branch_x=(one, Scalar.zeta(), Scalar.zeta_power(2)) + u,
-        qprime_u=qprime_u,
-    )
+    return CurveParams(u=u, qprime_u=(c1 * d12 * d13, -(c2 * d12 * d23), c3 * d13 * d23))
 
 
 # ---------------------------------------------------------------------------

@@ -289,7 +289,6 @@ def delta_nu_c_test(params: CurveParams, xi: TangentVector) -> CeresaCertificate
     conic and supported (every tested component vanishes).  On the conic the
     support is read off the lemma of the module docstring: the direction is
     supported, and the quadratic differentials vanishing on its base fiber
-    form a subspace of dimension OMEGA2_DIM - 3 = 6."""
-    if xi.is_zero():
-        raise ZeroTangent("classification needs a nonzero direction")
+    form a subspace of dimension OMEGA2_DIM - 3 = 6.  The zero direction
+    has the zero covector, which the certificate refuses (ZeroTangent)."""
     return CeresaCertificate(params, pairing_covector(params, xi))

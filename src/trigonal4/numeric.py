@@ -10,7 +10,9 @@ better than the 1e-8 comparison tolerance.
 One request does each piece of float work once: the coefficients of Q and
 Q' are converted to complex once, the contour (the nodes y, the Newton roots
 x and Q'(x)) is solved once per (params, j, nodes), and the principal-part
-moments once per k; all 16 entries are read off that.  A Newton root is
+moments once per k; all 16 entries are read off that.  Curve data past the
+float range, or a zero divisor, is a StructuralError, as a failed Newton
+solve is.  A Newton root is
 accepted by a backward-error test, |Q(x) - y^3| <= 1e-12 * max(1, |y^3|,
 sum |c_i| |x|^i): Horner's rule evaluates Q only to within a few rounding
 errors of the largest terms it sums, so a converged root cannot be held to
@@ -93,6 +95,13 @@ def numeric_residue_matrix(
         raise DegenerateInput("j indexes one of the three moving parameters")
     if nodes < 1:
         raise DegenerateInput("contour quadrature needs at least one node")
+    try:
+        return _contour_matrix(params, j, nodes)
+    except ArithmeticError:  # a value past the float range, or a zero divisor
+        raise StructuralError("the float contour cannot represent this curve") from None
+
+
+def _contour_matrix(params: CurveParams, j: int, nodes: int) -> tuple:
     x0 = complex(params.u[j - 1])
     rho = _chart_radius(params, j)
     q = [complex(c) for c in params.q_poly.coefficients]

@@ -4,17 +4,17 @@ splitmix64 advances a 64-bit counter by 0x9E3779B97F4A7C15 and hashes it
 with two xor-multiply rounds (constants 0xBF58476D1CE4E5B9 and
 0x94D049BB133111EB, shifts 30/27/31).  The algorithm is fixed here so that
 seeded runs are reproducible across machines and implementations; all
-derived samplers consume draws in a documented order.
+derived samplers consume draws in a documented order.  A sampled scalar
+goes from its integer draws straight to the canonical triple, with one gcd
+and no intermediate fraction.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .curve import CurveParams, validate_params
 from .deformation import TangentVector
 from .errors import DegenerateInput, InvalidParameters
-from .scalars import Scalar
+from .scalars import Scalar, ratio_scalar
 
 _MASK = (1 << 64) - 1
 
@@ -46,17 +46,13 @@ class SplitMix64:
         return lo + self.below(hi - lo + 1)
 
 
-def sample_fraction(rng: SplitMix64, bound: int = 9, max_denominator: int = 4) -> Fraction:
-    """numerator in [-bound, bound], denominator in [1, max_denominator]."""
-    num = rng.integer(-bound, bound)
-    den = rng.integer(1, max_denominator)
-    return Fraction(num, den)
-
-
 def sample_scalar(rng: SplitMix64, bound: int = 9, max_denominator: int = 4, with_zeta: bool = True) -> Scalar:
-    rational = sample_fraction(rng, bound, max_denominator)
-    zeta = sample_fraction(rng, bound, max_denominator) if with_zeta else Fraction(0)
-    return Scalar(rational, zeta)
+    """p/q + (r/s)*w, the numerators in [-bound, bound] and the denominators
+    in [1, max_denominator], drawn in the order p, q, r, s; without the zeta
+    part r/s is 0 and only p, q are drawn."""
+    p, q = rng.integer(-bound, bound), rng.integer(1, max_denominator)
+    r, s = (rng.integer(-bound, bound), rng.integer(1, max_denominator)) if with_zeta else (0, 1)
+    return ratio_scalar(p, q, r, s)
 
 
 def sample_params(rng: SplitMix64, with_zeta: bool = True) -> CurveParams:

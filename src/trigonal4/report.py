@@ -5,11 +5,16 @@ the registry below is the complete tag set and is documented in the README.
 Encoders are deterministic: entries are emitted in canonical sorted order
 and scalars in the canonical literal syntax, so identical inputs produce
 identical bytes.
+
+dumps writes json.dumps(document, indent=2) + "\n" byte for byte in one
+recursive pass over json's C string escaper, where json's indent path runs
+its pure-Python encoder; dumps_line keeps json's C encoder.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .canonical_ideal import MonomialForm, monomial_label
 from .curve import BranchPoint, Divisor, FiberLocus, FiberPoint, FinitePoint, InfinityPoint, PlaceLocus
@@ -95,7 +100,32 @@ def rational_function_json(f: tuple) -> dict:
 
 
 def dumps(document: dict) -> str:
-    return json.dumps(document, indent=2) + "\n"
+    """``json.dumps(document, indent=2) + "\n"``, byte for byte."""
+    return _indented(document, "\n") + "\n"
+
+
+def _indented(value, newline: str) -> str:
+    """The indent-2 JSON of value, each line after its first starting with
+    newline; json writes floats, subclasses and dicts with non-str keys."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return repr(value)
+    if kind is bool or value is None:
+        return "true" if value is True else "false" if value is False else "null"
+    inner = newline + "  "
+    if kind is dict and all(type(k) is str for k in value):
+        if not value:
+            return "{}"
+        items = (f"{_quote(k)}: {_indented(v, inner)}" for k, v in value.items())
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        items = (_indented(v, inner) for v in value)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return json.dumps(value, indent=2).replace("\n", newline)
 
 
 def dumps_line(document: dict) -> str:

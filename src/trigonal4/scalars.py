@@ -9,6 +9,8 @@ value was built.  The two coordinates ``rational_part = a/d`` and
 
 The I/O literal syntax is ``p/q`` or ``p/q+r/s*w`` (whitespace-free, the
 ``/q`` omitted when the denominator is 1), e.g. ``-1/6`` or ``1/2+-3/4*w``.
+A literal, like a sampled draw (prng.sample_scalar), goes straight from its
+integers p, q, r, s to the canonical triple with one gcd (ratio_scalar).
 """
 
 from __future__ import annotations
@@ -232,16 +234,27 @@ class Scalar:
         m = _LITERAL.match(text.strip())
         if m is None:
             raise DegenerateInput(f"not a scalar literal: {text!r}")
-        try:
-            if m.group("rat") is not None:
-                return Scalar(Fraction(m.group("rat")))
-            if m.group("zet0") is not None:
-                return Scalar(0, Fraction(m.group("zet0")))
-            return Scalar(Fraction(m.group("rat1")), Fraction(m.group("zet1")))
-        except ZeroDivisionError:
-            raise DegenerateInput(f"zero denominator in scalar literal: {text!r}") from None
-        except ValueError:  # more digits than int() converts
-            raise DegenerateInput("scalar literal exceeds the integer digit limit") from None
+        p, q = _ratio(m.group("rat") or m.group("rat1") or "0", text)
+        r, s = _ratio(m.group("zet0") or m.group("zet1") or "0", text)
+        return ratio_scalar(p, q, r, s)
+
+
+def _ratio(part: str, text: str) -> tuple:
+    """(p, q) of the literal part ``p`` or ``p/q``; the digits are read
+    before the denominator is checked, as Fraction does."""
+    num, _, den = part.partition("/")
+    try:
+        p, q = int(num), int(den or 1)
+    except ValueError:  # more digits than int() converts
+        raise DegenerateInput("scalar literal exceeds the integer digit limit") from None
+    if not q:
+        raise DegenerateInput(f"zero denominator in scalar literal: {text!r}")
+    return p, q
+
+
+def ratio_scalar(p: int, q: int, r: int, s: int) -> Scalar:
+    """The canonical Scalar p/q + (r/s)*w for q, s > 0: one gcd."""
+    return _make(p * s, r * q, q * s)
 
 
 def _make(a: int, b: int, d: int) -> Scalar:

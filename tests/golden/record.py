@@ -102,13 +102,44 @@ FAILING = [
     ["analyze", "--u=0,2,3", "--xi=0,0,0"],
     ["residue-check", "--u=0,2,3", "--j=1", "--numeric", "--quad-nodes=1"],
     ["residue-check", "--u=0,2,3", "--j=2", "--numeric", "--quad-nodes=64", "--numeric-tolerance=1e-30"],
+    # Q'(u_3) ~ u_3**5 past the float range, and u_3 itself past it
+    ["residue-check", "--numeric", "--u=0,2," + "9" * 62, "--j=3"],
+    ["residue-check", "--numeric", "--u=0,2," + "9" * 4000, "--j=3"],
 ]
 
-ARGVS = ANALYZE + RESIDUE + SERIES_ORDER + SCAN + IDEAL + D0 + QZ24 + FAILING
+# Literals written other than canonically (unreduced, signed or padded
+# zeros, a zero zeta part, surrounding blanks) print canonically; a zero
+# denominator in either part, and a numerator past the int() digit limit,
+# are refused.  The digit limit is met before the zero denominator behind it.
+LONG = "9" * 4301
+LITERALS = [
+    ["analyze", "--u=4/6,-0,007/21", "--xi=0*w,2/4+0/3*w,6/4+-9/6*w"],
+    ["analyze", "--u= 3 ,2/4+0/3*w,6/4+-9/6*w", "--xi=-0+1*w, 2 ,-007/021"],
+    ["d0", "--u=0/5,004/2,6/2", "--t1=4/6"],
+    ["d0", "--u=-0,2,3", "--t1=2/4+0/3*w", "--t2= 6/4+-9/6*w "],
+    ["d0", "--u=0,2,3", "--t1= 3 ", "--t2=0*w"],
+    ["qz24", "--a=-2/6+0*w"],
+    ["analyze", "--u=0,2,1/0*w", "--xi=1,0,0"],
+    ["analyze", "--u=0,2,1/0+1*w", "--xi=1,0,0"],
+    ["analyze", "--u=0,2,1+1/0*w", "--xi=1,0,0"],
+    ["d0", "--u=0,2,3", "--t1=3/0"],
+    ["analyze", f"--u={LONG}/0,2,3", "--xi=1,0,0"],
+    ["analyze", f"--u=0,2,1+{LONG}/0*w", "--xi=1,0,0"],
+    ["analyze", f"--u=0,2,1/0+{LONG}*w", "--xi=1,0,0"],
+    ["d0", "--u=0,2,3", f"--t1=-{LONG}/0"],
+]
+
+ARGVS = ANALYZE + RESIDUE + SERIES_ORDER + SCAN + IDEAL + D0 + QZ24 + FAILING + LITERALS
 
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def argv_id(argv: list) -> str:
+    """An entry's test id: its argv, each argument past 80 characters cut
+    to its first 24 and its length."""
+    return " ".join(a if len(a) <= 80 else f"{a[:24]}...[{len(a)} chars]" for a in argv)
 
 
 def run(argv: list) -> dict:

@@ -116,7 +116,7 @@ class FiberFrame:
 
 def fiber_frame(params: CurveParams, x0: Scalar, truncation: int) -> FiberFrame:
     x0 = Scalar.of(x0)
-    q0 = params.q_at(x0)
+    q0 = params.q_poly.evaluate(x0)
     if not q0:
         raise DegenerateInput("fiber frame needs a non-branch x")
     shifted = params.q_poly.taylor_shift(x0)

@@ -141,7 +141,7 @@ def test_criterion_4_canonical_ideal():
             n += 1
             if params.is_branch_x(x0):
                 continue
-            q0 = params.q_at(x0)
+            q0 = params.q_poly.evaluate(x0)
             # evaluate over Q(w)[Y]/(Y**3 - q0): all three components vanish
             components = [Scalar.zero()] * 3
             for m, c in zip(CUBIC_MONOMIALS, cubic.coefficients):

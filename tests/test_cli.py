@@ -544,3 +544,57 @@ def test_argv_fuzz_exits_with_a_documented_code(command, data):
             code = exc.code
     assert code in (0, 2, 3, 4, 5), (argv, code)
     assert "Traceback" not in err.getvalue(), argv
+
+
+# -- argv fuzz over literal sizes ---------------------------------------------------
+
+# Numerators and denominators of 1 to 4400 digits (the int() limit is 4300),
+# signed, over an optional denominator, with and without a zeta part
+_SIZED_DIGITS = st.builds(str.__mul__, st.sampled_from("123456789"), st.integers(min_value=1, max_value=4400))
+_SIZED_PART = st.builds(
+    lambda sign, num, den: sign + num + ("" if den is None else "/" + den),
+    st.sampled_from(("", "-")),
+    _SIZED_DIGITS,
+    st.none() | _SIZED_DIGITS,
+)
+_SIZED_LITERAL = _SIZED_PART | _SIZED_PART.map("{}*w".format) | st.builds("{}+{}*w".format, _SIZED_PART, _SIZED_PART)
+
+
+def _sized(valid):
+    # the valid comma-separated literals with one of them replaced by a sized one
+    parts = valid.split(",")
+    return st.builds(
+        lambda i, literal: ",".join(parts[:i] + [literal] + parts[i + 1:]),
+        st.integers(min_value=0, max_value=len(parts) - 1),
+        _SIZED_LITERAL,
+    )
+
+
+_SIZED_U = _sized("0,2,3")
+_SIZED_OPTIONS = {
+    "analyze": {"--u": _SIZED_U, "--xi": _sized("1,2,3")},
+    "residue-check": {"--u": _SIZED_U, "--j": st.sampled_from(["1", "2", "3"]), "--quad-nodes": st.just("16")},
+    "scan": {"--grid": st.just("cone:2"), "--u": _SIZED_U},
+    "ideal": {"--u": _SIZED_U},
+    "schiffer": {"--u": _SIZED_U, "--point": _sized("0,1,0,0")},
+    "d0": {"--u": _SIZED_U, "--t1": _SIZED_LITERAL, "--t2": _optional(_SIZED_LITERAL)},
+    "qz24": {"--a": _SIZED_LITERAL},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SIZED_OPTIONS))
+@given(data=st.data())
+@settings(max_examples=8)
+def test_argv_fuzz_over_literal_sizes_exits_with_a_documented_code(command, data):
+    argv = [command]
+    for option, values in _SIZED_OPTIONS[command].items():
+        value = data.draw(values, label=option)
+        if value is not None:
+            argv.append(f"{option}={value}")
+    if command == "residue-check" and data.draw(st.booleans(), label="--numeric"):
+        argv.append("--numeric")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv, io.StringIO())
+    assert code in (0, 2, 3, 4, 5), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

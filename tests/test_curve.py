@@ -26,7 +26,7 @@ from trigonal4.series import series_of_poly, LocalSeries
 import oracles.curve
 from conftest import scalar_strategy
 from oracles.curve import OMEGA, canonical_map, divisor_min, divisor_of_function, normalize_projective
-from oracles.polynomials import RationalFunction, from_roots, from_scalars, x
+from oracles.polynomials import RationalFunction, from_roots, from_scalars
 
 
 @pytest.fixture(scope="module")
@@ -85,10 +85,15 @@ def test_closed_form_curve_data_matches_roots(seed):
 def test_params_equality_and_hash_read_u_alone(u023):
     again = validate_params(Scalar.of(0), Scalar.of(2), Scalar.of(3))
     assert again == u023 and hash(again) == hash(u023)
-    derived = dict(q_poly=x(), qprime=x(), branch_x=(), qprime_u=())
-    altered = dataclasses.replace(u023, **derived)
+    altered = dataclasses.replace(u023, qprime_u=())
     assert altered == u023 and hash(altered) == hash(u023)
     assert validate_params(0, 2, 4) != u023
+    # Q, Q' and the branch x are built on first read, equal to the closed
+    # forms validate_params once built eagerly (e1, e2, e3 = 5, 6, 0 here)
+    assert not {"q_poly", "qprime", "branch_x"} & set(vars(altered))
+    assert altered.q_poly == from_scalars((0, -6, 5, -1, 6, -5, 1))
+    assert altered.qprime == from_scalars((-6, 10, -3, 24, -25, 6))
+    assert altered.branch_x == (Scalar.one(), Scalar.zeta(), Scalar.zeta_power(2)) + u023.u
 
 
 # -- local expansions ----------------------------------------------------------
@@ -201,7 +206,7 @@ def test_trigonal_fiber_cases(u023):
     assert trigonal_fiber(u023, INFINITY).degree == 3
     fib = trigonal_fiber(u023, Scalar.of(5))
     assert fib.degree == 3
-    assert u023.q_at(Scalar.of(5)) == Scalar.of(3720)
+    assert u023.q_poly.evaluate(Scalar.of(5)) == Scalar.of(3720)
 
 
 def test_kernel_combination_contains_fiber(u023):

@@ -6,11 +6,11 @@ import json
 
 import pytest
 
-from golden.record import CORPUS, run
+from golden.record import CORPUS, argv_id, run
 
 ENTRIES = json.loads(CORPUS.read_text())
 
 
-@pytest.mark.parametrize("entry", ENTRIES, ids=[" ".join(e["argv"]) for e in ENTRIES])
+@pytest.mark.parametrize("entry", ENTRIES, ids=[argv_id(e["argv"]) for e in ENTRIES])
 def test_corpus_entry_is_byte_identical(entry):
     assert run(entry["argv"]) == entry

@@ -9,7 +9,7 @@ import pytest
 
 from trigonal4.polynomials import UniPoly
 
-from golden.record import CORPUS, run
+from golden.record import CORPUS, argv_id, run
 
 ENTRIES = json.loads(CORPUS.read_text())
 
@@ -18,7 +18,7 @@ def _refuse(self, divisor):
     raise AssertionError("a command divided polynomials")
 
 
-@pytest.mark.parametrize("entry", ENTRIES, ids=[" ".join(e["argv"]) for e in ENTRIES])
+@pytest.mark.parametrize("entry", ENTRIES, ids=[argv_id(e["argv"]) for e in ENTRIES])
 def test_corpus_entry_divides_no_polynomials(monkeypatch, entry):
     monkeypatch.setattr(UniPoly, "divmod", _refuse)
     assert run(entry["argv"]) == entry

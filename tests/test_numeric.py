@@ -155,3 +155,17 @@ def test_solve_x_is_newton_80_bit_for_bit(seed, j, nodes):
         assert (3, True) in cycles
     if (seed, j, nodes) == NO_REPEAT:
         assert None in cycles
+
+
+@pytest.mark.parametrize(
+    "u, j",
+    [
+        ((0, 2, 10**62 - 1), 3),  # Q'(u_3) ~ u_3**5 past the float range
+        ((0, 2, 10**4000 - 1), 3),  # u_3 itself past it
+        ((0, Scalar.of(1) / 10**200, Scalar.of(2) / 10**200), 1),  # Q'(u_1) rounds to 0.0
+    ],
+    ids=["qprime-overflow", "u-overflow", "qprime-underflow"],
+)
+def test_curve_data_floats_cannot_carry_is_a_structural_error(u, j):
+    with pytest.raises(StructuralError, match="float contour"):
+        numeric_residue_matrix(validate_params(*u), j, 16)

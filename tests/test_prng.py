@@ -1,4 +1,9 @@
+import hypothesis.strategies as st
+from hypothesis import given
+
 from trigonal4.prng import SplitMix64, sample_params, sample_scalar, sample_tangent
+
+import oracles.prng
 
 
 def test_splitmix64_reference_values():
@@ -29,3 +34,19 @@ def test_sampled_params_always_valid():
     for _ in range(10):
         params = sample_params(rng)
         assert params.q_poly.degree == 6
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    bound=st.integers(min_value=0, max_value=40),
+    max_denominator=st.integers(min_value=1, max_value=12),
+    with_zeta=st.booleans(),
+)
+def test_sample_scalar_matches_fraction_sampler(seed, bound, max_denominator, with_zeta):
+    # the same canonical value from the same draws, and the generator left
+    # in the same state, draw after draw
+    rng, reference = SplitMix64(seed), SplitMix64(seed)
+    for _ in range(5):
+        value = sample_scalar(rng, bound, max_denominator, with_zeta)
+        assert value == oracles.prng.sample_scalar(reference, bound, max_denominator, with_zeta)
+        assert rng.state == reference.state

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 
 from trigonal4.errors import DegenerateInput
 from trigonal4.scalars import INFINITY, Scalar, _sqrt_fraction, parse_projective
@@ -273,6 +273,56 @@ def test_parse_matches_reference(p, q, form):
             Scalar.parse(text)
         return
     _assert_matches(Scalar.parse(text), expected)
+
+
+# Digit strings of 1 to 4400 digits, leading zeros included, and some just
+# below, at and past the 4300-digit limit of int().
+_DIGITS = st.one_of(
+    st.text("0123456789", min_size=1, max_size=5),
+    st.builds(str.__mul__, st.sampled_from("0123456789"), st.integers(min_value=1, max_value=4400)),
+    st.builds(lambda head, n: head + "9" * n, st.text("0123", min_size=1, max_size=2), st.sampled_from((4298, 4299, 4300))),
+)
+_PART = st.builds(
+    lambda sign, num, den: sign + num + ("" if den is None else "/" + den),
+    st.sampled_from(("", "-")),
+    _DIGITS,
+    st.one_of(st.none(), st.just("0"), _DIGITS),
+)
+_LITERAL_TEXT = st.one_of(
+    st.builds(
+        lambda pad, form, p, q: pad + {"rat": p, "zet0": f"{q}*w", "both": f"{p}+{q}*w"}[form] + pad,
+        st.sampled_from(("", " ", "\t ")),
+        st.sampled_from(("rat", "zet0", "both")),
+        _PART,
+        _PART,
+    ),
+    st.text("0123456789/-+*w ", max_size=8),
+)
+
+
+def _parsed(parse, text: str):
+    """The parsed value as (rational part, zeta part), or the refusal's message."""
+    try:
+        value = parse(text)
+    except DegenerateInput as error:
+        return str(error)
+    return value.rational_part, value.zeta_part
+
+
+@given(_LITERAL_TEXT)
+@settings(max_examples=150)
+@example("4/6+-0/021*w")
+@example("9" * 4301 + "/0")
+@example("1/0+" + "9" * 4301 + "*w")
+@example(" -007/0+1*w")
+def test_parse_matches_fraction_reference_on_the_literal_grammar(text):
+    # the same value, or the same DegenerateInput message: a digit-limit
+    # error comes before the zero denominator behind it, as in Fraction
+    assert _parsed(Scalar.parse, text) == _parsed(FractionScalar.parse, text)
+    try:
+        assert _is_canonical(Scalar.parse(text))
+    except DegenerateInput:
+        pass
 
 
 def test_equal_values_are_equal_and_hash_alike_however_built():
