@@ -1,5 +1,5 @@
 """Geometry of the canonically embedded curve: the unique quadric, the
-cubic of the canonical ideal, symmetric-tensor ranks, and the Schiffer test.
+cubic of the canonical ideal, and the Schiffer test.
 
 Both forms of the canonical ideal are closed forms.  On the affine chart
 the canonical map is z = (Y, 1, x, x**2) with Y**3 = Q(x).  The quadric is
@@ -22,7 +22,6 @@ from functools import lru_cache
 
 from .curve import CurveParams
 from .errors import DegenerateInput
-from .linalg import Matrix
 from .scalars import Scalar
 
 # Degree-2 and degree-3 exponent tuples over (z0, z1, z2, z3), graded-lex
@@ -77,28 +76,6 @@ class MonomialForm:
                 acc = acc + c * _monomial_value(v, m)
         return acc
 
-    def __str__(self):
-        parts = []
-        for m, c in zip(self.monomials, self.coefficients):
-            if not c:
-                continue
-            text = str(c)
-            label = monomial_label(m)
-            if text == "1":
-                parts.append(label)
-            elif text == "-1":
-                parts.append(f"-{label}")
-            else:
-                if "+" in text[1:] or "*" in text:
-                    text = f"({text})"
-                parts.append(f"{text}*{label}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for part in parts[1:]:
-            out += part if part.startswith("-") else "+" + part
-        return out
-
 
 class QuadricForm(MonomialForm):
     """A quadratic form over QUADRIC_MONOMIALS."""
@@ -112,26 +89,6 @@ class CubicForm(MonomialForm):
     leading coefficient is 1."""
 
     monomials = CUBIC_MONOMIALS
-
-
-@dataclass(frozen=True)
-class SymTensor:
-    """A symmetric 4x4 tensor in the dual canonical coordinates."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        entries = tuple(tuple(Scalar.of(e) for e in row) for row in self.entries)
-        if len(entries) != 4 or any(len(r) != 4 for r in entries):
-            raise DegenerateInput("a symmetric tensor here is a 4x4 array")
-        for i in range(4):
-            for j in range(i):
-                if entries[i][j] != entries[j][i]:
-                    raise DegenerateInput("tensor is not symmetric")
-        object.__setattr__(self, "entries", entries)
-
-    def matrix(self) -> Matrix:
-        return Matrix(self.entries)
 
 
 def _monomial_value(v: tuple, exponents: tuple) -> Scalar:
@@ -162,21 +119,6 @@ def canonical_cubic(params: CurveParams) -> CubicForm:
     for k, m in enumerate(_CUBIC_X_POWERS):
         coefficients[m] = -params.q_poly.coefficient(k)
     return CubicForm(tuple(coefficients.get(m, Scalar.zero()) for m in CUBIC_MONOMIALS))
-
-
-def noether_rank(tensor: SymTensor) -> int:
-    """Rank of a first-order deformation as a symmetric tensor: 0 through 4."""
-    return tensor.matrix().rank()
-
-
-def veronese(v) -> SymTensor:
-    """The rank-1 symmetric tensor v v^T of a projective point."""
-    v = tuple(Scalar.of(c) for c in v)
-    if len(v) != 4:
-        raise DegenerateInput("expected a projective 4-tuple")
-    if not any(v):
-        raise DegenerateInput("zero vector is not a projective point")
-    return SymTensor(tuple(tuple(a * b for b in v) for a in v))
 
 
 def schiffer_test(params: CurveParams, v) -> bool:

@@ -40,7 +40,7 @@ from .numeric import DEFAULT_NODES, numeric_residue_matrix, residue_relative_err
 from .prng import SplitMix64, sample_params, sample_tangent
 from .qz24 import ANNOTATION, cube_family_report, evaluate_at
 from .rulings import d0_cycle
-from .scalars import Scalar, format_projective, parse_projective
+from .scalars import Scalar, parse_projective
 
 EXIT_OK = 0
 EXIT_INVALID_PARAMS = 2
@@ -308,8 +308,8 @@ def cmd_d0(args, out) -> int:
     cycle = d0_cycle(params, t1, t2)
     document = {
         "u": report.scalars_json(params.u),
-        "t1": format_projective(cycle.t1),
-        "t2": format_projective(cycle.t2),
+        "t1": str(cycle.t1),
+        "t2": str(cycle.t2),
         "plus": report.divisor_json(cycle.plus),
         "minus": report.divisor_json(cycle.minus),
         "witness": cycle.witness,

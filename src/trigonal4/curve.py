@@ -402,13 +402,6 @@ class Differential:
         if len(self.b) != 3:
             raise DegenerateInput("a differential has exactly three graded coefficients")
 
-    @staticmethod
-    def from_coefficients(coeffs) -> "Differential":
-        coeffs = tuple(coeffs)
-        if len(coeffs) != 4:
-            raise DegenerateInput("need four coefficients (b0, b1, b2, b3)")
-        return Differential(coeffs[0], coeffs[1:])
-
     def coefficients(self) -> tuple:
         return (self.b0,) + self.b
 

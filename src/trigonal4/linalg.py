@@ -27,10 +27,6 @@ class Matrix:
         object.__setattr__(self, "rows", rows)
 
     @staticmethod
-    def from_rows(rows: Iterable[Sequence]) -> "Matrix":
-        return Matrix(tuple(tuple(row) for row in rows))
-
-    @staticmethod
     def identity(n: int) -> "Matrix":
         return Matrix(
             tuple(

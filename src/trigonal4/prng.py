@@ -55,19 +55,19 @@ def sample_scalar(rng: SplitMix64, bound: int = 9, max_denominator: int = 4, wit
     return ratio_scalar(p, q, r, s)
 
 
-def sample_params(rng: SplitMix64, with_zeta: bool = True) -> CurveParams:
+def sample_params(rng: SplitMix64) -> CurveParams:
     """Rejection-sample a valid base point (coordinates drawn in a fixed
     order, each candidate drawn completely before validation)."""
     while True:
-        candidates = tuple(sample_scalar(rng, 9, 3, with_zeta) for _ in range(3))
+        candidates = tuple(sample_scalar(rng, 9, 3) for _ in range(3))
         try:
             return validate_params(*candidates)
         except InvalidParameters:
             continue
 
 
-def sample_tangent(rng: SplitMix64, with_zeta: bool = True) -> TangentVector:
+def sample_tangent(rng: SplitMix64) -> TangentVector:
     while True:
-        xi = TangentVector(tuple(sample_scalar(rng, 9, 3, with_zeta) for _ in range(3)))
+        xi = TangentVector(tuple(sample_scalar(rng, 9, 3) for _ in range(3)))
         if not xi.is_zero():
             return xi

@@ -1,10 +1,10 @@
-"""JSON encoding of every value type, plus the closed formula-tag registry.
+"""JSON encoding of every value type.
 
 Each report field carries a tag naming the mathematical fact it computes;
-the registry below is the complete tag set and is documented in the README.
-Encoders are deterministic: entries are emitted in canonical sorted order
-and scalars in the canonical literal syntax, so identical inputs produce
-identical bytes.
+the commands write the tags, and the README's tag table is the complete
+set.  Encoders are deterministic: entries are emitted in canonical sorted
+order and scalars in the canonical literal syntax, so identical inputs
+produce identical bytes.
 
 dumps writes json.dumps(document, indent=2) + "\n" byte for byte in one
 recursive pass over json's C string escaper, where json's indent path runs
@@ -22,30 +22,6 @@ from .deformation import CeresaCertificate
 
 MONOMIAL_ORDER = "grlex z0>z1>z2>z3"
 PROBE_VARIABLE = "a"  # the parameter of the cube-root family (qz24)
-
-# The complete set of formula tags; report fields reference only these.
-FORMULA_TAGS = {
-    "base-membership": "parameters distinct with cubes != 1 (branch sextic squarefree)",
-    "graded-differential-basis": "ordered basis dx/y; dx/y^2, x dx/y^2, x^2 dx/y^2",
-    "trigonal-fiber": "degree-3 fiber of the x-projection",
-    "pairing-closed-form": "mixed entries sum_j a_j u_j^(k-1)/Q'(u_j) in 6*pi*i units",
-    "pairing-residue-oracle": "residue of the antidifferentiated principal part at the branch point",
-    "ks-rank-two": "every nonzero direction deforms with rank exactly 2",
-    "kernel-covector": "annihilated forms b with sum_l b_l c_l = 0",
-    "conic-criterion": "base locus nonempty iff the covector lies on X*Z - Y^2 = 0",
-    "base-locus-fibers": "common zeros of the annihilated pencil form a trigonal fiber",
-    "support-annihilation": "direction kills all quadratic differentials vanishing on the divisor",
-    "certificate-three-way": "off-conic / on-conic-unsupported certify nonvanishing; supported means all tested components vanish",
-    "quadric-cone": "unique quadric z2^2 - z1*z3 through the canonical curve",
-    "canonical-cubic": "new cubic of the canonical ideal, reduced modulo quadric multiples",
-    "veronese-rank-one": "square embedding of projective points as rank-1 tensors",
-    "schiffer-ideal-membership": "rank-1 direction comes from a curve point iff quadric and cubic vanish",
-    "ruling-lines": "two line families on the quadric cone cutting trigonal fibers",
-    "parameter-relation": "tied ruling parameters 1/t1 + 1 = t2 - 1",
-    "rational-triviality-witness": "explicit function with divisor plus - minus",
-    "cube-family-probe": "exact covector of the cube-root one-parameter locus",
-    "numeric-contour-quadrature": "floating trapezoidal contour integral cross-check",
-}
 
 
 def scalars_json(values) -> list:

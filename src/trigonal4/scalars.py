@@ -319,7 +319,3 @@ def parse_projective(text: str):
     if text.strip() == "inf":
         return INFINITY
     return Scalar.parse(text)
-
-
-def format_projective(value) -> str:
-    return "inf" if value is INFINITY else str(value)

@@ -32,7 +32,7 @@ def quadric_matrix(form: QuadricForm) -> Matrix:
             half = c / 2
             rows[i][j] = rows[i][j] + half
             rows[j][i] = rows[j][i] + half
-    return Matrix.from_rows(rows)
+    return Matrix(rows)
 
 
 def sample_fiber_xs(params: CurveParams, count: int, skip: int = 0) -> list[Scalar]:
@@ -74,4 +74,4 @@ def _evaluation_kernel(params: CurveParams, monomials, fibers: int, skip: int) -
     rows: list[list[Scalar]] = []
     for x0 in sample_fiber_xs(params, fibers, skip):
         rows.extend(_monomial_fiber_rows(params, monomials, x0))
-    return Matrix.from_rows(rows).kernel_basis()
+    return Matrix(rows).kernel_basis()

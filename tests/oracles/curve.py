@@ -31,7 +31,7 @@ from oracles.series import series_of_rational
 
 # The ordered graded basis (w0, w1, w2, w3) of holomorphic 1-forms.
 OMEGA = tuple(
-    Differential.from_coefficients(tuple(Scalar.one() if i == j else Scalar.zero() for j in range(4)))
+    Differential(int(i == 0), tuple(int(i == j) for j in (1, 2, 3)))
     for i in range(4)
 )
 

@@ -25,7 +25,7 @@ def moment_matrix(params: CurveParams) -> Matrix:
     for uj in params.u:
         inv = params.qprime_at(uj).inverse()
         rows.append((inv, uj * inv, uj * uj * inv))
-    return Matrix.from_rows(rows)
+    return Matrix(rows)
 
 
 # Coordinates on holomorphic quadratic differentials: (A(x), b, C(x)) with
@@ -117,7 +117,7 @@ def omega2_vanishing_conditions(params: CurveParams, divisor: Divisor) -> Matrix
             raise DegenerateInput(
                 f"support conditions over a collective locus entry ({point.kind}) are not supported"
             )
-    return Matrix.from_rows(rows) if rows else Matrix(())
+    return Matrix(rows)
 
 
 def omega2_subspace(params: CurveParams, divisor: Divisor) -> list[tuple]:

@@ -220,9 +220,9 @@ def test_criterion_7_divisor_degrees():
         assert divisor_of(params, OMEGA[0]) == branch_divisor
         for _ in range(10):
             coeffs = [sample_scalar(rng, 6, 3) for _ in range(4)]
-            d = Differential.from_coefficients(coeffs)
+            d = Differential(coeffs[0], coeffs[1:])
             if d.is_zero():
-                d = Differential.from_coefficients((Scalar.one(), *coeffs[1:]))
+                d = Differential(Scalar.one(), coeffs[1:])
             div = divisor_of(params, d)
             assert div.degree == 6
             assert div.is_effective()

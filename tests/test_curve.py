@@ -165,7 +165,7 @@ def test_branch_inversion_rejects_nonbranch_center(u023):
 
 def test_divisor_of_zero_rejected(u023):
     with pytest.raises(DegenerateInput):
-        divisor_of(u023, Differential.from_coefficients((0, 0, 0, 0)))
+        divisor_of(u023, Differential(0, (0, 0, 0)))
 
 
 def test_divisor_of_omega0_is_branch_divisor(u023):
@@ -193,7 +193,7 @@ def test_divisor_of_omega2_branch_case(u023):
 @given(st.lists(scalar_strategy(bound=8, max_denominator=3), min_size=4, max_size=4))
 @settings(max_examples=25)
 def test_divisor_degree_always_six(u023, coeffs):
-    d = Differential.from_coefficients(coeffs)
+    d = Differential(coeffs[0], coeffs[1:])
     if d.is_zero():
         return
     div = divisor_of(u023, d)

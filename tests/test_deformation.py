@@ -456,7 +456,7 @@ def test_support_lemma_matches_series_oracle(kind, seed):
     xi = cone_directions(params, t)
     fiber = trigonal_fiber(params, t)
     assert support_test(params, xi, fiber) == (True, 6)
-    closed = Matrix.from_rows(_closed_fiber_conditions(t)).kernel_basis()
+    closed = Matrix(_closed_fiber_conditions(t)).kernel_basis()
     assert same_subspace(omega2_subspace(params, fiber), closed)
     cert = delta_nu_c_test(params, xi)
     assert (cert.variant, cert.supported, cert.subspace_dim) == (CeresaVariant.ON_CONIC_SUPPORTED, True, 6)
@@ -569,17 +569,17 @@ def test_kernel_of_matches_row_kernel(u023, leading_zeros, entries):
     if not c[leading_zeros]:
         c = c[:leading_zeros] + (Scalar.one(),) + c[leading_zeros + 1:]
     basis = CeresaCertificate(u023, c).kernel_basis
-    assert [w.b for w in basis] == Matrix.from_rows([c]).kernel_basis()
+    assert [w.b for w in basis] == Matrix([c]).kernel_basis()
     assert all(not w.b0 for w in basis)
 
 
 def test_product_map_has_one_dimensional_kernel(u023):
     pairs = [(i, j) for i in range(4) for j in range(i, 4)]
     rows = [kdifferential_coordinates(u023, product_differential(u023, i, j)) for (i, j) in pairs]
-    m = Matrix.from_rows(rows)
+    m = Matrix(rows)
     assert m.rank() == 9
     # kernel of the map products -> coordinates: vectors over the 10 pairs
-    kernel = Matrix.from_rows(list(zip(*rows))).kernel_basis()
+    kernel = Matrix(list(zip(*rows))).kernel_basis()
     assert len(kernel) == 1
     vec = kernel[0]
     nonzero = {pairs[i]: c for i, c in enumerate(vec) if c}

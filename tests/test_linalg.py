@@ -14,13 +14,13 @@ def matrix_strategy(max_dim=4):
         lambda n: st.integers(min_value=1, max_value=max_dim).flatmap(
             lambda m: st.lists(
                 st.lists(small_scalars, min_size=m, max_size=m), min_size=n, max_size=n
-            ).map(Matrix.from_rows)
+            ).map(Matrix)
         )
     )
 
 
 def test_kernel_of_zero_matrix():
-    m = Matrix.from_rows([[0, 0], [0, 0]])
+    m = Matrix([[0, 0], [0, 0]])
     basis = m.kernel_basis()
     assert len(basis) == 2
     assert basis[0] == (Scalar.one(), Scalar.zero())
@@ -32,7 +32,7 @@ def test_kernel_of_identity_is_empty():
 
 
 def test_kernel_of_moment_row():
-    m = Matrix.from_rows([[1, 2, 4]])
+    m = Matrix([[1, 2, 4]])
     basis = m.kernel_basis()
     assert len(basis) == 2
     for v in basis:
@@ -50,17 +50,17 @@ def test_kernel_vectors_annihilate(m):
     for v in basis:
         assert all(not e for e in apply(m, v))
     if basis:
-        assert Matrix.from_rows(basis).rank() == len(basis)
+        assert Matrix(basis).rank() == len(basis)
 
 
 def test_det_and_inverse():
-    m = Matrix.from_rows([[1, 2], [3, 5]])
+    m = Matrix([[1, 2], [3, 5]])
     assert det(m) == Scalar.of(-1)
     assert matmul(m, inverse(m)) == Matrix.identity(2)
 
 
 def test_singular_det():
-    m = Matrix.from_rows([[1, 2], [2, 4]])
+    m = Matrix([[1, 2], [2, 4]])
     assert det(m) == Scalar.zero()
 
 

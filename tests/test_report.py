@@ -1,15 +1,23 @@
 """The exact JSON of every divisor entry kind.  No command prints a finite
 point, a fiber locus or a place locus, so the golden corpus cannot pin those
-branches of point_json; here every kind is built directly."""
+branches of point_json; here every kind is built directly.  The formula tags
+the commands write are the README's tag table."""
 
+import hashlib
+import io
 import json
+import re
+from pathlib import Path
 
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
+from trigonal4 import cli
 from trigonal4.curve import BranchPoint, FiberLocus, FiberPoint, FinitePoint, InfinityPoint, PlaceLocus
 from trigonal4.report import dumps, dumps_line, point_json
 from trigonal4.scalars import Scalar
+
+from golden.record import CORPUS
 
 S = Scalar.parse
 
@@ -60,3 +68,27 @@ _TREES = st.recursive(
 @example({"a": [], "b": {}, "c": ["\u00e9", "\x00\n"], "d": (1, True, None, 0.5, float("nan"), -float("inf"))})
 def test_dumps_is_json_indent_2(document):
     assert dumps(document) == json.dumps(document, indent=2) + "\n"
+
+
+def test_commands_emit_exactly_the_readme_tags():
+    """One successful corpus command line per subcommand: every ``tags``
+    value, and the scan summary's ``tag``, together form the README table."""
+    ok = hashlib.sha256(b"0").hexdigest()
+    argvs = {}
+    for entry in json.loads(CORPUS.read_text()):
+        if entry["exit"] == ok:
+            argvs.setdefault(entry["argv"][0], entry["argv"])
+    assert set(argvs) == {"analyze", "residue-check", "scan", "ideal", "schiffer", "d0", "qz24"}
+    emitted = set()
+    for command, argv in argvs.items():
+        out = io.StringIO()
+        assert cli.main(argv, out) == 0
+        text = out.getvalue()
+        documents = [json.loads(line) for line in text.splitlines()] if command == "scan" else [json.loads(text)]
+        for document in documents:
+            emitted.update(document.get("tags", {}).values())
+            if "tag" in document:
+                emitted.add(document["tag"])
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("\n| tag | names the fact |\n", 1)[1].split("\n\n", 1)[0]
+    assert emitted == set(re.findall(r"^\| `([a-z-]+)` \|", table, re.M))

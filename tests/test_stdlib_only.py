@@ -4,7 +4,9 @@ no unused imports, no definition that nothing references, and names every
 definition that only the tests and the benchmark reach."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,6 +33,15 @@ def test_imports_are_stdlib_or_relative():
     assert not offenders, offenders
 
 
+def test_cli_import_leaves_linalg_unloaded():
+    """No command builds a Matrix, so a fresh interpreter that imports the
+    CLI never loads linalg."""
+    code = "import sys, trigonal4.cli; print('trigonal4.linalg' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "False\n"
+
+
 def test_no_unused_imports():
     """Every name a module imports is used in it."""
     offenders = []
@@ -49,16 +60,17 @@ def test_no_unused_imports():
 
 
 def _referenced_names(folders=("src", "tests", "scripts")) -> set:
-    """Names that the given folders reference (as a Name, an Attribute or an
-    import alias), plus the entry points in pyproject.toml."""
+    """Names that the given folders load (as a Name or an Attribute read, or
+    an import alias), plus the entry points in pyproject.toml; an assignment
+    to a name does not reference it."""
     root = SOURCE.parent.parent
     names = set()
     for folder in folders:
         for path in sorted((root / folder).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     names.add(node.id)
-                elif isinstance(node, ast.Attribute):
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                     names.add(node.attr)
                 elif isinstance(node, ast.alias):
                     names.update(node.name.split("."))
@@ -66,23 +78,33 @@ def _referenced_names(folders=("src", "tests", "scripts")) -> set:
     return names
 
 
+def _defined_names(tree: ast.Module):
+    """Every function, class and method a module defines, and every name its
+    top-level assignments bind."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+
+
 def _unreferenced_definitions(referenced: set) -> list:
-    """(module, name) of every function, class and method defined in the
-    package that ``referenced`` lacks; dunders are called by the language,
-    so they are exempt."""
+    """(module, name) of every definition in the package that ``referenced``
+    lacks; dunders are read by the language, so they are exempt."""
     found = []
     for path in sorted(SOURCE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                name = node.name
-                if not (name.startswith("__") and name.endswith("__")) and name not in referenced:
-                    found.append((path.stem, name))
+        for name in _defined_names(ast.parse(path.read_text(), filename=str(path))):
+            if not (name.startswith("__") and name.endswith("__")) and name not in referenced:
+                found.append((path.stem, name))
     return found
 
 
 def test_no_dead_definitions():
-    """Every function, class and method defined in the package is referenced
-    somewhere."""
+    """Every function, class, method and module-level constant defined in
+    the package is read somewhere."""
     offenders = _unreferenced_definitions(_referenced_names())
     assert not offenders, offenders
 
@@ -93,11 +115,7 @@ def test_no_dead_definitions():
 # section documents.  The oracles the tests cross-check against live in
 # tests/oracles/.
 TEST_ONLY = {
-    "canonical_ideal.noether_rank": "public API",
-    "canonical_ideal.veronese": "public API",
     "curve.divisor_of": "benchmark",
-    "curve.from_coefficients": "public API",
-    "linalg.from_rows": "public API",
     "linalg.identity": "public API",
     "linalg.same_subspace": "public API",
     "numeric.numeric_residue_pairing": "benchmark",
