@@ -14,6 +14,7 @@ import argparse
 from collections import Counter
 
 from trigonal4.deformation import cone_directions, delta_nu_c_test
+from trigonal4.errors import Trigonal4Error
 from trigonal4.prng import SplitMix64, sample_params, sample_tangent
 from trigonal4.scalars import Scalar
 
@@ -25,7 +26,10 @@ def main() -> None:
     parser.add_argument("--cone-sweep", type=int, default=12)
     args = parser.parse_args()
 
-    rng = SplitMix64(args.seed)
+    try:
+        rng = SplitMix64(args.seed)
+    except Trigonal4Error as exc:
+        parser.error(str(exc))
     counts: Counter = Counter()
     examples = []
     for i in range(args.count):

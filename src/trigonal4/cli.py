@@ -36,7 +36,7 @@ from .errors import (
     Trigonal4Error,
     ZeroTangent,
 )
-from .numeric import DEFAULT_NODES, numeric_residue_matrix, residue_relative_error
+from .numeric import DEFAULT_NODES, MAX_QUAD_NODES, numeric_residue_matrix, residue_relative_error
 from .prng import SplitMix64, sample_params, sample_tangent
 from .qz24 import ANNOTATION, cube_family_report, evaluate_at
 from .rulings import d0_cycle
@@ -56,10 +56,6 @@ NUMERIC_TOLERANCE = 1e-8
 # consumer derives its truncation from the coefficients it reads.
 DEFAULT_SERIES_ORDER = 12
 MAX_SERIES_ORDER = 64
-
-# Largest accepted --quad-nodes.  The check reaches its 1e-8 tolerance with
-# far fewer nodes; the bound keeps a request's node lists and run time finite.
-MAX_QUAD_NODES = 4096
 
 
 def _series_order(args) -> int:

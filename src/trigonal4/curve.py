@@ -26,7 +26,6 @@ coprime, and comparisons refine loci by gcd before comparing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .errors import DegenerateInput, InvalidParameters, StructuralError
@@ -463,8 +462,8 @@ def branch_inversion(params: CurveParams, x0: Scalar, truncation: int) -> LocalS
     u = {k - 1: c * qp0_inv for k, c in enumerate(shifted.coefficients) if k}
     terms = {}
     for n in range(1, (truncation + 2) // 3):  # 3n < truncation
-        u_power = LocalSeries(u, n)._unit_power(Fraction(-n))
-        terms[3 * n] = u_power.coefficient(n - 1) * qp0_inv ** n * Fraction(1, n)
+        u_power = LocalSeries(u, n)._unit_power(-n, 1)
+        terms[3 * n] = u_power.coefficient(n - 1) * qp0_inv ** n / n
     d = LocalSeries(terms, truncation)
     residual = series_of_poly(shifted, d) - LocalSeries.monomial(3, Scalar.one(), truncation)
     if residual.valuation() is not None:

@@ -41,6 +41,10 @@ from .scalars import Scalar
 
 DEFAULT_NODES = 512
 
+# Largest accepted node count.  The check reaches its 1e-8 tolerance with
+# far fewer nodes; the bound keeps a request's node lists and run time finite.
+MAX_QUAD_NODES = 4096
+
 
 def _horner(coeffs: list, z: complex) -> complex:
     acc = 0j
@@ -95,6 +99,8 @@ def numeric_residue_matrix(
         raise DegenerateInput("j indexes one of the three moving parameters")
     if nodes < 1:
         raise DegenerateInput("contour quadrature needs at least one node")
+    if nodes > MAX_QUAD_NODES:
+        raise DegenerateInput(f"contour quadrature takes at most {MAX_QUAD_NODES} nodes")
     try:
         return _contour_matrix(params, j, nodes)
     except ArithmeticError:  # a value past the float range, or a zero divisor

@@ -46,12 +46,11 @@ class SplitMix64:
         return lo + self.below(hi - lo + 1)
 
 
-def sample_scalar(rng: SplitMix64, bound: int = 9, max_denominator: int = 4, with_zeta: bool = True) -> Scalar:
+def sample_scalar(rng: SplitMix64, bound: int = 9, max_denominator: int = 4) -> Scalar:
     """p/q + (r/s)*w, the numerators in [-bound, bound] and the denominators
-    in [1, max_denominator], drawn in the order p, q, r, s; without the zeta
-    part r/s is 0 and only p, q are drawn."""
+    in [1, max_denominator], drawn in the order p, q, r, s."""
     p, q = rng.integer(-bound, bound), rng.integer(1, max_denominator)
-    r, s = (rng.integer(-bound, bound), rng.integer(1, max_denominator)) if with_zeta else (0, 1)
+    r, s = rng.integer(-bound, bound), rng.integer(1, max_denominator)
     return ratio_scalar(p, q, r, s)
 
 

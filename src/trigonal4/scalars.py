@@ -4,8 +4,9 @@ A scalar is ``(a + b*w) / d`` for three ints kept in canonical form,
 ``d > 0`` and ``gcd(a, b, d) == 1``, with the reduction rule
 ``w**2 = -1 - w``.  One gcd per result keeps the form canonical, so every
 field operation, comparison and hash is exact and never depends on how a
-value was built.  The two coordinates ``rational_part = a/d`` and
-``zeta_part = b/d`` are read-only ``fractions.Fraction`` properties.
+value was built.  The triple is the only representation: every operation,
+the square root included, works on its integers, and ``sort_key`` is the
+triple itself.
 
 The I/O literal syntax is ``p/q`` or ``p/q+r/s*w`` (whitespace-free, the
 ``/q`` omitted when the denominator is 1), e.g. ``-1/6`` or ``1/2+-3/4*w``.
@@ -18,7 +19,6 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from fractions import Fraction
 
 from .errors import DegenerateInput
 
@@ -31,34 +31,20 @@ _LITERAL = re.compile(
 _W_COMPLEX = cmath.exp(2j * cmath.pi / 3)
 
 
-def _coerce(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"cannot build an exact scalar from {type(value).__name__}")
-
-
 class Scalar:
     """An element of Q(w), w a primitive cube root of unity."""
 
     __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, rational_part=0, zeta_part=0):
-        r, z = _coerce(rational_part), _coerce(zeta_part)
-        d = math.lcm(r.denominator, z.denominator)
-        # two reduced fractions over their lcm are already canonical
-        self._a = r.numerator * (d // r.denominator)
-        self._b = z.numerator * (d // z.denominator)
-        self._d = d
-
-    @property
-    def rational_part(self) -> Fraction:
-        return Fraction(self._a, self._d)
-
-    @property
-    def zeta_part(self) -> Fraction:
-        return Fraction(self._b, self._d)
+    def __new__(cls, rational_part=0, zeta_part=0):
+        """r + z*w for rationals r, z: ints, or any value with integer
+        ``numerator`` and ``denominator`` attributes."""
+        try:
+            r, s = rational_part.numerator, rational_part.denominator
+            t, u = zeta_part.numerator, zeta_part.denominator
+        except AttributeError:
+            raise TypeError("cannot build an exact scalar from a non-rational value") from None
+        return ratio_scalar(r, s, t, u)
 
     # -- constructors ------------------------------------------------------
 
@@ -134,10 +120,10 @@ class Scalar:
         if other.__class__ is not Scalar:
             if isinstance(other, int):
                 return _make(self._a * other, self._b * other, self._d)
-            if isinstance(other, Fraction):
-                p = other.numerator
-                return _make(self._a * p, self._b * p, self._d * other.denominator)
-            return NotImplemented
+            try:
+                other = Scalar.of(other)
+            except TypeError:  # a foreign type may define the reflected product
+                return NotImplemented
         a, b, c, e = self._a, self._b, other._a, other._b
         # (a + bw)(c + ew) with w^2 = -1 - w
         be = b * e
@@ -148,11 +134,6 @@ class Scalar:
     def conjugate(self) -> "Scalar":
         """Image under w -> w**2, the nontrivial field automorphism."""
         return _make(self._a - self._b, -self._b, self._d)
-
-    def norm(self) -> Fraction:
-        """Multiplicative norm to the rationals: a**2 - a*b + b**2 >= 0."""
-        a, b = self._a, self._b
-        return Fraction(a * a - a * b + b * b, self._d * self._d)
 
     def inverse(self) -> "Scalar":
         """conjugate / norm; with norm = n / d**2, the conjugate's
@@ -188,32 +169,34 @@ class Scalar:
     def sqrt(self) -> "Scalar | None":
         """An exact square root in Q(w), or None when no such root exists.
 
-        A root s of z has norm n = sqrt(N(z)), the norm form being positive
-        definite, and trace t with t**2 = Tr(z) + 2n; since s*t = z + n,
-        s = (z + n)/t.  When t = 0, s is a multiple of 1 + 2w, whose square
-        is -3, and z = c is rational."""
-        if not self:
-            return _ZERO
-        n = _sqrt_fraction(self.norm())
-        if n is None:
+        A root s of z = (a + b*w)/d has norm m/d with m**2 = a**2 - a*b + b**2,
+        the norm form being positive definite, and trace k/d with
+        k**2 = (2a - b + 2m)*d; since s*(trace) = z + norm, s = (a + m + b*w)/k.
+        When k = 0, s is a multiple of 1 + 2w, whose square is -3, and
+        z = a/d is rational: s = r*(1 + 2w)/(3d) with r**2 = -3ad."""
+        a, b, d = self._a, self._b, self._d
+        n = a * a - a * b + b * b
+        m = math.isqrt(n)
+        if m * m != n:
             return None
-        c, d = self.rational_part, self.zeta_part
-        t = _sqrt_fraction(2 * c - d + 2 * n)
-        if t is None:
+        t = (2 * a - b + 2 * m) * d
+        k = math.isqrt(t)
+        if k * k != t:
             return None
-        if t:
-            return Scalar((c + n) / t, d / t)
-        k = _sqrt_fraction(-c / 3)
-        return None if k is None else Scalar(k, 2 * k)
+        if k:
+            return _make(a + m, b, k)
+        r = math.isqrt(-3 * a * d)
+        return _make(r, 2 * r, 3 * d) if r * r == -3 * a * d else None
 
     # -- ordering key, formatting, parsing -----------------------------------
 
     def sort_key(self):
-        """Total order used only for deterministic output, not field order."""
-        return (self.rational_part, self.zeta_part)
+        """Total order used only for deterministic output, not field order:
+        the canonical triple (a, b, d)."""
+        return (self._a, self._b, self._d)
 
     def __complex__(self) -> complex:
-        # int true division rounds correctly, as float(Fraction(a, d)) does
+        # int true division rounds a/d correctly
         d = self._d
         return self._a / d + self._b / d * _W_COMPLEX
 
@@ -241,7 +224,7 @@ class Scalar:
 
 def _ratio(part: str, text: str) -> tuple:
     """(p, q) of the literal part ``p`` or ``p/q``; the digits are read
-    before the denominator is checked, as Fraction does."""
+    before the denominator is checked, so a digit-limit error comes first."""
     num, _, den = part.partition("/")
     try:
         p, q = int(num), int(den or 1)
@@ -277,16 +260,6 @@ def _format_ratio(n: int, d: int) -> str:
         return f"{n // g}/{d // g}"
     except ValueError:  # more digits than str() converts
         raise DegenerateInput("output exceeds the integer digit limit") from None
-
-
-def _sqrt_fraction(f: Fraction) -> Fraction | None:
-    if f < 0:
-        return None
-    n, d = f.numerator, f.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
 
 
 _ZERO = _make(0, 0, 1)

@@ -4,8 +4,8 @@ A series knows its coefficients below ``truncation`` and nothing beyond it,
 and every operation propagates truncation conservatively, so any coefficient
 read out of a series is exact.  Inverses, the cube root of a unit series
 and the reversion at a branch point (``curve.branch_inversion``) all come
-from one coefficient recurrence for a power of a unit series,
-``LocalSeries._unit_power``.  Polynomials in x are evaluated on a chart by
+from one coefficient recurrence for a rational power p/q of a unit series,
+``LocalSeries._unit_power(p, q)``, whose weights are integers.  Polynomials in x are evaluated on a chart by
 ``series_of_poly``; rational functions of x are a test oracle
 (tests/oracles/series.py).
 """
@@ -13,11 +13,10 @@ from one coefficient recurrence for a power of a unit series,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DegenerateInput, StructuralError
 from .polynomials import UniPoly
-from .scalars import Scalar
+from .scalars import Scalar, ratio_scalar
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,7 @@ class LocalSeries:
         if v is None:
             raise ZeroDivisionError("inverse of a series that is zero through truncation")
         lead_inv = self.coefficients[v].inverse()
-        return self.shift(-v).scale(lead_inv)._unit_power(Fraction(-1)).scale(lead_inv).shift(-v)
+        return self.shift(-v).scale(lead_inv)._unit_power(-1, 1).scale(lead_inv).shift(-v)
 
     def derivative(self) -> "LocalSeries":
         return LocalSeries(
@@ -122,13 +121,14 @@ class LocalSeries:
         v = self.valuation()
         if v is None or v < 0 or self.coefficient(0) != Scalar.one():
             raise DegenerateInput("cube root implemented only for unit series with constant term 1")
-        return self._unit_power(Fraction(1, 3))
+        return self._unit_power(1, 3)
 
-    def _unit_power(self, alpha: Fraction) -> "LocalSeries":
-        """f**alpha with constant term 1, for this power series f with f_0 = 1,
-        at the same truncation.  Every term comes from J.C.P. Miller's
-        recurrence n*g_n = sum_{k=1..n} ((alpha+1)*k - n) * f_k * g_(n-k), so
-        the cost is O(n) per term (Knuth, TAOCP vol. 2, section 4.7)."""
+    def _unit_power(self, p: int, q: int) -> "LocalSeries":
+        """f**(p/q) with constant term 1, for this power series f with f_0 = 1
+        and q > 0, at the same truncation.  Every term comes from J.C.P.
+        Miller's recurrence n*q*g_n = sum_{k=1..n} ((p+q)*k - n*q) * f_k * g_(n-k),
+        whose weights are integers, so the cost is O(n) per term (Knuth,
+        TAOCP vol. 2, section 4.7)."""
         terms = sorted((k, c) for k, c in self.coefficients.items() if k > 0)
         g = [Scalar.one()]
         for n in range(1, self.truncation):
@@ -136,8 +136,8 @@ class LocalSeries:
             for k, fk in terms:
                 if k > n:
                     break
-                acc = acc + fk * g[n - k] * ((alpha + 1) * k - n)
-            g.append(acc * Fraction(1, n))
+                acc = acc + fk * g[n - k] * ((p + q) * k - n * q)
+            g.append(acc * ratio_scalar(1, n * q, 0, 1))
         return LocalSeries(dict(enumerate(g)), self.truncation)
 
     def __str__(self):

@@ -19,7 +19,7 @@ def sample_fraction(rng: SplitMix64, bound: int = 9, max_denominator: int = 4) -
     return Fraction(num, den)
 
 
-def sample_scalar(rng: SplitMix64, bound: int = 9, max_denominator: int = 4, with_zeta: bool = True) -> Scalar:
+def sample_scalar(rng: SplitMix64, bound: int = 9, max_denominator: int = 4) -> Scalar:
     rational = sample_fraction(rng, bound, max_denominator)
-    zeta = sample_fraction(rng, bound, max_denominator) if with_zeta else Fraction(0)
+    zeta = sample_fraction(rng, bound, max_denominator)
     return Scalar(rational, zeta)

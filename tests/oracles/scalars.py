@@ -3,16 +3,42 @@
 ``FractionScalar`` is the dataclass ``trigonal4.scalars.Scalar`` was before
 it became one reduced integer triple ``(a + b*w)/d``.  Its operations are
 the plain ``Fraction`` formulas, so the tests check every ``Scalar``
-operation against it value by value.
+operation against it value by value.  The ``Fraction`` helpers the tests
+read (``fraction_parts``, ``sqrt_fraction``) live here too: no ``Fraction``
+is built in ``src/``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from trigonal4.errors import DegenerateInput
-from trigonal4.scalars import _LITERAL, _W_COMPLEX, _coerce, _sqrt_fraction
+from trigonal4.scalars import _LITERAL, _W_COMPLEX, Scalar
+
+
+def _coerce(value) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(f"cannot build an exact scalar from {type(value).__name__}")
+
+
+def sqrt_fraction(f: Fraction) -> Fraction | None:
+    if f < 0:
+        return None
+    n, d = f.numerator, f.denominator
+    rn, rd = math.isqrt(n), math.isqrt(d)
+    if rn * rn == n and rd * rd == d:
+        return Fraction(rn, rd)
+    return None
+
+
+def fraction_parts(s: Scalar) -> tuple:
+    """The rational and zeta parts of a Scalar (a + b*w)/d as Fractions."""
+    return Fraction(s._a, s._d), Fraction(s._b, s._d)
 
 
 @dataclass(frozen=True)
@@ -133,23 +159,26 @@ class FractionScalar:
         is -3, and z = c is rational."""
         if not self:
             return _ZERO
-        n = _sqrt_fraction(self.norm())
+        n = sqrt_fraction(self.norm())
         if n is None:
             return None
         c, d = self.rational_part, self.zeta_part
-        t = _sqrt_fraction(2 * c - d + 2 * n)
+        t = sqrt_fraction(2 * c - d + 2 * n)
         if t is None:
             return None
         if t:
             return FractionScalar((c + n) / t, d / t)
-        k = _sqrt_fraction(-c / 3)
+        k = sqrt_fraction(-c / 3)
         return None if k is None else FractionScalar(k, 2 * k)
 
     # -- ordering key, formatting, parsing -----------------------------------
 
     def sort_key(self):
-        """Total order used only for deterministic output, not field order."""
-        return (self.rational_part, self.zeta_part)
+        """The canonical triple (a, b, d) of Scalar.sort_key: both parts over
+        the lcm of their denominators, which leaves gcd(a, b, d) == 1."""
+        r, z = self.rational_part, self.zeta_part
+        d = math.lcm(r.denominator, z.denominator)
+        return (r.numerator * (d // r.denominator), z.numerator * (d // z.denominator), d)
 
     def __complex__(self) -> complex:
         return float(self.rational_part) + float(self.zeta_part) * _W_COMPLEX

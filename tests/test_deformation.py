@@ -24,7 +24,7 @@ from trigonal4.polynomials import UniPoly
 from trigonal4.prng import SplitMix64, sample_params, sample_scalar, sample_tangent
 from trigonal4.report import divisor_json
 from trigonal4.rulings import d0_cycle
-from trigonal4.scalars import INFINITY, Scalar
+from trigonal4.scalars import INFINITY, Scalar, ratio_scalar
 
 import oracles.deformation
 from golden.record import U_POINTS
@@ -448,7 +448,7 @@ def test_support_lemma_matches_series_oracle(kind, seed):
     w = Scalar.zeta()
     t = {
         "generic": lambda: sample_scalar(rng),
-        "rational": lambda: sample_scalar(rng, with_zeta=False),
+        "rational": lambda: ratio_scalar(rng.integer(-9, 9), rng.integer(1, 4), 0, 1),
         "moving-branch": lambda: params.u[rng.below(3)],
         "fixed-branch": lambda: (Scalar.one(), w, w * w)[rng.below(3)],
         "infinity": lambda: INFINITY,

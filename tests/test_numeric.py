@@ -8,6 +8,7 @@ from trigonal4.curve import validate_params
 from trigonal4.deformation import TangentVector, pairing_matrix
 from trigonal4.errors import DegenerateInput, StructuralError
 from trigonal4.numeric import (
+    MAX_QUAD_NODES,
     _chart_radius,
     _horner,
     _solve_x,
@@ -53,6 +54,12 @@ def test_contour_rejects_a_fourth_parameter():
     for j in (0, 4):
         with pytest.raises(DegenerateInput):
             numeric_residue_matrix(params, j)
+
+
+def test_contour_rejects_more_nodes_than_the_bound():
+    # the library refuses before it builds a node list
+    with pytest.raises(DegenerateInput):
+        numeric_residue_matrix(validate_params(0, 2, 3), 1, MAX_QUAD_NODES + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 
 from trigonal4.errors import DegenerateInput
-from trigonal4.scalars import INFINITY, Scalar, _sqrt_fraction, parse_projective
+from trigonal4.scalars import INFINITY, Scalar, parse_projective
 
 from conftest import fraction_strategy, scalar_strategy
-from oracles.scalars import FractionScalar
+from oracles.scalars import FractionScalar, fraction_parts, sqrt_fraction
 
 scalars = scalar_strategy(bound=50, max_denominator=12)
 nonzero_scalars = scalars.filter(bool)
@@ -39,8 +39,7 @@ def test_division_inverts_multiplication(a, b):
 @given(nonzero_scalars)
 def test_inverse_and_norm(a):
     assert a * a.inverse() == Scalar.one()
-    assert a.norm() == (a * a.conjugate()).rational_part
-    assert not (a * a.conjugate()).zeta_part
+    assert not fraction_parts(a * a.conjugate())[1]
 
 
 @given(scalars)
@@ -80,29 +79,29 @@ def test_square_roots_found_for_squares(a):
 def _reference_sqrt(z):
     """The case analysis Scalar.sqrt used before its norm-and-trace form:
     solve (x + y*w)**2 = c + d*w for y**2, then try both signs."""
-    c, d = z.rational_part, z.zeta_part
+    c, d = fraction_parts(z)
     if not z:
         return Scalar.zero()
     if not d:
-        r = _sqrt_fraction(c)
+        r = sqrt_fraction(c)
         if r is not None:
             return Scalar(r)
         # (x + 2x*w)^2 = -3x^2, so negative rationals of the right shape
-        r = _sqrt_fraction(-c / 3)
+        r = sqrt_fraction(-c / 3)
         if r is not None:
             return Scalar(r, 2 * r)
         return None
     # Solve (x + y*w)^2 = c + d*w: x^2 - y^2 = c, 2xy - y^2 = d, y != 0.
     # Eliminating x: 3B^2 + (4c - 2d)B - d^2 = 0 with B = y^2.
     disc = (4 * c - 2 * d) ** 2 + 12 * d * d
-    s = _sqrt_fraction(disc)
+    s = sqrt_fraction(disc)
     if s is None:
         return None
     for numerator in ((2 * d - 4 * c) + s, (2 * d - 4 * c) - s):
         big = numerator / 6
         if big <= 0:
             continue
-        y = _sqrt_fraction(big)
+        y = sqrt_fraction(big)
         if y is None:
             continue
         x = (d + y * y) / (2 * y)
@@ -195,7 +194,7 @@ def _is_canonical(x: Scalar) -> bool:
 
 
 def _reference(value):
-    return FractionScalar(value.rational_part, value.zeta_part) if isinstance(value, Scalar) else value
+    return FractionScalar(*fraction_parts(value)) if isinstance(value, Scalar) else value
 
 
 def _outcome(thunk):
@@ -209,7 +208,7 @@ def _assert_matches(value, expected):
     """value is the Scalar (or Fraction, None, exception type) expected is."""
     if isinstance(expected, FractionScalar):
         assert isinstance(value, Scalar) and _is_canonical(value)
-        assert (value.rational_part, value.zeta_part) == (expected.rational_part, expected.zeta_part)
+        assert fraction_parts(value) == (expected.rational_part, expected.zeta_part)
     else:
         assert value == expected and type(value) is type(expected)
 
@@ -235,7 +234,7 @@ def test_division_by_zero_raises_like_reference(x, zero):
     assert _outcome(lambda: 1 / (x - x)) is ZeroDivisionError
 
 
-@given(st.one_of(scalars, wide_scalars), st.sampled_from(("neg", "conjugate", "norm", "inverse")))
+@given(st.one_of(scalars, wide_scalars), st.sampled_from(("neg", "conjugate", "inverse")))
 def test_unary_operations_match_reference(x, name):
     def apply(value):
         return -value if name == "neg" else getattr(value, name)()
@@ -306,6 +305,7 @@ def _parsed(parse, text: str):
         value = parse(text)
     except DegenerateInput as error:
         return str(error)
+    value = _reference(value)
     return value.rational_part, value.zeta_part
 
 
@@ -353,15 +353,7 @@ def test_scalars_compare_only_to_scalars():
             Scalar(bad)
         with pytest.raises(TypeError):
             Scalar(0, bad)
-    with pytest.raises(TypeError):
-        Scalar(1) + 1.0
+    for operation in (operator.add, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            operation(Scalar(1), 1.0)
 
-
-def test_parts_are_read_only_fractions():
-    x = Scalar(Fraction(1, 2), 3)
-    assert x.rational_part == Fraction(1, 2) and type(x.rational_part) is Fraction
-    assert x.zeta_part == Fraction(3) and type(x.zeta_part) is Fraction
-    with pytest.raises(AttributeError):
-        x.rational_part = Fraction(1)
-    with pytest.raises(AttributeError):
-        x.zeta_part = Fraction(1)

@@ -32,11 +32,18 @@ def test_residue_table():
 
 @pytest.mark.parametrize(
     "args",
-    [("--j", "0"), ("--j", "4"), ("--u", "0,2"), ("--nodes", "0"), ("--u", "0,0,3")],
-    ids=["j-0", "j-4", "two-u", "zero-nodes", "invalid-u"],
+    [("--j", "0"), ("--j", "4"), ("--u", "0,2"), ("--nodes", "0"), ("--nodes", "4097"), ("--u", "0,0,3")],
+    ids=["j-0", "j-4", "two-u", "zero-nodes", "too-many-nodes", "invalid-u"],
 )
 def test_residue_table_rejects_bad_input(args):
     result = run_script("residue_table.py", *args)
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"], ids=["negative", "past-64-bits"])
+def test_family_scan_rejects_bad_input(seed):
+    result = run_script("family_scan.py", "--count", "1", "--seed", seed)
     assert result.returncode == 2, result.stderr
     assert "Traceback" not in result.stderr
 

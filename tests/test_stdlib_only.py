@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from test_perfbench_contract import LAYERTRACE, PERFBENCH, _package_imports
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "trigonal4"
@@ -33,10 +35,12 @@ def test_imports_are_stdlib_or_relative():
     assert not offenders, offenders
 
 
-def test_cli_import_leaves_linalg_unloaded():
-    """No command builds a Matrix, so a fresh interpreter that imports the
-    CLI never loads linalg."""
-    code = "import sys, trigonal4.cli; print('trigonal4.linalg' in sys.modules)"
+@pytest.mark.parametrize("module", ["trigonal4.linalg", "fractions", "decimal", "numbers"])
+def test_cli_import_leaves_linalg_unloaded(module):
+    """A fresh interpreter that imports the CLI never loads linalg, since no
+    command builds a Matrix, nor fractions and the decimal and numbers
+    modules it imports, since a Scalar is its integer triple."""
+    code = f"import sys, trigonal4.cli; print({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout == "False\n"
