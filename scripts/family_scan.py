@@ -25,6 +25,8 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--cone-sweep", type=int, default=12)
     args = parser.parse_args()
+    if args.count < 0 or args.cone_sweep < 0:
+        parser.error("--count and --cone-sweep must be non-negative")
 
     try:
         rng = SplitMix64(args.seed)

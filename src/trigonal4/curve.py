@@ -15,12 +15,15 @@ Q, Q' and the branch x are built from u on first read.
 
 Divisors are fiber-aware.  Points whose coordinates live in Q(w) are stored
 individually; a full degree-3 fiber of the x-projection is stored as one
-collective entry, and a Galois orbit of points over an irreducible x-locus
-is stored as the locus polynomial (plus the y-coordinate as a polynomial
-residue when the entry is a single point per root rather than a full
-fiber).  Every divisor produced here is canonical: linear loci are always
-resolved into explicit points, loci are monic, squarefree and pairwise
-coprime, and comparisons refine loci by gcd before comparing.
+collective entry, and the points over the roots of a squarefree x-locus
+of degree >= 2 are stored as the locus polynomial (plus the y-coordinate
+as a polynomial residue when the entry is a single point per root rather
+than a full fiber).  A divisor reads its entries off one squarefree
+decomposition (_poly_zero_divisor): the branch x are divided out, a
+linear rest becomes a point, and any other rest stays one locus, even when
+it has roots in Q(w).  So loci are monic, squarefree and pairwise coprime
+but need not be irreducible, and comparisons refine loci by gcd, against
+each other and against x - r for every point entry, before comparing.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .errors import DegenerateInput, InvalidParameters, StructuralError
-from .polynomials import UniPoly, poly_gcd, root_multiplicity, scalar_roots
+from .polynomials import UniPoly, poly_gcd, squarefree_decomposition
 from .scalars import INFINITY, Scalar
 from .series import LocalSeries, series_of_poly
 
@@ -145,8 +148,8 @@ class FiberPoint:
 
 @dataclass(frozen=True)
 class FiberLocus:
-    """Full fibers over the roots of a monic squarefree polynomial with no
-    roots in Q(w) and no common root with Q; degree 3 per root."""
+    """Full fibers over the roots of a monic squarefree polynomial of degree
+    >= 2 with no common root with Q; degree 3 per root."""
 
     poly: tuple  # UniPoly coefficients, low to high
 
@@ -165,8 +168,8 @@ class FiberLocus:
 
 @dataclass(frozen=True)
 class PlaceLocus:
-    """One curve point per root r of a monic squarefree polynomial (no roots
-    in Q(w), coprime to Q), the point over r having y = y_res(r)."""
+    """One curve point per root r of a monic squarefree polynomial (degree
+    >= 2, coprime to Q), the point over r having y = y_res(r)."""
 
     poly: tuple
     y_res: tuple  # coefficients of the y-coordinate as a residue polynomial
@@ -330,10 +333,12 @@ def refine_pair(a: Divisor, b: Divisor) -> tuple[Divisor, Divisor]:
         one = Scalar.one()
         loci += [UniPoly((-p.x, one)) for p in entries if isinstance(p, (FiberPoint, FinitePoint))]
     parts = _coprime_refinement(loci) if loci else []
+    a, b = _refine_divisor(a, parts), _refine_divisor(b, parts)
     # A collective fiber entry splits into three exact points as soon as one
-    # y-coordinate over the same x is known from the other divisor.
-    known_y = {p.x: p.y for p in entries if isinstance(p, FinitePoint)}
-    return _refine_divisor(a, parts, known_y), _refine_divisor(b, parts, known_y)
+    # y-coordinate over the same x is known, from either divisor once its
+    # loci are split.
+    known_y = {p.x: p.y for d in (a, b) for p in d.entries if isinstance(p, FinitePoint)}
+    return _split_fibers(a, known_y), _split_fibers(b, known_y)
 
 
 def _coprime_refinement(polys: list[UniPoly]) -> list[UniPoly]:
@@ -356,8 +361,7 @@ def _coprime_refinement(polys: list[UniPoly]) -> list[UniPoly]:
     return parts
 
 
-def _refine_divisor(d: Divisor, parts: list[UniPoly], known_y: dict) -> Divisor:
-    zeta = Scalar.zeta()
+def _refine_divisor(d: Divisor, parts: list[UniPoly]) -> Divisor:
     out = Divisor.zero()
     for p, m in d.entries.items():
         if isinstance(p, (FiberLocus, PlaceLocus)):
@@ -371,10 +375,18 @@ def _refine_divisor(d: Divisor, parts: list[UniPoly], known_y: dict) -> Divisor:
                     poly = poly // part
             if poly.degree > 0:
                 raise StructuralError("locus refinement failed to cover an entry")
-        elif isinstance(p, FiberPoint) and p.x in known_y:
+        else:
+            out += Divisor.of((p, m))
+    return out
+
+
+def _split_fibers(d: Divisor, known_y: dict) -> Divisor:
+    zeta = Scalar.zeta()
+    out = Divisor.zero()
+    for p, m in d.entries.items():
+        if isinstance(p, FiberPoint) and p.x in known_y:
             y0 = known_y[p.x]
-            for s in range(3):
-                out += Divisor.of((FinitePoint(p.x, y0 * zeta ** s), m))
+            out += Divisor.of(*((FinitePoint(p.x, y0 * zeta ** s), m) for s in range(3)))
         else:
             out += Divisor.of((p, m))
     return out
@@ -521,27 +533,20 @@ def trigonal_fiber(params: CurveParams, x0) -> Divisor:
     return Divisor.of((FiberPoint(x0), 1))
 
 
-def _split_branch_roots(params: CurveParams, poly: UniPoly) -> tuple[Divisor, UniPoly]:
-    """(each branch point with the multiplicity of its x as a root of poly,
-    poly with those roots divided out)."""
+def _poly_zero_divisor(params: CurveParams, poly: UniPoly, weight: int, entry) -> Divisor:
+    """Affine zeros of a polynomial in x read off its squarefree
+    decomposition: a branch x that is a root of multiplicity m becomes a
+    BranchPoint of multiplicity weight*m, and the rest of each factor is one
+    entry(rest), a point when linear and a locus otherwise."""
     out = Divisor.zero()
-    for beta in params.branch_x:
-        m = root_multiplicity(poly, beta)
-        if m:
-            out += Divisor.of((BranchPoint(beta), m))
-            poly = poly // UniPoly((-beta, Scalar.one())) ** m
-    return out, poly
-
-
-def _poly_zero_divisor(params: CurveParams, poly: UniPoly) -> Divisor:
-    """Affine zero divisor of a polynomial in x pulled back to the curve."""
-    branch, remaining = _split_branch_roots(params, poly)
-    out = 3 * branch
-    roots, loci = scalar_roots(remaining)
-    for r, m in roots:
-        out += Divisor.of((FiberPoint(r), m))
-    for locus, m in loci:
-        out += Divisor.of((_locus_entry(locus), m))
+    one = Scalar.one()
+    for factor, m in squarefree_decomposition(poly):
+        for b in params.branch_x:
+            if not factor.evaluate(b):
+                out += Divisor.of((BranchPoint(b), weight * m))
+                factor = factor // UniPoly((-b, one))
+        if factor.degree > 0:
+            out += Divisor.of((entry(factor), m))
     return out
 
 
@@ -559,7 +564,7 @@ def divisor_of(params: CurveParams, d: Differential) -> Divisor:
     p = d.poly()
     if not d.b0:
         # d = P(x) dx/y**2: div = div(P) + 2 * (infinity fiber)
-        out = _poly_zero_divisor(params, p)
+        out = _poly_zero_divisor(params, p, 3, _locus_entry)
         inf_mult = 2 - p.degree
         for s in range(3):
             out += Divisor.of((InfinityPoint(s), inf_mult))
@@ -567,14 +572,9 @@ def divisor_of(params: CurveParams, d: Differential) -> Divisor:
         # d = (b0*y + P(x)) dx/y**2; the norm of f = b0*y + P to the x-line
         # is R = P**3 + b0**3 * Q, which carries the affine zeros of f.
         b0 = d.b0
-        out, remaining = _split_branch_roots(params, p ** 3 + params.q_poly.scale(b0 ** 3))
-        roots, loci = scalar_roots(remaining)
-        for r, m in roots:
-            y_r = -p.evaluate(r) / b0
-            out += Divisor.of((FinitePoint(r, y_r), m))
-        for locus, m in loci:
-            y_res = (-p).scale(b0.inverse())
-            out += Divisor.of((_place_entry(locus, y_res), m))
+        y_res = (-p).scale(b0.inverse())
+        norm = p ** 3 + params.q_poly.scale(b0 ** 3)
+        out = _poly_zero_divisor(params, norm, 1, lambda locus: _place_entry(locus, y_res))
         # infinity: expand f on each sheet and add the frame contribution 2
         for s in range(3):
             chart = infinity_chart(params, s, _INFINITY_ORDER_TRUNCATION)

@@ -1,9 +1,11 @@
 """Dense univariate polynomials over an exact field.
 
 ``UniPoly`` holds polynomials with Q(w) coefficients: in x, and in the
-cube-root probe in its parameter a.  Division and gcd serve the divisor
-computations of curve.py; no command builds a rational function, and
-the rational functions of the oracles live in tests/oracles/polynomials.py.
+cube-root probe in its parameter a.  Division, gcd and the squarefree
+decomposition serve the divisor computations of curve.py, which keep each
+squarefree factor of degree >= 2 as one locus; no command builds a
+rational function, and the rational functions of the oracles live in
+tests/oracles/polynomials.py.
 Degrees in this package stay small (about 20 at most), so the dense
 representation and classical algorithms are the right tool.
 """
@@ -13,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegenerateInput
-from .scalars import Scalar
 
 
 @dataclass(frozen=True)
@@ -208,46 +209,3 @@ def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
         w, g = y, g // y
         i += 1
     return out
-
-
-def root_multiplicity(p: UniPoly, root) -> int:
-    """Multiplicity of ``root`` as a zero of p (0 when not a root)."""
-    one = root ** 0
-    linear = UniPoly((-root, one))
-    count = 0
-    while p and not p.evaluate(root):
-        p = p // linear
-        count += 1
-    return count
-
-
-def scalar_roots(p: UniPoly) -> tuple[list[tuple[Scalar, int]], list[tuple[UniPoly, int]]]:
-    """Split p over Q(w): (roots in Q(w) with multiplicity, leftover loci
-    with multiplicity); loci are monic, squarefree and pairwise coprime.
-
-    Root extraction is complete through degree 2; a squarefree factor of
-    higher degree stays one locus even when it has roots in Q(w).
-    Coefficients must be Scalars.
-    """
-    roots: list[tuple[Scalar, int]] = []
-    loci: list[tuple[UniPoly, int]] = []
-    for factor, mult in squarefree_decomposition(p):
-        found, leftover = _squarefree_scalar_roots(factor)
-        roots.extend((r, mult) for r in found)
-        if leftover.degree > 0:
-            loci.append((leftover, mult))
-    return roots, loci
-
-
-def _squarefree_scalar_roots(p: UniPoly) -> tuple[list[Scalar], UniPoly]:
-    if p.degree == 1:
-        return [-p.coefficient(0) / p.coefficient(1)], UniPoly((Scalar.one(),))
-    if p.degree == 2:
-        a, b, c = p.coefficient(2), p.coefficient(1), p.coefficient(0)
-        disc = b * b - 4 * a * c
-        s = disc.sqrt()
-        if s is None:
-            return [], p.monic()
-        two_a = 2 * a
-        return sorted(((-b + s) / two_a, (-b - s) / two_a), key=Scalar.sort_key), UniPoly((Scalar.one(),))
-    return [], p.monic()

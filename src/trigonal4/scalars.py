@@ -164,30 +164,6 @@ class Scalar:
                 result = result * self
         return result
 
-    # -- predicates and roots ----------------------------------------------
-
-    def sqrt(self) -> "Scalar | None":
-        """An exact square root in Q(w), or None when no such root exists.
-
-        A root s of z = (a + b*w)/d has norm m/d with m**2 = a**2 - a*b + b**2,
-        the norm form being positive definite, and trace k/d with
-        k**2 = (2a - b + 2m)*d; since s*(trace) = z + norm, s = (a + m + b*w)/k.
-        When k = 0, s is a multiple of 1 + 2w, whose square is -3, and
-        z = a/d is rational: s = r*(1 + 2w)/(3d) with r**2 = -3ad."""
-        a, b, d = self._a, self._b, self._d
-        n = a * a - a * b + b * b
-        m = math.isqrt(n)
-        if m * m != n:
-            return None
-        t = (2 * a - b + 2 * m) * d
-        k = math.isqrt(t)
-        if k * k != t:
-            return None
-        if k:
-            return _make(a + m, b, k)
-        r = math.isqrt(-3 * a * d)
-        return _make(r, 2 * r, 3 * d) if r * r == -3 * a * d else None
-
     # -- ordering key, formatting, parsing -----------------------------------
 
     def sort_key(self):

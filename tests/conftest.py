@@ -1,11 +1,24 @@
 import hypothesis.strategies as st
+import pytest
 from hypothesis import settings
 
+from trigonal4.curve import validate_params
 from trigonal4.linalg import Matrix
 from trigonal4.scalars import Scalar
 
 settings.register_profile("default", deadline=None, max_examples=40)
 settings.load_profile("default")
+
+
+@pytest.fixture(scope="module")
+def u023():
+    return validate_params(0, 2, 3)
+
+
+@pytest.fixture(scope="module")
+def u248():
+    # Q(0) = 64 is a perfect cube here, so (0, 4) is an exact curve point
+    return validate_params(2, 4, 8)
 
 
 def fraction_strategy(bound=20, max_denominator=8):

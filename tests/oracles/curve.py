@@ -15,6 +15,7 @@ from trigonal4.curve import (
     Divisor,
     FinitePoint,
     InfinityPoint,
+    _locus_entry,
     _poly_zero_divisor,
     basis_factors,
     branch_chart,
@@ -143,9 +144,9 @@ def divisor_of_function(params: CurveParams, func) -> Divisor:
     infinity_fiber = Divisor.of(*((InfinityPoint(s), 1) for s in range(3)))
     out = Divisor.zero()
     if func.numerator.degree > 0:
-        out += _poly_zero_divisor(params, func.numerator)
+        out += _poly_zero_divisor(params, func.numerator, 3, _locus_entry)
     if func.denominator.degree > 0:
-        out -= _poly_zero_divisor(params, func.denominator)
+        out -= _poly_zero_divisor(params, func.denominator, 3, _locus_entry)
     out -= (func.numerator.degree - func.denominator.degree) * infinity_fiber
     return out
 

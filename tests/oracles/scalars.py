@@ -3,9 +3,9 @@
 ``FractionScalar`` is the dataclass ``trigonal4.scalars.Scalar`` was before
 it became one reduced integer triple ``(a + b*w)/d``.  Its operations are
 the plain ``Fraction`` formulas, so the tests check every ``Scalar``
-operation against it value by value.  The ``Fraction`` helpers the tests
-read (``fraction_parts``, ``sqrt_fraction``) live here too: no ``Fraction``
-is built in ``src/``.
+operation against it value by value.  The ``Fraction`` helper the tests
+read, ``fraction_parts``, lives here too: no ``Fraction`` is built in
+``src/``.
 """
 
 from __future__ import annotations
@@ -24,16 +24,6 @@ def _coerce(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"cannot build an exact scalar from {type(value).__name__}")
-
-
-def sqrt_fraction(f: Fraction) -> Fraction | None:
-    if f < 0:
-        return None
-    n, d = f.numerator, f.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
 
 
 def fraction_parts(s: Scalar) -> tuple:
@@ -147,29 +137,6 @@ class FractionScalar:
             if bit == "1":
                 result = result * self
         return result
-
-    # -- predicates and roots ----------------------------------------------
-
-    def sqrt(self) -> "FractionScalar | None":
-        """An exact square root in Q(w), or None when no such root exists.
-
-        A root s of z has norm n = sqrt(N(z)), the norm form being positive
-        definite, and trace t with t**2 = Tr(z) + 2n; since s*t = z + n,
-        s = (z + n)/t.  When t = 0, s is a multiple of 1 + 2w, whose square
-        is -3, and z = c is rational."""
-        if not self:
-            return _ZERO
-        n = sqrt_fraction(self.norm())
-        if n is None:
-            return None
-        c, d = self.rational_part, self.zeta_part
-        t = sqrt_fraction(2 * c - d + 2 * n)
-        if t is None:
-            return None
-        if t:
-            return FractionScalar((c + n) / t, d / t)
-        k = sqrt_fraction(-c / 3)
-        return None if k is None else FractionScalar(k, 2 * k)
 
     # -- ordering key, formatting, parsing -----------------------------------
 

@@ -1,5 +1,3 @@
-import pytest
-
 from trigonal4.canonical_ideal import (
     CUBIC_MONOMIALS,
     QUADRIC_MONOMIALS,
@@ -7,7 +5,7 @@ from trigonal4.canonical_ideal import (
     schiffer_test,
     sym2_relation,
 )
-from trigonal4.curve import BranchPoint, FinitePoint, InfinityPoint, validate_params
+from trigonal4.curve import BranchPoint, FinitePoint, InfinityPoint
 from trigonal4.linalg import Matrix, row_space_rref
 from trigonal4.prng import SplitMix64, sample_params
 from trigonal4.report import form_json
@@ -15,16 +13,6 @@ from trigonal4.scalars import Scalar
 
 from oracles.canonical_ideal import SYM2_FIBERS, SYM3_FIBERS, _evaluation_kernel, quadric_matrix, sample_fiber_xs
 from oracles.curve import canonical_map
-
-
-@pytest.fixture(scope="module")
-def u023():
-    return validate_params(0, 2, 3)
-
-
-@pytest.fixture(scope="module")
-def u248():
-    return validate_params(2, 4, 8)
 
 
 def expected_cubic_coefficients(params):

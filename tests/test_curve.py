@@ -9,6 +9,7 @@ from trigonal4.curve import (
     BranchPoint,
     Differential,
     Divisor,
+    FiberLocus,
     FiberPoint,
     FinitePoint,
     InfinityPoint,
@@ -27,17 +28,6 @@ import oracles.curve
 from conftest import scalar_strategy
 from oracles.curve import OMEGA, canonical_map, divisor_min, divisor_of_function, normalize_projective
 from oracles.polynomials import RationalFunction, from_roots, from_scalars
-
-
-@pytest.fixture(scope="module")
-def u023():
-    return validate_params(0, 2, 3)
-
-
-@pytest.fixture(scope="module")
-def u248():
-    # Q(0) = 64 is a perfect cube here, so (0, 4) is an exact curve point
-    return validate_params(2, 4, 8)
 
 
 # -- parameter validation ----------------------------------------------------
@@ -231,9 +221,10 @@ def test_divisor_of_function_witness(u023):
 
 @given(st.lists(scalar_strategy(bound=9, max_denominator=2), min_size=1, max_size=5, unique=True))
 @example([Scalar.of(5), Scalar.of(6), Scalar.of(7)])
+@example([Scalar.of(5), Scalar.of(6)])
 @settings(max_examples=30)
 def test_divisor_of_root_product_is_sum_of_fibers(u023, roots):
-    # from degree 3 on, prod (x - r) stays one locus (Fiber[x^3-18*x^2+107*x-210]
+    # from degree 2 on, prod (x - r) stays one locus (Fiber[x^3-18*x^2+107*x-210]
     # for 5, 6, 7): comparison splits it at the x of the other side's points
     roots = [r for r in roots if not u023.is_branch_x(r)]
     if not roots:
@@ -251,6 +242,27 @@ def test_divisor_min_branch_fiber(u023):
     b = divisor_of(u023, OMEGA[3])                     # 6 Branch(0)
     m = divisor_min(a, b)
     assert m == Divisor.of((BranchPoint(Scalar.zero()), 3))
+
+
+def test_divisor_min_splits_a_fiber_at_a_locus_root(u248):
+    # A fiber split off a locus, or compared with one, splits into its three
+    # points once a point over its x is known on either side.
+    # At u=(2,4,8) the form x(x - 5) dx/y**2 stores Fiber[x^2-5*x], and
+    # (0, 4) is a curve point.
+    div = divisor_of(u248, Differential(Scalar.zero(), (Scalar.zero(), Scalar.of(-5), Scalar.one())))
+    assert str(div) == "1*Fiber[x^2-5*x]"
+    point = Divisor.of((FinitePoint(Scalar.zero(), Scalar.of(4)), 1))
+    assert div >= point
+    assert divisor_min(div, point) == point
+    # At u=(-1,2,4), Q(-2) = 6**3 and Q(0) = (-2)**3, and f = y + 4x + 2
+    # vanishes at (-2, 6) and (0, -2); its norm stays one sextic place locus.
+    params = validate_params(-1, 2, 4)
+    div = divisor_of(params, Differential(Scalar.one(), (Scalar.of(2), Scalar.of(4), Scalar.zero())))
+    assert [type(p) for p in div.entries if p.kind != "infinity"] == [PlaceLocus]
+    for x0, y0 in ((-2, 6), (0, -2)):
+        point = Divisor.of((FinitePoint(Scalar.of(x0), Scalar.of(y0)), 1))
+        assert divisor_min(div, trigonal_fiber(params, Scalar.of(x0))) == point
+        assert div >= point
 
 
 def test_divisor_hash_agrees_with_equality(u248):
@@ -342,4 +354,13 @@ def test_divisor_contains_fiber_of_root(u023):
     r = Scalar.of(7)
     poly_coeffs = (r * Scalar.of(-3), Scalar.of(3) - r, Scalar.one())  # (x - r)(x + 3)
     d = Differential(Scalar.zero(), poly_coeffs)
-    assert divisor_of(u023, d) >= trigonal_fiber(u023, r)
+    div = divisor_of(u023, d)
+    assert div >= trigonal_fiber(u023, r)
+    # the squarefree factor (x - 7)(x + 3) is stored as one locus, and
+    # compares as the two fibers it stands for
+    assert [type(p) for p in div.entries] == [FiberLocus]
+    assert str(div) == "1*Fiber[x^2-4*x-21]"
+    fibers = trigonal_fiber(u023, r) + trigonal_fiber(u023, Scalar.of(-3))
+    assert div == fibers and fibers == div
+    assert hash(div) == hash(fibers)
+    assert div >= fibers and div <= fibers

@@ -43,11 +43,6 @@ from oracles.polynomials import RationalFunction
 from oracles.series import series_of_rational
 
 
-@pytest.fixture(scope="module")
-def u023():
-    return validate_params(0, 2, 3)
-
-
 def tangent_strategy():
     return st.lists(scalar_strategy(bound=7, max_denominator=3), min_size=3, max_size=3).map(
         TangentVector

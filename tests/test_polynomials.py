@@ -3,13 +3,7 @@ import pytest
 from hypothesis import given
 
 from trigonal4.errors import DegenerateInput
-from trigonal4.polynomials import (
-    UniPoly,
-    poly_gcd,
-    root_multiplicity,
-    scalar_roots,
-    squarefree_decomposition,
-)
+from trigonal4.polynomials import UniPoly, poly_gcd, squarefree_decomposition
 from trigonal4.scalars import Scalar
 
 from conftest import scalar_strategy
@@ -68,25 +62,37 @@ def test_squarefree_decomposition():
     }
 
 
+def _multiplicity(p, r):
+    # how curve divisors read a root's multiplicity: the m of the one
+    # squarefree factor that vanishes at r, or 0
+    ms = [m for f, m in squarefree_decomposition(p) if not f.evaluate(r)]
+    assert len(ms) <= 1
+    return ms[0] if ms else 0
+
+
 def test_root_multiplicity():
     p = from_roots((Scalar.of(2), Scalar.of(2), Scalar.of(3)))
-    assert root_multiplicity(p, Scalar.of(2)) == 2
-    assert root_multiplicity(p, Scalar.of(3)) == 1
-    assert root_multiplicity(p, Scalar.of(4)) == 0
+    assert _multiplicity(p, Scalar.of(2)) == 2
+    assert _multiplicity(p, Scalar.of(3)) == 1
+    assert _multiplicity(p, Scalar.of(4)) == 0
 
 
 def test_scalar_roots_quadratic_in_field():
-    # x**2 + x + 1 has roots w and w**2
-    roots, loci = scalar_roots(P(1, 1, 1))
-    assert loci == []
-    assert {r for r, _ in roots} == {Scalar.zeta(), Scalar.zeta_power(2)}
-    assert all(m == 1 for _, m in roots)
+    # x**2 + x + 1 has roots w and w**2: its squared form is one factor of
+    # multiplicity 2, and dividing out x - w leaves x - w**2 exactly
+    w, w2 = Scalar.zeta(), Scalar.zeta_power(2)
+    assert squarefree_decomposition(P(1, 1, 1) ** 2) == [(P(1, 1, 1), 2)]
+    assert _multiplicity(P(1, 1, 1) ** 2, w) == 2
+    assert _multiplicity(P(1, 1, 1) ** 2, w2) == 2
+    quot, rem = P(1, 1, 1).divmod(from_roots((w,)))
+    assert not rem and quot == from_roots((w2,))
 
 
 def test_scalar_roots_irrational_stay_grouped():
-    roots, loci = scalar_roots(P(-2, 0, 1))  # x**2 - 2
-    assert roots == []
-    assert loci == [(P(-2, 0, 1), 1)]
+    # x**2 - 2 has no root in Q(w): it stays one factor next to x - 1
+    p = P(-2, 0, 1) ** 2 * P(-1, 1)
+    parts = dict((f.coefficients, m) for f, m in squarefree_decomposition(p))
+    assert parts == {P(-1, 1).coefficients: 1, P(-2, 0, 1).coefficients: 2}
 
 
 def test_taylor_shift():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from trigonal4 import curve
-from trigonal4.curve import divisor_of, trigonal_fiber, validate_params
+from trigonal4.curve import divisor_of, trigonal_fiber
 from trigonal4.errors import DegenerateInput
 from trigonal4.prng import SplitMix64, sample_params, sample_scalar
 from trigonal4.report import divisor_json
@@ -15,11 +15,6 @@ from trigonal4.scalars import INFINITY, Scalar
 from conftest import scalar_strategy
 from oracles.curve import common_zeros_by_divisors, divisor_of_function
 from oracles.rulings import ruling_line, witness_function
-
-
-@pytest.fixture(scope="module")
-def u023():
-    return validate_params(0, 2, 3)
 
 
 def t_values():

@@ -10,7 +10,7 @@ from trigonal4.errors import DegenerateInput
 from trigonal4.scalars import INFINITY, Scalar, parse_projective
 
 from conftest import fraction_strategy, scalar_strategy
-from oracles.scalars import FractionScalar, fraction_parts, sqrt_fraction
+from oracles.scalars import FractionScalar, fraction_parts
 
 scalars = scalar_strategy(bound=50, max_denominator=12)
 nonzero_scalars = scalars.filter(bool)
@@ -67,72 +67,6 @@ def test_literal_forms():
 def test_parse_projective():
     assert parse_projective("inf") is INFINITY
     assert parse_projective("-2/3") == Scalar(Fraction(-2, 3))
-
-
-@given(scalars)
-def test_square_roots_found_for_squares(a):
-    r = (a * a).sqrt()
-    assert r is not None
-    assert r * r == a * a
-
-
-def _reference_sqrt(z):
-    """The case analysis Scalar.sqrt used before its norm-and-trace form:
-    solve (x + y*w)**2 = c + d*w for y**2, then try both signs."""
-    c, d = fraction_parts(z)
-    if not z:
-        return Scalar.zero()
-    if not d:
-        r = sqrt_fraction(c)
-        if r is not None:
-            return Scalar(r)
-        # (x + 2x*w)^2 = -3x^2, so negative rationals of the right shape
-        r = sqrt_fraction(-c / 3)
-        if r is not None:
-            return Scalar(r, 2 * r)
-        return None
-    # Solve (x + y*w)^2 = c + d*w: x^2 - y^2 = c, 2xy - y^2 = d, y != 0.
-    # Eliminating x: 3B^2 + (4c - 2d)B - d^2 = 0 with B = y^2.
-    disc = (4 * c - 2 * d) ** 2 + 12 * d * d
-    s = sqrt_fraction(disc)
-    if s is None:
-        return None
-    for numerator in ((2 * d - 4 * c) + s, (2 * d - 4 * c) - s):
-        big = numerator / 6
-        if big <= 0:
-            continue
-        y = sqrt_fraction(big)
-        if y is None:
-            continue
-        x = (d + y * y) / (2 * y)
-        for cand in (Scalar(x, y), Scalar(-x, -y)):
-            if cand * cand == z:
-                return cand
-    return None
-
-
-@given(scalars, st.sampled_from((1, -3, Scalar.zeta(), None)))
-def test_sqrt_matches_reference(a, shape):
-    # squares of every shape (times 1, -3 or w), and arbitrary scalars,
-    # which are mostly not squares
-    z = a if shape is None else a * a * shape
-    r, ref = z.sqrt(), _reference_sqrt(z)
-    _assert_matches(r, _reference(z).sqrt())  # the same root as the Fraction pair
-    if ref is None:
-        assert r is None
-    else:
-        assert r is not None and r * r == z and r in (ref, -ref)
-
-
-def test_sqrt_examples():
-    assert Scalar.of(4).sqrt() == Scalar.of(2)
-    assert Scalar.of(2).sqrt() is None
-    # -3 = (1 + 2w)**2
-    r = Scalar.of(-3).sqrt()
-    assert r is not None and r * r == Scalar.of(-3)
-    # w itself is the square of -w**2
-    r = Scalar.zeta().sqrt()
-    assert r is not None and r * r == Scalar.zeta()
 
 
 @given(scalars, scalars)

@@ -41,11 +41,27 @@ def test_residue_table_rejects_bad_input(args):
     assert "Traceback" not in result.stderr
 
 
-@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"], ids=["negative", "past-64-bits"])
-def test_family_scan_rejects_bad_input(seed):
-    result = run_script("family_scan.py", "--count", "1", "--seed", seed)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--count", "1", "--seed", "-1"),
+        ("--count", "1", "--seed", "18446744073709551616"),
+        ("--count", "-5"),
+        ("--count", "0", "--cone-sweep", "-2"),
+    ],
+    ids=["negative", "past-64-bits", "negative-count", "negative-cone-sweep"],
+)
+def test_family_scan_rejects_bad_input(argv):
+    result = run_script("family_scan.py", *argv)
     assert result.returncode == 2, result.stderr
+    assert not result.stdout
     assert "Traceback" not in result.stderr
+
+
+def test_family_scan_accepts_zero_counts():
+    result = run_script("family_scan.py", "--count", "0", "--cone-sweep", "0")
+    assert result.returncode == 0, result.stderr
+    assert "random directions (0 samples, seed 7):" in result.stdout
 
 
 def test_family_scan_cone_sweep():
