@@ -11,6 +11,7 @@ Example:
 """
 
 import argparse
+import sys
 from collections import Counter
 
 from trigonal4.deformation import cone_directions, delta_nu_c_test
@@ -31,7 +32,8 @@ def main() -> None:
     try:
         rng = SplitMix64(args.seed)
     except Trigonal4Error as exc:
-        parser.error(str(exc))
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        sys.exit(exc.exit_code)
     counts: Counter = Counter()
     examples = []
     for i in range(args.count):

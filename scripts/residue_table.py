@@ -7,6 +7,7 @@ Example:
 """
 
 import argparse
+import sys
 
 from trigonal4.curve import validate_params
 from trigonal4.deformation import TangentVector, pairing_matrix, residue_matrix
@@ -33,7 +34,8 @@ def main() -> None:
         oracles = residue_matrix(params, args.j)
         numeric = numeric_residue_matrix(params, args.j, args.nodes)
     except Trigonal4Error as exc:
-        parser.error(str(exc))
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        sys.exit(exc.exit_code)
 
     print(f"pairing table at u = ({args.u}), direction d/du_{args.j}, units 6*pi*i")
     print(f"{'entry':>8} {'closed':>14} {'oracle':>14} {'contour rel err':>16}")

@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Subcommands: analyze, residue-check, scan, ideal, schiffer, d0, qz24.
-Exit codes: 0 success, 2 invalid parameters or malformed input, 3 zero
-tangent vector, 4 oracle disagreement, 5 internal structural error.
+Exit codes: 0 success; a library error prints ``label: message`` on stderr
+and exits with the code its class carries (see trigonal4.errors).
 
 All scalar I/O uses the canonical literal syntax (``p/q`` or
 ``p/q+r/s*w``, ``inf`` for the point at infinity).  Output is JSON (or CSV
@@ -28,25 +28,12 @@ from .deformation import (
     pairing_matrix,
     residue_matrix,
 )
-from .errors import (
-    DegenerateInput,
-    InvalidParameters,
-    OracleMismatch,
-    StructuralError,
-    Trigonal4Error,
-    ZeroTangent,
-)
+from .errors import DegenerateInput, InvalidParameters, OracleMismatch, Trigonal4Error
 from .numeric import DEFAULT_NODES, MAX_QUAD_NODES, numeric_residue_matrix, residue_relative_error
 from .prng import SplitMix64, sample_params, sample_tangent
 from .qz24 import ANNOTATION, cube_family_report, evaluate_at
 from .rulings import d0_cycle
 from .scalars import Scalar, parse_projective
-
-EXIT_OK = 0
-EXIT_INVALID_PARAMS = 2
-EXIT_ZERO_TANGENT = 3
-EXIT_ORACLE_MISMATCH = 4
-EXIT_STRUCTURAL = 5
 
 NUMERIC_TOLERANCE = 1e-8
 
@@ -74,28 +61,19 @@ def _numeric_settings(args) -> tuple:
     return nodes, tolerance
 
 
-def _parse_u(text: str):
+_COUNT_WORDS = {3: "three", 4: "four"}
+
+
+def _parse_literals(text: str, option: str, count: int, error=DegenerateInput) -> tuple:
+    """The ``count`` comma-separated scalar literals of an option value."""
     parts = text.split(",")
-    if len(parts) != 3:
-        raise InvalidParameters("expected three comma-separated scalar literals for --u")
-    return validate_params(*(Scalar.parse(p) for p in parts))
-
-
-def _parse_xi(text: str) -> TangentVector:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise DegenerateInput("expected three comma-separated scalar literals for --xi")
-    xi = TangentVector(tuple(Scalar.parse(p) for p in parts))
-    if xi.is_zero():
-        raise ZeroTangent("the zero tangent vector is not a direction")
-    return xi
-
-
-def _parse_point(text: str) -> tuple:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise DegenerateInput("expected four comma-separated scalar literals for --point")
+    if len(parts) != count:
+        raise error(f"expected {_COUNT_WORDS[count]} comma-separated scalar literals for {option}")
     return tuple(Scalar.parse(p) for p in parts)
+
+
+def _parse_u(text: str):
+    return validate_params(*_parse_literals(text, "--u", 3, InvalidParameters))
 
 
 def _parse_grid(text: str) -> int:
@@ -117,7 +95,8 @@ def cmd_analyze(args, out) -> int:
     started = time.perf_counter()
     order = _series_order(args)
     params = _parse_u(args.u)
-    xi = _parse_xi(args.xi)
+    # a zero xi is refused by the certificate (ZeroTangent)
+    xi = TangentVector(_parse_literals(args.xi, "--xi", 3))
     cert = delta_nu_c_test(params, xi)
     encoded = report.certificate_json(cert)
     document = {
@@ -141,7 +120,7 @@ def cmd_analyze(args, out) -> int:
     if args.timing:
         document["elapsed_ms"] = round(1000 * (time.perf_counter() - started), 3)
     out.write(report.dumps(document))
-    return EXIT_OK
+    return 0
 
 
 def cmd_residue_check(args, out) -> int:
@@ -200,7 +179,7 @@ def cmd_residue_check(args, out) -> int:
     out.write(report.dumps(document))
     if not all_match or (args.numeric and not worst <= tolerance):
         raise OracleMismatch("pairing oracles disagree")
-    return EXIT_OK
+    return 0
 
 
 def _scan_rows(args):
@@ -259,7 +238,7 @@ def cmd_scan(args, out) -> int:
         out.write(f"# summary: {summary['summary']}\n")
     else:
         out.write(report.dumps_line(summary))
-    return EXIT_OK
+    return 0
 
 
 def cmd_ideal(args, out) -> int:
@@ -274,12 +253,12 @@ def cmd_ideal(args, out) -> int:
         "tags": {"quadric": "quadric-cone", "cubic": "canonical-cubic"},
     }
     out.write(report.dumps(document))
-    return EXIT_OK
+    return 0
 
 
 def cmd_schiffer(args, out) -> int:
     params = _parse_u(args.u)
-    point = _parse_point(args.point)
+    point = _parse_literals(args.point, "--point", 4)
     is_schiffer = schiffer_test(params, point)
     document = {
         "u": report.scalars_json(params.u),
@@ -294,7 +273,7 @@ def cmd_schiffer(args, out) -> int:
         },
     }
     out.write(report.dumps(document))
-    return EXIT_OK
+    return 0
 
 
 def cmd_d0(args, out) -> int:
@@ -317,7 +296,7 @@ def cmd_d0(args, out) -> int:
         },
     }
     out.write(report.dumps(document))
-    return EXIT_OK
+    return 0
 
 
 def cmd_qz24(args, out) -> int:
@@ -335,7 +314,7 @@ def cmd_qz24(args, out) -> int:
         document["covector_at_a"] = [str(evaluate_at(c, a_value)) for c in probe.covector]
         document["value_at_a"] = str(evaluate_at(probe.conic_value, a_value))
     out.write(report.dumps(document))
-    return EXIT_OK
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -411,24 +390,9 @@ def main(argv=None, out=None) -> int:
         parser.error("-- is not an option value")
     try:
         return args.func(args, out)
-    except InvalidParameters as exc:
-        print(f"invalid parameters: {exc}", file=sys.stderr)
-        return EXIT_INVALID_PARAMS
-    except ZeroTangent as exc:
-        print(f"invalid tangent: {exc}", file=sys.stderr)
-        return EXIT_ZERO_TANGENT
-    except OracleMismatch as exc:
-        print(f"oracle disagreement: {exc}", file=sys.stderr)
-        return EXIT_ORACLE_MISMATCH
-    except StructuralError as exc:
-        print(f"structural error: {exc}", file=sys.stderr)
-        return EXIT_STRUCTURAL
-    except DegenerateInput as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID_PARAMS
     except Trigonal4Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STRUCTURAL
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 def entry() -> None:

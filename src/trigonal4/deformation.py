@@ -111,7 +111,7 @@ class CeresaCertificate:
     def __post_init__(self):
         # c = a*A with A invertible: only the zero direction gives c = 0.
         if not any(self.covector):
-            raise ZeroTangent("a certificate needs a nonzero covector")
+            raise ZeroTangent("the zero tangent vector is not a direction")
 
     @functools.cached_property
     def conic_value(self) -> Scalar:

@@ -57,13 +57,10 @@ def ruling_divisor(params: CurveParams, t, family: int) -> Divisor:
 
 
 def relation_t2(t1):
-    """The family-2 parameter tied to t1 by 1/t1 + 1 = t2 - 1."""
-    if t1 is INFINITY:
-        return Scalar.of(2)
-    t1 = Scalar.of(t1)
-    if not t1:
-        return INFINITY
-    return t1.inverse() + Scalar.of(2)
+    """The family-2 parameter tied to t1 by 1/t1 + 1 = t2 - 1: the family-1
+    fiber parameter plus one."""
+    x1 = ruling_parameter_x(t1, 1)
+    return x1 if x1 is INFINITY else x1 + Scalar.one()
 
 
 def principal_witness(x1, x2) -> str:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -9,6 +10,14 @@ from hypothesis import given, settings
 
 from trigonal4 import cli, curve, deformation, report
 from trigonal4.cli import main
+from trigonal4.errors import (
+    DegenerateInput,
+    InvalidParameters,
+    OracleMismatch,
+    StructuralError,
+    Trigonal4Error,
+    ZeroTangent,
+)
 from trigonal4.linalg import Matrix
 from trigonal4.polynomials import UniPoly
 
@@ -29,6 +38,41 @@ def test_analyze_supported_case():
     assert doc["conic"]["on_conic"] is True
     assert doc["certificate"]["subspace_dim"] == 6
     assert "elapsed_ms" not in doc
+
+
+# The documented error table: each class's exit code and stderr label.
+ERROR_TABLE = [
+    (InvalidParameters, 2, "invalid parameters"),
+    (DegenerateInput, 2, "invalid input"),
+    (ZeroTangent, 3, "invalid tangent"),
+    (OracleMismatch, 4, "oracle disagreement"),
+    (StructuralError, 5, "structural error"),
+    (Trigonal4Error, 5, "error"),
+]
+LABELS_BY_CODE = {code: tuple(f"{l}: " for _, c, l in ERROR_TABLE if c == code) for _, code, _ in ERROR_TABLE}
+
+
+@pytest.mark.parametrize("error, code, label", ERROR_TABLE, ids=[e.__name__ for e, _, _ in ERROR_TABLE])
+def test_library_error_exits_with_its_code_and_label(monkeypatch, error, code, label):
+    # main reports any library error as "label: message" and returns its
+    # code; the parser is cached, so the library name cli imported is patched
+    def raising(params):
+        raise error("planted message")
+
+    monkeypatch.setattr(cli, "sym2_relation", raising)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        result, text = run_cli(["ideal", "--u=0,2,3"])
+    assert (result, text) == (code, "")
+    assert err.getvalue() == f"{label}: planted message\n"
+
+
+def test_readme_exit_codes_name_the_error_table():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    paragraph = readme[readme.index("Exit codes:"):].split("\n\n", 1)[0]
+    for _, code, label in ERROR_TABLE:
+        assert f"`{code}`" in paragraph, code
+        assert f"`{label}:`" in paragraph, label
 
 
 def test_analyze_exit_codes():
@@ -526,6 +570,17 @@ def test_attached_double_dash_value_exits_2(argv):
     assert exc.value.code == 2
 
 
+def _assert_documented_exit(argv, code, stderr):
+    """0 with nothing on stderr, or a table code with a label the table pairs
+    with it."""
+    if code == 0:
+        assert stderr == "", argv
+    else:
+        assert code in LABELS_BY_CODE, (argv, code)
+        assert stderr.startswith(LABELS_BY_CODE[code]), (argv, code, stderr)
+    assert "Traceback" not in stderr, argv
+
+
 @pytest.mark.parametrize("command", sorted(_FUZZ_OPTIONS))
 @given(data=st.data())
 @settings(max_examples=40)
@@ -540,10 +595,10 @@ def test_argv_fuzz_exits_with_a_documented_code(command, data):
     with contextlib.redirect_stderr(err):
         try:
             code = main(argv, io.StringIO())
-        except SystemExit as exc:  # argparse rejects the argv
-            code = exc.code
-    assert code in (0, 2, 3, 4, 5), (argv, code)
-    assert "Traceback" not in err.getvalue(), argv
+        except SystemExit as exc:  # argparse rejects the argv with usage
+            assert exc.code == 2 and "Traceback" not in err.getvalue(), argv
+            return
+    _assert_documented_exit(argv, code, err.getvalue())
 
 
 # -- argv fuzz over literal sizes ---------------------------------------------------
@@ -596,5 +651,4 @@ def test_argv_fuzz_over_literal_sizes_exits_with_a_documented_code(command, data
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = main(argv, io.StringIO())
-    assert code in (0, 2, 3, 4, 5), (argv, code)
-    assert "Traceback" not in err.getvalue(), argv
+    _assert_documented_exit(argv, code, err.getvalue())

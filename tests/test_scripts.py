@@ -30,15 +30,35 @@ def test_residue_table():
     assert "MISMATCH" not in result.stdout
 
 
+# A library error prints "label: message" with its class's code, as the
+# CLI does; argparse's own usage errors print usage (label None here).
 @pytest.mark.parametrize(
-    "args",
-    [("--j", "0"), ("--j", "4"), ("--u", "0,2"), ("--nodes", "0"), ("--nodes", "4097"), ("--u", "0,0,3")],
+    "args, label",
+    [
+        (("--j", "0"), None),
+        (("--j", "4"), None),
+        (("--u", "0,2"), None),
+        (("--nodes", "0"), "invalid input: "),
+        (("--nodes", "4097"), "invalid input: "),
+        (("--u", "0,0,3"), "invalid parameters: "),
+    ],
     ids=["j-0", "j-4", "two-u", "zero-nodes", "too-many-nodes", "invalid-u"],
 )
-def test_residue_table_rejects_bad_input(args):
+def test_residue_table_rejects_bad_input(args, label):
     result = run_script("residue_table.py", *args)
     assert result.returncode == 2, result.stderr
     assert "Traceback" not in result.stderr
+    if label is not None:
+        assert result.stderr.startswith(label), result.stderr
+
+
+def test_residue_table_structural_error_exits_5():
+    # Q'(u_3) past the float range: a structural error, not a usage error
+    result = run_script("residue_table.py", "--u", "0,2," + "9" * 62, "--j", "3")
+    assert result.returncode == 5, result.stderr
+    assert result.stderr == "structural error: the float contour cannot represent this curve\n"
+    assert "usage:" not in result.stderr
+    assert not result.stdout
 
 
 @pytest.mark.parametrize(
@@ -56,6 +76,8 @@ def test_family_scan_rejects_bad_input(argv):
     assert result.returncode == 2, result.stderr
     assert not result.stdout
     assert "Traceback" not in result.stderr
+    if "--seed" in argv:  # a library error, reported with its label
+        assert result.stderr.startswith("invalid input: "), result.stderr
 
 
 def test_family_scan_accepts_zero_counts():
