@@ -9,7 +9,7 @@ Example:
 import argparse
 import sys
 
-from trigonal4.curve import validate_params
+from trigonal4.cli import parse_u
 from trigonal4.deformation import TangentVector, pairing_matrix, residue_matrix
 from trigonal4.errors import Trigonal4Error
 from trigonal4.numeric import numeric_residue_matrix, residue_relative_error
@@ -23,13 +23,10 @@ def main() -> None:
     parser.add_argument("--nodes", type=int, default=256)
     args = parser.parse_args()
 
-    literals = args.u.split(",")
-    if len(literals) != 3:
-        parser.error("--u takes three scalar literals")
     direction = [Scalar.zero()] * 3
     direction[args.j - 1] = Scalar.one()
     try:
-        params = validate_params(*(Scalar.parse(p) for p in literals))
+        params = parse_u(args.u)
         matrix = pairing_matrix(params, TangentVector(tuple(direction)))
         oracles = residue_matrix(params, args.j)
         numeric = numeric_residue_matrix(params, args.j, args.nodes)

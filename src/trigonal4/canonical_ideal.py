@@ -17,7 +17,6 @@ is the independent oracle the tests check both forms against.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .curve import CurveParams
@@ -56,14 +55,15 @@ def monomial_label(exponents: tuple) -> str:
     return "*".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
 class MonomialForm:
     """A form stored as its coefficients over the fixed monomial order of its
     class (``monomials``)."""
 
-    coefficients: tuple  # aligned with monomials
-
+    __slots__ = ("coefficients",)
     monomials = ()
+
+    def __init__(self, coefficients: tuple):
+        self.coefficients = coefficients  # aligned with monomials
 
     def coefficient(self, exponents: tuple) -> Scalar:
         return self.coefficients[self.monomials.index(exponents)]
@@ -80,6 +80,7 @@ class MonomialForm:
 class QuadricForm(MonomialForm):
     """A quadratic form over QUADRIC_MONOMIALS."""
 
+    __slots__ = ()
     monomials = QUADRIC_MONOMIALS
 
 
@@ -88,6 +89,7 @@ class CubicForm(MonomialForm):
     by the quadric's leading monomial z1*z3 and scaled so the graded-lex
     leading coefficient is 1."""
 
+    __slots__ = ()
     monomials = CUBIC_MONOMIALS
 
 

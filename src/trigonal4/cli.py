@@ -72,7 +72,8 @@ def _parse_literals(text: str, option: str, count: int, error=DegenerateInput) -
     return tuple(Scalar.parse(p) for p in parts)
 
 
-def _parse_u(text: str):
+def parse_u(text: str):
+    """The parameter point of a --u value; residue_table.py reads it too."""
     return validate_params(*_parse_literals(text, "--u", 3, InvalidParameters))
 
 
@@ -94,7 +95,7 @@ def _parse_grid(text: str) -> int:
 def cmd_analyze(args, out) -> int:
     started = time.perf_counter()
     order = _series_order(args)
-    params = _parse_u(args.u)
+    params = parse_u(args.u)
     # a zero xi is refused by the certificate (ZeroTangent)
     xi = TangentVector(_parse_literals(args.xi, "--xi", 3))
     cert = delta_nu_c_test(params, xi)
@@ -127,7 +128,7 @@ def cmd_residue_check(args, out) -> int:
     started = time.perf_counter()
     _series_order(args)
     nodes, tolerance = _numeric_settings(args)
-    params = _parse_u(args.u)
+    params = parse_u(args.u)
     j = args.j
     if j not in (1, 2, 3):
         raise InvalidParameters("--j must be 1, 2 or 3")
@@ -191,7 +192,7 @@ def _scan_rows(args):
         count = _parse_grid(args.grid)
         if not args.u:
             raise InvalidParameters("--grid cone:N needs --u")
-        params = _parse_u(args.u)
+        params = parse_u(args.u)
         return ((i, params, cone_directions(params, Scalar.of(i))) for i in range(count))
     if args.random is None:
         raise DegenerateInput("scan needs --random N or --grid cone:N")
@@ -242,7 +243,7 @@ def cmd_scan(args, out) -> int:
 
 
 def cmd_ideal(args, out) -> int:
-    params = _parse_u(args.u)
+    params = parse_u(args.u)
     quadric = sym2_relation(params)
     cubic = canonical_cubic(params)
     document = {
@@ -257,7 +258,7 @@ def cmd_ideal(args, out) -> int:
 
 
 def cmd_schiffer(args, out) -> int:
-    params = _parse_u(args.u)
+    params = parse_u(args.u)
     point = _parse_literals(args.point, "--point", 4)
     is_schiffer = schiffer_test(params, point)
     document = {
@@ -277,7 +278,7 @@ def cmd_schiffer(args, out) -> int:
 
 
 def cmd_d0(args, out) -> int:
-    params = _parse_u(args.u)
+    params = parse_u(args.u)
     t1 = parse_projective(args.t1)
     t2 = parse_projective(args.t2) if args.t2 is not None else None
     cycle = d0_cycle(params, t1, t2)

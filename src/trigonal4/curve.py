@@ -28,7 +28,6 @@ each other and against x - r for every point entry, before comparing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .errors import DegenerateInput, InvalidParameters, StructuralError
@@ -42,7 +41,6 @@ from .series import LocalSeries, series_of_poly
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CurveParams:
     """A point of the family base: the parameters u and Q'(u_j) for
     j = 1..3.  Q and Q' (low to high) and the six branch x are built from u
@@ -50,8 +48,17 @@ class CurveParams:
     canonical_ideal and the charts read them.  Equality and hash read u
     alone, so the derived data costs nothing where params key a cache."""
 
-    u: tuple
-    qprime_u: tuple = field(compare=False)
+    def __init__(self, u: tuple, qprime_u: tuple):
+        self.u = u
+        self.qprime_u = qprime_u
+
+    def __eq__(self, other):
+        if other.__class__ is not CurveParams:
+            return NotImplemented
+        return self.u == other.u
+
+    def __hash__(self):
+        return hash((self.u,))
 
     @cached_property
     def q_poly(self) -> UniPoly:
@@ -105,55 +112,90 @@ def validate_params(u1, u2, u3) -> CurveParams:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class BranchPoint:
     """The unique curve point over a root of Q (total ramification, y = 0)."""
 
-    x: Scalar
-
+    __slots__ = ("x",)
     degree = 1
     kind = "branch"
+
+    def __init__(self, x: Scalar):
+        self.x = x
+
+    def __eq__(self, other):
+        if other.__class__ is not BranchPoint:
+            return NotImplemented
+        return self.x == other.x
+
+    def __hash__(self):
+        return hash((self.x,))
 
     def sort_key(self):
         return (0, self.x.sort_key())
 
 
-@dataclass(frozen=True)
 class FinitePoint:
     """An unramified point with both coordinates in Q(w); y**3 = Q(x) != 0."""
 
-    x: Scalar
-    y: Scalar
-
+    __slots__ = ("x", "y")
     degree = 1
     kind = "finite"
+
+    def __init__(self, x: Scalar, y: Scalar):
+        self.x, self.y = x, y
+
+    def __eq__(self, other):
+        if other.__class__ is not FinitePoint:
+            return NotImplemented
+        return (self.x, self.y) == (other.x, other.y)
+
+    def __hash__(self):
+        return hash((self.x, self.y))
 
     def sort_key(self):
         return (1, self.x.sort_key(), self.y.sort_key())
 
 
-@dataclass(frozen=True)
 class FiberPoint:
     """The full degree-3 fiber of the x-projection over x (Q(x) != 0),
     kept collective because the three y-coordinates need not lie in Q(w)."""
 
-    x: Scalar
-
+    __slots__ = ("x",)
     degree = 3
     kind = "fiber"
+
+    def __init__(self, x: Scalar):
+        self.x = x
+
+    def __eq__(self, other):
+        if other.__class__ is not FiberPoint:
+            return NotImplemented
+        return self.x == other.x
+
+    def __hash__(self):
+        return hash((self.x,))
 
     def sort_key(self):
         return (2, self.x.sort_key())
 
 
-@dataclass(frozen=True)
 class FiberLocus:
     """Full fibers over the roots of a monic squarefree polynomial of degree
     >= 2 with no common root with Q; degree 3 per root."""
 
-    poly: tuple  # UniPoly coefficients, low to high
-
+    __slots__ = ("poly",)
     kind = "fiber_locus"
+
+    def __init__(self, poly: tuple):
+        self.poly = poly  # UniPoly coefficients, low to high
+
+    def __eq__(self, other):
+        if other.__class__ is not FiberLocus:
+            return NotImplemented
+        return self.poly == other.poly
+
+    def __hash__(self):
+        return hash((self.poly,))
 
     @property
     def degree(self):
@@ -166,15 +208,24 @@ class FiberLocus:
         return (3, tuple(c.sort_key() for c in self.poly))
 
 
-@dataclass(frozen=True)
 class PlaceLocus:
     """One curve point per root r of a monic squarefree polynomial (degree
     >= 2, coprime to Q), the point over r having y = y_res(r)."""
 
-    poly: tuple
-    y_res: tuple  # coefficients of the y-coordinate as a residue polynomial
-
+    __slots__ = ("poly", "y_res")
     kind = "place_locus"
+
+    def __init__(self, poly: tuple, y_res: tuple):
+        self.poly = poly
+        self.y_res = y_res  # coefficients of the y-coordinate as a residue polynomial
+
+    def __eq__(self, other):
+        if other.__class__ is not PlaceLocus:
+            return NotImplemented
+        return (self.poly, self.y_res) == (other.poly, other.y_res)
+
+    def __hash__(self):
+        return hash((self.poly, self.y_res))
 
     @property
     def degree(self):
@@ -194,19 +245,26 @@ class PlaceLocus:
         )
 
 
-@dataclass(frozen=True)
 class InfinityPoint:
     """One of the three points over x = infinity (deg Q = 6 makes the
     covering unramified there), indexed by the sheet of the cube root."""
 
-    sheet: int
-
+    __slots__ = ("sheet",)
     degree = 1
     kind = "infinity"
 
-    def __post_init__(self):
-        if self.sheet not in (0, 1, 2):
+    def __init__(self, sheet: int):
+        if sheet not in (0, 1, 2):
             raise DegenerateInput("sheet must be 0, 1 or 2")
+        self.sheet = sheet
+
+    def __eq__(self, other):
+        if other.__class__ is not InfinityPoint:
+            return NotImplemented
+        return self.sheet == other.sheet
+
+    def __hash__(self):
+        return hash((self.sheet,))
 
     def sort_key(self):
         return (5, self.sheet)
@@ -397,19 +455,17 @@ def _split_fibers(d: Divisor, known_y: dict) -> Divisor:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Differential:
     """A holomorphic 1-form b0 * dx/y + (b1 + b2*x + b3*x**2) * dx/y**2.
 
     The two summands span the eigenspaces of the order-3 automorphism
     y -> w*y, so the grading (b0 | b1, b2, b3) is intrinsic."""
 
-    b0: Scalar
-    b: tuple
+    __slots__ = ("b0", "b")
 
-    def __post_init__(self):
-        object.__setattr__(self, "b0", Scalar.of(self.b0))
-        object.__setattr__(self, "b", tuple(Scalar.of(c) for c in self.b))
+    def __init__(self, b0, b):
+        self.b0 = Scalar.of(b0)
+        self.b = tuple(Scalar.of(c) for c in b)
         if len(self.b) != 3:
             raise DegenerateInput("a differential has exactly three graded coefficients")
 
@@ -444,7 +500,6 @@ class Differential:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Chart:
     """Local data at a point: the series of x and y in the local parameter,
     the series of dx/ds, and the valuation of dx.  Charts know x and the
@@ -452,10 +507,11 @@ class Chart:
     derives from the highest coefficient it reads; a read past a
     truncation raises StructuralError (LocalSeries.coefficient)."""
 
-    x_series: LocalSeries
-    y_series: LocalSeries
-    dx_series: LocalSeries
-    dx_valuation: int
+    __slots__ = ("x_series", "y_series", "dx_series", "dx_valuation")
+
+    def __init__(self, x_series: LocalSeries, y_series: LocalSeries, dx_series: LocalSeries, dx_valuation: int):
+        self.x_series, self.y_series = x_series, y_series
+        self.dx_series, self.dx_valuation = dx_series, dx_valuation
 
 
 @lru_cache(maxsize=256)

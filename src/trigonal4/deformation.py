@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
 
 from .curve import CurveParams, Differential, Divisor, basis_factors, branch_chart, trigonal_fiber
 from .errors import DegenerateInput, StructuralError, ZeroTangent
@@ -59,14 +58,13 @@ from .series import LocalSeries
 ORACLE_SIGN = -1
 
 
-@dataclass(frozen=True)
 class TangentVector:
     """Direction a1*d/du1 + a2*d/du2 + a3*d/du3 in the base."""
 
-    a: tuple
+    __slots__ = ("a",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(Scalar.of(c) for c in self.a))
+    def __init__(self, a):
+        self.a = tuple(Scalar.of(c) for c in a)
         if len(self.a) != 3:
             raise DegenerateInput("a tangent vector has three coordinates")
 
@@ -88,7 +86,6 @@ class CeresaVariant(enum.Enum):
 OMEGA2_DIM = 9
 
 
-@dataclass(frozen=True)
 class CeresaCertificate:
     """Outcome of the three-way vanishing test for the cycle-class invariant
     along a tangent direction: its parameter point and its image covector c,
@@ -100,18 +97,17 @@ class CeresaCertificate:
     ON_CONIC_NOT_SUPPORTED stays in the output vocabulary, but on this
     family no direction reaches it (the lemma of the module docstring)."""
 
-    params: CurveParams
-    covector: tuple
-
     omega2_dim = OMEGA2_DIM
     # c, the first row and column of the pairing, is nonzero and every other
     # entry vanishes.
     rank = 2
 
-    def __post_init__(self):
+    def __init__(self, params: CurveParams, covector: tuple):
         # c = a*A with A invertible: only the zero direction gives c = 0.
-        if not any(self.covector):
+        if not any(covector):
             raise ZeroTangent("the zero tangent vector is not a direction")
+        self.params = params
+        self.covector = covector
 
     @functools.cached_property
     def conic_value(self) -> Scalar:

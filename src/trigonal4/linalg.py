@@ -7,24 +7,28 @@ nonzero" is needed, and exactness makes every rank certificate sound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
-
 from .errors import DegenerateInput
 from .scalars import Scalar
 
 
-@dataclass(frozen=True)
 class Matrix:
-    rows: tuple
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(Scalar.of(e) for e in row) for row in self.rows)
+    def __init__(self, rows):
+        rows = tuple(tuple(Scalar.of(e) for e in row) for row in rows)
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
                 raise DegenerateInput("ragged matrix")
-        object.__setattr__(self, "rows", rows)
+        self.rows = rows
+
+    def __eq__(self, other):
+        if other.__class__ is not Matrix:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self):
+        return hash((self.rows,))
 
     @staticmethod
     def identity(n: int) -> "Matrix":
@@ -86,7 +90,7 @@ class Matrix:
         return basis
 
 
-def row_space_rref(vectors: Iterable[Sequence]) -> tuple[tuple, ...]:
+def row_space_rref(vectors: list) -> tuple[tuple, ...]:
     """Canonical form of the span of the given vectors (RREF rows, zero rows
     dropped); equal spans give equal output, so this decides subspace equality."""
     vectors = [tuple(Scalar.of(v) for v in vec) for vec in vectors]
@@ -96,5 +100,5 @@ def row_space_rref(vectors: Iterable[Sequence]) -> tuple[tuple, ...]:
     return tuple(rref.rows[: len(pivots)])
 
 
-def same_subspace(vectors_a: Iterable[Sequence], vectors_b: Iterable[Sequence]) -> bool:
+def same_subspace(vectors_a: list, vectors_b: list) -> bool:
     return row_space_rref(vectors_a) == row_space_rref(vectors_b)

@@ -12,22 +12,27 @@ representation and classical algorithms are the right tool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DegenerateInput
 
 
-@dataclass(frozen=True)
 class UniPoly:
     """Coefficients stored low-to-high degree with no trailing zeros."""
 
-    coefficients: tuple
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self):
-        coeffs = tuple(self.coefficients)
+    def __init__(self, coefficients):
+        coeffs = tuple(coefficients)
         while coeffs and not coeffs[-1]:
             coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
+        self.coefficients = coeffs
+
+    def __eq__(self, other):
+        if other.__class__ is not UniPoly:
+            return NotImplemented
+        return self.coefficients == other.coefficients
+
+    def __hash__(self):
+        return hash((self.coefficients,))
 
     # -- basic queries --------------------------------------------------------
 

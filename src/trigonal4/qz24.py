@@ -23,20 +23,20 @@ descends it to Q(w)(a) as the cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DegenerateInput
 from .polynomials import UniPoly
 from .scalars import Scalar
 
 
-@dataclass(frozen=True)
 class CubeFamilyReport:
     """Exact conic data of the cube-root one-parameter family; each value
     is a (numerator, denominator) pair of UniPolys in a."""
 
-    covector: tuple
-    conic_value: tuple
+    __slots__ = ("covector", "conic_value")
+
+    def __init__(self, covector: tuple, conic_value: tuple):
+        self.covector = covector
+        self.conic_value = conic_value
 
 
 ANNOTATION = (

@@ -14,23 +14,21 @@ explicit rational function of x, written as text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .curve import CurveParams, Divisor, trigonal_fiber
 from .errors import DegenerateInput
 from .scalars import INFINITY, Scalar
 
 
-@dataclass(frozen=True)
 class D0Cycle:
     """Difference of the two ruling sections: plus - minus, with a witness
     ("trivially equal" or a rational function whose divisor is plus-minus)."""
 
-    t1: object
-    t2: object
-    plus: Divisor
-    minus: Divisor
-    witness: str
+    __slots__ = ("t1", "t2", "plus", "minus", "witness")
+
+    def __init__(self, t1, t2, plus: Divisor, minus: Divisor, witness: str):
+        self.t1, self.t2 = t1, t2
+        self.plus, self.minus = plus, minus
+        self.witness = witness
 
 
 def ruling_parameter_x(t, family: int):

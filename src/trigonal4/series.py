@@ -12,23 +12,26 @@ from one coefficient recurrence for a rational power p/q of a unit series,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DegenerateInput, StructuralError
 from .polynomials import UniPoly
 from .scalars import Scalar, ratio_scalar
 
 
-@dataclass(frozen=True)
 class LocalSeries:
     """Finitely many known terms c_n * s**n for n < truncation."""
 
-    coefficients: dict
-    truncation: int
+    __slots__ = ("coefficients", "truncation")
 
-    def __post_init__(self):
-        cleaned = {n: c for n, c in self.coefficients.items() if c and n < self.truncation}
-        object.__setattr__(self, "coefficients", cleaned)
+    def __init__(self, coefficients: dict, truncation: int):
+        self.coefficients = {n: c for n, c in coefficients.items() if c and n < truncation}
+        self.truncation = truncation
+
+    def __eq__(self, other):
+        if other.__class__ is not LocalSeries:
+            return NotImplemented
+        return (self.coefficients, self.truncation) == (other.coefficients, other.truncation)
+
+    __hash__ = None
 
     # -- constructors -----------------------------------------------------
 

@@ -345,6 +345,12 @@ def test_residue_check_rejects_too_many_nodes():
     assert code == 2 and text == ""
 
 
+def test_residue_check_accepts_the_node_bound():
+    # both the CLI and numeric_residue_matrix accept exactly MAX_QUAD_NODES
+    code, text = run_cli(["residue-check", "--u=0,2,3", "--j=1", "--numeric", "--quad-nodes=4096"])
+    assert code == 0 and json.loads(text)["all_match"] is True
+
+
 @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1", "0"])
 def test_residue_check_rejects_meaningless_tolerance(tolerance):
     code, text = run_cli(
@@ -428,6 +434,19 @@ def test_scan_random_count_and_seed_ranges(argv):
 def test_scan_rejects_options_its_mode_ignores(argv, fmt):
     code, text = run_cli(["scan"] + argv + [f"--format={fmt}"])
     assert code == 2 and text == ""
+
+
+@pytest.mark.parametrize(
+    "fmt, expected",
+    [
+        ("json", '{"summary":{},"tag":"certificate-three-way"}\n'),
+        ("csv", "index,u1,u2,u3,xi1,xi2,xi3,conic_value,variant\n# summary: {}\n"),
+    ],
+    ids=["json", "csv"],
+)
+def test_scan_random_zero_writes_no_rows(fmt, expected):
+    code, text = run_cli(["scan", "--random=0", f"--format={fmt}"])
+    assert code == 0 and text == expected
 
 
 def test_scan_largest_seed_accepted():

@@ -1,5 +1,3 @@
-import dataclasses
-
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +5,7 @@ from hypothesis import example, given, settings
 from trigonal4 import curve, report
 from trigonal4.curve import (
     BranchPoint,
+    CurveParams,
     Differential,
     Divisor,
     FiberLocus,
@@ -75,7 +74,7 @@ def test_closed_form_curve_data_matches_roots(seed):
 def test_params_equality_and_hash_read_u_alone(u023):
     again = validate_params(Scalar.of(0), Scalar.of(2), Scalar.of(3))
     assert again == u023 and hash(again) == hash(u023)
-    altered = dataclasses.replace(u023, qprime_u=())
+    altered = CurveParams(u023.u, ())
     assert altered == u023 and hash(altered) == hash(u023)
     assert validate_params(0, 2, 4) != u023
     # Q, Q' and the branch x are built on first read, equal to the closed
@@ -151,6 +150,28 @@ def test_branch_inversion_rejects_nonbranch_center(u023):
 
 
 # -- divisors -------------------------------------------------------------------
+
+
+def _sample_entries():
+    two, five, one = Scalar.of(2), Scalar.of(5), Scalar.one()
+    return [
+        BranchPoint(two), BranchPoint(five), FiberPoint(two),
+        FinitePoint(two, five), FinitePoint(five, five), FinitePoint(two, two),
+        FiberLocus((two, five, one)), FiberLocus((five, two, one)),
+        PlaceLocus((two, five, one), (two,)), PlaceLocus((five, two, one), (two,)),
+        PlaceLocus((two, five, one), (five,)),
+        InfinityPoint(0), InfinityPoint(1),
+    ]
+
+
+def test_divisor_entries_equal_exactly_when_class_and_fields_match():
+    # entries key a divisor's dict: two builds of one entry are one key, and
+    # entries of different classes or any differing field are different keys
+    firsts, seconds = _sample_entries(), _sample_entries()
+    for i, p in enumerate(firsts):
+        assert [p == q for q in seconds] == [i == j for j in range(len(seconds))], p.kind
+        assert hash(p) == hash(seconds[i])
+    assert len(set(firsts) | set(seconds)) == len(firsts)
 
 
 def test_divisor_of_zero_rejected(u023):

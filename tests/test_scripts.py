@@ -37,7 +37,7 @@ def test_residue_table():
     [
         (("--j", "0"), None),
         (("--j", "4"), None),
-        (("--u", "0,2"), None),
+        (("--u", "0,2"), "invalid parameters: "),
         (("--nodes", "0"), "invalid input: "),
         (("--nodes", "4097"), "invalid input: "),
         (("--u", "0,0,3"), "invalid parameters: "),

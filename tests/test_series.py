@@ -42,6 +42,15 @@ def test_inverse_multiplies_to_one(a):
             assert not prod.coefficient(n)
 
 
+def test_series_compare_by_terms_and_truncation_and_are_unhashable():
+    a = LocalSeries({0: Scalar.one(), 3: Scalar.zero()}, 4)
+    assert a == LocalSeries({0: Scalar.one()}, 4)
+    assert a != LocalSeries({0: Scalar.one()}, 5)
+    assert a != LocalSeries({0: Scalar.of(2)}, 4)
+    with pytest.raises(TypeError):
+        hash(a)
+
+
 def test_cube_root_unit():
     base = LocalSeries({0: Scalar.one(), 1: Scalar.of(3), 2: Scalar.of(-2)}, 10)
     r = base.cube_root_unit()
