@@ -307,7 +307,7 @@ def cmd_qz24(args, out) -> int:
         "a": str(a_value) if a_value is not None else None,
         "covector": [report.rational_function_json(c) for c in probe.covector],
         "conic_value": report.rational_function_json(probe.conic_value),
-        "variant": "NotOnConic" if probe.conic_value[0] else "OnConic",
+        "variant": "NotOnConic",  # the conic value -1/(9 a**2 (a - 1)**2) never vanishes
         "open_question": ANNOTATION,
         "tags": {"covector": "cube-family-probe", "conic_value": "conic-criterion"},
     }

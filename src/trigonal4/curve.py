@@ -32,7 +32,7 @@ from functools import cached_property, lru_cache
 
 from .errors import DegenerateInput, InvalidParameters, StructuralError
 from .polynomials import UniPoly, poly_gcd, squarefree_decomposition
-from .scalars import INFINITY, Scalar
+from .scalars import INFINITY, Scalar, _make, _mul3, _sub3, _triple
 from .series import LocalSeries, series_of_poly
 
 
@@ -97,14 +97,17 @@ def validate_params(u1, u2, u3) -> CurveParams:
     for i, j in ((0, 1), (0, 2), (1, 2)):
         if u[i] == u[j]:
             raise InvalidParameters(f"u{i + 1} = u{j + 1}")
-    one = Scalar.one()
-    c1, c2, c3 = (ui * ui * ui - one for ui in u)  # u_j**3 - 1
-    for i, c in enumerate((c1, c2, c3)):
-        if not c:
-            raise InvalidParameters(f"u{i + 1}^3 = 1")
-    u1, u2, u3 = u
-    d12, d13, d23 = u1 - u2, u1 - u3, u2 - u3
-    return CurveParams(u=u, qprime_u=(c1 * d12 * d13, -(c2 * d12 * d23), c3 * d13 * d23))
+    t = list(map(_triple, u))
+    qprime_u = []
+    for j, tj in enumerate(t):  # on unreduced triples, one _make per Q'(u_j)
+        a, b, d = _mul3(_mul3(tj, tj), tj)  # u_j**3 = (a + b*w)/d
+        if a == d and not b:
+            raise InvalidParameters(f"u{j + 1}^3 = 1")
+        value = (a - d, b, d)
+        for tk in t[:j] + t[j + 1:]:
+            value = _mul3(value, _sub3(tj, tk))
+        qprime_u.append(_make(*value))
+    return CurveParams(u=u, qprime_u=tuple(qprime_u))
 
 
 # ---------------------------------------------------------------------------

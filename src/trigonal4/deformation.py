@@ -19,9 +19,11 @@ by zeros) and its rank 2, the kernel, the conic value c0*c2 - c1**2, the
 variant and the base locus.  Every fact of the base is read off a closed
 form, with no matrix built:
 c_k = sum_j a_j u_j**k / Q'(u_j) from the Q'(u_j) that curve.validate_params
-stores; the kernel of c from its first nonzero entry; and the direction
-whose covector is the conic point (1 : t : t**2) by Lagrange interpolation
-at the nodes u, a_j = (u_j**3 - 1) prod_{k != j} (t - u_k), or
+stores, on unreduced integer triples reduced once per entry in
+pairing_covector (the conic value once in CeresaCertificate.conic_value);
+the kernel of c from its first nonzero entry; and the direction whose
+covector is the conic point (1 : t : t**2) by Lagrange interpolation at
+the nodes u, a_j = (u_j**3 - 1) prod_{k != j} (t - u_k), or
 a_j = u_j**3 - 1 at t = infinity.  A is invertible on the base
 (det A = V(u) / prod Q'(u_j), V the Vandermonde), so c != 0 for every
 nonzero direction.  The tests check these closed forms against the moment
@@ -49,7 +51,7 @@ import functools
 
 from .curve import CurveParams, Differential, Divisor, basis_factors, branch_chart, trigonal_fiber
 from .errors import DegenerateInput, StructuralError, ZeroTangent
-from .scalars import INFINITY, Scalar
+from .scalars import INFINITY, Scalar, _add3, _inv3, _make, _mul3, _sub3, _triple
 from .series import LocalSeries
 
 # Sign fixed once so that the oracle's (0,1) entry for the first coordinate
@@ -114,8 +116,8 @@ class CeresaCertificate:
         """c against the rank-3 quadric X*Z - Y**2 whose vanishing detects
         base points; computed once, since every variant-dependent property
         reads it."""
-        c0, c1, c2 = self.covector
-        return c0 * c2 - c1 * c1
+        c0, c1, c2 = map(_triple, self.covector)
+        return _make(*_sub3(_mul3(c0, c2), _mul3(c1, c1)))
 
     @property
     def on_conic(self) -> bool:
@@ -180,14 +182,15 @@ class CeresaCertificate:
 
 def pairing_covector(params: CurveParams, xi: TangentVector) -> tuple:
     """c = a . A, the only data of the pairing matrix:
-    c_k = sum_j a_j u_j**k / Q'(u_j) for k = 0, 1, 2."""
-    c0 = c1 = c2 = Scalar.zero()
+    c_k = sum_j a_j u_j**k / Q'(u_j) for k = 0, 1, 2, reduced once each."""
+    c0 = c1 = c2 = (0, 0, 1)
     for aj, uj, qpj in zip(xi.a, params.u, params.qprime_u):
         if aj:
-            w = aj / qpj
-            wu = w * uj
-            c0, c1, c2 = c0 + w, c1 + wu, c2 + wu * uj
-    return (c0, c1, c2)
+            w = _mul3(_triple(aj), _inv3(_triple(qpj)))
+            t = _triple(uj)
+            wu = _mul3(w, t)
+            c0, c1, c2 = _add3(c0, w), _add3(c1, wu), _add3(c2, _mul3(wu, t))
+    return (_make(*c0), _make(*c1), _make(*c2))
 
 
 def pairing_matrix(params: CurveParams, xi: TangentVector) -> tuple:

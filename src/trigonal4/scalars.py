@@ -4,9 +4,11 @@ A scalar is ``(a + b*w) / d`` for three ints kept in canonical form,
 ``d > 0`` and ``gcd(a, b, d) == 1``, with the reduction rule
 ``w**2 = -1 - w``.  One gcd per result keeps the form canonical, so every
 field operation, comparison and hash is exact and never depends on how a
-value was built.  The triple is the only representation: every operation,
-the square root included, works on its integers, and ``sort_key`` is the
-triple itself.
+value was built.  The triple is the only representation: every operation
+works on its integers, and ``sort_key`` is the triple itself.  The base
+path (curve.validate_params, deformation.pairing_covector and the conic
+value) composes unreduced triples through the private helpers _add3,
+_sub3, _mul3 and _inv3 and reduces once per output with _make.
 
 The I/O literal syntax is ``p/q`` or ``p/q+r/s*w`` (whitespace-free, the
 ``/q`` omitted when the denominator is 1), e.g. ``-1/6`` or ``1/2+-3/4*w``.
@@ -19,6 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
+from operator import attrgetter
 
 from .errors import DegenerateInput
 
@@ -226,6 +229,39 @@ def _make(a: int, b: int, d: int) -> Scalar:
     else:
         s._a, s._b, s._d = a // g, b // g, d // g
     return s
+
+
+# Unreduced triples (a, b, d), d > 0, for (a + b*w)/d; the caller reduces
+# once per output with _make.  Sums go over the lcm of the denominators and
+# inverses drop the content gcd(a, b), so that large literals do not swell.
+_triple = attrgetter("_a", "_b", "_d")
+
+
+def _add3(x: tuple, y: tuple) -> tuple:
+    (a, b, d), (c, e, f) = x, y
+    g = math.gcd(d, f)
+    d, f = d // g, f // g
+    return a * f + c * d, b * f + e * d, d * f * g
+
+
+def _sub3(x: tuple, y: tuple) -> tuple:
+    c, e, f = y
+    return _add3(x, (-c, -e, f))
+
+
+def _mul3(x: tuple, y: tuple) -> tuple:
+    (a, b, d), (c, e, f) = x, y
+    be = b * e  # w^2 = -1 - w
+    return a * c - be, a * e + b * c - be, d * f
+
+
+def _inv3(x: tuple) -> tuple:
+    """1/x, x != 0: with a, b divided by g = gcd(a, b), the conjugate over
+    the norm, d (a - b - b*w) / (g (a**2 - a*b + b**2))."""
+    a, b, d = x
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    return (a - b) * d, -b * d, (a * a - a * b + b * b) * g
 
 
 def _format_ratio(n: int, d: int) -> str:

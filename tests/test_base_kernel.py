@@ -1,0 +1,116 @@
+"""The base path on unreduced integer triples, against plain Scalar arithmetic.
+
+curve.validate_params, deformation.pairing_covector and
+CeresaCertificate.conic_value compose (a, b, d) triples through the private
+helpers of trigonal4.scalars and reduce once per output.  Here the same
+formulas are written with Scalar operators (each of which
+tests/test_scalars.py checks against the Fraction reference) and every
+output must compare ==, rejected points included, on sampled parameters,
+on literals with 50-300 digit parts, at the unit cubes, at repeated
+parameters and along directions with zero coordinates.
+"""
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from trigonal4.curve import validate_params
+from trigonal4.deformation import CeresaCertificate, TangentVector, pairing_covector
+from trigonal4.errors import InvalidParameters
+from trigonal4.prng import SplitMix64, sample_scalar
+from trigonal4.scalars import Scalar, _add3, _inv3, _make, _mul3, _sub3, _triple
+
+UNIT_CUBES = (Scalar.one(), Scalar.zeta(), Scalar.zeta_power(2))
+
+
+def reference_qprime(u):
+    """Q'(u_j) = (u_j**3 - 1) prod_{k != j} (u_j - u_k), after the checks of
+    validate_params in its order and with its messages."""
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        if u[i] == u[j]:
+            raise InvalidParameters(f"u{i + 1} = u{j + 1}")
+    one = Scalar.one()
+    for i, uj in enumerate(u):
+        if uj * uj * uj == one:
+            raise InvalidParameters(f"u{i + 1}^3 = 1")
+    qprime = []
+    for j, uj in enumerate(u):
+        value = uj * uj * uj - one
+        for k, uk in enumerate(u):
+            if k != j:
+                value = value * (uj - uk)
+        qprime.append(value)
+    return tuple(qprime)
+
+
+def reference_covector(u, qprime, a):
+    """c_k = sum_j a_j u_j**k / Q'(u_j) for k = 0, 1, 2."""
+    return tuple(sum((aj * uj**k / qj for aj, uj, qj in zip(a, u, qprime)), Scalar.zero()) for k in range(3))
+
+
+sampled = st.integers(min_value=0, max_value=2**64 - 1).map(lambda seed: sample_scalar(SplitMix64(seed), 9, 3))
+
+
+@st.composite
+def wide_literals(draw):
+    """A literal p/q+r/s*w whose four parts have 50-300 digits each."""
+
+    def digits(sign):
+        n = draw(st.integers(min_value=50, max_value=300))
+        return sign * draw(st.integers(min_value=10 ** (n - 1), max_value=10**n - 1))
+
+    p, r = (digits(draw(st.sampled_from((1, -1)))) for _ in range(2))
+    q, s = digits(1), digits(1)
+    return Scalar.parse(f"{p}/{q}+{r}/{s}*w")
+
+
+# (1 + 3w)**3 = 1 - 18w: a cube whose rational part is 1 but which is no unit.
+EDGES = UNIT_CUBES + (Scalar.zero(), Scalar.parse("1+3*w"))
+scalars = st.one_of(sampled, wide_literals(), st.sampled_from(EDGES))
+
+
+@st.composite
+def parameter_points(draw):
+    u = [draw(scalars) for _ in range(3)]
+    if draw(st.booleans()):
+        i, j = draw(st.permutations(range(3)))[:2]
+        u[i] = u[j]
+    return tuple(u)
+
+
+@st.composite
+def directions(draw):
+    a = [draw(scalars) for _ in range(3)]
+    for i in draw(st.sets(st.integers(min_value=0, max_value=2), max_size=2)):
+        a[i] = Scalar.zero()
+    return tuple(a)
+
+
+@given(parameter_points(), directions())
+@settings(max_examples=150)
+def test_base_kernel_matches_scalar_arithmetic(u, a):
+    try:
+        expected = reference_qprime(u)
+    except InvalidParameters as exc:
+        with pytest.raises(InvalidParameters) as caught:
+            validate_params(*u)
+        assert str(caught.value) == str(exc)
+        return
+    params = validate_params(*u)
+    assert params.qprime_u == expected
+    covector = pairing_covector(params, TangentVector(a))
+    assert covector == reference_covector(u, expected, a)
+    if any(covector):
+        c0, c1, c2 = covector
+        assert CeresaCertificate(params, covector).conic_value == c0 * c2 - c1 * c1
+
+
+@given(scalars, scalars, st.integers(min_value=1, max_value=10**40), st.integers(min_value=1, max_value=10**40))
+def test_triple_helpers_accept_unreduced_triples(x, y, k, m):
+    tx = tuple(v * k for v in _triple(x))
+    ty = tuple(v * m for v in _triple(y))
+    assert _make(*_add3(tx, ty)) == x + y
+    assert _make(*_sub3(tx, ty)) == x - y
+    assert _make(*_mul3(tx, ty)) == x * y
+    if y:
+        assert _make(*_mul3(_inv3(ty), ty)) == Scalar.one()
