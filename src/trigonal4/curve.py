@@ -2,13 +2,15 @@
 
 This module owns the geometry of a single member curve: parameter
 validation, curve points (finite, branch, infinite), the graded 1-forms,
-the branch and infinity charts, and divisors.  The commands read fibers
-in closed form (trigonal_fiber) and expand only the branch chart (the
-residue oracle, deformation.residue_matrix).  No command reaches
-divisor_of or the gcd refinement behind Divisor comparisons: they stay
-because perfbench/layertrace.py counts divisor_of calls, and the oracles
-in tests/oracles/curve.py (charts at any point, divisors of functions,
-divisor minima, the canonical map) build on them.
+the branch inversion and the infinity chart, and divisors.  The commands
+read fibers in closed form (trigonal_fiber) and expand no series: the
+residue oracle (deformation.residue_matrix) writes down the leading terms
+at a branch point.  No command reaches divisor_of, branch_inversion or
+the gcd refinement behind Divisor comparisons: they stay because
+perfbench/layertrace.py counts divisor_of calls and reads the cache of
+branch_inversion, and the oracles in tests/oracles/curve.py (branch
+charts, charts at any point, divisors of functions, divisor minima, the
+canonical map) build on them.
 
 Validation computes only u and Q'(u_j), what an off-conic request reads;
 Q, Q' and the branch x are built from u on first read.
@@ -522,7 +524,8 @@ def branch_inversion(params: CurveParams, x0: Scalar, truncation: int) -> LocalS
     """The series D(y) with x = x0 + D(y) solving y**3 = Q(x) at a branch
     point, by Lagrange inversion: with Q(x0 + X) = X * Q'(x0) * U(X), U(0) = 1,
     the coefficient of y**(3n) is [X**(n-1)] U**(-n) / (n * Q'(x0)**n).  The
-    first term is y**3/Q'(x0), and Q(x0 + D(y)) = y**3 is checked exactly."""
+    first term is y**3/Q'(x0), and Q(x0 + D(y)) = y**3 is checked exactly.
+    The branch charts of tests/oracles/curve.py are built on it."""
     if not params.is_branch_x(x0):
         raise DegenerateInput("branch expansion requested at a non-branch x")
     qp0 = params.qprime_at(x0)
@@ -542,13 +545,6 @@ def branch_inversion(params: CurveParams, x0: Scalar, truncation: int) -> LocalS
     return d
 
 
-def branch_chart(params: CurveParams, x0: Scalar, truncation: int) -> Chart:
-    d = branch_inversion(params, x0, truncation)
-    x_series = LocalSeries.constant(x0, truncation) + d
-    y_series = LocalSeries.monomial(1, Scalar.one(), truncation)
-    return Chart(x_series=x_series, y_series=y_series, dx_series=d.derivative(), dx_valuation=2)
-
-
 def _infinity_root_series(params: CurveParams, truncation: int) -> LocalSeries:
     reversed_q = params.q_poly.reversed_coefficients()
     return series_of_poly(reversed_q, LocalSeries.monomial(1, Scalar.one(), truncation)).cube_root_unit()
@@ -562,19 +558,6 @@ def infinity_chart(params: CurveParams, sheet: int, truncation: int) -> Chart:
     y_series = LocalSeries.monomial(-2, Scalar.zeta_power(sheet), truncation - 2) * s
     dx_series = LocalSeries.monomial(-2, Scalar.of(-1), truncation)
     return Chart(x_series=t_inv, y_series=y_series, dx_series=dx_series, dx_valuation=-2)
-
-
-def basis_factors(params: CurveParams, x_series: LocalSeries, top: int) -> tuple[LocalSeries, tuple]:
-    """(1/Q(x(s)), (x(s)**0, ..., x(s)**top)) on a chart.  The
-    fixed basis forms are these times powers of y: w0 = y**2 dx/Q and
-    w_l = x**(l-1) y dx/Q (top = 2), and the quadratic differentials x**k/Q,
-    y/Q, x**k y**2/Q**2 times (dx)**2 (top = 4).  The high powers carry the
-    largest coefficients, so callers ask only for what they read."""
-    q_inv = series_of_poly(params.q_poly, x_series).inverse()
-    powers = [LocalSeries.constant(Scalar.one(), x_series.truncation)]
-    for _ in range(top):
-        powers.append(powers[-1] * x_series)
-    return q_inv, tuple(powers)
 
 
 # ---------------------------------------------------------------------------

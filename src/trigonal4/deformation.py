@@ -7,9 +7,11 @@ units of the fixed transcendental 6*pi*i, computed two independent ways:
 
 * a closed form: the (0,k) and (k,0) entries are sum_j a_j u_j**(k-1)/Q'(u_j)
   and every other entry vanishes;
-* a residue oracle that expands both forms in the local coordinate y at the
-  branch point, antidifferentiates the principal part, and reads off the
-  residue of the product.
+* a residue oracle that reads both forms off their leading terms in the
+  local coordinate y at the branch point, with Q' taken from the expanded Q,
+  antidifferentiates the one pole term of each derivative form, and reads
+  off the residue of the product (residue_matrix); tests/oracles/ keeps the
+  truncated-series expansion it is checked against.
 
 Everything downstream consumes the covector c = a A of the matrix, A
 having rows (1, u_j, u_j**2)/Q'(u_j), computed once per request by the
@@ -49,10 +51,9 @@ from __future__ import annotations
 import enum
 import functools
 
-from .curve import CurveParams, Differential, Divisor, basis_factors, branch_chart, trigonal_fiber
-from .errors import DegenerateInput, StructuralError, ZeroTangent
+from .curve import CurveParams, Differential, Divisor, trigonal_fiber
+from .errors import DegenerateInput, ZeroTangent
 from .scalars import INFINITY, Scalar, _add3, _inv3, _make, _mul3, _sub3, _triple
-from .series import LocalSeries
 
 # Sign fixed once so that the oracle's (0,1) entry for the first coordinate
 # direction equals +1/Q'(u_1) in 6*pi*i units, matching the closed form;
@@ -211,46 +212,39 @@ def _pairing_of(c: tuple) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-# The residue oracle reads p = w_k / (x - u_j) through y**-1: its principal
-# part and the y**-1 term that must vanish.  On a branch chart of truncation
-# T, x - u_j starts at y**3 and is known below y**T, so 1/(x - u_j) starts at
-# y**-3 with T - 3 known terms, below y**(T - 6); so is p, hence T = 6.  The
-# w_l are then known through y**2, past the y**1 that the residue against an
-# antiderivative with a pole of order at most 2 reads.
-_RESIDUE_TRUNCATION = 6
-
-
 def residue_matrix(params: CurveParams, j: int) -> tuple:
     """Oracle for the pairings of w_l against the u_j-derivatives of w_k, in
-    6*pi*i units, as rows ``[l][k]``: expand the forms once at the branch
-    point over u_j, antidifferentiate the principal part of each derivative
-    form once, and read each entry off the residue of a product; exact and
-    independent of the closed form."""
+    6*pi*i units, as rows ``[l][k]``.  It checks the closed form at leading
+    order, by a derivation separate from pairing_covector: q = Q'(u_j) is
+    the derivative of the expanded Q (CurveParams.qprime_at), not the
+    factored product that pairing_covector reads.
+
+    In the local coordinate y at the branch point over x0 = u_j,
+    1/Q = y**-3 exactly, and x - x0 = y**3/q, dx = 3 y**2/q dy and
+    x**l = x0**l, each up to a factor 1 + O(y**3).  So w0 = y**2 dx/Q is
+    3y/q dy and w_l = x**(l-1) y dx/Q is 3 x0**(l-1)/q dy, and the
+    derivative form (d/du_j) w_k = m/(3 (x - x0)) w_k (m = 1 for k = 0,
+    else 2) has one pole term, y**-2 resp. 2 x0**(k-1) y**-3, and no dy/y
+    term; its antiderivative is exactly -y**-1 resp. -x0**(k-1) y**-2.  Every
+    product of a form and an antiderivative steps in y**3 from its leading
+    term, so the residue is that term's coefficient when it sits at y**-1,
+    and each entry is ORACLE_SIGN * residue / 3.  tests/oracles/deformation.py
+    expands the same forms as truncated series and the tests compare the two."""
     if j not in (1, 2, 3):
         raise DegenerateInput("j indexes one of the three moving parameters")
     x0 = params.u[j - 1]
-    chart = branch_chart(params, x0, _RESIDUE_TRUNCATION)
-    q_inv, x_powers = basis_factors(params, chart.x_series, 2)
-    y = chart.y_series
-    base = q_inv * chart.dx_series
-    forms = [base * y * y]  # w0 = y**2 dx / Q
-    for l in range(3):  # w_l = x**(l-1) y dx / Q
-        forms.append(base * y * x_powers[l])
-    x_minus_inv = (chart.x_series - LocalSeries.constant(x0, chart.x_series.truncation)).inverse()
+    q = params.qprime_at(x0)
+    dx = 3 / q
+    # (exponent of y, coefficient) of each leading term, over dy
+    forms = [(1, dx)] + [(0, dx * p) for p in (Scalar.one(), x0, x0 * x0)]
     antiderivatives = []
-    for k, form in enumerate(forms):
-        # (d/du_j) w_k = m/(3 (x - u_j)) * w_k with m = 1 for k = 0, else 2
-        m = 1 if k == 0 else 2
-        p_series = form * x_minus_inv.scale(Scalar.of(m) / 3)
-        if p_series.coefficient(-1):
-            raise StructuralError("derivative form has a dy/y term; cannot antidifferentiate")
-        principal = {n: c for n, c in p_series.coefficients.items() if n <= -2}
-        antiderivatives.append(
-            LocalSeries({n + 1: c / (n + 1) for n, c in principal.items()}, p_series.truncation + 1)
-        )
-    sign = Scalar.of(ORACLE_SIGN)
+    for k, (n, c) in enumerate(forms):
+        # (d/du_j) w_k = m/(3 (x - x0)) w_k has its pole term at y**(n - 3)
+        antiderivatives.append((n - 2, c * q * (1 if k == 0 else 2) / (3 * (n - 2))))
+    sign_third = Scalar.of(ORACLE_SIGN) / 3
+    zero = Scalar.zero()
     return tuple(
-        tuple(sign * (s_series * anti).coefficient(-1) / 3 for anti in antiderivatives) for s_series in forms
+        tuple(sign_third * c * a if n + e == -1 else zero for e, a in antiderivatives) for n, c in forms
     )
 
 

@@ -104,5 +104,9 @@ def _indented(value, newline: str) -> str:
     return json.dumps(value, indent=2).replace("\n", newline)
 
 
+# json.dumps builds a new encoder per call once an option is given.
+_encode_line = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def dumps_line(document: dict) -> str:
-    return json.dumps(document, separators=(",", ":")) + "\n"
+    return _encode_line(document) + "\n"

@@ -8,6 +8,11 @@ from one coefficient recurrence for a rational power p/q of a unit series,
 ``LocalSeries._unit_power(p, q)``, whose weights are integers.  Polynomials in x are evaluated on a chart by
 ``series_of_poly``; rational functions of x are a test oracle
 (tests/oracles/series.py).
+
+No command expands a series.  In src/ only curve.divisor_of (through the
+infinity chart) and curve.branch_inversion build them, and both stay
+because the benchmark names them; the charts, the series residue oracle
+and the support test of tests/oracles/ build on them.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Independent cross-checks of the package's closed forms.
 
 Each module mirrors the package module whose facts it checks and keeps the
-names those definitions had there.  Nothing in src/ imports them: the
+names those definitions had there; series_residue_matrix is named apart
+from the leading-order deformation.residue_matrix that it checks.  Nothing in src/ imports them: the
 commands read the closed forms, and the tests compare the two.
 """

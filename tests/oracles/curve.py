@@ -17,8 +17,7 @@ from trigonal4.curve import (
     InfinityPoint,
     _locus_entry,
     _poly_zero_divisor,
-    basis_factors,
-    branch_chart,
+    branch_inversion,
     divisor_of,
     infinity_chart,
     refine_pair,
@@ -81,6 +80,28 @@ class KDifferential:
             f1 * g2 + f2 * g1 + q * (h1 * h2),
             f1 * h2 + f2 * h1 + g1 * g2,
         )
+
+
+def branch_chart(params: CurveParams, x0: Scalar, truncation: int) -> Chart:
+    """Chart at the branch point over x0, in the local coordinate y:
+    x = x0 + D(y) from curve.branch_inversion and dx = D'(y) dy."""
+    d = branch_inversion(params, x0, truncation)
+    x_series = LocalSeries.constant(x0, truncation) + d
+    y_series = LocalSeries.monomial(1, Scalar.one(), truncation)
+    return Chart(x_series=x_series, y_series=y_series, dx_series=d.derivative(), dx_valuation=2)
+
+
+def basis_factors(params: CurveParams, x_series: LocalSeries, top: int) -> tuple[LocalSeries, tuple]:
+    """(1/Q(x(s)), (x(s)**0, ..., x(s)**top)) on a chart.  The
+    fixed basis forms are these times powers of y: w0 = y**2 dx/Q and
+    w_l = x**(l-1) y dx/Q (top = 2), and the quadratic differentials x**k/Q,
+    y/Q, x**k y**2/Q**2 times (dx)**2 (top = 4).  The high powers carry the
+    largest coefficients, so callers ask only for what they read."""
+    q_inv = series_of_poly(params.q_poly, x_series).inverse()
+    powers = [LocalSeries.constant(Scalar.one(), x_series.truncation)]
+    for _ in range(top):
+        powers.append(powers[-1] * x_series)
+    return q_inv, tuple(powers)
 
 
 def finite_chart(params: CurveParams, point: FinitePoint, truncation: int) -> Chart:

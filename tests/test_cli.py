@@ -2,13 +2,14 @@ import contextlib
 import io
 import json
 import math
+import sys
 from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from trigonal4 import cli, curve, deformation, report
+from trigonal4 import cli, deformation, report
 from trigonal4.cli import main
 from trigonal4.errors import (
     DegenerateInput,
@@ -138,21 +139,20 @@ def test_series_order_changes_only_its_echo(argv):
     assert outputs[0] == outputs[1]
 
 
-def test_residue_check_expands_at_one_truncation(monkeypatch):
-    # one request builds its branch chart once, at the library's derived
-    # truncation, whatever --series-order says; no cache stands in between
-    built = []
-    real_inversion = curve.branch_inversion
+@pytest.mark.parametrize("extra", [[], ["--numeric", "--quad-nodes=64"]], ids=["exact", "numeric"])
+def test_residue_check_builds_no_branch_inversion(monkeypatch, extra):
+    # The exact oracle reads its Laurent data off the leading terms at the
+    # branch point, so no residue-check expands a series there.
+    def refuse(*args, **kwargs):
+        raise AssertionError("residue-check built a branch inversion")
 
-    def spy(params, x0, truncation):
-        built.append((order, truncation))
-        return real_inversion(params, x0, truncation)
-
-    monkeypatch.setattr(curve, "branch_inversion", spy)
-    for order in (1, 12, 64):
-        code, _ = run_cli(["residue-check", "--u=0,2,3", "--j=1", f"--series-order={order}"])
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "trigonal4" and hasattr(module, "branch_inversion"):
+            monkeypatch.setattr(module, "branch_inversion", refuse)
+    for j in (1, 2, 3):
+        code, text = run_cli(["residue-check", "--u=0,2,3", f"--j={j}", *extra])
         assert code == 0
-    assert built == [(order, deformation._RESIDUE_TRUNCATION) for order in (1, 12, 64)]
+        assert json.loads(text)["all_match"] is True
 
 
 @pytest.mark.parametrize("xi", ["1,2,3", "1,0,0"], ids=["off-conic", "on-conic"])

@@ -2,10 +2,19 @@ import sys
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 
 from trigonal4 import deformation
-from trigonal4.curve import BranchPoint, Divisor, FiberPoint, FinitePoint, InfinityPoint, trigonal_fiber, validate_params
+from trigonal4.curve import (
+    BranchPoint,
+    CurveParams,
+    Divisor,
+    FiberPoint,
+    FinitePoint,
+    InfinityPoint,
+    trigonal_fiber,
+    validate_params,
+)
 from trigonal4.deformation import (
     CeresaCertificate,
     CeresaVariant,
@@ -16,7 +25,7 @@ from trigonal4.deformation import (
     pairing_matrix,
     residue_matrix,
 )
-from trigonal4.errors import DegenerateInput, StructuralError, ZeroTangent
+from trigonal4.errors import DegenerateInput, InvalidParameters, StructuralError, ZeroTangent
 from trigonal4.linalg import Matrix, same_subspace
 from trigonal4.numeric import numeric_residue_matrix
 from trigonal4.polynomials import UniPoly
@@ -35,11 +44,13 @@ from oracles.deformation import (
     omega2_subspace,
     omega2_vanishing_conditions,
     product_differential,
+    series_residue_matrix,
     support_test,
     xi_functional,
 )
 from oracles.polynomials import RationalFunction
 from oracles.series import series_of_rational
+from test_base_kernel import wide_literals
 
 
 def tangent_strategy():
@@ -91,9 +102,35 @@ def test_pairing_tables_share_one_shape(u):
 
 
 def test_residue_truncation_is_the_least_that_reads(monkeypatch, u023):
-    monkeypatch.setattr(deformation, "_RESIDUE_TRUNCATION", deformation._RESIDUE_TRUNCATION - 1)
+    assert series_residue_matrix(u023, 1) == residue_matrix(u023, 1)
+    truncation = oracles.deformation._RESIDUE_TRUNCATION
+    monkeypatch.setattr(oracles.deformation, "_RESIDUE_TRUNCATION", truncation - 1)
     with pytest.raises(StructuralError):
-        residue_matrix(u023, 1)
+        series_residue_matrix(u023, 1)
+
+
+# u with parts in Q(w) outside Q: (1+w, 2, 3+w), (0, 2+w, -w), (1-w, 2w, 5)
+ZETA_POINTS = ((Scalar(1, 1), 2, Scalar(3, 1)), (0, Scalar(2, 1), Scalar(0, -1)), (Scalar(1, -1), Scalar(0, 2), 5))
+
+
+@given(
+    st.one_of(
+        st.integers(min_value=0, max_value=2**64 - 1).map(lambda seed: sample_params(SplitMix64(seed)).u),
+        st.sampled_from(ZETA_POINTS),
+        st.tuples(wide_literals(), wide_literals(), wide_literals()),
+    )
+)
+def test_residue_oracle_matches_series_oracle(u):
+    # The leading-order oracle against the truncation-6 series expansion.
+    # It gets the parameters without the Q'(u_j) that validate_params
+    # stores, so it can only read Q' off the coefficients of Q.
+    try:
+        params = validate_params(*u)
+    except InvalidParameters:
+        reject()
+    bare = CurveParams(params.u, qprime_u=None)
+    for j in (1, 2, 3):
+        assert residue_matrix(bare, j) == series_residue_matrix(params, j), j
 
 
 def test_residue_oracle_on_zeta_parameters():

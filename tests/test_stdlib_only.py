@@ -125,6 +125,7 @@ def test_no_dead_definitions():
 # section documents.  The oracles the tests cross-check against live in
 # tests/oracles/.
 TEST_ONLY = {
+    "curve.branch_inversion": "benchmark",
     "curve.divisor_of": "benchmark",
     "linalg.identity": "public API",
     "linalg.same_subspace": "public API",
