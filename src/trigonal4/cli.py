@@ -23,9 +23,10 @@ from .canonical_ideal import canonical_cubic, schiffer_test, sym2_relation
 from .curve import validate_params
 from .deformation import (
     TangentVector,
+    bordered,
     cone_directions,
     delta_nu_c_test,
-    pairing_matrix,
+    pairing_covector,
     residue_matrix,
 )
 from .errors import DegenerateInput, InvalidParameters, OracleMismatch, Trigonal4Error
@@ -103,7 +104,7 @@ def cmd_analyze(args, out) -> int:
     document = {
         "input": {"u": report.scalars_json(params.u), "xi": report.scalars_json(xi.a)},
         "ks_rank": cert.rank,
-        "pairing_matrix": [report.scalars_json(row) for row in cert.pairing],
+        "pairing_matrix": bordered(encoded["conic"]["covector"], "0"),
         **{key: encoded[key] for key in ("kernel_basis", "conic", "base_locus", "supported")},
         "certificate": encoded,
         "series_order": order,
@@ -134,23 +135,25 @@ def cmd_residue_check(args, out) -> int:
         raise InvalidParameters("--j must be 1, 2 or 3")
     direction = [Scalar.zero()] * 3
     direction[j - 1] = Scalar.one()
-    matrix = pairing_matrix(params, TangentVector(tuple(direction)))
+    covector = pairing_covector(params, TangentVector(tuple(direction)))
     numeric = numeric_residue_matrix(params, j, nodes) if args.numeric else None
+    # each value printed once, before the oracle runs: equal values print alike
+    texts = bordered(report.scalars_json(covector), "0")
+    matrix = bordered(covector, Scalar.zero())
     oracles = residue_matrix(params, j)
     entries = []
     all_match = True
     worst = 0.0
     for l in range(4):
         for k in range(4):
-            closed = matrix[l][k]
-            oracle = oracles[l][k]
+            closed, oracle, text = matrix[l][k], oracles[l][k], texts[l][k]
             match = closed == oracle
             all_match = all_match and match
             row = {
                 "l": l,
                 "k": k,
-                "closed": str(closed),
-                "oracle": str(oracle),
+                "closed": text,
+                "oracle": text if match else str(oracle),
                 "match": match,
             }
             if numeric is not None:
@@ -332,6 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact deformation invariants of a family of trigonal genus-4 curves.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.command_parsers = sub.choices  # name -> parser, filled below; main reads it
 
     def add_common(p):
         p.add_argument("--series-order", type=int, default=DEFAULT_SERIES_ORDER)
@@ -385,7 +389,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # parse_args hands all that follows a command name to its parser, then
+    # refuses leftovers; it runs here only where there are some to refuse
+    command = parser.command_parsers.get(argv[0]) if argv else None
+    args, leftover = command.parse_known_args(argv[1:]) if command else (None, True)
+    if leftover:
+        args = parser.parse_args(argv)
     # argparse drops "--" from an attached value (--u=--) and stores []
     if [] in vars(args).values():
         parser.error("-- is not an option value")

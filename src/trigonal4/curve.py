@@ -34,7 +34,7 @@ from functools import cached_property, lru_cache
 
 from .errors import DegenerateInput, InvalidParameters, StructuralError
 from .polynomials import UniPoly, poly_gcd, squarefree_decomposition
-from .scalars import INFINITY, Scalar, _make, _mul3, _sub3, _triple
+from .scalars import INFINITY, Scalar, _add3, _make, _mul3, _sub3, _triple
 from .series import LocalSeries, series_of_poly
 
 
@@ -63,14 +63,18 @@ class CurveParams:
         return hash((self.u,))
 
     @cached_property
+    def _q_triples(self) -> tuple:
+        """Q = (x**3 - 1)(x**3 - e1 x**2 + e2 x - e3) low to high, as unreduced
+        triples; e1, e2, e3 the elementary symmetric functions of u."""
+        u1, u2, u3 = map(_triple, self.u)
+        p12, s12 = _mul3(u1, u2), _add3(u1, u2)
+        e1, e2, e3 = _add3(s12, u3), _add3(p12, _mul3(s12, u3)), _mul3(p12, u3)
+        minus = (-1, 0, 1)
+        return (e3, _mul3(minus, e2), e1, _sub3(_mul3(minus, e3), (1, 0, 1)), e2, _mul3(minus, e1), (1, 0, 1))
+
+    @cached_property
     def q_poly(self) -> UniPoly:
-        """Q = (x**3 - 1)(x**3 - e1 x**2 + e2 x - e3), e1, e2, e3 the
-        elementary symmetric functions of u."""
-        u1, u2, u3 = self.u
-        p12, s12 = u1 * u2, u1 + u2
-        e1, e2, e3 = s12 + u3, p12 + s12 * u3, p12 * u3
-        one = Scalar.one()
-        return UniPoly((e3, -e2, e1, -e3 - one, e2, -e1, one))
+        return UniPoly(_make(*c) for c in self._q_triples)
 
     @cached_property
     def qprime(self) -> UniPoly:
@@ -81,7 +85,12 @@ class CurveParams:
         return (Scalar.one(), Scalar.zeta(), Scalar.zeta_power(2)) + self.u
 
     def qprime_at(self, x0: Scalar) -> Scalar:
-        return self.qprime.evaluate(x0)
+        """Q'(x0) off the expanded Q, by Horner's rule on triples: one gcd."""
+        t, q = _triple(x0), self._q_triples
+        value = (6, 0, 1)  # 6 times the leading 1 of Q
+        for i in range(5, 0, -1):
+            value = _add3(_mul3(value, t), _mul3((i, 0, 1), q[i]))
+        return _make(*value)
 
     def is_branch_x(self, x0: Scalar) -> bool:
         # Q is the product of x - b over the six branch x, all in Q(w)

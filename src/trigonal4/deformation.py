@@ -21,16 +21,16 @@ by zeros) and its rank 2, the kernel, the conic value c0*c2 - c1**2, the
 variant and the base locus.  Every fact of the base is read off a closed
 form, with no matrix built:
 c_k = sum_j a_j u_j**k / Q'(u_j) from the Q'(u_j) that curve.validate_params
-stores, on unreduced integer triples reduced once per entry in
-pairing_covector (the conic value once in CeresaCertificate.conic_value);
-the kernel of c from its first nonzero entry; and the direction whose
+stores; the kernel of c from its first nonzero entry; and the direction whose
 covector is the conic point (1 : t : t**2) by Lagrange interpolation at
 the nodes u, a_j = (u_j**3 - 1) prod_{k != j} (t - u_k), or
-a_j = u_j**3 - 1 at t = infinity.  A is invertible on the base
-(det A = V(u) / prod Q'(u_j), V the Vandermonde), so c != 0 for every
-nonzero direction.  The tests check these closed forms against the moment
-matrix, and the base locus against the divisor minimum over the annihilated
-pencil (tests/oracles/).
+a_j = u_j**3 - 1 at t = infinity.  pairing_covector, the conic value, the
+kernel and residue_matrix compose unreduced integer triples and reduce once
+per value they return (the oracle also at dx and its antiderivatives).  A is
+invertible on the base (det A = V(u) / prod Q'(u_j), V the Vandermonde), so
+c != 0 for every nonzero direction.  The tests check these closed forms
+against the moment matrix, and the base locus against the divisor minimum
+over the annihilated pencil (tests/oracles/).
 
 The support of an on-conic direction is a lemma, not a computation.  Write
 q = (A Q + b Q y + C y**2) (dx)**2 / Q**2.  The quadratic differentials
@@ -141,25 +141,20 @@ class CeresaCertificate:
         return self.omega2_dim - 3 if self.on_conic else None
 
     @property
-    def pairing(self) -> tuple:
-        """The pairing matrix of the certified direction, from its covector."""
-        return _pairing_of(self.covector)
-
-    @property
     def kernel_basis(self) -> tuple:
         """Basis of the annihilator of c: with c_p its first nonzero
         entry, the vectors e_j - (c_j / c_p) e_p for j != p in order, as the
         one-row kernel (Matrix.kernel_basis) returns them."""
         c = self.covector
         p = next(i for i, ci in enumerate(c) if ci)
-        inv = c[p].inverse()
+        minus_inv = _mul3((-1, 0, 1), _inv3(_triple(c[p])))
         zero = Scalar.zero()
         basis = []
         for j in range(3):
             if j != p:
                 b = [zero] * 3
                 b[j] = Scalar.one()
-                b[p] = -(c[j] * inv)
+                b[p] = _make(*_mul3(_triple(c[j]), minus_inv))
                 basis.append(Differential(zero, tuple(b)))
         return tuple(basis)
 
@@ -198,12 +193,11 @@ def pairing_matrix(params: CurveParams, xi: TangentVector) -> tuple:
     """The 4x4 pairing matrix, as rows ``[l][k]``, of 6*pi*i coefficients of
     the wedge pairings between the basis forms (w0, w1, w2, w3) and the
     derivative forms of one tangent direction."""
-    return _pairing_of(pairing_covector(params, xi))
+    return bordered(pairing_covector(params, xi), Scalar.zero())
 
 
-def _pairing_of(c: tuple) -> tuple:
-    """The (0,k) and (k,0) entries are c_k; every other entry vanishes."""
-    zero = Scalar.zero()
+def bordered(c: tuple, zero) -> tuple:
+    """The (0,k) and (k,0) entries are c_k (Scalars or literals), the rest zero."""
     return ((zero,) + tuple(c),) + tuple((ck, zero, zero, zero) for ck in c)
 
 
@@ -233,18 +227,20 @@ def residue_matrix(params: CurveParams, j: int) -> tuple:
     if j not in (1, 2, 3):
         raise DegenerateInput("j indexes one of the three moving parameters")
     x0 = params.u[j - 1]
-    q = params.qprime_at(x0)
-    dx = 3 / q
+    t, q = _triple(x0), _triple(params.qprime_at(x0))
+    # reduced per entry, and at dx and the antiderivatives for large literals
+    dx = _triple(_make(*_mul3((3, 0, 1), _inv3(q))))
     # (exponent of y, coefficient) of each leading term, over dy
-    forms = [(1, dx)] + [(0, dx * p) for p in (Scalar.one(), x0, x0 * x0)]
+    forms = [(1, dx)] + [(0, _mul3(dx, p)) for p in ((1, 0, 1), t, _mul3(t, t))]
     antiderivatives = []
-    for k, (n, c) in enumerate(forms):
-        # (d/du_j) w_k = m/(3 (x - x0)) w_k has its pole term at y**(n - 3)
-        antiderivatives.append((n - 2, c * q * (1 if k == 0 else 2) / (3 * (n - 2))))
-    sign_third = Scalar.of(ORACLE_SIGN) / 3
+    for m, (n, c) in zip((1, 2, 2, 2), forms):
+        # (d/du_j) w_k = m/(3 (x - x0)) w_k has its pole term m q c / 3 at
+        # y**(n - 3), so its antiderivative is -m q c / (3 (2 - n)) y**(n - 2)
+        antiderivatives.append((n - 2, _triple(_make(*_mul3(_mul3(c, q), (-m, 0, 3 * (2 - n)))))))
     zero = Scalar.zero()
     return tuple(
-        tuple(sign_third * c * a if n + e == -1 else zero for e, a in antiderivatives) for n, c in forms
+        tuple(_make(*_mul3(_mul3((ORACLE_SIGN, 0, 3), c), a)) if n + e == -1 else zero for e, a in antiderivatives)
+        for n, c in forms
     )
 
 

@@ -8,12 +8,12 @@ exponentially for analytic integrands, so a few hundred nodes deliver far
 better than the 1e-8 comparison tolerance.
 
 One request does each piece of float work once: the coefficients of Q and
-Q' are converted to complex once, the contour (the nodes y, the Newton roots
-x and Q'(x)) is solved once per (params, j, nodes), and the principal-part
-moments once per k; all 16 entries are read off that.  Curve data past the
-float range, or a zero divisor, is a StructuralError, as a failed Newton
-solve is.  A Newton root is
-accepted by a backward-error test, |Q(x) - y^3| <= 1e-12 * max(1, |y^3|,
+Q' are converted to complex once, the contour (the nodes y, the Newton
+roots x, Q'(x), and the powers of y and x by the ** their uses computed) is
+solved once per (params, j, nodes), and the principal-part moments once per
+k; all 16 entries are read off that.  Curve data past the float range, or a
+zero divisor, is a StructuralError, as a failed Newton solve is.  A Newton
+root is accepted by a backward-error test, |Q(x) - y^3| <= 1e-12 * max(1, |y^3|,
 sum |c_i| |x|^i): Horner's rule evaluates Q only to within a few rounding
 errors of the largest terms it sums, so a converged root cannot be held to
 a residual smaller than that.
@@ -59,6 +59,8 @@ def _solve_x(q: list, qp: list, q_abs: list, x_seed: complex, y: complex) -> com
     repeats bit for bit, x_n == x_m with m < n, the 80th is read off the
     cycle instead of stepped to."""
     target = y ** 3
+    # _horner written out, with its float operations in its order
+    (q0, q1, q2, q3, q4, q5, q6), (p0, p1, p2, p3, p4, p5) = q, qp
     x = x_seed
     seen = {}
     history = []
@@ -70,10 +72,10 @@ def _solve_x(q: list, qp: list, q_abs: list, x_seed: complex, y: complex) -> com
             break
         seen[key] = n
         history.append(x)
-        fx = _horner(q, x) - target
+        fx = ((((((0j * x + q6) * x + q5) * x + q4) * x + q3) * x + q2) * x + q1) * x + q0 - target
         if abs(fx) < 1e-30:
             break
-        x -= fx / _horner(qp, x)
+        x -= fx / ((((((0j * x + p5) * x + p4) * x + p3) * x + p2) * x + p1) * x + p0)
     scale = max(1.0, abs(target), abs(_horner(q_abs, abs(x))))
     if not abs(_horner(q, x) - target) <= 1e-12 * scale:
         raise StructuralError("Newton iteration failed on the contour")
@@ -115,13 +117,15 @@ def _contour_matrix(params: CurveParams, j: int, nodes: int) -> tuple:
     q_abs = [abs(c) for c in q]
 
     ys = [rho * cmath.exp(2j * cmath.pi * m / nodes) for m in range(nodes)]
+    y_powers = {p: [y ** p for y in ys] for p in (1, 2, 3)}
     qp0 = _horner(qp, x0)
-    xs = [_solve_x(q, qp, q_abs, x0 + y ** 3 / qp0, y) for y in ys]
+    xs = [_solve_x(q, qp, q_abs, x0 + y3 / qp0, y) for y, y3 in zip(ys, y_powers[3])]
     qpxs = [_horner(qp, x) for x in xs]
+    x_powers = [[x ** p for x in xs] for p in range(3)]
 
     def moment(values, power: int) -> complex:
         # (1/2 pi i) contour integral of f(y) * y**(-power-1) dy
-        return sum(v * y ** (-power) for v, y in zip(values, ys)) / nodes
+        return sum(v * yp for v, yp in zip(values, y_powers[-power])) / nodes
 
     # Per k, the antidifferentiated principal part of the p-form at each node.
     principal = []
@@ -129,20 +133,20 @@ def _contour_matrix(params: CurveParams, j: int, nodes: int) -> tuple:
         if k == 0:
             p_values = [y / ((x - x0) * qpx) for y, x, qpx in zip(ys, xs, qpxs)]
         else:
-            p_values = [2 * x ** (k - 1) / ((x - x0) * qpx) for x, qpx in zip(xs, qpxs)]
+            p_values = [2 * xp / ((x - x0) * qpx) for xp, x, qpx in zip(x_powers[k - 1], xs, qpxs)]
         p_minus3 = moment(p_values, -3)
         p_minus2 = moment(p_values, -2)
         p_minus1 = moment(p_values, -1)
         if abs(p_minus1) > 1e-9 * max(1.0, abs(p_minus3), abs(p_minus2)):
             raise OracleMismatch("numeric principal part has a y**-1 term")
-        principal.append([-p_minus3 / (2 * y ** 2) - p_minus2 / y for y in ys])
+        principal.append([-p_minus3 / (2 * y2) - p_minus2 / y for y, y2 in zip(ys, y_powers[2])])
 
     matrix = []
     for l in range(4):
         if l == 0:
             s_values = [3 * y / qpx for y, qpx in zip(ys, qpxs)]
         else:
-            s_values = [3 * x ** (l - 1) / qpx for x, qpx in zip(xs, qpxs)]
+            s_values = [3 * xp / qpx for xp, qpx in zip(x_powers[l - 1], qpxs)]
         row = []
         for part in principal:
             residue = sum(s * a * y for s, a, y in zip(s_values, part, ys)) / nodes

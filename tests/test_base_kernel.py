@@ -1,19 +1,26 @@
 """The base path on unreduced integer triples, against plain Scalar arithmetic.
 
-curve.validate_params, deformation.pairing_covector and
-CeresaCertificate.conic_value compose (a, b, d) triples through the private
-helpers of trigonal4.scalars and reduce once per output.  Here the same
-formulas are written with Scalar operators (each of which
-tests/test_scalars.py checks against the Fraction reference) and every
-output must compare ==, rejected points included, on sampled parameters,
-on literals with 50-300 digit parts, at the unit cubes, at repeated
-parameters and along directions with zero coordinates.
+curve.validate_params, deformation.pairing_covector,
+CeresaCertificate.conic_value and CeresaCertificate.kernel_basis compose
+(a, b, d) triples through the private helpers of trigonal4.scalars and
+reduce once per output.  Here the same formulas are written with Scalar
+operators (each of which tests/test_scalars.py checks against the Fraction
+reference) and every output must compare ==, rejected points included, on
+sampled parameters, on literals with 50-300 digit parts, at the unit cubes,
+at repeated parameters and along directions with zero coordinates.  The
+residue oracle on triples is checked against the series oracle in
+tests/test_deformation.py, and the number of reductions a request makes is
+pinned here.
 """
+
+import io
+import sys
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from trigonal4 import cli
 from trigonal4.curve import validate_params
 from trigonal4.deformation import CeresaCertificate, TangentVector, pairing_covector
 from trigonal4.errors import InvalidParameters
@@ -114,3 +121,50 @@ def test_triple_helpers_accept_unreduced_triples(x, y, k, m):
     assert _make(*_mul3(tx, ty)) == x * y
     if y:
         assert _make(*_mul3(_inv3(ty), ty)) == Scalar.one()
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+@given(entries=st.lists(scalars, min_size=3, max_size=3))
+@settings(max_examples=40)
+def test_kernel_basis_matches_scalar_arithmetic(p, entries):
+    # e_j - (c_j / c_p) e_p for j != p, c_p the first nonzero entry
+    c = [Scalar.zero()] * p + entries[p:]
+    if not c[p]:
+        c[p] = Scalar.one()
+    basis = CeresaCertificate(validate_params(0, 2, 3), tuple(c)).kernel_basis
+    expected = []
+    for j in range(3):
+        if j != p:
+            b = [Scalar.zero()] * 3
+            b[j] = Scalar.one()
+            b[p] = -(c[j] / c[p])
+            expected.append((Scalar.zero(), *b))
+    assert [w.coefficients() for w in basis] == expected
+
+
+# _make calls (one gcd and one Scalar each) of one request, from parsing to
+# output.  An exact residue-check reduces its inputs, Q'(u_j), the covector,
+# Q'(x0) off the expanded Q, dx, the four antiderivatives and the six
+# entries it returns; an off-conic analyze its inputs, Q'(u_j), the
+# covector, the conic value and the two kernel entries.
+REDUCTIONS = {
+    ("residue-check", "--u=0,2,3", "--j=1"): 21,
+    ("analyze", "--u=0,2,3", "--xi=1,1,1"): 15,
+    ("scan", "--random", "10", "--seed", "1"): 130,
+}
+
+
+@pytest.mark.parametrize("argv", REDUCTIONS)
+def test_requests_reduce_once_per_named_value(monkeypatch, argv):
+    calls = []
+    real = _make
+
+    def counted(a, b, d):
+        calls.append(None)
+        return real(a, b, d)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "trigonal4" and getattr(module, "_make", None) is real:
+            monkeypatch.setattr(module, "_make", counted)
+    assert cli.main(list(argv), io.StringIO()) == 0
+    assert len(calls) == REDUCTIONS[argv]

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from trigonal4 import cli, deformation, report
 from trigonal4.cli import main
@@ -280,6 +280,51 @@ def test_reused_parser_rejects_invalid_argv():
     code, text = run_cli(["analyze", "--u", "0,2,3", "--xi", "1,0,0"])
     assert code == 0 and json.loads(text)["ks_rank"] == 2
     assert cli.build_parser.cache_info().misses == 1
+
+
+# argv tokens that parse, and that argparse refuses or reads its own way:
+# separate and attached values, an abbreviation, repeats, "--", help,
+# unknown options and commands, and a stray positional.
+_COMMAND_TOKENS = ["analyze", "residue-check", "scan", "ideal", "qz24", "bogus", "-h", "--u=0,2,3", "--"]
+_ARGUMENT_TOKENS = _COMMAND_TOKENS + [
+    "--u", "0,2,3", "--xi=1,2,3", "--xi=--", "--j=1", "--j", "2", "--ser=3", "--series-order=2",
+    "--numeric", "--quad-nodes=8", "--a=2", "--random=1", "--seed=3", "--format=csv", "--bogus", "x",
+]
+
+
+def _main_outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv, out)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(
+    st.tuples(st.sampled_from(_COMMAND_TOKENS), st.lists(st.sampled_from(_ARGUMENT_TOKENS), max_size=5)).map(
+        lambda t: [t[0], *t[1]]
+    )
+)
+@settings(max_examples=150)
+@example(["analyze", "--u", "0,2,3", "--xi=1,2,3"])
+@example(["analyze", "--u=0,2,3", "--xi=1,2,3", "x"])
+@example(["--", "ideal", "--u=0,2,3"])
+@example(["qz24", "-h"])
+def test_command_parser_reads_argv_as_parse_args_does(argv):
+    # main hands what follows a command name to that command's parser, and
+    # runs parse_args only to refuse leftovers; with no command parser to
+    # read (an empty map) every argv goes through parse_args.  Codes, output
+    # and messages must agree either way.
+    parser = cli.build_parser()
+    direct = _main_outcome(argv)
+    command_parsers = parser.command_parsers
+    try:
+        parser.command_parsers = {}
+        assert _main_outcome(argv) == direct
+    finally:
+        parser.command_parsers = command_parsers
 
 
 def test_residue_check_agreement():

@@ -19,7 +19,7 @@ from trigonal4.curve import (
     validate_params,
 )
 from trigonal4.errors import DegenerateInput, InvalidParameters, StructuralError
-from trigonal4.prng import SplitMix64, sample_params
+from trigonal4.prng import SplitMix64, sample_params, sample_scalar
 from trigonal4.scalars import INFINITY, Scalar
 from trigonal4.series import series_of_poly, LocalSeries
 
@@ -62,11 +62,15 @@ def test_validate_params_checks_collisions_before_cubes():
 @settings(max_examples=30)
 def test_closed_form_curve_data_matches_roots(seed):
     # Q from the elementary symmetric functions of u against the product of
-    # (x - b) over the six branch x; the stored Q'(u_j) against Horner on Q'
-    params = sample_params(SplitMix64(seed))
+    # (x - b) over the six branch x; the stored Q'(u_j) against Horner on
+    # the triples of the expanded Q, and that against UniPoly evaluation
+    rng = SplitMix64(seed)
+    params = sample_params(rng)
     assert params.q_poly == from_roots(params.branch_x)
     assert params.qprime == params.q_poly.derivative()
     assert params.qprime_u == tuple(params.qprime_at(uj) for uj in params.u)
+    x = sample_scalar(rng)
+    assert params.qprime_at(x) == params.qprime.evaluate(x)
     # the six branch x are pairwise distinct, so Q is squarefree
     assert all(params.qprime_at(b) for b in params.branch_x)
 

@@ -19,6 +19,7 @@ from trigonal4.deformation import (
     CeresaCertificate,
     CeresaVariant,
     TangentVector,
+    bordered,
     cone_directions,
     delta_nu_c_test,
     pairing_covector,
@@ -171,7 +172,7 @@ def test_ks_rank_two_for_nonzero(u023, xi):
         assert rank == 0
     else:
         cert = CeresaCertificate(u023, pairing_covector(u023, xi))
-        assert cert.pairing == pairing_matrix(u023, xi)
+        assert bordered(cert.covector, Scalar.zero()) == pairing_matrix(u023, xi)
         assert cert.rank == delta_nu_c_test(u023, xi).rank == rank == 2
 
 
@@ -494,37 +495,46 @@ def test_support_lemma_matches_series_oracle(kind, seed):
     assert cert.base_locus == fiber
 
 
-def test_on_conic_certificates_build_no_series(monkeypatch, u023):
-    # The support of an on-conic certificate is read off the lemma: no
-    # chart, fiber frame or branch inversion is built, at a finite, a branch
-    # or the infinity fiber.
-    directions = [cone_directions(u023, t) for t in (5, 2, INFINITY)]
+def refuse_everywhere(monkeypatch, names, message):
+    """Make each name raise in every loaded trigonal4 module that binds it.
+    Each name must be bound in some module, so that a rename or a move out
+    of src/ fails the guard instead of leaving it patching nothing."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("an on-conic certificate expanded a series")
+        raise AssertionError(message)
 
+    patched = set()
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "trigonal4":
-            for attr in ("branch_chart", "chart_at", "fiber_frame", "branch_inversion"):
+            for attr in names:
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, refuse)
-    for xi in directions:
+                    patched.add(attr)
+    assert patched == set(names)
+
+
+def test_on_conic_certificates_build_no_series(monkeypatch, u023):
+    # The support of an on-conic certificate is read off the lemma and its
+    # base locus off the closed-form fiber: no branch inversion, infinity
+    # chart or series of a polynomial is built, at a finite, a branch or
+    # the infinity fiber.
+    directions = {t: cone_directions(u023, t) for t in (Scalar.of(5), Scalar.of(2), INFINITY)}
+    refuse_everywhere(
+        monkeypatch,
+        ("branch_inversion", "infinity_chart", "series_of_poly"),
+        "an on-conic certificate expanded a series",
+    )
+    for t, xi in directions.items():
         cert = delta_nu_c_test(u023, xi)
         assert cert.variant is CeresaVariant.ON_CONIC_SUPPORTED
         assert cert.subspace_dim == 6
+        assert cert.base_locus == trigonal_fiber(u023, t)
 
 
 def test_certificates_read_loci_off_closed_forms(monkeypatch, u023):
     # The divisor computations are a test oracle: no certificate and no d0
     # cycle may reach them, and a certificate builds its covector once.
-    def refuse(*args, **kwargs):
-        raise AssertionError("a production path computed divisors of 1-forms")
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "trigonal4":
-            for attr in ("divisor_of", "divisor_min"):
-                if hasattr(module, attr):
-                    monkeypatch.setattr(module, attr, refuse)
+    refuse_everywhere(monkeypatch, ("divisor_of",), "a production path computed divisors of 1-forms")
     builds = []
     real_pairing_covector = deformation.pairing_covector
 

@@ -70,6 +70,27 @@ def test_dumps_is_json_indent_2(document):
     assert dumps(document) == json.dumps(document, indent=2) + "\n"
 
 
+class _Key(str):
+    pass
+
+
+@given(_TREES, _TREES)
+@settings(max_examples=60)
+def test_dumps_writes_a_shared_subtree_at_each_depth(shared, other):
+    # analyze holds four certificate subtrees twice, at depths 1 and 2;
+    # the same object here sits at depths 1, 3 and 4, beside empty
+    # containers, a float, an int key and a str-subclass key.
+    document = {
+        "top": shared,
+        "nested": {"deeper": [shared, other, {"deepest": shared}]},
+        "empty": [{}, [], ()],
+        "float": 0.5,
+        "keys": {1: shared, _Key("sub"): other},
+        _Key("sub"): [shared],
+    }
+    assert dumps(document) == json.dumps(document, indent=2) + "\n"
+
+
 def test_commands_emit_exactly_the_readme_tags():
     """One successful corpus command line per subcommand: every ``tags``
     value, and the scan summary's ``tag``, together form the README table."""
