@@ -4,11 +4,13 @@ A scalar is ``(a + b*w) / d`` for three ints kept in canonical form,
 ``d > 0`` and ``gcd(a, b, d) == 1``, with the reduction rule
 ``w**2 = -1 - w``.  One gcd per result keeps the form canonical, so every
 field operation, comparison and hash is exact and never depends on how a
-value was built.  The triple is the only representation: every operation
-works on its integers, and ``sort_key`` is the triple itself.  The base
-path (curve.validate_params, deformation.pairing_covector and the conic
-value) composes unreduced triples through the private helpers _add3,
-_sub3, _mul3 and _inv3 and reduces once per output with _make.
+value was built.  The triple is the only representation, and ``sort_key``
+is the triple itself.  Two values combine in one place, the private
+kernel _add3, _sub3, _mul3 and _inv3 on unreduced triples: every Scalar
+operator turns its operands into triples (_operand), composes the kernel
+and reduces once with _make.  The base path (curve.validate_params,
+deformation.pairing_covector, the conic value and the residue oracle)
+composes the same kernel and only delays that reduction to its outputs.
 
 The I/O literal syntax is ``p/q`` or ``p/q+r/s*w`` (whitespace-free, the
 ``/q`` omitted when the denominator is 1), e.g. ``-1/6`` or ``1/2+-3/4*w``.
@@ -96,12 +98,8 @@ class Scalar:
         return bool(self._a or self._b)
 
     def __add__(self, other):
-        if other.__class__ is not Scalar:
-            other = Scalar.of(other)
-        d, e = self._d, other._d
-        if d == e:
-            return _make(self._a + other._a, self._b + other._b, d)
-        return _make(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
+        y = _operand(other)
+        return NotImplemented if y is None else _make(*_add3(_triple(self), y))
 
     __radd__ = __add__
 
@@ -109,51 +107,30 @@ class Scalar:
         return _make(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
-        if other.__class__ is not Scalar:
-            other = Scalar.of(other)
-        d, e = self._d, other._d
-        if d == e:
-            return _make(self._a - other._a, self._b - other._b, d)
-        return _make(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
+        y = _operand(other)
+        return NotImplemented if y is None else _make(*_sub3(_triple(self), y))
 
     def __rsub__(self, other):
-        return Scalar.of(other) - self
+        y = _operand(other)
+        return NotImplemented if y is None else _make(*_sub3(y, _triple(self)))
 
     def __mul__(self, other):
-        if other.__class__ is not Scalar:
-            if isinstance(other, int):
-                return _make(self._a * other, self._b * other, self._d)
-            try:
-                other = Scalar.of(other)
-            except TypeError:  # a foreign type may define the reflected product
-                return NotImplemented
-        a, b, c, e = self._a, self._b, other._a, other._b
-        # (a + bw)(c + ew) with w^2 = -1 - w
-        be = b * e
-        return _make(a * c - be, a * e + b * c - be, self._d * other._d)
+        y = _operand(other)
+        return NotImplemented if y is None else _make(*_mul3(_triple(self), y))
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "Scalar":
-        """Image under w -> w**2, the nontrivial field automorphism."""
-        return _make(self._a - self._b, -self._b, self._d)
-
     def inverse(self) -> "Scalar":
-        """conjugate / norm; with norm = n / d**2, the conjugate's
-        numerators scale by d**2 / n over its denominator d."""
-        a, b, d = self._a, self._b, self._d
-        n = a * a - a * b + b * b
-        if not n:
-            raise ZeroDivisionError("inverse of zero scalar")
-        conj = self.conjugate()
-        return _make(conj._a * d, conj._b * d, n)
+        """1/self; ZeroDivisionError at zero."""
+        return _make(*_inv3(_triple(self)))
 
     def __truediv__(self, other):
-        other = Scalar.of(other)
-        return self * other.inverse()
+        y = _operand(other)
+        return NotImplemented if y is None else _make(*_mul3(_triple(self), _inv3(y)))
 
     def __rtruediv__(self, other):
-        return Scalar.of(other) * self.inverse()
+        y = _operand(other)
+        return NotImplemented if y is None else _make(*_mul3(y, _inv3(_triple(self))))
 
     def __pow__(self, exponent: int):
         if exponent < 0:
@@ -237,6 +214,19 @@ def _make(a: int, b: int, d: int) -> Scalar:
 _triple = attrgetter("_a", "_b", "_d")
 
 
+def _operand(value):
+    """The triple of an operand of a Scalar operator: a Scalar's own,
+    (n, 0, 1) for an int n, Scalar(value)'s for a rational, else None."""
+    if value.__class__ is Scalar:
+        return value._a, value._b, value._d
+    if isinstance(value, int):
+        return value, 0, 1
+    try:
+        return _triple(Scalar(value))
+    except TypeError:
+        return None
+
+
 def _add3(x: tuple, y: tuple) -> tuple:
     (a, b, d), (c, e, f) = x, y
     g = math.gcd(d, f)
@@ -260,6 +250,8 @@ def _inv3(x: tuple) -> tuple:
     the norm, d (a - b - b*w) / (g (a**2 - a*b + b**2))."""
     a, b, d = x
     g = math.gcd(a, b)
+    if not g:
+        raise ZeroDivisionError("inverse of zero scalar")
     a, b = a // g, b // g
     return (a - b) * d, -b * d, (a * a - a * b + b * b) * g
 

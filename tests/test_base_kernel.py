@@ -1,19 +1,21 @@
-"""The base path on unreduced integer triples, against plain Scalar arithmetic.
+"""The integer-triple kernel and the base path on it, against the Fraction reference.
 
-curve.validate_params, deformation.pairing_covector,
+Every Scalar operator, curve.validate_params, deformation.pairing_covector,
 CeresaCertificate.conic_value and CeresaCertificate.kernel_basis compose
-(a, b, d) triples through the private helpers of trigonal4.scalars and
-reduce once per output.  Here the same formulas are written with Scalar
-operators (each of which tests/test_scalars.py checks against the Fraction
-reference) and every output must compare ==, rejected points included, on
-sampled parameters, on literals with 50-300 digit parts, at the unit cubes,
-at repeated parameters and along directions with zero coordinates.  The
+(a, b, d) triples through the private kernel of trigonal4.scalars and
+reduce once per output.  Since Scalar arithmetic is that kernel, the
+kernel and the same formulas are checked here against FractionScalar
+(tests/oracles/scalars.py), the former pair of Fractions, and every
+output must be the same value, rejected points included, on sampled
+parameters, on literals with 50-300 digit parts, at the unit cubes, at
+repeated parameters and along directions with zero coordinates.  The
 residue oracle on triples is checked against the series oracle in
-tests/test_deformation.py, and the number of reductions a request makes is
-pinned here.
+tests/test_deformation.py, and the number of reductions an operator and
+a request make is pinned here.
 """
 
 import io
+import operator
 import sys
 
 import hypothesis.strategies as st
@@ -27,16 +29,23 @@ from trigonal4.errors import InvalidParameters
 from trigonal4.prng import SplitMix64, sample_scalar
 from trigonal4.scalars import Scalar, _add3, _inv3, _make, _mul3, _sub3, _triple
 
+from oracles.scalars import FractionScalar, fraction_parts
+
 UNIT_CUBES = (Scalar.one(), Scalar.zeta(), Scalar.zeta_power(2))
+
+
+def ref(x: Scalar) -> FractionScalar:
+    return FractionScalar(*fraction_parts(x))
 
 
 def reference_qprime(u):
     """Q'(u_j) = (u_j**3 - 1) prod_{k != j} (u_j - u_k), after the checks of
-    validate_params in its order and with its messages."""
+    validate_params in its order and with its messages, for u of
+    FractionScalars."""
     for i, j in ((0, 1), (0, 2), (1, 2)):
         if u[i] == u[j]:
             raise InvalidParameters(f"u{i + 1} = u{j + 1}")
-    one = Scalar.one()
+    one = FractionScalar.one()
     for i, uj in enumerate(u):
         if uj * uj * uj == one:
             raise InvalidParameters(f"u{i + 1}^3 = 1")
@@ -52,7 +61,7 @@ def reference_qprime(u):
 
 def reference_covector(u, qprime, a):
     """c_k = sum_j a_j u_j**k / Q'(u_j) for k = 0, 1, 2."""
-    return tuple(sum((aj * uj**k / qj for aj, uj, qj in zip(a, u, qprime)), Scalar.zero()) for k in range(3))
+    return tuple(sum((aj * uj**k / qj for aj, uj, qj in zip(a, u, qprime)), FractionScalar.zero()) for k in range(3))
 
 
 sampled = st.integers(min_value=0, max_value=2**64 - 1).map(lambda seed: sample_scalar(SplitMix64(seed), 9, 3))
@@ -96,31 +105,36 @@ def directions(draw):
 @given(parameter_points(), directions())
 @settings(max_examples=150)
 def test_base_kernel_matches_scalar_arithmetic(u, a):
+    ru, ra = tuple(map(ref, u)), tuple(map(ref, a))
     try:
-        expected = reference_qprime(u)
+        expected = reference_qprime(ru)
     except InvalidParameters as exc:
         with pytest.raises(InvalidParameters) as caught:
             validate_params(*u)
         assert str(caught.value) == str(exc)
         return
     params = validate_params(*u)
-    assert params.qprime_u == expected
+    assert tuple(map(ref, params.qprime_u)) == expected
     covector = pairing_covector(params, TangentVector(a))
-    assert covector == reference_covector(u, expected, a)
+    rc0, rc1, rc2 = reference_covector(ru, expected, ra)
+    assert tuple(map(ref, covector)) == (rc0, rc1, rc2)
     if any(covector):
-        c0, c1, c2 = covector
-        assert CeresaCertificate(params, covector).conic_value == c0 * c2 - c1 * c1
+        assert ref(CeresaCertificate(params, covector).conic_value) == rc0 * rc2 - rc1 * rc1
 
 
 @given(scalars, scalars, st.integers(min_value=1, max_value=10**40), st.integers(min_value=1, max_value=10**40))
 def test_triple_helpers_accept_unreduced_triples(x, y, k, m):
     tx = tuple(v * k for v in _triple(x))
     ty = tuple(v * m for v in _triple(y))
-    assert _make(*_add3(tx, ty)) == x + y
-    assert _make(*_sub3(tx, ty)) == x - y
-    assert _make(*_mul3(tx, ty)) == x * y
+    rx, ry = ref(x), ref(y)
+    assert ref(_make(*_add3(tx, ty))) == rx + ry
+    assert ref(_make(*_sub3(tx, ty))) == rx - ry
+    assert ref(_make(*_mul3(tx, ty))) == rx * ry
     if y:
-        assert _make(*_mul3(_inv3(ty), ty)) == Scalar.one()
+        assert ref(_make(*_inv3(ty))) == ry.inverse()
+    else:
+        with pytest.raises(ZeroDivisionError, match="inverse of zero scalar"):
+            _inv3(ty)
 
 
 @pytest.mark.parametrize("p", [0, 1, 2])
@@ -132,14 +146,15 @@ def test_kernel_basis_matches_scalar_arithmetic(p, entries):
     if not c[p]:
         c[p] = Scalar.one()
     basis = CeresaCertificate(validate_params(0, 2, 3), tuple(c)).kernel_basis
+    rc = list(map(ref, c))
     expected = []
     for j in range(3):
         if j != p:
-            b = [Scalar.zero()] * 3
-            b[j] = Scalar.one()
-            b[p] = -(c[j] / c[p])
-            expected.append((Scalar.zero(), *b))
-    assert [w.coefficients() for w in basis] == expected
+            b = [FractionScalar.zero()] * 3
+            b[j] = FractionScalar.one()
+            b[p] = -(rc[j] / rc[p])
+            expected.append((FractionScalar.zero(), *b))
+    assert [tuple(map(ref, w.coefficients())) for w in basis] == expected
 
 
 # _make calls (one gcd and one Scalar each) of one request, from parsing to
@@ -154,8 +169,9 @@ REDUCTIONS = {
 }
 
 
-@pytest.mark.parametrize("argv", REDUCTIONS)
-def test_requests_reduce_once_per_named_value(monkeypatch, argv):
+@pytest.fixture
+def reductions(monkeypatch):
+    """The list each _make call of the test appends to, in every module."""
     calls = []
     real = _make
 
@@ -166,5 +182,28 @@ def test_requests_reduce_once_per_named_value(monkeypatch, argv):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "trigonal4" and getattr(module, "_make", None) is real:
             monkeypatch.setattr(module, "_make", counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv", REDUCTIONS)
+def test_requests_reduce_once_per_named_value(reductions, argv):
     assert cli.main(list(argv), io.StringIO()) == 0
-    assert len(calls) == REDUCTIONS[argv]
+    assert len(reductions) == REDUCTIONS[argv]
+
+
+X, Y = Scalar.parse("2/3+-5/7*w"), Scalar.parse("-9/4+1/6*w")
+OPERATORS = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+@pytest.mark.parametrize("y", [Y, 3, -12], ids=["scalar", "int", "negative-int"])
+@pytest.mark.parametrize("op", OPERATORS, ids=lambda op: op.__name__)
+def test_each_operator_reduces_once(reductions, op, y):
+    # x op y, and n op x for an int n: one _make each, no Scalar built for
+    # the int and no intermediate inverse
+    value = op(X, y)
+    assert len(reductions) == 1
+    assert ref(value) == op(ref(X), ref(y) if isinstance(y, Scalar) else y)
+    if not isinstance(y, Scalar):
+        value = op(y, X)
+        assert len(reductions) == 2
+        assert ref(value) == op(y, ref(X))

@@ -162,3 +162,23 @@ def test_public_api_definitions_are_documented():
         if tag == "public API" and not re.search(rf"\b{name.split('.')[1]}\b", section)
     ]
     assert not missing, missing
+
+
+SCALAR_ARITHMETIC = ("__add__", "__sub__", "__rsub__", "__mul__", "__truediv__", "__rtruediv__", "inverse")
+
+
+def test_scalar_arithmetic_has_one_path():
+    """Scalar's arithmetic methods read no triple field themselves: each
+    turns its operands into triples and composes the kernel (_add3, _sub3,
+    _mul3, _inv3), so Q(w) arithmetic has one implementation."""
+    tree = ast.parse((SOURCE / "scalars.py").read_text())
+    scalar = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Scalar")
+    methods = {node.name: node for node in scalar.body if isinstance(node, ast.FunctionDef)}
+    assert set(SCALAR_ARITHMETIC) <= set(methods)
+    offenders = [
+        f"{name}:{node.lineno} {node.attr}"
+        for name in SCALAR_ARITHMETIC
+        for node in ast.walk(methods[name])
+        if isinstance(node, ast.Attribute) and node.attr in ("_a", "_b", "_d")
+    ]
+    assert not offenders, offenders
