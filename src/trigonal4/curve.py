@@ -26,6 +26,9 @@ linear rest becomes a point, and any other rest stays one locus, even when
 it has roots in Q(w).  So loci are monic, squarefree and pairwise coprime
 but need not be irreducible, and comparisons refine loci by gcd, against
 each other and against x - r for every point entry, before comparing.
+
+An entry's slots give its equality, hash, print order and JSON fields
+(report.point_json); an entry class adds only its kind, degree and rank.
 """
 
 from __future__ import annotations
@@ -126,90 +129,77 @@ def validate_params(u1, u2, u3) -> CurveParams:
 # ---------------------------------------------------------------------------
 
 
-class BranchPoint:
+class _Entry:
+    """Equality compares the exact class and the slot values, the hash the
+    values; the order is the rank, then each slot's key in turn."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def sort_key(self):
+        return (self.rank,) + tuple(
+            v if type(v) is int else tuple(c.sort_key() for c in v) if type(v) is tuple else v.sort_key()
+            for v in self._fields()
+        )
+
+
+class BranchPoint(_Entry):
     """The unique curve point over a root of Q (total ramification, y = 0)."""
 
     __slots__ = ("x",)
     degree = 1
     kind = "branch"
+    rank = 0
 
     def __init__(self, x: Scalar):
         self.x = x
 
-    def __eq__(self, other):
-        if other.__class__ is not BranchPoint:
-            return NotImplemented
-        return self.x == other.x
 
-    def __hash__(self):
-        return hash((self.x,))
-
-    def sort_key(self):
-        return (0, self.x.sort_key())
-
-
-class FinitePoint:
+class FinitePoint(_Entry):
     """An unramified point with both coordinates in Q(w); y**3 = Q(x) != 0."""
 
     __slots__ = ("x", "y")
     degree = 1
     kind = "finite"
+    rank = 1
 
     def __init__(self, x: Scalar, y: Scalar):
         self.x, self.y = x, y
 
-    def __eq__(self, other):
-        if other.__class__ is not FinitePoint:
-            return NotImplemented
-        return (self.x, self.y) == (other.x, other.y)
 
-    def __hash__(self):
-        return hash((self.x, self.y))
-
-    def sort_key(self):
-        return (1, self.x.sort_key(), self.y.sort_key())
-
-
-class FiberPoint:
+class FiberPoint(_Entry):
     """The full degree-3 fiber of the x-projection over x (Q(x) != 0),
     kept collective because the three y-coordinates need not lie in Q(w)."""
 
     __slots__ = ("x",)
     degree = 3
     kind = "fiber"
+    rank = 2
 
     def __init__(self, x: Scalar):
         self.x = x
 
-    def __eq__(self, other):
-        if other.__class__ is not FiberPoint:
-            return NotImplemented
-        return self.x == other.x
 
-    def __hash__(self):
-        return hash((self.x,))
-
-    def sort_key(self):
-        return (2, self.x.sort_key())
-
-
-class FiberLocus:
+class FiberLocus(_Entry):
     """Full fibers over the roots of a monic squarefree polynomial of degree
     >= 2 with no common root with Q; degree 3 per root."""
 
     __slots__ = ("poly",)
     kind = "fiber_locus"
+    rank = 3
 
     def __init__(self, poly: tuple):
         self.poly = poly  # UniPoly coefficients, low to high
-
-    def __eq__(self, other):
-        if other.__class__ is not FiberLocus:
-            return NotImplemented
-        return self.poly == other.poly
-
-    def __hash__(self):
-        return hash((self.poly,))
 
     @property
     def degree(self):
@@ -218,28 +208,18 @@ class FiberLocus:
     def as_poly(self) -> UniPoly:
         return UniPoly(self.poly)
 
-    def sort_key(self):
-        return (3, tuple(c.sort_key() for c in self.poly))
 
-
-class PlaceLocus:
+class PlaceLocus(_Entry):
     """One curve point per root r of a monic squarefree polynomial (degree
-    >= 2, coprime to Q), the point over r having y = y_res(r)."""
+    >= 2, coprime to Q), the point over r having y = y(r)."""
 
-    __slots__ = ("poly", "y_res")
+    __slots__ = ("poly", "y")
     kind = "place_locus"
+    rank = 4
 
-    def __init__(self, poly: tuple, y_res: tuple):
+    def __init__(self, poly: tuple, y: tuple):
         self.poly = poly
-        self.y_res = y_res  # coefficients of the y-coordinate as a residue polynomial
-
-    def __eq__(self, other):
-        if other.__class__ is not PlaceLocus:
-            return NotImplemented
-        return (self.poly, self.y_res) == (other.poly, other.y_res)
-
-    def __hash__(self):
-        return hash((self.poly, self.y_res))
+        self.y = y  # coefficients of the y-coordinate as a residue polynomial
 
     @property
     def degree(self):
@@ -249,39 +229,22 @@ class PlaceLocus:
         return UniPoly(self.poly)
 
     def y_poly(self) -> UniPoly:
-        return UniPoly(self.y_res)
-
-    def sort_key(self):
-        return (
-            4,
-            tuple(c.sort_key() for c in self.poly),
-            tuple(c.sort_key() for c in self.y_res),
-        )
+        return UniPoly(self.y)
 
 
-class InfinityPoint:
+class InfinityPoint(_Entry):
     """One of the three points over x = infinity (deg Q = 6 makes the
     covering unramified there), indexed by the sheet of the cube root."""
 
     __slots__ = ("sheet",)
     degree = 1
     kind = "infinity"
+    rank = 5
 
     def __init__(self, sheet: int):
         if sheet not in (0, 1, 2):
             raise DegenerateInput("sheet must be 0, 1 or 2")
         self.sheet = sheet
-
-    def __eq__(self, other):
-        if other.__class__ is not InfinityPoint:
-            return NotImplemented
-        return self.sheet == other.sheet
-
-    def __hash__(self):
-        return hash((self.sheet,))
-
-    def sort_key(self):
-        return (5, self.sheet)
 
 
 def _locus_entry(poly: UniPoly):

@@ -4,7 +4,9 @@ Each report field carries a tag naming the mathematical fact it computes;
 the commands write the tags, and the README's tag table is the complete
 set.  Encoders are deterministic: entries are emitted in canonical sorted
 order and scalars in the canonical literal syntax, so identical inputs
-produce identical bytes.
+produce identical bytes.  A divisor entry's JSON is its kind and then its
+slots, the same fields that give its equality, hash and order, so this
+module knows no entry class.
 
 dumps writes json.dumps(document, indent=2) + "\n" byte for byte in one
 recursive pass over json's C string escaper, where json's indent path runs
@@ -17,7 +19,6 @@ import json
 from json.encoder import encode_basestring_ascii as _quote
 
 from .canonical_ideal import MonomialForm, monomial_label
-from .curve import BranchPoint, Divisor, FiberLocus, FiberPoint, FinitePoint, InfinityPoint, PlaceLocus
 from .deformation import CeresaCertificate
 
 MONOMIAL_ORDER = "grlex z0>z1>z2>z3"
@@ -29,23 +30,15 @@ def scalars_json(values) -> list:
 
 
 def point_json(point) -> dict:
-    """The entry's kind, then its own fields."""
-    if isinstance(point, (BranchPoint, FiberPoint)):
-        fields = {"x": str(point.x)}
-    elif isinstance(point, FinitePoint):
-        fields = {"x": str(point.x), "y": str(point.y)}
-    elif isinstance(point, FiberLocus):
-        fields = {"poly": scalars_json(point.poly)}
-    elif isinstance(point, PlaceLocus):
-        fields = {"poly": scalars_json(point.poly), "y": scalars_json(point.y_res)}
-    elif isinstance(point, InfinityPoint):
-        fields = {"sheet": point.sheet}
-    else:
-        raise TypeError(f"not a divisor entry: {point!r}")
-    return {"kind": point.kind, **fields}
+    """The entry's kind, then each slot under its own name."""
+    fields = {"kind": point.kind}
+    for name in point.__slots__:
+        value = getattr(point, name)
+        fields[name] = scalars_json(value) if type(value) is tuple else value if type(value) is int else str(value)
+    return fields
 
 
-def divisor_json(divisor: Divisor) -> list:
+def divisor_json(divisor) -> list:
     return [[point_json(p), m] for p, m in divisor.items_sorted()]
 
 

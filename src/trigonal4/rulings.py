@@ -67,7 +67,7 @@ def principal_witness(x1, x2) -> str:
     is not computed: div(x - a) = fiber(a) - fiber(inf), and the tests read
     the function back from the text and check that divisor_of_function
     (tests/oracles/curve.py) agrees."""
-    if (x1 is INFINITY and x2 is INFINITY) or (x1 is not INFINITY and x2 is not INFINITY and Scalar.of(x1) == Scalar.of(x2)):
+    if x1 == x2:  # INFINITY equals only itself
         raise DegenerateInput("witness needs two distinct fiber parameters")
     if x1 is INFINITY:
         return f"1/({_linear_str(x2)})"
@@ -78,7 +78,6 @@ def principal_witness(x1, x2) -> str:
 
 def _linear_str(x0) -> str:
     """Canonical display of x - x0."""
-    x0 = Scalar.of(x0)
     if not x0:
         return "x"
     text = str(x0)

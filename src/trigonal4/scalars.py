@@ -7,10 +7,10 @@ field operation, comparison and hash is exact and never depends on how a
 value was built.  The triple is the only representation, and ``sort_key``
 is the triple itself.  Two values combine in one place, the private
 kernel _add3, _sub3, _mul3 and _inv3 on unreduced triples: every Scalar
-operator turns its operands into triples (_operand), composes the kernel
-and reduces once with _make.  The base path (curve.validate_params,
-deformation.pairing_covector, the conic value and the residue oracle)
-composes the same kernel and only delays that reduction to its outputs.
+operator turns its operands into triples (_operand, as Scalar.of does),
+composes the kernel and reduces once with _make.  The base path
+(curve.validate_params, deformation.pairing_covector, the conic value
+and the residue oracle) only delays that reduction to its outputs.
 
 The I/O literal syntax is ``p/q`` or ``p/q+r/s*w`` (whitespace-free, the
 ``/q`` omitted when the denominator is 1), e.g. ``-1/6`` or ``1/2+-3/4*w``.
@@ -55,11 +55,12 @@ class Scalar:
 
     @staticmethod
     def of(value) -> "Scalar":
-        if isinstance(value, Scalar):
+        if value.__class__ is Scalar:
             return value
-        if isinstance(value, int):
-            return _make(int(value), 0, 1)
-        return Scalar(value)
+        y = _operand(value)
+        if y is None:
+            raise TypeError("cannot build an exact scalar from a non-rational value")
+        return _make(*y)
 
     @staticmethod
     def zero() -> "Scalar":

@@ -41,12 +41,12 @@ class LocalSeries:
     # -- constructors -----------------------------------------------------
 
     @staticmethod
-    def constant(value, truncation: int) -> "LocalSeries":
-        return LocalSeries({0: Scalar.of(value)}, truncation)
+    def constant(value: Scalar, truncation: int) -> "LocalSeries":
+        return LocalSeries({0: value}, truncation)
 
     @staticmethod
-    def monomial(exponent: int, value, truncation: int) -> "LocalSeries":
-        return LocalSeries({exponent: Scalar.of(value)}, truncation)
+    def monomial(exponent: int, value: Scalar, truncation: int) -> "LocalSeries":
+        return LocalSeries({exponent: value}, truncation)
 
     # -- inspection ---------------------------------------------------------
 
@@ -103,7 +103,6 @@ class LocalSeries:
     __rmul__ = __mul__
 
     def scale(self, value) -> "LocalSeries":
-        value = Scalar.of(value)
         return LocalSeries({n: c * value for n, c in self.coefficients.items()}, self.truncation)
 
     def shift(self, k: int) -> "LocalSeries":
@@ -164,6 +163,6 @@ def series_of_poly(poly: UniPoly, param: LocalSeries) -> LocalSeries:
     headroom = param.truncation - (poly.degree if poly else 0) * v
     acc = LocalSeries({}, headroom)
     for c in reversed(poly.coefficients):
-        acc = acc * param + LocalSeries.constant(Scalar.of(c), headroom)
+        acc = acc * param + LocalSeries.constant(c, headroom)
     return acc
 

@@ -178,6 +178,34 @@ def test_divisor_entries_equal_exactly_when_class_and_fields_match():
     assert len(set(firsts) | set(seconds)) == len(firsts)
 
 
+def test_divisor_print_order_is_kind_then_fields():
+    # kinds in the order branch, finite, fiber, fiber_locus, place_locus,
+    # infinity, then field by field; a scalar orders by its canonical triple
+    # (a, b, d), not by value: 1/2 before 1/3, 1/2+w before 2, w before 1
+    S = Scalar.parse
+    x2, x3 = (S("-7"), S("0"), S("1")), (S("-3"), S("0"), S("1"))
+    expected = [
+        (BranchPoint(S("-1")), 3),
+        (BranchPoint(S("1/2")), 3),
+        (BranchPoint(S("1/3")), 3),
+        (BranchPoint(S("2")), 3),
+        (FinitePoint(S("1/2+1*w"), S("1")), -1),
+        (FinitePoint(S("2"), S("-1")), 1),
+        (FinitePoint(S("2"), S("1*w")), 1),
+        (FiberPoint(S("-1")), 2),
+        (FiberPoint(S("2")), 1),
+        (FiberLocus(x2), 1),
+        (FiberLocus(x3), -2),
+        (PlaceLocus(x2, (S("1/3*w"), S("2"))), 1),
+        (PlaceLocus(x2, (S("1"),)), 1),
+        (PlaceLocus(x3, (S("-1"),)), 1),
+        (InfinityPoint(0), -1),
+        (InfinityPoint(2), 2),
+    ]
+    shuffled = expected[1::2][::-1] + expected[::2]
+    assert Divisor.of(*shuffled).items_sorted() == expected
+
+
 def test_divisor_of_zero_rejected(u023):
     with pytest.raises(DegenerateInput):
         divisor_of(u023, Differential(0, (0, 0, 0)))

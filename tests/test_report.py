@@ -1,6 +1,6 @@
 """The exact JSON of every divisor entry kind.  No command prints a finite
-point, a fiber locus or a place locus, so the golden corpus cannot pin those
-branches of point_json; here every kind is built directly.  The formula tags
+point, a fiber locus or a place locus, so the golden corpus cannot pin their
+JSON; here every kind is built directly.  The formula tags
 the commands write are the README's tag table."""
 
 import hashlib
