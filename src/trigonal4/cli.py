@@ -8,6 +8,13 @@ All scalar I/O uses the canonical literal syntax (``p/q`` or
 ``p/q+r/s*w``, ``inf`` for the point at infinity).  Output is JSON (or CSV
 for scans) and byte-identical across runs for identical inputs and seed;
 timing is only emitted under --timing, which intentionally breaks that.
+
+At module level this imports only the standard library and
+trigonal4.errors, which main needs to map an error to its exit code.  Each
+command imports the library names it reads when main dispatches to it, so
+building the parser loads no library module and a one-command process
+compiles only the modules its command runs.  --timing's elapsed_ms starts
+after those imports.
 """
 
 from __future__ import annotations
@@ -18,23 +25,7 @@ import math
 import sys
 import time
 
-from . import report
-from .canonical_ideal import canonical_cubic, schiffer_test, sym2_relation
-from .curve import validate_params
-from .deformation import (
-    TangentVector,
-    bordered,
-    cone_directions,
-    delta_nu_c_test,
-    pairing_covector,
-    residue_matrix,
-)
 from .errors import DegenerateInput, InvalidParameters, OracleMismatch, Trigonal4Error
-from .numeric import DEFAULT_NODES, MAX_QUAD_NODES, numeric_residue_matrix, residue_relative_error
-from .prng import SplitMix64, sample_params, sample_tangent
-from .qz24 import ANNOTATION, cube_family_report, evaluate_at
-from .rulings import d0_cycle
-from .scalars import Scalar, parse_projective
 
 NUMERIC_TOLERANCE = 1e-8
 
@@ -54,7 +45,10 @@ def _series_order(args) -> int:
 
 
 def _numeric_settings(args) -> tuple:
-    nodes, tolerance = args.quad_nodes, args.numeric_tolerance
+    from .numeric import DEFAULT_NODES, MAX_QUAD_NODES
+
+    nodes = DEFAULT_NODES if args.quad_nodes is None else args.quad_nodes
+    tolerance = args.numeric_tolerance
     if not 1 <= nodes <= MAX_QUAD_NODES:
         raise DegenerateInput(f"--quad-nodes must lie in 1..{MAX_QUAD_NODES}")
     if not (math.isfinite(tolerance) and tolerance > 0):
@@ -67,6 +61,8 @@ _COUNT_WORDS = {3: "three", 4: "four"}
 
 def _parse_literals(text: str, option: str, count: int, error=DegenerateInput) -> tuple:
     """The ``count`` comma-separated scalar literals of an option value."""
+    from .scalars import Scalar
+
     parts = text.split(",")
     if len(parts) != count:
         raise error(f"expected {_COUNT_WORDS[count]} comma-separated scalar literals for {option}")
@@ -75,6 +71,8 @@ def _parse_literals(text: str, option: str, count: int, error=DegenerateInput) -
 
 def parse_u(text: str):
     """The parameter point of a --u value; residue_table.py reads it too."""
+    from .curve import validate_params
+
     return validate_params(*_parse_literals(text, "--u", 3, InvalidParameters))
 
 
@@ -94,6 +92,9 @@ def _parse_grid(text: str) -> int:
 
 
 def cmd_analyze(args, out) -> int:
+    from . import report
+    from .deformation import TangentVector, bordered, delta_nu_c_test
+
     started = time.perf_counter()
     order = _series_order(args)
     params = parse_u(args.u)
@@ -126,6 +127,11 @@ def cmd_analyze(args, out) -> int:
 
 
 def cmd_residue_check(args, out) -> int:
+    from . import report
+    from .deformation import TangentVector, bordered, pairing_covector, residue_matrix
+    from .numeric import numeric_residue_matrix, residue_relative_error
+    from .scalars import Scalar
+
     started = time.perf_counter()
     _series_order(args)
     nodes, tolerance = _numeric_settings(args)
@@ -195,6 +201,9 @@ def _scan_rows(args):
         count = _parse_grid(args.grid)
         if not args.u:
             raise InvalidParameters("--grid cone:N needs --u")
+        from .deformation import cone_directions
+        from .scalars import Scalar
+
         params = parse_u(args.u)
         return ((i, params, cone_directions(params, Scalar.of(i))) for i in range(count))
     if args.random is None:
@@ -203,11 +212,16 @@ def _scan_rows(args):
         raise DegenerateInput("--random takes a count N >= 0")
     if args.u is not None:
         raise DegenerateInput("--u applies only to --grid cone:N")
+    from .prng import SplitMix64, sample_params, sample_tangent
+
     rng = SplitMix64(0 if args.seed is None else args.seed)
     return ((i, sample_params(rng), sample_tangent(rng)) for i in range(args.random))
 
 
 def cmd_scan(args, out) -> int:
+    from . import report
+    from .deformation import delta_nu_c_test
+
     counts: dict = {}
     csv = args.format == "csv"
     rows = _scan_rows(args)
@@ -246,6 +260,9 @@ def cmd_scan(args, out) -> int:
 
 
 def cmd_ideal(args, out) -> int:
+    from . import report
+    from .canonical_ideal import canonical_cubic, sym2_relation
+
     params = parse_u(args.u)
     quadric = sym2_relation(params)
     cubic = canonical_cubic(params)
@@ -261,6 +278,9 @@ def cmd_ideal(args, out) -> int:
 
 
 def cmd_schiffer(args, out) -> int:
+    from . import report
+    from .canonical_ideal import canonical_cubic, schiffer_test, sym2_relation
+
     params = parse_u(args.u)
     point = _parse_literals(args.point, "--point", 4)
     is_schiffer = schiffer_test(params, point)
@@ -281,6 +301,10 @@ def cmd_schiffer(args, out) -> int:
 
 
 def cmd_d0(args, out) -> int:
+    from . import report
+    from .rulings import d0_cycle
+    from .scalars import parse_projective
+
     params = parse_u(args.u)
     t1 = parse_projective(args.t1)
     t2 = parse_projective(args.t2) if args.t2 is not None else None
@@ -304,6 +328,10 @@ def cmd_d0(args, out) -> int:
 
 
 def cmd_qz24(args, out) -> int:
+    from . import report
+    from .qz24 import ANNOTATION, cube_family_report, evaluate_at
+    from .scalars import Scalar
+
     a_value = Scalar.parse(args.a) if args.a is not None else None
     probe = cube_family_report(a_value)
     document = {
@@ -351,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--numeric", action="store_true")
-    p.add_argument("--quad-nodes", type=int, default=DEFAULT_NODES)
+    p.add_argument("--quad-nodes", type=int)  # numeric.DEFAULT_NODES when absent
     p.add_argument("--numeric-tolerance", type=float, default=NUMERIC_TOLERANCE)
     add_common(p)
     p.set_defaults(func=cmd_residue_check)

@@ -6,7 +6,9 @@ set.  Encoders are deterministic: entries are emitted in canonical sorted
 order and scalars in the canonical literal syntax, so identical inputs
 produce identical bytes.  A divisor entry's JSON is its kind and then its
 slots, the same fields that give its equality, hash and order, so this
-module knows no entry class.
+module knows no entry class.  The certificate and form annotations stay
+strings and form_json imports monomial_label when it runs, so importing
+this module loads no other package module.
 
 dumps writes json.dumps(document, indent=2) + "\n" byte for byte in one
 recursive pass over json's C string escaper, where json's indent path runs
@@ -17,9 +19,6 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _quote
-
-from .canonical_ideal import MonomialForm, monomial_label
-from .deformation import CeresaCertificate
 
 MONOMIAL_ORDER = "grlex z0>z1>z2>z3"
 PROBE_VARIABLE = "a"  # the parameter of the cube-root family (qz24)
@@ -59,6 +58,8 @@ def certificate_json(cert: CeresaCertificate) -> dict:
 
 
 def form_json(form: MonomialForm) -> dict:
+    from .canonical_ideal import monomial_label
+
     return {monomial_label(m): str(c) for m, c in zip(form.monomials, form.coefficients) if c}
 
 

@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from trigonal4 import cli, deformation, report
+from trigonal4 import canonical_ideal, cli, deformation, numeric, report
 from trigonal4.cli import main
 from trigonal4.errors import (
     DegenerateInput,
@@ -56,11 +56,12 @@ LABELS_BY_CODE = {code: tuple(f"{l}: " for _, c, l in ERROR_TABLE if c == code) 
 @pytest.mark.parametrize("error, code, label", ERROR_TABLE, ids=[e.__name__ for e, _, _ in ERROR_TABLE])
 def test_library_error_exits_with_its_code_and_label(monkeypatch, error, code, label):
     # main reports any library error as "label: message" and returns its
-    # code; the parser is cached, so the library name cli imported is patched
+    # code; a command imports the library names it reads when it runs, so
+    # the name is patched where it is defined
     def raising(params):
         raise error("planted message")
 
-    monkeypatch.setattr(cli, "sym2_relation", raising)
+    monkeypatch.setattr(canonical_ideal, "sym2_relation", raising)
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         result, text = run_cli(["ideal", "--u=0,2,3"])
@@ -374,20 +375,29 @@ def test_residue_check_too_few_nodes_is_a_disagreement(nodes):
     assert code == 4 and text == ""
 
 
-@pytest.mark.parametrize("nodes", ["0", "-3"])
-def test_residue_check_rejects_nodeless_quadrature(nodes):
-    code, text = run_cli(
-        ["residue-check", "--u", "0,2,3", "--j", "1", "--numeric", "--quad-nodes", nodes]
+NODE_RANGE_ERROR = "invalid input: --quad-nodes must lie in 1..4096\n"
+
+
+# the exact path range-checks --quad-nodes too, though it runs no quadrature
+@pytest.mark.parametrize(
+    "nodes, extra", [("0", ["--numeric"]), ("-3", ["--numeric"]), ("0", [])], ids=["0", "-3", "0-exact"]
+)
+def test_residue_check_rejects_nodeless_quadrature(nodes, extra):
+    code, text, err = _main_outcome(
+        ["residue-check", "--u", "0,2,3", "--j", "1", *extra, "--quad-nodes", nodes]
     )
     assert code == 2 and text == ""
+    assert err == NODE_RANGE_ERROR
 
 
 def test_residue_check_rejects_too_many_nodes():
-    assert cli.MAX_QUAD_NODES == 4096
-    code, text = run_cli(
-        ["residue-check", "--u", "0,2,3", "--j", "1", "--numeric", "--quad-nodes", "4097"]
-    )
-    assert code == 2 and text == ""
+    assert numeric.MAX_QUAD_NODES == 4096
+    for extra in (["--numeric"], []):
+        code, text, err = _main_outcome(
+            ["residue-check", "--u", "0,2,3", "--j", "1", *extra, "--quad-nodes", "4097"]
+        )
+        assert code == 2 and text == ""
+        assert err == NODE_RANGE_ERROR
 
 
 def test_residue_check_accepts_the_node_bound():
@@ -409,7 +419,7 @@ def test_residue_check_rejects_meaningless_tolerance(tolerance):
 
 def test_residue_check_nan_error_is_a_disagreement(monkeypatch):
     monkeypatch.setattr(
-        cli, "numeric_residue_matrix", lambda params, j, nodes: [[complex(math.nan, 0)] * 4] * 4
+        numeric, "numeric_residue_matrix", lambda params, j, nodes: [[complex(math.nan, 0)] * 4] * 4
     )
     code, text = run_cli(["residue-check", "--u=0,2,3", "--j=2", "--numeric", "--quad-nodes=64"])
     assert code == 4

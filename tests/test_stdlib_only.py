@@ -4,6 +4,7 @@ no unused imports, no definition that nothing references, and names every
 definition that only the tests and the benchmark reach."""
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from golden.record import CORPUS
 from test_perfbench_contract import LAYERTRACE, PERFBENCH, _package_imports
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "trigonal4"
@@ -50,6 +52,45 @@ def test_cli_import_leaves_linalg_unloaded(module):
     env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
     result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout == "False\n"
+
+
+# The package modules each corpus command loads besides trigonal4, cli and
+# errors: a command imports what it runs when main dispatches to it, so
+# building the parser alone loads no library module.
+_CORE = {"curve", "polynomials", "report", "scalars", "series"}
+COMMAND_MODULES = [
+    ([], set()),
+    (["analyze", "--u=0,2,3", "--xi=1,2,3"], _CORE | {"deformation"}),
+    (["analyze", "--u=0,2,3", "--xi=1,0,0"], _CORE | {"deformation"}),
+    (["residue-check", "--u=0,2,3", "--j=1"], _CORE | {"deformation", "numeric"}),
+    (["residue-check", "--u=0,2,3", "--j=1", "--numeric", "--quad-nodes=128"], _CORE | {"deformation", "numeric"}),
+    (["scan", "--random=100", "--seed=7"], _CORE | {"deformation", "prng"}),
+    (["scan", "--grid=cone:20", "--u=0,2,3"], _CORE | {"deformation"}),
+    (["ideal", "--u=0,2,3"], _CORE | {"canonical_ideal"}),
+    (["schiffer", "--u=0,2,3", "--point=0,1,0,0"], _CORE | {"canonical_ideal"}),
+    (["d0", "--u=0,2,3", "--t1=1/4"], _CORE | {"rulings"}),
+    (["qz24", "--a=2"], {"polynomials", "qz24", "report", "scalars"}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, modules", COMMAND_MODULES, ids=[" ".join(argv) or "parser" for argv, _ in COMMAND_MODULES]
+)
+def test_command_loads_only_the_modules_it_runs(argv, modules):
+    """The exact set of trigonal4 modules in sys.modules after importing the
+    CLI, building its parser and running one corpus command, in a fresh
+    interpreter without site (-S)."""
+    assert not argv or argv in [entry["argv"] for entry in json.loads(CORPUS.read_text())]
+    code = (
+        "import io, sys, trigonal4.cli as cli\n"
+        "cli.build_parser()\n"
+        f"assert not {argv!r} or cli.main({argv!r}, io.StringIO()) == 0\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.partition('.')[0] == 'trigonal4')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    expected = {"trigonal4", "trigonal4.cli", "trigonal4.errors"} | {f"trigonal4.{m}" for m in modules}
+    assert result.stdout.split() == sorted(expected)
 
 
 def test_no_unused_imports():
