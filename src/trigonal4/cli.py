@@ -45,7 +45,7 @@ def _series_order(args) -> int:
 
 
 def _numeric_settings(args) -> tuple:
-    from .numeric import DEFAULT_NODES, MAX_QUAD_NODES
+    from .deformation import DEFAULT_NODES, MAX_QUAD_NODES
 
     nodes = DEFAULT_NODES if args.quad_nodes is None else args.quad_nodes
     tolerance = args.numeric_tolerance
@@ -69,8 +69,11 @@ def _parse_literals(text: str, option: str, count: int, error=DegenerateInput) -
     return tuple(Scalar.parse(p) for p in parts)
 
 
+@functools.lru_cache(maxsize=32)
 def parse_u(text: str):
-    """The parameter point of a --u value; residue_table.py reads it too."""
+    """The parameter point of a --u value; residue_table.py reads it too.
+    The points of the last 32 texts are kept, so requests at one U parse and
+    validate it once; a text that fails raises on every call."""
     from .curve import validate_params
 
     return validate_params(*_parse_literals(text, "--u", 3, InvalidParameters))
@@ -129,8 +132,10 @@ def cmd_analyze(args, out) -> int:
 def cmd_residue_check(args, out) -> int:
     from . import report
     from .deformation import TangentVector, bordered, pairing_covector, residue_matrix
-    from .numeric import numeric_residue_matrix, residue_relative_error
     from .scalars import Scalar
+
+    if args.numeric:
+        from .numeric import numeric_residue_matrix, residue_relative_error
 
     started = time.perf_counter()
     _series_order(args)
@@ -379,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--numeric", action="store_true")
-    p.add_argument("--quad-nodes", type=int)  # numeric.DEFAULT_NODES when absent
+    p.add_argument("--quad-nodes", type=int)  # deformation.DEFAULT_NODES when absent
     p.add_argument("--numeric-tolerance", type=float, default=NUMERIC_TOLERANCE)
     add_common(p)
     p.set_defaults(func=cmd_residue_check)

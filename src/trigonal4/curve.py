@@ -105,22 +105,25 @@ class CurveParams:
 
 def validate_params(u1, u2, u3) -> CurveParams:
     """Check membership in the base (parameters distinct, cubes != 1) and
-    compute Q'(u_j) = (u_j**3 - 1) prod_{k != j} (u_j - u_k).  On the base
-    the six branch x are pairwise distinct, so Q is squarefree."""
-    u = tuple(Scalar.of(v) for v in (u1, u2, u3))
+    compute Q'(u_j) = (u_j**3 - 1) prod_{k != j} (u_j - u_k).  The three
+    differences u_1 - u_2, u_1 - u_3 and u_2 - u_3 are formed once, and each
+    Q'(u_j) takes two of them, up to sign.  On the base the six branch x are
+    pairwise distinct, so Q is squarefree."""
+    u = tuple(map(Scalar.of, (u1, u2, u3)))
+    t = tuple(map(_triple, u))
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        if u[i] == u[j]:
+        if t[i] == t[j]:  # canonical triples: equal exactly when the values are
             raise InvalidParameters(f"u{i + 1} = u{j + 1}")
-    t = list(map(_triple, u))
+    d12, d13, d23 = _sub3(t[0], t[1]), _sub3(t[0], t[2]), _sub3(t[1], t[2])
+    # (u1 - u2)(u1 - u3), (u2 - u1)(u2 - u3) and (u3 - u1)(u3 - u2)
+    a, b, d = _mul3(d12, d23)
+    others = (_mul3(d12, d13), (-a, -b, d), _mul3(d13, d23))
     qprime_u = []
     for j, tj in enumerate(t):  # on unreduced triples, one _make per Q'(u_j)
         a, b, d = _mul3(_mul3(tj, tj), tj)  # u_j**3 = (a + b*w)/d
         if a == d and not b:
             raise InvalidParameters(f"u{j + 1}^3 = 1")
-        value = (a - d, b, d)
-        for tk in t[:j] + t[j + 1:]:
-            value = _mul3(value, _sub3(tj, tk))
-        qprime_u.append(_make(*value))
+        qprime_u.append(_make(*_mul3((a - d, b, d), others[j])))
     return CurveParams(u=u, qprime_u=tuple(qprime_u))
 
 

@@ -60,6 +60,14 @@ from .scalars import INFINITY, Scalar, _add3, _inv3, _make, _mul3, _sub3, _tripl
 # the raw Stokes bookkeeping produces the opposite sign.
 ORACLE_SIGN = -1
 
+# The node count of the numeric contour check (numeric.numeric_residue_matrix)
+# and the largest accepted one.  The check reaches its 1e-8 tolerance with
+# far fewer nodes; the bound keeps a request's node lists and run time
+# finite.  They live here so that the CLI range-checks --quad-nodes on the
+# exact path without loading numeric.
+DEFAULT_NODES = 512
+MAX_QUAD_NODES = 4096
+
 
 class TangentVector:
     """Direction a1*d/du1 + a2*d/du2 + a3*d/du3 in the base."""
@@ -67,7 +75,7 @@ class TangentVector:
     __slots__ = ("a",)
 
     def __init__(self, a):
-        self.a = tuple(Scalar.of(c) for c in a)
+        self.a = tuple(map(Scalar.of, a))
         if len(self.a) != 3:
             raise DegenerateInput("a tangent vector has three coordinates")
 

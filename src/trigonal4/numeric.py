@@ -35,15 +35,9 @@ from __future__ import annotations
 import cmath
 
 from .curve import CurveParams
-from .deformation import ORACLE_SIGN
+from .deformation import DEFAULT_NODES, MAX_QUAD_NODES, ORACLE_SIGN
 from .errors import DegenerateInput, OracleMismatch, StructuralError
 from .scalars import Scalar
-
-DEFAULT_NODES = 512
-
-# Largest accepted node count.  The check reaches its 1e-8 tolerance with
-# far fewer nodes; the bound keeps a request's node lists and run time finite.
-MAX_QUAD_NODES = 4096
 
 
 def _horner(coeffs: list, z: complex) -> complex:

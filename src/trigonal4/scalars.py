@@ -16,6 +16,10 @@ The I/O literal syntax is ``p/q`` or ``p/q+r/s*w`` (whitespace-free, the
 ``/q`` omitted when the denominator is 1), e.g. ``-1/6`` or ``1/2+-3/4*w``.
 A literal, like a sampled draw (prng.sample_scalar), goes straight from its
 integers p, q, r, s to the canonical triple with one gcd (ratio_scalar).
+A Scalar formats itself once: its fourth slot, None when _make builds it,
+keeps the literal from the first str(), so a value printed again (an
+interned sampled draw, a parameter point read by many requests) is not
+formatted again.  == and hash read the triple alone.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ _W_COMPLEX = cmath.exp(2j * cmath.pi / 3)
 class Scalar:
     """An element of Q(w), w a primitive cube root of unity."""
 
-    __slots__ = ("_a", "_b", "_d")
+    __slots__ = ("_a", "_b", "_d", "_text")
 
     def __new__(cls, rational_part=0, zeta_part=0):
         """r + z*w for rationals r, z: ints, or any value with integer
@@ -158,13 +162,17 @@ class Scalar:
         return self._a / d + self._b / d * _W_COMPLEX
 
     def __str__(self) -> str:
-        a, b, d = self._a, self._b, self._d
-        if not b:
-            return _format_ratio(a, d)
-        zeta = f"{_format_ratio(b, d)}*w"
-        if not a:
-            return zeta
-        return f"{_format_ratio(a, d)}+{zeta}"
+        text = self._text
+        if text is None:
+            a, b, d = self._a, self._b, self._d
+            if not b:
+                text = _format_ratio(a, d)
+            elif not a:
+                text = f"{_format_ratio(b, d)}*w"
+            else:
+                text = f"{_format_ratio(a, d)}+{_format_ratio(b, d)}*w"
+            self._text = text
+        return text
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
@@ -203,9 +211,9 @@ def _make(a: int, b: int, d: int) -> Scalar:
     g = math.gcd(a, b, d)
     s = object.__new__(Scalar)
     if g == 1:
-        s._a, s._b, s._d = a, b, d
+        s._a, s._b, s._d, s._text = a, b, d, None
     else:
-        s._a, s._b, s._d = a // g, b // g, d // g
+        s._a, s._b, s._d, s._text = a // g, b // g, d // g, None
     return s
 
 

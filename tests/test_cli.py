@@ -726,3 +726,23 @@ def test_argv_fuzz_over_literal_sizes_exits_with_a_documented_code(command, data
     with contextlib.redirect_stderr(err):
         code = main(argv, io.StringIO())
     _assert_documented_exit(argv, code, err.getvalue())
+
+
+@pytest.mark.parametrize("text", ["1,1,2", "1,2,3", "0,2", "0,2,x"])
+def test_parse_u_raises_on_every_call(text):
+    # an error is never memoized: the same text fails again, with the same
+    # message, however often it is asked for
+    messages = []
+    for _ in range(3):
+        with pytest.raises((InvalidParameters, DegenerateInput)) as caught:
+            cli.parse_u(text)
+        messages.append(str(caught.value))
+    assert len(set(messages)) == 1
+    assert cli.parse_u.cache_info().maxsize == 32
+
+
+def test_parse_u_validates_a_point_once():
+    cli.parse_u.cache_clear()
+    first = cli.parse_u("0,2,3")
+    assert cli.parse_u("0,2,3") is first and cli.parse_u("0,2,4") is not first
+    assert cli.parse_u.cache_info()[:2] == (1, 2)  # hits, misses

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 
 from trigonal4.errors import DegenerateInput
-from trigonal4.scalars import INFINITY, Scalar, parse_projective
+from trigonal4.scalars import INFINITY, Scalar, _make, _triple, parse_projective, ratio_scalar
 
 from conftest import fraction_strategy, scalar_strategy
 from oracles.scalars import FractionScalar, fraction_parts
@@ -269,6 +269,49 @@ def test_equal_values_are_equal_and_hash_alike_however_built():
     assert zero == Scalar.zero() and (zero._a, zero._b, zero._d) == (0, 0, 1)
     mixed = Scalar(Fraction(1, 6), Fraction(-3, 4))
     assert (mixed._a, mixed._b, mixed._d) == (2, -9, 12)
+
+
+def _fresh_literal(x: Scalar) -> str:
+    """The literal of x's triple, formatted with Fraction."""
+    a, b, d = x.sort_key()
+    rational, zeta = str(Fraction(a, d)), f"{Fraction(b, d)}*w"
+    if not b:
+        return rational
+    return zeta if not a else f"{rational}+{zeta}"
+
+
+BUILDERS = {
+    "add": lambda x, y: x + y,
+    "radd": lambda x, y: 3 + x,
+    "sub": lambda x, y: x - y,
+    "rsub": lambda x, y: Fraction(1, 2) - x,
+    "mul": lambda x, y: x * y,
+    "rmul": lambda x, y: -2 * x,
+    "truediv": lambda x, y: x / y,
+    "rtruediv": lambda x, y: 5 / y,
+    "neg": lambda x, y: -x,
+    "pow": lambda x, y: y**3,
+    "inverse": lambda x, y: y.inverse(),
+    "of": lambda x, y: Scalar.of(Fraction(-7, 3)),
+    "new": lambda x, y: Scalar(Fraction(4, 6), -1),
+    "parse": lambda x, y: Scalar.parse(f"{x}"),
+    "ratio_scalar": lambda x, y: ratio_scalar(-4, 6, 9, 12),
+    "zeta_power": lambda x, y: Scalar.zeta_power(2),
+}
+
+
+@given(scalars, nonzero_scalars, st.sampled_from(sorted(BUILDERS)))
+def test_a_scalar_keeps_the_literal_of_its_triple(x, y, how):
+    # the fourth slot only remembers the first str(): the text is that of
+    # the triple before and after it, and == and hash read the triple alone
+    value = BUILDERS[how](x, y)
+    twin = _make(*_triple(value))
+    assert twin._text is None
+    expected = _fresh_literal(value)
+    assert str(value) == expected and value._text == expected
+    assert str(value) == expected and repr(value) == f"Scalar({expected})"
+    assert value == twin and hash(value) == hash(twin) and twin._text is None
+    assert str(twin) == expected
 
 
 @given(scalars, nonzero_scalars)

@@ -62,7 +62,7 @@ COMMAND_MODULES = [
     ([], set()),
     (["analyze", "--u=0,2,3", "--xi=1,2,3"], _CORE | {"deformation"}),
     (["analyze", "--u=0,2,3", "--xi=1,0,0"], _CORE | {"deformation"}),
-    (["residue-check", "--u=0,2,3", "--j=1"], _CORE | {"deformation", "numeric"}),
+    (["residue-check", "--u=0,2,3", "--j=1"], _CORE | {"deformation"}),
     (["residue-check", "--u=0,2,3", "--j=1", "--numeric", "--quad-nodes=128"], _CORE | {"deformation", "numeric"}),
     (["scan", "--random=100", "--seed=7"], _CORE | {"deformation", "prng"}),
     (["scan", "--grid=cone:20", "--u=0,2,3"], _CORE | {"deformation"}),
@@ -171,6 +171,7 @@ TEST_ONLY = {
     "linalg.identity": "public API",
     "linalg.same_subspace": "public API",
     "numeric.numeric_residue_pairing": "benchmark",
+    "prng.integer": "public API",
 }
 
 
