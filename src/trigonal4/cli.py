@@ -245,17 +245,7 @@ def cmd_scan(args, out) -> int:
             )
             out.write(",".join(cells) + "\n")
         else:
-            out.write(
-                report.dumps_line(
-                    {
-                        "index": i,
-                        "u": report.scalars_json(params.u),
-                        "xi": report.scalars_json(xi.a),
-                        "conic_value": str(cert.conic_value),
-                        "variant": variant,
-                    }
-                )
-            )
+            out.write(report.scan_row_line(i, params.u, xi.a, cert.conic_value, variant))
     summary = {"summary": {k: counts[k] for k in sorted(counts)}, "tag": "certificate-three-way"}
     if csv:
         out.write(f"# summary: {summary['summary']}\n")

@@ -12,8 +12,9 @@ branch_inversion, and the oracles in tests/oracles/curve.py (branch
 charts, charts at any point, divisors of functions, divisor minima, the
 canonical map) build on them.
 
-Validation computes only u and Q'(u_j), what an off-conic request reads;
-Q, Q' and the branch x are built from u on first read.
+Validation computes only u, the differences u_i - u_k and the u_j**3 - 1,
+which is what an off-conic scan row reads; Q'(u_j) is built from those, and
+Q, Q' and the branch x from u, on first read.
 
 Divisors are fiber-aware.  Points whose coordinates live in Q(w) are stored
 individually; a full degree-3 fiber of the x-projection is stored as one
@@ -47,15 +48,18 @@ from .series import LocalSeries, series_of_poly
 
 
 class CurveParams:
-    """A point of the family base: the parameters u and Q'(u_j) for
-    j = 1..3.  Q and Q' (low to high) and the six branch x are built from u
-    in closed form on first read: only the residue oracle, numeric,
-    canonical_ideal and the charts read them.  Equality and hash read u
-    alone, so the derived data costs nothing where params key a cache."""
+    """A point of the family base: the parameters u, and as the unreduced
+    triples that validation forms, the differences u1 - u2, u1 - u3,
+    u2 - u3 and the three u_j**3 - 1.  Q'(u_j), Q and Q' (low to high) and
+    the six branch x are built on first read: only the covector, the
+    residue oracle, numeric, canonical_ideal and the charts read them.
+    Equality and hash read u alone, so the derived data costs nothing where
+    params key a cache."""
 
-    def __init__(self, u: tuple, qprime_u: tuple):
+    def __init__(self, u: tuple, differences: tuple, cubes_minus_one: tuple):
         self.u = u
-        self.qprime_u = qprime_u
+        self.differences = differences
+        self.cubes_minus_one = cubes_minus_one
 
     def __eq__(self, other):
         if other.__class__ is not CurveParams:
@@ -64,6 +68,16 @@ class CurveParams:
 
     def __hash__(self):
         return hash((self.u,))
+
+    @cached_property
+    def qprime_u(self) -> tuple:
+        """Q'(u_j) = (u_j**3 - 1) prod_{k != j} (u_j - u_k), each taking two of
+        the differences, up to sign, and one _make."""
+        d12, d13, d23 = self.differences
+        # (u1 - u2)(u1 - u3), (u2 - u1)(u2 - u3) and (u3 - u1)(u3 - u2)
+        a, b, d = _mul3(d12, d23)
+        others = (_mul3(d12, d13), (-a, -b, d), _mul3(d13, d23))
+        return tuple(_make(*_mul3(e, o)) for e, o in zip(self.cubes_minus_one, others))
 
     @cached_property
     def _q_triples(self) -> tuple:
@@ -104,27 +118,23 @@ class CurveParams:
 
 
 def validate_params(u1, u2, u3) -> CurveParams:
-    """Check membership in the base (parameters distinct, cubes != 1) and
-    compute Q'(u_j) = (u_j**3 - 1) prod_{k != j} (u_j - u_k).  The three
-    differences u_1 - u_2, u_1 - u_3 and u_2 - u_3 are formed once, and each
-    Q'(u_j) takes two of them, up to sign.  On the base the six branch x are
-    pairwise distinct, so Q is squarefree."""
+    """Check membership in the base (parameters distinct, cubes != 1),
+    forming the three differences u_1 - u_2, u_1 - u_3, u_2 - u_3 and the
+    three u_j**3 - 1 on the way, unreduced.  On the base the six branch x
+    are pairwise distinct, so Q is squarefree."""
     u = tuple(map(Scalar.of, (u1, u2, u3)))
     t = tuple(map(_triple, u))
     for i, j in ((0, 1), (0, 2), (1, 2)):
         if t[i] == t[j]:  # canonical triples: equal exactly when the values are
             raise InvalidParameters(f"u{i + 1} = u{j + 1}")
-    d12, d13, d23 = _sub3(t[0], t[1]), _sub3(t[0], t[2]), _sub3(t[1], t[2])
-    # (u1 - u2)(u1 - u3), (u2 - u1)(u2 - u3) and (u3 - u1)(u3 - u2)
-    a, b, d = _mul3(d12, d23)
-    others = (_mul3(d12, d13), (-a, -b, d), _mul3(d13, d23))
-    qprime_u = []
-    for j, tj in enumerate(t):  # on unreduced triples, one _make per Q'(u_j)
+    cubes_minus_one = []
+    for j, tj in enumerate(t):
         a, b, d = _mul3(_mul3(tj, tj), tj)  # u_j**3 = (a + b*w)/d
         if a == d and not b:
             raise InvalidParameters(f"u{j + 1}^3 = 1")
-        qprime_u.append(_make(*_mul3((a - d, b, d), others[j])))
-    return CurveParams(u=u, qprime_u=tuple(qprime_u))
+        cubes_minus_one.append((a - d, b, d))
+    differences = (_sub3(t[0], t[1]), _sub3(t[0], t[2]), _sub3(t[1], t[2]))
+    return CurveParams(u, differences, tuple(cubes_minus_one))
 
 
 # ---------------------------------------------------------------------------

@@ -13,22 +13,28 @@ units of the fixed transcendental 6*pi*i, computed two independent ways:
   off the residue of the product (residue_matrix); tests/oracles/ keeps the
   truncated-series expansion it is checked against.
 
-Everything downstream consumes the covector c = a A of the matrix, A
-having rows (1, u_j, u_j**2)/Q'(u_j), computed once per request by the
-classifier delta_nu_c_test.  Its certificate is the pair (params, c), and
-every other fact is a property read off c: the pairing matrix (c bordered
-by zeros) and its rank 2, the kernel, the conic value c0*c2 - c1**2, the
-variant and the base locus.  Every fact of the base is read off a closed
-form, with no matrix built:
-c_k = sum_j a_j u_j**k / Q'(u_j) from the Q'(u_j) that curve.validate_params
-stores; the kernel of c from its first nonzero entry; and the direction whose
-covector is the conic point (1 : t : t**2) by Lagrange interpolation at
-the nodes u, a_j = (u_j**3 - 1) prod_{k != j} (t - u_k), or
-a_j = u_j**3 - 1 at t = infinity.  pairing_covector, the conic value, the
-kernel and residue_matrix compose unreduced integer triples and reduce once
-per value they return (the oracle also at dx and its antiderivatives).  A is
-invertible on the base (det A = V(u) / prod Q'(u_j), V the Vandermonde), so
-c != 0 for every nonzero direction.  The tests check these closed forms
+A direction's certificate is the pair (params, xi) and its conic value
+c0*c2 - c1**2, where c = a A is the covector of the matrix, A having rows
+(1, u_j, u_j**2)/Q'(u_j).  With w_j = a_j/Q'(u_j), summing over pairs gives
+c0*c2 - c1**2 = sum_{i<j} w_i w_j (u_i - u_j)**2 = -N / (V prod_j (u_j**3 - 1)),
+N = a1 a2 (u3**3 - 1)(u1 - u2) - a1 a3 (u2**3 - 1)(u1 - u3)
+    + a2 a3 (u1**3 - 1)(u2 - u3),
+V = (u1 - u2)(u1 - u3)(u2 - u3): every factor is one that
+curve.validate_params forms, so conic_value needs neither Q'(u_j) nor c.
+Every other fact is read off c, computed on first read: the pairing matrix
+(c bordered by zeros) and its rank 2, the kernel, and the base locus.
+Every fact of the base is read off a closed form, with no matrix built:
+c_k = sum_j a_j u_j**k / Q'(u_j); the kernel of c from its first nonzero
+entry; and the direction whose covector is the conic point (1 : t : t**2)
+by Lagrange interpolation at the nodes u,
+a_j = (u_j**3 - 1) prod_{k != j} (t - u_k), or a_j = u_j**3 - 1 at
+t = infinity.  conic_value, pairing_covector, the kernel and
+residue_matrix compose unreduced integer triples and reduce once per value
+they return (the oracle also at dx and its antiderivatives).  A is
+invertible on the base (det A = V(u) / prod Q'(u_j), V(u) = -V the
+Vandermonde determinant), so c != 0 for every nonzero direction.
+tests/test_closed_forms.py proves the conic value, det A and the cone
+direction in generic parameters; the other tests check the closed forms
 against the moment matrix, and the base locus against the divisor minimum
 over the annihilated pencil (tests/oracles/).
 
@@ -49,7 +55,8 @@ tests check the lemma against it.
 from __future__ import annotations
 
 import enum
-import functools
+import math
+from functools import cached_property
 
 from .curve import CurveParams, Differential, Divisor, trigonal_fiber
 from .errors import DegenerateInput, ZeroTangent
@@ -99,8 +106,9 @@ OMEGA2_DIM = 9
 
 class CeresaCertificate:
     """Outcome of the three-way vanishing test for the cycle-class invariant
-    along a tangent direction: its parameter point and its image covector c,
-    from which every other fact is read.
+    along a tangent direction: its parameter point, the direction and its
+    conic value, from which the variant is read; the image covector c, from
+    which the kernel and the base locus are read, is computed on first read.
 
     NOT_ON_CONIC and ON_CONIC_NOT_SUPPORTED certify the tested invariant
     components nonzero; ON_CONIC_SUPPORTED records that every tested
@@ -113,20 +121,17 @@ class CeresaCertificate:
     # entry vanishes.
     rank = 2
 
-    def __init__(self, params: CurveParams, covector: tuple):
+    def __init__(self, params: CurveParams, xi: TangentVector):
         # c = a*A with A invertible: only the zero direction gives c = 0.
-        if not any(covector):
+        if xi.is_zero():
             raise ZeroTangent("the zero tangent vector is not a direction")
         self.params = params
-        self.covector = covector
+        self.xi = xi
+        self.conic_value = conic_value(params, xi)
 
-    @functools.cached_property
-    def conic_value(self) -> Scalar:
-        """c against the rank-3 quadric X*Z - Y**2 whose vanishing detects
-        base points; computed once, since every variant-dependent property
-        reads it."""
-        c0, c1, c2 = map(_triple, self.covector)
-        return _make(*_sub3(_mul3(c0, c2), _mul3(c1, c1)))
+    @cached_property
+    def covector(self) -> tuple:
+        return pairing_covector(self.params, self.xi)
 
     @property
     def on_conic(self) -> bool:
@@ -182,6 +187,35 @@ class CeresaCertificate:
 # ---------------------------------------------------------------------------
 # The moment matrix and covectors
 # ---------------------------------------------------------------------------
+
+
+def conic_value(params: CurveParams, xi: TangentVector) -> Scalar:
+    """c0*c2 - c1**2, the covector against the rank-3 quadric X*Z - Y**2
+    whose vanishing detects base points, as -N / (V prod_j (u_j**3 - 1))
+    (module docstring) on the triples that validate_params keeps, and one
+    reduction.  N = g (na + nb w)/nd and -V prod_j (u_j**3 - 1) =
+    h (da + db w)/dd with g and h their content gcds: the integer ratio
+    g dd / (h nd) is reduced apart, so that large literals reach the last
+    gcd without the factors it would cancel."""
+    a1, a2, a3 = map(_triple, xi.a)
+    d12, d13, d23 = params.differences
+    e1, e2, e3 = params.cubes_minus_one
+    na, nb, nd = _add3(
+        _sub3(_mul3(_mul3(a1, a2), _mul3(e3, d12)), _mul3(_mul3(a1, a3), _mul3(e2, d13))),
+        _mul3(_mul3(a2, a3), _mul3(e1, d23)),
+    )
+    g = math.gcd(na, nb)
+    if not g:
+        return _make(0, 0, 1)
+    a, b, d = d12
+    da, db, dd = _mul3(_mul3((-a, -b, d), _mul3(d13, d23)), _mul3(_mul3(e1, e2), e3))  # -V prod (u_j**3 - 1)
+    h = math.gcd(da, db)
+    r, s = g * dd, h * nd
+    k = math.gcd(r, s)
+    r, s, da, db = r // k, s // k, da // h, db // h
+    # (r/s) (na + nb w)/(da + db w), the inverse as conjugate over norm
+    a, b, d = _mul3((na // g, nb // g, s), (da - db, -db, da * da - da * db + db * db))
+    return _make(a * r, b * r, d)
 
 
 def pairing_covector(params: CurveParams, xi: TangentVector) -> tuple:
@@ -286,6 +320,6 @@ def delta_nu_c_test(params: CurveParams, xi: TangentVector) -> CeresaCertificate
     conic and supported (every tested component vanishes).  On the conic the
     support is read off the lemma of the module docstring: the direction is
     supported, and the quadratic differentials vanishing on its base fiber
-    form a subspace of dimension OMEGA2_DIM - 3 = 6.  The zero direction
-    has the zero covector, which the certificate refuses (ZeroTangent)."""
-    return CeresaCertificate(params, pairing_covector(params, xi))
+    form a subspace of dimension OMEGA2_DIM - 3 = 6.  The certificate
+    refuses the zero direction (ZeroTangent), whose covector is zero."""
+    return CeresaCertificate(params, xi)

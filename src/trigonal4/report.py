@@ -12,7 +12,9 @@ this module loads no other package module.
 
 dumps writes json.dumps(document, indent=2) + "\n" byte for byte in one
 recursive pass over json's C string escaper, where json's indent path runs
-its pure-Python encoder; dumps_line keeps json's C encoder.
+its pure-Python encoder; dumps_line keeps json's C encoder.  scan_row_line
+writes a scan row's compact line directly: its strings are scalar literals
+(alphabet -0-9/+*w) and a variant name, none of which JSON escapes.
 """
 
 from __future__ import annotations
@@ -105,3 +107,11 @@ _encode_line = json.JSONEncoder(separators=(",", ":")).encode
 
 def dumps_line(document: dict) -> str:
     return _encode_line(document) + "\n"
+
+
+def scan_row_line(index: int, u: tuple, xi: tuple, conic_value, variant: str) -> str:
+    """dumps_line of the row {"index", "u", "xi", "conic_value", "variant"}."""
+    return (
+        f'{{"index":{index},"u":["{u[0]}","{u[1]}","{u[2]}"],"xi":["{xi[0]}","{xi[1]}","{xi[2]}"],'
+        f'"conic_value":"{conic_value}","variant":"{variant}"}}\n'
+    )

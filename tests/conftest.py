@@ -91,3 +91,14 @@ def inverse(m: Matrix) -> Matrix:
     rref, pivots = augmented.rref()
     assert pivots[:n] == tuple(range(n)), "singular matrix"
     return Matrix(tuple(row[n:] for row in rref.rows))
+
+
+def direction_with_covector(params, c):
+    """The direction whose covector is c, (A^T)^-1 c with A the moment matrix:
+    a certificate is built from a direction, so a kernel test of a chosen c
+    goes through it."""
+    from trigonal4.deformation import TangentVector
+
+    from oracles.deformation import moment_matrix
+
+    return TangentVector(apply(inverse(transpose(moment_matrix(params))), c))

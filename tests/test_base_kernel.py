@@ -1,14 +1,16 @@
 """The integer-triple kernel and the base path on it, against the Fraction reference.
 
-Every Scalar operator, curve.validate_params, deformation.pairing_covector,
-CeresaCertificate.conic_value and CeresaCertificate.kernel_basis compose
+Every Scalar operator, curve.validate_params, CurveParams.qprime_u,
+deformation.pairing_covector, deformation.conic_value and
+CeresaCertificate.kernel_basis compose
 (a, b, d) triples through the private kernel of trigonal4.scalars and
 reduce once per output.  Since Scalar arithmetic is that kernel, the
 kernel and the same formulas are checked here against FractionScalar
 (tests/oracles/scalars.py), the former pair of Fractions, and every
 output must be the same value, rejected points included, on sampled
 parameters, on literals with 50-300 digit parts, at the unit cubes, at
-repeated parameters and along directions with zero coordinates.  The
+repeated parameters and along directions with zero coordinates; the
+closed-form conic value also along cone directions, where it is 0.  The
 residue oracle on triples is checked against the series oracle in
 tests/test_deformation.py, and the number of reductions an operator and
 a request make is pinned here.
@@ -24,11 +26,12 @@ from hypothesis import given, settings
 
 from trigonal4 import cli, prng
 from trigonal4.curve import validate_params
-from trigonal4.deformation import CeresaCertificate, TangentVector, pairing_covector
-from trigonal4.errors import InvalidParameters
+from trigonal4.deformation import CeresaCertificate, TangentVector, cone_directions, conic_value, pairing_covector
+from trigonal4.errors import InvalidParameters, ZeroTangent
 from trigonal4.prng import SplitMix64, sample_scalar
-from trigonal4.scalars import Scalar, _add3, _inv3, _make, _mul3, _sub3, _triple
+from trigonal4.scalars import INFINITY, Scalar, _add3, _inv3, _make, _mul3, _sub3, _triple
 
+from conftest import direction_with_covector
 from oracles.scalars import FractionScalar, fraction_parts
 
 UNIT_CUBES = (Scalar.one(), Scalar.zeta(), Scalar.zeta_power(2))
@@ -102,10 +105,15 @@ def directions(draw):
     return tuple(a)
 
 
-@given(parameter_points(), directions())
+# the direction of a case: the drawn one (None), or the cone direction at
+# an integer t or at infinity, whose conic value is exactly 0
+cone_points = st.one_of(st.none(), st.integers(min_value=-9, max_value=9), st.just(INFINITY))
+
+
+@given(parameter_points(), directions(), cone_points)
 @settings(max_examples=150)
-def test_base_kernel_matches_scalar_arithmetic(u, a):
-    ru, ra = tuple(map(ref, u)), tuple(map(ref, a))
+def test_base_kernel_matches_scalar_arithmetic(u, a, t):
+    ru = tuple(map(ref, u))
     try:
         expected = reference_qprime(ru)
     except InvalidParameters as exc:
@@ -115,11 +123,25 @@ def test_base_kernel_matches_scalar_arithmetic(u, a):
         return
     params = validate_params(*u)
     assert tuple(map(ref, params.qprime_u)) == expected
-    covector = pairing_covector(params, TangentVector(a))
-    rc0, rc1, rc2 = reference_covector(ru, expected, ra)
+    if t is None:
+        xi = TangentVector(a)
+    else:
+        xi = cone_directions(params, t if t is INFINITY else Scalar.of(t))
+    covector = pairing_covector(params, xi)
+    rc0, rc1, rc2 = reference_covector(ru, expected, tuple(map(ref, xi.a)))
     assert tuple(map(ref, covector)) == (rc0, rc1, rc2)
-    if any(covector):
-        assert ref(CeresaCertificate(params, covector).conic_value) == rc0 * rc2 - rc1 * rc1
+    # the closed form -N / (V prod (u_j**3 - 1)) against c0*c2 - c1**2
+    value = conic_value(params, xi)
+    assert ref(value) == rc0 * rc2 - rc1 * rc1
+    if t is not None:
+        assert value == Scalar.zero()
+    if xi.is_zero():
+        with pytest.raises(ZeroTangent):
+            CeresaCertificate(params, xi)
+        return
+    cert = CeresaCertificate(params, xi)
+    assert cert.conic_value == value and "covector" not in vars(cert)
+    assert cert.covector == covector
 
 
 @given(scalars, scalars, st.integers(min_value=1, max_value=10**40), st.integers(min_value=1, max_value=10**40))
@@ -145,7 +167,10 @@ def test_kernel_basis_matches_scalar_arithmetic(p, entries):
     c = [Scalar.zero()] * p + entries[p:]
     if not c[p]:
         c[p] = Scalar.one()
-    basis = CeresaCertificate(validate_params(0, 2, 3), tuple(c)).kernel_basis
+    params = validate_params(0, 2, 3)
+    cert = CeresaCertificate(params, direction_with_covector(params, c))
+    assert cert.covector == tuple(c)
+    basis = cert.kernel_basis
     rc = list(map(ref, c))
     expected = []
     for j in range(3):
@@ -162,12 +187,12 @@ def test_kernel_basis_matches_scalar_arithmetic(p, entries):
 # Q'(x0) off the expanded Q, dx, the four antiderivatives and the six
 # entries it returns; an off-conic analyze its inputs, Q'(u_j), the
 # covector, the conic value and the two kernel entries.  A scan row makes
-# 13, less one for each sampled draw the table already holds: seed 1 draws
-# one key twice in its first 10 rows.
+# 7, its six sampled draws and the conic value, less one for each draw the
+# table already holds: seed 1 draws one key twice in its first 10 rows.
 REDUCTIONS = {
     ("residue-check", "--u=0,2,3", "--j=1"): 21,
     ("analyze", "--u=0,2,3", "--xi=1,1,1"): 15,
-    ("scan", "--random", "10", "--seed", "1"): 129,
+    ("scan", "--random", "10", "--seed", "1"): 69,
 }
 
 

@@ -78,9 +78,13 @@ def test_closed_form_curve_data_matches_roots(seed):
 def test_params_equality_and_hash_read_u_alone(u023):
     again = validate_params(Scalar.of(0), Scalar.of(2), Scalar.of(3))
     assert again == u023 and hash(again) == hash(u023)
-    altered = CurveParams(u023.u, ())
+    altered = CurveParams(u023.u, (), ())
     assert altered == u023 and hash(altered) == hash(u023)
     assert validate_params(0, 2, 4) != u023
+    # validation keeps the differences and u_j**3 - 1; Q'(u_j) is built from
+    # them on first read
+    assert "qprime_u" not in vars(again)
+    assert again.qprime_u == (Scalar.of(-6), Scalar.of(-14), Scalar.of(78))
     # Q, Q' and the branch x are built on first read, equal to the closed
     # forms validate_params once built eagerly (e1, e2, e3 = 5, 6, 0 here)
     assert not {"q_poly", "qprime", "branch_x"} & set(vars(altered))

@@ -37,7 +37,7 @@ from trigonal4.scalars import INFINITY, Scalar, ratio_scalar
 
 import oracles.deformation
 from golden.record import U_POINTS
-from conftest import apply, det, inverse, scalar_strategy, transpose
+from conftest import apply, det, direction_with_covector, inverse, scalar_strategy, transpose
 from oracles.curve import KDifferential, chart_at, common_zeros_by_divisors, fiber_frame, kdiff_series
 from oracles.deformation import (
     kdifferential_coordinates,
@@ -123,13 +123,13 @@ ZETA_POINTS = ((Scalar(1, 1), 2, Scalar(3, 1)), (0, Scalar(2, 1), Scalar(0, -1))
 )
 def test_residue_oracle_matches_series_oracle(u):
     # The leading-order oracle against the truncation-6 series expansion.
-    # It gets the parameters without the Q'(u_j) that validate_params
-    # stores, so it can only read Q' off the coefficients of Q.
+    # It gets the parameters without the differences and u_j**3 - 1 that
+    # validate_params keeps, so it can only read Q' off the coefficients of Q.
     try:
         params = validate_params(*u)
     except InvalidParameters:
         reject()
-    bare = CurveParams(params.u, qprime_u=None)
+    bare = CurveParams(params.u, None, None)
     for j in (1, 2, 3):
         assert residue_matrix(bare, j) == series_residue_matrix(params, j), j
 
@@ -171,17 +171,18 @@ def test_ks_rank_two_for_nonzero(u023, xi):
     if xi.is_zero():
         assert rank == 0
     else:
-        cert = CeresaCertificate(u023, pairing_covector(u023, xi))
+        cert = CeresaCertificate(u023, xi)
         assert bordered(cert.covector, Scalar.zero()) == pairing_matrix(u023, xi)
         assert cert.rank == delta_nu_c_test(u023, xi).rank == rank == 2
 
 
 def test_zero_covector_rejected(u023):
-    zero = Scalar.zero()
+    # the zero direction is the one direction with the zero covector, and the
+    # certificate refuses it before computing anything
+    zero = TangentVector((0, 0, 0))
+    assert not any(pairing_covector(u023, zero))
     with pytest.raises(ZeroTangent):
-        CeresaCertificate(u023, (zero, zero, zero))
-    with pytest.raises(ZeroTangent):
-        CeresaCertificate(u023, pairing_covector(u023, TangentVector((0, 0, 0))))
+        CeresaCertificate(u023, zero)
 
 
 def test_kernel_W_for_coordinate_directions(u023):
@@ -416,10 +417,13 @@ def test_support_monotone_in_divisor(u023):
 
 def test_certificates(u023):
     cert = delta_nu_c_test(u023, TangentVector((1, 0, 0)))
-    # the certificate is its parameter point and covector; the rest is read off
-    assert list(vars(cert)) == ["params", "covector"]
+    # the certificate is its parameter point, direction and conic value; the
+    # covector is computed on first read, and the rest is read off the two
+    assert list(vars(cert)) == ["params", "xi", "conic_value"]
     assert cert.variant is CeresaVariant.ON_CONIC_SUPPORTED
+    assert "covector" not in vars(cert)
     assert cert.base_locus == Divisor.of((BranchPoint(Scalar.zero()), 3))
+    assert vars(cert)["covector"] == pairing_covector(u023, cert.xi)
     assert cert.subspace_dim == 6
 
     cert = delta_nu_c_test(u023, TangentVector((1, 1, 1)))
@@ -533,7 +537,8 @@ def test_on_conic_certificates_build_no_series(monkeypatch, u023):
 
 def test_certificates_read_loci_off_closed_forms(monkeypatch, u023):
     # The divisor computations are a test oracle: no certificate and no d0
-    # cycle may reach them, and a certificate builds its covector once.
+    # cycle may reach them, and a certificate builds its covector at most
+    # once, and only when its base locus is read on the conic.
     refuse_everywhere(monkeypatch, ("divisor_of",), "a production path computed divisors of 1-forms")
     builds = []
     real_pairing_covector = deformation.pairing_covector
@@ -550,6 +555,8 @@ def test_certificates_read_loci_off_closed_forms(monkeypatch, u023):
         builds.clear()
         cert = delta_nu_c_test(u023, TangentVector(a))
         assert cert.base_locus == expected
+        assert len(builds) == (0 if expected.is_zero() else 1)
+        assert cert.base_locus == expected and cert.kernel_basis
         assert len(builds) == 1
     tied = d0_cycle(u023, Scalar.of(1) / 4)
     assert tied.plus == tied.minus == trigonal_fiber(u023, Scalar.of(5))
@@ -609,7 +616,9 @@ def test_kernel_of_matches_row_kernel(u023, leading_zeros, entries):
     c = (Scalar.zero(),) * leading_zeros + tuple(entries[leading_zeros:])
     if not c[leading_zeros]:
         c = c[:leading_zeros] + (Scalar.one(),) + c[leading_zeros + 1:]
-    basis = CeresaCertificate(u023, c).kernel_basis
+    cert = CeresaCertificate(u023, direction_with_covector(u023, c))
+    assert cert.covector == c
+    basis = cert.kernel_basis
     assert [w.b for w in basis] == Matrix([c]).kernel_basis()
     assert all(not w.b0 for w in basis)
 

@@ -13,11 +13,13 @@ import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
 from trigonal4 import cli
-from trigonal4.curve import BranchPoint, FiberLocus, FiberPoint, FinitePoint, InfinityPoint, PlaceLocus
-from trigonal4.report import dumps, dumps_line, point_json
+from trigonal4.curve import BranchPoint, FiberLocus, FiberPoint, FinitePoint, InfinityPoint, PlaceLocus, validate_params
+from trigonal4.deformation import CeresaVariant, cone_directions, delta_nu_c_test
+from trigonal4.report import dumps, dumps_line, point_json, scan_row_line
 from trigonal4.scalars import Scalar
 
 from golden.record import CORPUS
+from test_base_kernel import sampled, wide_literals
 
 S = Scalar.parse
 
@@ -89,6 +91,47 @@ def test_dumps_writes_a_shared_subtree_at_each_depth(shared, other):
         _Key("sub"): [shared],
     }
     assert dumps(document) == json.dumps(document, indent=2) + "\n"
+
+
+def row_document(index, u, xi, value, variant) -> dict:
+    """A scan row as cmd_scan once built it for dumps_line."""
+    return {
+        "index": index,
+        "u": [str(c) for c in u],
+        "xi": [str(c) for c in xi],
+        "conic_value": str(value),
+        "variant": variant,
+    }
+
+
+_LITERALS = st.one_of(sampled, wide_literals(), st.sampled_from((Scalar.zero(), Scalar.parse("-1+-1*w"))))
+
+
+@given(
+    st.integers(min_value=0, max_value=10**30),
+    st.lists(_LITERALS, min_size=7, max_size=7),
+    st.sampled_from([v.value for v in CeresaVariant]),
+)
+@settings(max_examples=80)
+def test_scan_row_line_is_dumps_line(index, values, variant):
+    u, xi, value = values[:3], values[3:6], values[6]
+    expected = dumps_line(row_document(index, u, xi, value, variant))
+    assert scan_row_line(index, tuple(u), tuple(xi), value, variant) == expected
+
+
+def test_scan_row_line_on_a_cone_grid():
+    # every row of scan --grid=cone:20 --u=0,2,3, rebuilt and printed both ways
+    params = validate_params(0, 2, 3)
+    expected = []
+    for i in range(20):
+        xi = cone_directions(params, Scalar.of(i))
+        cert = delta_nu_c_test(params, xi)
+        line = dumps_line(row_document(i, params.u, xi.a, cert.conic_value, cert.variant.value))
+        assert scan_row_line(i, params.u, xi.a, cert.conic_value, cert.variant.value) == line
+        expected.append(line)
+    out = io.StringIO()
+    assert cli.main(["scan", "--grid=cone:20", "--u=0,2,3"], out) == 0
+    assert out.getvalue().splitlines(keepends=True)[:-1] == expected
 
 
 def test_commands_emit_exactly_the_readme_tags():
