@@ -65,9 +65,6 @@ class MonomialForm:
     def __init__(self, coefficients: tuple):
         self.coefficients = coefficients  # aligned with monomials
 
-    def coefficient(self, exponents: tuple) -> Scalar:
-        return self.coefficients[self.monomials.index(exponents)]
-
     def evaluate(self, v) -> Scalar:
         v = tuple(Scalar.of(c) for c in v)
         acc = Scalar.zero()

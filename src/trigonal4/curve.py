@@ -5,12 +5,11 @@ validation, curve points (finite, branch, infinite), the graded 1-forms,
 the branch inversion and the infinity chart, and divisors.  The commands
 read fibers in closed form (trigonal_fiber) and expand no series: the
 residue oracle (deformation.residue_matrix) writes down the leading terms
-at a branch point.  No command reaches divisor_of, branch_inversion or
-the gcd refinement behind Divisor comparisons: they stay because
-perfbench/layertrace.py counts divisor_of calls and reads the cache of
-branch_inversion, and the oracles in tests/oracles/curve.py (branch
-charts, charts at any point, divisors of functions, divisor minima, the
-canonical map) build on them.
+at a branch point.  No command reaches divisor_of or branch_inversion:
+they stay because perfbench/layertrace.py counts divisor_of calls and
+reads the cache of branch_inversion, and the oracles in
+tests/oracles/curve.py (branch charts, charts at any point, divisors of
+functions, divisor minima, the canonical map) build on them.
 
 Validation computes only u, the differences u_i - u_k and the u_j**3 - 1,
 which is what an off-conic scan row reads; Q'(u_j) is built from those, and
@@ -25,8 +24,9 @@ than a full fiber).  A divisor reads its entries off one squarefree
 decomposition (_poly_zero_divisor): the branch x are divided out, a
 linear rest becomes a point, and any other rest stays one locus, even when
 it has roots in Q(w).  So loci are monic, squarefree and pairwise coprime
-but need not be irreducible, and comparisons refine loci by gcd, against
-each other and against x - r for every point entry, before comparing.
+but need not be irreducible.  Two divisors are equal when their entries
+are, so == and hash agree; the geometric comparison, which refines loci
+against each other first, is a test oracle (tests/oracles/curve.py).
 
 An entry's slots give its equality, hash, print order and JSON fields
 (report.point_json); an entry class adds only its kind, degree and rank.
@@ -37,7 +37,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 from .errors import DegenerateInput, InvalidParameters, StructuralError
-from .polynomials import UniPoly, poly_gcd, squarefree_decomposition
+from .polynomials import UniPoly, squarefree_decomposition
 from .scalars import INFINITY, Scalar, _add3, _make, _mul3, _sub3, _triple
 from .series import LocalSeries, series_of_poly
 
@@ -218,9 +218,6 @@ class FiberLocus(_Entry):
     def degree(self):
         return 3 * (len(self.poly) - 1)
 
-    def as_poly(self) -> UniPoly:
-        return UniPoly(self.poly)
-
 
 class PlaceLocus(_Entry):
     """One curve point per root r of a monic squarefree polynomial (degree
@@ -237,12 +234,6 @@ class PlaceLocus(_Entry):
     @property
     def degree(self):
         return len(self.poly) - 1
-
-    def as_poly(self) -> UniPoly:
-        return UniPoly(self.poly)
-
-    def y_poly(self) -> UniPoly:
-        return UniPoly(self.y)
 
 
 class InfinityPoint(_Entry):
@@ -281,7 +272,9 @@ def _place_entry(poly: UniPoly, y_res: UniPoly):
 
 
 class Divisor:
-    """Formal integer combination of divisor entries."""
+    """Formal integer combination of divisor entries.  Equality and hash
+    read the entries, so a fiber kept as one entry differs from its three
+    points listed apart."""
 
     __slots__ = ("entries",)
 
@@ -303,9 +296,6 @@ class Divisor:
     def degree(self) -> int:
         return sum(p.degree * m for p, m in self.entries.items())
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def is_effective(self) -> bool:
         return all(m >= 0 for m in self.entries.values())
 
@@ -318,126 +308,13 @@ class Divisor:
             merged[p] = merged.get(p, 0) + m
         return Divisor(merged)
 
-    def __neg__(self) -> "Divisor":
-        return Divisor({p: -m for p, m in self.entries.items()})
-
-    def __sub__(self, other: "Divisor") -> "Divisor":
-        return self + (-other)
-
-    def __mul__(self, n: int) -> "Divisor":
-        return Divisor({p: m * n for p, m in self.entries.items()})
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
-        if not isinstance(other, Divisor):
+        if other.__class__ is not Divisor:
             return NotImplemented
-        a, b = refine_pair(self, other)
-        return a.entries == b.entries
+        return self.entries == other.entries
 
     def __hash__(self):
-        # __eq__ compares refined entries (a fiber split into its points, a
-        # locus into its factors); refinement never changes the degree.
-        return hash(self.degree)
-
-    def __ge__(self, other: "Divisor") -> bool:
-        a, b = refine_pair(self, other)
-        keys = set(a.entries) | set(b.entries)
-        return all(a.entries.get(k, 0) >= b.entries.get(k, 0) for k in keys)
-
-    def __le__(self, other: "Divisor") -> bool:
-        return other >= self
-
-    def __str__(self):
-        if not self.entries:
-            return "0"
-        return " + ".join(f"{m}*{_entry_str(p)}" for p, m in self.items_sorted())
-
-    __repr__ = __str__
-
-
-def _entry_str(p) -> str:
-    if isinstance(p, BranchPoint):
-        return f"Branch({p.x})"
-    if isinstance(p, FinitePoint):
-        return f"Point({p.x},{p.y})"
-    if isinstance(p, FiberPoint):
-        return f"Fiber({p.x})"
-    if isinstance(p, FiberLocus):
-        return f"Fiber[{p.as_poly()}]"
-    if isinstance(p, PlaceLocus):
-        return f"Place[{p.as_poly()}; y={p.y_poly()}]"
-    return f"Inf({p.sheet})"
-
-
-def refine_pair(a: Divisor, b: Divisor) -> tuple[Divisor, Divisor]:
-    """Rewrite both divisors over a common refinement of their x-loci so that
-    entries match key-by-key whenever they overlap geometrically."""
-    entries = [p for d in (a, b) for p in d.entries]
-    loci = [p.as_poly() for p in entries if isinstance(p, (FiberLocus, PlaceLocus))]
-    if loci:
-        # The x of every point joins the refinement, so that a locus with a
-        # root in Q(w) splits that root off as the same point entry.
-        one = Scalar.one()
-        loci += [UniPoly((-p.x, one)) for p in entries if isinstance(p, (FiberPoint, FinitePoint))]
-    parts = _coprime_refinement(loci) if loci else []
-    a, b = _refine_divisor(a, parts), _refine_divisor(b, parts)
-    # A collective fiber entry splits into three exact points as soon as one
-    # y-coordinate over the same x is known, from either divisor once its
-    # loci are split.
-    known_y = {p.x: p.y for d in (a, b) for p in d.entries if isinstance(p, FinitePoint)}
-    return _split_fibers(a, known_y), _split_fibers(b, known_y)
-
-
-def _coprime_refinement(polys: list[UniPoly]) -> list[UniPoly]:
-    parts = []
-    queue = [p.monic() for p in polys if p.degree > 0]
-    while queue:
-        p = queue.pop()
-        for i, q in enumerate(parts):
-            g = poly_gcd(p, q)
-            if g.degree > 0:
-                if g.degree < q.degree:
-                    parts[i] = g
-                    queue.append(q // g)
-                rest = p // g
-                if rest.degree > 0:
-                    queue.append(rest)
-                break
-        else:
-            parts.append(p)
-    return parts
-
-
-def _refine_divisor(d: Divisor, parts: list[UniPoly]) -> Divisor:
-    out = Divisor.zero()
-    for p, m in d.entries.items():
-        if isinstance(p, (FiberLocus, PlaceLocus)):
-            poly = p.as_poly()
-            for part in parts:
-                if poly_gcd(poly, part).degree == part.degree:
-                    if isinstance(p, FiberLocus):
-                        out += Divisor.of((_locus_entry(part), m))
-                    else:
-                        out += Divisor.of((_place_entry(part, p.y_poly()), m))
-                    poly = poly // part
-            if poly.degree > 0:
-                raise StructuralError("locus refinement failed to cover an entry")
-        else:
-            out += Divisor.of((p, m))
-    return out
-
-
-def _split_fibers(d: Divisor, known_y: dict) -> Divisor:
-    zeta = Scalar.zeta()
-    out = Divisor.zero()
-    for p, m in d.entries.items():
-        if isinstance(p, FiberPoint) and p.x in known_y:
-            y0 = known_y[p.x]
-            out += Divisor.of(*((FinitePoint(p.x, y0 * zeta ** s), m) for s in range(3)))
-        else:
-            out += Divisor.of((p, m))
-    return out
+        return hash(frozenset(self.entries.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -468,21 +345,6 @@ class Differential:
     def poly(self) -> UniPoly:
         """The coefficient polynomial b1 + b2*x + b3*x**2 of the dx/y**2 part."""
         return UniPoly(self.b)
-
-    def __add__(self, other: "Differential") -> "Differential":
-        return Differential(self.b0 + other.b0, tuple(a + b for a, b in zip(self.b, other.b)))
-
-    def __sub__(self, other: "Differential") -> "Differential":
-        return self + other.scale(Scalar.of(-1))
-
-    def scale(self, factor) -> "Differential":
-        factor = Scalar.of(factor)
-        return Differential(self.b0 * factor, tuple(c * factor for c in self.b))
-
-    def __str__(self):
-        names = ("w0", "w1", "w2", "w3")
-        parts = [f"({c})*{n}" for c, n in zip(self.coefficients(), names) if c]
-        return " + ".join(parts) if parts else "0"
 
 
 # ---------------------------------------------------------------------------
@@ -610,5 +472,8 @@ def divisor_of(params: CurveParams, d: Differential) -> Divisor:
                 raise StructuralError("cannot determine the infinity order of a section")
             out += Divisor.of((InfinityPoint(s), val + 2))
     if out.degree != 6 or not out.is_effective():
-        raise StructuralError(f"divisor of a 1-form must be effective of degree 6, got {out}")
+        raise StructuralError(
+            f"divisor of a 1-form must be effective of degree 6, got degree {out.degree}"
+            + ("" if out.is_effective() else ", not effective")
+        )
     return out

@@ -1,8 +1,10 @@
-"""Exact linear algebra over Q(w): rank, kernels and row spaces.
+"""Exact linear algebra over Q(w): reduced row echelon forms and kernels.
 
-Plain fraction-based Gauss-Jordan elimination; matrices here are tiny
-(at most a few hundred rows), so no pivoting strategy beyond "first
-nonzero" is needed, and exactness makes every rank certificate sound.
+Plain Gauss-Jordan elimination; matrices here are tiny (at most a few
+hundred rows), so no pivoting strategy beyond "first nonzero" is needed,
+and exactness makes every kernel exact.  No command builds a Matrix: it
+stays because perfbench/layertrace.py counts kernel_basis calls, and the
+rank and row-space oracles of tests/oracles/linalg.py build on it.
 """
 
 from __future__ import annotations
@@ -29,19 +31,6 @@ class Matrix:
 
     def __hash__(self):
         return hash((self.rows,))
-
-    @staticmethod
-    def identity(n: int) -> "Matrix":
-        return Matrix(
-            tuple(
-                tuple(Scalar.one() if i == j else Scalar.zero() for j in range(n))
-                for i in range(n)
-            )
-        )
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
 
     @property
     def ncols(self) -> int:
@@ -72,9 +61,6 @@ class Matrix:
                 break
         return Matrix(tuple(tuple(row) for row in m)), tuple(pivots)
 
-    def rank(self) -> int:
-        return len(self.rref()[1])
-
     def kernel_basis(self) -> list[tuple]:
         """Exact basis of the right null space, one vector per free column."""
         rref, pivots = self.rref()
@@ -88,17 +74,3 @@ class Matrix:
                 vec[pc] = -rref.rows[r][fc]
             basis.append(tuple(vec))
         return basis
-
-
-def row_space_rref(vectors: list) -> tuple[tuple, ...]:
-    """Canonical form of the span of the given vectors (RREF rows, zero rows
-    dropped); equal spans give equal output, so this decides subspace equality."""
-    vectors = [tuple(Scalar.of(v) for v in vec) for vec in vectors]
-    if not vectors:
-        return ()
-    rref, pivots = Matrix(tuple(vectors)).rref()
-    return tuple(rref.rows[: len(pivots)])
-
-
-def same_subspace(vectors_a: list, vectors_b: list) -> bool:
-    return row_space_rref(vectors_a) == row_space_rref(vectors_b)

@@ -71,9 +71,6 @@ class UniPoly:
     def __neg__(self) -> "UniPoly":
         return UniPoly(tuple(-c for c in self.coefficients))
 
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, UniPoly):
             return self.scale(other)
@@ -157,9 +154,6 @@ class UniPoly:
             raise DegenerateInput("zero polynomial cannot be made monic")
         lead = self.leading
         return UniPoly(tuple(c / lead for c in self.coefficients))
-
-    def __str__(self) -> str:
-        return self.format()
 
     def format(self, variable: str = "x") -> str:
         if not self:

@@ -8,7 +8,10 @@ value was built.  The triple is the only representation, and ``sort_key``
 is the triple itself.  Two values combine in one place, the private
 kernel _add3, _sub3, _mul3 and _inv3 on unreduced triples: every Scalar
 operator turns its operands into triples (_operand, as Scalar.of does),
-composes the kernel and reduces once with _make.  The base path
+composes the kernel and reduces once with _make.  An operand is a Scalar
+or an int, and any other operand gets NotImplemented; a Scalar is built
+from an int (Scalar.of), a literal (Scalar.parse) or the integers of a
+ratio (ratio_scalar).  The base path
 (curve.validate_params, deformation.pairing_covector, the conic value
 and the residue oracle) only delays that reduction to its outputs.
 
@@ -44,16 +47,6 @@ class Scalar:
     """An element of Q(w), w a primitive cube root of unity."""
 
     __slots__ = ("_a", "_b", "_d", "_text")
-
-    def __new__(cls, rational_part=0, zeta_part=0):
-        """r + z*w for rationals r, z: ints, or any value with integer
-        ``numerator`` and ``denominator`` attributes."""
-        try:
-            r, s = rational_part.numerator, rational_part.denominator
-            t, u = zeta_part.numerator, zeta_part.denominator
-        except AttributeError:
-            raise TypeError("cannot build an exact scalar from a non-rational value") from None
-        return ratio_scalar(r, s, t, u)
 
     # -- constructors ------------------------------------------------------
 
@@ -225,15 +218,12 @@ _triple = attrgetter("_a", "_b", "_d")
 
 def _operand(value):
     """The triple of an operand of a Scalar operator: a Scalar's own,
-    (n, 0, 1) for an int n, Scalar(value)'s for a rational, else None."""
+    (n, 0, 1) for an int n, else None."""
     if value.__class__ is Scalar:
         return value._a, value._b, value._d
     if isinstance(value, int):
         return value, 0, 1
-    try:
-        return _triple(Scalar(value))
-    except TypeError:
-        return None
+    return None
 
 
 def _add3(x: tuple, y: tuple) -> tuple:

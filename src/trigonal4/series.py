@@ -2,12 +2,13 @@
 
 A series knows its coefficients below ``truncation`` and nothing beyond it,
 and every operation propagates truncation conservatively, so any coefficient
-read out of a series is exact.  Inverses, the cube root of a unit series
-and the reversion at a branch point (``curve.branch_inversion``) all come
-from one coefficient recurrence for a rational power p/q of a unit series,
-``LocalSeries._unit_power(p, q)``, whose weights are integers.  Polynomials in x are evaluated on a chart by
-``series_of_poly``; rational functions of x are a test oracle
-(tests/oracles/series.py).
+read out of a series is exact.  The cube root of a unit series and the
+reversion at a branch point (``curve.branch_inversion``) come from one
+coefficient recurrence for a rational power p/q of a unit series,
+``LocalSeries._unit_power(p, q)``, whose weights are integers; so does the
+inverse of tests/oracles/series.py.  Polynomials in x are evaluated on a
+chart by ``series_of_poly``; rational functions of x, shifts, inverses
+and derivatives are test oracles (tests/oracles/series.py).
 
 No command expands a series.  In src/ only curve.divisor_of (through the
 infinity chart) and curve.branch_inversion build them, and both stay
@@ -64,9 +65,6 @@ class LocalSeries:
             )
         return self.coefficients.get(exponent, Scalar.zero())
 
-    def known_exponents(self):
-        return sorted(self.coefficients)
-
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other: "LocalSeries") -> "LocalSeries":
@@ -105,23 +103,6 @@ class LocalSeries:
     def scale(self, value) -> "LocalSeries":
         return LocalSeries({n: c * value for n, c in self.coefficients.items()}, self.truncation)
 
-    def shift(self, k: int) -> "LocalSeries":
-        """Multiply by s**k."""
-        return LocalSeries({n + k: c for n, c in self.coefficients.items()}, self.truncation + k)
-
-    def inverse(self) -> "LocalSeries":
-        v = self.valuation()
-        if v is None:
-            raise ZeroDivisionError("inverse of a series that is zero through truncation")
-        lead_inv = self.coefficients[v].inverse()
-        return self.shift(-v).scale(lead_inv)._unit_power(-1, 1).scale(lead_inv).shift(-v)
-
-    def derivative(self) -> "LocalSeries":
-        return LocalSeries(
-            {n - 1: c * n for n, c in self.coefficients.items() if n != 0},
-            self.truncation - 1,
-        )
-
     def cube_root_unit(self) -> "LocalSeries":
         """Cube root of a series with constant term 1; the root with constant
         term 1 is returned."""
@@ -146,12 +127,6 @@ class LocalSeries:
                 acc = acc + fk * g[n - k] * ((p + q) * k - n * q)
             g.append(acc * ratio_scalar(1, n * q, 0, 1))
         return LocalSeries(dict(enumerate(g)), self.truncation)
-
-    def __str__(self):
-        if not self.coefficients:
-            return f"O(s^{self.truncation})"
-        parts = [f"({self.coefficients[n]})*s^{n}" for n in self.known_exponents()]
-        return " + ".join(parts) + f" + O(s^{self.truncation})"
 
 
 def series_of_poly(poly: UniPoly, param: LocalSeries) -> LocalSeries:

@@ -1,5 +1,5 @@
-"""Canonical-ideal oracles: evaluation at sampled trigonal fibers, and the
-Gram matrix of a quadric.
+"""Canonical-ideal oracles: evaluation at sampled trigonal fibers, the
+Gram matrix of a quadric, and a form's coefficient at a monomial.
 
 A fiber over x0 evaluates all three conjugate points at once inside
 Q(w)[Y]/(Y**3 - Q(x0)), and 12 fibers (36 points) or 25 fibers (75 points)
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from trigonal4.canonical_ideal import QUADRIC_MONOMIALS, QuadricForm, _monomial_value
+from trigonal4.canonical_ideal import QUADRIC_MONOMIALS, MonomialForm, QuadricForm, _monomial_value
 from trigonal4.curve import CurveParams
 from trigonal4.errors import DegenerateInput, StructuralError
 from trigonal4.linalg import Matrix
@@ -18,6 +18,10 @@ from trigonal4.scalars import Scalar
 
 SYM2_FIBERS = 12
 SYM3_FIBERS = 25
+
+
+def coefficient(form: MonomialForm, exponents: tuple) -> Scalar:
+    return form.coefficients[form.monomials.index(exponents)]
 
 
 def quadric_matrix(form: QuadricForm) -> Matrix:

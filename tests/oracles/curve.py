@@ -1,6 +1,18 @@
 """Curve oracles: k-differentials in the function-field model, charts at any
 curve point, fiber frames, exact divisors of functions of x, the divisor
-minimum over a pencil of 1-forms, and the canonical map."""
+minimum over a pencil of 1-forms, and the canonical map; and the divisor
+and 1-form arithmetic, text and geometric comparison the tests use.
+
+Two divisors are equal as records (curve.Divisor.__eq__) when their
+entries are.  Geometrically, a fiber stored as one entry is the sum of its
+three points once a y over its x is known, and a locus is the sum of the
+entries over its factors.  So the geometric comparison (same_divisor,
+divisor_ge, divisor_min) first refines both divisors over a common
+refinement of their x-loci (refine_pair): loci are split by gcd, against
+each other and against x - r for every point entry, and a fiber entry
+splits into three exact points as soon as one y-coordinate over its x is
+known on either side.
+"""
 
 from __future__ import annotations
 
@@ -13,21 +25,25 @@ from trigonal4.curve import (
     CurveParams,
     Differential,
     Divisor,
+    FiberLocus,
+    FiberPoint,
     FinitePoint,
     InfinityPoint,
+    PlaceLocus,
     _locus_entry,
+    _place_entry,
     _poly_zero_divisor,
     branch_inversion,
     divisor_of,
     infinity_chart,
-    refine_pair,
 )
 from trigonal4.errors import DegenerateInput, StructuralError
+from trigonal4.polynomials import UniPoly, poly_gcd
 from trigonal4.scalars import Scalar
 from trigonal4.series import LocalSeries, series_of_poly
 
 from oracles.polynomials import RationalFunction
-from oracles.series import series_of_rational
+from oracles.series import derivative, inverse, series_of_rational
 
 # The ordered graded basis (w0, w1, w2, w3) of holomorphic 1-forms.
 OMEGA = tuple(
@@ -88,7 +104,7 @@ def branch_chart(params: CurveParams, x0: Scalar, truncation: int) -> Chart:
     d = branch_inversion(params, x0, truncation)
     x_series = LocalSeries.constant(x0, truncation) + d
     y_series = LocalSeries.monomial(1, Scalar.one(), truncation)
-    return Chart(x_series=x_series, y_series=y_series, dx_series=d.derivative(), dx_valuation=2)
+    return Chart(x_series=x_series, y_series=y_series, dx_series=derivative(d), dx_valuation=2)
 
 
 def basis_factors(params: CurveParams, x_series: LocalSeries, top: int) -> tuple[LocalSeries, tuple]:
@@ -97,7 +113,7 @@ def basis_factors(params: CurveParams, x_series: LocalSeries, top: int) -> tuple
     w_l = x**(l-1) y dx/Q (top = 2), and the quadratic differentials x**k/Q,
     y/Q, x**k y**2/Q**2 times (dx)**2 (top = 4).  The high powers carry the
     largest coefficients, so callers ask only for what they read."""
-    q_inv = series_of_poly(params.q_poly, x_series).inverse()
+    q_inv = inverse(series_of_poly(params.q_poly, x_series))
     powers = [LocalSeries.constant(Scalar.one(), x_series.truncation)]
     for _ in range(top):
         powers.append(powers[-1] * x_series)
@@ -167,9 +183,8 @@ def divisor_of_function(params: CurveParams, func) -> Divisor:
     if func.numerator.degree > 0:
         out += _poly_zero_divisor(params, func.numerator, 3, _locus_entry)
     if func.denominator.degree > 0:
-        out -= _poly_zero_divisor(params, func.denominator, 3, _locus_entry)
-    out -= (func.numerator.degree - func.denominator.degree) * infinity_fiber
-    return out
+        out = subtract(out, _poly_zero_divisor(params, func.denominator, 3, _locus_entry))
+    return subtract(out, multiple(infinity_fiber, func.numerator.degree - func.denominator.degree))
 
 
 def divisor_min(a: Divisor, b: Divisor) -> Divisor:
@@ -186,8 +201,8 @@ def common_zeros_by_divisors(params: CurveParams, d1: Differential, d2: Differen
     of their divisors, verified basis-independent by recomputation from
     d1 + d2 and d1 - d2."""
     locus = divisor_min(divisor_of(params, d1), divisor_of(params, d2))
-    alt = divisor_min(divisor_of(params, d1 + d2), divisor_of(params, d1 - d2))
-    if locus != alt:
+    alt = divisor_min(divisor_of(params, add_forms(d1, d2)), divisor_of(params, subtract_forms(d1, d2)))
+    if not same_divisor(locus, alt):
         raise StructuralError("common zeros depend on the basis of the pencil; bug")
     return locus
 
@@ -222,3 +237,148 @@ def normalize_projective(coords: Iterable[Scalar]) -> tuple:
             inv = c.inverse()
             return tuple(x * inv for x in coords)
     raise DegenerateInput("zero vector is not a projective point")
+
+
+# ---------------------------------------------------------------------------
+# Divisor and 1-form arithmetic and text
+# ---------------------------------------------------------------------------
+
+
+def subtract(a: Divisor, b: Divisor) -> Divisor:
+    return a + multiple(b, -1)
+
+
+def multiple(d: Divisor, n: int) -> Divisor:
+    return Divisor({p: m * n for p, m in d.entries.items()})
+
+
+def as_poly(entry) -> UniPoly:
+    """The x-locus of a FiberLocus or PlaceLocus entry."""
+    return UniPoly(entry.poly)
+
+
+def y_poly(entry: PlaceLocus) -> UniPoly:
+    """The y-coordinate of a PlaceLocus entry, as a residue modulo its locus."""
+    return UniPoly(entry.y)
+
+
+def entry_str(p) -> str:
+    if isinstance(p, BranchPoint):
+        return f"Branch({p.x})"
+    if isinstance(p, FinitePoint):
+        return f"Point({p.x},{p.y})"
+    if isinstance(p, FiberPoint):
+        return f"Fiber({p.x})"
+    if isinstance(p, FiberLocus):
+        return f"Fiber[{as_poly(p).format()}]"
+    if isinstance(p, PlaceLocus):
+        return f"Place[{as_poly(p).format()}; y={y_poly(p).format()}]"
+    return f"Inf({p.sheet})"
+
+
+def divisor_str(d: Divisor) -> str:
+    if not d.entries:
+        return "0"
+    return " + ".join(f"{m}*{entry_str(p)}" for p, m in d.items_sorted())
+
+
+def add_forms(a: Differential, b: Differential) -> Differential:
+    return Differential(a.b0 + b.b0, tuple(x + y for x, y in zip(a.b, b.b)))
+
+
+def scale_form(d: Differential, factor) -> Differential:
+    factor = Scalar.of(factor)
+    return Differential(d.b0 * factor, tuple(c * factor for c in d.b))
+
+
+def subtract_forms(a: Differential, b: Differential) -> Differential:
+    return add_forms(a, scale_form(b, -1))
+
+
+# ---------------------------------------------------------------------------
+# Geometric comparison of divisors
+# ---------------------------------------------------------------------------
+
+
+def refine_pair(a: Divisor, b: Divisor) -> tuple[Divisor, Divisor]:
+    """Rewrite both divisors over a common refinement of their x-loci so that
+    entries match key-by-key whenever they overlap geometrically."""
+    entries = [p for d in (a, b) for p in d.entries]
+    loci = [as_poly(p) for p in entries if isinstance(p, (FiberLocus, PlaceLocus))]
+    if loci:
+        # The x of every point joins the refinement, so that a locus with a
+        # root in Q(w) splits that root off as the same point entry.
+        one = Scalar.one()
+        loci += [UniPoly((-p.x, one)) for p in entries if isinstance(p, (FiberPoint, FinitePoint))]
+    parts = _coprime_refinement(loci) if loci else []
+    a, b = _refine_divisor(a, parts), _refine_divisor(b, parts)
+    # A collective fiber entry splits into three exact points as soon as one
+    # y-coordinate over the same x is known, from either divisor once its
+    # loci are split.
+    known_y = {p.x: p.y for d in (a, b) for p in d.entries if isinstance(p, FinitePoint)}
+    return _split_fibers(a, known_y), _split_fibers(b, known_y)
+
+
+def _coprime_refinement(polys: list[UniPoly]) -> list[UniPoly]:
+    parts = []
+    queue = [p.monic() for p in polys if p.degree > 0]
+    while queue:
+        p = queue.pop()
+        for i, q in enumerate(parts):
+            g = poly_gcd(p, q)
+            if g.degree > 0:
+                if g.degree < q.degree:
+                    parts[i] = g
+                    queue.append(q // g)
+                rest = p // g
+                if rest.degree > 0:
+                    queue.append(rest)
+                break
+        else:
+            parts.append(p)
+    return parts
+
+
+def _refine_divisor(d: Divisor, parts: list[UniPoly]) -> Divisor:
+    out = Divisor.zero()
+    for p, m in d.entries.items():
+        if isinstance(p, (FiberLocus, PlaceLocus)):
+            poly = as_poly(p)
+            for part in parts:
+                if poly_gcd(poly, part).degree == part.degree:
+                    if isinstance(p, FiberLocus):
+                        out += Divisor.of((_locus_entry(part), m))
+                    else:
+                        out += Divisor.of((_place_entry(part, y_poly(p)), m))
+                    poly = poly // part
+            if poly.degree > 0:
+                raise StructuralError("locus refinement failed to cover an entry")
+        else:
+            out += Divisor.of((p, m))
+    return out
+
+
+def _split_fibers(d: Divisor, known_y: dict) -> Divisor:
+    zeta = Scalar.zeta()
+    out = Divisor.zero()
+    for p, m in d.entries.items():
+        if isinstance(p, FiberPoint) and p.x in known_y:
+            y0 = known_y[p.x]
+            out += Divisor.of(*((FinitePoint(p.x, y0 * zeta ** s), m) for s in range(3)))
+        else:
+            out += Divisor.of((p, m))
+    return out
+
+
+def same_divisor(a: Divisor, b: Divisor) -> bool:
+    """Whether a and b are the same divisor on the curve: their refined
+    entries agree."""
+    a, b = refine_pair(a, b)
+    return a == b
+
+
+def divisor_ge(a: Divisor, b: Divisor) -> bool:
+    """Whether a - b is effective, on the refined entries."""
+    a, b = refine_pair(a, b)
+    keys = set(a.entries) | set(b.entries)
+    return all(a.entries.get(k, 0) >= b.entries.get(k, 0) for k in keys)

@@ -15,6 +15,8 @@ from trigonal4.scalars import Scalar
 from trigonal4.series import LocalSeries
 
 from oracles.curve import OMEGA, KDifferential, basis_factors, branch_chart, chart_at, fiber_frame
+from oracles.linalg import identity
+from oracles.series import inverse
 from oracles.polynomials import RationalFunction
 
 
@@ -54,7 +56,7 @@ def series_residue_matrix(params: CurveParams, j: int) -> tuple:
     forms = [base * y * y]  # w0 = y**2 dx / Q
     for l in range(3):  # w_l = x**(l-1) y dx / Q
         forms.append(base * y * x_powers[l])
-    x_minus_inv = (chart.x_series - LocalSeries.constant(x0, chart.x_series.truncation)).inverse()
+    x_minus_inv = inverse(chart.x_series - LocalSeries.constant(x0, chart.x_series.truncation))
     antiderivatives = []
     for k, form in enumerate(forms):
         # (d/du_j) w_k = m/(3 (x - u_j)) * w_k with m = 1 for k = 0, else 2
@@ -168,8 +170,8 @@ def omega2_subspace(params: CurveParams, divisor: Divisor) -> list[tuple]:
     """Basis of the subspace of quadratic differentials vanishing on the
     divisor, in 9-dim coordinates."""
     conditions = omega2_vanishing_conditions(params, divisor)
-    if conditions.nrows == 0:
-        return [tuple(row) for row in Matrix.identity(OMEGA2_DIM).rows]
+    if not conditions.rows:
+        return [tuple(row) for row in identity(OMEGA2_DIM).rows]
     return conditions.kernel_basis()
 
 

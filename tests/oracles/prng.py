@@ -1,7 +1,8 @@
 """The reference sampler: ``sample_scalar`` as it was before it built the
 canonical triple straight from its draws.  It draws a ``Fraction`` per part
-and hands the pair to ``Scalar``, so the tests check that the production
-sampler gives the same value and leaves the generator in the same state.
+and builds the Scalar from the pair (``fraction_scalar``), so the tests
+check that the production sampler gives the same value and leaves the
+generator in the same state.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from fractions import Fraction
 
 from trigonal4.prng import SplitMix64
 from trigonal4.scalars import Scalar
+
+from oracles.scalars import fraction_scalar
 
 
 def sample_fraction(rng: SplitMix64, bound: int = 9, max_denominator: int = 4) -> Fraction:
@@ -22,4 +25,4 @@ def sample_fraction(rng: SplitMix64, bound: int = 9, max_denominator: int = 4) -
 def sample_scalar(rng: SplitMix64, bound: int = 9, max_denominator: int = 4) -> Scalar:
     rational = sample_fraction(rng, bound, max_denominator)
     zeta = sample_fraction(rng, bound, max_denominator)
-    return Scalar(rational, zeta)
+    return fraction_scalar(rational, zeta)

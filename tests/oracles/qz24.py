@@ -33,7 +33,7 @@ def cube_family_covector() -> tuple:
     u = tuple(x().scale(zeta ** j) for j in range(3))  # u_j = c*w**j
     one = UniPoly((Scalar.one(),))
     # Q'(u_j) = (u_j**3 - 1) prod_{k != j} (u_j - u_k), over Q(w)[c]
-    qprime_u = [(uj ** 3 - one) * (uj - u[j - 1]) * (uj - u[j - 2]) for j, uj in enumerate(u)]
+    qprime_u = [(uj ** 3 + -one) * (uj + -u[j - 1]) * (uj + -u[j - 2]) for j, uj in enumerate(u)]
     covector = []
     for k in (1, 2, 3):
         total = RationalFunction.zero()

@@ -3,9 +3,9 @@
 ``FractionScalar`` is the dataclass ``trigonal4.scalars.Scalar`` was before
 it became one reduced integer triple ``(a + b*w)/d``.  Its operations are
 the plain ``Fraction`` formulas, so the tests check every ``Scalar``
-operation against it value by value.  The ``Fraction`` helper the tests
-read, ``fraction_parts``, lives here too: no ``Fraction`` is built in
-``src/``.
+operation against it value by value.  The ``Fraction`` helpers the tests
+read, ``fraction_parts`` and ``fraction_scalar``, live here too: no
+``Fraction`` is built or accepted in ``src/``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from trigonal4.errors import DegenerateInput
-from trigonal4.scalars import _LITERAL, _W_COMPLEX, Scalar
+from trigonal4.scalars import _LITERAL, _W_COMPLEX, Scalar, ratio_scalar
 
 
 def _coerce(value) -> Fraction:
@@ -29,6 +29,13 @@ def _coerce(value) -> Fraction:
 def fraction_parts(s: Scalar) -> tuple:
     """The rational and zeta parts of a Scalar (a + b*w)/d as Fractions."""
     return Fraction(s._a, s._d), Fraction(s._b, s._d)
+
+
+def fraction_scalar(rational=0, zeta=0) -> Scalar:
+    """The Scalar rational + zeta*w of two ints or Fractions, built by
+    ratio_scalar from their numerators and denominators."""
+    r, z = _coerce(rational), _coerce(zeta)
+    return ratio_scalar(r.numerator, r.denominator, z.numerator, z.denominator)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from trigonal4.canonical_ideal import CUBIC_MONOMIALS, QUADRIC_MONOMIALS, canoni
 from trigonal4.cli import main
 from trigonal4.curve import BranchPoint, Differential, Divisor, InfinityPoint, divisor_of, trigonal_fiber, validate_params
 from trigonal4.deformation import TangentVector, cone_directions, delta_nu_c_test, pairing_matrix, residue_matrix
-from trigonal4.linalg import Matrix, row_space_rref, same_subspace
+from trigonal4.linalg import Matrix
 from trigonal4.numeric import numeric_residue_matrix, residue_relative_error
 from trigonal4.prng import SplitMix64, sample_params, sample_scalar, sample_tangent
 from trigonal4.qz24 import cube_family_report, evaluate_at
@@ -24,8 +24,9 @@ from trigonal4.rulings import d0_cycle, principal_witness, relation_t2, ruling_p
 from trigonal4.scalars import INFINITY, Scalar
 
 from oracles.canonical_ideal import _evaluation_kernel
-from oracles.curve import OMEGA, canonical_map, common_zeros_by_divisors, divisor_of_function
+from oracles.curve import OMEGA, canonical_map, common_zeros_by_divisors, divisor_of_function, same_divisor, subtract
 from oracles.deformation import product_differential, support_test, xi_functional
+from oracles.linalg import row_space_rref, same_subspace
 from oracles.polynomials import RationalFunction, from_scalars
 from oracles.qz24 import cube_family_covector
 from oracles.rulings import witness_function
@@ -99,15 +100,15 @@ def test_criterion_3_conic_equivalence():
             assert cert.on_conic
             locus = cert.base_locus
             assert locus == trigonal_fiber(params, t)
-            assert locus == common_zeros_by_divisors(params, *cert.kernel_basis)
-            assert not locus.is_zero()
+            assert same_divisor(locus, common_zeros_by_divisors(params, *cert.kernel_basis))
+            assert locus != Divisor.zero()
             on_conic_checked += 1
     for _ in range(50):
         params = sample_params(rng)
         cert = delta_nu_c_test(params, sample_tangent(rng))
         locus = common_zeros_by_divisors(params, *cert.kernel_basis)
-        assert cert.on_conic == (not locus.is_zero())
-        assert cert.base_locus == locus
+        assert cert.on_conic == (locus != Divisor.zero())
+        assert same_divisor(cert.base_locus, locus)
     return f"{on_conic_checked} cone directions incl branch and infinity fibers, 50 random, against the divisor oracle"
 
 
@@ -204,9 +205,9 @@ def test_criterion_6_rational_triviality():
         if x1 is not INFINITY and x2 is not INFINITY and x1 == x2:
             continue
         cycle = d0_cycle(params, t1, t2)
-        assert cycle.plus != cycle.minus
+        assert not same_divisor(cycle.plus, cycle.minus)
         assert principal_witness(x1, x2) == cycle.witness
-        assert divisor_of_function(params, witness_function(cycle.witness)) == cycle.plus - cycle.minus
+        assert same_divisor(divisor_of_function(params, witness_function(cycle.witness)), subtract(cycle.plus, cycle.minus))
         violations += 1
     return f"{cases} tied pairs incl 0, 1, infinity and branch fibers; {violations} violations"
 

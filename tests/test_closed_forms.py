@@ -15,7 +15,11 @@ The names follow the docstring of trigonal4.deformation:
   N = a1 a2 (u3**3 - 1)(u1 - u2) - a1 a3 (u2**3 - 1)(u1 - u3)
       + a2 a3 (u1**3 - 1)(u2 - u3), which deformation.conic_value computes;
 * the cone direction a_j = (u_j**3 - 1) prod_{k != j} (t - u_k) has the
-  covector (1, t, t**2), and a_j = u_j**3 - 1 has (0, 0, 1).
+  covector (1, t, t**2), and a_j = u_j**3 - 1 has (0, 0, 1);
+* on the cube-root locus u_j = c w**(j-1), a = c**3 (trigonal4.qz24), the
+  tangent a_j = 1/(3 u_j**2) has the covector (0, 1/(3a(a-1)), 0) and the
+  conic value -1/(9 a**2 (a-1)**2), for generic c; w is a symbol reduced
+  by w**2 + w + 1 = 0.
 """
 
 import sympy as sp
@@ -58,3 +62,23 @@ def test_cone_directions_reach_the_conic_point():
     finite = tuple(CUBES[j] * sp.Mul(*(T - U[k] for k in range(3) if k != j)) for j in range(3))
     assert all(vanishes(ck - T**k) for k, ck in enumerate(covector(finite)))
     assert all(vanishes(ck - target) for ck, target in zip(covector(CUBES), (0, 0, 1)))
+
+
+def vanishes_at_w(expr, w) -> bool:
+    """expr, rational in w and other symbols, is 0 at a primitive cube root
+    of unity w: its numerator reduces to 0 modulo w**2 + w + 1 and its
+    denominator does not."""
+    num, den = sp.fraction(sp.together(expr))
+    minimal = w**2 + w + 1
+    return sp.rem(sp.expand(num), minimal, w) == 0 and sp.rem(sp.expand(den), minimal, w) != 0
+
+
+def test_cube_family_closed_form():
+    c, w = sp.symbols("c w")
+    cube = dict(zip(U, (c, c * w, c * w**2)))
+    a = c**3
+    tangent = tuple(1 / (3 * cube[uj] ** 2) for uj in U)
+    c0, c1, c2 = (ck.subs(cube, simultaneous=True) for ck in covector(tangent))
+    assert vanishes_at_w(c0, w) and vanishes_at_w(c2, w)
+    assert vanishes_at_w(c1 - 1 / (3 * a * (a - 1)), w)
+    assert vanishes_at_w(c0 * c2 - c1**2 + 1 / (9 * a**2 * (a - 1) ** 2), w)

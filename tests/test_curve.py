@@ -18,6 +18,7 @@ from trigonal4.curve import (
     trigonal_fiber,
     validate_params,
 )
+from trigonal4.deformation import cone_directions, delta_nu_c_test
 from trigonal4.errors import DegenerateInput, InvalidParameters, StructuralError
 from trigonal4.prng import SplitMix64, sample_params, sample_scalar
 from trigonal4.scalars import INFINITY, Scalar
@@ -25,8 +26,23 @@ from trigonal4.series import series_of_poly, LocalSeries
 
 import oracles.curve
 from conftest import scalar_strategy
-from oracles.curve import OMEGA, canonical_map, divisor_min, divisor_of_function, normalize_projective
+from oracles.curve import (
+    OMEGA,
+    add_forms,
+    canonical_map,
+    divisor_ge,
+    divisor_min,
+    divisor_of_function,
+    divisor_str,
+    multiple,
+    normalize_projective,
+    same_divisor,
+    scale_form,
+    subtract,
+    subtract_forms,
+)
 from oracles.polynomials import RationalFunction, from_roots, from_scalars
+from oracles.series import inverse
 
 
 # -- parameter validation ----------------------------------------------------
@@ -100,7 +116,7 @@ def test_branch_inversion_example(u023):
     # x(y) at the branch over 0 starts 0 - y**3/6 (Q'(0) = -6)
     d = branch_inversion(u023, Scalar.zero(), 22)
     assert d.coefficient(3) == Scalar.of(-1) / 6
-    assert all(n % 3 == 0 for n in d.known_exponents())
+    assert all(n % 3 == 0 for n in d.coefficients)
 
 
 @given(scalar_strategy(bound=4, max_denominator=2))
@@ -116,7 +132,7 @@ def test_branch_inversion_inverts_q(shift):
     composed = series_of_poly(shifted, d)
     # Q(x0 + D(y)) = y**3 through the truncation
     assert composed.coefficient(3) == Scalar.one()
-    for n in composed.known_exponents():
+    for n in composed.coefficients:
         if n != 3:
             assert not composed.coefficient(n)
 
@@ -132,7 +148,7 @@ def _reference_branch_inversion(params, x0, trunc):
         residual = series_of_poly(shifted, d) - y_cubed
         if residual.valuation() is None:
             return d
-        d = d - residual * series_of_poly(shifted_prime, d).inverse()
+        d = d - residual * inverse(series_of_poly(shifted_prime, d))
     raise AssertionError("reference Newton iteration did not converge")
 
 
@@ -261,19 +277,19 @@ def test_kernel_combination_contains_fiber(u023):
     for j in range(3):
         uj = u023.u[j]
         fib = trigonal_fiber(u023, uj)
-        d1 = OMEGA[2] - OMEGA[1].scale(uj)
-        d2 = OMEGA[3] - OMEGA[2].scale(uj)
-        assert divisor_of(u023, d1) >= fib
-        assert divisor_of(u023, d2) >= fib
+        d1 = subtract_forms(OMEGA[2], scale_form(OMEGA[1], uj))
+        d2 = subtract_forms(OMEGA[3], scale_form(OMEGA[2], uj))
+        assert divisor_ge(divisor_of(u023, d1), fib)
+        assert divisor_ge(divisor_of(u023, d2), fib)
 
 
 def test_divisor_of_function_witness(u023):
     f = RationalFunction(from_scalars((-5, 1)), from_scalars((-6, 1)))
     div = divisor_of_function(u023, f)
-    assert div == trigonal_fiber(u023, Scalar.of(5)) - trigonal_fiber(u023, Scalar.of(6))
+    assert same_divisor(div, subtract(trigonal_fiber(u023, Scalar.of(5)), trigonal_fiber(u023, Scalar.of(6))))
     # x alone: 3*Branch(0) - infinity fiber at u=(0,2,3)
     div_x = divisor_of_function(u023, RationalFunction.of(from_scalars((0, 1))))
-    assert div_x == trigonal_fiber(u023, Scalar.zero()) - trigonal_fiber(u023, INFINITY)
+    assert same_divisor(div_x, subtract(trigonal_fiber(u023, Scalar.zero()), trigonal_fiber(u023, INFINITY)))
 
 
 @given(st.lists(scalar_strategy(bound=9, max_denominator=2), min_size=1, max_size=5, unique=True))
@@ -288,10 +304,11 @@ def test_divisor_of_root_product_is_sum_of_fibers(u023, roots):
         return
     div = divisor_of_function(u023, RationalFunction.of(from_roots(roots)))
     fibers = sum((trigonal_fiber(u023, r) for r in roots), Divisor.zero())
-    expected = fibers - len(roots) * trigonal_fiber(u023, INFINITY)
-    assert div == expected and expected == div
-    assert div >= expected and expected >= div
-    assert divisor_min(div + len(roots) * trigonal_fiber(u023, INFINITY), fibers) == fibers
+    infinity = multiple(trigonal_fiber(u023, INFINITY), len(roots))
+    expected = subtract(fibers, infinity)
+    assert same_divisor(div, expected) and same_divisor(expected, div)
+    assert divisor_ge(div, expected) and divisor_ge(expected, div)
+    assert divisor_min(div + infinity, fibers) == fibers
 
 
 def test_divisor_min_branch_fiber(u023):
@@ -307,9 +324,9 @@ def test_divisor_min_splits_a_fiber_at_a_locus_root(u248):
     # At u=(2,4,8) the form x(x - 5) dx/y**2 stores Fiber[x^2-5*x], and
     # (0, 4) is a curve point.
     div = divisor_of(u248, Differential(Scalar.zero(), (Scalar.zero(), Scalar.of(-5), Scalar.one())))
-    assert str(div) == "1*Fiber[x^2-5*x]"
+    assert divisor_str(div) == "1*Fiber[x^2-5*x]"
     point = Divisor.of((FinitePoint(Scalar.zero(), Scalar.of(4)), 1))
-    assert div >= point
+    assert divisor_ge(div, point)
     assert divisor_min(div, point) == point
     # At u=(-1,2,4), Q(-2) = 6**3 and Q(0) = (-2)**3, and f = y + 4x + 2
     # vanishes at (-2, 6) and (0, -2); its norm stays one sextic place locus.
@@ -319,17 +336,53 @@ def test_divisor_min_splits_a_fiber_at_a_locus_root(u248):
     for x0, y0 in ((-2, 6), (0, -2)):
         point = Divisor.of((FinitePoint(Scalar.of(x0), Scalar.of(y0)), 1))
         assert divisor_min(div, trigonal_fiber(params, Scalar.of(x0))) == point
-        assert div >= point
+        assert divisor_ge(div, point)
 
 
-def test_divisor_hash_agrees_with_equality(u248):
-    # __eq__ splits the collective fiber over x = 0 into the three points
-    # (0, 4*w**k); the hash has to see the two spellings alike as well.
+_fiber_pairs = st.lists(
+    st.tuples(scalar_strategy(bound=9, max_denominator=3), st.integers(min_value=1, max_value=3)),
+    min_size=1,
+    max_size=6,
+    unique_by=lambda pair: pair[0],
+)
+
+
+@given(_fiber_pairs, st.integers(min_value=0, max_value=2), st.randoms(use_true_random=False))
+def test_divisors_are_equal_records(pairs, sheet, rng):
+    # Divisor.of sums the multiplicities of its pairs in any order: the same
+    # entries give == and hash-equal divisors; another multiplicity or sheet
+    # gives a different one.
+    entries = [(FiberPoint(x), m) for x, m in pairs] + [(InfinityPoint(sheet), 1)]
+    divisor = Divisor.of(*entries)
+    (first, m), rest = entries[0], entries[1:]
+    split = [(first, 1), (first, m - 1)] + rest
+    rng.shuffle(split)
+    again = Divisor.of(*split)
+    assert again == divisor and hash(again) == hash(divisor)
+    assert Divisor.of((first, m + 1), *rest) != divisor
+    other_sheet = [(InfinityPoint((sheet + 1) % 3), 1)]
+    assert Divisor.of(*entries[:-1], *other_sheet) != divisor
+
+
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1), kind=st.sampled_from(["point", "branch", "infinity"]))
+@settings(max_examples=25)
+def test_on_conic_base_locus_is_the_fiber_record(seed, kind):
+    rng = SplitMix64(seed)
+    params = sample_params(rng)
+    t = {"point": sample_scalar(rng), "branch": params.u[rng.below(3)], "infinity": INFINITY}[kind]
+    locus = delta_nu_c_test(params, cone_directions(params, t)).base_locus
+    fiber = trigonal_fiber(params, t)
+    assert locus == fiber and hash(locus) == hash(fiber)
+
+
+def test_divisor_records_differ_where_the_geometry_agrees(u248):
+    # The collective fiber over x = 0 is the three points (0, 4*w**k):
+    # same_divisor splits it, while == and hash compare the entries.
     points = Divisor.of(*((FinitePoint(Scalar.zero(), 4 * Scalar.zeta() ** k), 1) for k in range(3)))
     fiber = trigonal_fiber(u248, Scalar.zero())
-    assert points == fiber
-    assert hash(points) == hash(fiber)
-    assert len({points, fiber}) == 1
+    assert same_divisor(points, fiber) and same_divisor(fiber, points)
+    assert points != fiber
+    assert len({points, fiber}) == 2
 
 
 @pytest.mark.parametrize(
@@ -343,13 +396,13 @@ def test_divisor_hash_agrees_with_equality(u248):
 def test_divisor_with_place_locus(u023, pair, text):
     # b0 != 0 and a resolvent factor with no root in Q(w): one curve point
     # per root, y read off a residue polynomial
-    d = OMEGA[pair[0]] + OMEGA[pair[1]]
+    d = add_forms(OMEGA[pair[0]], OMEGA[pair[1]])
     div = divisor_of(u023, d)
     assert any(isinstance(p, PlaceLocus) for p in div.entries)
-    assert div == divisor_of(u023, d.scale(3))
+    assert div == divisor_of(u023, scale_form(d, 3))
     assert divisor_min(div, div) == div
-    assert div >= div
-    assert str(div) == text
+    assert divisor_ge(div, div)
+    assert divisor_str(div) == text
     kinds = [point["kind"] for point, _ in report.divisor_json(div)]
     assert kinds[-1] == "place_locus"
 
@@ -365,7 +418,7 @@ def test_divisor_of_form_with_order_six_at_infinity(sheet):
     # y - w**s x**2 = -(w**s/3) x**-4 + ... at Inf(s): w0 - w**s w3 vanishes there
     # to the canonical degree 6, the deepest infinity read of divisor_of
     params = _hyperflex_params()
-    d = OMEGA[0] - OMEGA[3].scale(Scalar.zeta_power(sheet))
+    d = subtract_forms(OMEGA[0], scale_form(OMEGA[3], Scalar.zeta_power(sheet)))
     assert divisor_of(params, d) == Divisor.of((InfinityPoint(sheet), 6))
 
 
@@ -373,7 +426,7 @@ def test_infinity_order_truncation_is_the_least_that_reads(monkeypatch):
     params = _hyperflex_params()
     monkeypatch.setattr(curve, "_INFINITY_ORDER_TRUNCATION", curve._INFINITY_ORDER_TRUNCATION - 1)
     with pytest.raises(StructuralError):
-        divisor_of(params, OMEGA[0] - OMEGA[3])
+        divisor_of(params, subtract_forms(OMEGA[0], OMEGA[3]))
 
 
 # -- canonical map -----------------------------------------------------------------
@@ -412,12 +465,13 @@ def test_divisor_contains_fiber_of_root(u023):
     poly_coeffs = (r * Scalar.of(-3), Scalar.of(3) - r, Scalar.one())  # (x - r)(x + 3)
     d = Differential(Scalar.zero(), poly_coeffs)
     div = divisor_of(u023, d)
-    assert div >= trigonal_fiber(u023, r)
-    # the squarefree factor (x - 7)(x + 3) is stored as one locus, and
-    # compares as the two fibers it stands for
+    assert divisor_ge(div, trigonal_fiber(u023, r))
+    # the squarefree factor (x - 7)(x + 3) is stored as one locus: as a
+    # record it differs from the two fibers it stands for, and it compares
+    # geometrically as them
     assert [type(p) for p in div.entries] == [FiberLocus]
-    assert str(div) == "1*Fiber[x^2-4*x-21]"
+    assert divisor_str(div) == "1*Fiber[x^2-4*x-21]"
     fibers = trigonal_fiber(u023, r) + trigonal_fiber(u023, Scalar.of(-3))
-    assert div == fibers and fibers == div
-    assert hash(div) == hash(fibers)
-    assert div >= fibers and div <= fibers
+    assert div != fibers
+    assert same_divisor(div, fibers) and same_divisor(fibers, div)
+    assert divisor_ge(div, fibers) and divisor_ge(fibers, div)

@@ -27,7 +27,7 @@ from trigonal4.deformation import (
     residue_matrix,
 )
 from trigonal4.errors import DegenerateInput, InvalidParameters, StructuralError, ZeroTangent
-from trigonal4.linalg import Matrix, same_subspace
+from trigonal4.linalg import Matrix
 from trigonal4.numeric import numeric_residue_matrix
 from trigonal4.polynomials import UniPoly
 from trigonal4.prng import SplitMix64, sample_params, sample_scalar, sample_tangent
@@ -49,6 +49,7 @@ from oracles.deformation import (
     support_test,
     xi_functional,
 )
+from oracles.linalg import rank, same_subspace
 from oracles.polynomials import RationalFunction
 from oracles.series import series_of_rational
 from test_base_kernel import wide_literals
@@ -111,7 +112,9 @@ def test_residue_truncation_is_the_least_that_reads(monkeypatch, u023):
 
 
 # u with parts in Q(w) outside Q: (1+w, 2, 3+w), (0, 2+w, -w), (1-w, 2w, 5)
-ZETA_POINTS = ((Scalar(1, 1), 2, Scalar(3, 1)), (0, Scalar(2, 1), Scalar(0, -1)), (Scalar(1, -1), Scalar(0, 2), 5))
+ZETA_POINTS = tuple(
+    tuple(Scalar.parse(c) for c in u.split(",")) for u in ("1+1*w,2,3+1*w", "0,2+1*w,-1*w", "1+-1*w,2*w,5")
+)
 
 
 @given(
@@ -135,7 +138,7 @@ def test_residue_oracle_matches_series_oracle(u):
 
 
 def test_residue_oracle_on_zeta_parameters():
-    params = validate_params(Scalar(1, 1), 2, Scalar(3, 1))
+    params = validate_params(Scalar.parse("1+1*w"), 2, Scalar.parse("3+1*w"))
     for j in (1, 2, 3):
         value = residue_matrix(params, j)[0][1]
         assert value * params.qprime_at(params.u[j - 1]) == Scalar.one()
@@ -158,7 +161,7 @@ def test_residue_oracle_rejects_a_fourth_parameter(u023):
 
 
 def test_ks_rank(u023):
-    assert Matrix(pairing_matrix(u023, TangentVector((0, 0, 0)))).rank() == 0
+    assert rank(Matrix(pairing_matrix(u023, TangentVector((0, 0, 0))))) == 0
     assert delta_nu_c_test(u023, TangentVector((1, 0, 0))).rank == 2
     assert delta_nu_c_test(u023, TangentVector((1, 1, 1))).rank == 2
 
@@ -167,13 +170,13 @@ def test_ks_rank(u023):
 @settings(max_examples=20)
 def test_ks_rank_two_for_nonzero(u023, xi):
     # the closed-form rank against elimination on the 4x4 matrix
-    rank = Matrix(pairing_matrix(u023, xi)).rank()
+    matrix_rank = rank(Matrix(pairing_matrix(u023, xi)))
     if xi.is_zero():
-        assert rank == 0
+        assert matrix_rank == 0
     else:
         cert = CeresaCertificate(u023, xi)
         assert bordered(cert.covector, Scalar.zero()) == pairing_matrix(u023, xi)
-        assert cert.rank == delta_nu_c_test(u023, xi).rank == rank == 2
+        assert cert.rank == delta_nu_c_test(u023, xi).rank == matrix_rank == 2
 
 
 def test_zero_covector_rejected(u023):
@@ -242,7 +245,7 @@ def test_base_locus_examples(u023):
 def test_conic_iff_base_locus(u023, xi):
     cert = delta_nu_c_test(u023, xi)
     locus = common_zeros_by_divisors(u023, *cert.kernel_basis)
-    assert cert.on_conic == (not locus.is_zero())
+    assert cert.on_conic == (locus != Divisor.zero())
     assert cert.base_locus == locus
 
 
@@ -428,7 +431,7 @@ def test_certificates(u023):
 
     cert = delta_nu_c_test(u023, TangentVector((1, 1, 1)))
     assert cert.variant is CeresaVariant.NOT_ON_CONIC
-    assert cert.base_locus.is_zero()
+    assert cert.base_locus == Divisor.zero()
     assert cert.supported is None
 
     with pytest.raises(ZeroTangent):
@@ -555,7 +558,7 @@ def test_certificates_read_loci_off_closed_forms(monkeypatch, u023):
         builds.clear()
         cert = delta_nu_c_test(u023, TangentVector(a))
         assert cert.base_locus == expected
-        assert len(builds) == (0 if expected.is_zero() else 1)
+        assert len(builds) == (0 if expected == Divisor.zero() else 1)
         assert cert.base_locus == expected and cert.kernel_basis
         assert len(builds) == 1
     tied = d0_cycle(u023, Scalar.of(1) / 4)
@@ -627,7 +630,7 @@ def test_product_map_has_one_dimensional_kernel(u023):
     pairs = [(i, j) for i in range(4) for j in range(i, 4)]
     rows = [kdifferential_coordinates(u023, product_differential(u023, i, j)) for (i, j) in pairs]
     m = Matrix(rows)
-    assert m.rank() == 9
+    assert rank(m) == 9
     # kernel of the map products -> coordinates: vectors over the 10 pairs
     kernel = Matrix(list(zip(*rows))).kernel_basis()
     assert len(kernel) == 1

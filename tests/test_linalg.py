@@ -1,10 +1,11 @@
 import hypothesis.strategies as st
 from hypothesis import given
 
-from trigonal4.linalg import Matrix, row_space_rref, same_subspace
+from trigonal4.linalg import Matrix
 from trigonal4.scalars import Scalar
 
 from conftest import apply, det, inverse, matmul, scalar_strategy
+from oracles.linalg import identity, rank, row_space_rref, same_subspace
 
 small_scalars = scalar_strategy(bound=6, max_denominator=3)
 
@@ -28,7 +29,7 @@ def test_kernel_of_zero_matrix():
 
 
 def test_kernel_of_identity_is_empty():
-    assert Matrix.identity(3).kernel_basis() == []
+    assert identity(3).kernel_basis() == []
 
 
 def test_kernel_of_moment_row():
@@ -41,7 +42,7 @@ def test_kernel_of_moment_row():
 
 @given(matrix_strategy())
 def test_rank_nullity(m):
-    assert m.rank() + len(m.kernel_basis()) == m.ncols
+    assert rank(m) + len(m.kernel_basis()) == m.ncols
 
 
 @given(matrix_strategy())
@@ -50,13 +51,13 @@ def test_kernel_vectors_annihilate(m):
     for v in basis:
         assert all(not e for e in apply(m, v))
     if basis:
-        assert Matrix(basis).rank() == len(basis)
+        assert rank(Matrix(basis)) == len(basis)
 
 
 def test_det_and_inverse():
     m = Matrix([[1, 2], [3, 5]])
     assert det(m) == Scalar.of(-1)
-    assert matmul(m, inverse(m)) == Matrix.identity(2)
+    assert matmul(m, inverse(m)) == identity(2)
 
 
 def test_singular_det():

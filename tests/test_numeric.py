@@ -37,7 +37,7 @@ def test_contour_matches_on_zero_entries():
 
 
 def test_contour_on_complex_parameters():
-    params = validate_params(Scalar(1, 1), 2, Scalar(3, 1))
+    params = validate_params(Scalar.parse("1+1*w"), 2, Scalar.parse("3+1*w"))
     matrix = pairing_matrix(params, TangentVector((0, 0, 1)))
     numeric = numeric_residue_matrix(params, 3, nodes=256)
     assert residue_relative_error(matrix[2][0], numeric[2][0]) < 1e-10

@@ -17,9 +17,9 @@ SAMPLES = [Scalar.of(2), Scalar.of(-1), Scalar.parse("1/2"), Scalar.parse("-1/3+
 def test_descent_to_a():
     # a = c**3: only exponents divisible by 3 descend, and they descend to a.
     c = x()
-    f = RationalFunction(c ** 3, c ** 6 - c ** 3)
+    f = RationalFunction(c ** 3, c ** 6 + -(c ** 3))
     a = x()
-    assert _in_a(f) == RationalFunction(a, a * a - a)
+    assert _in_a(f) == RationalFunction(a, a * a + -a)
     with pytest.raises(StructuralError):
         _in_a(RationalFunction.of(c))
 

@@ -1,20 +1,23 @@
 """The package has zero runtime dependencies: every import in src/trigonal4
 is relative or names a standard-library module.  The package also carries
-no unused imports, no definition that nothing references, and names every
-definition that only the tests and the benchmark reach."""
+no unused imports, no definition that nothing references, and no def that
+the program's traffic never runs (tests/reachability.py)."""
 
 import ast
+import importlib
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import reachability
 from golden.record import CORPUS
-from test_perfbench_contract import LAYERTRACE, PERFBENCH, _package_imports
+from test_perfbench_contract import LAYERTRACE
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "trigonal4"
 
@@ -110,13 +113,13 @@ def test_no_unused_imports():
     assert not offenders, offenders
 
 
-def _referenced_names(folders=("src", "tests", "scripts")) -> set:
-    """Names that the given folders load (as a Name or an Attribute read, or
-    an import alias), plus the entry points in pyproject.toml; an assignment
-    to a name does not reference it."""
+def _referenced_names() -> set:
+    """Names that src/, tests/ and scripts/ load (as a Name or an Attribute
+    read, or an import alias), plus the entry points in pyproject.toml; an
+    assignment to a name does not reference it."""
     root = SOURCE.parent.parent
     names = set()
-    for folder in folders:
+    for folder in ("src", "tests", "scripts"):
         for path in sorted((root / folder).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -160,50 +163,119 @@ def test_no_dead_definitions():
     assert not offenders, offenders
 
 
-# Definitions that no command or script reaches: nothing in src/, scripts/
-# or the entry points references them.  Each is either named by the
-# benchmark in perfbench/ or public API that the README's Library API
-# section documents.  The oracles the tests cross-check against live in
-# tests/oracles/.
-TEST_ONLY = {
-    "curve.branch_inversion": "benchmark",
-    "curve.divisor_of": "benchmark",
-    "linalg.identity": "public API",
-    "linalg.same_subspace": "public API",
-    "numeric.numeric_residue_pairing": "benchmark",
-    "prng.integer": "public API",
-}
+@pytest.fixture(scope="module")
+def replayed():
+    """The (file name, first line) of every package code object the traffic
+    calls, replayed once in a fresh interpreter."""
+    return reachability.replay_in_subprocess()
 
 
-def test_test_only_definitions_are_named():
-    """The definitions only tests reach are exactly those TEST_ONLY names,
-    each tagged as named by the benchmark or as public API."""
-    production = _referenced_names(("src", "scripts"))
-    found = {f"{module}.{name}" for module, name in _unreferenced_definitions(production)}
-    assert found == set(TEST_ONLY), (sorted(found - set(TEST_ONLY)), sorted(set(TEST_ONLY) - found))
-    assert set(TEST_ONLY.values()) <= {"benchmark", "public API"}
+def test_every_def_runs_for_the_traffic(replayed):
+    """Every def in the package runs for a corpus command, a pinned script,
+    a benchmark round or a perfbench pin (tests/reachability.py); only the
+    EXEMPT names may stay unrun.  Run tests/reachability.py for the list
+    with line counts."""
+    assert reachability.unreached(replayed) == []
 
 
-def test_benchmark_definitions_are_named_by_perfbench():
-    """A COUNTED entry, a CACHES target, or an import of perfbench's
-    workloads.py or worker.py; the tracer's tables are executed, not
-    imported (test_perfbench_contract)."""
-    named = {f"{name.split('.')[0]}.{name.split('.')[-1]}" for name in LAYERTRACE["COUNTED"]}
-    named |= {f"{module}.{name}" for _, targets in LAYERTRACE["CACHES"] for module, name in targets}
-    for file in ("workloads.py", "worker.py"):
-        named |= {f"{module.split('.')[-1]}.{name}" for _, module, name in _package_imports(PERFBENCH / file)}
-    benchmark = {name for name, tag in TEST_ONLY.items() if tag == "benchmark"}
-    assert benchmark <= named, sorted(benchmark - named)
+def _code_key(name: str) -> tuple:
+    """(file name, first line) of the function a perfbench name resolves to,
+    the wrapped one for an lru_cache."""
+    module_name, *path = name.split(".")
+    owner = importlib.import_module(f"trigonal4.{module_name}")
+    for attr in path:
+        owner = vars(owner)[attr]
+    code = getattr(owner, "__wrapped__", owner).__code__
+    return Path(code.co_filename).name, code.co_firstlineno
 
 
-def test_public_api_definitions_are_documented():
-    readme = (SOURCE.parent.parent / "README.md").read_text()
-    section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
-    missing = [
-        name for name, tag in TEST_ONLY.items()
-        if tag == "public API" and not re.search(rf"\b{name.split('.')[1]}\b", section)
-    ]
+def test_the_exercise_runs_what_perfbench_pins(replayed):
+    """Each EXERCISE entry calls a name that perfbench/layertrace.py counts
+    (COUNTED) or reads the cache of (CACHES), and with the traffic it runs
+    every one of those names.  So when the benchmark stops naming a
+    function, its entry here fails until it goes, and the guard above then
+    finds what only the exercise ran."""
+    pinned = set(LAYERTRACE["COUNTED"]) | {
+        f"{module}.{name}" for _, targets in LAYERTRACE["CACHES"] for module, name in targets
+    }
+    assert set(reachability.EXERCISE) <= pinned, sorted(set(reachability.EXERCISE) - pinned)
+    missing = sorted(name for name in pinned if _code_key(name) not in replayed)
     assert not missing, missing
+
+
+_SYNTHETIC = """\
+import functools
+
+
+def called():
+    def nested_uncalled():
+        return 1
+
+    def nested_called():
+        return 2
+
+    return nested_called()
+
+
+@functools.lru_cache(maxsize=None)
+def decorated_uncalled():
+    return 3
+
+
+@functools.lru_cache(maxsize=None)
+def decorated_called():
+    return 4
+
+
+def at_import():
+    return decorated_called()
+
+
+VALUE = at_import()
+
+
+class Record:
+    def __eq__(self, other):
+        return True
+
+    def __hash__(self):
+        return 0
+
+    def __repr__(self):
+        return "Record"
+
+    def __str__(self):
+        return "record"
+
+
+def entry():
+    return called()
+"""
+
+
+def test_the_guard_lists_exactly_the_uncalled_defs(tmp_path):
+    """On a synthetic module: a called def (and the def it calls), an
+    uncalled nested def, an uncalled and a called decorated def, and a def
+    that runs only at import.  The exemptions go by name: __eq__, __hash__
+    and __repr__ anywhere, entry only in cli."""
+    module = tmp_path / "synthetic.py"
+    module.write_text(_SYNTHETIC)
+    cli = tmp_path / "cli.py"
+    cli.write_text("def entry():\n    return 0\n\n\ndef other():\n    return 1\n")
+
+    def run():
+        namespace = runpy.run_path(str(module))
+        namespace["called"]()
+        runpy.run_path(str(cli))
+
+    called = reachability.profile_calls(run, tmp_path)
+    assert reachability.unreached(called, [module, cli]) == [
+        ("synthetic", "called.nested_uncalled", 2),
+        ("synthetic", "decorated_uncalled", 3),
+        ("synthetic", "Record.__str__", 2),
+        ("synthetic", "entry", 2),
+        ("cli", "other", 2),
+    ]
 
 
 SCALAR_ARITHMETIC = ("__add__", "__sub__", "__rsub__", "__mul__", "__truediv__", "__rtruediv__", "inverse")
