@@ -115,8 +115,8 @@ def canonical_cubic(params: CurveParams) -> CubicForm:
     """The new cubic of the canonical ideal, z0**3 - sum_k q_k m_k: no
     monomial divisible by z1*z3, leading coefficient 1."""
     coefficients = {(3, 0, 0, 0): Scalar.one()}
-    for k, m in enumerate(_CUBIC_X_POWERS):
-        coefficients[m] = -params.q_poly.coefficient(k)
+    for m, q in zip(_CUBIC_X_POWERS, params.q_coefficients):
+        coefficients[m] = -q
     return CubicForm(tuple(coefficients.get(m, Scalar.zero()) for m in CUBIC_MONOMIALS))
 
 

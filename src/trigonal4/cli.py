@@ -324,22 +324,22 @@ def cmd_d0(args, out) -> int:
 
 def cmd_qz24(args, out) -> int:
     from . import report
-    from .qz24 import ANNOTATION, cube_family_report, evaluate_at
+    from .qz24 import ANNOTATION, CONIC_VALUE, COVECTOR, probe_at
     from .scalars import Scalar
 
     a_value = Scalar.parse(args.a) if args.a is not None else None
-    probe = cube_family_report(a_value)
     document = {
         "a": str(a_value) if a_value is not None else None,
-        "covector": [report.rational_function_json(c) for c in probe.covector],
-        "conic_value": report.rational_function_json(probe.conic_value),
+        "covector": [{"num": num, "den": den} for num, den in COVECTOR],
+        "conic_value": {"num": CONIC_VALUE[0], "den": CONIC_VALUE[1]},
         "variant": "NotOnConic",  # the conic value -1/(9 a**2 (a - 1)**2) never vanishes
         "open_question": ANNOTATION,
         "tags": {"covector": "cube-family-probe", "conic_value": "conic-criterion"},
     }
     if a_value is not None:
-        document["covector_at_a"] = [str(evaluate_at(c, a_value)) for c in probe.covector]
-        document["value_at_a"] = str(evaluate_at(probe.conic_value, a_value))
+        covector, value = probe_at(a_value)
+        document["covector_at_a"] = report.scalars_json(covector)
+        document["value_at_a"] = str(value)
     out.write(report.dumps(document))
     return 0
 
@@ -347,6 +347,10 @@ def cmd_qz24(args, out) -> int:
 # ---------------------------------------------------------------------------
 # Wiring
 # ---------------------------------------------------------------------------
+
+# Help and usage text wraps at the width argparse derives from an 80-column
+# terminal, whatever COLUMNS or the terminal says, so the bytes are fixed.
+_FORMATTER = functools.partial(argparse.HelpFormatter, width=78)
 
 
 @functools.cache
@@ -356,21 +360,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trigonal4",
         description="Exact deformation invariants of a family of trigonal genus-4 curves.",
+        formatter_class=_FORMATTER,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     parser.command_parsers = sub.choices  # name -> parser, filled below; main reads it
+    add_parser = functools.partial(sub.add_parser, formatter_class=_FORMATTER)
 
     def add_common(p):
         p.add_argument("--series-order", type=int, default=DEFAULT_SERIES_ORDER)
         p.add_argument("--timing", action="store_true")
 
-    p = sub.add_parser("analyze", help="full per-direction report")
+    p = add_parser("analyze", help="full per-direction report")
     p.add_argument("--u", required=True)
     p.add_argument("--xi", required=True)
     add_common(p)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("residue-check", help="closed form vs residue oracle, all 16 entries")
+    p = add_parser("residue-check", help="closed form vs residue oracle, all 16 entries")
     p.add_argument("--u", required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--numeric", action="store_true")
@@ -379,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_residue_check)
 
-    p = sub.add_parser("scan", help="stratify sampled directions by certificate variant")
+    p = add_parser("scan", help="stratify sampled directions by certificate variant")
     p.add_argument("--random", type=int)
     p.add_argument("--seed", type=int)  # 0 when absent; an error with --grid
     p.add_argument("--grid")
@@ -387,22 +393,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("ideal", help="quadric and cubic of the canonical ideal")
+    p = add_parser("ideal", help="quadric and cubic of the canonical ideal")
     p.add_argument("--u", required=True)
     p.set_defaults(func=cmd_ideal)
 
-    p = sub.add_parser("schiffer", help="ideal-membership test of a projective point")
+    p = add_parser("schiffer", help="ideal-membership test of a projective point")
     p.add_argument("--u", required=True)
     p.add_argument("--point", required=True)
     p.set_defaults(func=cmd_schiffer)
 
-    p = sub.add_parser("d0", help="ruling-section difference and triviality witness")
+    p = add_parser("d0", help="ruling-section difference and triviality witness")
     p.add_argument("--u", required=True)
     p.add_argument("--t1", required=True)
     p.add_argument("--t2")
     p.set_defaults(func=cmd_d0)
 
-    p = sub.add_parser("qz24", help="exact probe of the cube-root one-parameter family")
+    p = add_parser("qz24", help="exact probe of the cube-root one-parameter family")
     p.add_argument("--a")
     p.set_defaults(func=cmd_qz24)
 
@@ -413,15 +419,16 @@ def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    # an attached "--" (--u=--) is refused here: argparse versions differ
+    # on it, dropping it (an empty value) or keeping it as the value
+    if any(token[:1] == "-" and token.partition("=")[2] == "--" for token in argv):
+        parser.error("-- is not an option value")
     # parse_args hands all that follows a command name to its parser, then
     # refuses leftovers; it runs here only where there are some to refuse
     command = parser.command_parsers.get(argv[0]) if argv else None
     args, leftover = command.parse_known_args(argv[1:]) if command else (None, True)
     if leftover:
         args = parser.parse_args(argv)
-    # argparse drops "--" from an attached value (--u=--) and stores []
-    if [] in vars(args).values():
-        parser.error("-- is not an option value")
     try:
         return args.func(args, out)
     except Trigonal4Error as exc:

@@ -9,11 +9,13 @@ at a branch point.  No command reaches divisor_of or branch_inversion:
 they stay because perfbench/layertrace.py counts divisor_of calls and
 reads the cache of branch_inversion, and the oracles in
 tests/oracles/curve.py (branch charts, charts at any point, divisors of
-functions, divisor minima, the canonical map) build on them.
+functions, divisor minima, the canonical map) build on them.  Only they,
+_poly_zero_divisor and infinity_chart build a UniPoly or a LocalSeries,
+importing polynomials and series when they run; importing curve does not.
 
 Validation computes only u, the differences u_i - u_k and the u_j**3 - 1,
 which is what an off-conic scan row reads; Q'(u_j) is built from those, and
-Q, Q' and the branch x from u, on first read.
+Q's coefficients and the branch x from u, on first read.
 
 Divisors are fiber-aware.  Points whose coordinates live in Q(w) are stored
 individually; a full degree-3 fiber of the x-projection is stored as one
@@ -37,9 +39,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 from .errors import DegenerateInput, InvalidParameters, StructuralError
-from .polynomials import UniPoly, squarefree_decomposition
 from .scalars import INFINITY, Scalar, _add3, _make, _mul3, _sub3, _triple
-from .series import LocalSeries, series_of_poly
 
 
 # ---------------------------------------------------------------------------
@@ -50,9 +50,9 @@ from .series import LocalSeries, series_of_poly
 class CurveParams:
     """A point of the family base: the parameters u, and as the unreduced
     triples that validation forms, the differences u1 - u2, u1 - u3,
-    u2 - u3 and the three u_j**3 - 1.  Q'(u_j), Q and Q' (low to high) and
-    the six branch x are built on first read: only the covector, the
-    residue oracle, numeric, canonical_ideal and the charts read them.
+    u2 - u3 and the three u_j**3 - 1.  Q'(u_j), Q's coefficients (low to
+    high) and the six branch x are built on first read: only the covector,
+    the residue oracle, numeric, canonical_ideal and the charts read them.
     Equality and hash read u alone, so the derived data costs nothing where
     params key a cache."""
 
@@ -90,12 +90,9 @@ class CurveParams:
         return (e3, _mul3(minus, e2), e1, _sub3(_mul3(minus, e3), (1, 0, 1)), e2, _mul3(minus, e1), (1, 0, 1))
 
     @cached_property
-    def q_poly(self) -> UniPoly:
-        return UniPoly(_make(*c) for c in self._q_triples)
-
-    @cached_property
-    def qprime(self) -> UniPoly:
-        return self.q_poly.derivative()
+    def q_coefficients(self) -> tuple:
+        """The seven coefficients of Q, low to high."""
+        return tuple(_make(*c) for c in self._q_triples)
 
     @cached_property
     def branch_x(self) -> tuple:
@@ -212,7 +209,7 @@ class FiberLocus(_Entry):
     rank = 3
 
     def __init__(self, poly: tuple):
-        self.poly = poly  # UniPoly coefficients, low to high
+        self.poly = poly  # coefficients, low to high
 
     @property
     def degree(self):
@@ -251,14 +248,14 @@ class InfinityPoint(_Entry):
         self.sheet = sheet
 
 
-def _locus_entry(poly: UniPoly):
+def _locus_entry(poly):
     poly = poly.monic()
     if poly.degree == 1:
         return FiberPoint(-poly.coefficient(0))
     return FiberLocus(poly.coefficients)
 
 
-def _place_entry(poly: UniPoly, y_res: UniPoly):
+def _place_entry(poly, y_res):
     poly = poly.monic()
     if poly.degree == 1:
         root = -poly.coefficient(0)
@@ -342,10 +339,6 @@ class Differential:
     def is_zero(self) -> bool:
         return not (self.b0 or any(self.b))
 
-    def poly(self) -> UniPoly:
-        """The coefficient polynomial b1 + b2*x + b3*x**2 of the dx/y**2 part."""
-        return UniPoly(self.b)
-
 
 # ---------------------------------------------------------------------------
 # Local charts
@@ -361,24 +354,27 @@ class Chart:
 
     __slots__ = ("x_series", "y_series", "dx_series", "dx_valuation")
 
-    def __init__(self, x_series: LocalSeries, y_series: LocalSeries, dx_series: LocalSeries, dx_valuation: int):
+    def __init__(self, x_series, y_series, dx_series, dx_valuation: int):
         self.x_series, self.y_series = x_series, y_series
         self.dx_series, self.dx_valuation = dx_series, dx_valuation
 
 
 @lru_cache(maxsize=256)
-def branch_inversion(params: CurveParams, x0: Scalar, truncation: int) -> LocalSeries:
+def branch_inversion(params: CurveParams, x0: Scalar, truncation: int):
     """The series D(y) with x = x0 + D(y) solving y**3 = Q(x) at a branch
     point, by Lagrange inversion: with Q(x0 + X) = X * Q'(x0) * U(X), U(0) = 1,
     the coefficient of y**(3n) is [X**(n-1)] U**(-n) / (n * Q'(x0)**n).  The
     first term is y**3/Q'(x0), and Q(x0 + D(y)) = y**3 is checked exactly.
     The branch charts of tests/oracles/curve.py are built on it."""
+    from .polynomials import UniPoly
+    from .series import LocalSeries, series_of_poly
+
     if not params.is_branch_x(x0):
         raise DegenerateInput("branch expansion requested at a non-branch x")
     qp0 = params.qprime_at(x0)
     if not qp0:
         raise InvalidParameters("multiple branch root; configuration excluded from the base")
-    shifted = params.q_poly.taylor_shift(x0)
+    shifted = UniPoly(params.q_coefficients).taylor_shift(x0)
     qp0_inv = qp0.inverse()
     u = {k - 1: c * qp0_inv for k, c in enumerate(shifted.coefficients) if k}
     terms = {}
@@ -392,16 +388,16 @@ def branch_inversion(params: CurveParams, x0: Scalar, truncation: int) -> LocalS
     return d
 
 
-def _infinity_root_series(params: CurveParams, truncation: int) -> LocalSeries:
-    reversed_q = params.q_poly.reversed_coefficients()
-    return series_of_poly(reversed_q, LocalSeries.monomial(1, Scalar.one(), truncation)).cube_root_unit()
-
-
 def infinity_chart(params: CurveParams, sheet: int, truncation: int) -> Chart:
     """Chart in t = 1/x; y = w**sheet * t**-2 * (t**6 Q(1/t))**(1/3) is known
     below t**(truncation - 2)."""
+    from .polynomials import UniPoly
+    from .series import LocalSeries, series_of_poly
+
     t_inv = LocalSeries.monomial(-1, Scalar.one(), truncation)
-    s = _infinity_root_series(params, truncation)
+    # t**6 Q(1/t) has the coefficients of Q reversed
+    t6_q = series_of_poly(UniPoly(params.q_coefficients[::-1]), LocalSeries.monomial(1, Scalar.one(), truncation))
+    s = t6_q.cube_root_unit()
     y_series = LocalSeries.monomial(-2, Scalar.zeta_power(sheet), truncation - 2) * s
     dx_series = LocalSeries.monomial(-2, Scalar.of(-1), truncation)
     return Chart(x_series=t_inv, y_series=y_series, dx_series=dx_series, dx_valuation=-2)
@@ -422,11 +418,13 @@ def trigonal_fiber(params: CurveParams, x0) -> Divisor:
     return Divisor.of((FiberPoint(x0), 1))
 
 
-def _poly_zero_divisor(params: CurveParams, poly: UniPoly, weight: int, entry) -> Divisor:
+def _poly_zero_divisor(params: CurveParams, poly, weight: int, entry) -> Divisor:
     """Affine zeros of a polynomial in x read off its squarefree
     decomposition: a branch x that is a root of multiplicity m becomes a
     BranchPoint of multiplicity weight*m, and the rest of each factor is one
     entry(rest), a point when linear and a locus otherwise."""
+    from .polynomials import UniPoly, squarefree_decomposition
+
     out = Divisor.zero()
     one = Scalar.one()
     for factor, m in squarefree_decomposition(poly):
@@ -448,9 +446,12 @@ _INFINITY_ORDER_TRUNCATION = 7
 def divisor_of(params: CurveParams, d: Differential) -> Divisor:
     """Zero divisor of a nonzero holomorphic 1-form; always effective of
     degree 6 (the canonical degree 2g - 2 for genus 4)."""
+    from .polynomials import UniPoly
+    from .series import series_of_poly
+
     if d.is_zero():
         raise DegenerateInput("the zero differential has no divisor")
-    p = d.poly()
+    p = UniPoly(d.b)  # b1 + b2*x + b3*x**2
     if not d.b0:
         # d = P(x) dx/y**2: div = div(P) + 2 * (infinity fiber)
         out = _poly_zero_divisor(params, p, 3, _locus_entry)
@@ -462,7 +463,7 @@ def divisor_of(params: CurveParams, d: Differential) -> Divisor:
         # is R = P**3 + b0**3 * Q, which carries the affine zeros of f.
         b0 = d.b0
         y_res = (-p).scale(b0.inverse())
-        norm = p ** 3 + params.q_poly.scale(b0 ** 3)
+        norm = p ** 3 + UniPoly(params.q_coefficients).scale(b0 ** 3)
         out = _poly_zero_divisor(params, norm, 1, lambda locus: _place_entry(locus, y_res))
         # infinity: expand f on each sheet and add the frame contribution 2
         for s in range(3):

@@ -106,8 +106,9 @@ def numeric_residue_matrix(
 def _contour_matrix(params: CurveParams, j: int, nodes: int) -> tuple:
     x0 = complex(params.u[j - 1])
     rho = _chart_radius(params, j)
-    q = [complex(c) for c in params.q_poly.coefficients]
-    qp = [complex(c) for c in params.qprime.coefficients]
+    q_exact = params.q_coefficients
+    q = [complex(c) for c in q_exact]
+    qp = [complex(k * c) for k, c in enumerate(q_exact) if k]
     q_abs = [abs(c) for c in q]
 
     ys = [rho * cmath.exp(2j * cmath.pi * m / nodes) for m in range(nodes)]

@@ -1,11 +1,13 @@
 """Dense univariate polynomials over an exact field.
 
-``UniPoly`` holds polynomials with Q(w) coefficients: in x, and in the
-cube-root probe in its parameter a.  Division, gcd and the squarefree
-decomposition serve the divisor computations of curve.py, which keep each
-squarefree factor of degree >= 2 as one locus; no command builds a
-rational function, and the rational functions of the oracles live in
-tests/oracles/polynomials.py.
+``UniPoly`` holds polynomials in x with Q(w) coefficients.  No command
+builds one: in src/ only series.py and the block of curve.py that the
+benchmark pins (divisor_of and branch_inversion, with the infinity chart)
+import this module, and they import it when they run.  Division, gcd and
+the squarefree decomposition serve divisor_of, which keeps each squarefree
+factor of degree >= 2 as one locus.  The rational functions and the
+printed form of a polynomial (format) are test oracles
+(tests/oracles/polynomials.py).
 Degrees in this package stay small (about 20 at most), so the dense
 representation and classical algorithms are the right tool.
 """
@@ -143,10 +145,6 @@ class UniPoly:
             out = out * shifted + UniPoly((c,))
         return out
 
-    def reversed_coefficients(self) -> "UniPoly":
-        """x**deg * p(1/x); used for expansions at infinity."""
-        return UniPoly(tuple(reversed(self.coefficients)))
-
     # -- normal forms -----------------------------------------------------------
 
     def monic(self) -> "UniPoly":
@@ -154,29 +152,6 @@ class UniPoly:
             raise DegenerateInput("zero polynomial cannot be made monic")
         lead = self.leading
         return UniPoly(tuple(c / lead for c in self.coefficients))
-
-    def format(self, variable: str = "x") -> str:
-        if not self:
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coefficient(k)
-            if not c:
-                continue
-            text = str(c)
-            needs_parens = ("+" in text[1:]) or ("*" in text and k > 0)
-            if needs_parens:
-                text = f"({text})"
-            if k == 0:
-                term = text
-            else:
-                var = variable if k == 1 else f"{variable}^{k}"
-                term = var if text == "1" else f"-{var}" if text == "-1" else f"{text}*{var}"
-            parts.append(term)
-        joined = parts[0]
-        for term in parts[1:]:
-            joined += term if term.startswith("-") else "+" + term
-        return joined
 
 
 def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:

@@ -15,29 +15,19 @@ c_k = sum_j a_j u_j**(k-1) / Q'(u_j):
 The covector is therefore (0, 1/(3a(a-1)), 0), and its conic value
 X*Z - Y**2 is -1/(9a**2(a-1)**2): OFF the vanishing conic, while the cycle
 class is known to be locally constant along this family.  The qz24
-command prints that tension as the explicit ANNOTATION, reads the variant
-off the value's numerator, and asserts nothing beyond the value.
-tests/oracles/qz24.py computes the covector over Q(w)(c) and
-descends it to Q(w)(a) as the cross-check.
+command prints both as the (numerator, denominator) texts in a below and
+that tension as the explicit ANNOTATION; tests/test_closed_forms.py parses
+the texts and proves them in generic c.
 """
 
 from __future__ import annotations
 
 from .errors import DegenerateInput
-from .polynomials import UniPoly
 from .scalars import Scalar
 
-
-class CubeFamilyReport:
-    """Exact conic data of the cube-root one-parameter family; each value
-    is a (numerator, denominator) pair of UniPolys in a."""
-
-    __slots__ = ("covector", "conic_value")
-
-    def __init__(self, covector: tuple, conic_value: tuple):
-        self.covector = covector
-        self.conic_value = conic_value
-
+# (numerator, denominator) texts in a, as the qz24 command prints them
+COVECTOR = (("0", "1"), ("1/3", "a^2-a"), ("0", "1"))
+CONIC_VALUE = ("-1/9", "a^4-2*a^3+a^2")
 
 ANNOTATION = (
     "tension: the cycle class is known to be locally constant along this "
@@ -46,21 +36,10 @@ ANNOTATION = (
 )
 
 
-def cube_family_report(a_value: Scalar | None = None) -> CubeFamilyReport:
-    """Full probe report; when ``a_value`` is given it must avoid 0 and the
-    unit cubes, and it is checked before anything else."""
-    if a_value is not None:
-        a_value = Scalar.of(a_value)
-        if not a_value or a_value == Scalar.one() or (a_value ** 3) == Scalar.one():
-            raise DegenerateInput("the probe needs a outside {0} and the unit cubes")
-    one = Scalar.one()
-    zero = (UniPoly(()), UniPoly((one,)))
-    num, den = UniPoly((one / 3,)), UniPoly((Scalar.zero(), -one, one))  # 1/3 over a**2 - a
-    conic_value = (-(num * num), den * den)  # c1 = c3 = 0, so X*Z - Y**2 = -c2**2
-    return CubeFamilyReport(covector=(zero, (num, den), zero), conic_value=conic_value)
-
-
-def evaluate_at(pair: tuple, a_value: Scalar) -> Scalar:
-    a_value = Scalar.of(a_value)
-    num, den = pair
-    return num.evaluate(a_value) / den.evaluate(a_value)
+def probe_at(a_value: Scalar) -> tuple:
+    """(covector, conic value) at a, that is (0, c1, 0) and -c1**2 with
+    c1 = 1/(3a(a-1)); a must avoid 0 and the unit cubes, 1 among them."""
+    if not a_value or a_value ** 3 == Scalar.one():
+        raise DegenerateInput("the probe needs a outside {0} and the unit cubes")
+    c1 = (3 * a_value * (a_value - 1)).inverse()
+    return (Scalar.zero(), c1, Scalar.zero()), -(c1 * c1)

@@ -1,4 +1,5 @@
-"""JSON encoding of every value type.
+"""JSON encoding of every value type; none is a polynomial (qz24's closed
+forms are constant texts).
 
 Each report field carries a tag naming the mathematical fact it computes;
 the commands write the tags, and the README's tag table is the complete
@@ -6,7 +7,7 @@ set.  Encoders are deterministic: entries are emitted in canonical sorted
 order and scalars in the canonical literal syntax, so identical inputs
 produce identical bytes.  A divisor entry's JSON is its kind and then its
 slots, the same fields that give its equality, hash and order, so this
-module knows no entry class.  The certificate and form annotations stay
+module knows no entry class.  The certificate and form annotations are
 strings and form_json imports monomial_label when it runs, so importing
 this module loads no other package module.
 
@@ -23,7 +24,6 @@ import json
 from json.encoder import encode_basestring_ascii as _quote
 
 MONOMIAL_ORDER = "grlex z0>z1>z2>z3"
-PROBE_VARIABLE = "a"  # the parameter of the cube-root family (qz24)
 
 
 def scalars_json(values) -> list:
@@ -63,12 +63,6 @@ def form_json(form: MonomialForm) -> dict:
     from .canonical_ideal import monomial_label
 
     return {monomial_label(m): str(c) for m, c in zip(form.monomials, form.coefficients) if c}
-
-
-def rational_function_json(f: tuple) -> dict:
-    """A (numerator, denominator) pair of UniPolys in the probe parameter."""
-    num, den = f
-    return {"num": num.format(PROBE_VARIABLE), "den": den.format(PROBE_VARIABLE)}
 
 
 def dumps(document: dict) -> str:

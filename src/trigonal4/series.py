@@ -10,10 +10,11 @@ inverse of tests/oracles/series.py.  Polynomials in x are evaluated on a
 chart by ``series_of_poly``; rational functions of x, shifts, inverses
 and derivatives are test oracles (tests/oracles/series.py).
 
-No command expands a series.  In src/ only curve.divisor_of (through the
-infinity chart) and curve.branch_inversion build them, and both stay
-because the benchmark names them; the charts, the series residue oracle
-and the support test of tests/oracles/ build on them.
+No command expands a series, and no command imports this module.  In
+src/ only curve.divisor_of (through the infinity chart) and
+curve.branch_inversion build them, importing it when they run, and both
+stay because the benchmark names them; the charts, the series residue
+oracle and the support test of tests/oracles/ build on them.
 """
 
 from __future__ import annotations

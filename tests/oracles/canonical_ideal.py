@@ -16,6 +16,8 @@ from trigonal4.errors import DegenerateInput, StructuralError
 from trigonal4.linalg import Matrix
 from trigonal4.scalars import Scalar
 
+from oracles.polynomials import q_poly
+
 SYM2_FIBERS = 12
 SYM3_FIBERS = 25
 
@@ -62,7 +64,7 @@ def _monomial_fiber_rows(params: CurveParams, monomials, x0: Scalar) -> list[lis
     """Three exact condition rows (the Y-components) for vanishing of a form
     at all three fiber points over x0, where z = (Y, 1, x0, x0**2) and
     Y**3 = Q(x0)."""
-    q0 = params.q_poly.evaluate(x0)
+    q0 = q_poly(params).evaluate(x0)
     if not q0:
         raise DegenerateInput("fiber evaluation needs a non-branch x")
     rows = [[Scalar.zero()] * len(monomials) for _ in range(3)]

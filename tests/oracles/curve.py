@@ -42,7 +42,7 @@ from trigonal4.polynomials import UniPoly, poly_gcd
 from trigonal4.scalars import Scalar
 from trigonal4.series import LocalSeries, series_of_poly
 
-from oracles.polynomials import RationalFunction
+from oracles.polynomials import RationalFunction, format_poly, q_poly
 from oracles.series import derivative, inverse, series_of_rational
 
 # The ordered graded basis (w0, w1, w2, w3) of holomorphic 1-forms.
@@ -70,8 +70,8 @@ class KDifferential:
     @staticmethod
     def of_differential(params: CurveParams, d: Differential) -> "KDifferential":
         # dx/y = y**2 dx / Q and dx/y**2 = y dx / Q.
-        q = RationalFunction.of(params.q_poly)
-        g, h = RationalFunction.of(d.poly()) / q, RationalFunction.of(d.b0) / q
+        q = RationalFunction.of(q_poly(params))
+        g, h = RationalFunction.of(UniPoly(d.b)) / q, RationalFunction.of(d.b0) / q
         return KDifferential(params, 1, RationalFunction.zero(), g, h)
 
     def __add__(self, other: "KDifferential") -> "KDifferential":
@@ -86,7 +86,7 @@ class KDifferential:
     def __mul__(self, other: "KDifferential") -> "KDifferential":
         if self.params != other.params:
             raise DegenerateInput("k-differentials live on different curves")
-        q = RationalFunction.of(self.params.q_poly)
+        q = RationalFunction.of(q_poly(self.params))
         f1, g1, h1 = self.f, self.g, self.h
         f2, g2, h2 = other.f, other.g, other.h
         return KDifferential(
@@ -113,7 +113,7 @@ def basis_factors(params: CurveParams, x_series: LocalSeries, top: int) -> tuple
     w_l = x**(l-1) y dx/Q (top = 2), and the quadratic differentials x**k/Q,
     y/Q, x**k y**2/Q**2 times (dx)**2 (top = 4).  The high powers carry the
     largest coefficients, so callers ask only for what they read."""
-    q_inv = inverse(series_of_poly(params.q_poly, x_series))
+    q_inv = inverse(series_of_poly(q_poly(params), x_series))
     powers = [LocalSeries.constant(Scalar.one(), x_series.truncation)]
     for _ in range(top):
         powers.append(powers[-1] * x_series)
@@ -154,10 +154,10 @@ class FiberFrame:
 
 def fiber_frame(params: CurveParams, x0: Scalar, truncation: int) -> FiberFrame:
     x0 = Scalar.of(x0)
-    q0 = params.q_poly.evaluate(x0)
+    q0 = q_poly(params).evaluate(x0)
     if not q0:
         raise DegenerateInput("fiber frame needs a non-branch x")
-    shifted = params.q_poly.taylor_shift(x0)
+    shifted = q_poly(params).taylor_shift(x0)
     s = LocalSeries.monomial(1, Scalar.one(), truncation)
     unit = series_of_poly(shifted, s).scale(q0.inverse())
     x_series = LocalSeries.constant(x0, truncation) + s
@@ -270,9 +270,9 @@ def entry_str(p) -> str:
     if isinstance(p, FiberPoint):
         return f"Fiber({p.x})"
     if isinstance(p, FiberLocus):
-        return f"Fiber[{as_poly(p).format()}]"
+        return f"Fiber[{format_poly(as_poly(p))}]"
     if isinstance(p, PlaceLocus):
-        return f"Place[{as_poly(p).format()}; y={y_poly(p).format()}]"
+        return f"Place[{format_poly(as_poly(p))}; y={format_poly(y_poly(p))}]"
     return f"Inf({p.sheet})"
 
 

@@ -17,7 +17,7 @@ from trigonal4.series import LocalSeries
 from oracles.curve import OMEGA, KDifferential, basis_factors, branch_chart, chart_at, fiber_frame
 from oracles.linalg import identity
 from oracles.series import inverse
-from oracles.polynomials import RationalFunction
+from oracles.polynomials import RationalFunction, q_poly
 
 
 def moment_matrix(params: CurveParams) -> Matrix:
@@ -94,7 +94,7 @@ def kdifferential_coordinates(params: CurveParams, q: KDifferential) -> tuple:
     section is not holomorphic (not representable in the 9-dim model)."""
     if q.k != 2:
         raise DegenerateInput("expected a quadratic differential")
-    qq = RationalFunction.of(params.q_poly)
+    qq = RationalFunction.of(q_poly(params))
     a_part = q.f * qq
     b_part = q.g * qq
     c_part = q.h * qq * qq

@@ -11,6 +11,8 @@ from trigonal4.deformation import ORACLE_SIGN
 from trigonal4.errors import StructuralError
 from trigonal4.numeric import _chart_radius, _horner
 
+from oracles.polynomials import q_poly
+
 
 def newton_80(q: list, qp: list, q_abs: list, x_seed: complex, y: complex) -> complex:
     """Newton solve of Q(x) = y**3 starting near the branch coordinate."""
@@ -61,8 +63,8 @@ def _poly_complex(coeffs, z: complex) -> complex:
 
 
 def _solve_x(params, x_seed: complex, y: complex) -> complex:
-    q = params.q_poly.coefficients
-    qp = params.qprime.coefficients
+    q = q_poly(params).coefficients
+    qp = q_poly(params).derivative().coefficients
     target = y ** 3
     x = x_seed
     for _ in range(80):
@@ -80,7 +82,7 @@ def _reference_numeric_pairing(params, j: int, l: int, k: int, nodes: int) -> co
     coefficient to complex at every use."""
     x0 = complex(params.u[j - 1])
     rho = _chart_radius(params, j)
-    qp = params.qprime.coefficients
+    qp = q_poly(params).derivative().coefficients
 
     ys = [rho * cmath.exp(2j * cmath.pi * m / nodes) for m in range(nodes)]
     qp0 = _poly_complex(qp, x0)

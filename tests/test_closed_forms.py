@@ -19,10 +19,16 @@ The names follow the docstring of trigonal4.deformation:
 * on the cube-root locus u_j = c w**(j-1), a = c**3 (trigonal4.qz24), the
   tangent a_j = 1/(3 u_j**2) has the covector (0, 1/(3a(a-1)), 0) and the
   conic value -1/(9 a**2 (a-1)**2), for generic c; w is a symbol reduced
-  by w**2 + w + 1 = 0.
+  by w**2 + w + 1 = 0.  The (numerator, denominator) texts in a that the
+  qz24 command prints are parsed and proven equal to both.
 """
 
+import io
+import json
+
 import sympy as sp
+
+from trigonal4.cli import main
 
 U = sp.symbols("u1:4")
 A = sp.symbols("a1:4")
@@ -73,6 +79,20 @@ def vanishes_at_w(expr, w) -> bool:
     return sp.rem(sp.expand(num), minimal, w) == 0 and sp.rem(sp.expand(den), minimal, w) != 0
 
 
+def printed_qz24(a) -> tuple:
+    """The covector and the conic value that the qz24 command prints, each
+    parsed from its num and den texts as a rational function of a."""
+    out = io.StringIO()
+    assert main(["qz24"], out) == 0
+    doc = json.loads(out.getvalue())
+
+    def parse(pair):
+        num, den = (sp.parse_expr(pair[key].replace("^", "**"), {"a": a}) for key in ("num", "den"))
+        return num / den
+
+    return tuple(map(parse, doc["covector"])), parse(doc["conic_value"])
+
+
 def test_cube_family_closed_form():
     c, w = sp.symbols("c w")
     cube = dict(zip(U, (c, c * w, c * w**2)))
@@ -82,3 +102,9 @@ def test_cube_family_closed_form():
     assert vanishes_at_w(c0, w) and vanishes_at_w(c2, w)
     assert vanishes_at_w(c1 - 1 / (3 * a * (a - 1)), w)
     assert vanishes_at_w(c0 * c2 - c1**2 + 1 / (9 * a**2 * (a - 1) ** 2), w)
+    # what qz24 prints, at a = c**3
+    symbol = sp.Symbol("a")
+    printed_covector, printed_value = printed_qz24(symbol)
+    for ck, printed in zip((c0, c1, c2), printed_covector):
+        assert vanishes_at_w(ck - printed.subs(symbol, a), w)
+    assert vanishes_at_w(c0 * c2 - c1**2 - printed_value.subs(symbol, a), w)

@@ -41,7 +41,7 @@ from oracles.curve import (
     subtract,
     subtract_forms,
 )
-from oracles.polynomials import RationalFunction, from_roots, from_scalars
+from oracles.polynomials import RationalFunction, from_roots, from_scalars, q_poly
 from oracles.series import inverse
 
 
@@ -49,7 +49,7 @@ from oracles.series import inverse
 
 
 def test_validate_params_accepts_base_point(u023):
-    assert u023.q_poly.degree == 6
+    assert q_poly(u023).degree == 6
     assert len(u023.branch_x) == 6
 
 
@@ -77,16 +77,16 @@ def test_validate_params_checks_collisions_before_cubes():
 @given(seed=st.integers(min_value=0, max_value=2**64 - 1))
 @settings(max_examples=30)
 def test_closed_form_curve_data_matches_roots(seed):
-    # Q from the elementary symmetric functions of u against the product of
-    # (x - b) over the six branch x; the stored Q'(u_j) against Horner on
-    # the triples of the expanded Q, and that against UniPoly evaluation
+    # Q's coefficients from the elementary symmetric functions of u against
+    # the product of (x - b) over the six branch x; the stored Q'(u_j)
+    # against Horner on the triples of the expanded Q, and that against
+    # UniPoly evaluation
     rng = SplitMix64(seed)
     params = sample_params(rng)
-    assert params.q_poly == from_roots(params.branch_x)
-    assert params.qprime == params.q_poly.derivative()
+    assert params.q_coefficients == from_roots(params.branch_x).coefficients
     assert params.qprime_u == tuple(params.qprime_at(uj) for uj in params.u)
     x = sample_scalar(rng)
-    assert params.qprime_at(x) == params.qprime.evaluate(x)
+    assert params.qprime_at(x) == q_poly(params).derivative().evaluate(x)
     # the six branch x are pairwise distinct, so Q is squarefree
     assert all(params.qprime_at(b) for b in params.branch_x)
 
@@ -101,12 +101,13 @@ def test_params_equality_and_hash_read_u_alone(u023):
     # them on first read
     assert "qprime_u" not in vars(again)
     assert again.qprime_u == (Scalar.of(-6), Scalar.of(-14), Scalar.of(78))
-    # Q, Q' and the branch x are built on first read, equal to the closed
-    # forms validate_params once built eagerly (e1, e2, e3 = 5, 6, 0 here)
-    assert not {"q_poly", "qprime", "branch_x"} & set(vars(altered))
-    assert altered.q_poly == from_scalars((0, -6, 5, -1, 6, -5, 1))
-    assert altered.qprime == from_scalars((-6, 10, -3, 24, -25, 6))
+    # Q's coefficients and the branch x are built on first read and kept,
+    # equal to the closed forms validate_params once built eagerly
+    # (e1, e2, e3 = 5, 6, 0 here)
+    assert not {"q_coefficients", "branch_x"} & set(vars(altered))
+    assert altered.q_coefficients == from_scalars((0, -6, 5, -1, 6, -5, 1)).coefficients
     assert altered.branch_x == (Scalar.one(), Scalar.zeta(), Scalar.zeta_power(2)) + u023.u
+    assert {"q_coefficients", "branch_x"} <= set(vars(altered))
 
 
 # -- local expansions ----------------------------------------------------------
@@ -128,7 +129,7 @@ def test_branch_inversion_inverts_q(shift):
         return
     x0 = params.u[0]
     d = branch_inversion(params, x0, 19)
-    shifted = params.q_poly.taylor_shift(x0)
+    shifted = q_poly(params).taylor_shift(x0)
     composed = series_of_poly(shifted, d)
     # Q(x0 + D(y)) = y**3 through the truncation
     assert composed.coefficient(3) == Scalar.one()
@@ -140,7 +141,7 @@ def test_branch_inversion_inverts_q(shift):
 def _reference_branch_inversion(params, x0, trunc):
     """D(y) by Newton's iteration on Q(x0 + D) = y**3, started at y**3/Q'(x0);
     each step doubles the number of correct terms."""
-    shifted = params.q_poly.taylor_shift(x0)
+    shifted = q_poly(params).taylor_shift(x0)
     shifted_prime = shifted.derivative()
     y_cubed = LocalSeries.monomial(3, Scalar.one(), trunc)
     d = LocalSeries.monomial(3, params.qprime_at(x0).inverse(), trunc)
@@ -269,7 +270,7 @@ def test_trigonal_fiber_cases(u023):
     assert trigonal_fiber(u023, INFINITY).degree == 3
     fib = trigonal_fiber(u023, Scalar.of(5))
     assert fib.degree == 3
-    assert u023.q_poly.evaluate(Scalar.of(5)) == Scalar.of(3720)
+    assert q_poly(u023).evaluate(Scalar.of(5)) == Scalar.of(3720)
 
 
 def test_kernel_combination_contains_fiber(u023):

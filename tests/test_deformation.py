@@ -50,7 +50,7 @@ from oracles.deformation import (
     xi_functional,
 )
 from oracles.linalg import rank, same_subspace
-from oracles.polynomials import RationalFunction
+from oracles.polynomials import RationalFunction, q_poly
 from oracles.series import series_of_rational
 from test_base_kernel import wide_literals
 
@@ -336,7 +336,7 @@ def _reference_conditions(params, divisor):
     functions, on charts deeper than any read: a test-only reference for the
     shared 1/Q expansion and for the truncation the library derives."""
     zero, one = Scalar.zero(), Scalar.one()
-    q = RationalFunction.of(params.q_poly)
+    q = RationalFunction.of(q_poly(params))
     basis = []
     for idx in range(9):
         coords = [zero] * 9

@@ -20,6 +20,7 @@ from trigonal4.prng import SplitMix64, sample_params
 from trigonal4.scalars import Scalar
 
 from oracles.numeric import _reference_numeric_pairing, first_repeat, newton_80, newton_iterates
+from oracles.polynomials import q_poly
 
 
 def test_contour_matches_exact_on_nonzero_entry():
@@ -113,8 +114,8 @@ def _contour(params, j: int, nodes: int):
     node, as numeric_residue_matrix sets them up."""
     x0 = complex(params.u[j - 1])
     rho = _chart_radius(params, j)
-    q = [complex(c) for c in params.q_poly.coefficients]
-    qp = [complex(c) for c in params.qprime.coefficients]
+    q = [complex(c) for c in q_poly(params).coefficients]
+    qp = [complex(c) for c in q_poly(params).derivative().coefficients]
     qp0 = _horner(qp, x0)
     ys = [rho * cmath.exp(2j * cmath.pi * m / nodes) for m in range(nodes)]
     return q, qp, [abs(c) for c in q], [(x0 + y ** 3 / qp0, y) for y in ys]

@@ -7,6 +7,7 @@ from trigonal4 import cli, prng
 from trigonal4.prng import SplitMix64, sample_params, sample_scalar, sample_tangent
 
 import oracles.prng
+from oracles.polynomials import q_poly
 
 
 def test_splitmix64_reference_values():
@@ -40,7 +41,7 @@ def test_sampled_params_always_valid():
     rng = SplitMix64(9)
     for _ in range(10):
         params = sample_params(rng)
-        assert params.q_poly.degree == 6
+        assert q_poly(params).degree == 6
 
 
 @given(
