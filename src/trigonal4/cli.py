@@ -274,17 +274,17 @@ def cmd_ideal(args, out) -> int:
 
 def cmd_schiffer(args, out) -> int:
     from . import report
-    from .canonical_ideal import canonical_cubic, schiffer_test, sym2_relation
+    from .canonical_ideal import schiffer_values
 
     params = parse_u(args.u)
     point = _parse_literals(args.point, "--point", 4)
-    is_schiffer = schiffer_test(params, point)
+    quadric_value, cubic_value = schiffer_values(params, point)
     document = {
         "u": report.scalars_json(params.u),
         "point": report.scalars_json(point),
-        "quadric_value": str(sym2_relation(params).evaluate(point)),
-        "cubic_value": str(canonical_cubic(params).evaluate(point)),
-        "is_schiffer": is_schiffer,
+        "quadric_value": str(quadric_value),
+        "cubic_value": str(cubic_value),
+        "is_schiffer": not quadric_value and not cubic_value,
         "tags": {
             "is_schiffer": "schiffer-ideal-membership",
             "quadric_value": "quadric-cone",

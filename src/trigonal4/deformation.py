@@ -46,8 +46,9 @@ points y_k = w**k y0 the Vandermonde matrix in (1, y_k, y_k**2) is
 invertible, and at a triple branch point C y**2, A Q and b Q y start at
 orders 0, 1 and 2.  The direction's functional c . (A0, A1, A2) is c0 A(t)
 (resp. c2 A2), so it vanishes on that 6-dimensional subspace: every
-on-conic certificate is OnConicSupported, and the classifier cannot reach
-OnConicNotSupported on this family.  The series support test of
+on-conic certificate is OnConicSupported.  The paper's third outcome, on
+the conic but not supported, cannot occur on this family, so CeresaVariant
+has no member for it.  The series support test of
 tests/oracles/deformation.py handles arbitrary effective divisors, and the
 tests check the lemma against it.
 """
@@ -95,7 +96,6 @@ class TangentVector:
 
 class CeresaVariant(enum.Enum):
     NOT_ON_CONIC = "NotOnConic"
-    ON_CONIC_NOT_SUPPORTED = "OnConicNotSupported"
     ON_CONIC_SUPPORTED = "OnConicSupported"
 
 
@@ -110,11 +110,11 @@ class CeresaCertificate:
     conic value, from which the variant is read; the image covector c, from
     which the kernel and the base locus are read, is computed on first read.
 
-    NOT_ON_CONIC and ON_CONIC_NOT_SUPPORTED certify the tested invariant
-    components nonzero; ON_CONIC_SUPPORTED records that every tested
-    component vanishes (full vanishing of the invariant is not asserted).
-    ON_CONIC_NOT_SUPPORTED stays in the output vocabulary, but on this
-    family no direction reaches it (the lemma of the module docstring)."""
+    NOT_ON_CONIC certifies the tested invariant components nonzero;
+    ON_CONIC_SUPPORTED records that every tested component vanishes (full
+    vanishing of the invariant is not asserted).  The third outcome, on the
+    conic but not supported, cannot occur on this family (the lemma of the
+    module docstring)."""
 
     omega2_dim = OMEGA2_DIM
     # c, the first row and column of the pairing, is nonzero and every other
@@ -297,10 +297,9 @@ def cone_directions(params: CurveParams, t) -> TangentVector:
     interpolation at the nodes u: sum_j L_j(t) u_j**k = t**k for k <= 2, so
     a_j = Q'(u_j) L_j(t) = (u_j**3 - 1) prod_{k != j} (t - u_k), and at
     infinity, where L_j(t) is replaced by its leading coefficient,
-    a_j = u_j**3 - 1."""
+    a_j = u_j**3 - 1, as validate_params formed it."""
     u = params.u
-    one = Scalar.one()
-    a = [uj ** 3 - one for uj in u]
+    a = [_make(*e) for e in params.cubes_minus_one]
     if t is not INFINITY:
         t = Scalar.of(t)
         for j, (k, l) in enumerate(((1, 2), (0, 2), (0, 1))):
@@ -314,12 +313,12 @@ def cone_directions(params: CurveParams, t) -> TangentVector:
 
 
 def delta_nu_c_test(params: CurveParams, xi: TangentVector) -> CeresaCertificate:
-    """Three-way classification of a tangent direction: off the conic (base
-    locus empty, tested invariant components certified nonzero), on the conic
-    but not supported on the base locus (also certified nonzero), or on the
-    conic and supported (every tested component vanishes).  On the conic the
-    support is read off the lemma of the module docstring: the direction is
-    supported, and the quadratic differentials vanishing on its base fiber
-    form a subspace of dimension OMEGA2_DIM - 3 = 6.  The certificate
+    """The three-way test of a tangent direction, whose third outcome (on the
+    conic but not supported on the base locus) cannot occur on this family:
+    off the conic (base locus empty, tested invariant components certified
+    nonzero), or on the conic and supported (every tested component
+    vanishes).  On the conic the support is read off the lemma of the module
+    docstring: the quadratic differentials vanishing on its base fiber form
+    a subspace of dimension OMEGA2_DIM - 3 = 6.  The certificate
     refuses the zero direction (ZeroTangent), whose covector is zero."""
     return CeresaCertificate(params, xi)

@@ -62,7 +62,7 @@ def certificate_json(cert: CeresaCertificate) -> dict:
 def form_json(form: MonomialForm) -> dict:
     from .canonical_ideal import monomial_label
 
-    return {monomial_label(m): str(c) for m, c in zip(form.monomials, form.coefficients) if c}
+    return {monomial_label(m): str(c) for m, c in form.terms}
 
 
 def dumps(document: dict) -> str:

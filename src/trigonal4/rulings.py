@@ -1,13 +1,14 @@
 """Ruling lines of the quadric cone, their intersections with the canonical
 curve, and explicit rational-triviality witnesses.
 
-Both line families cut the canonical curve in a full trigonal fiber, read
-off the closed-form fiber parameter of the line (ruling_parameter_x); the
+Both line families cut the canonical curve in a full trigonal fiber, the
+fiber over the closed-form parameter of the line (ruling_parameter_x); the
 common zeros of the line's two hyperplane forms by divisor minimum
 (tests/oracles/rulings.py) are the cross-check the tests run.  With the
 parameters tied by 1/t1 + 1 = t2 - 1 the two fibers coincide, making the
 difference cycle trivially zero.  Two fibers are equal exactly when their
-parameters are, so d0_cycle compares parameters, not divisors; for untied
+parameters are, so d0_cycle compares parameters, not divisors, and reads
+both fibers off the parameters it compared; for untied
 parameters the difference of fibers is exhibited as the divisor of an
 explicit rational function of x, written as text.
 """
@@ -46,12 +47,6 @@ def ruling_parameter_x(t, family: int):
             return INFINITY
         return Scalar.of(t) - Scalar.one()
     raise DegenerateInput("family must be 1 or 2")
-
-
-def ruling_divisor(params: CurveParams, t, family: int) -> Divisor:
-    """Intersection divisor of a ruling line with the canonical curve: the
-    trigonal fiber over the line's fiber parameter."""
-    return trigonal_fiber(params, ruling_parameter_x(t, family))
 
 
 def relation_t2(t1):
@@ -93,5 +88,5 @@ def d0_cycle(params: CurveParams, t1, t2=None) -> D0Cycle:
         t2 = relation_t2(t1)
     x1, x2 = ruling_parameter_x(t1, 1), ruling_parameter_x(t2, 2)
     witness = "trivially equal" if x1 == x2 else principal_witness(x1, x2)
-    plus, minus = ruling_divisor(params, t1, 1), ruling_divisor(params, t2, 2)
+    plus, minus = trigonal_fiber(params, x1), trigonal_fiber(params, x2)
     return D0Cycle(t1=t1, t2=t2, plus=plus, minus=minus, witness=witness)

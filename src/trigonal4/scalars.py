@@ -47,6 +47,8 @@ class Scalar:
     """An element of Q(w), w a primitive cube root of unity."""
 
     __slots__ = ("_a", "_b", "_d", "_text")
+    # no constructor (Scalar() is a TypeError): _make builds every value
+    __init__ = None
 
     # -- constructors ------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Canonical-ideal oracles: evaluation at sampled trigonal fibers, the
-Gram matrix of a quadric, and a form's coefficient at a monomial.
+Gram matrix of a quadric, and a form's coefficients over the full lists of
+degree-2 and degree-3 monomials.
 
 A fiber over x0 evaluates all three conjugate points at once inside
 Q(w)[Y]/(Y**3 - Q(x0)), and 12 fibers (36 points) or 25 fibers (75 points)
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from trigonal4.canonical_ideal import QUADRIC_MONOMIALS, MonomialForm, QuadricForm, _monomial_value
+from trigonal4.canonical_ideal import MonomialForm
 from trigonal4.curve import CurveParams
 from trigonal4.errors import DegenerateInput, StructuralError
 from trigonal4.linalg import Matrix
@@ -22,14 +23,37 @@ SYM2_FIBERS = 12
 SYM3_FIBERS = 25
 
 
+# Degree-2 and degree-3 exponent tuples over (z0, z1, z2, z3), graded-lex
+# descending with z0 > z1 > z2 > z3, the order of a form's terms.
+QUADRIC_MONOMIALS = tuple(
+    sorted((m for m in itertools.product(range(3), repeat=4) if sum(m) == 2), reverse=True)
+)
+CUBIC_MONOMIALS = tuple(
+    sorted((m for m in itertools.product(range(4), repeat=4) if sum(m) == 3), reverse=True)
+)
+
+
 def coefficient(form: MonomialForm, exponents: tuple) -> Scalar:
-    return form.coefficients[form.monomials.index(exponents)]
+    return dict(form.terms).get(exponents, Scalar.zero())
 
 
-def quadric_matrix(form: QuadricForm) -> Matrix:
+def dense(form: MonomialForm, monomials: tuple) -> tuple:
+    """The form's coefficients over monomials, zeros included."""
+    return tuple(coefficient(form, m) for m in monomials)
+
+
+def _monomial_value(v: tuple, exponents: tuple) -> Scalar:
+    acc = Scalar.one()
+    for coord, e in zip(v, exponents):
+        for _ in range(e):
+            acc = acc * coord
+    return acc
+
+
+def quadric_matrix(form: MonomialForm) -> Matrix:
     """The symmetric 4x4 Gram matrix (off-diagonal entries halved)."""
     rows = [[Scalar.zero()] * 4 for _ in range(4)]
-    for m, c in zip(QUADRIC_MONOMIALS, form.coefficients):
+    for m, c in form.terms:
         support = [i for i, e in enumerate(m) for _ in range(e)]
         i, j = support
         if i == j:

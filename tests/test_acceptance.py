@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from trigonal4.canonical_ideal import CUBIC_MONOMIALS, QUADRIC_MONOMIALS, canonical_cubic, sym2_relation
+from trigonal4.canonical_ideal import canonical_cubic, sym2_relation
 from trigonal4.cli import main
 from trigonal4.curve import BranchPoint, Differential, Divisor, InfinityPoint, divisor_of, trigonal_fiber, validate_params
 from trigonal4.deformation import TangentVector, cone_directions, delta_nu_c_test, pairing_matrix, residue_matrix
@@ -23,7 +23,7 @@ from trigonal4.qz24 import probe_at
 from trigonal4.rulings import d0_cycle, principal_witness, relation_t2, ruling_parameter_x
 from trigonal4.scalars import INFINITY, Scalar
 
-from oracles.canonical_ideal import _evaluation_kernel
+from oracles.canonical_ideal import CUBIC_MONOMIALS, QUADRIC_MONOMIALS, _evaluation_kernel, dense
 from oracles.curve import OMEGA, canonical_map, common_zeros_by_divisors, divisor_of_function, same_divisor, subtract
 from oracles.deformation import product_differential, support_test, xi_functional
 from oracles.linalg import row_space_rref, same_subspace
@@ -118,7 +118,7 @@ def test_criterion_4_canonical_ideal():
     for _ in range(10):
         params = sample_params(rng)
         quadric = sym2_relation(params)
-        for m, c in zip(QUADRIC_MONOMIALS, quadric.coefficients):
+        for m, c in zip(QUADRIC_MONOMIALS, dense(quadric, QUADRIC_MONOMIALS)):
             assert c == cone_coeffs.get(m, Scalar.zero())
         sym3_kernel = _evaluation_kernel(params, CUBIC_MONOMIALS, 25, 0)
         assert len(sym3_kernel) == 5
@@ -144,7 +144,7 @@ def test_criterion_4_canonical_ideal():
             q0 = q_poly(params).evaluate(x0)
             # evaluate over Q(w)[Y]/(Y**3 - q0): all three components vanish
             components = [Scalar.zero()] * 3
-            for m, c in zip(CUBIC_MONOMIALS, cubic.coefficients):
+            for m, c in zip(CUBIC_MONOMIALS, dense(cubic, CUBIC_MONOMIALS)):
                 if not c:
                     continue
                 value = c * x0 ** (m[2] + 2 * m[3]) * q0 ** (m[0] // 3)

@@ -1,9 +1,9 @@
 """The integer-triple kernel and the base path on it, against the Fraction reference.
 
 Every Scalar operator, curve.validate_params, CurveParams.qprime_u,
-deformation.pairing_covector, deformation.conic_value and
-CeresaCertificate.kernel_basis compose
-(a, b, d) triples through the private kernel of trigonal4.scalars and
+deformation.pairing_covector, deformation.conic_value,
+CeresaCertificate.kernel_basis and canonical_ideal.MonomialForm.evaluate
+compose (a, b, d) triples through the private kernel of trigonal4.scalars and
 reduce once per output.  Since Scalar arithmetic is that kernel, the
 kernel and the same formulas are checked here against FractionScalar
 (tests/oracles/scalars.py), the former pair of Fractions, and every
@@ -24,7 +24,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from trigonal4 import cli, prng
+from trigonal4 import canonical_ideal, cli, prng
+from trigonal4.canonical_ideal import canonical_cubic, sym2_relation
 from trigonal4.curve import validate_params
 from trigonal4.deformation import CeresaCertificate, TangentVector, cone_directions, conic_value, pairing_covector
 from trigonal4.errors import InvalidParameters, ZeroTangent
@@ -189,19 +190,27 @@ def test_kernel_basis_matches_scalar_arithmetic(p, entries):
 # covector, the conic value and the two kernel entries.  A scan row makes
 # 7, its six sampled draws and the conic value, less one for each draw the
 # table already holds: seed 1 draws one key twice in its first 10 rows.
+# schiffer evaluates each form once, d0 reads each fiber off the parameter
+# it computed, and a cone direction starts from the validated u_j**3 - 1.
 REDUCTIONS = {
     ("residue-check", "--u=0,2,3", "--j=1"): 21,
     ("analyze", "--u=0,2,3", "--xi=1,1,1"): 15,
     ("scan", "--random", "10", "--seed", "1"): 69,
+    ("schiffer", "--u=0,2,3", "--point=0,1,0,0"): 23,
+    ("d0", "--u=0,2,3", "--t1=1/4"): 11,
+    ("scan", "--grid=cone:5", "--u=0,2,3"): 88,
 }
 
 
 @pytest.fixture
 def reductions(monkeypatch):
     """The list each _make call of the test appends to, in every module.
-    The memoized --u points and the sampled-scalar table start empty, so a
-    count is that of one cold request."""
+    The memoized --u points, the forms of the canonical ideal and the
+    sampled-scalar table start empty, so a count is that of one cold
+    request."""
     cli.parse_u.cache_clear()
+    sym2_relation.cache_clear()
+    canonical_cubic.cache_clear()
     prng._sampled.clear()
     calls = []
     real = _make
@@ -220,6 +229,29 @@ def reductions(monkeypatch):
 def test_requests_reduce_once_per_named_value(reductions, argv):
     assert cli.main(list(argv), io.StringIO()) == 0
     assert len(reductions) == REDUCTIONS[argv]
+
+
+@given(st.lists(st.one_of(scalars, st.integers(min_value=-9, max_value=9)), min_size=4, max_size=4))
+@settings(max_examples=20)
+def test_a_form_value_reduces_once(v):
+    # every term of the quadric and of the cubic composed on triples, one
+    # _make for the value; a coordinate is a Scalar or an int
+    params = validate_params(*map(Scalar.parse, ("1/2", "-3+2*w", "5/7")))
+    for form in (sym2_relation(params), canonical_cubic(params)):
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(canonical_ideal, "_make", lambda *t: calls.append(None) or _make(*t))
+            value = form.evaluate(v)
+        assert len(calls) == 1
+        expected = FractionScalar.zero()
+        for exponents, c in form.terms:
+            term = ref(c)
+            for coord, e in zip(v, exponents):
+                term = term * ref(Scalar.of(coord)) ** e
+            expected = expected + term
+        assert ref(value) == expected
+        with pytest.raises(TypeError):
+            form.evaluate((1.0, 1, 1, 1))
 
 
 X, Y = Scalar.parse("2/3+-5/7*w"), Scalar.parse("-9/4+1/6*w")

@@ -1,17 +1,24 @@
-from trigonal4.canonical_ideal import (
-    CUBIC_MONOMIALS,
-    QUADRIC_MONOMIALS,
-    canonical_cubic,
-    schiffer_test,
-    sym2_relation,
-)
+import pytest
+
+from trigonal4.canonical_ideal import canonical_cubic, schiffer_values, sym2_relation
 from trigonal4.curve import BranchPoint, FinitePoint, InfinityPoint
+from trigonal4.errors import DegenerateInput
 from trigonal4.linalg import Matrix
 from trigonal4.prng import SplitMix64, sample_params
 from trigonal4.report import form_json
 from trigonal4.scalars import Scalar
 
-from oracles.canonical_ideal import SYM2_FIBERS, SYM3_FIBERS, _evaluation_kernel, coefficient, quadric_matrix, sample_fiber_xs
+from oracles.canonical_ideal import (
+    CUBIC_MONOMIALS,
+    QUADRIC_MONOMIALS,
+    SYM2_FIBERS,
+    SYM3_FIBERS,
+    _evaluation_kernel,
+    coefficient,
+    dense,
+    quadric_matrix,
+    sample_fiber_xs,
+)
 from oracles.curve import canonical_map
 from oracles.linalg import rank, row_space_rref
 from oracles.polynomials import from_roots
@@ -54,10 +61,10 @@ def test_closed_forms_match_sampled_fibers():
         params = sample_params(rng)
         quadrics = _evaluation_kernel(params, QUADRIC_MONOMIALS, SYM2_FIBERS, 0)
         assert len(quadrics) == 1
-        assert row_space_rref(quadrics) == row_space_rref([sym2_relation(params).coefficients])
+        assert row_space_rref(quadrics) == row_space_rref([dense(sym2_relation(params), QUADRIC_MONOMIALS)])
         cubics = _evaluation_kernel(params, CUBIC_MONOMIALS, SYM3_FIBERS, 0)
         assert len(cubics) == 5
-        assert row_space_rref(cubics) == row_space_rref(cubics + [canonical_cubic(params).coefficients])
+        assert row_space_rref(cubics) == row_space_rref(cubics + [dense(canonical_cubic(params), CUBIC_MONOMIALS)])
 
 
 def test_closed_forms_build_no_kernel(monkeypatch, u023, u248):
@@ -100,6 +107,16 @@ def test_cubic_not_a_quadric_multiple(u023):
     assert any(coefficient(cubic, m) for m in CUBIC_MONOMIALS)
 
 
+def test_forms_are_their_nonzero_terms_in_order(u023, u248):
+    # the terms are the nonzero coefficients in graded-lex descending order,
+    # the order ideal prints them in; at u = (0, 2, 3) q_0 = 0 drops z1^3
+    for params in (u023, u248):
+        for form, monomials in ((sym2_relation(params), QUADRIC_MONOMIALS), (canonical_cubic(params), CUBIC_MONOMIALS)):
+            assert form.terms == tuple((m, c) for m, c in zip(monomials, dense(form, monomials)) if c)
+    assert len(canonical_cubic(u248).terms) == 8
+    assert (0, 3, 0, 0) not in dict(canonical_cubic(u023).terms)
+
+
 def test_sample_fiber_disjointness(u023):
     first = sample_fiber_xs(u023, 12, 0)
     second = sample_fiber_xs(u023, 12, 12)
@@ -108,15 +125,18 @@ def test_sample_fiber_disjointness(u023):
 
 
 def test_schiffer_examples(u023, u248):
-    assert schiffer_test(u023, canonical_map(u023, BranchPoint(Scalar.zero())))
-    assert schiffer_test(u023, canonical_map(u023, InfinityPoint(2)))
-    assert schiffer_test(u248, canonical_map(u248, FinitePoint(Scalar.zero(), Scalar.of(4))))
-    assert not schiffer_test(u023, (0, 1, 0, 1))  # quadric value -1
-    assert not schiffer_test(u023, (1, 0, 0, 0))  # cone vertex, cubic value 1
+    zero = (Scalar.zero(), Scalar.zero())
+    assert schiffer_values(u023, canonical_map(u023, BranchPoint(Scalar.zero()))) == zero
+    assert schiffer_values(u023, canonical_map(u023, InfinityPoint(2))) == zero
+    assert schiffer_values(u248, canonical_map(u248, FinitePoint(Scalar.zero(), Scalar.of(4)))) == zero
+    assert schiffer_values(u023, (0, 1, 0, 1)) == (Scalar.of(-1), Scalar.of(-1))  # -1 and -(q_0 + q_6), q_0 = 0
+    assert schiffer_values(u023, (1, 0, 0, 0)) == (Scalar.zero(), Scalar.one())  # cone vertex
     # projective invariance
     z = canonical_map(u023, BranchPoint(Scalar.of(2)))
     scaled = tuple(c * Scalar.of(-7) for c in z)
-    assert schiffer_test(u023, scaled)
+    assert schiffer_values(u023, scaled) == zero
+    with pytest.raises(DegenerateInput, match="zero vector"):
+        schiffer_values(u023, (0, 0, 0, 0))
 
 
 def test_ideal_separates_off_curve_points(u023):

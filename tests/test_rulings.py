@@ -7,7 +7,7 @@ from trigonal4.curve import divisor_of, trigonal_fiber
 from trigonal4.errors import DegenerateInput
 from trigonal4.prng import SplitMix64, sample_params, sample_scalar
 from trigonal4.report import divisor_json
-from trigonal4.rulings import d0_cycle, principal_witness, relation_t2, ruling_divisor, ruling_parameter_x
+from trigonal4.rulings import d0_cycle, principal_witness, relation_t2, ruling_parameter_x
 from trigonal4.scalars import INFINITY, Scalar
 
 from conftest import scalar_strategy
@@ -21,9 +21,9 @@ def t_values():
 
 def test_ruling_divisor_examples(u023):
     quarter = Scalar.parse("1/4")
-    assert ruling_divisor(u023, quarter, 1) == trigonal_fiber(u023, Scalar.of(5))
-    assert ruling_divisor(u023, Scalar.of(6), 2) == trigonal_fiber(u023, Scalar.of(5))
-    assert ruling_divisor(u023, Scalar.one(), 1) == trigonal_fiber(u023, Scalar.of(2))
+    assert trigonal_fiber(u023, ruling_parameter_x(quarter, 1)) == trigonal_fiber(u023, Scalar.of(5))
+    assert trigonal_fiber(u023, ruling_parameter_x(Scalar.of(6), 2)) == trigonal_fiber(u023, Scalar.of(5))
+    assert trigonal_fiber(u023, ruling_parameter_x(Scalar.one(), 1)) == trigonal_fiber(u023, Scalar.of(2))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -36,7 +36,7 @@ def test_ruling_divisor_matches_divisor_oracle(u023, seed):
     for params in (u023, sample_params(rng)):
         for t in (Scalar.zero(), Scalar.one(), INFINITY, sample_scalar(rng), sample_scalar(rng)):
             for family in (1, 2):
-                closed = ruling_divisor(params, t, family)
+                closed = trigonal_fiber(params, ruling_parameter_x(t, family))
                 oracle = common_zeros_by_divisors(params, *ruling_line(params, t, family).hyperplanes)
                 assert closed == oracle
                 assert divisor_json(closed) == divisor_json(oracle)
@@ -48,7 +48,7 @@ def test_ruling_lines_lie_on_quadric(u023):
     for family in (1, 2):
         for t in (Scalar.zero(), Scalar.one(), Scalar.of(-3), INFINITY):
             line = ruling_line(u023, t, family)
-            div = ruling_divisor(u023, t, family)
+            div = trigonal_fiber(u023, ruling_parameter_x(t, family))
             for h in line.hyperplanes:
                 if h.is_zero():
                     continue
@@ -59,7 +59,7 @@ def test_ruling_lines_lie_on_quadric(u023):
 @settings(max_examples=30)
 def test_ruling_divisor_degree_three(u023, t):
     for family in (1, 2):
-        assert ruling_divisor(u023, t, family).degree == 3
+        assert trigonal_fiber(u023, ruling_parameter_x(t, family)).degree == 3
 
 
 @given(t_values())

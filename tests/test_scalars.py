@@ -335,6 +335,8 @@ def test_scalars_compare_only_to_scalars():
                 operation(bad, one)
     with pytest.raises(TypeError):  # no constructor from parts
         Scalar(1, 2)
+    with pytest.raises(TypeError):  # nor an empty value
+        Scalar()
 
 
 class Reflecting:
