@@ -31,20 +31,30 @@ def test_corpus_holds_in_a_narrow_terminal_and_another_hash_seed():
     assert result.returncode == 0, result.stdout + result.stderr
 
 
-def test_corpus_loads_no_polynomial_series_or_matrix_module():
-    """Replaying every corpus entry in one fresh interpreter without site
-    (-S) never loads polynomials, series or linalg: no command divides
-    polynomials, expands a series or builds a Matrix."""
+@pytest.fixture(scope="module")
+def modules_loaded():
+    """Replays every corpus entry in one fresh interpreter without site (-S)
+    and lists, for each entry in corpus order, the package modules loaded
+    once it has run."""
     tests = Path(__file__).resolve().parent
     code = (
         "import json, sys\n"
         "from golden.record import CORPUS, run\n"
         "for entry in json.loads(CORPUS.read_text()):\n"
         "    run(entry['argv'])\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.partition('.')[0] == 'trigonal4')))"
+        "    print(' '.join(sorted(m for m in sys.modules if m.partition('.')[0] == 'trigonal4')))"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
     result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
-    loaded = set(result.stdout.split())
+    return [set(line.split()) for line in result.stdout.splitlines()]
+
+
+@pytest.mark.parametrize("index", range(len(ENTRIES)), ids=[argv_id(e["argv"]) for e in ENTRIES])
+def test_corpus_loads_no_polynomial_series_or_matrix_module(modules_loaded, index):
+    """No corpus entry, nor any before it, loads polynomials, series or
+    linalg: no command divides polynomials, expands a series or builds a
+    Matrix."""
+    assert len(modules_loaded) == len(ENTRIES)
+    loaded = modules_loaded[index]
     assert "trigonal4.cli" in loaded
     assert not loaded & {"trigonal4.polynomials", "trigonal4.series", "trigonal4.linalg"}
