@@ -9,21 +9,25 @@ All scalar I/O uses the canonical literal syntax (``p/q`` or
 for scans) and byte-identical across runs for identical inputs and seed;
 timing is only emitted under --timing, which intentionally breaks that.
 
-At module level this imports only the standard library and
-trigonal4.errors, which main needs to map an error to its exit code.  Each
-command imports the library names it reads when main dispatches to it, so
-building the parser loads no library module and a one-command process
-compiles only the modules its command runs.  --timing's elapsed_ms starts
-after those imports.
+COMMANDS holds each command's function, help line and option table.  main
+reads a canonical argv (canonical_args) straight from the table; any other
+argv goes to the argparse parser that build_parser builds from the same
+table, so argparse alone writes usage, help and error text, and a
+well-formed request never imports it.  At module level this imports only
+the standard library and trigonal4.errors, which main needs to map an
+error to its exit code.  Each command imports the library names it reads
+when main dispatches to it, so building the parser loads no library module
+and a one-command process compiles only the modules its command runs.
+--timing's elapsed_ms starts after those imports.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import sys
 import time
+from types import SimpleNamespace
 
 from .errors import DegenerateInput, InvalidParameters, OracleMismatch, Trigonal4Error
 
@@ -96,7 +100,7 @@ def _parse_grid(text: str) -> int:
 
 def cmd_analyze(args, out) -> int:
     from . import report
-    from .deformation import TangentVector, bordered, delta_nu_c_test
+    from .deformation import TangentVector, delta_nu_c_test
 
     started = time.perf_counter()
     order = _series_order(args)
@@ -104,28 +108,7 @@ def cmd_analyze(args, out) -> int:
     # a zero xi is refused by the certificate (ZeroTangent)
     xi = TangentVector(_parse_literals(args.xi, "--xi", 3))
     cert = delta_nu_c_test(params, xi)
-    encoded = report.certificate_json(cert)
-    document = {
-        "input": {"u": report.scalars_json(params.u), "xi": report.scalars_json(xi.a)},
-        "ks_rank": cert.rank,
-        "pairing_matrix": bordered(encoded["conic"]["covector"], "0"),
-        **{key: encoded[key] for key in ("kernel_basis", "conic", "base_locus", "supported")},
-        "certificate": encoded,
-        "series_order": order,
-        "tags": {
-            "input": "base-membership",
-            "ks_rank": "ks-rank-two",
-            "pairing_matrix": "pairing-closed-form",
-            "kernel_basis": "kernel-covector",
-            "conic": "conic-criterion",
-            "base_locus": "base-locus-fibers",
-            "supported": "support-annihilation",
-            "certificate": "certificate-three-way",
-        },
-    }
-    if args.timing:
-        document["elapsed_ms"] = round(1000 * (time.perf_counter() - started), 3)
-    out.write(report.dumps(document))
+    out.write(report.analyze_text(params.u, xi.a, cert, order, started if args.timing else None))
     return 0
 
 
@@ -160,38 +143,17 @@ def cmd_residue_check(args, out) -> int:
             closed, oracle, text = matrix[l][k], oracles[l][k], texts[l][k]
             match = closed == oracle
             all_match = all_match and match
-            row = {
-                "l": l,
-                "k": k,
-                "closed": text,
-                "oracle": text if match else str(oracle),
-                "match": match,
-            }
+            entry = (l, k, text, text if match else str(oracle), match)
             if numeric is not None:
                 value = numeric[l][k]
                 err = residue_relative_error(closed, value)
                 # max() would drop a NaN; once worst is NaN it stays NaN
                 worst = err if math.isnan(err) else max(worst, err)
-                row["numeric"] = f"{value.real:.12e}{value.imag:+.12e}j"
-                row["rel_err"] = f"{err:.3e}"
-            entries.append(row)
-    document = {
-        "u": report.scalars_json(params.u),
-        "j": j,
-        "entries": entries,
-        "all_match": all_match,
-        "tags": {
-            "closed": "pairing-closed-form",
-            "oracle": "pairing-residue-oracle",
-            "numeric": "numeric-contour-quadrature",
-        },
-    }
-    if args.numeric:
-        document["numeric_tolerance"] = tolerance
-        document["worst_rel_err"] = f"{worst:.3e}"
-    if args.timing:
-        document["elapsed_ms"] = round(1000 * (time.perf_counter() - started), 3)
-    out.write(report.dumps(document))
+                entry += (f"{value.real:.12e}{value.imag:+.12e}j", f"{err:.3e}")
+            entries.append(entry)
+    summary = (tolerance, f"{worst:.3e}") if args.numeric else None
+    timed = started if args.timing else None
+    out.write(report.residue_check_text(params.u, j, entries, all_match, summary, timed))
     if not all_match or (args.numeric and not worst <= tolerance):
         raise OracleMismatch("pairing oracles disagree")
     return 0
@@ -348,87 +310,125 @@ def cmd_qz24(args, out) -> int:
 # Wiring
 # ---------------------------------------------------------------------------
 
-# Help and usage text wraps at the width argparse derives from an 80-column
-# terminal, whatever COLUMNS or the terminal says, so the bytes are fixed.
-_FORMATTER = functools.partial(argparse.HelpFormatter, width=78)
+# Each command's function, help line and options.  An option maps to its
+# (type, default, required, choices): a type of None keeps the text, and
+# bool makes a store_true flag.  build_parser builds argparse from the
+# table, and canonical_args reads a canonical argv with it directly.
+_REQUIRED, _OPTIONAL, _INT = (None, None, True, None), (None, None, False, None), (int, None, False, None)
+_FLAG = (bool, False, False, None)
+_COMMON = {"--series-order": (int, DEFAULT_SERIES_ORDER, False, None), "--timing": _FLAG}
+COMMANDS = {
+    "analyze": (cmd_analyze, "full per-direction report", {"--u": _REQUIRED, "--xi": _REQUIRED, **_COMMON}),
+    "residue-check": (
+        cmd_residue_check,
+        "closed form vs residue oracle, all 16 entries",
+        # --quad-nodes is deformation.DEFAULT_NODES when absent
+        {"--u": _REQUIRED, "--j": (int, None, True, None), "--numeric": _FLAG, "--quad-nodes": _INT,
+         "--numeric-tolerance": (float, NUMERIC_TOLERANCE, False, None), **_COMMON},
+    ),
+    "scan": (
+        cmd_scan,
+        "stratify sampled directions by certificate variant",
+        # --seed is 0 when absent, and an error with --grid
+        {"--random": _INT, "--seed": _INT, "--grid": _OPTIONAL, "--u": _OPTIONAL,
+         "--format": (None, "json", False, ("json", "csv"))},
+    ),
+    "ideal": (cmd_ideal, "quadric and cubic of the canonical ideal", {"--u": _REQUIRED}),
+    "schiffer": (
+        cmd_schiffer, "ideal-membership test of a projective point", {"--u": _REQUIRED, "--point": _REQUIRED}
+    ),
+    "d0": (
+        cmd_d0,
+        "ruling-section difference and triviality witness",
+        {"--u": _REQUIRED, "--t1": _REQUIRED, "--t2": _OPTIONAL},
+    ),
+    "qz24": (cmd_qz24, "exact probe of the cube-root one-parameter family", {"--a": _OPTIONAL}),
+}
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
     """The argument parser, built on first use and shared by every later
-    call: parse_args keeps no state between calls."""
+    call: parse_args keeps no state between calls.  Help and usage text
+    wraps at the width argparse derives from an 80-column terminal, whatever
+    COLUMNS or the terminal says, so the bytes are fixed."""
+    import argparse
+
+    formatter = functools.partial(argparse.HelpFormatter, width=78)
     parser = argparse.ArgumentParser(
         prog="trigonal4",
         description="Exact deformation invariants of a family of trigonal genus-4 curves.",
-        formatter_class=_FORMATTER,
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     parser.command_parsers = sub.choices  # name -> parser, filled below; main reads it
-    add_parser = functools.partial(sub.add_parser, formatter_class=_FORMATTER)
-
-    def add_common(p):
-        p.add_argument("--series-order", type=int, default=DEFAULT_SERIES_ORDER)
-        p.add_argument("--timing", action="store_true")
-
-    p = add_parser("analyze", help="full per-direction report")
-    p.add_argument("--u", required=True)
-    p.add_argument("--xi", required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = add_parser("residue-check", help="closed form vs residue oracle, all 16 entries")
-    p.add_argument("--u", required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--numeric", action="store_true")
-    p.add_argument("--quad-nodes", type=int)  # deformation.DEFAULT_NODES when absent
-    p.add_argument("--numeric-tolerance", type=float, default=NUMERIC_TOLERANCE)
-    add_common(p)
-    p.set_defaults(func=cmd_residue_check)
-
-    p = add_parser("scan", help="stratify sampled directions by certificate variant")
-    p.add_argument("--random", type=int)
-    p.add_argument("--seed", type=int)  # 0 when absent; an error with --grid
-    p.add_argument("--grid")
-    p.add_argument("--u")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_scan)
-
-    p = add_parser("ideal", help="quadric and cubic of the canonical ideal")
-    p.add_argument("--u", required=True)
-    p.set_defaults(func=cmd_ideal)
-
-    p = add_parser("schiffer", help="ideal-membership test of a projective point")
-    p.add_argument("--u", required=True)
-    p.add_argument("--point", required=True)
-    p.set_defaults(func=cmd_schiffer)
-
-    p = add_parser("d0", help="ruling-section difference and triviality witness")
-    p.add_argument("--u", required=True)
-    p.add_argument("--t1", required=True)
-    p.add_argument("--t2")
-    p.set_defaults(func=cmd_d0)
-
-    p = add_parser("qz24", help="exact probe of the cube-root one-parameter family")
-    p.add_argument("--a")
-    p.set_defaults(func=cmd_qz24)
-
+    for name, (func, help_text, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, formatter_class=formatter)
+        for option, (kind, default, required, choices) in options.items():
+            if kind is bool:
+                p.add_argument(option, action="store_true")
+            else:
+                p.add_argument(option, type=kind, default=default, required=required, choices=choices)
+        p.set_defaults(func=func)
     return parser
+
+
+def canonical_args(argv):
+    """The namespace parse_args reads from a canonical argv, else None.  In
+    a canonical argv every token after the command is --name=value, with an
+    exact option name and a nonempty value other than --, or an exact flag;
+    no option repeats, every required one is given, each value converts
+    with the call argparse makes, and every choice is valid."""
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    func, _, options = command
+    given = {}
+    for token in argv[1:]:
+        name, equals, text = token.partition("=")
+        option = options.get(name)
+        if option is None or name in given:
+            return None
+        kind, _, _, choices = option
+        if kind is bool:
+            if equals:
+                return None
+            given[name] = True
+            continue
+        if not text or text == "--":
+            return None
+        if kind is not None:
+            try:
+                text = kind(text)
+            except ValueError:
+                return None
+        if choices is not None and text not in choices:
+            return None
+        given[name] = text
+    args = {"command": argv[0], "func": func}
+    for name, (_, default, required, _) in options.items():
+        if required and name not in given:
+            return None
+        args[name[2:].replace("-", "_")] = given.get(name, default)
+    return SimpleNamespace(**args)
 
 
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    # an attached "--" (--u=--) is refused here: argparse versions differ
-    # on it, dropping it (an empty value) or keeping it as the value
-    if any(token[:1] == "-" and token.partition("=")[2] == "--" for token in argv):
-        parser.error("-- is not an option value")
-    # parse_args hands all that follows a command name to its parser, then
-    # refuses leftovers; it runs here only where there are some to refuse
-    command = parser.command_parsers.get(argv[0]) if argv else None
-    args, leftover = command.parse_known_args(argv[1:]) if command else (None, True)
-    if leftover:
-        args = parser.parse_args(argv)
+    args = canonical_args(argv)
+    if args is None:
+        parser = build_parser()
+        # an attached "--" (--u=--) is refused here: argparse versions differ
+        # on it, dropping it (an empty value) or keeping it as the value
+        if any(token[:1] == "-" and token.partition("=")[2] == "--" for token in argv):
+            parser.error("-- is not an option value")
+        # parse_args hands all that follows a command name to its parser,
+        # then refuses leftovers; it runs here only where there are some
+        command = parser.command_parsers.get(argv[0]) if argv else None
+        args, leftover = command.parse_known_args(argv[1:]) if command else (None, True)
+        if leftover:
+            args = parser.parse_args(argv)
     try:
         return args.func(args, out)
     except Trigonal4Error as exc:

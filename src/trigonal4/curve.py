@@ -39,7 +39,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 from .errors import DegenerateInput, InvalidParameters, StructuralError
-from .scalars import INFINITY, Scalar, _add3, _make, _mul3, _sub3, _triple
+from .scalars import INFINITY, Scalar, _add3, _inv3, _make, _mul3, _sub3, _triple
 
 
 # ---------------------------------------------------------------------------
@@ -50,11 +50,11 @@ from .scalars import INFINITY, Scalar, _add3, _make, _mul3, _sub3, _triple
 class CurveParams:
     """A point of the family base: the parameters u, and as the unreduced
     triples that validation forms, the differences u1 - u2, u1 - u3,
-    u2 - u3 and the three u_j**3 - 1.  Q'(u_j), Q's coefficients (low to
-    high) and the six branch x are built on first read: only the covector,
-    the residue oracle, numeric, canonical_ideal and the charts read them.
-    Equality and hash read u alone, so the derived data costs nothing where
-    params key a cache."""
+    u2 - u3 and the three u_j**3 - 1.  Q'(u_j) and the triples of their
+    inverses, Q's coefficients (low to high) and the six branch x are built
+    on first read: only the covector, the residue oracle, numeric,
+    canonical_ideal and the charts read them.  Equality and hash read u
+    alone, so the derived data costs nothing where params key a cache."""
 
     def __init__(self, u: tuple, differences: tuple, cubes_minus_one: tuple):
         self.u = u
@@ -78,6 +78,12 @@ class CurveParams:
         a, b, d = _mul3(d12, d23)
         others = (_mul3(d12, d13), (-a, -b, d), _mul3(d13, d23))
         return tuple(_make(*_mul3(e, o)) for e, o in zip(self.cubes_minus_one, others))
+
+    @cached_property
+    def qprime_inverses(self) -> tuple:
+        """The unreduced triples of 1/Q'(u_j), which every covector at this
+        point reads."""
+        return tuple(_inv3(_triple(q)) for q in self.qprime_u)
 
     @cached_property
     def _q_triples(self) -> tuple:

@@ -28,9 +28,10 @@ c_k = sum_j a_j u_j**k / Q'(u_j); the kernel of c from its first nonzero
 entry; and the direction whose covector is the conic point (1 : t : t**2)
 by Lagrange interpolation at the nodes u,
 a_j = (u_j**3 - 1) prod_{k != j} (t - u_k), or a_j = u_j**3 - 1 at
-t = infinity.  conic_value, pairing_covector, the kernel and
-residue_matrix compose unreduced integer triples and reduce once per value
-they return (the oracle also at dx and its antiderivatives).  A is
+t = infinity.  conic_value, pairing_covector, the kernel, cone_directions
+and residue_matrix compose unreduced integer triples and reduce once per
+value they return (the oracle also at dx and its antiderivatives); the
+covector reads the triples of 1/Q'(u_j) that its CurveParams keeps.  A is
 invertible on the base (det A = V(u) / prod Q'(u_j), V(u) = -V the
 Vandermonde determinant), so c != 0 for every nonzero direction.
 tests/test_closed_forms.py proves the conic value, det A and the cone
@@ -222,9 +223,9 @@ def pairing_covector(params: CurveParams, xi: TangentVector) -> tuple:
     """c = a . A, the only data of the pairing matrix:
     c_k = sum_j a_j u_j**k / Q'(u_j) for k = 0, 1, 2, reduced once each."""
     c0 = c1 = c2 = (0, 0, 1)
-    for aj, uj, qpj in zip(xi.a, params.u, params.qprime_u):
+    for aj, uj, inverse in zip(xi.a, params.u, params.qprime_inverses):
         if aj:
-            w = _mul3(_triple(aj), _inv3(_triple(qpj)))
+            w = _mul3(_triple(aj), inverse)
             t = _triple(uj)
             wu = _mul3(w, t)
             c0, c1, c2 = _add3(c0, w), _add3(c1, wu), _add3(c2, _mul3(wu, t))
@@ -298,13 +299,17 @@ def cone_directions(params: CurveParams, t) -> TangentVector:
     a_j = Q'(u_j) L_j(t) = (u_j**3 - 1) prod_{k != j} (t - u_k), and at
     infinity, where L_j(t) is replaced by its leading coefficient,
     a_j = u_j**3 - 1, as validate_params formed it."""
-    u = params.u
-    a = [_make(*e) for e in params.cubes_minus_one]
-    if t is not INFINITY:
-        t = Scalar.of(t)
-        for j, (k, l) in enumerate(((1, 2), (0, 2), (0, 1))):
-            a[j] = a[j] * (t - u[k]) * (t - u[l])
-    return TangentVector(tuple(a))
+    e = params.cubes_minus_one
+    if t is INFINITY:
+        return TangentVector(tuple(_make(*ej) for ej in e))
+    t = _triple(Scalar.of(t))
+    t_minus_u = [_sub3(t, _triple(uk)) for uk in params.u]
+    return TangentVector(
+        tuple(
+            _make(*_mul3(e[j], _mul3(t_minus_u[k], t_minus_u[l])))
+            for j, (k, l) in enumerate(((1, 2), (0, 2), (0, 1)))
+        )
+    )
 
 
 # ---------------------------------------------------------------------------

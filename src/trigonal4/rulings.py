@@ -52,7 +52,11 @@ def ruling_parameter_x(t, family: int):
 def relation_t2(t1):
     """The family-2 parameter tied to t1 by 1/t1 + 1 = t2 - 1: the family-1
     fiber parameter plus one."""
-    x1 = ruling_parameter_x(t1, 1)
+    return _tied_t2(ruling_parameter_x(t1, 1))
+
+
+def _tied_t2(x1):
+    """t2 = x1 + 1 for the family-1 fiber parameter x1."""
     return x1 if x1 is INFINITY else x1 + Scalar.one()
 
 
@@ -84,9 +88,10 @@ def _linear_str(x0) -> str:
 def d0_cycle(params: CurveParams, t1, t2=None) -> D0Cycle:
     """The difference of ruling sections for tied parameters (default) or an
     explicitly overridden pair; tied parameters always give equal divisors."""
+    x1 = ruling_parameter_x(t1, 1)
     if t2 is None:
-        t2 = relation_t2(t1)
-    x1, x2 = ruling_parameter_x(t1, 1), ruling_parameter_x(t2, 2)
+        t2 = _tied_t2(x1)
+    x2 = ruling_parameter_x(t2, 2)
     witness = "trivially equal" if x1 == x2 else principal_witness(x1, x2)
     plus, minus = trigonal_fiber(params, x1), trigonal_fiber(params, x2)
     return D0Cycle(t1=t1, t2=t2, plus=plus, minus=minus, witness=witness)

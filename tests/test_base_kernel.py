@@ -190,15 +190,17 @@ def test_kernel_basis_matches_scalar_arithmetic(p, entries):
 # covector, the conic value and the two kernel entries.  A scan row makes
 # 7, its six sampled draws and the conic value, less one for each draw the
 # table already holds: seed 1 draws one key twice in its first 10 rows.
-# schiffer evaluates each form once, d0 reads each fiber off the parameter
-# it computed, and a cone direction starts from the validated u_j**3 - 1.
+# schiffer evaluates each form once, d0 computes each fiber parameter once,
+# tied t2 included, and a cone grid row makes 5: its t, the three a_j of its
+# direction, each composed on triples from the validated u_j**3 - 1, and the
+# conic value.
 REDUCTIONS = {
     ("residue-check", "--u=0,2,3", "--j=1"): 21,
     ("analyze", "--u=0,2,3", "--xi=1,1,1"): 15,
     ("scan", "--random", "10", "--seed", "1"): 69,
     ("schiffer", "--u=0,2,3", "--point=0,1,0,0"): 23,
-    ("d0", "--u=0,2,3", "--t1=1/4"): 11,
-    ("scan", "--grid=cone:5", "--u=0,2,3"): 88,
+    ("d0", "--u=0,2,3", "--t1=1/4"): 9,
+    ("scan", "--grid=cone:5", "--u=0,2,3"): 28,
 }
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -264,6 +265,41 @@ def test_timing_adds_only_elapsed_ms(argv):
     assert report.dumps(document) == plain
 
 
+_ANALYZE_FACTS = {"conic_value", "pairing_covector", "kernel"}
+_RESIDUE_FACTS = {"pairing_covector", "residue_matrix"}
+
+
+@pytest.mark.parametrize(
+    "argv, facts",
+    [
+        (["analyze", "--u=0,2,3", "--xi=1,0,0"], _ANALYZE_FACTS | {"trigonal_fiber"}),
+        (["analyze", "--u=0,2,3", "--xi=1,2,3"], _ANALYZE_FACTS),
+        (["residue-check", "--u=0,2,3", "--j=2"], _RESIDUE_FACTS),
+        (["residue-check", "--u=0,2,3", "--j=2", "--numeric", "--quad-nodes=64"], _RESIDUE_FACTS | {"numeric"}),
+    ],
+    ids=["analyze-on-conic", "analyze-off-conic", "residue-check", "residue-check-numeric"],
+)
+def test_elapsed_ms_covers_every_fact(monkeypatch, argv, facts):
+    # elapsed_ms is the last clock read, after the certificate's conic
+    # value, covector, kernel and base fiber, or the oracles, are formed
+    events = []
+    real_clock = time.perf_counter
+    monkeypatch.setattr(time, "perf_counter", lambda: events.append("clock") or real_clock())
+
+    def logged(name, function):
+        return lambda *args: events.append(name) or function(*args)
+
+    for name in ("conic_value", "pairing_covector", "residue_matrix", "trigonal_fiber"):
+        monkeypatch.setattr(deformation, name, logged(name, getattr(deformation, name)))
+    monkeypatch.setattr(numeric, "numeric_residue_matrix", logged("numeric", numeric.numeric_residue_matrix))
+    kernel = deformation.CeresaCertificate.kernel_basis
+    monkeypatch.setattr(deformation.CeresaCertificate, "kernel_basis", property(logged("kernel", kernel.fget)))
+    code, _ = run_cli(argv + ["--timing"])
+    assert code == 0
+    assert set(events) == facts | {"clock"}
+    assert events[-1] == "clock" and events.count("clock") == 2
+
+
 def test_parser_is_built_once():
     cli.build_parser.cache_clear()
     run_cli(["ideal", "--u", "0,2,3"])
@@ -314,10 +350,12 @@ def _main_outcome(argv):
 @example(["--", "ideal", "--u=0,2,3"])
 @example(["qz24", "-h"])
 def test_command_parser_reads_argv_as_parse_args_does(argv):
-    # main hands what follows a command name to that command's parser, and
-    # runs parse_args only to refuse leftovers; with no command parser to
-    # read (an empty map) every argv goes through parse_args.  Codes, output
-    # and messages must agree either way.
+    # main reads a canonical argv off the option table; any other argv goes
+    # to that command's parser, and parse_args runs only to refuse
+    # leftovers.  With no command parser to read (an empty map) every
+    # argv the table declines goes through parse_args.  Codes, output and
+    # messages must agree either way.
+    _assert_direct_path_reads_as_parse_args(argv)
     parser = cli.build_parser()
     direct = _main_outcome(argv)
     command_parsers = parser.command_parsers
@@ -326,6 +364,66 @@ def test_command_parser_reads_argv_as_parse_args_does(argv):
         assert _main_outcome(argv) == direct
     finally:
         parser.command_parsers = command_parsers
+
+
+def _assert_direct_path_reads_as_parse_args(argv):
+    """canonical_args declines argv or reads exactly vars() of parse_args'
+    namespace: the same names, and values of the same type and repr (a
+    nan tolerance is not equal to itself)."""
+    args = cli.canonical_args(argv)
+    if args is not None:
+        parsed = vars(cli.build_parser().parse_args(argv))
+        assert vars(args).keys() == parsed.keys(), argv
+        assert all(type(v) is type(parsed[k]) and repr(v) == repr(parsed[k]) for k, v in vars(args).items()), argv
+
+
+# canonical argv and near misses: every option of a command once as
+# --name=value in any order, or with a flag given a value, an option
+# repeated, a required one left out, an abbreviated or unknown name, an
+# empty value, a separate value or a conversion or choice that fails
+_CANONICAL_TOKENS = {
+    "analyze": ["--u=0,2,3", "--xi=1,2,3", "--series-order=3", "--timing"],
+    "residue-check": ["--u=0,2,3", "--j=2", "--numeric", "--quad-nodes=16", "--numeric-tolerance=1e-6", "--timing"],
+    "scan": ["--random=3", "--seed=7", "--grid=cone:2", "--u=0,2,3", "--format=csv"],
+    "ideal": ["--u=0,2,3"],
+    "schiffer": ["--u=0,2,3", "--point=0,1,0,0"],
+    "d0": ["--u=0,2,3", "--t1=1/4", "--t2=6"],
+    "qz24": ["--a=2"],
+}
+_NEAR_MISSES = [
+    "--timing=1", "--numeric=", "--u=", "--xi", "1,2,3", "--ser=3", "--bogus=1", "--j=x", "--j= 2 ", "--j=٣",
+    "--seed=" + "9" * 5000, "--numeric-tolerance=nan", "--numeric-tolerance=1_0", "--format=xml", "--u=--",
+    "--xi=a=b", "-h", "--", "--help",
+]
+
+
+@st.composite
+def _near_canonical_argv(draw):
+    command = draw(st.sampled_from(sorted(_CANONICAL_TOKENS)))
+    tokens = draw(st.permutations(_CANONICAL_TOKENS[command]))
+    tokens = tokens[: draw(st.integers(min_value=len(tokens) - 2, max_value=len(tokens)))]
+    extra = draw(st.lists(st.sampled_from(_NEAR_MISSES + _CANONICAL_TOKENS[command]), max_size=2))
+    return [command, *tokens, *extra]
+
+
+@given(_near_canonical_argv())
+@settings(max_examples=150)
+@example(["residue-check", "--u=0,2,3", "--j=1", "--numeric-tolerance=nan"])
+@example(["scan", "--format=csv"])
+def test_direct_path_reads_argv_as_parse_args_does(argv):
+    _assert_direct_path_reads_as_parse_args(argv)
+    if "--timing" not in argv:  # elapsed_ms differs from run to run
+        assert _main_outcome(argv) == _main_outcome_through_argparse(argv)
+
+
+def _main_outcome_through_argparse(argv):
+    """main's outcome with the option table read by argparse alone."""
+    real = cli.canonical_args
+    try:
+        cli.canonical_args = lambda argv: None
+        return _main_outcome(argv)
+    finally:
+        cli.canonical_args = real
 
 
 def test_residue_check_agreement():
@@ -674,6 +772,7 @@ def test_argv_fuzz_exits_with_a_documented_code(command, data):
         if value is not None:
             argv.append(f"{option}={value}")
     argv += [flag for flag in _FUZZ_FLAGS.get(command, ()) if data.draw(st.booleans(), label=flag)]
+    _assert_direct_path_reads_as_parse_args(argv)
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         try:
@@ -720,9 +819,11 @@ _SIZED_OPTIONS = {
 }
 
 
+# every command ends within ~0.2 s on 4000-digit literals; the deadline
+# keeps the parse, the exact work and the writers bounded on huge inputs
 @pytest.mark.parametrize("command", sorted(_SIZED_OPTIONS))
 @given(data=st.data())
-@settings(max_examples=8)
+@settings(max_examples=8, deadline=2000)
 def test_argv_fuzz_over_literal_sizes_exits_with_a_documented_code(command, data):
     argv = [command]
     for option, values in _SIZED_OPTIONS[command].items():

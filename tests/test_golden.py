@@ -3,6 +3,7 @@ the same stdout and stderr and exits with the same code.  The corpus is
 regenerated by tests/golden/record.py, which also holds the replay;
 tests/golden/replay.py replays it without pytest."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from trigonal4 import cli
 
 from golden.record import CORPUS, argv_id, run
 
@@ -58,3 +61,27 @@ def test_corpus_loads_no_polynomial_series_or_matrix_module(modules_loaded, inde
     loaded = modules_loaded[index]
     assert "trigonal4.cli" in loaded
     assert not loaded & {"trigonal4.polynomials", "trigonal4.series", "trigonal4.linalg"}
+
+
+def test_canonical_corpus_requests_load_no_argparse():
+    """Every corpus entry that exits 0 with a canonical argv, replayed in
+    corpus order in one fresh interpreter without site (-S), leaves
+    argparse unloaded: main reads it straight from the option table.  Every
+    exit-0 analyze and residue-check entry is one of them."""
+    ok = hashlib.sha256(b"0").hexdigest()
+    succeeding = [e["argv"] for e in ENTRIES if e["exit"] == ok]
+    canonical = [argv for argv in succeeding if cli.canonical_args(argv) is not None]
+    assert [argv for argv in succeeding if argv[0] in ("analyze", "residue-check")] == [
+        argv for argv in canonical if argv[0] in ("analyze", "residue-check")
+    ]
+    tests = Path(__file__).resolve().parent
+    code = (
+        "import json, sys\n"
+        "from golden.record import run\n"
+        f"for argv in json.loads({json.dumps(canonical)!r}):\n"
+        "    assert run(argv)['exit'] == " + repr(ok) + "\n"
+        "    print('argparse' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.split() == ["False"] * len(canonical)

@@ -1,6 +1,7 @@
 """The exact JSON of every divisor entry kind.  No command prints a finite
 point, a fiber locus or a place locus, so the golden corpus cannot pin their
-JSON; here every kind is built directly.  The formula tags
+JSON; here every kind is built directly.  The fixed-shape writers print
+the reference documents of tests/oracles/report.py.  The formula tags
 the commands write are the README's tag table."""
 
 import hashlib
@@ -10,15 +11,17 @@ import re
 from pathlib import Path
 
 import hypothesis.strategies as st
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 
 from trigonal4 import cli
 from trigonal4.curve import BranchPoint, FiberLocus, FiberPoint, FinitePoint, InfinityPoint, PlaceLocus, validate_params
 from trigonal4.deformation import CeresaVariant, cone_directions, delta_nu_c_test
+from trigonal4.prng import SplitMix64, sample_params, sample_scalar, sample_tangent
 from trigonal4.report import dumps, dumps_line, point_json, scan_row_line
-from trigonal4.scalars import Scalar
+from trigonal4.scalars import INFINITY, Scalar
 
 from golden.record import CORPUS
+from oracles.report import analyze_document, residue_check_document
 from test_base_kernel import sampled, wide_literals
 
 S = Scalar.parse
@@ -132,6 +135,72 @@ def test_scan_row_line_on_a_cone_grid():
     out = io.StringIO()
     assert cli.main(["scan", "--grid=cone:20", "--u=0,2,3"], out) == 0
     assert out.getvalue().splitlines(keepends=True)[:-1] == expected
+
+
+_SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+def _literal_argument(name: str, values) -> str:
+    return f"--{name}=" + ",".join(map(str, values))
+
+
+def _timed(argv: list, timing: bool) -> tuple:
+    """The output of a run of argv, with --timing when timing is set, and
+    the elapsed_ms it printed (None without --timing)."""
+    out = io.StringIO()
+    code = cli.main(argv + ["--timing"] * timing, out)
+    text = out.getvalue()
+    return code, text, json.loads(text)["elapsed_ms"] if timing and text else None
+
+
+@st.composite
+def _analyze_cases(draw):
+    """A sampled point and a direction off the conic (sampled) or on it: the
+    cone direction at a sampled t, at infinity, or at a branch x (one of
+    the u_j or a cube root of unity), whose base locus is a branch point."""
+    rng = SplitMix64(draw(_SEEDS))
+    params = sample_params(rng)
+    kind = draw(st.sampled_from(("sampled", "cone", "infinity", "branch")))
+    if kind == "sampled":
+        xi = sample_tangent(rng)
+    else:
+        branch = params.u + (Scalar.one(), Scalar.zeta(), Scalar.zeta_power(2))
+        t = {"cone": sample_scalar(rng, 9, 3), "infinity": INFINITY, "branch": draw(st.sampled_from(branch))}[kind]
+        xi = cone_directions(params, t)
+    return params, xi, draw(st.sampled_from((None, 1, 64)))
+
+
+@given(_analyze_cases(), st.booleans())
+@settings(max_examples=60)
+@example((validate_params(0, 2, 3), cone_directions(validate_params(0, 2, 3), INFINITY), None), True)
+def test_analyze_text_is_the_reference_document(case, timing):
+    params, xi, order = case
+    argv = ["analyze", _literal_argument("u", params.u), _literal_argument("xi", xi.a)]
+    argv += [] if order is None else [f"--series-order={order}"]
+    code, text, elapsed_ms = _timed(argv, timing)
+    assert code == 0
+    cert = delta_nu_c_test(params, xi)
+    reference = analyze_document(params, xi, cert, 12 if order is None else order, elapsed_ms)
+    assert text == json.dumps(reference, indent=2) + "\n"
+
+
+@given(_SEEDS, st.sampled_from((1, 2, 3)), st.sampled_from((None, 64, 128)), st.booleans(), st.booleans())
+@settings(max_examples=40)
+def test_residue_check_text_is_the_reference_document(seed, j, nodes, strict, timing):
+    # under --numeric an unattainable tolerance (strict) prints the
+    # document and exits 4; a contour on which Newton's iteration fails
+    # exits 5 before any output, and is skipped
+    params = sample_params(SplitMix64(seed))
+    argv = ["residue-check", _literal_argument("u", params.u), f"--j={j}"]
+    tolerance = 1e-30 if strict else cli.NUMERIC_TOLERANCE
+    if nodes is not None:
+        argv += ["--numeric", f"--quad-nodes={nodes}", f"--numeric-tolerance={tolerance!r}"]
+    code, text, elapsed_ms = _timed(argv, timing)
+    if nodes is None:
+        assert code == 0
+    assume(text)
+    reference = residue_check_document(params, j, nodes, tolerance, elapsed_ms)
+    assert text == json.dumps(reference, indent=2) + "\n"
 
 
 def test_commands_emit_exactly_the_readme_tags():

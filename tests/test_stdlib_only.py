@@ -41,14 +41,15 @@ def test_imports_are_stdlib_or_relative():
 
 
 @pytest.mark.parametrize(
-    "module", ["trigonal4.linalg", "fractions", "decimal", "numbers", "dataclasses", "inspect", "typing"]
+    "module", ["trigonal4.linalg", "fractions", "decimal", "numbers", "dataclasses", "inspect", "typing", "argparse"]
 )
 def test_cli_import_leaves_linalg_unloaded(module):
     """A fresh interpreter that imports the CLI never loads linalg, since no
     command builds a Matrix, nor fractions and the decimal and numbers
     modules it imports, since a Scalar is its integer triple, nor
     dataclasses, the inspect module it imports, or typing, since the records
-    are plain classes and annotations stay unevaluated strings.  The
+    are plain classes and annotations stay unevaluated strings, nor
+    argparse, which only build_parser imports.  The
     interpreter runs without site (-S), so that a .pth hook of the
     environment that imports typing cannot decide the answer."""
     code = f"import sys, trigonal4.cli; print({module!r} in sys.modules)"
