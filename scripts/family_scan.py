@@ -40,7 +40,7 @@ def main() -> None:
         params = sample_params(rng)
         xi = sample_tangent(rng)
         cert = delta_nu_c_test(params, xi)
-        counts[cert.variant.value] += 1
+        counts[cert.variant] += 1
         if len(examples) < 3:
             examples.append((params, xi, cert))
 
@@ -48,14 +48,14 @@ def main() -> None:
     for variant, n in sorted(counts.items()):
         print(f"  {variant:>22}: {n}")
     for params, xi, cert in examples:
-        print(f"  e.g. {params} xi={xi}: {cert.variant.value}, conic value {cert.conic_value}")
+        print(f"  e.g. {params} xi={xi}: {cert.variant}, conic value {cert.conic_value}")
 
     print(f"\ncone sweep (t = 0..{args.cone_sweep - 1}) at one sampled parameter point:")
     params = sample_params(rng)
     cone_counts: Counter = Counter()
     for t in range(args.cone_sweep):
         cert = delta_nu_c_test(params, cone_directions(params, Scalar.of(t)))
-        cone_counts[cert.variant.value] += 1
+        cone_counts[cert.variant] += 1
     for variant, n in sorted(cone_counts.items()):
         print(f"  {variant:>22}: {n}")
 

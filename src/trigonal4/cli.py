@@ -70,7 +70,7 @@ def _parse_literals(text: str, option: str, count: int, error=DegenerateInput) -
     parts = text.split(",")
     if len(parts) != count:
         raise error(f"expected {_COUNT_WORDS[count]} comma-separated scalar literals for {option}")
-    return tuple(Scalar.parse(p) for p in parts)
+    return tuple(map(Scalar.parse, parts))
 
 
 @functools.lru_cache(maxsize=32)
@@ -99,8 +99,8 @@ def _parse_grid(text: str) -> int:
 
 
 def cmd_analyze(args, out) -> int:
-    from . import report
     from .deformation import TangentVector, delta_nu_c_test
+    from .report import analyze_text
 
     started = time.perf_counter()
     order = _series_order(args)
@@ -108,7 +108,7 @@ def cmd_analyze(args, out) -> int:
     # a zero xi is refused by the certificate (ZeroTangent)
     xi = TangentVector(_parse_literals(args.xi, "--xi", 3))
     cert = delta_nu_c_test(params, xi)
-    out.write(report.analyze_text(params.u, xi.a, cert, order, started if args.timing else None))
+    out.write(analyze_text(params.u, xi.a, cert, order, started if args.timing else None))
     return 0
 
 
@@ -196,16 +196,10 @@ def cmd_scan(args, out) -> int:
         out.write("index,u1,u2,u3,xi1,xi2,xi3,conic_value,variant\n")
     for i, params, xi in rows:
         cert = delta_nu_c_test(params, xi)
-        variant = cert.variant.value
+        variant = cert.variant
         counts[variant] = counts.get(variant, 0) + 1
         if csv:
-            cells = (
-                [str(i)]
-                + [str(c) for c in params.u]
-                + [str(c) for c in xi.a]
-                + [str(cert.conic_value), variant]
-            )
-            out.write(",".join(cells) + "\n")
+            out.write(",".join([str(i), *map(str, params.u), *map(str, xi.a), str(cert.conic_value), variant]) + "\n")
         else:
             out.write(report.scan_row_line(i, params.u, xi.a, cert.conic_value, variant))
     summary = {"summary": {k: counts[k] for k in sorted(counts)}, "tag": "certificate-three-way"}

@@ -15,7 +15,8 @@ importing polynomials and series when they run; importing curve does not.
 
 Validation computes only u, the differences u_i - u_k and the u_j**3 - 1,
 which is what an off-conic scan row reads; Q'(u_j) is built from those, and
-Q's coefficients and the branch x from u, on first read.
+Q's coefficients and the branch x from u, on first read.  The first conic
+value at a point keeps the products it needs of those on the point.
 
 Divisors are fiber-aware.  Points whose coordinates live in Q(w) are stored
 individually; a full degree-3 fiber of the x-projection is stored as one
@@ -53,13 +54,15 @@ class CurveParams:
     u2 - u3 and the three u_j**3 - 1.  Q'(u_j) and the triples of their
     inverses, Q's coefficients (low to high) and the six branch x are built
     on first read: only the covector, the residue oracle, numeric,
-    canonical_ideal and the charts read them.  Equality and hash read u
-    alone, so the derived data costs nothing where params key a cache."""
+    canonical_ideal and the charts read them; deformation.conic_value sets
+    conic_terms and conic_inverse.  Equality and hash read u alone, so the
+    derived data costs nothing where params key a cache."""
 
     def __init__(self, u: tuple, differences: tuple, cubes_minus_one: tuple):
         self.u = u
         self.differences = differences
         self.cubes_minus_one = cubes_minus_one
+        self.conic_terms = self.conic_inverse = None
 
     def __eq__(self, other):
         if other.__class__ is not CurveParams:
@@ -338,9 +341,6 @@ class Differential:
         self.b = tuple(Scalar.of(c) for c in b)
         if len(self.b) != 3:
             raise DegenerateInput("a differential has exactly three graded coefficients")
-
-    def coefficients(self) -> tuple:
-        return (self.b0,) + self.b
 
     def is_zero(self) -> bool:
         return not (self.b0 or any(self.b))

@@ -21,6 +21,9 @@ N = a1 a2 (u3**3 - 1)(u1 - u2) - a1 a3 (u2**3 - 1)(u1 - u3)
     + a2 a3 (u1**3 - 1)(u2 - u3),
 V = (u1 - u2)(u1 - u3)(u2 - u3): every factor is one that
 curve.validate_params forms, so conic_value needs neither Q'(u_j) nor c.
+The factors the point alone fixes, the three (u_k**3 - 1)(u_i - u_j) of N
+and the inverse of -V prod_j (u_j**3 - 1), are formed once per point and
+kept on its CurveParams.
 Every other fact is read off c, computed on first read: the pairing matrix
 (c bordered by zeros) and its rank 2, the kernel, and the base locus.
 Every fact of the base is read off a closed form, with no matrix built:
@@ -48,19 +51,18 @@ invertible, and at a triple branch point C y**2, A Q and b Q y start at
 orders 0, 1 and 2.  The direction's functional c . (A0, A1, A2) is c0 A(t)
 (resp. c2 A2), so it vanishes on that 6-dimensional subspace: every
 on-conic certificate is OnConicSupported.  The paper's third outcome, on
-the conic but not supported, cannot occur on this family, so CeresaVariant
-has no member for it.  The series support test of
+the conic but not supported, cannot occur on this family, so no variant
+names it.  The series support test of
 tests/oracles/deformation.py handles arbitrary effective divisors, and the
 tests check the lemma against it.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from functools import cached_property
 
-from .curve import CurveParams, Differential, Divisor, trigonal_fiber
+from .curve import CurveParams, Divisor, trigonal_fiber
 from .errors import DegenerateInput, ZeroTangent
 from .scalars import INFINITY, Scalar, _add3, _inv3, _make, _mul3, _sub3, _triple
 
@@ -95,9 +97,7 @@ class TangentVector:
         return "(" + ",".join(str(c) for c in self.a) + ")"
 
 
-class CeresaVariant(enum.Enum):
-    NOT_ON_CONIC = "NotOnConic"
-    ON_CONIC_SUPPORTED = "OnConicSupported"
+NOT_ON_CONIC, ON_CONIC_SUPPORTED = "NotOnConic", "OnConicSupported"  # the printed variant names
 
 
 # The dimension of the space of holomorphic quadratic differentials
@@ -129,18 +129,15 @@ class CeresaCertificate:
         self.params = params
         self.xi = xi
         self.conic_value = conic_value(params, xi)
+        self.on_conic = not self.conic_value
 
     @cached_property
     def covector(self) -> tuple:
         return pairing_covector(self.params, self.xi)
 
     @property
-    def on_conic(self) -> bool:
-        return not self.conic_value
-
-    @property
-    def variant(self) -> CeresaVariant:
-        return CeresaVariant.ON_CONIC_SUPPORTED if self.on_conic else CeresaVariant.NOT_ON_CONIC
+    def variant(self) -> str:
+        return ON_CONIC_SUPPORTED if self.on_conic else NOT_ON_CONIC
 
     @property
     def supported(self) -> bool | None:
@@ -156,20 +153,21 @@ class CeresaCertificate:
 
     @property
     def kernel_basis(self) -> tuple:
-        """Basis of the annihilator of c: with c_p its first nonzero
-        entry, the vectors e_j - (c_j / c_p) e_p for j != p in order, as the
-        one-row kernel (Matrix.kernel_basis) returns them."""
+        """Basis of the annihilator of c, as coefficient rows (b0, b1, b2, b3)
+        of forms (curve.Differential): with c_p the first nonzero entry of c,
+        b0 = 0 and (b1, b2, b3) = e_j - (c_j / c_p) e_p for j != p in order,
+        as the one-row kernel (Matrix.kernel_basis) returns them."""
         c = self.covector
-        p = next(i for i, ci in enumerate(c) if ci)
-        minus_inv = _mul3((-1, 0, 1), _inv3(_triple(c[p])))
-        zero = Scalar.zero()
+        p = 0 if c[0] else 1 if c[1] else 2
+        a, b, d = _inv3(_triple(c[p]))
+        zero, one = Scalar.zero(), Scalar.one()
         basis = []
         for j in range(3):
             if j != p:
-                b = [zero] * 3
-                b[j] = Scalar.one()
-                b[p] = _make(*_mul3(_triple(c[j]), minus_inv))
-                basis.append(Differential(zero, tuple(b)))
+                row = [zero] * 4
+                row[j + 1] = one
+                row[p + 1] = _make(*_mul3(_triple(c[j]), (-a, -b, d)))
+                basis.append(tuple(row))
         return tuple(basis)
 
     @property
@@ -192,30 +190,34 @@ class CeresaCertificate:
 
 def conic_value(params: CurveParams, xi: TangentVector) -> Scalar:
     """c0*c2 - c1**2, the covector against the rank-3 quadric X*Z - Y**2
-    whose vanishing detects base points, as -N / (V prod_j (u_j**3 - 1))
-    (module docstring) on the triples that validate_params keeps, and one
-    reduction.  N = g (na + nb w)/nd and -V prod_j (u_j**3 - 1) =
-    h (da + db w)/dd with g and h their content gcds: the integer ratio
-    g dd / (h nd) is reduced apart, so that large literals reach the last
-    gcd without the factors it would cancel."""
+    whose vanishing detects base points, as -N / (V prod_j e_j), e_j =
+    u_j**3 - 1 (module docstring), and one reduction.  What the point
+    fixes is formed on the point's first conic value and kept on params:
+    the triples X_k of N = a1 (a2 X3 - a3 X2) + a2 a3 X1, and off the conic
+    -V prod_j e_j = h (da + db w)/dd, h its content gcd, as the conjugate
+    of da + db w over its norm, dd and h.  With N = g (na + nb w)/nd, the
+    ratio g dd / (h nd) is reduced apart, so that large literals reach the
+    last gcd without the factors it would cancel."""
+    (d12, d13, d23), (e1, e2, e3) = params.differences, params.cubes_minus_one
+    if params.conic_terms is None:
+        params.conic_terms = _mul3(e3, d12), _mul3(e2, d13), _mul3(e1, d23)
     a1, a2, a3 = map(_triple, xi.a)
-    d12, d13, d23 = params.differences
-    e1, e2, e3 = params.cubes_minus_one
-    na, nb, nd = _add3(
-        _sub3(_mul3(_mul3(a1, a2), _mul3(e3, d12)), _mul3(_mul3(a1, a3), _mul3(e2, d13))),
-        _mul3(_mul3(a2, a3), _mul3(e1, d23)),
-    )
+    x3, x2, x1 = params.conic_terms
+    na, nb, nd = _add3(_mul3(a1, _sub3(_mul3(a2, x3), _mul3(a3, x2))), _mul3(_mul3(a2, a3), x1))
     g = math.gcd(na, nb)
     if not g:
         return _make(0, 0, 1)
-    a, b, d = d12
-    da, db, dd = _mul3(_mul3((-a, -b, d), _mul3(d13, d23)), _mul3(_mul3(e1, e2), e3))  # -V prod (u_j**3 - 1)
-    h = math.gcd(da, db)
+    if params.conic_inverse is None:
+        a, b, d = _mul3(_mul3(d12, _mul3(d13, d23)), _mul3(_mul3(e1, e2), e3))  # V prod_j e_j
+        h = math.gcd(a, b)
+        a, b = -a // h, -b // h
+        params.conic_inverse = (a - b, -b, a * a - a * b + b * b), d, h
+    inverse, dd, h = params.conic_inverse
     r, s = g * dd, h * nd
     k = math.gcd(r, s)
-    r, s, da, db = r // k, s // k, da // h, db // h
+    r, s = r // k, s // k
     # (r/s) (na + nb w)/(da + db w), the inverse as conjugate over norm
-    a, b, d = _mul3((na // g, nb // g, s), (da - db, -db, da * da - da * db + db * db))
+    a, b, d = _mul3((na // g, nb // g, s), inverse)
     return _make(a * r, b * r, d)
 
 

@@ -25,9 +25,9 @@ step is a pure function of the iterate's bits (Q, Q' and y are fixed
 within one solve), so once x_n repeats x_m bit for bit (m < n), the
 iterates repeat with period n - m, and the 80th is x_{m + (80-m) mod (n-m)}.
 The solve stops there and returns that iterate, the very float the full
-80 steps would reach.  Iterates are keyed by the hex of both parts, so
-0.0 and -0.0 stay distinct; an iterate with a NaN part may match another
-one, but every such x fails the acceptance test either way.
+80 steps would reach.  Iterates are looked up by value, and a match is a
+repeat only when the hex of both parts agrees, so 0.0 and -0.0 stay
+distinct; a NaN never matches, and every such x fails the acceptance test.
 """
 
 from __future__ import annotations
@@ -59,12 +59,11 @@ def _solve_x(q: list, qp: list, q_abs: list, x_seed: complex, y: complex) -> com
     seen = {}
     history = []
     for n in range(80):
-        key = (x.real.hex(), x.imag.hex())
-        m = seen.get(key)
-        if m is not None:
+        m = seen.get(x)
+        if m is not None and (x.real.hex(), x.imag.hex()) == (history[m].real.hex(), history[m].imag.hex()):
             x = history[m + (80 - m) % (n - m)]
             break
-        seen[key] = n
+        seen[x] = n  # over a match in value only: a repeat missed costs steps, not the result
         history.append(x)
         fx = ((((((0j * x + q6) * x + q5) * x + q4) * x + q3) * x + q2) * x + q1) * x + q0 - target
         if abs(fx) < 1e-30:

@@ -16,12 +16,13 @@ recursive pass over json's C string escaper, where json's indent path runs
 its pure-Python encoder; dumps_line keeps json's C encoder.  The two
 documents a point query prints, analyze's and residue-check's, have a
 fixed shape, and analyze_text and residue_check_text write them as dumps
-would without building them: they fill the printed texts into the
-constant indent-2 skeleton, and only analyze's base locus, a divisor of
-varying shape, goes through dumps' encoder.  scan_row_line writes a scan
-row's compact line directly.  The texts these writers place between
-quotes are scalar literals (alphabet -0-9/+*w), variant names and
-formatted floats, none of which JSON escapes.
+would without building them: analyze_text fills one %-template, the
+document that dumps writes at import from a skeleton naming the slots, and
+residue_check_text a constant skeleton.  Only analyze's base locus, a
+divisor of varying shape, goes through dumps' encoder per request.
+scan_row_line writes a scan row's compact line directly.  The texts these
+writers place between quotes are scalar literals (alphabet -0-9/+*w),
+variant names and formatted floats, none of which JSON escapes.
 tests/oracles/report.py keeps the documents they write, as dicts, and
 the tests compare the two.
 """
@@ -107,34 +108,37 @@ def scan_row_line(index: int, u: tuple, xi: tuple, conic_value, variant: str) ->
 # A member of the fixed skeletons below starts its lines with these, by depth.
 _D1, _D2, _D3 = "\n  ", "\n    ", "\n      "
 _JSON = {True: "true", False: "false", None: "null"}
-_ANALYZE_TAGS = (
-    f'{{{_D2}"input": "base-membership",{_D2}"ks_rank": "ks-rank-two",'
-    f'{_D2}"pairing_matrix": "pairing-closed-form",{_D2}"kernel_basis": "kernel-covector",'
-    f'{_D2}"conic": "conic-criterion",{_D2}"base_locus": "base-locus-fibers",'
-    f'{_D2}"supported": "support-annihilation",{_D2}"certificate": "certificate-three-way"{_D1}}}'
-)
 _RESIDUE_TAGS = (
     f'{{{_D2}"closed": "pairing-closed-form",{_D2}"oracle": "pairing-residue-oracle",'
     f'{_D2}"numeric": "numeric-contour-quadrature"{_D1}}}'
 )
 
-
-def _literals(texts, newline: str) -> str:
-    """The indent-2 JSON list of texts that JSON does not escape (scalar
-    literals, alphabet -0-9/+*w), its lines after the first starting with
-    newline."""
-    return f'[{newline}  "' + f'",{newline}  "'.join(texts) + f'"{newline}]'
-
-
-def _lists(lists: list, newline: str) -> str:
-    """The indent-2 JSON list of _literals lists."""
-    inner = newline + "  "
-    return f"[{inner}" + f",{inner}".join(_literals(texts, inner) for texts in lists) + f"{newline}]"
-
-
-def _deeper(text: str) -> str:
-    """A member's JSON one level deeper: none of its strings holds a newline."""
-    return text.replace("\n", _D1)
+# The analyze document as one %-template, written by dumps from a skeleton
+# whose leaves name its slots, analyze_text's locals: those in _RAW hold a
+# JSON value, the others a literal's text between quotes.
+_C = ["%(c0)s", "%(c1)s", "%(c2)s"]
+_CONIC = {"covector": _C, "value": "%(value)s", "on_conic": "%(on_conic)s"}
+_KERNEL = [[f"%(k{i})s" for i in range(j, j + 4)] for j in (0, 4)]
+_RAW = ("rank", "on_conic", "locus1", "locus2", "supported", "omega2_dim", "subspace_dim", "order")
+_SKELETON = {
+    "input": {"u": ["%(u0)s", "%(u1)s", "%(u2)s"], "xi": ["%(xi0)s", "%(xi1)s", "%(xi2)s"]},
+    "ks_rank": "%(rank)s",
+    "pairing_matrix": [["0", *_C]] + [[c, "0", "0", "0"] for c in _C],
+    "kernel_basis": _KERNEL, "conic": _CONIC, "base_locus": "%(locus1)s", "supported": "%(supported)s",
+    "certificate": {
+        "variant": "%(variant)s", "conic": _CONIC, "base_locus": "%(locus2)s", "kernel_basis": _KERNEL,
+        "supported": "%(supported)s", "omega2_dim": "%(omega2_dim)s", "subspace_dim": "%(subspace_dim)s",
+    },
+    "series_order": "%(order)s",
+    "tags": {
+        "input": "base-membership", "ks_rank": "ks-rank-two", "pairing_matrix": "pairing-closed-form",
+        "kernel_basis": "kernel-covector", "conic": "conic-criterion", "base_locus": "base-locus-fibers",
+        "supported": "support-annihilation", "certificate": "certificate-three-way",
+    },
+}
+_ANALYZE = dumps(_SKELETON)[:-3] + "%(elapsed)s\n}\n"
+for _name in _RAW:
+    _ANALYZE = _ANALYZE.replace(f'"%({_name})s"', f"%({_name})s")
 
 
 def _elapsed(started) -> str:
@@ -145,34 +149,22 @@ def _elapsed(started) -> str:
 
 
 def analyze_text(u: tuple, xi: tuple, cert: CeresaCertificate, order: int, started) -> str:
-    """dumps of the analyze document: the input, the pairing rank and
-    matrix (the covector bordered by zeros), the certificate's facts at the
-    top level and again under "certificate", the series order, the tags,
-    and elapsed_ms since started unless it is None, read once every fact is
-    formed."""
-    c = [str(v) for v in cert.covector]
-    conic = (
-        f'{{{_D2}"covector": {_literals(c, _D2)},{_D2}"value": "{cert.conic_value}",'
-        f'{_D2}"on_conic": {_JSON[cert.on_conic]}{_D1}}}'
-    )
-    matrix = _lists([["0", *c]] + [(ck, "0", "0", "0") for ck in c], _D1)
-    kernel_basis = _lists([[str(v) for v in d.coefficients()] for d in cert.kernel_basis], _D1)
-    base_locus = _indented(divisor_json(cert.base_locus), _D1)
-    supported = _JSON[cert.supported]
+    """dumps of the analyze document, _ANALYZE filled; elapsed_ms, since
+    started unless it is None, is read once every fact is formed.  Each
+    value is printed as it is formed, so that the first one past the digit
+    limit raises before a later fact is formed."""
+    c0, c1, c2 = map(str, cert.covector)
+    value = str(cert.conic_value)
+    (k0, k1, k2, k3), (k4, k5, k6, k7) = (map(str, row) for row in cert.kernel_basis)
+    locus = divisor_json(cert.base_locus)
+    locus1, locus2 = _indented(locus, _D1), _indented(locus, _D2)
+    (u0, u1, u2), (xi0, xi1, xi2) = map(str, u), map(str, xi)
+    rank, variant, omega2_dim = cert.rank, cert.variant, cert.omega2_dim
+    on_conic, supported = _JSON[cert.on_conic], _JSON[cert.supported]
     subspace_dim = cert.subspace_dim
-    certificate = (
-        f'{{{_D2}"variant": "{cert.variant.value}",{_D2}"conic": {_deeper(conic)},'
-        f'{_D2}"base_locus": {_deeper(base_locus)},{_D2}"kernel_basis": {_deeper(kernel_basis)},'
-        f'{_D2}"supported": {supported},{_D2}"omega2_dim": {cert.omega2_dim},'
-        f'{_D2}"subspace_dim": {"null" if subspace_dim is None else subspace_dim}{_D1}}}'
-    )
+    subspace_dim = "null" if subspace_dim is None else subspace_dim
     elapsed = _elapsed(started)
-    return (
-        f'{{{_D1}"input": {{{_D2}"u": {_literals(map(str, u), _D2)},{_D2}"xi": {_literals(map(str, xi), _D2)}{_D1}}},'
-        f'{_D1}"ks_rank": {cert.rank},{_D1}"pairing_matrix": {matrix},{_D1}"kernel_basis": {kernel_basis},'
-        f'{_D1}"conic": {conic},{_D1}"base_locus": {base_locus},{_D1}"supported": {supported},'
-        f'{_D1}"certificate": {certificate},{_D1}"series_order": {order},{_D1}"tags": {_ANALYZE_TAGS}{elapsed}\n}}\n'
-    )
+    return _ANALYZE % locals()
 
 
 def residue_check_text(u: tuple, j: int, entries: list, all_match: bool, numeric, started) -> str:
@@ -193,7 +185,7 @@ def residue_check_text(u: tuple, j: int, entries: list, all_match: bool, numeric
     if numeric is not None:
         tail = f',{_D1}"numeric_tolerance": {numeric[0]!r},{_D1}"worst_rel_err": "{numeric[1]}"'
     return (
-        f'{{{_D1}"u": {_literals(map(str, u), _D1)},{_D1}"j": {j},{_D1}"entries": [{_D2}'
+        f'{{{_D1}"u": {_indented(scalars_json(u), _D1)},{_D1}"j": {j},{_D1}"entries": [{_D2}'
         + f",{_D2}".join(rows)
         + f'{_D1}],{_D1}"all_match": {_JSON[all_match]},{_D1}"tags": {_RESIDUE_TAGS}{tail}{_elapsed(started)}\n}}\n'
     )

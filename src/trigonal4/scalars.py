@@ -17,27 +17,23 @@ and the residue oracle) only delays that reduction to its outputs.
 
 The I/O literal syntax is ``p/q`` or ``p/q+r/s*w`` (whitespace-free, the
 ``/q`` omitted when the denominator is 1), e.g. ``-1/6`` or ``1/2+-3/4*w``.
-A literal, like a sampled draw (prng.sample_scalar), goes straight from its
-integers p, q, r, s to the canonical triple with one gcd (ratio_scalar).
-A Scalar formats itself once: its fourth slot, None when _make builds it,
-keeps the literal from the first str(), so a value printed again (an
-interned sampled draw, a parameter point read by many requests) is not
-formatted again.  == and hash read the triple alone.
+Scalar.parse reads it by hand (tests/oracles/scalars.py keeps the grammar
+as a regular expression) and, like a sampled draw (prng.sample_scalar),
+goes straight from the integers p, q, r, s to the canonical triple with one
+gcd (ratio_scalar).  A Scalar formats itself once: its fourth slot keeps
+the text of the first str(), or the literal it was parsed from when that
+is written as str() writes it, so a value printed again (an echoed input,
+an interned sampled draw) is not formatted again.  == and hash read the
+triple alone.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import re
 from operator import attrgetter
 
 from .errors import DegenerateInput
-
-_FRACTION = r"-?[0-9]+(?:/[0-9]+)?"
-_LITERAL = re.compile(
-    rf"^(?:(?P<rat>{_FRACTION})|(?P<zet0>{_FRACTION})\*w|(?P<rat1>{_FRACTION})\+(?P<zet1>{_FRACTION})\*w)$"
-)
 
 # w as a complex number, used only by the floating cross-check oracle.
 _W_COMPLEX = cmath.exp(2j * cmath.pi / 3)
@@ -174,25 +170,44 @@ class Scalar:
 
     @staticmethod
     def parse(text: str) -> "Scalar":
-        m = _LITERAL.match(text.strip())
-        if m is None:
+        """The literal p[/q], p[/q]*w or p[/q]+r[/s]*w after strip(), with
+        ASCII digits; one written as __str__ writes it keeps its text."""
+        literal = text.strip()
+        rational, plus, zeta, star = literal, "", "0", literal[-2:] == "*w"
+        if star:
+            rational, plus, zeta = literal[:-2].rpartition("+")
+            rational = rational if plus else "0"
+        num, slash, den = rational.partition("/")
+        znum, zslash, zden = zeta.partition("/")
+        n, z = num.removeprefix("-"), znum.removeprefix("-")
+        digits = n + den + z + zden
+        if not (n and z and (den or not slash) and (zden or not zslash) and digits.isascii() and digits.isdigit()):
             raise DegenerateInput(f"not a scalar literal: {text!r}")
-        p, q = _ratio(m.group("rat") or m.group("rat1") or "0", text)
-        r, s = _ratio(m.group("zet0") or m.group("zet1") or "0", text)
-        return ratio_scalar(p, q, r, s)
+        # each part's digits are read before its denominator is checked, so
+        # a digit-limit error comes before a zero denominator behind it
+        try:
+            p, q = int(num), int(den or 1)
+            r, s = (int(znum), int(zden or 1)) if q else (0, 0)
+        except ValueError:  # more digits than int() converts
+            raise DegenerateInput("scalar literal exceeds the integer digit limit") from None
+        if not (q and s):
+            raise DegenerateInput(f"zero denominator in scalar literal: {text!r}")
+        value = ratio_scalar(p, q, r, s)
+        # __str__ omits a zero part and writes each other one in lowest terms
+        if not r:
+            kept = not star and (literal == "0" or n[0] != "0" and _lowest(den, p, q))
+        elif not p:
+            kept = not plus and z[0] != "0" and _lowest(zden, r, s)
+        else:
+            kept = n[0] != "0" and z[0] != "0" and _lowest(den, p, q) and _lowest(zden, r, s)
+        if kept:
+            value._text = literal
+        return value
 
 
-def _ratio(part: str, text: str) -> tuple:
-    """(p, q) of the literal part ``p`` or ``p/q``; the digits are read
-    before the denominator is checked, so a digit-limit error comes first."""
-    num, _, den = part.partition("/")
-    try:
-        p, q = int(num), int(den or 1)
-    except ValueError:  # more digits than int() converts
-        raise DegenerateInput("scalar literal exceeds the integer digit limit") from None
-    if not q:
-        raise DegenerateInput(f"zero denominator in scalar literal: {text!r}")
-    return p, q
+def _lowest(den: str, n: int, d: int) -> bool:
+    """Whether den, the denominator text of n/d, is as _format_ratio writes it."""
+    return not den or den[0] != "0" and d != 1 and math.gcd(n, d) == 1
 
 
 def ratio_scalar(p: int, q: int, r: int, s: int) -> Scalar:
@@ -283,9 +298,6 @@ class ProjectiveInfinity:
         return cls._instance
 
     def __repr__(self):
-        return "inf"
-
-    def __str__(self):
         return "inf"
 
 

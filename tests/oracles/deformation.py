@@ -7,7 +7,7 @@ is checked against."""
 
 from __future__ import annotations
 
-from trigonal4.curve import BranchPoint, CurveParams, Divisor, FiberPoint, FinitePoint, InfinityPoint
+from trigonal4.curve import BranchPoint, CurveParams, Differential, Divisor, FiberPoint, FinitePoint, InfinityPoint
 from trigonal4.deformation import OMEGA2_DIM, ORACLE_SIGN, TangentVector, pairing_covector
 from trigonal4.errors import DegenerateInput, StructuralError, ZeroTangent
 from trigonal4.linalg import Matrix
@@ -18,6 +18,12 @@ from oracles.curve import OMEGA, KDifferential, basis_factors, branch_chart, cha
 from oracles.linalg import identity
 from oracles.series import inverse
 from oracles.polynomials import RationalFunction, q_poly
+
+
+def kernel_forms(cert) -> tuple:
+    """The certificate's kernel basis, coefficient rows (b0, b1, b2, b3),
+    as the 1-forms they are."""
+    return tuple(Differential(row[0], row[1:]) for row in cert.kernel_basis)
 
 
 def moment_matrix(params: CurveParams) -> Matrix:

@@ -24,14 +24,14 @@ _ANALYZE_TAGS = {
 
 def certificate_json(cert) -> dict:
     return {
-        "variant": cert.variant.value,
+        "variant": cert.variant,
         "conic": {
             "covector": scalars_json(cert.covector),
             "value": str(cert.conic_value),
             "on_conic": cert.on_conic,
         },
         "base_locus": divisor_json(cert.base_locus),
-        "kernel_basis": [scalars_json(d.coefficients()) for d in cert.kernel_basis],
+        "kernel_basis": [scalars_json(row) for row in cert.kernel_basis],
         "supported": cert.supported,
         "omega2_dim": cert.omega2_dim,
         "subspace_dim": cert.subspace_dim,

@@ -5,17 +5,25 @@ it became one reduced integer triple ``(a + b*w)/d``.  Its operations are
 the plain ``Fraction`` formulas, so the tests check every ``Scalar``
 operation against it value by value.  The ``Fraction`` helpers the tests
 read, ``fraction_parts`` and ``fraction_scalar``, live here too: no
-``Fraction`` is built or accepted in ``src/``.
+``Fraction`` is built or accepted in ``src/``.  ``LITERAL`` is the literal
+grammar as a regular expression, which ``FractionScalar.parse`` matches and
+``Scalar.parse`` reads by hand.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from trigonal4.errors import DegenerateInput
-from trigonal4.scalars import _LITERAL, _W_COMPLEX, Scalar, ratio_scalar
+from trigonal4.scalars import _W_COMPLEX, Scalar, ratio_scalar
+
+_FRACTION = r"-?[0-9]+(?:/[0-9]+)?"
+LITERAL = re.compile(
+    rf"^(?:(?P<rat>{_FRACTION})|(?P<zet0>{_FRACTION})\*w|(?P<rat1>{_FRACTION})\+(?P<zet1>{_FRACTION})\*w)$"
+)
 
 
 def _coerce(value) -> Fraction:
@@ -170,7 +178,7 @@ class FractionScalar:
 
     @staticmethod
     def parse(text: str) -> "FractionScalar":
-        m = _LITERAL.match(text.strip())
+        m = LITERAL.match(text.strip())
         if m is None:
             raise DegenerateInput(f"not a scalar literal: {text!r}")
         try:

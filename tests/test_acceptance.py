@@ -25,7 +25,7 @@ from trigonal4.scalars import INFINITY, Scalar
 
 from oracles.canonical_ideal import CUBIC_MONOMIALS, QUADRIC_MONOMIALS, _evaluation_kernel, dense
 from oracles.curve import OMEGA, canonical_map, common_zeros_by_divisors, divisor_of_function, same_divisor, subtract
-from oracles.deformation import product_differential, support_test, xi_functional
+from oracles.deformation import kernel_forms, product_differential, support_test, xi_functional
 from oracles.linalg import row_space_rref, same_subspace
 from oracles.polynomials import q_poly
 from oracles.rulings import witness_function
@@ -81,7 +81,7 @@ def test_criterion_2_kernel_consistency():
         matrix_kernel = Matrix(pairing_matrix(params, xi)).kernel_basis()
         assert all(not v[0] for v in matrix_kernel)  # restricted to span(w1,w2,w3)
         restricted = [v[1:] for v in matrix_kernel]
-        closed_form = [w.b for w in cert.kernel_basis]
+        closed_form = [row[1:] for row in cert.kernel_basis]
         assert same_subspace(restricted, closed_form)
     return "50 seeded (u, xi) pairs, exact subspace equality"
 
@@ -99,13 +99,13 @@ def test_criterion_3_conic_equivalence():
             assert cert.on_conic
             locus = cert.base_locus
             assert locus == trigonal_fiber(params, t)
-            assert same_divisor(locus, common_zeros_by_divisors(params, *cert.kernel_basis))
+            assert same_divisor(locus, common_zeros_by_divisors(params, *kernel_forms(cert)))
             assert locus != Divisor.zero()
             on_conic_checked += 1
     for _ in range(50):
         params = sample_params(rng)
         cert = delta_nu_c_test(params, sample_tangent(rng))
-        locus = common_zeros_by_divisors(params, *cert.kernel_basis)
+        locus = common_zeros_by_divisors(params, *kernel_forms(cert))
         assert cert.on_conic == (locus != Divisor.zero())
         assert same_divisor(cert.base_locus, locus)
     return f"{on_conic_checked} cone directions incl branch and infinity fibers, 50 random, against the divisor oracle"

@@ -180,7 +180,7 @@ def test_kernel_basis_matches_scalar_arithmetic(p, entries):
             b[j] = FractionScalar.one()
             b[p] = -(rc[j] / rc[p])
             expected.append((FractionScalar.zero(), *b))
-    assert [tuple(map(ref, w.coefficients())) for w in basis] == expected
+    assert [tuple(map(ref, row)) for row in basis] == expected
 
 
 # _make calls (one gcd and one Scalar each) of one request, from parsing to

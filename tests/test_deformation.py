@@ -16,8 +16,9 @@ from trigonal4.curve import (
     validate_params,
 )
 from trigonal4.deformation import (
+    NOT_ON_CONIC,
+    ON_CONIC_SUPPORTED,
     CeresaCertificate,
-    CeresaVariant,
     TangentVector,
     bordered,
     cone_directions,
@@ -41,6 +42,7 @@ from conftest import apply, det, direction_with_covector, inverse, scalar_strate
 from oracles.curve import KDifferential, chart_at, common_zeros_by_divisors, fiber_frame, kdiff_series
 from oracles.deformation import (
     kdifferential_coordinates,
+    kernel_forms,
     moment_matrix,
     omega2_subspace,
     omega2_vanishing_conditions,
@@ -198,7 +200,7 @@ def test_kernel_W_for_coordinate_directions(u023):
             (-uj, Scalar.one(), Scalar.zero()),
             (Scalar.zero(), -uj, Scalar.one()),
         ]
-        assert same_subspace([w.b for w in basis], expected)
+        assert same_subspace([row[1:] for row in basis], expected)
 
 
 @given(tangent_strategy().filter(lambda t: not t.is_zero()))
@@ -207,8 +209,8 @@ def test_kernel_matches_pairing_matrix_nullspace(u023, xi):
     basis = delta_nu_c_test(u023, xi).kernel_basis
     matrix_kernel = Matrix(pairing_matrix(u023, xi)).kernel_basis()
     # the full 4x4 null space has b0 = 0 automatically and equals W
-    lifted = [(Scalar.zero(),) + w.b for w in basis]
-    assert same_subspace(lifted, matrix_kernel)
+    assert all(not row[0] for row in basis)
+    assert same_subspace(list(basis), matrix_kernel)
 
 
 def test_kernel_of_zero_rejected(u023):
@@ -244,7 +246,7 @@ def test_base_locus_examples(u023):
 @settings(max_examples=25)
 def test_conic_iff_base_locus(u023, xi):
     cert = delta_nu_c_test(u023, xi)
-    locus = common_zeros_by_divisors(u023, *cert.kernel_basis)
+    locus = common_zeros_by_divisors(u023, *kernel_forms(cert))
     assert cert.on_conic == (locus != Divisor.zero())
     assert cert.base_locus == locus
 
@@ -274,7 +276,7 @@ def test_base_locus_matches_divisor_oracle(seed, kind):
         xi = cone_directions(params, t)
     cert = delta_nu_c_test(params, xi)
     locus = cert.base_locus
-    oracle = common_zeros_by_divisors(params, *cert.kernel_basis)
+    oracle = common_zeros_by_divisors(params, *kernel_forms(cert))
     assert locus == oracle
     assert divisor_json(locus) == divisor_json(oracle)
 
@@ -298,7 +300,7 @@ def test_cone_direction_at_infinity_kernel(u023):
         (Scalar.one(), Scalar.zero(), Scalar.zero()),
         (Scalar.zero(), Scalar.one(), Scalar.zero()),
     ]
-    assert same_subspace([w.b for w in basis], expected)
+    assert same_subspace([row[1:] for row in basis], expected)
 
 
 # -- functional and support ---------------------------------------------------------
@@ -420,17 +422,18 @@ def test_support_monotone_in_divisor(u023):
 
 def test_certificates(u023):
     cert = delta_nu_c_test(u023, TangentVector((1, 0, 0)))
-    # the certificate is its parameter point, direction and conic value; the
-    # covector is computed on first read, and the rest is read off the two
-    assert list(vars(cert)) == ["params", "xi", "conic_value"]
-    assert cert.variant is CeresaVariant.ON_CONIC_SUPPORTED
+    # the certificate is its parameter point, direction and conic value,
+    # and whether that vanishes; the covector is computed on first read, and
+    # the rest is read off the two; a variant is its printed name
+    assert list(vars(cert)) == ["params", "xi", "conic_value", "on_conic"]
+    assert cert.variant == ON_CONIC_SUPPORTED == "OnConicSupported"
     assert "covector" not in vars(cert)
     assert cert.base_locus == Divisor.of((BranchPoint(Scalar.zero()), 3))
     assert vars(cert)["covector"] == pairing_covector(u023, cert.xi)
     assert cert.subspace_dim == 6
 
     cert = delta_nu_c_test(u023, TangentVector((1, 1, 1)))
-    assert cert.variant is CeresaVariant.NOT_ON_CONIC
+    assert cert.variant == NOT_ON_CONIC == "NotOnConic"
     assert cert.base_locus == Divisor.zero()
     assert cert.supported is None
 
@@ -451,7 +454,7 @@ def test_certificates(u023):
 def test_on_conic_certificates_over_each_fiber_kind(u, t, expected):
     params = validate_params(*u)
     cert = delta_nu_c_test(params, cone_directions(params, t))
-    assert cert.variant is CeresaVariant.ON_CONIC_SUPPORTED
+    assert cert.variant == ON_CONIC_SUPPORTED
     assert cert.subspace_dim == 6
     assert cert.base_locus == expected
 
@@ -498,7 +501,7 @@ def test_support_lemma_matches_series_oracle(kind, seed):
     closed = Matrix(_closed_fiber_conditions(t)).kernel_basis()
     assert same_subspace(omega2_subspace(params, fiber), closed)
     cert = delta_nu_c_test(params, xi)
-    assert (cert.variant, cert.supported, cert.subspace_dim) == (CeresaVariant.ON_CONIC_SUPPORTED, True, 6)
+    assert (cert.variant, cert.supported, cert.subspace_dim) == (ON_CONIC_SUPPORTED, True, 6)
     assert cert.base_locus == fiber
 
 
@@ -533,7 +536,7 @@ def test_on_conic_certificates_build_no_series(monkeypatch, u023):
     )
     for t, xi in directions.items():
         cert = delta_nu_c_test(u023, xi)
-        assert cert.variant is CeresaVariant.ON_CONIC_SUPPORTED
+        assert cert.variant == ON_CONIC_SUPPORTED
         assert cert.subspace_dim == 6
         assert cert.base_locus == trigonal_fiber(u023, t)
 
@@ -622,8 +625,8 @@ def test_kernel_of_matches_row_kernel(u023, leading_zeros, entries):
     cert = CeresaCertificate(u023, direction_with_covector(u023, c))
     assert cert.covector == c
     basis = cert.kernel_basis
-    assert [w.b for w in basis] == Matrix([c]).kernel_basis()
-    assert all(not w.b0 for w in basis)
+    assert [row[1:] for row in basis] == Matrix([c]).kernel_basis()
+    assert all(not row[0] for row in basis)
 
 
 def test_product_map_has_one_dimensional_kernel(u023):

@@ -165,6 +165,18 @@ def test_solve_x_is_newton_80_bit_for_bit(seed, j, nodes):
         assert None in cycles
 
 
+def test_a_signed_zero_match_is_not_a_repeat():
+    # Newton on x**3 - 2x + 2 from -0.0 cycles 0 <-> 1 exactly: x_2 = +0.0
+    # equals x_0 = -0.0 in value but not in bits, so the first repeat is
+    # x_3 = x_1 and the 80th iterate is +0.0.  The wide q_abs lets the
+    # acceptance test pass, so that the iterate itself is compared.
+    q = [complex(c) for c in (2, -2, 0, 1, 0, 0, 0)]
+    qp = [complex(c) for c in (-2, 0, 3, 0, 0, 0)]
+    args = (q, qp, [1e20] * 7, complex(-0.0, 0.0), 0j)
+    assert first_repeat(newton_iterates(q, qp, args[3], args[4])) == (1, 3)
+    assert _outcome(_solve_x, *args) == _outcome(newton_80, *args) == ("0x0.0p+0", "0x0.0p+0")
+
+
 @pytest.mark.parametrize(
     "u, j",
     [

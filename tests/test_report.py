@@ -15,10 +15,10 @@ from hypothesis import assume, example, given, settings
 
 from trigonal4 import cli
 from trigonal4.curve import BranchPoint, FiberLocus, FiberPoint, FinitePoint, InfinityPoint, PlaceLocus, validate_params
-from trigonal4.deformation import CeresaVariant, cone_directions, delta_nu_c_test
+from trigonal4.deformation import NOT_ON_CONIC, ON_CONIC_SUPPORTED, TangentVector, cone_directions, delta_nu_c_test
 from trigonal4.prng import SplitMix64, sample_params, sample_scalar, sample_tangent
 from trigonal4.report import dumps, dumps_line, point_json, scan_row_line
-from trigonal4.scalars import INFINITY, Scalar
+from trigonal4.scalars import INFINITY, Scalar, ratio_scalar
 
 from golden.record import CORPUS
 from oracles.report import analyze_document, residue_check_document
@@ -113,7 +113,7 @@ _LITERALS = st.one_of(sampled, wide_literals(), st.sampled_from((Scalar.zero(), 
 @given(
     st.integers(min_value=0, max_value=10**30),
     st.lists(_LITERALS, min_size=7, max_size=7),
-    st.sampled_from([v.value for v in CeresaVariant]),
+    st.sampled_from((NOT_ON_CONIC, ON_CONIC_SUPPORTED)),
 )
 @settings(max_examples=80)
 def test_scan_row_line_is_dumps_line(index, values, variant):
@@ -129,8 +129,8 @@ def test_scan_row_line_on_a_cone_grid():
     for i in range(20):
         xi = cone_directions(params, Scalar.of(i))
         cert = delta_nu_c_test(params, xi)
-        line = dumps_line(row_document(i, params.u, xi.a, cert.conic_value, cert.variant.value))
-        assert scan_row_line(i, params.u, xi.a, cert.conic_value, cert.variant.value) == line
+        line = dumps_line(row_document(i, params.u, xi.a, cert.conic_value, cert.variant))
+        assert scan_row_line(i, params.u, xi.a, cert.conic_value, cert.variant) == line
         expected.append(line)
     out = io.StringIO()
     assert cli.main(["scan", "--grid=cone:20", "--u=0,2,3"], out) == 0
@@ -167,15 +167,25 @@ def _analyze_cases(draw):
         branch = params.u + (Scalar.one(), Scalar.zeta(), Scalar.zeta_power(2))
         t = {"cone": sample_scalar(rng, 9, 3), "infinity": INFINITY, "branch": draw(st.sampled_from(branch))}[kind]
         xi = cone_directions(params, t)
-    return params, xi, draw(st.sampled_from((None, 1, 64)))
+    return params, xi, draw(st.sampled_from((None, 1, 64))), None
+
+
+_U023 = validate_params(0, 2, 3)
 
 
 @given(_analyze_cases(), st.booleans())
 @settings(max_examples=60)
-@example((validate_params(0, 2, 3), cone_directions(validate_params(0, 2, 3), INFINITY), None), True)
+# the cone direction at infinity: c0 = c1 = 0, so the kernel pivots on c2
+@example((_U023, cone_directions(_U023, INFINITY), None, None), True)
+# a = (Q'(0), -Q'(2), 0) = (-6, 14, 0): c0 = 1 - 1 = 0 != c1 = -2, a pivot on c1
+@example((_U023, TangentVector((-6, 14, 0)), None, None), False)
+# --xi spelled off the canonical form prints the canonical texts 1/2, 7, 1*w
+@example((_U023, TangentVector((ratio_scalar(1, 2, 0, 1), 7, Scalar.zeta())), None, "2/4,007,-0+1*w"), False)
 def test_analyze_text_is_the_reference_document(case, timing):
-    params, xi, order = case
-    argv = ["analyze", _literal_argument("u", params.u), _literal_argument("xi", xi.a)]
+    # spelling, when given, is the --xi text of xi as the argv writes it
+    params, xi, order, spelling = case
+    xi_argument = _literal_argument("xi", xi.a) if spelling is None else f"--xi={spelling}"
+    argv = ["analyze", _literal_argument("u", params.u), xi_argument]
     argv += [] if order is None else [f"--series-order={order}"]
     code, text, elapsed_ms = _timed(argv, timing)
     assert code == 0

@@ -258,6 +258,80 @@ def test_parse_matches_fraction_reference_on_the_literal_grammar(text):
         pass
 
 
+# Near misses of the grammar: a literal with one character inserted,
+# replaced or deleted, the new one drawn from the literal alphabet, other
+# ASCII and Unicode digits, signs, separators and whitespace.
+_NEAR = "0123456789/-+*w W_.e,()\n\t\x00\u0663\u00b2\uff11\u2028"
+
+
+@st.composite
+def _near_misses(draw):
+    text = draw(_LITERAL_TEXT.filter(lambda t: len(t) < 40))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        i = draw(st.integers(min_value=0, max_value=len(text)))
+        c = draw(st.sampled_from(_NEAR))
+        text = draw(st.sampled_from((text[:i] + c + text[i:], text[:i] + c + text[i + 1:], text[:i] + text[i + 1:])))
+    return text
+
+
+@given(_near_misses())
+@settings(max_examples=300)
+@example("1/2+3*w*w")
+@example("+1*w")
+@example("1+*w")
+@example("\u0663/4")
+@example("1_0")
+@example("1/2/3")
+@example("1*w\n")
+@example("-")
+@example("*w")
+def test_hand_parser_matches_the_reference_grammar_on_near_misses(text):
+    # Scalar.parse reads by hand what oracles.scalars.LITERAL matches: the
+    # same texts accepted, with the same values, and the same messages
+    assert _parsed(Scalar.parse, text) == _parsed(FractionScalar.parse, text)
+
+
+@st.composite
+def _spellings(draw):
+    """A literal of a value drawn as parts n/d, each spelled canonically or
+    not: leading zeros, a scale on both terms, /1, -0, a zero part written
+    out, and whitespace around it."""
+
+    def part(n, d):
+        k = draw(st.sampled_from((1, 1, 2, 3)))
+        sign = "-" if n < 0 or (n == 0 and draw(st.booleans())) else ""
+        text = sign + "0" * draw(st.sampled_from((0, 0, 1, 2))) + str(abs(n) * k)
+        if d * k != 1 or draw(st.booleans()):
+            text += "/" + "0" * draw(st.sampled_from((0, 0, 1))) + str(d * k)
+        return text
+
+    p, z = (draw(st.integers(min_value=-40, max_value=40)) for _ in range(2))
+    q, s = (draw(st.integers(min_value=1, max_value=12)) for _ in range(2))
+    form = draw(st.sampled_from(("rat", "zet0", "both")))
+    literal = {"rat": part(p, q), "zet0": f"{part(z, s)}*w", "both": f"{part(p, q)}+{part(z, s)}*w"}[form]
+    return draw(st.sampled_from(("", " ", "\t"))) + literal + draw(st.sampled_from(("", " ")))
+
+
+@given(_spellings())
+@settings(max_examples=300)
+@example("2/4")
+@example("007")
+@example("-0+1*w")
+@example("0*w")
+@example("5+0*w")
+@example("0/3")
+@example("-5/1")
+@example(" -1/6+7/4*w")
+def test_a_parsed_literal_prints_as_its_value(text):
+    # str() of the parse is the text _make's value formats afresh, and the
+    # parse keeps its literal exactly when the literal is that text
+    value = Scalar.parse(text)
+    kept = value._text
+    fresh = _make(*_triple(value))
+    assert str(value) == str(fresh)
+    assert kept == (text.strip() if text.strip() == str(fresh) else None)
+
+
 def test_equal_values_are_equal_and_hash_alike_however_built():
     half = ratio_scalar(1, 2, 0, 1)
     for other in (ratio_scalar(2, 4, 0, 1), Scalar.parse("1/2"), Scalar.one() / 2, Scalar.of(3) / 6,
