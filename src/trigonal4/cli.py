@@ -10,15 +10,15 @@ for scans) and byte-identical across runs for identical inputs and seed;
 timing is only emitted under --timing, which intentionally breaks that.
 
 COMMANDS holds each command's function, help line and option table.  main
-reads a canonical argv (canonical_args) straight from the table; any other
-argv goes to the argparse parser that build_parser builds from the same
-table, so argparse alone writes usage, help and error text, and a
-well-formed request never imports it.  At module level this imports only
-the standard library and trigonal4.errors, which main needs to map an
-error to its exit code.  Each command imports the library names it reads
-when main dispatches to it, so building the parser loads no library module
-and a one-command process compiles only the modules its command runs.
---timing's elapsed_ms starts after those imports.
+reads a well-formed argv (canonical_args) straight from the table and any
+other with one parse_args of the parser build_parser builds from it, so
+argparse alone writes usage, help and error text, a well-formed request
+never imports it, and main returns every exit code.  At module level this
+imports only the standard library and trigonal4.errors, which main needs
+to map an error to its exit code.  Each command imports the library names
+it reads when main dispatches to it, so building the parser loads no
+library module and a one-command process compiles only the modules its
+command runs.  --timing's elapsed_ms starts after those imports.
 """
 
 from __future__ import annotations
@@ -202,11 +202,8 @@ def cmd_scan(args, out) -> int:
             out.write(",".join([str(i), *map(str, params.u), *map(str, xi.a), str(cert.conic_value), variant]) + "\n")
         else:
             out.write(report.scan_row_line(i, params.u, xi.a, cert.conic_value, variant))
-    summary = {"summary": {k: counts[k] for k in sorted(counts)}, "tag": "certificate-three-way"}
-    if csv:
-        out.write(f"# summary: {summary['summary']}\n")
-    else:
-        out.write(report.dumps_line(summary))
+    summary = {k: counts[k] for k in sorted(counts)}
+    out.write(f"# summary: {summary}\n" if csv else report.scan_summary_line(summary))
     return 0
 
 
@@ -355,7 +352,6 @@ def build_parser():
         formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.command_parsers = sub.choices  # name -> parser, filled below; main reads it
     for name, (func, help_text, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text, formatter_class=formatter)
         for option, (kind, default, required, choices) in options.items():
@@ -368,28 +364,29 @@ def build_parser():
 
 
 def canonical_args(argv):
-    """The namespace parse_args reads from a canonical argv, else None.  In
-    a canonical argv every token after the command is --name=value, with an
-    exact option name and a nonempty value other than --, or an exact flag;
-    no option repeats, every required one is given, each value converts
-    with the call argparse makes, and every choice is valid."""
+    """The namespace parse_args reads from a well-formed argv, else None.
+    After the command come exact flags and exact option names, each with a
+    nonempty value other than --, attached (--name=value) or in the next
+    token if that does not start with - (argparse reads it as an option, a
+    negative number or --).  No option repeats, every required one is given,
+    each value converts with the call argparse makes and every choice is valid."""
     command = COMMANDS.get(argv[0]) if argv else None
     if command is None:
         return None
     func, _, options = command
     given = {}
-    for token in argv[1:]:
+    tokens = iter(argv[1:])
+    for token in tokens:
         name, equals, text = token.partition("=")
         option = options.get(name)
-        if option is None or name in given:
+        if option is None or name in given or equals and option[0] is bool:
             return None
         kind, _, _, choices = option
         if kind is bool:
-            if equals:
-                return None
             given[name] = True
             continue
-        if not text or text == "--":
+        text = text if equals else next(tokens, "-")
+        if not text or text == "--" or not equals and text[0] == "-":
             return None
         if kind is not None:
             try:
@@ -408,21 +405,24 @@ def canonical_args(argv):
 
 
 def main(argv=None, out=None) -> int:
+    """Answer one request on out and return its exit code, never raising
+    SystemExit: argparse's is 0 after help on out and 2 after usage on stderr."""
     out = out if out is not None else sys.stdout
     argv = sys.argv[1:] if argv is None else list(argv)
     args = canonical_args(argv)
     if args is None:
+        import contextlib
+
         parser = build_parser()
-        # an attached "--" (--u=--) is refused here: argparse versions differ
-        # on it, dropping it (an empty value) or keeping it as the value
-        if any(token[:1] == "-" and token.partition("=")[2] == "--" for token in argv):
-            parser.error("-- is not an option value")
-        # parse_args hands all that follows a command name to its parser,
-        # then refuses leftovers; it runs here only where there are some
-        command = parser.command_parsers.get(argv[0]) if argv else None
-        args, leftover = command.parse_known_args(argv[1:]) if command else (None, True)
-        if leftover:
-            args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out):
+            try:
+                # an attached "--" (--u=--) is refused here: argparse versions
+                # differ on it, dropping it (an empty value) or keeping it
+                if any(token[:1] == "-" and token.partition("=")[2] == "--" for token in argv):
+                    parser.error("-- is not an option value")
+                args = parser.parse_args(argv)
+            except SystemExit as exc:
+                return exc.code
     try:
         return args.func(args, out)
     except Trigonal4Error as exc:

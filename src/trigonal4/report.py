@@ -13,16 +13,16 @@ this module loads no other package module.
 
 dumps writes json.dumps(document, indent=2) + "\n" byte for byte in one
 recursive pass over json's C string escaper, where json's indent path runs
-its pure-Python encoder; dumps_line keeps json's C encoder.  The two
-documents a point query prints, analyze's and residue-check's, have a
-fixed shape, and analyze_text and residue_check_text write them as dumps
-would without building them: analyze_text fills one %-template, the
-document that dumps writes at import from a skeleton naming the slots, and
-residue_check_text a constant skeleton.  Only analyze's base locus, a
-divisor of varying shape, goes through dumps' encoder per request.
-scan_row_line writes a scan row's compact line directly.  The texts these
-writers place between quotes are scalar literals (alphabet -0-9/+*w),
-variant names and formatted floats, none of which JSON escapes.
+its pure-Python encoder.  The two documents a point query prints,
+analyze's and residue-check's, have a fixed shape, and analyze_text and
+residue_check_text write them as dumps would without building them:
+analyze_text fills one %-template, the document that dumps writes at
+import from a skeleton naming the slots, and residue_check_text a constant
+skeleton.  Only analyze's base locus, a divisor of varying shape, goes
+through dumps' encoder per request.  scan_row_line and scan_summary_line
+write a scan's compact lines directly.  The texts these writers place
+between quotes are scalar literals (alphabet -0-9/+*w), variant names and
+formatted floats, none of which JSON escapes.
 tests/oracles/report.py keeps the documents they write, as dicts, and
 the tests compare the two.
 """
@@ -89,20 +89,18 @@ def _indented(value, newline: str) -> str:
     return json.dumps(value, indent=2).replace("\n", newline)
 
 
-# json.dumps builds a new encoder per call once an option is given.
-_encode_line = json.JSONEncoder(separators=(",", ":")).encode
-
-
-def dumps_line(document: dict) -> str:
-    return _encode_line(document) + "\n"
-
-
 def scan_row_line(index: int, u: tuple, xi: tuple, conic_value, variant: str) -> str:
-    """dumps_line of the row {"index", "u", "xi", "conic_value", "variant"}."""
+    """The compact JSON line of the row {"index", "u", "xi", "conic_value", "variant"}."""
     return (
         f'{{"index":{index},"u":["{u[0]}","{u[1]}","{u[2]}"],"xi":["{xi[0]}","{xi[1]}","{xi[2]}"],'
         f'"conic_value":"{conic_value}","variant":"{variant}"}}\n'
     )
+
+
+def scan_summary_line(counts: dict) -> str:
+    """The compact JSON line of {"summary": counts, "tag": "certificate-three-way"}."""
+    members = ",".join(f'"{variant}":{count}' for variant, count in counts.items())
+    return f'{{"summary":{{{members}}},"tag":"certificate-three-way"}}\n'
 
 
 # A member of the fixed skeletons below starts its lines with these, by depth.

@@ -301,9 +301,10 @@ def test_elapsed_ms_covers_every_fact(monkeypatch, argv, facts):
 
 
 def test_parser_is_built_once():
+    # a repeated option and an abbreviation are read by argparse alone
     cli.build_parser.cache_clear()
-    run_cli(["ideal", "--u", "0,2,3"])
-    run_cli(["schiffer", "--u", "0,2,3", "--point", "0,1,0,0"])
+    assert run_cli(["ideal", "--u=0,2,3", "--u", "0,2,3"])[0] == 0
+    assert run_cli(["schiffer", "--u", "0,2,3", "--poi=0,1,0,0"])[0] == 0
     info = cli.build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 
@@ -311,59 +312,30 @@ def test_parser_is_built_once():
 def test_reused_parser_rejects_invalid_argv():
     cli.build_parser.cache_clear()
     for argv in (["analyze", "--u", "0,2,3"], ["analyze", "--u", "0,2,3"], ["no-such-command"]):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(argv)
-        assert exc.value.code == 2
+        code, out, err = _main_outcome(argv)
+        assert (code, out) == (2, "") and err.startswith("usage: ")
     code, text = run_cli(["analyze", "--u", "0,2,3", "--xi", "1,0,0"])
     assert code == 0 and json.loads(text)["ks_rank"] == 2
     assert cli.build_parser.cache_info().misses == 1
 
 
 # argv tokens that parse, and that argparse refuses or reads its own way:
-# separate and attached values, an abbreviation, repeats, "--", help,
-# unknown options and commands, and a stray positional.
+# separate and attached values, negative and empty ones, "-", an
+# abbreviation, repeats, "--", help, unknown options and commands, and a
+# stray positional.
 _COMMAND_TOKENS = ["analyze", "residue-check", "scan", "ideal", "qz24", "bogus", "-h", "--u=0,2,3", "--"]
 _ARGUMENT_TOKENS = _COMMAND_TOKENS + [
     "--u", "0,2,3", "--xi=1,2,3", "--xi=--", "--j=1", "--j", "2", "--ser=3", "--series-order=2",
     "--numeric", "--quad-nodes=8", "--a=2", "--random=1", "--seed=3", "--format=csv", "--bogus", "x",
+    "--seed", "-5", "-", " -2", "--random", "",
 ]
 
 
 def _main_outcome(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv, out)
-        except SystemExit as exc:
-            code = ("SystemExit", exc.code)
+    with contextlib.redirect_stderr(err):
+        code = main(argv, out)
     return code, out.getvalue(), err.getvalue()
-
-
-@given(
-    st.tuples(st.sampled_from(_COMMAND_TOKENS), st.lists(st.sampled_from(_ARGUMENT_TOKENS), max_size=5)).map(
-        lambda t: [t[0], *t[1]]
-    )
-)
-@settings(max_examples=150)
-@example(["analyze", "--u", "0,2,3", "--xi=1,2,3"])
-@example(["analyze", "--u=0,2,3", "--xi=1,2,3", "x"])
-@example(["--", "ideal", "--u=0,2,3"])
-@example(["qz24", "-h"])
-def test_command_parser_reads_argv_as_parse_args_does(argv):
-    # main reads a canonical argv off the option table; any other argv goes
-    # to that command's parser, and parse_args runs only to refuse
-    # leftovers.  With no command parser to read (an empty map) every
-    # argv the table declines goes through parse_args.  Codes, output and
-    # messages must agree either way.
-    _assert_direct_path_reads_as_parse_args(argv)
-    parser = cli.build_parser()
-    direct = _main_outcome(argv)
-    command_parsers = parser.command_parsers
-    try:
-        parser.command_parsers = {}
-        assert _main_outcome(argv) == direct
-    finally:
-        parser.command_parsers = command_parsers
 
 
 def _assert_direct_path_reads_as_parse_args(argv):
@@ -380,7 +352,8 @@ def _assert_direct_path_reads_as_parse_args(argv):
 # canonical argv and near misses: every option of a command once as
 # --name=value in any order, or with a flag given a value, an option
 # repeated, a required one left out, an abbreviated or unknown name, an
-# empty value, a separate value or a conversion or choice that fails
+# empty value, a separate value, one that starts with - or is missing, or
+# a conversion or choice that fails
 _CANONICAL_TOKENS = {
     "analyze": ["--u=0,2,3", "--xi=1,2,3", "--series-order=3", "--timing"],
     "residue-check": ["--u=0,2,3", "--j=2", "--numeric", "--quad-nodes=16", "--numeric-tolerance=1e-6", "--timing"],
@@ -393,7 +366,7 @@ _CANONICAL_TOKENS = {
 _NEAR_MISSES = [
     "--timing=1", "--numeric=", "--u=", "--xi", "1,2,3", "--ser=3", "--bogus=1", "--j=x", "--j= 2 ", "--j=٣",
     "--seed=" + "9" * 5000, "--numeric-tolerance=nan", "--numeric-tolerance=1_0", "--format=xml", "--u=--",
-    "--xi=a=b", "-h", "--", "--help",
+    "--xi=a=b", "-h", "--", "--help", "--j", "-1", " 2", "--xi", "-1,2,3", "--u", "", "--seed", "٣",
 ]
 
 
@@ -406,11 +379,23 @@ def _near_canonical_argv(draw):
     return [command, *tokens, *extra]
 
 
-@given(_near_canonical_argv())
-@settings(max_examples=150)
+_ANY_ARGV = st.tuples(st.sampled_from(_COMMAND_TOKENS), st.lists(st.sampled_from(_ARGUMENT_TOKENS), max_size=5))
+
+
+@given(_ANY_ARGV.map(lambda t: [t[0], *t[1]]) | _near_canonical_argv())
+@settings(max_examples=300)
+@example(["analyze", "--u", "0,2,3", "--xi=1,2,3"])
+@example(["analyze", "--u=0,2,3", "--xi=1,2,3", "x"])
+@example(["--", "ideal", "--u=0,2,3"])
+@example(["qz24", "-h"])
+@example(["analyze", "--u", "0,2,3", "--xi", "1,2,3"])
+@example(["analyze", "--u", "0,2,3", "--xi", "-1,2,3"])
 @example(["residue-check", "--u=0,2,3", "--j=1", "--numeric-tolerance=nan"])
 @example(["scan", "--format=csv"])
-def test_direct_path_reads_argv_as_parse_args_does(argv):
+def test_main_reads_argv_as_parse_args_does(argv):
+    # main reads a well-formed argv off the option table and any other with
+    # one parse_args; codes, output (help included) and messages must be
+    # those of parse_args reading every argv
     _assert_direct_path_reads_as_parse_args(argv)
     if "--timing" not in argv:  # elapsed_ms differs from run to run
         assert _main_outcome(argv) == _main_outcome_through_argparse(argv)
@@ -739,7 +724,7 @@ def test_attached_double_dash_value_exits_2(argv):
     # main refuses --opt=-- before argparse reads it, since argparse versions
     # read it differently (an empty value, or the value "--")
     code, out, err = _main_outcome(argv)
-    assert code == ("SystemExit", 2) and out == ""
+    assert code == 2 and out == ""
     assert err.endswith("trigonal4: error: -- is not an option value\n")
 
 
@@ -752,11 +737,11 @@ def test_double_dash_after_the_first_equals_sign_is_a_value():
 
 
 def _assert_documented_exit(argv, code, stderr):
-    """0 with nothing on stderr, or a table code with a label the table pairs
-    with it."""
+    """0 with nothing on stderr, 2 with argparse's usage, or a table code
+    with a label the table pairs with it."""
     if code == 0:
         assert stderr == "", argv
-    else:
+    elif not (code == 2 and stderr.startswith("usage: ")):
         assert code in LABELS_BY_CODE, (argv, code)
         assert stderr.startswith(LABELS_BY_CODE[code]), (argv, code, stderr)
     assert "Traceback" not in stderr, argv
@@ -773,14 +758,8 @@ def test_argv_fuzz_exits_with_a_documented_code(command, data):
             argv.append(f"{option}={value}")
     argv += [flag for flag in _FUZZ_FLAGS.get(command, ()) if data.draw(st.booleans(), label=flag)]
     _assert_direct_path_reads_as_parse_args(argv)
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        try:
-            code = main(argv, io.StringIO())
-        except SystemExit as exc:  # argparse rejects the argv with usage
-            assert exc.code == 2 and "Traceback" not in err.getvalue(), argv
-            return
-    _assert_documented_exit(argv, code, err.getvalue())
+    code, _, err = _main_outcome(argv)
+    _assert_documented_exit(argv, code, err)
 
 
 # -- argv fuzz over literal sizes ---------------------------------------------------
@@ -832,10 +811,8 @@ def test_argv_fuzz_over_literal_sizes_exits_with_a_documented_code(command, data
             argv.append(f"{option}={value}")
     if command == "residue-check" and data.draw(st.booleans(), label="--numeric"):
         argv.append("--numeric")
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = main(argv, io.StringIO())
-    _assert_documented_exit(argv, code, err.getvalue())
+    code, _, err = _main_outcome(argv)
+    _assert_documented_exit(argv, code, err)
 
 
 @pytest.mark.parametrize("text", ["1,1,2", "1,2,3", "0,2", "0,2,x"])

@@ -12,8 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from trigonal4 import cli
-
 from golden.record import CORPUS, argv_id, run
 
 ENTRIES = json.loads(CORPUS.read_text())
@@ -35,53 +33,42 @@ def test_corpus_holds_in_a_narrow_terminal_and_another_hash_seed():
 
 
 @pytest.fixture(scope="module")
-def modules_loaded():
+def replayed():
     """Replays every corpus entry in one fresh interpreter without site (-S)
-    and lists, for each entry in corpus order, the package modules loaded
-    once it has run."""
+    and gives, for each entry in corpus order, whether it called
+    build_parser, the one place argparse is imported, and the package
+    modules loaded once it has run."""
     tests = Path(__file__).resolve().parent
     code = (
         "import json, sys\n"
-        "from golden.record import CORPUS, run\n"
+        "from golden.record import CORPUS, cli, run\n"
         "for entry in json.loads(CORPUS.read_text()):\n"
+        "    before = cli.build_parser.cache_info()\n"
         "    run(entry['argv'])\n"
-        "    print(' '.join(sorted(m for m in sys.modules if m.partition('.')[0] == 'trigonal4')))"
+        "    print(cli.build_parser.cache_info() != before, "
+        "*sorted(m for m in sys.modules if m.partition('.')[0] == 'trigonal4'))"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
     result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
-    return [set(line.split()) for line in result.stdout.splitlines()]
+    lines = [line.split() for line in result.stdout.splitlines()]
+    assert len(lines) == len(ENTRIES)
+    return [(built == "True", set(modules)) for built, *modules in lines]
 
 
 @pytest.mark.parametrize("index", range(len(ENTRIES)), ids=[argv_id(e["argv"]) for e in ENTRIES])
-def test_corpus_loads_no_polynomial_series_or_matrix_module(modules_loaded, index):
+def test_corpus_loads_no_polynomial_series_or_matrix_module(replayed, index):
     """No corpus entry, nor any before it, loads polynomials, series or
     linalg: no command divides polynomials, expands a series or builds a
     Matrix."""
-    assert len(modules_loaded) == len(ENTRIES)
-    loaded = modules_loaded[index]
+    loaded = replayed[index][1]
     assert "trigonal4.cli" in loaded
     assert not loaded & {"trigonal4.polynomials", "trigonal4.series", "trigonal4.linalg"}
 
 
-def test_canonical_corpus_requests_load_no_argparse():
-    """Every corpus entry that exits 0 with a canonical argv, replayed in
-    corpus order in one fresh interpreter without site (-S), leaves
-    argparse unloaded: main reads it straight from the option table.  Every
-    exit-0 analyze and residue-check entry is one of them."""
+def test_corpus_requests_that_exit_0_build_no_parser(replayed):
+    """The entries that exit 0 and build the parser, and so import argparse,
+    are exactly the help requests: main reads every other such argv,
+    attached or separate values alike, straight from the option table."""
     ok = hashlib.sha256(b"0").hexdigest()
-    succeeding = [e["argv"] for e in ENTRIES if e["exit"] == ok]
-    canonical = [argv for argv in succeeding if cli.canonical_args(argv) is not None]
-    assert [argv for argv in succeeding if argv[0] in ("analyze", "residue-check")] == [
-        argv for argv in canonical if argv[0] in ("analyze", "residue-check")
-    ]
-    tests = Path(__file__).resolve().parent
-    code = (
-        "import json, sys\n"
-        "from golden.record import run\n"
-        f"for argv in json.loads({json.dumps(canonical)!r}):\n"
-        "    assert run(argv)['exit'] == " + repr(ok) + "\n"
-        "    print('argparse' in sys.modules)"
-    )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
-    result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.split() == ["False"] * len(canonical)
+    built = [entry["argv"] for entry, (parser, _) in zip(ENTRIES, replayed) if entry["exit"] == ok and parser]
+    assert built == [entry["argv"] for entry in ENTRIES if "-h" in entry["argv"]]

@@ -17,7 +17,7 @@ from trigonal4 import cli
 from trigonal4.curve import BranchPoint, FiberLocus, FiberPoint, FinitePoint, InfinityPoint, PlaceLocus, validate_params
 from trigonal4.deformation import NOT_ON_CONIC, ON_CONIC_SUPPORTED, TangentVector, cone_directions, delta_nu_c_test
 from trigonal4.prng import SplitMix64, sample_params, sample_scalar, sample_tangent
-from trigonal4.report import dumps, dumps_line, point_json, scan_row_line
+from trigonal4.report import dumps, point_json, scan_row_line, scan_summary_line
 from trigonal4.scalars import INFINITY, Scalar, ratio_scalar
 
 from golden.record import CORPUS
@@ -45,9 +45,14 @@ EXPECTED = (
 )
 
 
+def compact_line(document) -> str:
+    """The compact JSON line a scan prints for document."""
+    return json.dumps(document, separators=(",", ":")) + "\n"
+
+
 def test_point_json_pins_every_entry_kind():
     documents = [point_json(entry) for entry in ENTRIES]
-    assert dumps_line(documents) == EXPECTED
+    assert compact_line(documents) == EXPECTED
     assert [d["kind"] for d in documents] == [entry.kind for entry in ENTRIES]
 
 
@@ -97,7 +102,7 @@ def test_dumps_writes_a_shared_subtree_at_each_depth(shared, other):
 
 
 def row_document(index, u, xi, value, variant) -> dict:
-    """A scan row as cmd_scan once built it for dumps_line."""
+    """A scan row as cmd_scan once built it for json's compact encoder."""
     return {
         "index": index,
         "u": [str(c) for c in u],
@@ -116,9 +121,9 @@ _LITERALS = st.one_of(sampled, wide_literals(), st.sampled_from((Scalar.zero(), 
     st.sampled_from((NOT_ON_CONIC, ON_CONIC_SUPPORTED)),
 )
 @settings(max_examples=80)
-def test_scan_row_line_is_dumps_line(index, values, variant):
+def test_scan_row_line_is_compact_json(index, values, variant):
     u, xi, value = values[:3], values[3:6], values[6]
-    expected = dumps_line(row_document(index, u, xi, value, variant))
+    expected = compact_line(row_document(index, u, xi, value, variant))
     assert scan_row_line(index, tuple(u), tuple(xi), value, variant) == expected
 
 
@@ -129,12 +134,20 @@ def test_scan_row_line_on_a_cone_grid():
     for i in range(20):
         xi = cone_directions(params, Scalar.of(i))
         cert = delta_nu_c_test(params, xi)
-        line = dumps_line(row_document(i, params.u, xi.a, cert.conic_value, cert.variant))
+        line = compact_line(row_document(i, params.u, xi.a, cert.conic_value, cert.variant))
         assert scan_row_line(i, params.u, xi.a, cert.conic_value, cert.variant) == line
         expected.append(line)
     out = io.StringIO()
     assert cli.main(["scan", "--grid=cone:20", "--u=0,2,3"], out) == 0
     assert out.getvalue().splitlines(keepends=True)[:-1] == expected
+
+
+@given(st.dictionaries(st.sampled_from((NOT_ON_CONIC, ON_CONIC_SUPPORTED)), st.integers(min_value=1, max_value=10**30)))
+@example({})
+def test_scan_summary_line_is_compact_json(counts):
+    counts = {variant: counts[variant] for variant in sorted(counts)}
+    expected = compact_line({"summary": counts, "tag": "certificate-three-way"})
+    assert scan_summary_line(counts) == expected
 
 
 _SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
@@ -214,12 +227,13 @@ def test_residue_check_text_is_the_reference_document(seed, j, nodes, strict, ti
 
 
 def test_commands_emit_exactly_the_readme_tags():
-    """One successful corpus command line per subcommand: every ``tags``
-    value, and the scan summary's ``tag``, together form the README table."""
+    """One successful corpus command line per subcommand, help aside: every
+    ``tags`` value, and the scan summary's ``tag``, together form the README
+    table."""
     ok = hashlib.sha256(b"0").hexdigest()
     argvs = {}
     for entry in json.loads(CORPUS.read_text()):
-        if entry["exit"] == ok:
+        if entry["exit"] == ok and "-h" not in entry["argv"]:
             argvs.setdefault(entry["argv"][0], entry["argv"])
     assert set(argvs) == {"analyze", "residue-check", "scan", "ideal", "schiffer", "d0", "qz24"}
     emitted = set()

@@ -40,6 +40,19 @@ def test_imports_are_stdlib_or_relative():
     assert not offenders, offenders
 
 
+def test_only_build_parser_imports_argparse():
+    """argparse loads when cli.build_parser runs and at no other time, so a
+    request that never builds the parser never loads it."""
+
+    def argparse_imports(tree):
+        return [n for n in ast.walk(tree) if isinstance(n, ast.Import) and "argparse" in [a.name for a in n.names]]
+
+    every = [node for path in sorted(SOURCE.glob("*.py")) for node in argparse_imports(ast.parse(path.read_text()))]
+    cli = ast.parse((SOURCE / "cli.py").read_text())
+    build_parser = next(n for n in cli.body if isinstance(n, ast.FunctionDef) and n.name == "build_parser")
+    assert len(every) == len(argparse_imports(build_parser)) == 1
+
+
 @pytest.mark.parametrize(
     "module", ["trigonal4.linalg", "fractions", "decimal", "numbers", "dataclasses", "inspect", "typing", "argparse"]
 )
