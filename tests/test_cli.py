@@ -314,9 +314,13 @@ def test_reused_parser_rejects_invalid_argv():
     for argv in (["analyze", "--u", "0,2,3"], ["analyze", "--u", "0,2,3"], ["no-such-command"]):
         code, out, err = _main_outcome(argv)
         assert (code, out) == (2, "") and err.startswith("usage: ")
-    code, text = run_cli(["analyze", "--u", "0,2,3", "--xi", "1,0,0"])
+    # the abbreviation --x is read by the reused parser alone
+    argv = ["analyze", "--u", "0,2,3", "--x=1,0,0"]
+    assert cli.canonical_args(argv) is None
+    code, text = run_cli(argv)
     assert code == 0 and json.loads(text)["ks_rank"] == 2
-    assert cli.build_parser.cache_info().misses == 1
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
 
 
 # argv tokens that parse, and that argparse refuses or reads its own way:

@@ -45,7 +45,15 @@ def test_only_build_parser_imports_argparse():
     request that never builds the parser never loads it."""
 
     def argparse_imports(tree):
-        return [n for n in ast.walk(tree) if isinstance(n, ast.Import) and "argparse" in [a.name for a in n.names]]
+        return [
+            n
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Import)
+            and any(a.name.partition(".")[0] == "argparse" for a in n.names)
+            or isinstance(n, ast.ImportFrom)
+            and n.level == 0
+            and n.module.partition(".")[0] == "argparse"
+        ]
 
     every = [node for path in sorted(SOURCE.glob("*.py")) for node in argparse_imports(ast.parse(path.read_text()))]
     cli = ast.parse((SOURCE / "cli.py").read_text())
