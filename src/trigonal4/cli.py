@@ -75,9 +75,9 @@ def _parse_literals(text: str, option: str, count: int, error=DegenerateInput) -
 
 @functools.lru_cache(maxsize=32)
 def parse_u(text: str):
-    """The parameter point of a --u value; residue_table.py reads it too.
-    The points of the last 32 texts are kept, so requests at one U parse and
-    validate it once; a text that fails raises on every call."""
+    """The parameter point of a --u value.  The points of the last 32
+    texts are kept, so requests at one U parse and validate it once; a text
+    that fails raises on every call."""
     from .curve import validate_params
 
     return validate_params(*_parse_literals(text, "--u", 3, InvalidParameters))

@@ -119,9 +119,6 @@ class CurveParams:
         # Q is the product of x - b over the six branch x, all in Q(w)
         return x0 in self.branch_x
 
-    def __str__(self):
-        return "u=(" + ",".join(str(c) for c in self.u) + ")"
-
 
 def validate_params(u1, u2, u3) -> CurveParams:
     """Check membership in the base (parameters distinct, cubes != 1),

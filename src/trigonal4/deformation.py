@@ -93,9 +93,6 @@ class TangentVector:
     def is_zero(self) -> bool:
         return not any(self.a)
 
-    def __str__(self):
-        return "(" + ",".join(str(c) for c in self.a) + ")"
-
 
 NOT_ON_CONIC, ON_CONIC_SUPPORTED = "NotOnConic", "OnConicSupported"  # the printed variant names
 
@@ -232,13 +229,6 @@ def pairing_covector(params: CurveParams, xi: TangentVector) -> tuple:
             wu = _mul3(w, t)
             c0, c1, c2 = _add3(c0, w), _add3(c1, wu), _add3(c2, _mul3(wu, t))
     return (_make(*c0), _make(*c1), _make(*c2))
-
-
-def pairing_matrix(params: CurveParams, xi: TangentVector) -> tuple:
-    """The 4x4 pairing matrix, as rows ``[l][k]``, of 6*pi*i coefficients of
-    the wedge pairings between the basis forms (w0, w1, w2, w3) and the
-    derivative forms of one tangent direction."""
-    return bordered(pairing_covector(params, xi), Scalar.zero())
 
 
 def bordered(c: tuple, zero) -> tuple:

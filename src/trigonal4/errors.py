@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-Each class owns its exit code and stderr label: the CLI and the scripts
-print any Trigonal4Error as ``label: message`` and exit with ``exit_code``.
+Each class owns its exit code and stderr label: the CLI prints any
+Trigonal4Error as ``label: message`` and exits with ``exit_code``.
 """
 
 

@@ -88,7 +88,7 @@ def numeric_residue_matrix(
     params: CurveParams, j: int, nodes: int = DEFAULT_NODES
 ) -> tuple:
     """All 16 pairing entries for the direction d/du_j in 6*pi*i units, as
-    a tuple of four row tuples ``[l][k]`` (the shape of pairing_matrix and
+    a tuple of four row tuples ``[l][k]`` (the shape of bordered and
     residue_matrix), via floating contour integrals only."""
     if j not in (1, 2, 3):
         raise DegenerateInput("j indexes one of the three moving parameters")

@@ -135,7 +135,19 @@ SEPARATE = [["scan", "--random", "100", "--seed", "7"], ["analyze", "--u", "0,2,
 
 HELP = [["-h"]] + [[command, "-h"] for command in cli.COMMANDS]
 
-ARGVS = ANALYZE + RESIDUE + SERIES_ORDER + SCAN + IDEAL + D0 + QZ24 + FAILING + LITERALS + SEPARATE + HELP
+# Inputs at the edges of their ranges: two --u literals and a repeated
+# parameter for residue-check, a negative cone count and seeds just outside
+# 0..2**64-1, each refused with its label, and a zero cone count (no rows)
+EDGES = [
+    ["residue-check", "--u=0,2", "--j=1"],
+    ["residue-check", "--u=0,0,3", "--j=1"],
+    ["scan", "--grid=cone:-2", "--u=0,2,3"],
+    ["scan", "--grid=cone:0", "--u=0,2,3"],
+    ["scan", "--random=1", "--seed=-1"],
+    ["scan", "--random=1", f"--seed={2 ** 64}"],
+]
+
+ARGVS = ANALYZE + RESIDUE + SERIES_ORDER + SCAN + IDEAL + D0 + QZ24 + FAILING + LITERALS + SEPARATE + HELP + EDGES
 
 
 def _sha256(text: str) -> str:

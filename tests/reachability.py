@@ -1,11 +1,9 @@
 #!/usr/bin/env python3
 """Which definitions in src/trigonal4 the program's traffic runs.
 
-The traffic is what users, the scripts and the benchmark send:
+The traffic is what users and the benchmark send:
 
 - every argv of tests/golden/corpus.json through ``cli.main``;
-- the pinned script command lines (``PINNED`` in tests/test_scripts.py),
-  run with ``runpy``;
 - round 0 of each BENCHMARK.json workload at seed 1, generated by
   perfbench/workloads.py (executed from source, not imported) and run
   through ``cli.main``;
@@ -29,12 +27,9 @@ line counts (exit status 1 if there are any):
 from __future__ import annotations
 
 import ast
-import contextlib
-import io
 import json
 import os
 import random
-import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -85,8 +80,8 @@ def _zeta():
     return Scalar.zeta()
 
 
-# Each entry calls a name perfbench pins that no command, script or
-# benchmark round reaches; the guard checks that every key is still pinned.
+# Each entry calls a name perfbench pins that no command or benchmark
+# round reaches; the guard checks that every key is still pinned.
 EXERCISE = {
     "curve.divisor_of": _divisor_of,
     "curve.branch_inversion": _branch_inversion,
@@ -94,16 +89,6 @@ EXERCISE = {
     "scalars.Scalar.__rsub__": lambda: 2 - _zeta(),
     "scalars.Scalar.__rtruediv__": lambda: 2 / _zeta(),
 }
-
-
-def _pinned_scripts() -> list:
-    """The argv of each PINNED entry of tests/test_scripts.py, read off its
-    source, since that module imports pytest."""
-    path = TESTS / "test_scripts.py"
-    for node in ast.parse(path.read_text(), filename=str(path)).body:
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["PINNED"]:
-            return [argv for argv, _ in ast.literal_eval(node.value)]
-    raise LookupError("tests/test_scripts.py defines no PINNED")
 
 
 def _benchmark_rounds() -> list:
@@ -121,10 +106,6 @@ def _run_traffic() -> None:
 
     for entry in json.loads(CORPUS.read_text()):
         run(entry["argv"])
-    for name, *args in _pinned_scripts():
-        sys.argv = [name, *args]
-        with contextlib.redirect_stdout(io.StringIO()):
-            runpy.run_path(str(ROOT / "scripts" / name), run_name="__main__")
     for requests in _benchmark_rounds():
         for request in requests:
             run(request["argv"])

@@ -15,7 +15,14 @@ import pytest
 from trigonal4.canonical_ideal import canonical_cubic, sym2_relation
 from trigonal4.cli import main
 from trigonal4.curve import BranchPoint, Differential, Divisor, InfinityPoint, divisor_of, trigonal_fiber, validate_params
-from trigonal4.deformation import TangentVector, cone_directions, delta_nu_c_test, pairing_matrix, residue_matrix
+from trigonal4.deformation import (
+    TangentVector,
+    bordered,
+    cone_directions,
+    delta_nu_c_test,
+    pairing_covector,
+    residue_matrix,
+)
 from trigonal4.linalg import Matrix
 from trigonal4.numeric import numeric_residue_matrix, residue_relative_error
 from trigonal4.prng import SplitMix64, sample_params, sample_scalar, sample_tangent
@@ -78,7 +85,7 @@ def test_criterion_2_kernel_consistency():
         xi = sample_tangent(rng)
         cert = delta_nu_c_test(params, xi)
         assert cert.rank == 2
-        matrix_kernel = Matrix(pairing_matrix(params, xi)).kernel_basis()
+        matrix_kernel = Matrix(bordered(pairing_covector(params, xi), Scalar.zero())).kernel_basis()
         assert all(not v[0] for v in matrix_kernel)  # restricted to span(w1,w2,w3)
         restricted = [v[1:] for v in matrix_kernel]
         closed_form = [row[1:] for row in cert.kernel_basis]

@@ -24,7 +24,6 @@ from trigonal4.deformation import (
     cone_directions,
     delta_nu_c_test,
     pairing_covector,
-    pairing_matrix,
     residue_matrix,
 )
 from trigonal4.errors import DegenerateInput, InvalidParameters, StructuralError, ZeroTangent
@@ -67,7 +66,7 @@ def tangent_strategy():
 
 
 def test_pairing_entries_examples(u023):
-    m = pairing_matrix(u023, TangentVector((1, 0, 0)))
+    m = bordered(pairing_covector(u023, TangentVector((1, 0, 0))), Scalar.zero())
     assert m[0][1] == Scalar.of(-1) / 6  # 1/Q'(0)
     assert m[0][2] == Scalar.zero()
     assert m[1][3] == Scalar.zero()
@@ -86,7 +85,8 @@ def test_residue_oracle_matches_closed_form_all_entries(u023, seed):
     for j in (1, 2, 3):
         direction = [0, 0, 0]
         direction[j - 1] = 1
-        assert residue_matrix(params, j) == pairing_matrix(params, TangentVector(tuple(direction))), j
+        closed = bordered(pairing_covector(params, TangentVector(tuple(direction))), Scalar.zero())
+        assert residue_matrix(params, j) == closed, j
 
 
 @pytest.mark.parametrize("u", U_POINTS)
@@ -97,7 +97,7 @@ def test_pairing_tables_share_one_shape(u):
     for j in (1, 2, 3):
         direction = [0, 0, 0]
         direction[j - 1] = 1
-        closed = pairing_matrix(params, TangentVector(tuple(direction)))
+        closed = bordered(pairing_covector(params, TangentVector(tuple(direction))), Scalar.zero())
         assert closed == residue_matrix(params, j), j
         numeric = numeric_residue_matrix(params, j, nodes=64)
         for table in (closed, numeric):
@@ -163,7 +163,7 @@ def test_residue_oracle_rejects_a_fourth_parameter(u023):
 
 
 def test_ks_rank(u023):
-    assert rank(Matrix(pairing_matrix(u023, TangentVector((0, 0, 0))))) == 0
+    assert rank(Matrix(bordered(pairing_covector(u023, TangentVector((0, 0, 0))), Scalar.zero()))) == 0
     assert delta_nu_c_test(u023, TangentVector((1, 0, 0))).rank == 2
     assert delta_nu_c_test(u023, TangentVector((1, 1, 1))).rank == 2
 
@@ -172,12 +172,13 @@ def test_ks_rank(u023):
 @settings(max_examples=20)
 def test_ks_rank_two_for_nonzero(u023, xi):
     # the closed-form rank against elimination on the 4x4 matrix
-    matrix_rank = rank(Matrix(pairing_matrix(u023, xi)))
+    matrix = bordered(pairing_covector(u023, xi), Scalar.zero())
+    matrix_rank = rank(Matrix(matrix))
     if xi.is_zero():
         assert matrix_rank == 0
     else:
         cert = CeresaCertificate(u023, xi)
-        assert bordered(cert.covector, Scalar.zero()) == pairing_matrix(u023, xi)
+        assert bordered(cert.covector, Scalar.zero()) == matrix
         assert cert.rank == delta_nu_c_test(u023, xi).rank == matrix_rank == 2
 
 
@@ -207,7 +208,7 @@ def test_kernel_W_for_coordinate_directions(u023):
 @settings(max_examples=20)
 def test_kernel_matches_pairing_matrix_nullspace(u023, xi):
     basis = delta_nu_c_test(u023, xi).kernel_basis
-    matrix_kernel = Matrix(pairing_matrix(u023, xi)).kernel_basis()
+    matrix_kernel = Matrix(bordered(pairing_covector(u023, xi), Scalar.zero())).kernel_basis()
     # the full 4x4 null space has b0 = 0 automatically and equals W
     assert all(not row[0] for row in basis)
     assert same_subspace(list(basis), matrix_kernel)

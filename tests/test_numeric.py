@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from trigonal4.curve import validate_params
-from trigonal4.deformation import TangentVector, pairing_matrix
+from trigonal4.deformation import TangentVector, bordered, pairing_covector
 from trigonal4.errors import DegenerateInput, StructuralError
 from trigonal4.numeric import (
     MAX_QUAD_NODES,
@@ -25,7 +25,7 @@ from oracles.polynomials import q_poly
 
 def test_contour_matches_exact_on_nonzero_entry():
     params = validate_params(0, 2, 3)
-    matrix = pairing_matrix(params, TangentVector((1, 0, 0)))
+    matrix = bordered(pairing_covector(params, TangentVector((1, 0, 0))), Scalar.zero())
     numeric = numeric_residue_matrix(params, 1, nodes=256)
     assert residue_relative_error(matrix[0][1], numeric[0][1]) < 1e-10
 
@@ -39,7 +39,7 @@ def test_contour_matches_on_zero_entries():
 
 def test_contour_on_complex_parameters():
     params = validate_params(Scalar.parse("1+1*w"), 2, Scalar.parse("3+1*w"))
-    matrix = pairing_matrix(params, TangentVector((0, 0, 1)))
+    matrix = bordered(pairing_covector(params, TangentVector((0, 0, 1))), Scalar.zero())
     numeric = numeric_residue_matrix(params, 3, nodes=256)
     assert residue_relative_error(matrix[2][0], numeric[2][0]) < 1e-10
 
@@ -92,7 +92,7 @@ def test_newton_accepts_roots_at_the_rounding_level_of_q():
     # exceeds 1e-12 * max(1, |y^3|); the per-entry reference rejects the
     # contour that the backward-error test accepts.
     params = validate_params(*(Scalar.parse(t) for t in ("3+-3*w", "3+-8/3*w", "5+5/2*w")))
-    exact = pairing_matrix(params, TangentVector((0, 1, 0)))
+    exact = bordered(pairing_covector(params, TangentVector((0, 1, 0))), Scalar.zero())
     matrix = numeric_residue_matrix(params, 2, nodes=128)
     worst = max(
         residue_relative_error(exact[l][k], matrix[l][k])

@@ -137,12 +137,12 @@ def test_no_unused_imports():
 
 
 def _referenced_names() -> set:
-    """Names that src/, tests/ and scripts/ load (as a Name or an Attribute
-    read, or an import alias), plus the entry points in pyproject.toml; an
+    """Names that src/ and tests/ load (as a Name or an Attribute read, or
+    an import alias), plus the entry points in pyproject.toml; an
     assignment to a name does not reference it."""
     root = SOURCE.parent.parent
     names = set()
-    for folder in ("src", "tests", "scripts"):
+    for folder in ("src", "tests"):
         for path in sorted((root / folder).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -194,10 +194,10 @@ def replayed():
 
 
 def test_every_def_runs_for_the_traffic(replayed):
-    """Every def in the package runs for a corpus command, a pinned script,
-    a benchmark round or a perfbench pin (tests/reachability.py); only the
-    EXEMPT names may stay unrun.  Run tests/reachability.py for the list
-    with line counts."""
+    """Every def in the package runs for a corpus command, a benchmark
+    round or a perfbench pin (tests/reachability.py); only the EXEMPT names
+    may stay unrun.  Run tests/reachability.py for the list with line
+    counts."""
     assert reachability.unreached(replayed) == []
 
 
