@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -544,8 +545,32 @@ def test_scan_grid_cone_all_on_conic():
     rows = [json.loads(line) for line in text.strip().splitlines()]
     body, summary = rows[:-1], rows[-1]
     assert len(body) == 8
-    assert all(row["variant"].startswith("OnConic") for row in body)
-    assert sum(summary["summary"].values()) == 8
+    assert all(row["variant"] == "OnConicSupported" for row in body)
+    assert summary["summary"] == {"OnConicSupported": 8}
+
+
+def test_scan_summary_counts_the_row_variants():
+    code, text = run_cli(["scan", "--random=100", "--seed=7"])
+    assert code == 0
+    rows = [json.loads(line) for line in text.strip().splitlines()]
+    body, summary = rows[:-1], rows[-1]
+    assert len(body) == 100
+    assert summary["summary"] == dict(Counter(row["variant"] for row in body))
+
+
+def test_residue_check_numeric_pairing_table():
+    # every entry of the table carries its closed form, its oracle value,
+    # their agreement, and its contour value within the default tolerance
+    code, text = run_cli(["residue-check", "--u=0,2,3", "--j=1", "--numeric", "--quad-nodes=128"])
+    assert code == 0
+    doc = json.loads(text)
+    assert doc["all_match"] is True
+    assert sorted((e["l"], e["k"]) for e in doc["entries"]) == [(l, k) for l in range(4) for k in range(4)]
+    for entry in doc["entries"]:
+        assert entry["match"] is True and entry["closed"] == entry["oracle"], entry
+        complex(entry["numeric"])  # a contour value, as Python reads a complex literal
+        assert float(entry["rel_err"]) <= doc["numeric_tolerance"] == cli.NUMERIC_TOLERANCE
+    assert float(doc["worst_rel_err"]) == max(float(e["rel_err"]) for e in doc["entries"])
 
 
 @pytest.mark.parametrize(

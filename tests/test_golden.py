@@ -77,3 +77,23 @@ def test_corpus_requests_that_exit_0_build_no_parser(replayed):
     ok = hashlib.sha256(b"0").hexdigest()
     loaded = [entry["argv"] for entry, (_, argparse, _) in zip(ENTRIES, replayed) if entry["exit"] == ok and argparse]
     assert loaded == [entry["argv"] for entry in ENTRIES if "-h" in entry["argv"]]
+
+
+def _readme_experiments():
+    """The command lines of README's Experiments passage, each without the
+    program name."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme[readme.index("## Experiments"):].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split()[1:] for line in block.splitlines()]
+
+
+EXPERIMENTS = _readme_experiments()
+
+
+@pytest.mark.parametrize("argv", EXPERIMENTS, ids=[argv_id(argv) for argv in EXPERIMENTS])
+def test_readme_experiment_is_a_corpus_entry_that_exits_0(argv):
+    """Each experiment README gives is a corpus entry, so the corpus pins
+    its bytes, and it succeeds."""
+    entry = next((entry for entry in ENTRIES if entry["argv"] == argv), None)
+    assert entry is not None, argv
+    assert entry["exit"] == hashlib.sha256(b"0").hexdigest()
