@@ -131,8 +131,10 @@ def validate_params(u1, u2, u3) -> CurveParams:
         if t[i] == t[j]:  # canonical triples: equal exactly when the values are
             raise InvalidParameters(f"u{i + 1} = u{j + 1}")
     cubes_minus_one = []
-    for j, tj in enumerate(t):
-        a, b, d = _mul3(_mul3(tj, tj), tj)  # u_j**3 = (a + b*w)/d
+    for j, (p, q, r) in enumerate(t):
+        # u_j**3 = (a + b*w)/d in closed form from u_j = (p + q*w)/r
+        pq = p * q
+        a, b, d = p * p * p + q * q * q - 3 * pq * q, 3 * pq * (p - q), r * r * r
         if a == d and not b:
             raise InvalidParameters(f"u{j + 1}^3 = 1")
         cubes_minus_one.append((a - d, b, d))

@@ -22,8 +22,8 @@ N = a1 a2 (u3**3 - 1)(u1 - u2) - a1 a3 (u2**3 - 1)(u1 - u3)
 V = (u1 - u2)(u1 - u3)(u2 - u3): every factor is one that
 curve.validate_params forms, so conic_value needs neither Q'(u_j) nor c.
 The factors the point alone fixes, the three (u_k**3 - 1)(u_i - u_j) of N
-and the inverse of -V prod_j (u_j**3 - 1), are formed once per point and
-kept on its CurveParams.
+and the inverse of -V prod_j (u_j**3 - 1), minus their product, are formed
+once per point and kept on its CurveParams.
 Every other fact is read off c, computed on first read: the pairing matrix
 (c bordered by zeros) and its rank 2, the kernel, and the base locus.
 Every fact of the base is read off a closed form, with no matrix built:
@@ -191,10 +191,11 @@ def conic_value(params: CurveParams, xi: TangentVector) -> Scalar:
     u_j**3 - 1 (module docstring), and one reduction.  What the point
     fixes is formed on the point's first conic value and kept on params:
     the triples X_k of N = a1 (a2 X3 - a3 X2) + a2 a3 X1, and off the conic
-    -V prod_j e_j = h (da + db w)/dd, h its content gcd, as the conjugate
-    of da + db w over its norm, dd and h.  With N = g (na + nb w)/nd, the
-    ratio g dd / (h nd) is reduced apart, so that large literals reach the
-    last gcd without the factors it would cancel."""
+    -V prod_j e_j = -X1 X2 X3 = h (da + db w)/dd, h its content gcd, as
+    the conjugate of da + db w over its norm, dd and h.  With
+    N = g (na + nb w)/nd, the ratio g dd / (h nd) is reduced apart, so that
+    large literals reach the last gcd without the factors it would
+    cancel."""
     (d12, d13, d23), (e1, e2, e3) = params.differences, params.cubes_minus_one
     if params.conic_terms is None:
         params.conic_terms = _mul3(e3, d12), _mul3(e2, d13), _mul3(e1, d23)
@@ -205,7 +206,7 @@ def conic_value(params: CurveParams, xi: TangentVector) -> Scalar:
     if not g:
         return _make(0, 0, 1)
     if params.conic_inverse is None:
-        a, b, d = _mul3(_mul3(d12, _mul3(d13, d23)), _mul3(_mul3(e1, e2), e3))  # V prod_j e_j
+        a, b, d = _mul3(_mul3(x1, x2), x3)  # V prod_j e_j = X1 X2 X3
         h = math.gcd(a, b)
         a, b = -a // h, -b // h
         params.conic_inverse = (a - b, -b, a * a - a * b + b * b), d, h

@@ -171,14 +171,17 @@ def test_ks_rank(u023):
 @given(tangent_strategy())
 @settings(max_examples=20)
 def test_ks_rank_two_for_nonzero(u023, xi):
-    # the closed-form rank against elimination on the 4x4 matrix
-    matrix = bordered(pairing_covector(u023, xi), Scalar.zero())
-    matrix_rank = rank(Matrix(matrix))
+    # the closed-form covector against a . A, summed in Scalar arithmetic
+    # over the moment matrix's rows, and the closed-form rank against
+    # elimination on the 4x4 matrix bordered by that sum
+    rows = moment_matrix(u023).rows
+    covector = tuple(sum((aj * row[k] for aj, row in zip(xi.a, rows)), Scalar.zero()) for k in range(3))
+    matrix_rank = rank(Matrix(bordered(covector, Scalar.zero())))
     if xi.is_zero():
         assert matrix_rank == 0
     else:
         cert = CeresaCertificate(u023, xi)
-        assert bordered(cert.covector, Scalar.zero()) == matrix
+        assert cert.covector == covector
         assert cert.rank == delta_nu_c_test(u023, xi).rank == matrix_rank == 2
 
 
