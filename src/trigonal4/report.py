@@ -12,26 +12,27 @@ strings and form_json imports monomial_label when it runs, so importing
 this module loads no other package module.
 
 dumps writes json.dumps(document, indent=2) + "\n" byte for byte in one
-recursive pass over json's C string escaper, where json's indent path runs
-its pure-Python encoder.  The two documents a point query prints,
-analyze's and residue-check's, have a fixed shape, and analyze_text and
-residue_check_text write them as dumps would without building them:
-analyze_text fills one %-template, the document that dumps writes at
-import from a skeleton naming the slots, and residue_check_text a constant
-skeleton.  Only analyze's base locus, a divisor of varying shape, goes
-through dumps' encoder per request.  scan_row_line and scan_summary_line
-write a scan's compact lines directly.  The texts these writers place
-between quotes are scalar literals (alphabet -0-9/+*w), variant names and
-formatted floats, none of which JSON escapes.
+recursive pass over _json's C string escaper, the one json.encoder binds,
+where json's indent path runs its pure-Python encoder.  json itself loads
+only for values no command prints (floats, non-str keys, empty dicts, an
+escaped top-level text), so no command imports it.  The two documents a
+point query prints, analyze's and residue-check's, have a fixed shape, and
+analyze_text and residue_check_text write them as dumps would without
+building them: analyze_text fills one %-template, the document that dumps
+writes at import from a skeleton naming the slots, and residue_check_text
+a constant skeleton.  Only analyze's base locus, a divisor of varying
+shape, goes through dumps' encoder per request.  scan_row_line and
+scan_summary_line write a scan's compact lines directly.  The texts these
+writers place between quotes are scalar literals (alphabet -0-9/+*w),
+variant names and formatted floats, none of which JSON escapes.
 tests/oracles/report.py keeps the documents they write, as dicts, and
 the tests compare the two.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from json.encoder import encode_basestring_ascii as _quote
+from _json import encode_basestring_ascii as _quote
 
 MONOMIAL_ORDER = "grlex z0>z1>z2>z3"
 
@@ -86,6 +87,8 @@ def _indented(value, newline: str) -> str:
             return "[]"
         items = [_quote(v) if type(v) is str else _indented(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
+    import json
+
     return json.dumps(value, indent=2).replace("\n", newline)
 
 

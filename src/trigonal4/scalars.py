@@ -21,8 +21,7 @@ Scalar.parse reads it by hand (tests/oracles/scalars.py keeps the grammar
 as a regular expression) and, like a sampled draw (prng.sample_scalar),
 goes straight from the integers p, q, r, s to the canonical triple with one
 gcd (ratio_scalar).  A Scalar formats itself once: its fourth slot keeps
-the text of the first str(), or the literal it was parsed from when that
-is written as str() writes it, so a value printed again (an echoed input,
+the text of the first str(), so a value printed again (an echoed input,
 an interned sampled draw) is not formatted again.  == and hash read the
 triple alone.
 """
@@ -171,7 +170,7 @@ class Scalar:
     @staticmethod
     def parse(text: str) -> "Scalar":
         """The literal p[/q], p[/q]*w or p[/q]+r[/s]*w after strip(), with
-        ASCII digits; one written as __str__ writes it keeps its text."""
+        ASCII digits."""
         literal = text.strip()
         rational, plus, zeta, star = literal, "", "0", literal[-2:] == "*w"
         if star:
@@ -192,22 +191,7 @@ class Scalar:
             raise DegenerateInput("scalar literal exceeds the integer digit limit") from None
         if not (q and s):
             raise DegenerateInput(f"zero denominator in scalar literal: {text!r}")
-        value = ratio_scalar(p, q, r, s)
-        # __str__ omits a zero part and writes each other one in lowest terms
-        if not r:
-            kept = not star and (literal == "0" or n[0] != "0" and _lowest(den, p, q))
-        elif not p:
-            kept = not plus and z[0] != "0" and _lowest(zden, r, s)
-        else:
-            kept = n[0] != "0" and z[0] != "0" and _lowest(den, p, q) and _lowest(zden, r, s)
-        if kept:
-            value._text = literal
-        return value
-
-
-def _lowest(den: str, n: int, d: int) -> bool:
-    """Whether den, the denominator text of n/d, is as _format_ratio writes it."""
-    return not den or den[0] != "0" and d != 1 and math.gcd(n, d) == 1
+        return ratio_scalar(p, q, r, s)
 
 
 def ratio_scalar(p: int, q: int, r: int, s: int) -> Scalar:

@@ -119,6 +119,25 @@ def test_command_loads_only_the_modules_it_runs(argv, modules):
     assert result.stdout.split() == sorted(expected)
 
 
+_COMMANDS = [argv for argv, _ in COMMAND_MODULES if argv]
+
+
+@pytest.mark.parametrize("argv", _COMMANDS, ids=[" ".join(argv) for argv in _COMMANDS])
+def test_command_leaves_json_re_and_enum_unloaded(argv):
+    """A corpus command that succeeds, run through main without building
+    the parser in a fresh interpreter without site (-S), loads neither json
+    nor re nor enum: report quotes with _json's C escaper, and nothing a
+    command prints needs json's encoder."""
+    code = (
+        "import io, sys, trigonal4.cli as cli\n"
+        f"assert cli.main({argv!r}, io.StringIO()) == 0\n"
+        "print(' '.join(m for m in ('json', 're', 'enum') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "\n"
+
+
 def test_no_unused_imports():
     """Every name a module imports is used in it."""
     offenders = []
