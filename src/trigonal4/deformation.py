@@ -10,8 +10,8 @@ units of the fixed transcendental 6*pi*i, computed two independent ways:
 * a residue oracle that reads both forms off their leading terms in the
   local coordinate y at the branch point, with Q' taken from the expanded Q,
   antidifferentiates the one pole term of each derivative form, and reads
-  off the residue of the product (residue_matrix); tests/oracles/ keeps the
-  truncated-series expansion it is checked against.
+  off the residue of the product (residue_matrix); tests/test_closed_forms.py
+  proves in generic parameters that the leading terms give the full residue.
 
 A direction's certificate is the pair (params, xi) and its conic value
 c0*c2 - c1**2, where c = a A is the covector of the matrix, A having rows
@@ -258,8 +258,8 @@ def residue_matrix(params: CurveParams, j: int) -> tuple:
     term; its antiderivative is exactly -y**-1 resp. -x0**(k-1) y**-2.  Every
     product of a form and an antiderivative steps in y**3 from its leading
     term, so the residue is that term's coefficient when it sits at y**-1,
-    and each entry is ORACLE_SIGN * residue / 3.  tests/oracles/deformation.py
-    expands the same forms as truncated series and the tests compare the two."""
+    and each entry is ORACLE_SIGN * residue / 3.  tests/test_closed_forms.py
+    proves the same entries with the factors 1 + O(y**3) kept symbolic."""
     if j not in (1, 2, 3):
         raise DegenerateInput("j indexes one of the three moving parameters")
     x0 = params.u[j - 1]

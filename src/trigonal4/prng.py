@@ -97,7 +97,7 @@ def _sample(rng: SplitMix64, count: int, bound: int, max_denominator: int) -> li
     """count sampled scalars from 4 * count draws taken in one call, each
     group of four read as sample_scalar reads its draws."""
     if bound < 0 or max_denominator <= 0:
-        raise ValueError("bound must be positive")
+        raise ValueError("bound must be >= 0 and max_denominator >= 1")
     span = 2 * bound + 1
     values = []
     group = iter(rng.draws(4 * count))

@@ -13,8 +13,8 @@ and derivatives are test oracles (tests/oracles/series.py).
 No command expands a series, and no command imports this module.  In
 src/ only curve.divisor_of (through the infinity chart) and
 curve.branch_inversion build them, importing it when they run, and both
-stay because the benchmark names them; the charts, the series residue
-oracle and the support test of tests/oracles/ build on them.
+stay because the benchmark names them; the charts and the support test
+of tests/oracles/ build on them.
 """
 
 from __future__ import annotations

@@ -2,10 +2,8 @@
 that only tests call.
 
 Each module mirrors the package module whose facts it checks and keeps the
-names those definitions had there; series_residue_matrix is named apart
-from the leading-order deformation.residue_matrix that it checks.  A
-method that only tests called became a function of the object it took
-(curve.subtract, series.inverse, linalg.rank, ...).  Nothing in src/
-imports them: the commands read the closed forms, and the tests compare
-the two.
+names those definitions had there.  A method that only tests called
+became a function of the object it took (curve.subtract, series.inverse,
+linalg.rank, ...).  Nothing in src/ imports them: the commands read the
+closed forms, and the tests compare the two.
 """

@@ -1,22 +1,19 @@
 """Deformation oracles: the moment matrix the closed forms of the base are
-read from, the residue oracle on truncated series that the leading-order
-deformation.residue_matrix is checked against, the 9-dimensional space of
-quadratic differentials with its coordinates and products of 1-forms, and
-the series support test that the on-conic lemma of trigonal4.deformation
-is checked against."""
+read from, the 9-dimensional space of quadratic differentials with its
+coordinates and products of 1-forms, and the series support test that the
+on-conic lemma of trigonal4.deformation is checked against."""
 
 from __future__ import annotations
 
 from trigonal4.curve import BranchPoint, CurveParams, Differential, Divisor, FiberPoint, FinitePoint, InfinityPoint
-from trigonal4.deformation import OMEGA2_DIM, ORACLE_SIGN, TangentVector, pairing_covector
-from trigonal4.errors import DegenerateInput, StructuralError, ZeroTangent
+from trigonal4.deformation import OMEGA2_DIM, TangentVector, pairing_covector
+from trigonal4.errors import DegenerateInput, ZeroTangent
 from trigonal4.linalg import Matrix
 from trigonal4.scalars import Scalar
 from trigonal4.series import LocalSeries
 
-from oracles.curve import OMEGA, KDifferential, basis_factors, branch_chart, chart_at, fiber_frame
+from oracles.curve import OMEGA, KDifferential, basis_factors, chart_at, fiber_frame
 from oracles.linalg import identity
-from oracles.series import inverse
 from oracles.polynomials import RationalFunction, q_poly
 
 
@@ -36,48 +33,6 @@ def moment_matrix(params: CurveParams) -> Matrix:
         inv = params.qprime_at(uj).inverse()
         rows.append((inv, uj * inv, uj * uj * inv))
     return Matrix(rows)
-
-
-# The series residue oracle reads p = w_k / (x - u_j) through y**-1: its
-# principal part and the y**-1 term that must vanish.  On a branch chart of
-# truncation T, x - u_j starts at y**3 and is known below y**T, so
-# 1/(x - u_j) starts at y**-3 with T - 3 known terms, below y**(T - 6); so
-# is p, hence T = 6.  The w_l are then known through y**2, past the y**1
-# that the residue against an antiderivative with a pole of order at most 2
-# reads.
-_RESIDUE_TRUNCATION = 6
-
-
-def series_residue_matrix(params: CurveParams, j: int) -> tuple:
-    """The pairings of deformation.residue_matrix, rows ``[l][k]`` in 6*pi*i
-    units, from truncated Laurent series: expand the forms once on the
-    branch chart over u_j, antidifferentiate the principal part of each
-    derivative form once, and read each entry off the residue of a
-    product."""
-    x0 = params.u[j - 1]
-    chart = branch_chart(params, x0, _RESIDUE_TRUNCATION)
-    q_inv, x_powers = basis_factors(params, chart.x_series, 2)
-    y = chart.y_series
-    base = q_inv * chart.dx_series
-    forms = [base * y * y]  # w0 = y**2 dx / Q
-    for l in range(3):  # w_l = x**(l-1) y dx / Q
-        forms.append(base * y * x_powers[l])
-    x_minus_inv = inverse(chart.x_series - LocalSeries.constant(x0, chart.x_series.truncation))
-    antiderivatives = []
-    for k, form in enumerate(forms):
-        # (d/du_j) w_k = m/(3 (x - u_j)) * w_k with m = 1 for k = 0, else 2
-        m = 1 if k == 0 else 2
-        p_series = form * x_minus_inv.scale(Scalar.of(m) / 3)
-        if p_series.coefficient(-1):
-            raise StructuralError("derivative form has a dy/y term; cannot antidifferentiate")
-        principal = {n: c for n, c in p_series.coefficients.items() if n <= -2}
-        antiderivatives.append(
-            LocalSeries({n + 1: c / (n + 1) for n, c in principal.items()}, p_series.truncation + 1)
-        )
-    sign = Scalar.of(ORACLE_SIGN)
-    return tuple(
-        tuple(sign * (s_series * anti).coefficient(-1) / 3 for anti in antiderivatives) for s_series in forms
-    )
 
 
 # Coordinates on holomorphic quadratic differentials: (A(x), b, C(x)) with

@@ -11,9 +11,9 @@ output must be the same value, rejected points included, on sampled
 parameters, on literals with 50-300 digit parts, at the unit cubes, at
 repeated parameters and along directions with zero coordinates; the
 closed-form conic value also along cone directions, where it is 0.  The
-residue oracle on triples is checked against the series oracle in
-tests/test_deformation.py, and the number of reductions an operator and
-a request make is pinned here.
+residue oracle on triples is checked against the closed form in
+tests/test_deformation.py, on the same wide literals, and the number of
+reductions an operator and a request make is pinned here.
 """
 
 import io

@@ -20,7 +20,16 @@ The names follow the docstring of trigonal4.deformation:
   tangent a_j = 1/(3 u_j**2) has the covector (0, 1/(3a(a-1)), 0) and the
   conic value -1/(9 a**2 (a-1)**2), for generic c; w is a symbol reduced
   by w**2 + w + 1 = 0.  The (numerator, denominator) texts in a that the
-  qz24 command prints are parsed and proven equal to both.
+  qz24 command prints are parsed and proven equal to both;
+* on the branch chart over x0 = u_j, in the local coordinate y with
+  1/Q = y**-3 and x - x0 = D(y) = y**3/q + e2 y**6 + e3 y**9, q = Q'(x0),
+  the forms w0 = D'/y dy and w_l = (x0 + D)**(l-1) D'/y**2 dy have the
+  pairings ORACLE_SIGN * res(w_l * W_k) / 3 that deformation.residue_matrix
+  reads off leading terms: x0**(k-1)/q at (0, k) and (k, 0) for k >= 1 and
+  0 elsewhere, W_k the antiderivative of the principal part of the
+  derivative form m/(3D) w_k (m = 1 for k = 0, else 2), which has no y**-1
+  term.  Every product steps in y**3, so the pairings do not depend on e2
+  and e3.
 """
 
 import io
@@ -29,6 +38,7 @@ import json
 import sympy as sp
 
 from trigonal4.cli import main
+from trigonal4.deformation import ORACLE_SIGN
 
 U = sp.symbols("u1:4")
 A = sp.symbols("a1:4")
@@ -108,3 +118,19 @@ def test_cube_family_closed_form():
     for ck, printed in zip((c0, c1, c2), printed_covector):
         assert vanishes_at_w(ck - printed.subs(symbol, a), w)
     assert vanishes_at_w(c0 * c2 - c1**2 - printed_value.subs(symbol, a), w)
+
+
+def test_leading_order_residue_is_the_full_residue():
+    y, q, x0, e2, e3 = sp.symbols("y q x0 e2 e3")
+    d = y**3 / q + e2 * y**6 + e3 * y**9
+    forms = [sp.diff(d, y) / y] + [(x0 + d) ** (l - 1) * sp.diff(d, y) / y**2 for l in (1, 2, 3)]
+    antiderivatives = []
+    for k, form in enumerate(forms):
+        principal = sp.series((1 if k == 0 else 2) / (3 * d) * form, y, 0, 0).removeO()
+        assert principal.coeff(y, -1) == 0
+        antiderivatives.append(sp.integrate(principal, y))
+    for l, form in enumerate(forms):
+        for k, antiderivative in enumerate(antiderivatives):
+            pairing = ORACLE_SIGN * sp.expand(form * antiderivative).coeff(y, -1) / 3
+            closed = x0 ** (k + l - 1) / q if 0 in (k, l) and k != l else 0
+            assert vanishes(pairing - closed), (l, k)

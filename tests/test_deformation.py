@@ -37,7 +37,7 @@ from trigonal4.scalars import INFINITY, Scalar, ratio_scalar
 
 import oracles.deformation
 from golden.record import U_POINTS
-from conftest import apply, det, direction_with_covector, inverse, scalar_strategy, transpose
+from conftest import apply, direction_with_covector, inverse, scalar_strategy, transpose
 from oracles.curve import KDifferential, chart_at, common_zeros_by_divisors, fiber_frame, kdiff_series
 from oracles.deformation import (
     kdifferential_coordinates,
@@ -46,7 +46,6 @@ from oracles.deformation import (
     omega2_subspace,
     omega2_vanishing_conditions,
     product_differential,
-    series_residue_matrix,
     support_test,
     xi_functional,
 )
@@ -76,19 +75,6 @@ def test_pairing_entries_examples(u023):
         assert m[0][k] == m[k][0]
 
 
-@given(seed=st.none() | st.integers(min_value=0, max_value=2**64 - 1))
-@example(seed=None)
-@settings(max_examples=10)
-def test_residue_oracle_matches_closed_form_all_entries(u023, seed):
-    # at u = (0,2,3) (seed None) and at sampled U
-    params = u023 if seed is None else sample_params(SplitMix64(seed))
-    for j in (1, 2, 3):
-        direction = [0, 0, 0]
-        direction[j - 1] = 1
-        closed = bordered(pairing_covector(params, TangentVector(tuple(direction))), Scalar.zero())
-        assert residue_matrix(params, j) == closed, j
-
-
 @pytest.mark.parametrize("u", U_POINTS)
 def test_pairing_tables_share_one_shape(u):
     # The closed form, the exact oracle and the contour all return four row
@@ -105,14 +91,6 @@ def test_pairing_tables_share_one_shape(u):
             assert all(type(row) is tuple and len(row) == 4 for row in table)
 
 
-def test_residue_truncation_is_the_least_that_reads(monkeypatch, u023):
-    assert series_residue_matrix(u023, 1) == residue_matrix(u023, 1)
-    truncation = oracles.deformation._RESIDUE_TRUNCATION
-    monkeypatch.setattr(oracles.deformation, "_RESIDUE_TRUNCATION", truncation - 1)
-    with pytest.raises(StructuralError):
-        series_residue_matrix(u023, 1)
-
-
 # u with parts in Q(w) outside Q: (1+w, 2, 3+w), (0, 2+w, -w), (1-w, 2w, 5)
 ZETA_POINTS = tuple(
     tuple(Scalar.parse(c) for c in u.split(",")) for u in ("1+1*w,2,3+1*w", "0,2+1*w,-1*w", "1+-1*w,2*w,5")
@@ -120,37 +98,30 @@ ZETA_POINTS = tuple(
 
 
 @given(
-    st.one_of(
+    u=st.one_of(
         st.integers(min_value=0, max_value=2**64 - 1).map(lambda seed: sample_params(SplitMix64(seed)).u),
         st.sampled_from(ZETA_POINTS),
         st.tuples(wide_literals(), wide_literals(), wide_literals()),
     )
 )
-def test_residue_oracle_matches_series_oracle(u):
-    # The leading-order oracle against the truncation-6 series expansion.
-    # It gets the parameters without the differences and u_j**3 - 1 that
-    # validate_params keeps, so it can only read Q' off the coefficients of Q.
+@example(u=(0, 2, 3))
+@example(u=ZETA_POINTS[0])
+@example(u=ZETA_POINTS[1])
+@example(u=ZETA_POINTS[2])
+def test_residue_oracle_matches_closed_form_all_entries(u):
+    # The leading-order oracle against the closed form, at every entry and
+    # for every j.  It gets the parameters without the differences and
+    # u_j**3 - 1 that validate_params keeps, so it can only read Q' off the
+    # coefficients of Q; tests/test_closed_forms.py proves that its leading
+    # terms give the full residue.
     try:
         params = validate_params(*u)
     except InvalidParameters:
         reject()
     bare = CurveParams(params.u, None, None)
     for j in (1, 2, 3):
-        assert residue_matrix(bare, j) == series_residue_matrix(params, j), j
-
-
-def test_residue_oracle_on_zeta_parameters():
-    params = validate_params(Scalar.parse("1+1*w"), 2, Scalar.parse("3+1*w"))
-    for j in (1, 2, 3):
-        value = residue_matrix(params, j)[0][1]
-        assert value * params.qprime_at(params.u[j - 1]) == Scalar.one()
-
-
-def test_oracle_first_entry_normalization(u023):
-    # the (0,1) entry times Q'(u_j) is exactly +1 for every j
-    for j in (1, 2, 3):
-        v = residue_matrix(u023, j)[0][1]
-        assert v * u023.qprime_at(u023.u[j - 1]) == Scalar.one()
+        direction = TangentVector(tuple(int(i == j) for i in (1, 2, 3)))
+        assert residue_matrix(bare, j) == bordered(pairing_covector(params, direction), Scalar.zero()), j
 
 
 def test_residue_oracle_rejects_a_fourth_parameter(u023):
@@ -573,19 +544,6 @@ def test_certificates_read_loci_off_closed_forms(monkeypatch, u023):
     untied = d0_cycle(u023, Scalar.of(1) / 4, Scalar.of(7))
     assert untied.minus == trigonal_fiber(u023, Scalar.of(6))
     assert untied.witness == "(x-5)/(x-6)"
-
-
-@given(seed=st.integers(min_value=0, max_value=2**64 - 1))
-@settings(max_examples=20)
-def test_moment_matrix_determinant(u023, seed):
-    # det A = Vandermonde(u)/prod Q'(u_j) != 0, the theorem that makes A
-    # invertible on the base, at u = (0, 2, 3) and at a sampled point
-    for params in (u023, sample_params(SplitMix64(seed))):
-        u1, u2, u3 = params.u
-        vandermonde = (u2 - u1) * (u3 - u1) * (u3 - u2)
-        prod = params.qprime_at(u1) * params.qprime_at(u2) * params.qprime_at(u3)
-        assert det(moment_matrix(params)) == vandermonde / prod
-        assert vandermonde / prod
 
 
 # -- closed forms of the base against the moment matrix ---------------------------

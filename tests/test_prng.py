@@ -2,6 +2,7 @@ import io
 import itertools
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import example, given
 
 from trigonal4 import cli, prng
@@ -105,6 +106,18 @@ def test_samplers_deterministic():
     assert [sample_scalar(a) for _ in range(5)] == [sample_scalar(b) for _ in range(5)]
     assert sample_params(a).u == sample_params(b).u
     assert sample_tangent(a).a == sample_tangent(b).a
+
+
+def test_samplers_refuse_an_empty_range():
+    # below(0) has no value to draw; a sampled scalar needs bound >= 0 and
+    # max_denominator >= 1.  Each refusal comes before any draw.
+    rng = SplitMix64(5)
+    with pytest.raises(ValueError, match="bound must be positive"):
+        rng.below(0)
+    for bound, max_denominator in ((-1, 4), (9, 0)):
+        with pytest.raises(ValueError, match="bound must be >= 0 and max_denominator >= 1"):
+            sample_scalar(rng, bound, max_denominator)
+    assert rng.state == SplitMix64(5).state
 
 
 def test_sampled_params_always_valid():

@@ -61,28 +61,10 @@ def test_only_build_parser_imports_argparse():
     assert len(every) == len(argparse_imports(build_parser)) == 1
 
 
-@pytest.mark.parametrize(
-    "module", ["trigonal4.linalg", "fractions", "decimal", "numbers", "dataclasses", "inspect", "typing", "argparse"]
-)
-def test_cli_import_leaves_linalg_unloaded(module):
-    """A fresh interpreter that imports the CLI never loads linalg, since no
-    command builds a Matrix, nor fractions and the decimal and numbers
-    modules it imports, since a Scalar is its integer triple, nor
-    dataclasses, the inspect module it imports, or typing, since the records
-    are plain classes and annotations stay unevaluated strings, nor
-    argparse, which only build_parser imports.  The
-    interpreter runs without site (-S), so that a .pth hook of the
-    environment that imports typing cannot decide the answer."""
-    code = f"import sys, trigonal4.cli; print({module!r} in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
-    result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout == "False\n"
-
-
 # The package modules each corpus command loads besides trigonal4, cli and
 # errors: a command imports what it runs when main dispatches to it, so
 # building the parser alone loads no library module, and no command loads
-# polynomials or series.
+# linalg, polynomials or series.
 _CORE = {"curve", "report", "scalars"}
 COMMAND_MODULES = [
     ([], set()),
@@ -98,44 +80,41 @@ COMMAND_MODULES = [
     (["qz24", "--a=2"], {"qz24", "report", "scalars"}),
 ]
 
+# Standard-library modules no command needs: fractions, with the decimal and
+# numbers modules it imports, since a Scalar is its integer triple;
+# dataclasses, with the inspect module it imports, and typing, since the
+# records are plain classes and annotations stay unevaluated strings; json,
+# re and enum, since report quotes with _json's C escaper and nothing a
+# command prints needs json's encoder; argparse, which only build_parser
+# imports.
+UNLOADED = ("fractions", "decimal", "numbers", "dataclasses", "inspect", "typing", "json", "re", "enum", "argparse")
+
 
 @pytest.mark.parametrize(
     "argv, modules", COMMAND_MODULES, ids=[" ".join(argv) or "parser" for argv, _ in COMMAND_MODULES]
 )
 def test_command_loads_only_the_modules_it_runs(argv, modules):
-    """The exact set of trigonal4 modules in sys.modules after importing the
-    CLI, building its parser and running one corpus command, in a fresh
-    interpreter without site (-S)."""
+    """In a fresh interpreter without site (-S), so that a .pth hook of the
+    environment cannot decide the answer: importing the CLI loads none of
+    UNLOADED; a corpus command run through main without building the
+    parser (the empty argv builds the parser instead) then loads exactly
+    the trigonal4 modules it runs, and still none of UNLOADED."""
     assert not argv or argv in [entry["argv"] for entry in json.loads(CORPUS.read_text())]
+    run = f"assert cli.main({argv!r}, io.StringIO()) == 0\n" if argv else "cli.build_parser()\n"
     code = (
         "import io, sys, trigonal4.cli as cli\n"
-        "cli.build_parser()\n"
-        f"assert not {argv!r} or cli.main({argv!r}, io.StringIO()) == 0\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.partition('.')[0] == 'trigonal4')))"
+        f"unloaded = lambda: ' '.join(m for m in {UNLOADED!r} if m in sys.modules)\n"
+        "print(unloaded())\n"
+        f"{run}"
+        "print(' '.join(sorted(m for m in sys.modules if m.partition('.')[0] == 'trigonal4')))\n"
+        "print(unloaded())"
     )
     env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
     result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    at_import, loaded, after_run = result.stdout.split("\n")[:3]
     expected = {"trigonal4", "trigonal4.cli", "trigonal4.errors"} | {f"trigonal4.{m}" for m in modules}
-    assert result.stdout.split() == sorted(expected)
-
-
-_COMMANDS = [argv for argv, _ in COMMAND_MODULES if argv]
-
-
-@pytest.mark.parametrize("argv", _COMMANDS, ids=[" ".join(argv) for argv in _COMMANDS])
-def test_command_leaves_json_re_and_enum_unloaded(argv):
-    """A corpus command that succeeds, run through main without building
-    the parser in a fresh interpreter without site (-S), loads neither json
-    nor re nor enum: report quotes with _json's C escaper, and nothing a
-    command prints needs json's encoder."""
-    code = (
-        "import io, sys, trigonal4.cli as cli\n"
-        f"assert cli.main({argv!r}, io.StringIO()) == 0\n"
-        "print(' '.join(m for m in ('json', 're', 'enum') if m in sys.modules))"
-    )
-    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
-    result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout == "\n"
+    assert (at_import, loaded.split()) == ("", sorted(expected))
+    assert not argv or after_run == ""
 
 
 def test_no_unused_imports():
