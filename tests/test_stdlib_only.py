@@ -90,31 +90,64 @@ COMMAND_MODULES = [
 UNLOADED = ("fractions", "decimal", "numbers", "dataclasses", "inspect", "typing", "json", "re", "enum", "argparse")
 
 
+@pytest.fixture(scope="module")
+def probe():
+    """The modules loaded in a fresh interpreter without site (-S), so that
+    a .pth hook of the environment cannot decide the answer, after
+    importing the CLI and after then running one argv through main
+    without building the parser (the empty argv builds the parser
+    instead).  Each argv starts one interpreter, whichever test asks
+    first."""
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    cache = {}
+
+    def run(argv):
+        key = tuple(argv)
+        if key not in cache:
+            step = f"assert cli.main({argv!r}, io.StringIO()) == 0\n" if argv else "cli.build_parser()\n"
+            code = (
+                "import io, sys, trigonal4.cli as cli\n"
+                "print(' '.join(sys.modules))\n"
+                f"{step}"
+                "print(' '.join(sys.modules))"
+            )
+            result = subprocess.run(
+                [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+            )
+            at_import, after_run = result.stdout.split("\n")[:2]
+            cache[key] = set(at_import.split()), set(after_run.split())
+        return cache[key]
+
+    return run
+
+
+@pytest.mark.parametrize("module", ("trigonal4.linalg",) + UNLOADED)
+def test_cli_import_leaves_linalg_unloaded(probe, module):
+    """Importing the CLI loads neither linalg, since no command builds a
+    Matrix, nor any of UNLOADED."""
+    assert [argv for argv, _ in COMMAND_MODULES if module in probe(argv)[0]] == []
+
+
 @pytest.mark.parametrize(
     "argv, modules", COMMAND_MODULES, ids=[" ".join(argv) or "parser" for argv, _ in COMMAND_MODULES]
 )
-def test_command_loads_only_the_modules_it_runs(argv, modules):
-    """In a fresh interpreter without site (-S), so that a .pth hook of the
-    environment cannot decide the answer: importing the CLI loads none of
-    UNLOADED; a corpus command run through main without building the
-    parser (the empty argv builds the parser instead) then loads exactly
-    the trigonal4 modules it runs, and still none of UNLOADED."""
+def test_command_loads_only_the_modules_it_runs(probe, argv, modules):
+    """A corpus command loads exactly the trigonal4 modules it runs, and
+    building the parser loads no library module."""
     assert not argv or argv in [entry["argv"] for entry in json.loads(CORPUS.read_text())]
-    run = f"assert cli.main({argv!r}, io.StringIO()) == 0\n" if argv else "cli.build_parser()\n"
-    code = (
-        "import io, sys, trigonal4.cli as cli\n"
-        f"unloaded = lambda: ' '.join(m for m in {UNLOADED!r} if m in sys.modules)\n"
-        "print(unloaded())\n"
-        f"{run}"
-        "print(' '.join(sorted(m for m in sys.modules if m.partition('.')[0] == 'trigonal4')))\n"
-        "print(unloaded())"
-    )
-    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
-    result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
-    at_import, loaded, after_run = result.stdout.split("\n")[:3]
     expected = {"trigonal4", "trigonal4.cli", "trigonal4.errors"} | {f"trigonal4.{m}" for m in modules}
-    assert (at_import, loaded.split()) == ("", sorted(expected))
-    assert not argv or after_run == ""
+    assert sorted(m for m in probe(argv)[1] if m.partition(".")[0] == "trigonal4") == sorted(expected)
+
+
+_COMMANDS = [argv for argv, _ in COMMAND_MODULES if argv]
+
+
+@pytest.mark.parametrize("argv", _COMMANDS, ids=[" ".join(argv) for argv in _COMMANDS])
+def test_command_leaves_json_re_and_enum_unloaded(probe, argv):
+    """A corpus command that succeeds loads none of UNLOADED, json, re and
+    enum among them: report quotes with _json's C escaper, and nothing a
+    command prints needs json's encoder."""
+    assert [m for m in UNLOADED if m in probe(argv)[1]] == []
 
 
 def test_no_unused_imports():
