@@ -6,6 +6,7 @@ from trigonal4.curve import validate_params
 from trigonal4.linalg import Matrix
 from trigonal4.scalars import Scalar
 
+import reachability
 from oracles.scalars import fraction_scalar
 
 settings.register_profile("default", deadline=None, max_examples=40)
@@ -21,6 +22,14 @@ def u023():
 def u248():
     # Q(0) = 64 is a perfect cube here, so (0, 4) is an exact curve point
     return validate_params(2, 4, 8)
+
+
+@pytest.fixture(scope="session")
+def traffic():
+    """The program's traffic replayed once in a fresh interpreter without
+    site (-S) (tests/reachability.py): the package code it calls, and a
+    record per corpus entry of the parser, argparse and package modules."""
+    return reachability.replay_in_subprocess()
 
 
 def fraction_strategy(bound=20, max_denominator=8):

@@ -55,6 +55,7 @@ SERIES_ORDER = [
 SCAN = [
     ["scan", "--random=100", "--seed=7"],
     ["scan", "--random=100", "--seed=7", "--format=csv"],
+    ["scan", "--random=3"],  # --seed defaults to 0
     ["scan", "--grid=cone:20", "--u=0,2,3"],
 ]
 

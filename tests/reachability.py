@@ -12,7 +12,10 @@ The traffic is what users and the benchmark send:
 
 ``replay()`` runs it under ``sys.setprofile`` in a fresh interpreter
 without site (-S) that writes no bytecode; the profiler is installed
-before the first trigonal4 import, so import-time code counts.
+before the first trigonal4 import, so import-time code counts.  As each
+corpus entry runs, the replay also records whether it built the parser,
+whether argparse is loaded and which trigonal4 modules are, for
+tests/test_golden.py.
 ``unreached()`` lists every ``def`` whose code never ran, nested and
 decorated ones included, keyed by the code object's first line (the
 first decorator's line for a decorated def).  Only the names in
@@ -32,6 +35,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -101,11 +105,20 @@ def _benchmark_rounds() -> list:
     return [namespace["ROUND_BUILDERS"][name][0](random.Random(f"{name}/1/0")) for name in names]
 
 
-def _run_traffic() -> None:
-    from golden.record import CORPUS, run
+def _run_traffic(records: list) -> None:
+    """Runs the traffic, appending one record per corpus entry, in corpus
+    order: whether it called build_parser, whether it loaded argparse, and
+    the package modules loaded once it has run.  Before each entry the
+    parser cache is cleared and argparse is dropped from sys.modules, so
+    each entry that needs either loads it again."""
+    from golden.record import CORPUS, cli, run
 
     for entry in json.loads(CORPUS.read_text()):
+        cli.build_parser.cache_clear()
+        sys.modules.pop("argparse", None)
         run(entry["argv"])
+        modules = sorted(m for m in sys.modules if m.partition(".")[0] == "trigonal4")
+        records.append((cli.build_parser.cache_info().misses == 1, "argparse" in sys.modules, modules))
     for requests in _benchmark_rounds():
         for request in requests:
             run(request["argv"])
@@ -137,24 +150,33 @@ def profile_calls(run, directory: Path) -> set:
     return keys
 
 
-def replay() -> set:
-    """profile_calls of the traffic on the package, in this process, which
-    must not have imported trigonal4 yet."""
+# What a replay saw: the profile_calls keys of the package, and the
+# _run_traffic record of each corpus entry.
+Traffic = namedtuple("Traffic", "called records")
+
+
+def replay() -> Traffic:
+    """The traffic replayed in this process, which must not have imported
+    trigonal4 yet."""
     sys.path[:0] = [str(SOURCE.parent), str(TESTS)]
-    return profile_calls(_run_traffic, SOURCE)
+    records: list = []
+    return Traffic(profile_calls(lambda: _run_traffic(records), SOURCE), records)
 
 
-def replay_in_subprocess() -> set:
+def replay_in_subprocess() -> Traffic:
     """replay() in a fresh ``python -S`` that writes no bytecode."""
     code = (
         "import sys; sys.dont_write_bytecode = True; "
         f"sys.path.insert(0, {str(TESTS)!r}); "
-        "import json, reachability; print(json.dumps(sorted(reachability.replay())))"
+        "import json, reachability; called, records = reachability.replay(); "
+        "print(json.dumps([sorted(called), records]))"
     )
     result = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True, cwd=str(ROOT)
     )
-    return {tuple(key) for key in json.loads(result.stdout)}
+    called, records = json.loads(result.stdout)
+    records = [(built, loaded, set(modules)) for built, loaded, modules in records]
+    return Traffic({tuple(key) for key in called}, records)
 
 
 def _defs(tree: ast.Module):
@@ -193,7 +215,7 @@ def unreached(called: set, files=None) -> list:
 
 if __name__ == "__main__":
     sys.dont_write_bytecode = True
-    missing = unreached(replay_in_subprocess())
+    missing = unreached(replay_in_subprocess().called)
     for module, qualname, lines in missing:
         print(f"{module}.{qualname}: {lines} lines")
     print(f"{len(missing)} unreached defs, {sum(lines for *_, lines in missing)} lines")

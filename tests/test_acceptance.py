@@ -3,14 +3,16 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 Every tolerance is pinned here; the exact criteria admit no tolerance at
 all, and the single numeric criterion uses 1e-8 relative error.
+
+A criterion is the one check of its fact on the points it draws: a unit
+test elsewhere covers only what no criterion draws and no corpus digest
+pins.
 """
 
 import functools
 import io
 import json
 import time
-
-import pytest
 
 from trigonal4.canonical_ideal import canonical_cubic, sym2_relation
 from trigonal4.cli import main
@@ -285,7 +287,6 @@ def test_criterion_10_determinism_and_exit_codes():
     summary = rows[-1]["summary"]
     # frozen from the exact oracle at this seed; generic directions are off the conic
     assert summary.get("NotOnConic", 0) == 100
-    assert summary.get("NotOnConic", 0) >= 90
 
     sink = io.StringIO()
     assert main(["analyze", "--u", "1,2,3", "--xi", "1,0,0"], sink) == 2

@@ -32,50 +32,26 @@ def test_corpus_holds_in_a_narrow_terminal_and_another_hash_seed():
     assert result.returncode == 0, result.stdout + result.stderr
 
 
-@pytest.fixture(scope="module")
-def replayed():
-    """Replays every corpus entry in one fresh interpreter without site (-S)
-    and gives, for each entry in corpus order, whether it called
-    build_parser, whether it loaded argparse, and the package modules
-    loaded once it has run.  Before each entry the parser cache is cleared
-    and argparse is dropped from sys.modules, so each entry that needs
-    either loads it again."""
-    tests = Path(__file__).resolve().parent
-    code = (
-        "import json, sys\n"
-        "from golden.record import CORPUS, cli, run\n"
-        "for entry in json.loads(CORPUS.read_text()):\n"
-        "    cli.build_parser.cache_clear()\n"
-        "    sys.modules.pop('argparse', None)\n"
-        "    run(entry['argv'])\n"
-        "    print(cli.build_parser.cache_info().misses == 1, 'argparse' in sys.modules, "
-        "*sorted(m for m in sys.modules if m.partition('.')[0] == 'trigonal4'))"
-    )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
-    result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
-    lines = [line.split() for line in result.stdout.splitlines()]
-    assert len(lines) == len(ENTRIES)
-    return [(built == "True", loaded == "True", set(modules)) for built, loaded, *modules in lines]
-
-
 @pytest.mark.parametrize("index", range(len(ENTRIES)), ids=[argv_id(e["argv"]) for e in ENTRIES])
-def test_corpus_loads_no_polynomial_series_or_matrix_module(replayed, index):
+def test_corpus_loads_no_polynomial_series_or_matrix_module(traffic, index):
     """No corpus entry, nor any before it, loads polynomials, series or
     linalg: no command divides polynomials, expands a series or builds a
     Matrix."""
-    loaded = replayed[index][2]
+    loaded = traffic.records[index][2]
     assert "trigonal4.cli" in loaded
     assert not loaded & {"trigonal4.polynomials", "trigonal4.series", "trigonal4.linalg"}
 
 
-def test_corpus_requests_that_exit_0_build_no_parser(replayed):
+def test_corpus_requests_that_exit_0_build_no_parser(traffic):
     """An entry loads argparse exactly when it builds the parser, and the
     entries that exit 0 and do so are exactly the help requests: main reads
     every other such argv, attached or separate values alike, straight from
     the option table."""
-    assert [built for built, _, _ in replayed] == [loaded for _, loaded, _ in replayed]
+    records = traffic.records
+    assert len(records) == len(ENTRIES)
+    assert [built for built, _, _ in records] == [loaded for _, loaded, _ in records]
     ok = hashlib.sha256(b"0").hexdigest()
-    loaded = [entry["argv"] for entry, (_, argparse, _) in zip(ENTRIES, replayed) if entry["exit"] == ok and argparse]
+    loaded = [entry["argv"] for entry, (_, argparse, _) in zip(ENTRIES, records) if entry["exit"] == ok and argparse]
     assert loaded == [entry["argv"] for entry in ENTRIES if "-h" in entry["argv"]]
 
 

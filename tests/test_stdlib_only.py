@@ -217,19 +217,12 @@ def test_no_dead_definitions():
     assert not offenders, offenders
 
 
-@pytest.fixture(scope="module")
-def replayed():
-    """The (file name, first line) of every package code object the traffic
-    calls, replayed once in a fresh interpreter."""
-    return reachability.replay_in_subprocess()
-
-
-def test_every_def_runs_for_the_traffic(replayed):
+def test_every_def_runs_for_the_traffic(traffic):
     """Every def in the package runs for a corpus command, a benchmark
     round or a perfbench pin (tests/reachability.py); only the EXEMPT names
     may stay unrun.  Run tests/reachability.py for the list with line
     counts."""
-    assert reachability.unreached(replayed) == []
+    assert reachability.unreached(traffic.called) == []
 
 
 def _code_key(name: str) -> tuple:
@@ -243,7 +236,7 @@ def _code_key(name: str) -> tuple:
     return Path(code.co_filename).name, code.co_firstlineno
 
 
-def test_the_exercise_runs_what_perfbench_pins(replayed):
+def test_the_exercise_runs_what_perfbench_pins(traffic):
     """Each EXERCISE entry calls a name that perfbench/layertrace.py counts
     (COUNTED) or reads the cache of (CACHES), and with the traffic it runs
     every one of those names.  So when the benchmark stops naming a
@@ -253,7 +246,7 @@ def test_the_exercise_runs_what_perfbench_pins(replayed):
         f"{module}.{name}" for _, targets in LAYERTRACE["CACHES"] for module, name in targets
     }
     assert set(reachability.EXERCISE) <= pinned, sorted(set(reachability.EXERCISE) - pinned)
-    missing = sorted(name for name in pinned if _code_key(name) not in replayed)
+    missing = sorted(name for name in pinned if _code_key(name) not in traffic.called)
     assert not missing, missing
 
 
