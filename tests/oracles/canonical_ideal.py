@@ -50,6 +50,21 @@ def _monomial_value(v: tuple, exponents: tuple) -> Scalar:
     return acc
 
 
+def quadric_matrix(form: MonomialForm) -> Matrix:
+    """The symmetric 4x4 Gram matrix (off-diagonal entries halved)."""
+    rows = [[Scalar.zero()] * 4 for _ in range(4)]
+    for m, c in form.terms:
+        support = [i for i, e in enumerate(m) for _ in range(e)]
+        i, j = support
+        if i == j:
+            rows[i][i] = rows[i][i] + c
+        else:
+            half = c / 2
+            rows[i][j] = rows[i][j] + half
+            rows[j][i] = rows[j][i] + half
+    return Matrix(rows)
+
+
 def sample_fiber_xs(params: CurveParams, count: int, skip: int = 0) -> list[Scalar]:
     """Deterministic non-branch sample values 2, -2, 3, -3, ... ; ``skip``
     many valid values are discarded first, giving disjoint second samples."""

@@ -4,9 +4,8 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 Every tolerance is pinned here; the exact criteria admit no tolerance at
 all, and the single numeric criterion uses 1e-8 relative error.
 
-A criterion is the one check of its fact on the points it draws: a unit
-test elsewhere covers only what no criterion draws and no corpus digest
-pins.
+A criterion is the check of record for its fact on the points it draws:
+a new unit test covers what no criterion draws and no corpus digest pins.
 """
 
 import functools

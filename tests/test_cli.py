@@ -31,6 +31,18 @@ def run_cli(argv):
     return code, out.getvalue()
 
 
+def test_analyze_supported_case():
+    code, text = run_cli(["analyze", "--u", "0,2,3", "--xi", "1,0,0"])
+    assert code == 0
+    doc = json.loads(text)
+    assert doc["certificate"]["variant"] == "OnConicSupported"
+    assert doc["ks_rank"] == 2
+    assert doc["base_locus"] == [[{"kind": "branch", "x": "0"}, 3]]
+    assert doc["conic"]["on_conic"] is True
+    assert doc["certificate"]["subspace_dim"] == 6
+    assert "elapsed_ms" not in doc
+
+
 # The documented error table: each class's exit code and stderr label.
 ERROR_TABLE = [
     (InvalidParameters, 2, "invalid parameters"),
@@ -67,6 +79,21 @@ def test_readme_exit_codes_name_the_error_table():
         assert f"`{label}:`" in paragraph, label
 
 
+def test_analyze_exit_codes():
+    code, _ = run_cli(["analyze", "--u", "1,2,3", "--xi", "1,0,0"])
+    assert code == 2
+    code, _ = run_cli(["analyze", "--u", "2,2,3", "--xi", "1,0,0"])
+    assert code == 2
+    code, _ = run_cli(["analyze", "--u", "0,2,3", "--xi", "0,0,0"])
+    assert code == 3
+    code, _ = run_cli(["analyze", "--u", "0,2,3", "--xi", "not-a-literal,0,0"])
+    assert code == 2
+    code, _ = run_cli(["analyze", "--u", "1/0,2,3", "--xi", "1,0,0"])
+    assert code == 2
+    code, _ = run_cli(["analyze", "--u", "0,2,3", "--xi", "1,0,2/0*w"])
+    assert code == 2
+
+
 @pytest.mark.parametrize("order", ["0", "-5", "65"])
 @pytest.mark.parametrize(
     "command",
@@ -79,6 +106,13 @@ def test_readme_exit_codes_name_the_error_table():
 def test_series_order_out_of_range(command, order):
     code, text = run_cli(command + [f"--series-order={order}"])
     assert code == 2 and text == ""
+
+
+@pytest.mark.parametrize("order", ["1", "64"])
+def test_series_order_bounds_accepted(order):
+    code, text = run_cli(["analyze", "--u", "0,2,3", "--xi", "1,2,3", f"--series-order={order}"])
+    assert code == 0
+    assert json.loads(text)["series_order"] == int(order)
 
 
 @pytest.mark.parametrize(
@@ -206,6 +240,12 @@ def test_output_beyond_int_digit_limit_exits_2():
 def test_scan_grid_count_must_be_ascii_digits(grid):
     code, text = run_cli(["scan", "--grid", grid, "--u=0,2,3"])
     assert code == 2 and text == ""
+
+
+def test_analyze_deterministic_bytes():
+    _, first = run_cli(["analyze", "--u", "0,2,3", "--xi", "1,2,3"])
+    _, second = run_cli(["analyze", "--u", "0,2,3", "--xi", "1,2,3"])
+    assert first == second
 
 
 @pytest.mark.parametrize(
@@ -376,20 +416,60 @@ def _main_outcome_through_argparse(argv):
         cli.canonical_args = real
 
 
-def test_residue_check_too_few_nodes_is_a_disagreement():
+def test_residue_check_agreement():
+    code, text = run_cli(["residue-check", "--u", "0,2,3", "--j", "1"])
+    assert code == 0
+    doc = json.loads(text)
+    assert doc["all_match"] is True
+    assert len(doc["entries"]) == 16
+    entry01 = next(e for e in doc["entries"] if e["l"] == 0 and e["k"] == 1)
+    assert entry01["closed"] == "-1/6" and entry01["oracle"] == "-1/6"
+    zeros = [e for e in doc["entries"] if e["l"] >= 1 and e["k"] >= 1]
+    assert all(e["closed"] == "0" and e["oracle"] == "0" for e in zeros)
+
+
+def test_residue_check_numeric_mode():
+    code, text = run_cli(
+        ["residue-check", "--u", "0,2,3", "--j", "2", "--numeric", "--quad-nodes", "128"]
+    )
+    assert code == 0
+    doc = json.loads(text)
+    assert float(doc["worst_rel_err"]) < 1e-8
+
+
+def test_residue_check_tolerance_exceeded_trips_exit_4():
+    # an unattainable tolerance makes the true quadrature error count as a
+    # disagreement, exercising the oracle-mismatch exit path honestly
+    code, _ = run_cli(
+        [
+            "residue-check",
+            "--u", "0,2,3",
+            "--j", "1",
+            "--numeric",
+            "--quad-nodes", "64",
+            "--numeric-tolerance", "1e-30",
+        ]
+    )
+    assert code == 4
+
+
+@pytest.mark.parametrize("nodes", ["1", "2"])
+def test_residue_check_too_few_nodes_is_a_disagreement(nodes):
     # One or two nodes cannot separate the y**-1 moment from the principal
     # part; that is a numeric disagreement (exit 4), not a structural error.
-    # The corpus pins one node.
-    code, text = run_cli(["residue-check", "--u=0,2,3", "--j=1", "--numeric", "--quad-nodes=2"])
+    code, text = run_cli(
+        ["residue-check", "--u=0,2,3", "--j=1", "--numeric", f"--quad-nodes={nodes}"]
+    )
     assert code == 4 and text == ""
 
 
 NODE_RANGE_ERROR = "invalid input: --quad-nodes must lie in 1..4096\n"
 
 
-# the exact path range-checks --quad-nodes too, though it runs no quadrature;
-# the corpus pins 0 and 4097 nodes under --numeric
-@pytest.mark.parametrize("nodes, extra", [("-3", ["--numeric"]), ("0", [])], ids=["-3", "0-exact"])
+# the exact path range-checks --quad-nodes too, though it runs no quadrature
+@pytest.mark.parametrize(
+    "nodes, extra", [("0", ["--numeric"]), ("-3", ["--numeric"]), ("0", [])], ids=["0", "-3", "0-exact"]
+)
 def test_residue_check_rejects_nodeless_quadrature(nodes, extra):
     code, text, err = _main_outcome(
         ["residue-check", "--u", "0,2,3", "--j", "1", *extra, "--quad-nodes", nodes]
@@ -400,9 +480,12 @@ def test_residue_check_rejects_nodeless_quadrature(nodes, extra):
 
 def test_residue_check_rejects_too_many_nodes():
     assert numeric.MAX_QUAD_NODES == 4096
-    code, text, err = _main_outcome(["residue-check", "--u", "0,2,3", "--j", "1", "--quad-nodes", "4097"])
-    assert code == 2 and text == ""
-    assert err == NODE_RANGE_ERROR
+    for extra in (["--numeric"], []):
+        code, text, err = _main_outcome(
+            ["residue-check", "--u", "0,2,3", "--j", "1", *extra, "--quad-nodes", "4097"]
+        )
+        assert code == 2 and text == ""
+        assert err == NODE_RANGE_ERROR
 
 
 def test_residue_check_accepts_the_node_bound():
@@ -444,6 +527,26 @@ def test_residue_check_numeric_where_horner_rounding_exceeds_old_bound(j):
     )
     assert code == 0
     assert float(json.loads(text)["worst_rel_err"]) < 1e-8
+
+
+def test_scan_deterministic():
+    args = ["scan", "--random", "12", "--seed", "7"]
+    _, first = run_cli(args)
+    _, second = run_cli(args)
+    assert first == second
+    rows = [json.loads(line) for line in first.strip().splitlines()]
+    assert len(rows) == 13  # 12 rows + summary
+    assert "summary" in rows[-1]
+
+
+def test_scan_grid_cone_all_on_conic():
+    code, text = run_cli(["scan", "--grid", "cone:8", "--u", "0,2,3"])
+    assert code == 0
+    rows = [json.loads(line) for line in text.strip().splitlines()]
+    body, summary = rows[:-1], rows[-1]
+    assert len(body) == 8
+    assert all(row["variant"] == "OnConicSupported" for row in body)
+    assert summary["summary"] == {"OnConicSupported": 8}
 
 
 def test_scan_summary_counts_the_row_variants():
@@ -528,6 +631,47 @@ def test_scan_csv_format():
     assert len(lines) == 5
 
 
+def test_ideal_document():
+    code, text = run_cli(["ideal", "--u", "0,2,3"])
+    assert code == 0
+    doc = json.loads(text)
+    assert doc["quadric"] == {"z1*z3": "-1", "z2^2": "1"}
+    assert doc["cubic"]["z0^3"] == "1"
+    assert doc["monomial_order"] == "grlex z0>z1>z2>z3"
+
+
+def test_schiffer_document():
+    code, text = run_cli(["schiffer", "--u", "0,2,3", "--point", "0,1,0,0"])
+    assert code == 0
+    doc = json.loads(text)
+    assert doc["is_schiffer"] is True
+    code, text = run_cli(["schiffer", "--u", "0,2,3", "--point", "1,0,0,0"])
+    doc = json.loads(text)
+    assert doc["is_schiffer"] is False and doc["cubic_value"] == "1"
+    code, text = run_cli(["schiffer", "--u", "0,2,3", "--point", "0,0,0,0"])
+    assert code == 2 and text == ""
+
+
+def test_d0_document():
+    code, text = run_cli(["d0", "--u", "0,2,3", "--t1", "1/4"])
+    assert code == 0
+    doc = json.loads(text)
+    assert doc["t2"] == "6"
+    assert doc["witness"] == "trivially equal"
+    assert doc["plus"] == doc["minus"]
+    code, text = run_cli(["d0", "--u", "0,2,3", "--t1", "1/4", "--t2", "7"])
+    doc = json.loads(text)
+    assert doc["witness"] == "(x-5)/(x-6)"
+    code, text = run_cli(["d0", "--u", "0,2,3", "--t1", "0"])
+    doc = json.loads(text)
+    assert doc["t2"] == "inf"
+
+
+def test_qz24_checks_a_before_any_work():
+    code, text = run_cli(["qz24", "--a=1"])
+    assert code == 2 and text == ""
+
+
 # -- argv fuzz -------------------------------------------------------------------
 
 _LITERAL = st.sampled_from(
@@ -582,11 +726,14 @@ _FUZZ_OPTIONS = {
 _FUZZ_FLAGS = {"analyze": ("--timing",), "residue-check": ("--numeric", "--timing")}
 
 
-@pytest.mark.parametrize("argv", [["qz24", "--a=--"], ["scan", "--random=--"]], ids=["qz24", "scan"])
+@pytest.mark.parametrize(
+    "argv",
+    [["qz24", "--a=--"], ["ideal", "--u=--"], ["scan", "--random=--"], ["analyze", "--u=0,2,3", "--xi=--"]],
+    ids=["qz24", "ideal", "scan", "analyze"],
+)
 def test_attached_double_dash_value_exits_2(argv):
     # main refuses --opt=-- before argparse reads it, since argparse versions
-    # read it differently (an empty value, or the value "--"); the corpus
-    # pins the refusal for ideal and analyze
+    # read it differently (an empty value, or the value "--")
     code, out, err = _main_outcome(argv)
     assert code == 2 and out == ""
     assert err.endswith("trigonal4: error: -- is not an option value\n")

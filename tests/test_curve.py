@@ -18,6 +18,7 @@ from trigonal4.curve import (
     trigonal_fiber,
     validate_params,
 )
+from trigonal4.deformation import cone_directions, delta_nu_c_test
 from trigonal4.errors import DegenerateInput, InvalidParameters, StructuralError
 from trigonal4.prng import SplitMix64, sample_params, sample_scalar
 from trigonal4.scalars import INFINITY, Scalar
@@ -231,6 +232,12 @@ def test_divisor_of_zero_rejected(u023):
         divisor_of(u023, Differential(0, (0, 0, 0)))
 
 
+def test_divisor_of_omega0_is_branch_divisor(u023):
+    div = divisor_of(u023, OMEGA[0])
+    assert div == Divisor.of(*((BranchPoint(b), 1) for b in u023.branch_x))
+    assert div.degree == 6
+
+
 def test_divisor_of_omega1_is_double_infinity(u023):
     div = divisor_of(u023, OMEGA[1])
     assert div == Divisor.of(*((InfinityPoint(s), 2) for s in range(3)))
@@ -245,6 +252,17 @@ def test_divisor_of_omega2_branch_case(u023):
         (InfinityPoint(2), 1),
     )
     assert div == expected
+
+
+@given(st.lists(scalar_strategy(bound=8, max_denominator=3), min_size=4, max_size=4))
+@settings(max_examples=25)
+def test_divisor_degree_always_six(u023, coeffs):
+    d = Differential(coeffs[0], coeffs[1:])
+    if d.is_zero():
+        return
+    div = divisor_of(u023, d)
+    assert div.degree == 6
+    assert div.is_effective()
 
 
 def test_trigonal_fiber_cases(u023):
@@ -345,6 +363,17 @@ def test_divisors_are_equal_records(pairs, sheet, rng):
     assert Divisor.of((first, m + 1), *rest) != divisor
     other_sheet = [(InfinityPoint((sheet + 1) % 3), 1)]
     assert Divisor.of(*entries[:-1], *other_sheet) != divisor
+
+
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1), kind=st.sampled_from(["point", "branch", "infinity"]))
+@settings(max_examples=25)
+def test_on_conic_base_locus_is_the_fiber_record(seed, kind):
+    rng = SplitMix64(seed)
+    params = sample_params(rng)
+    t = {"point": sample_scalar(rng), "branch": params.u[rng.below(3)], "infinity": INFINITY}[kind]
+    locus = delta_nu_c_test(params, cone_directions(params, t)).base_locus
+    fiber = trigonal_fiber(params, t)
+    assert locus == fiber and hash(locus) == hash(fiber)
 
 
 def test_divisor_records_differ_where_the_geometry_agrees(u248):

@@ -55,7 +55,24 @@ from oracles.series import series_of_rational
 from test_base_kernel import wide_literals
 
 
+def tangent_strategy():
+    return st.lists(scalar_strategy(bound=7, max_denominator=3), min_size=3, max_size=3).map(
+        TangentVector
+    )
+
+
 # -- pairing matrix and oracle -------------------------------------------------
+
+
+def test_pairing_entries_examples(u023):
+    m = bordered(pairing_covector(u023, TangentVector((1, 0, 0))), Scalar.zero())
+    assert m[0][1] == Scalar.of(-1) / 6  # 1/Q'(0)
+    assert m[0][2] == Scalar.zero()
+    assert m[1][3] == Scalar.zero()
+    assert m[0][0] == Scalar.zero()
+    # symmetry of the mixed entries
+    for k in range(1, 4):
+        assert m[0][k] == m[k][0]
 
 
 @pytest.mark.parametrize("u", U_POINTS)
@@ -113,6 +130,69 @@ def test_residue_oracle_rejects_a_fourth_parameter(u023):
             residue_matrix(u023, j)
 
 
+# -- rank and kernel -----------------------------------------------------------
+
+
+def test_ks_rank(u023):
+    assert rank(Matrix(bordered(pairing_covector(u023, TangentVector((0, 0, 0))), Scalar.zero()))) == 0
+    assert delta_nu_c_test(u023, TangentVector((1, 0, 0))).rank == 2
+    assert delta_nu_c_test(u023, TangentVector((1, 1, 1))).rank == 2
+
+
+@given(tangent_strategy())
+@settings(max_examples=20)
+def test_ks_rank_two_for_nonzero(u023, xi):
+    # the closed-form covector against a . A, summed in Scalar arithmetic
+    # over the moment matrix's rows, and the closed-form rank against
+    # elimination on the 4x4 matrix bordered by that sum
+    rows = moment_matrix(u023).rows
+    covector = tuple(sum((aj * row[k] for aj, row in zip(xi.a, rows)), Scalar.zero()) for k in range(3))
+    matrix_rank = rank(Matrix(bordered(covector, Scalar.zero())))
+    if xi.is_zero():
+        assert matrix_rank == 0
+    else:
+        cert = CeresaCertificate(u023, xi)
+        assert cert.covector == covector
+        assert cert.rank == delta_nu_c_test(u023, xi).rank == matrix_rank == 2
+
+
+def test_zero_covector_rejected(u023):
+    # the zero direction is the one direction with the zero covector, and the
+    # certificate refuses it before computing anything
+    zero = TangentVector((0, 0, 0))
+    assert not any(pairing_covector(u023, zero))
+    with pytest.raises(ZeroTangent):
+        CeresaCertificate(u023, zero)
+
+
+def test_kernel_W_for_coordinate_directions(u023):
+    for j in range(3):
+        direction = [0, 0, 0]
+        direction[j] = 1
+        basis = delta_nu_c_test(u023, TangentVector(tuple(direction))).kernel_basis
+        uj = u023.u[j]
+        expected = [
+            (-uj, Scalar.one(), Scalar.zero()),
+            (Scalar.zero(), -uj, Scalar.one()),
+        ]
+        assert same_subspace([row[1:] for row in basis], expected)
+
+
+@given(tangent_strategy().filter(lambda t: not t.is_zero()))
+@settings(max_examples=20)
+def test_kernel_matches_pairing_matrix_nullspace(u023, xi):
+    basis = delta_nu_c_test(u023, xi).kernel_basis
+    matrix_kernel = Matrix(bordered(pairing_covector(u023, xi), Scalar.zero())).kernel_basis()
+    # the full 4x4 null space has b0 = 0 automatically and equals W
+    assert all(not row[0] for row in basis)
+    assert same_subspace(list(basis), matrix_kernel)
+
+
+def test_kernel_of_zero_rejected(u023):
+    with pytest.raises(ZeroTangent):
+        delta_nu_c_test(u023, TangentVector((0, 0, 0)))
+
+
 # -- conic and base locus --------------------------------------------------------
 
 
@@ -126,6 +206,24 @@ def test_coordinate_directions_on_conic(u023):
         c = cert.covector
         uj = u023.u[j]
         assert c[1] == c[0] * uj and c[2] == c[0] * uj * uj
+
+
+def test_base_locus_examples(u023):
+    for a, expected in (
+        ((1, 0, 0), Divisor.of((BranchPoint(Scalar.zero()), 3))),
+        ((0, 1, 0), Divisor.of((BranchPoint(Scalar.of(2)), 3))),
+        ((1, 1, 1), Divisor.zero()),
+    ):
+        assert delta_nu_c_test(u023, TangentVector(a)).base_locus == expected
+
+
+@given(tangent_strategy().filter(lambda t: not t.is_zero()))
+@settings(max_examples=25)
+def test_conic_iff_base_locus(u023, xi):
+    cert = delta_nu_c_test(u023, xi)
+    locus = common_zeros_by_divisors(u023, *kernel_forms(cert))
+    assert cert.on_conic == (locus != Divisor.zero())
+    assert cert.base_locus == locus
 
 
 @given(
@@ -158,6 +256,28 @@ def test_base_locus_matches_divisor_oracle(seed, kind):
     assert divisor_json(locus) == divisor_json(oracle)
 
 
+@given(st.one_of(scalar_strategy(bound=9, max_denominator=3), st.just(INFINITY)))
+@settings(max_examples=25)
+def test_cone_directions_postcondition(u023, t):
+    cert = delta_nu_c_test(u023, cone_directions(u023, t))
+    assert cert.on_conic
+    assert cert.base_locus == trigonal_fiber(u023, t)
+
+
+def test_cone_direction_at_parameter_is_coordinate(u023):
+    xi = cone_directions(u023, Scalar.zero())  # t = u1 = 0
+    assert xi.a[1] == Scalar.zero() and xi.a[2] == Scalar.zero() and xi.a[0]
+
+
+def test_cone_direction_at_infinity_kernel(u023):
+    basis = delta_nu_c_test(u023, cone_directions(u023, INFINITY)).kernel_basis
+    expected = [
+        (Scalar.one(), Scalar.zero(), Scalar.zero()),
+        (Scalar.zero(), Scalar.one(), Scalar.zero()),
+    ]
+    assert same_subspace([row[1:] for row in basis], expected)
+
+
 # -- functional and support ---------------------------------------------------------
 
 
@@ -167,6 +287,24 @@ def test_xi_functional_examples(u023):
     assert xi_functional(u023, xi, product_differential(u023, 1, 1)) == Scalar.zero()
     rel = product_differential(u023, 2, 2) + product_differential(u023, 1, 3).scale(-1)
     assert rel.is_zero()  # the quadric relation holds identically in the model
+
+
+@given(tangent_strategy().filter(lambda t: not t.is_zero()))
+@settings(max_examples=15)
+def test_relation_annihilated(u023, xi):
+    rel = product_differential(u023, 2, 2) + product_differential(u023, 1, 3).scale(-1)
+    assert xi_functional(u023, xi, rel) == Scalar.zero()
+
+
+def test_support_examples(u023):
+    xi = TangentVector((1, 0, 0))
+    d3 = Divisor.of((BranchPoint(Scalar.zero()), 3))
+    d1 = Divisor.of((BranchPoint(Scalar.zero()), 1))
+    ok3, dim3 = support_test(u023, xi, d3)
+    ok1, dim1 = support_test(u023, xi, d1)
+    assert ok3 is True and dim3 == 6
+    assert ok1 is False and dim1 == 8
+    assert support_test(u023, xi, Divisor.zero())[0] is False
 
 
 def _reference_conditions(params, divisor):
@@ -250,7 +388,6 @@ def test_support_monotone_in_divisor(u023):
     xi = TangentVector((1, 0, 0))
     d3 = Divisor.of((BranchPoint(Scalar.zero()), 3))
     d4 = d3 + Divisor.of((InfinityPoint(0), 1))
-    assert not support_test(u023, xi, Divisor.zero())[0]
     assert support_test(u023, xi, d3)[0]
     assert support_test(u023, xi, d4)[0]
 
@@ -275,21 +412,26 @@ def test_certificates(u023):
     assert cert.base_locus == Divisor.zero()
     assert cert.supported is None
 
-    # the zero direction is the one direction with the zero covector, and the
-    # certificate refuses it before computing anything
-    zero = TangentVector((0, 0, 0))
-    assert not any(pairing_covector(u023, zero))
     with pytest.raises(ZeroTangent):
-        delta_nu_c_test(u023, zero)
+        delta_nu_c_test(u023, TangentVector((0, 0, 0)))
 
 
-def test_on_conic_certificate_over_a_fiber_of_curve_points(u248):
-    # Q(0) = 64 at u = (2, 4, 8), so the fiber over t = 0 is three points in
-    # Q(w), kept as one fiber entry; the corpus pins the cone directions over
-    # a branch point, a fiber and infinity at u = (0, 2, 3)
-    cert = delta_nu_c_test(u248, cone_directions(u248, Scalar.zero()))
-    assert (cert.variant, cert.subspace_dim) == (ON_CONIC_SUPPORTED, 6)
-    assert cert.base_locus == Divisor.of((FiberPoint(Scalar.zero()), 1))
+@pytest.mark.parametrize(
+    "u, t, expected",
+    [
+        ((0, 2, 3), 2, Divisor.of((BranchPoint(Scalar.of(2)), 3))),
+        ((0, 2, 3), 5, Divisor.of((FiberPoint(Scalar.of(5)), 1))),
+        ((0, 2, 3), INFINITY, Divisor.of(*((InfinityPoint(s), 1) for s in range(3)))),
+        ((2, 4, 8), 0, Divisor.of((FiberPoint(Scalar.zero()), 1))),
+    ],
+    ids=["branch-t2", "fiber-t5", "infinity", "fiber-t0-u248"],
+)
+def test_on_conic_certificates_over_each_fiber_kind(u, t, expected):
+    params = validate_params(*u)
+    cert = delta_nu_c_test(params, cone_directions(params, t))
+    assert cert.variant == ON_CONIC_SUPPORTED
+    assert cert.subspace_dim == 6
+    assert cert.base_locus == expected
 
 
 def _closed_fiber_conditions(t) -> list[tuple]:
@@ -389,7 +531,6 @@ def test_certificates_read_loci_off_closed_forms(monkeypatch, u023):
     monkeypatch.setattr(deformation, "pairing_covector", counted)
     for a, expected in (
         ((1, 0, 0), Divisor.of((BranchPoint(Scalar.zero()), 3))),
-        ((0, 1, 0), Divisor.of((BranchPoint(Scalar.of(2)), 3))),
         ((1, 1, 1), Divisor.zero()),
     ):
         builds.clear()
@@ -439,12 +580,6 @@ def test_cone_directions_match_inverse_oracle(kind, seed):
 @pytest.mark.parametrize("leading_zeros", [0, 1, 2])
 @given(entries=st.lists(scalar_strategy(bound=7, max_denominator=3), min_size=3, max_size=3))
 @settings(max_examples=15)
-# the covectors (1, u_j, u_j**2) of the coordinate directions at u = (0, 2, 3),
-# and (0, 0, 1) of the cone direction at infinity (at leading_zeros = 2)
-@example(entries=[Scalar.of(1), Scalar.of(0), Scalar.of(0)])
-@example(entries=[Scalar.of(1), Scalar.of(2), Scalar.of(4)])
-@example(entries=[Scalar.of(1), Scalar.of(3), Scalar.of(9)])
-@example(entries=[Scalar.of(0), Scalar.of(0), Scalar.of(1)])
 def test_kernel_of_matches_row_kernel(u023, leading_zeros, entries):
     c = (Scalar.zero(),) * leading_zeros + tuple(entries[leading_zeros:])
     if not c[leading_zeros]:

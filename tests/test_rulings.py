@@ -62,6 +62,14 @@ def test_ruling_divisor_degree_three(u023, t):
         assert trigonal_fiber(u023, ruling_parameter_x(t, family)).degree == 3
 
 
+@given(t_values())
+@settings(max_examples=30)
+def test_d0_trivial_under_relation(u023, t1):
+    cycle = d0_cycle(u023, t1)
+    assert cycle.plus == cycle.minus
+    assert cycle.witness == "trivially equal"
+
+
 def test_d0_edge_cases(u023):
     c = d0_cycle(u023, Scalar.zero())
     assert c.t2 is INFINITY
@@ -84,6 +92,13 @@ def test_d0_compares_fiber_parameters(monkeypatch, u023):
     for t1, t2, witness in ((Scalar.one(), Scalar.of(3), "trivially equal"), (INFINITY, INFINITY, "x-1")):
         assert d0_cycle(u023, t1, t2).witness == witness
     assert d0_cycle(u023, Scalar.zero()).t2 is INFINITY
+
+
+def test_d0_violating_pair(u023):
+    c = d0_cycle(u023, Scalar.parse("1/4"), Scalar.of(7))
+    assert c.plus == trigonal_fiber(u023, Scalar.of(5))
+    assert c.minus == trigonal_fiber(u023, Scalar.of(6))
+    assert c.witness == "(x-5)/(x-6)"
 
 
 def test_principal_witness_examples(u023):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 
 from trigonal4.errors import DegenerateInput
 from trigonal4.scalars import INFINITY, Scalar, _make, _triple, parse_projective, ratio_scalar
@@ -29,6 +29,11 @@ def test_field_axioms_additive_and_distributive(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert a + b == b + a
     assert a * b == b * a
+
+
+@given(scalars, nonzero_scalars)
+def test_division_inverts_multiplication(a, b):
+    assert (a / b) * b == a
 
 
 @given(nonzero_scalars)
@@ -63,6 +68,11 @@ def test_parse_projective():
     assert parse_projective("-2/3") == ratio_scalar(-2, 3, 0, 1)
 
 
+@given(scalars, scalars)
+def test_sort_key_total_order(a, b):
+    assert (a.sort_key() == b.sort_key()) == (a == b)
+
+
 def test_complex_embedding():
     w = complex(Scalar.zeta())
     assert abs(w ** 3 - 1) < 1e-12
@@ -82,6 +92,17 @@ def test_cube_costs_two_multiplications(monkeypatch):
     monkeypatch.setattr(Scalar, "__mul__", counting)
     assert u ** 3 == expected
     assert len(calls) == 2
+
+
+@given(scalar_strategy(bound=6, max_denominator=4), st.integers(min_value=-4, max_value=8))
+def test_power_is_repeated_product(x, n):
+    assume(n >= 0 or x)
+    expected = Scalar.one()
+    for _ in range(abs(n)):
+        expected = expected * x
+    if n < 0:
+        expected = expected.inverse()
+    assert x ** n == expected
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +182,25 @@ def test_formatting_order_and_complex_match_reference(x):
     assert str(x) == str(ref)
     assert x.sort_key() == ref.sort_key()
     assert complex(x) == complex(ref)  # bit for bit
+
+
+_literal_parts = st.tuples(st.integers(min_value=-60, max_value=60), st.integers(min_value=0, max_value=12))
+
+
+@given(_literal_parts, _literal_parts, st.sampled_from(("rat", "zet0", "both")))
+def test_parse_matches_reference(p, q, form):
+    def literal(num_den):
+        num, den = num_den
+        return str(num) if den == 1 else f"{num}/{den}"
+
+    text = {"rat": literal(p), "zet0": f"{literal(q)}*w", "both": f"{literal(p)}+{literal(q)}*w"}[form]
+    try:
+        expected = FractionScalar.parse(text)
+    except DegenerateInput:  # a zero denominator
+        with pytest.raises(DegenerateInput):
+            Scalar.parse(text)
+        return
+    _assert_matches(Scalar.parse(text), expected)
 
 
 # Digit strings of 1 to 4400 digits, leading zeros included, and some just
@@ -341,6 +381,12 @@ def test_a_scalar_keeps_the_literal_of_its_triple(x, y, how):
     assert str(value) == expected and repr(value) == f"Scalar({expected})"
     assert value == twin and hash(value) == hash(twin) and twin._text is None
     assert str(twin) == expected
+
+
+@given(scalars, nonzero_scalars)
+def test_hash_agrees_with_equality(x, k):
+    y = (x * k) / k
+    assert y == x and hash(y) == hash(x) and _is_canonical(y)
 
 
 def test_scalars_compare_only_to_scalars():
